@@ -2,7 +2,7 @@ GO ?= go
 # bash + pipefail so piping through tee cannot mask a benchmark failure.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build vet test race bench bench-diff bench-codec bench-persist bench-mwmr fuzz integration torture torture-short
+.PHONY: all build vet test race bench bench-diff bench-codec bench-persist bench-mwmr fuzz integration torture torture-short bench-module e2e
 
 all: build vet test
 
@@ -43,6 +43,21 @@ bench-diff:
 
 bench-baseline:
 	$(GO) test -run xxx -bench 'E7|E9|E12|E13|E16' -benchmem -count=3 -benchtime 3000x . | tee bench_baseline.txt
+
+# bench-module vets and tests the repository benchmark (bench/, its own Go
+# module compiled against internal/ — outside `go build ./...`, so a change
+# to a signature or counter name it uses breaks it silently otherwise).
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
+
+# e2e runs the repository benchmark end to end (BENCHMARK.json): each of the
+# four workloads untraced — the end-to-end metrics, with every read checked
+# inline — then traced, for the per-layer ledger. ~4 minutes.
+E2E_WORKLOADS := small_mixed durable_put bigtable_read byz_t2_mixed
+e2e:
+	for t in 0 1; do for w in $(E2E_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace $$t || exit 1; \
+	done; done
 
 # bench-mwmr isolates the multi-writer contention experiment (E11).
 bench-mwmr:

@@ -38,6 +38,8 @@
 //	stale       acknowledge writes but serve reads from a state frozen at
 //	            injection time, per register instance
 //	equivocate  split-brain: honest to the writer, stale to readers
+//	falseelide  answer reads with "value elided" claims the request never
+//	            justified: un-offered, stale and forged timestamps in turn
 //
 // Orthogonally, -chaos-batch-drop and -chaos-batch-shuffle attack the
 // generation-3 batched wire frames specifically: drop individual
@@ -66,7 +68,7 @@ func main() {
 	addr := flag.String("addr", ":7001", "listen address")
 	dataDir := flag.String("data-dir", "", "durability directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "batch", "WAL fsync policy: always | batch | off")
-	chaos := flag.String("chaos", "", "Byzantine behavior: garbage | silent | flaky | stale | equivocate (empty = honest)")
+	chaos := flag.String("chaos", "", "Byzantine behavior: garbage | silent | flaky | stale | equivocate | falseelide (empty = honest)")
 	chaosDrop := flag.Float64("chaos-drop", 0.5, "flaky: probability of dropping a reply")
 	chaosSeed := flag.Int64("chaos-seed", 1, "flaky: RNG seed for the drop pattern")
 	chaosBatchDrop := flag.Float64("chaos-batch-drop", 0, "probability of dropping each sub-bundle from a batched reply")
@@ -100,6 +102,8 @@ func main() {
 		s.SetBehavior(&server.Stale{})
 	case "equivocate":
 		s.SetBehavior(server.Equivocate{Readers: &server.Stale{}})
+	case "falseelide":
+		s.SetBehavior(&server.FalseElide{})
 	default:
 		fmt.Fprintf(os.Stderr, "storaged: unknown chaos mode %q\n", *chaos)
 		os.Exit(2)

@@ -62,7 +62,7 @@ func main() {
 	readers := flag.Int("readers", 8, "reader handles in the per-shard read pools")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	format := flag.String("format", "table", "output: table | csv | json")
-	chaos := flag.String("chaos", "", "in-process only: make object 2 Byzantine (flaky | stale | equivocate | silent | garbage)")
+	chaos := flag.String("chaos", "", "in-process only: make object 2 Byzantine (flaky | stale | equivocate | falseelide | silent | garbage)")
 	obsDump := flag.Bool("obs", false, "after the sweep, print the client-side obs snapshot (round counts, flush-path mix, mux state)")
 	preset := flag.String("preset", "", "workload preset: read-heavy (0.98 Gets, zipf skew 1.3 over 128 keys, 16 reader handles — drives the adaptive read path: elision, coalescing, table cache); explicitly-set flags win")
 	flag.Parse()

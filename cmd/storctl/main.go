@@ -532,7 +532,10 @@ func doctor(addrs []string, shards, readers int) error {
 
 // stats scrapes each daemon's /debug/vars and renders one combined table:
 // metrics down, daemons across. Histograms render their sample count (the
-// full distributions stay on /metrics).
+// full distributions stay on /metrics). One derived row closes the table:
+// the share of READ slot values each daemon answered with a timestamp
+// instead of the value (value-eliding reads) — near 1 on a settled cluster,
+// and the first thing to look at when a daemon's tx bytes climb.
 func stats(debugAddrs []string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	snaps := make([]obs.Snapshot, len(debugAddrs))
@@ -560,7 +563,8 @@ func stats(debugAddrs []string) error {
 		}
 	}
 	names := make([]string, 0, len(nameSet))
-	width := len("metric")
+	const elidedRow = "read values elided (ratio)"
+	width := len(elidedRow)
 	for n := range nameSet {
 		names = append(names, n)
 		if len(n) > width {
@@ -592,5 +596,15 @@ func stats(debugAddrs []string) error {
 		}
 		fmt.Println()
 	}
+	fmt.Printf("%-*s", width, elidedRow)
+	for _, s := range snaps {
+		elided, sent := s.Counters["server_read_values_elided_total"], s.Counters["server_read_values_sent_total"]
+		if elided+sent == 0 {
+			fmt.Printf(" %12s", "-")
+			continue
+		}
+		fmt.Printf(" %12.3f", float64(elided)/float64(elided+sent))
+	}
+	fmt.Println()
 	return nil
 }

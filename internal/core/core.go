@@ -78,6 +78,7 @@ type Writer struct {
 	th      quorum.Thresholds
 	wid     int64
 	pw      PairWriter
+	known   *Known
 
 	// FastWrites and FallbackWrites count Write calls that certified on the
 	// optimistic 2-round path vs. fell back (instrumentation; the round
@@ -94,8 +95,13 @@ func NewWriter(r proto.Rounder, th quorum.Thresholds) *Writer {
 // NewWriterAt returns the handle of writer wid resuming from a known last
 // timestamp (its own, or the highest foreign timestamp it observed).
 func NewWriterAt(r proto.Rounder, th quorum.Thresholds, wid int64, last types.TS) *Writer {
-	return &Writer{rounder: r, th: th, wid: wid, pw: regular.NewWriterAt(r, th, types.WriterReg, wid, last)}
+	return &Writer{rounder: r, th: th, wid: wid, pw: regular.NewWriterAt(r, th, types.WriterReg, wid, last), known: NewKnown(th)}
 }
+
+// UseKnown makes the writer record its writes in, and condition its
+// certified reads on, k instead of the handle's private set — the keyed
+// Store shares one set per shard between its committer and its reader pool.
+func (w *Writer) UseKnown(k *Known) { w.known = k }
 
 // maxDiscoveryLead bounds how far past the writer's own knowledge an
 // UNCERTIFIED discovery result may jump before the writer insists on
@@ -135,18 +141,14 @@ const maxDiscoveryLead = 1 << 32
 // catches up.) The label names the round for traces (e.g. "WDISC").
 func DiscoverNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, label string) (types.TS, error) {
 	acc := regular.NewStateAcc(th)
-	spec := proto.RoundSpec{
-		Label: label,
-		Req:   func(int) types.Message { return types.Message{Kind: types.MsgRead1} },
-		Acc:   acc,
-	}
+	spec := proto.RoundSpec{Label: label, Req: tsOnlyReq, Acc: acc}
 	if err := r.Round(spec); err != nil {
 		return types.TS{}, fmt.Errorf("core: discovery: %w", err)
 	}
 	raw := types.MaxTS(acc.MaxTS(), own)
 	next := raw.Next(wid)
 	if next.Seq <= 0 || raw.Seq-own.Seq > maxDiscoveryLead {
-		_, next, err := CertifiedNext(r, th, wid, own)
+		_, next, err := CertifiedNext(r, th, wid, own, nil)
 		if err != nil {
 			return types.TS{}, err
 		}
@@ -162,14 +164,24 @@ func DiscoverNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS
 // (2 rounds, the full decision procedure) and returns the current pair plus
 // the successor timestamp for writer wid. Unlike DiscoverNext's raw quorum
 // maximum, the decision only returns genuine pairs, so not even the
-// timestamp can be Byzantine-inflated.
-func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS) (types.Pair, types.TS, error) {
-	rd := regular.NewReader(r, th, types.WriterReg)
-	rd.MultiWriter = true
-	cur, err := rd.ReadPair()
-	if err != nil {
-		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: %w", err)
+// timestamp can be Byzantine-inflated. Both rounds are conditioned on k
+// (nil reads unconditioned): a writer whose last pair is still the
+// register's current one — the rebase that finds nothing to rebase onto —
+// moves timestamps, not values.
+func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, k *Known) (types.Pair, types.TS, error) {
+	spec1, acc1 := regular.Read1Spec(th, types.WriterReg)
+	k.hintRead(&spec1, types.WriterReg)
+	if err := r.Round(spec1); err != nil {
+		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: round 1: %w", err)
 	}
+	spec2, acc2 := regular.Read2Spec(th, types.WriterReg, acc1.Replies)
+	acc2.MultiWriter = true
+	k.hintRead(&spec2, types.WriterReg)
+	if err := r.Round(spec2); err != nil {
+		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: round 2: %w", err)
+	}
+	cur := acc2.Choice()
+	k.Seed(types.WriterReg, cur)
 	return cur, types.MaxTS(cur.TS, own).Next(wid), nil
 }
 
@@ -179,8 +191,10 @@ func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.T
 // the write phases and yields the (certified) current pair unchanged. The
 // successor is based on the writer's IssuedTS, so a pair abandoned by an
 // earlier failed attempt is never re-issued with a different value.
-func ModifyCertified(r proto.Rounder, th quorum.Thresholds, wid int64, fn func(cur types.Pair) (types.Value, error), pw PairWriter) (types.Pair, error) {
-	cur, next, err := CertifiedNext(r, th, wid, pw.IssuedTS())
+// The certified read is conditioned on k (see CertifiedNext), and the
+// installed pair recorded in it.
+func ModifyCertified(r proto.Rounder, th quorum.Thresholds, wid int64, fn func(cur types.Pair) (types.Value, error), pw PairWriter, k *Known) (types.Pair, error) {
+	cur, next, err := CertifiedNext(r, th, wid, pw.IssuedTS(), k)
 	if err != nil {
 		return types.Pair{}, err
 	}
@@ -195,7 +209,7 @@ func ModifyCertified(r proto.Rounder, th quorum.Thresholds, wid int64, fn func(c
 		return types.Pair{}, fmt.Errorf("core: register sequence space exhausted")
 	}
 	p := types.Pair{TS: next, Val: v}
-	if err := pw.WritePair(p); err != nil {
+	if err := completed(k, p, pw.WritePair(p)); err != nil {
 		return types.Pair{}, err
 	}
 	return p, nil
@@ -205,7 +219,7 @@ func ModifyCertified(r proto.Rounder, th quorum.Thresholds, wid int64, fn func(c
 // proposal certifies — the uncontended case, and the paper's SWMR optimum —
 // falling back to discovery or the certified read under interference.
 func (w *Writer) Write(v types.Value) error {
-	fast, err := WriteAdaptive(w.rounder, w.th, w.wid, v, w.pw)
+	fast, err := WriteAdaptive(w.rounder, w.th, w.wid, v, w.pw, w.known)
 	if err == nil {
 		if fast {
 			w.FastWrites++
@@ -220,7 +234,7 @@ func (w *Writer) Write(v types.Value) error {
 // WriteIfClean: one freshness round, then install v at the cached successor
 // — 3 rounds, no decision procedure. The keyed Store's flush runs on it.
 func (w *Writer) WriteClean(v types.Value) (types.Pair, bool, error) {
-	return WriteIfClean(w.rounder, w.th, w.wid, v, w.pw)
+	return WriteIfClean(w.rounder, w.th, w.wid, v, w.pw, w.known)
 }
 
 // Validate runs the one-round freshness check of ValidateClean: true means
@@ -245,7 +259,7 @@ func (w *Writer) Validate() (bool, error) {
 // the last complete write, which gives last-writer-wins semantics with no
 // lost update unless the writes genuinely race.
 func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error) {
-	return ModifyCertified(w.rounder, w.th, w.wid, fn, w.pw)
+	return ModifyCertified(w.rounder, w.th, w.wid, fn, w.pw, w.known)
 }
 
 // LastTS returns the timestamp of the last completed write.
@@ -260,13 +274,15 @@ type Reader struct {
 	seq     int64
 
 	// Reusable round state, built on the first read and recycled after:
-	// one two-round accumulator per register, the multiplexed parts
-	// referencing them, and the sid-independent request bundle shared by
-	// both query rounds. Steady-state reads allocate nothing here.
+	// one two-round accumulator per register, the multiplexed round's
+	// accumulator fanning out to them, and the sid-independent request
+	// bundle — rebuilt only when the known-pair set moved, so steady-state
+	// reads allocate nothing here.
 	regs  []types.RegID
 	accs  []*regular.ReadAcc
-	parts []MuxPart
+	mux   muxAcc
 	req   types.Message
+	reqFn func(int) types.Message
 
 	// Elided reports whether the last ReadPair skipped the write-back (the
 	// query rounds certified the chosen pair as completely written).
@@ -293,7 +309,15 @@ func NewReaderAt(r proto.Rounder, th quorum.Thresholds, idx, readers int, seq in
 	if idx < 1 || idx > readers {
 		panic(fmt.Sprintf("core: reader index %d out of 1..%d", idx, readers))
 	}
-	return &Reader{rounder: r, th: th, idx: idx, readers: readers, seq: seq}
+	return &Reader{rounder: r, th: th, idx: idx, readers: readers, seq: seq, mux: muxAcc{inflater: inflater{known: NewKnown(th)}}}
+}
+
+// UseKnown makes the reader condition its reads on (and feed) k instead of
+// the handle's private set. Handles of one register instance in one process
+// should share a set: what one of them decided, none of them is sent again.
+func (r *Reader) UseKnown(k *Known) {
+	r.mux.inflater = inflater{known: k}
+	r.req = types.Message{} // hinted from the old set: rebuild
 }
 
 // Seq returns the reader's current write-back sequence number.
@@ -329,18 +353,16 @@ func (r *Reader) Read() (types.Value, error) {
 	return p.Val, err
 }
 
-// init builds the reader's reusable round state: accumulators, multiplexed
-// parts, and the shared request bundle (read requests are sid-independent,
-// and runtimes treat request messages as immutable, so one bundle serves
-// every object in both query rounds).
+// init builds the reader's reusable round state: accumulators and the
+// multiplexed parts referencing them.
 func (r *Reader) init() {
 	if r.accs != nil {
 		return
 	}
 	r.regs = r.allRegs()
 	r.accs = make([]*regular.ReadAcc, len(r.regs))
-	r.parts = make([]MuxPart, len(r.regs))
-	sub := make([]types.SubMsg, len(r.regs))
+	r.mux.parts = make([]MuxPart, len(r.regs))
+	r.reqFn = func(int) types.Message { return r.req }
 	for i, reg := range r.regs {
 		// Every register runs the relaxed multi-writer decision: the shared
 		// register (index 0) genuinely has many writers, and a write-back
@@ -351,25 +373,25 @@ func (r *Reader) init() {
 		// fault set (see regular.DecideAcc.MultiWriter).
 		r.accs[i] = regular.NewReadAcc(r.th)
 		r.accs[i].MultiWriter = true
-		r.parts[i] = MuxPart{
-			Reg: reg,
-			Req: func(int) types.Message { return types.Message{Kind: types.MsgRead1} },
-			Acc: r.accs[i],
-		}
-		sub[i] = types.SubMsg{Reg: reg, Msg: types.Message{Kind: types.MsgRead1}}
+		r.mux.parts[i] = MuxPart{Reg: reg, Req: readReq, Acc: r.accs[i]}
 	}
-	r.req = types.Message{Kind: types.MsgMux, Sub: sub}
 }
 
-// muxSpec builds the query-round spec over the reader's prebuilt parts and
-// shared request bundle (MuxRound minus the per-object bundle allocation).
+// readReq is the per-register READ every query round sends (its have-list
+// is filled in from the known-pair set when the bundle is built).
+func readReq(int) types.Message { return types.Message{Kind: types.MsgRead1} }
+
+// muxSpec builds the query-round spec over the reader's prebuilt parts:
+// MuxRound minus the per-round allocations. Read requests are
+// sid-independent and runtimes treat request messages as immutable (a slow
+// object may still be sent the previous round's bundle), so one bundle
+// serves every object, and a NEW one is built — never the old one patched —
+// when the known-pair set has moved since the last round.
 func (r *Reader) muxSpec(label string) proto.RoundSpec {
-	req := r.req
-	return proto.RoundSpec{
-		Label: label,
-		Req:   func(int) types.Message { return req },
-		Acc:   &muxAcc{parts: r.parts},
+	if r.mux.refresh() || r.req.Sub == nil {
+		r.req = r.mux.bundle(0)
 	}
+	return proto.RoundSpec{Label: label, Req: r.reqFn, Acc: &r.mux}
 }
 
 // ReadPair performs the adaptive atomic read, returning the chosen
@@ -409,6 +431,12 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	// next fallback write-back must not re-issue what it saw.
 	r.seq = ResumeSeq(r.seq, r.accs[r.idx].Choice().TS, r.accs[r.idx].MaxTS())
 
+	// What was just decided is what the next read will most likely be
+	// answered with: offer it, so the objects need not send it again.
+	for i, a := range r.accs {
+		r.mux.seed(r.regs[i], a.Choice())
+	}
+
 	// The read's result is the maximum pair across the writer's register
 	// and every reader's write-back register.
 	best := r.accs[0].Choice() // writer's register holds pairs directly
@@ -447,10 +475,12 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 		return types.Pair{}, fmt.Errorf("core: write-back register sequence space exhausted")
 	}
 	wb := regular.NewWriterAt(r.rounder, r.th, types.ReaderReg(r.idx), 0, types.At(r.seq))
-	if err := wb.WritePair(types.Pair{TS: types.At(r.seq + 1), Val: EncodePair(best)}); err != nil {
+	back := types.Pair{TS: types.At(r.seq + 1), Val: EncodePair(best)}
+	if err := wb.WritePair(back); err != nil {
 		return types.Pair{}, fmt.Errorf("core: write-back: %w", err)
 	}
 	r.seq++
+	r.mux.known.Seed(types.ReaderReg(r.idx), back)
 	return best, nil
 }
 
@@ -511,9 +541,44 @@ type MuxPart struct {
 
 // muxAcc fans multiplexed replies out to the per-register accumulators; the
 // physical round terminates when every register's round would. Sub-round
-// accumulators are monotone, so the conjunction is monotone.
+// accumulators are monotone, so the conjunction is monotone. It is also
+// where value-eliding reads are undone (see known.go): the round's requests
+// are hinted from the inflater's view of the known-pair set, and every
+// sub-reply is re-inflated against it before its register's accumulator
+// sees it.
 type muxAcc struct {
 	parts []MuxPart
+	inflater
+}
+
+// bundle builds the round's request to object sid: one sub-request per
+// part, READs carrying their register's have-list.
+func (a *muxAcc) bundle(sid int) types.Message {
+	sub := make([]types.SubMsg, len(a.parts))
+	for i, p := range a.parts {
+		msg := p.Req(sid)
+		if msg.Kind == types.MsgRead1 {
+			msg.Have = a.have(p.Reg)
+		}
+		sub[i] = types.SubMsg{Reg: p.Reg, Msg: msg}
+	}
+	return types.Message{Kind: types.MsgMux, Sub: sub}
+}
+
+// part returns the index of the part a sub-reply for reg at position i
+// belongs to: i itself when the object kept the request's order (every
+// correct one does), else whatever a scan finds; -1 for a register the
+// round never asked about.
+func (a *muxAcc) part(i int, reg types.RegID) int {
+	if i < len(a.parts) && a.parts[i].Reg == reg {
+		return i
+	}
+	for j := range a.parts {
+		if a.parts[j].Reg == reg {
+			return j
+		}
+	}
+	return -1
 }
 
 // Add implements proto.Accumulator.
@@ -521,12 +586,29 @@ func (a *muxAcc) Add(sid int, m types.Message) {
 	if m.Kind != types.MsgMux {
 		return
 	}
-	for _, sub := range m.Sub {
-		for i := range a.parts {
-			if a.parts[i].Reg == sub.Reg {
-				a.parts[i].Acc.Add(sid, sub.Msg)
-			}
+	var inflated, rejected int64
+	for i := range m.Sub {
+		j := a.part(i, m.Sub[i].Reg)
+		if j < 0 {
+			continue
 		}
+		msg := m.Sub[i].Msg // a copy: the reply itself is never patched
+		n, ok := a.admit(sid, m.Sub[i].Reg, &msg)
+		if !ok {
+			// Elision claimed for a pair the request did not offer: only a
+			// faulty object sends that, and it is dropped like a sub-reply
+			// the object withheld.
+			rejected++
+			continue
+		}
+		inflated += n
+		a.parts[j].Acc.Add(sid, msg)
+	}
+	if inflated > 0 {
+		mInflated.Add(inflated)
+	}
+	if rejected > 0 {
+		mInflateReject.Add(rejected)
 	}
 }
 
@@ -543,17 +625,10 @@ func (a *muxAcc) Done() bool {
 // MuxRound builds the physical round bundling the given register rounds:
 // every object receives one sub-request per register and replies with one
 // sub-reply per register, so the bundled rounds advance in lockstep and
-// cost a single physical round-trip.
-func MuxRound(label string, parts []MuxPart) proto.RoundSpec {
-	return proto.RoundSpec{
-		Label: label,
-		Req: func(sid int) types.Message {
-			sub := make([]types.SubMsg, len(parts))
-			for i, p := range parts {
-				sub[i] = types.SubMsg{Reg: p.Reg, Msg: p.Req(sid)}
-			}
-			return types.Message{Kind: types.MsgMux, Sub: sub}
-		},
-		Acc: &muxAcc{parts: parts},
-	}
+// cost a single physical round-trip. READ sub-requests are conditioned on
+// known (nil for unconditioned reads) and the replies re-inflated from it.
+func MuxRound(label string, parts []MuxPart, known *Known) proto.RoundSpec {
+	acc := &muxAcc{parts: parts, inflater: inflater{known: known}}
+	acc.refresh()
+	return proto.RoundSpec{Label: label, Req: acc.bundle, Acc: acc}
 }

@@ -23,20 +23,25 @@ func th(t *testing.T, s, tt int) quorum.Thresholds {
 }
 
 // cluster tracks per-client protocol state across simulated operations.
+// Handles are rebuilt per operation, but — like the handles of one Store
+// shard — they all share one known-pair set, so every test here runs with
+// value-eliding reads warm.
 type cluster struct {
 	thr     quorum.Thresholds
 	readers int
 	writeTS types.TS
 	seqs    map[int]int64 // reader idx → write-back seq
+	known   *Known
 }
 
 func newCluster(thr quorum.Thresholds, readers int) *cluster {
-	return &cluster{thr: thr, readers: readers, seqs: make(map[int]int64, readers)}
+	return &cluster{thr: thr, readers: readers, seqs: make(map[int]int64, readers), known: NewKnown(thr)}
 }
 
 func (cl *cluster) writeOp(v types.Value) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
 		w := NewWriterAt(c, cl.thr, 0, cl.writeTS)
+		w.UseKnown(cl.known)
 		if err := w.Write(v); err != nil {
 			return types.Bottom, err
 		}
@@ -48,6 +53,7 @@ func (cl *cluster) writeOp(v types.Value) sim.OpFunc {
 func (cl *cluster) readOp(idx int) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
 		r := NewReaderAt(c, cl.thr, idx, cl.readers, cl.seqs[idx])
+		r.UseKnown(cl.known)
 		v, err := r.Read()
 		if err != nil {
 			return types.Bottom, err

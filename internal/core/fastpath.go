@@ -96,7 +96,7 @@ var SkipWrite = errors.New("core: modify produced no change, write elided")
 // in the package comment: 2 rounds uncontended, 3 under genuine write
 // contention, 5 when a Byzantine report forces the certified fallback. It
 // reports whether the fast path certified.
-func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Value, pw PairWriter) (bool, error) {
+func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Value, pw PairWriter, k *Known) (bool, error) {
 	if v.IsBottom() {
 		return false, fmt.Errorf("core: cannot write the reserved initial value ⊥")
 	}
@@ -105,7 +105,7 @@ func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Val
 	if proposed.Seq <= 0 {
 		// Sequence ceiling: only the certified read yields a trustworthy
 		// current timestamp to judge exhaustion by.
-		return false, writeAtCertified(r, th, wid, base, v, pw)
+		return false, writeAtCertified(r, th, wid, base, v, pw, k)
 	}
 	p := types.Pair{TS: proposed, Val: v}
 	prior, err := pw.PreWritePair(p)
@@ -116,7 +116,7 @@ func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Val
 		// Certified: nothing at or above the proposal was in circulation
 		// when the quorum acknowledged, so the proposal dominates every
 		// complete write and the WRITE round can finish the operation.
-		return true, pw.CommitPair(p)
+		return true, completed(k, p, pw.CommitPair(p))
 	}
 	// Interference. The validation reports are exactly a discovery round's
 	// input (uncertified quorum maximum), so reuse them: write at their
@@ -129,22 +129,34 @@ func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Val
 	// operations, which carry other values, must stay above IssuedTS.
 	next := prior.Next(wid)
 	if next.Seq <= 0 || prior.Seq-base.Seq > maxDiscoveryLead {
-		return false, writeAtCertified(r, th, wid, base, v, pw)
+		return false, writeAtCertified(r, th, wid, base, v, pw, k)
 	}
-	return false, pw.WritePair(types.Pair{TS: next, Val: v})
+	p = types.Pair{TS: next, Val: v}
+	return false, completed(k, p, pw.WritePair(p))
+}
+
+// completed passes the outcome of writing p through, recording a completed
+// p in the known-pair set: the writer has the value in hand, so neither its
+// own next certified read nor any reader sharing the set need be sent it.
+func completed(k *Known, p types.Pair, err error) error {
+	if err == nil {
+		k.Seed(types.WriterReg, p)
+	}
+	return err
 }
 
 // writeAtCertified installs v at the successor of the certified current
 // timestamp (own is the floor the successor must additionally exceed).
-func writeAtCertified(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, v types.Value, pw PairWriter) error {
-	_, next, err := CertifiedNext(r, th, wid, own)
+func writeAtCertified(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, v types.Value, pw PairWriter, k *Known) error {
+	_, next, err := CertifiedNext(r, th, wid, own, k)
 	if err != nil {
 		return err
 	}
 	if next.Seq <= 0 {
 		return fmt.Errorf("core: register sequence space exhausted")
 	}
-	return pw.WritePair(types.Pair{TS: next, Val: v})
+	p := types.Pair{TS: next, Val: v}
+	return completed(k, p, pw.WritePair(p))
 }
 
 // WriteIfClean attempts the flush fast path (see the package comment's
@@ -158,7 +170,7 @@ func writeAtCertified(r proto.Rounder, th quorum.Thresholds, wid int64, own type
 // conflict (nothing written; the caller rebases through the certified
 // read-modify-write). A failed earlier proposal (IssuedTS beyond LastTS)
 // also routes to the certified path, which alone may pick timestamps then.
-func WriteIfClean(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Value, pw PairWriter) (types.Pair, bool, error) {
+func WriteIfClean(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Value, pw PairWriter, k *Known) (types.Pair, bool, error) {
 	if v.IsBottom() {
 		return types.Pair{}, false, fmt.Errorf("core: cannot write the reserved initial value ⊥")
 	}
@@ -171,14 +183,20 @@ func WriteIfClean(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Valu
 		return types.Pair{}, false, nil
 	}
 	p := types.Pair{TS: proposed, Val: v}
-	if err := pw.WritePair(p); err != nil {
+	if err := completed(k, p, pw.WritePair(p)); err != nil {
 		return types.Pair{}, false, err
 	}
 	return p, true, nil
 }
 
-// validateReq is the WVAL round's (static) request builder.
-func validateReq(int) types.Message { return types.Message{Kind: types.MsgRead1} }
+// tsOnlyReq is the (static) request of the rounds that only compare
+// timestamps — the flush's WVAL freshness round and timestamp discovery. Like
+// the PREWRITE acknowledgement, their replies carry no values: a validated
+// flush must not pull two copies of the shard table back from every object
+// just to look at their timestamps.
+func tsOnlyReq(int) types.Message {
+	return types.Message{Kind: types.MsgRead1, Flags: types.FlagNoValues}
+}
 
 // ValidateClean runs one read round and reports whether a quorum confirms
 // no timestamp beyond the caller's cached base (pw.LastTS()) — the no-write
@@ -194,7 +212,7 @@ func ValidateClean(r proto.Rounder, th quorum.Thresholds, pw PairWriter) (bool, 
 		return false, nil
 	}
 	acc := proto.NewBitAcc(types.MsgState, th.Quorum())
-	spec := proto.RoundSpec{Label: "WVAL", Req: validateReq, Acc: acc}
+	spec := proto.RoundSpec{Label: "WVAL", Req: tsOnlyReq, Acc: acc}
 	if err := r.Round(spec); err != nil {
 		return false, fmt.Errorf("core: validate: %w", err)
 	}

@@ -21,6 +21,7 @@ type AtomicWriter struct {
 	th      quorum.Thresholds
 	wid     int64
 	inner   *Writer
+	known   *core.Known
 }
 
 // NewAtomicWriter returns writer 0's handle.
@@ -31,8 +32,12 @@ func NewAtomicWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *Ato
 // NewAtomicWriterAt returns the handle of writer wid resuming from a known
 // last timestamp.
 func NewAtomicWriterAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, wid int64, last types.TS) *AtomicWriter {
-	return &AtomicWriter{rounder: r, th: th, wid: wid, inner: NewWriterAt(r, th, rng, wid, last)}
+	return &AtomicWriter{rounder: r, th: th, wid: wid, inner: NewWriterAt(r, th, rng, wid, last), known: core.NewKnown(th)}
 }
+
+// UseKnown shares a known-pair set with the register instance's other
+// handles (see core.Writer.UseKnown).
+func (w *AtomicWriter) UseKnown(k *core.Known) { w.known = k }
 
 // Write stores v: the shared adaptive multi-writer write flow
 // (core.WriteAdaptive — optimistic 2-round fast path, discovery/certified
@@ -40,14 +45,14 @@ func NewAtomicWriterAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, wi
 // timestamps never collide (the writer id breaks ties), so concurrent
 // multi-writer traffic cannot forge a fast-path (pair, token) match.
 func (w *AtomicWriter) Write(v types.Value) error {
-	_, err := core.WriteAdaptive(w.rounder, w.th, w.wid, v, w.inner)
+	_, err := core.WriteAdaptive(w.rounder, w.th, w.wid, v, w.inner, w.known)
 	return err
 }
 
 // WriteClean attempts the validate-then-write flush fast path of
 // core.WriteIfClean through the token-carrying writer.
 func (w *AtomicWriter) WriteClean(v types.Value) (types.Pair, bool, error) {
-	return core.WriteIfClean(w.rounder, w.th, w.wid, v, w.inner)
+	return core.WriteIfClean(w.rounder, w.th, w.wid, v, w.inner, w.known)
 }
 
 // Validate runs the one-round freshness check of core.ValidateClean.
@@ -59,7 +64,7 @@ func (w *AtomicWriter) Validate() (bool, error) {
 // the secret-token model: the same shared flow (certification does not
 // need tokens), writing through the token-carrying pair-writer.
 func (w *AtomicWriter) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error) {
-	return core.ModifyCertified(w.rounder, w.th, w.wid, fn, w.inner)
+	return core.ModifyCertified(w.rounder, w.th, w.wid, fn, w.inner, w.known)
 }
 
 // LastTS returns the timestamp of the last completed write.
@@ -83,6 +88,7 @@ type AtomicReader struct {
 	readers int
 	seq     int64
 	rng     *rand.Rand
+	known   *core.Known
 	// FastPath reports whether the last read skipped the decision round.
 	FastPath bool
 	// Elided reports whether the last read skipped the write-back.
@@ -100,8 +106,12 @@ func NewAtomicReaderAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, id
 	if idx < 1 || idx > readers {
 		panic(fmt.Sprintf("secret: reader index %d out of 1..%d", idx, readers))
 	}
-	return &AtomicReader{rounder: r, th: th, rng: rng, idx: idx, readers: readers, seq: seq}
+	return &AtomicReader{rounder: r, th: th, rng: rng, idx: idx, readers: readers, seq: seq, known: core.NewKnown(th)}
 }
+
+// UseKnown shares a known-pair set with the register instance's other
+// handles (see core.Reader.UseKnown).
+func (r *AtomicReader) UseKnown(k *core.Known) { r.known = k }
 
 // Seq returns the reader's current write-back sequence number.
 func (r *AtomicReader) Seq() int64 { return r.seq }
@@ -131,7 +141,7 @@ func (r *AtomicReader) ReadPair() (types.Pair, error) {
 			Acc: fasts[i],
 		}
 	}
-	if err := r.rounder.Round(core.MuxRound("SAREAD1", parts)); err != nil {
+	if err := r.rounder.Round(core.MuxRound("SAREAD1", parts, r.known)); err != nil {
 		return types.Pair{}, fmt.Errorf("secret: read round 1: %w", err)
 	}
 
@@ -164,7 +174,7 @@ func (r *AtomicReader) ReadPair() (types.Pair, error) {
 	if !r.FastPath {
 		// Physical round 2 (slow path only): decision round for the
 		// registers that could not decide fast.
-		if err := r.rounder.Round(core.MuxRound("SAREAD2", slowParts)); err != nil {
+		if err := r.rounder.Round(core.MuxRound("SAREAD2", slowParts, r.known)); err != nil {
 			return types.Pair{}, fmt.Errorf("secret: read round 2: %w", err)
 		}
 		for j, acc := range slowAccs {
@@ -173,7 +183,9 @@ func (r *AtomicReader) ReadPair() (types.Pair, error) {
 	}
 
 	best := choices[0]
+	r.known.Seed(regs[0], choices[0])
 	for i := 1; i < len(regs); i++ {
+		r.known.Seed(regs[i], choices[i])
 		p, err := core.DecodePair(choices[i].Val)
 		if err != nil {
 			return types.Pair{}, fmt.Errorf("secret: write-back register %v: %w", regs[i], err)
@@ -230,9 +242,11 @@ func (r *AtomicReader) ReadPair() (types.Pair, error) {
 			}
 		}
 	}
-	if err := wb.WritePair(types.Pair{TS: types.At(r.seq + 1), Val: core.EncodePair(best)}); err != nil {
+	back := types.Pair{TS: types.At(r.seq + 1), Val: core.EncodePair(best)}
+	if err := wb.WritePair(back); err != nil {
 		return types.Pair{}, fmt.Errorf("secret: write-back: %w", err)
 	}
 	r.seq++
+	r.known.Seed(types.ReaderReg(r.idx), back)
 	return best, nil
 }

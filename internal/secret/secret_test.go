@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"robustatomic/internal/checker"
+	"robustatomic/internal/core"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
@@ -39,15 +40,19 @@ type harness struct {
 	ts   types.TS
 	seqs map[int]int64
 	fast bool
+	// known is shared by the per-operation handles, as one Store shard's
+	// handles share theirs: the tests run with value-eliding reads warm.
+	known *core.Known
 }
 
 func newHarness(thr quorum.Thresholds, seed int64) *harness {
-	return &harness{thr: thr, rng: rand.New(rand.NewSource(seed)), seqs: map[int]int64{}}
+	return &harness{thr: thr, rng: rand.New(rand.NewSource(seed)), seqs: map[int]int64{}, known: core.NewKnown(thr)}
 }
 
 func (h *harness) writeOp(v types.Value) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
 		w := NewAtomicWriterAt(c, h.thr, h.rng, 0, h.ts)
+		w.UseKnown(h.known)
 		if err := w.Write(v); err != nil {
 			return types.Bottom, err
 		}
@@ -59,6 +64,7 @@ func (h *harness) writeOp(v types.Value) sim.OpFunc {
 func (h *harness) readOp(idx, readers int) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
 		r := NewAtomicReaderAt(c, h.thr, h.rng, idx, readers, h.seqs[idx])
+		r.UseKnown(h.known)
 		v, err := r.Read()
 		if err != nil {
 			return types.Bottom, err
@@ -191,6 +197,52 @@ func TestAtomicReadsWithByzantine(t *testing.T) {
 			t.Errorf("t=%d: second read = %q, want b", tt, v)
 		}
 		if err := checker.CheckAtomic(hist); err != nil {
+			t.Error(err)
+		}
+		s.Close()
+	}
+}
+
+// TestAtomicReadsDespiteFalseElide: the secret-model reader inflates through
+// the same multiplexed accumulator as the unauthenticated one, so elision
+// claims the request never justified cost it only the liar's replies — and
+// an elided (pair, token) tuple still counts toward the single-round fast
+// path, tokens being sent alongside the elided value.
+func TestAtomicReadsDespiteFalseElide(t *testing.T) {
+	for _, tt := range []int{1, 2} {
+		S := 3*tt + 1
+		thr := th(t, S, tt)
+		h := newHarness(thr, int64(tt))
+		hist := &checker.History{}
+		s := sim.New(sim.Config{Servers: S, History: hist})
+		mustRun(t, s, s.Spawn("w1", types.Writer, checker.OpWrite, "a", h.writeOp("a")))
+		// Warm the set on an honest cluster: the hinted read stays fast.
+		mustRun(t, s, s.Spawn("r0", types.Reader(1), checker.OpRead, types.Bottom, h.readOp(1, 2)))
+		mustRun(t, s, s.Spawn("r0'", types.Reader(1), checker.OpRead, types.Bottom, h.readOp(1, 2)))
+		if !h.fast {
+			t.Errorf("t=%d: hinted read of a settled register left the single-round path", tt)
+		}
+		for i := 1; i <= tt; i++ {
+			if i%2 == 0 {
+				s.SetByzantine(i, server.Equivocate{Readers: &server.FalseElide{}})
+			} else {
+				s.SetByzantine(i, &server.FalseElide{})
+			}
+		}
+		for i, want := range []types.Value{"a", "b", "c"} {
+			if i > 0 {
+				mustRun(t, s, s.Spawn(fmt.Sprint("w", i+1), types.Writer, checker.OpWrite, want, h.writeOp(want)))
+			}
+			for rd := 1; rd <= 2; rd++ {
+				for n := 0; n < 2; n++ {
+					op := s.Spawn(fmt.Sprintf("r%d.%d.%d", rd, i, n), types.Reader(rd), checker.OpRead, types.Bottom, h.readOp(rd, 2))
+					if v := mustRun(t, s, op); v != want {
+						t.Errorf("t=%d: reader %d after write %q read %q", tt, rd, want, v)
+					}
+				}
+			}
+		}
+		if err := checker.CheckAtomicMW(hist); err != nil {
 			t.Error(err)
 		}
 		s.Close()

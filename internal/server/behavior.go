@@ -210,6 +210,60 @@ func (r *ReplayOnly) Reply(inner *Store, from types.ProcID, m types.Message) (ty
 	return reply, true
 }
 
+// FalseElide attacks value-eliding reads (see RegState.read): it answers
+// every READ with slots marked "elided" whatever the request offered,
+// cycling through the three lies the mechanism must survive — the object's
+// true timestamps with the values withheld (elision of pairs the client may
+// never have offered), the oldest timestamp the client DID offer (a stale
+// pair passed off as current: exactly the reply an object serving its past
+// could send in full), and a timestamp nobody ever wrote. The first and
+// last are dropped by the client like withheld replies; the second inflates
+// to a genuine old pair the decision procedure already tolerates from up to
+// t objects. Writes are applied and acknowledged honestly.
+type FalseElide struct {
+	n int
+}
+
+// Reply implements Behavior.
+func (f *FalseElide) Reply(inner *Store, from types.ProcID, m types.Message) (types.Message, bool) {
+	reply := inner.Handle(from, m)
+	if m.Kind == types.MsgMux {
+		for i := range reply.Sub {
+			f.lie(&m.Sub[i].Msg, &reply.Sub[i].Msg)
+		}
+	} else {
+		f.lie(&m, &reply)
+	}
+	return reply, true
+}
+
+// lie rewrites one STATE reply into the next false elision claim.
+func (f *FalseElide) lie(req, reply *types.Message) {
+	if reply.Kind != types.MsgState {
+		return
+	}
+	f.n++
+	switch f.n % 3 {
+	case 1: // un-offered: true timestamps, values withheld regardless
+	case 2: // stale: the oldest pair the client says it holds
+		if len(req.Have) == 0 {
+			return // nothing offered: answer honestly this once
+		}
+		old := req.Have[0].TS
+		for _, h := range req.Have[1:] {
+			if h.TS.Less(old) {
+				old = h.TS
+			}
+		}
+		reply.PW.TS, reply.W.TS = old, old
+	default: // forged: a timestamp no writer issued
+		forged := types.At(1<<40 + int64(f.n))
+		reply.PW.TS, reply.W.TS = forged, forged
+	}
+	reply.PW.Val, reply.W.Val = "", ""
+	reply.Flags |= types.FlagElidedPW | types.FlagElidedW
+}
+
 // Flaky alternates between an inner behavior and silence.
 type Flaky struct {
 	Inner Behavior
@@ -246,5 +300,6 @@ var (
 	_ Behavior = Garbage{}
 	_ Behavior = Equivocate{}
 	_ Behavior = (*ReplayOnly)(nil)
+	_ Behavior = (*FalseElide)(nil)
 	_ Behavior = Flaky{}
 )

@@ -23,6 +23,30 @@ import (
 // are created on first touch and never destroyed short of process exit).
 var mStores = obs.Default.Counter("server_store_instances_total")
 
+// Value-eliding reads: how many non-⊥ slot values READ replies withheld
+// (the client's have-list named them, or it asked for no values) against
+// how many they shipped, and the shipped bytes. A W slot equal to PW ships
+// as one copy (the wire's W==PW bit), so it counts once.
+var (
+	mReadElided    = obs.Default.Counter("server_read_values_elided_total")
+	mReadSent      = obs.Default.Counter("server_read_values_sent_total")
+	mReadSentBytes = obs.Default.Counter("server_read_value_bytes_sent_total")
+)
+
+// readStats tallies one Handle call's READ slots, so a 9-register bundle
+// costs three counter updates instead of twenty-seven.
+type readStats struct{ elided, sent, sentBytes int64 }
+
+func (rs *readStats) flush() {
+	if rs.elided != 0 {
+		mReadElided.Add(rs.elided)
+	}
+	if rs.sent != 0 {
+		mReadSent.Add(rs.sent)
+		mReadSentBytes.Add(rs.sentBytes)
+	}
+}
+
 // Automaton is a storage object's state machine. Handle processes one client
 // message and returns the reply (objects reply to each message before
 // receiving any other message, per the round model). Snapshot and Restore
@@ -43,6 +67,61 @@ type RegState struct {
 	W       types.Pair
 	TokenPW types.Token
 	TokenW  types.Token
+
+	// digPW / digW memoize the slots' value digests (0 = not computed): a
+	// conditional READ compares them against the client's have-list. Derived
+	// state — computed on the first READ that needs it, cleared when the slot
+	// changes, never snapshotted (Restore starts cold and recomputes lazily).
+	digPW, digW uint64
+}
+
+// held reports whether the have-list names the slot holding p, computing
+// and memoizing the slot's digest on the first timestamp match.
+func held(have []types.Have, p types.Pair, dig *uint64) bool {
+	for i := range have {
+		if have[i].TS != p.TS {
+			continue
+		}
+		if *dig == 0 {
+			*dig = p.Val.Digest()
+		}
+		// At most one entry per timestamp (types.Message.Have).
+		return have[i].Digest == *dig
+	}
+	return false
+}
+
+// read builds the STATE reply to a READ. The slot values are withheld —
+// timestamp only, elided bit set — when the request asks for no values, or
+// when its have-list names the slot's (timestamp, digest): the client
+// re-inflates from its own copy (core.Known), so for a correct object the
+// inflated reply equals the unconditioned one. An empty have-list is the
+// unconditioned read. *reply is zero on entry.
+func (st *RegState) read(m, reply *types.Message, rs *readStats) {
+	reply.Kind = types.MsgState
+	reply.PW, reply.W = st.PW, st.W
+	reply.TokenPW, reply.Token = st.TokenPW, st.TokenW
+	noVals := m.Flags&types.FlagNoValues != 0
+	if st.PW.Val != "" {
+		if noVals || held(m.Have, st.PW, &st.digPW) {
+			reply.PW.Val = ""
+			reply.Flags |= types.FlagElidedPW
+			rs.elided++
+		} else {
+			rs.sent++
+			rs.sentBytes += int64(len(st.PW.Val))
+		}
+	}
+	if st.W.Val != "" {
+		if noVals || held(m.Have, st.W, &st.digW) {
+			reply.W.Val = ""
+			reply.Flags |= types.FlagElidedW
+			rs.elided++
+		} else if st.W != st.PW {
+			rs.sent++
+			rs.sentBytes += int64(len(st.W.Val))
+		}
+	}
 }
 
 // Store is the storage object automaton. The zero value is not usable; use
@@ -92,28 +171,27 @@ func (s *Store) Reg(id types.RegID) RegState { return *s.reg(id) }
 
 // Handle implements Automaton.
 func (s *Store) Handle(from types.ProcID, m types.Message) types.Message {
-	reply := s.handle(from, m, types.WriterReg)
+	// Top-level non-mux messages address the writer's register; a bundle's
+	// sub-replies are built in place (a 9-register read copies no message).
+	var rs readStats
+	var reply types.Message
+	if m.Kind == types.MsgMux {
+		reply = types.Message{Kind: types.MsgMux, Sub: make([]types.SubMsg, len(m.Sub))}
+		for i := range m.Sub {
+			reply.Sub[i].Reg = m.Sub[i].Reg
+			s.handleReg(&m.Sub[i].Msg, m.Sub[i].Reg, &reply.Sub[i].Msg, &rs)
+		}
+	} else {
+		s.handleReg(&m, types.WriterReg, &reply, &rs)
+	}
+	rs.flush()
 	reply.Seq = m.Seq
 	return reply
 }
 
-// handle dispatches one (possibly nested) message against register reg;
-// top-level non-mux messages address the writer's register.
-func (s *Store) handle(from types.ProcID, m types.Message, def types.RegID) types.Message {
-	switch m.Kind {
-	case types.MsgMux:
-		out := types.Message{Kind: types.MsgMux, Sub: make([]types.SubMsg, len(m.Sub))}
-		for i, sub := range m.Sub {
-			out.Sub[i] = types.SubMsg{Reg: sub.Reg, Msg: s.handleReg(from, sub.Msg, sub.Reg)}
-		}
-		return out
-	default:
-		return s.handleReg(from, m, def)
-	}
-}
-
-// handleReg processes a register-level message.
-func (s *Store) handleReg(from types.ProcID, m types.Message, id types.RegID) types.Message {
+// handleReg processes register-level message m against register id, leaving
+// the reply in *reply (zero on entry).
+func (s *Store) handleReg(m *types.Message, id types.RegID, reply *types.Message, rs *readStats) {
 	st := s.reg(id)
 	switch m.Kind {
 	case types.MsgPreWrite:
@@ -122,47 +200,50 @@ func (s *Store) handleReg(from types.ProcID, m types.Message, id types.RegID) ty
 		// compares timestamps): the writer's optimistic fast path reads a
 		// quorum of these to certify that nothing newer than its cached
 		// timestamp is in circulation, without a separate discovery round.
-		prior := types.Message{
-			Kind: types.MsgAck,
-			PW:   types.Pair{TS: st.PW.TS},
-			W:    types.Pair{TS: st.W.TS},
-		}
+		reply.Kind = types.MsgAck
+		reply.PW.TS, reply.W.TS = st.PW.TS, st.W.TS
 		if st.PW.Less(m.Pair) {
-			st.PW = m.Pair
+			st.PW, st.digPW = m.Pair, 0
 			st.TokenPW = m.Token
 		}
-		return prior
 	case types.MsgWrite, types.MsgWriteBack:
 		if st.W.Less(m.Pair) {
-			st.W = m.Pair
+			st.setW(m.Pair)
 			st.TokenW = m.Token
 		}
-		return types.Message{Kind: types.MsgAck}
+		reply.Kind = types.MsgAck
 	case types.MsgRead1:
-		return types.Message{
-			Kind:    types.MsgState,
-			PW:      st.PW,
-			W:       st.W,
-			TokenPW: st.TokenPW,
-			Token:   st.TokenW,
-		}
+		st.read(m, reply, rs)
 	case types.MsgABDQuery:
-		return types.Message{Kind: types.MsgABDVal, Pair: st.W}
+		reply.Kind, reply.Pair = types.MsgABDVal, st.W
 	case types.MsgABDStore:
 		if st.W.Less(m.Pair) {
-			st.W = m.Pair
+			st.setW(m.Pair)
 		}
-		return types.Message{Kind: types.MsgAck}
+		reply.Kind = types.MsgAck
 	case types.MsgConfirm:
 		// Vouch for a pair the object has seen at or above the queried
 		// timestamp in its written state.
 		if st.W == m.Pair || st.PW == m.Pair {
-			return types.Message{Kind: types.MsgAck, Pair: m.Pair}
+			reply.Kind, reply.Pair = types.MsgAck, m.Pair
+			return
 		}
-		return types.Message{Kind: types.MsgState, PW: st.PW, W: st.W}
+		reply.Kind, reply.PW, reply.W = types.MsgState, st.PW, st.W
 	default:
-		return types.Message{Kind: types.MsgState, PW: st.PW, W: st.W}
+		reply.Kind, reply.PW, reply.W = types.MsgState, st.PW, st.W
 	}
+}
+
+// setW installs p in the w slot. The WRITE phase normally carries the pair
+// the PREWRITE phase stored, so the slot then shares pw's copy of the value
+// (and its digest) instead of retaining a second one — which also makes the
+// wire's W==PW check a pointer comparison.
+func (st *RegState) setW(p types.Pair) {
+	if p == st.PW {
+		st.W, st.digW = st.PW, st.digPW
+		return
+	}
+	st.W, st.digW = p, 0
 }
 
 // Mutates reports whether handling m can advance a store's state. The
@@ -251,6 +332,9 @@ func (s *Store) Restore(b []byte) error {
 		st := &RegState{}
 		st.PW = d.pair()
 		st.W = d.pair()
+		if st.W == st.PW {
+			st.W = st.PW // share one copy of a settled register's value
+		}
 		st.TokenPW = types.Token(d.uvarint())
 		st.TokenW = types.Token(d.uvarint())
 		if d.err != nil {

@@ -13,9 +13,12 @@ import (
 // tooling (storctl repair and probe). It deliberately bypasses the quorum
 // protocol: a probe inspects one object's raw state, and a seed installs
 // recovered state into one object — the RADON-style repair write-back that
-// reconstitutes a replaced machine from its live peers. One Direct serves
-// any number of register instances over one connection; it is not safe for
-// concurrent use.
+// reconstitutes a replaced machine from its live peers. Its reads are always
+// UNCONDITIONED — no have-list, no no-values flag — because probe, doctor
+// and repair's verification want the object's raw values, not a reply
+// shaped by what some client holds (TestProbeReadsUnconditioned). One Direct
+// serves any number of register instances over one connection; it is not
+// safe for concurrent use.
 type Direct struct {
 	conn    net.Conn
 	enc     *wire.Encoder

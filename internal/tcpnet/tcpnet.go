@@ -7,6 +7,7 @@ package tcpnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -37,6 +38,7 @@ var (
 	mSrvTxBytes      = obs.Default.Counter("tcpnet_server_tx_bytes_total")
 	mSrvCompactions  = obs.Default.Counter("tcpnet_server_compactions_total")
 	mSrvStaleEpoch   = obs.Default.Counter("tcpnet_server_stale_epoch_total")
+	mSrvOversize     = obs.Default.Counter("tcpnet_server_reply_oversize_total")
 )
 
 // Persister is the durability hook around the storage-object automaton: it
@@ -418,6 +420,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		if err := enc.EncodeResponse(rsp); err != nil {
+			if errors.Is(err, wire.ErrFrameTooLarge) {
+				// Nothing was written, so the stream is intact: stay silent
+				// for this request only. Every shard's pipelined requests
+				// share this connection — closing it because one register's
+				// state outgrew a frame would take all of them down with it,
+				// again on every retry.
+				mSrvOversize.Inc()
+				continue
+			}
 			return
 		}
 		if dup {
@@ -630,4 +641,3 @@ func (s *Server) refreshEpochLocked() {
 		s.epochHint = w.Val
 	}
 }
-

@@ -168,6 +168,8 @@ func (c *tcpCtl) apply(ev Event) error {
 			s.SetBehavior(&server.Stale{})
 		case "equivocate":
 			s.SetBehavior(server.Equivocate{Readers: &server.Stale{}})
+		case "falseelide":
+			s.SetBehavior(&server.FalseElide{})
 		case "batch-chaos":
 			s.SetBatchChaos(c.chaosRng(ev.Sid, 2), 0.3, true)
 		default:

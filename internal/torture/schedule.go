@@ -51,7 +51,8 @@ const (
 	// (preserved data dirs), ending in a wipe + quorum-Repair window.
 	KillRestartRepair Scenario = "kill-restart-repair"
 	// ByzantineMix cycles the Byzantine behaviors (flaky, stale, equivocate,
-	// batch-chaos) one object at a time, with a netem window mixed in.
+	// falseelide, batch-chaos) one object at a time, with a netem window
+	// mixed in.
 	ByzantineMix Scenario = "byzantine-mix"
 	// JoinLeave cycles membership vacancies: a daemon Leaves the active
 	// configuration (and dies), the vacancy spending the fault budget, then a
@@ -141,7 +142,7 @@ type Event struct {
 	At       int
 	Kind     EventKind
 	Sid      int
-	Behavior string  // EvChaos: flaky | stale | equivocate | batch-chaos
+	Behavior string  // EvChaos: flaky | stale | equivocate | falseelide | batch-chaos
 	Drop     float64 // EvNetem: request drop probability
 	Dup      float64 // EvNetem: reply duplication probability
 	DelayUS  int     // EvNetem: reply delay in microseconds (tcp only)
@@ -250,7 +251,7 @@ func Plan(scenario Scenario, mode Mode, seed int64, totalOps, s int) (Schedule, 
 					Event{At: end, Kind: EvRestart, Sid: sid})
 			}
 		case ByzantineMix:
-			behaviors := []string{"flaky", "stale", "equivocate"}
+			behaviors := []string{"flaky", "stale", "equivocate", "falseelide"}
 			if mode == ModeTCP {
 				behaviors = append(behaviors, "batch-chaos")
 			}

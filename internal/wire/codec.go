@@ -1,8 +1,8 @@
-// The live binary codec (wire generation 4).
+// The live binary codec (wire generation 5).
 //
 // Every envelope is one frame:
 //
-//	[0x04 version byte] [uvarint payload length] [payload]
+//	[0x05 version byte] [uvarint payload length] [payload]
 //
 // Request payload:
 //
@@ -34,8 +34,19 @@
 //	bit 3: tokens  ([uvarint Token] [uvarint TokenPW])
 //	bit 4: Sub     ([uvarint count] then per entry
 //	                [varint Reg.Class] [varint Reg.Idx] [message])
+//	bit 5: W == PW (no body: W is PW, bit 2 must be clear and bit 1 set —
+//	                a settled register's reply ships ONE copy of the value,
+//	                and the decoder shares one string between the slots)
+//	bit 6: Have    ([uvarint count ≥ 1] then per entry
+//	                [varint TS.Seq] [varint TS.WID] [8 bytes digest, LE])
+//	bit 7: Flags   ([flags byte, non-zero, known bits only])
 //
 // pair: [varint TS.Seq] [varint TS.WID] [uvarint len(Val)] [Val bytes]
+//
+// The encoder sets bit 5 whenever W equals a non-zero PW, so there is still
+// exactly one encoding per message; the decoder rejects the forms the
+// encoder never emits (bit 5 with bit 2 or without bit 1, an empty
+// have-list, a zero or unknown flags byte).
 //
 // Most protocol messages (acks, read queries) carry none of the optional
 // fields, so they cost ~5 bytes of payload; the mask keeps them from paying
@@ -64,7 +75,7 @@ import (
 )
 
 // wireVersion is the live wire generation's frame header byte.
-const wireVersion = 0x04
+const wireVersion = 0x05
 
 // Frame tag bytes: a frame carries either one register message or a batch
 // of per-register sub-requests — never both, never neither.
@@ -73,9 +84,11 @@ const (
 	tagBatch  = 0x02
 )
 
-// maxFrame bounds a frame's declared payload size (a forged length must not
-// make the decoder allocate unboundedly).
-const maxFrame = 64 << 20
+// MaxFrame bounds a frame's payload size: a forged length must not make the
+// decoder allocate unboundedly, and the encoder refuses what the peer would
+// refuse (ErrFrameTooLarge). A variable only so tests can exercise the
+// bound without 64 MB payloads; production code never writes it.
+var MaxFrame = 64 << 20
 
 // maxSubDepth bounds message nesting. The protocols nest exactly once (a
 // MUX bundle of plain messages); one spare level is allowed for slack.
@@ -84,6 +97,12 @@ const maxSubDepth = 2
 // ErrVersion reports a frame from a different wire generation — the peer
 // must be upgraded in lockstep (see the package comment).
 var ErrVersion = errors.New("wire: protocol generation mismatch (upgrade clients and daemons in lockstep)")
+
+// ErrFrameTooLarge reports an envelope whose encoding exceeds MaxFrame.
+// Nothing was written: the stream stays usable, so a transport can skip
+// the one oversize message instead of tearing the connection down under
+// every request pipelined on it.
+var ErrFrameTooLarge = errors.New("wire: encoded frame exceeds the frame bound")
 
 // Encoder writes binary frames to a stream. Not safe for concurrent use.
 type Encoder struct {
@@ -142,8 +161,8 @@ func (e *Encoder) EncodeResponse(rsp Response) error {
 // they reach the connection's peak message size).
 func (e *Encoder) writeFrame() error {
 	n := len(e.payload)
-	if n > maxFrame {
-		return fmt.Errorf("wire: encode: %d-byte payload exceeds frame bound", n)
+	if n > MaxFrame {
+		return fmt.Errorf("%w (%d-byte payload)", ErrFrameTooLarge, n)
 	}
 	f := append(e.frame[:0], wireVersion)
 	f = binary.AppendUvarint(f, uint64(n))
@@ -301,7 +320,7 @@ func (d *Decoder) readFrame() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode: frame length: %w", err)
 	}
-	if n > maxFrame {
+	if n > uint64(MaxFrame) {
 		return nil, fmt.Errorf("wire: decode: %d-byte frame exceeds bound", n)
 	}
 	if uint64(cap(d.buf)) < n {
@@ -321,7 +340,13 @@ const (
 	maskW
 	maskTokens
 	maskSub
+	maskWSame
+	maskHave
+	maskFlags
 )
+
+// knownFlags is every flag bit this generation defines.
+const knownFlags = types.FlagNoValues | types.FlagElidedPW | types.FlagElidedW
 
 // appendMessage appends m's encoding to b.
 func appendMessage(b []byte, m *types.Message, depth int) []byte {
@@ -335,13 +360,23 @@ func appendMessage(b []byte, m *types.Message, depth int) []byte {
 		mask |= maskPW
 	}
 	if m.W != (types.Pair{}) {
-		mask |= maskW
+		if mask&maskPW != 0 && m.W == m.PW {
+			mask |= maskWSame
+		} else {
+			mask |= maskW
+		}
 	}
 	if m.Token != 0 || m.TokenPW != 0 {
 		mask |= maskTokens
 	}
 	if len(m.Sub) > 0 {
 		mask |= maskSub
+	}
+	if len(m.Have) > 0 {
+		mask |= maskHave
+	}
+	if m.Flags != 0 {
+		mask |= maskFlags
 	}
 	b = append(b, mask)
 	if mask&maskPair != 0 {
@@ -364,6 +399,17 @@ func appendMessage(b []byte, m *types.Message, depth int) []byte {
 			b = binary.AppendVarint(b, int64(m.Sub[i].Reg.Idx))
 			b = appendMessage(b, &m.Sub[i].Msg, depth+1)
 		}
+	}
+	if mask&maskHave != 0 {
+		b = binary.AppendUvarint(b, uint64(len(m.Have)))
+		for i := range m.Have {
+			b = binary.AppendVarint(b, m.Have[i].TS.Seq)
+			b = binary.AppendVarint(b, m.Have[i].TS.WID)
+			b = binary.LittleEndian.AppendUint64(b, m.Have[i].Digest)
+		}
+	}
+	if mask&maskFlags != 0 {
+		b = append(b, byte(m.Flags))
 	}
 	return b
 }
@@ -410,6 +456,15 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 		if m.W, b, err = cutWirePair(b); err != nil {
 			return m, nil, err
 		}
+		if mask&maskPW != 0 && m.W == m.PW {
+			return m, nil, fmt.Errorf("non-canonical message: W equals PW but is encoded twice")
+		}
+	}
+	if mask&maskWSame != 0 {
+		if mask&maskW != 0 || mask&maskPW == 0 {
+			return m, nil, fmt.Errorf("non-canonical message: W==PW bit without PW, or with W")
+		}
+		m.W = m.PW // one string shared by both slots
 	}
 	if mask&maskTokens != 0 {
 		var tok, tokPW uint64
@@ -434,7 +489,7 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 		if n == 0 {
 			// Canonical form: an absent bundle is a nil slice (the encoder
 			// never sets the mask bit for an empty one).
-			return m, b, nil
+			return m, nil, fmt.Errorf("empty sub-message bundle")
 		}
 		// Grow the bundle as entries actually parse (capped initial
 		// capacity): a sub-entry is ~21x larger decoded than its minimal
@@ -457,6 +512,37 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 			}
 			m.Sub = append(m.Sub, sub)
 		}
+	}
+	if mask&maskHave != 0 {
+		var n uint64
+		if n, b, err = cutUvarint(b); err != nil {
+			return m, nil, err
+		}
+		// Each entry costs 10 bytes (two varints + the fixed digest).
+		if n == 0 || n > uint64(len(b)/10) {
+			return m, nil, fmt.Errorf("have-list count %d empty or exceeds payload", n)
+		}
+		m.Have = make([]types.Have, n)
+		for i := range m.Have {
+			if m.Have[i].TS.Seq, b, err = cutVarint(b); err != nil {
+				return m, nil, err
+			}
+			if m.Have[i].TS.WID, b, err = cutVarint(b); err != nil {
+				return m, nil, err
+			}
+			if len(b) < 8 {
+				return m, nil, fmt.Errorf("truncated have-list digest")
+			}
+			m.Have[i].Digest = binary.LittleEndian.Uint64(b)
+			b = b[8:]
+		}
+	}
+	if mask&maskFlags != 0 {
+		if len(b) == 0 || b[0] == 0 || types.MsgFlags(b[0])&^knownFlags != 0 {
+			return m, nil, fmt.Errorf("missing, zero or unknown message flags")
+		}
+		m.Flags = types.MsgFlags(b[0])
+		b = b[1:]
 	}
 	return m, b, nil
 }

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"robustatomic/internal/types"
 )
@@ -29,6 +31,28 @@ func sampleMessages() []types.Message {
 		}},
 		// Negative and extreme integers must survive the signed varints.
 		{Kind: types.MsgState, PW: types.Pair{TS: types.TS{Seq: 1<<62 + 3, WID: -5}, Val: "v"}},
+		// Generation 5 — value-eliding reads. A conditional READ with its
+		// have-list, and the timestamps-only form.
+		{Kind: types.MsgRead1, Seq: 4, Have: []types.Have{
+			{TS: types.TS{Seq: 12, WID: 3}, Digest: 0xfeedfacecafebeef},
+			{TS: types.At(11), Digest: 1},
+		}},
+		{Kind: types.MsgRead1, Flags: types.FlagNoValues},
+		// A settled register's full reply: W == PW travels as one bit.
+		{Kind: types.MsgState, Token: 5, TokenPW: 5,
+			PW: types.Pair{TS: types.TS{Seq: 12, WID: 3}, Val: types.Value(strings.Repeat("t", 200))},
+			W:  types.Pair{TS: types.TS{Seq: 12, WID: 3}, Val: types.Value(strings.Repeat("t", 200))}},
+		// The same reply to a reader that holds the pair: both slots elided
+		// (and still equal); and a half-elided mid-write state.
+		{Kind: types.MsgState, Flags: types.FlagElidedPW | types.FlagElidedW,
+			PW: types.Pair{TS: types.TS{Seq: 12, WID: 3}}, W: types.Pair{TS: types.TS{Seq: 12, WID: 3}}},
+		{Kind: types.MsgState, Flags: types.FlagElidedW,
+			PW: types.Pair{TS: types.At(13), Val: "in-flight"}, W: types.Pair{TS: types.TS{Seq: 12, WID: 3}}},
+		// The multiplexed read round's bundle, hinted per register.
+		{Kind: types.MsgMux, Sub: []types.SubMsg{
+			{Reg: types.WriterReg, Msg: types.Message{Kind: types.MsgRead1, Have: []types.Have{{TS: types.At(7), Digest: 77}}}},
+			{Reg: types.ReaderReg(1), Msg: types.Message{Kind: types.MsgRead1}},
+		}},
 	}
 }
 
@@ -184,6 +208,74 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestPreviousGenerationRejected: generation 4 used the same frame layout
+// but none of the three mask bits generation 5 assigns, so a mixed
+// deployment must fail on the first frame with the lockstep-upgrade error,
+// not misparse.
+func TestPreviousGenerationRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf).EncodeRequest(Request{From: types.Writer, Msg: types.Message{Kind: types.MsgRead1}}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	if frame[0] != 0x05 {
+		t.Fatalf("live generation header = 0x%02x, want 0x05", frame[0])
+	}
+	frame[0] = 0x04
+	if _, err := NewDecoder(bytes.NewReader(frame)).DecodeRequest(); !errors.Is(err, ErrVersion) {
+		t.Errorf("generation-4 request: %v, want ErrVersion", err)
+	}
+	if _, err := NewDecoder(bytes.NewReader(frame)).DecodeResponse(); !errors.Is(err, ErrVersion) {
+		t.Errorf("generation-4 response: %v, want ErrVersion", err)
+	}
+}
+
+// TestSettledReplyShipsOneCopy pins what the W==PW bit is for: a register
+// whose two slots hold the same pair costs one copy of the value on the
+// wire, and the decoded slots share one string.
+func TestSettledReplyShipsOneCopy(t *testing.T) {
+	val := types.Value(strings.Repeat("v", 4096))
+	p := types.Pair{TS: types.TS{Seq: 9, WID: 2}, Val: val}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf).EncodeResponse(Response{ID: 1, Server: 1, Msg: types.Message{Kind: types.MsgState, PW: p, W: p}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := buf.Len(); n > len(val)+32 {
+		t.Errorf("settled reply is %d bytes for a %d-byte value: W was shipped again", n, len(val))
+	}
+	rsp, err := NewDecoder(&buf).DecodeResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsp.Msg.PW != p || rsp.Msg.W != p {
+		t.Fatalf("round trip lost a slot: %+v", rsp.Msg)
+	}
+	if unsafe.StringData(string(rsp.Msg.PW.Val)) != unsafe.StringData(string(rsp.Msg.W.Val)) {
+		t.Error("decoded W and PW do not share one string")
+	}
+}
+
+func TestEncodeRefusesOversizeFrame(t *testing.T) {
+	defer func(old int) { MaxFrame = old }(MaxFrame)
+	MaxFrame = 1 << 10
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	big := Response{ID: 1, Server: 1, Msg: types.Message{Kind: types.MsgState, W: types.Pair{TS: types.At(1), Val: types.Value(strings.Repeat("x", 2<<10))}}}
+	if err := enc.EncodeResponse(big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize response: %v, want ErrFrameTooLarge", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused frame wrote %d bytes", buf.Len())
+	}
+	// The encoder (and the stream) stay usable.
+	if err := enc.EncodeResponse(Response{ID: 2, Server: 1, Msg: types.Message{Kind: types.MsgAck}}); err != nil {
+		t.Fatal(err)
+	}
+	if rsp, err := NewDecoder(&buf).DecodeResponse(); err != nil || rsp.ID != 2 {
+		t.Errorf("frame after a refused one: %+v, %v", rsp, err)
+	}
+}
+
 func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	// Payload prefix: [uvarint ID] [varint From.Kind] [varint From.Idx]
 	// [tag]; the bytes 0, 2, 0 below are ID 0, kind 1, idx 0.
@@ -209,6 +301,45 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 				t.Errorf("malformed frame %q accepted", name)
 			}
 		})
+	}
+}
+
+// TestDecodeRejectsNonCanonicalGen5 covers the forms generation 5's encoder
+// never emits. Each case is one message body (kind 6 = STATE, 3 = READ;
+// mask 2 = PW, 4 = W, 16 = Sub, 32 = W==PW, 64 = have-list, 128 = flags; a
+// pair is seq, wid, len, bytes) framed as a single-register request; the
+// control cases prove the framing itself decodes.
+func TestDecodeRejectsNonCanonicalGen5(t *testing.T) {
+	frame := func(body ...byte) []byte {
+		payload := append([]byte{0, 2, 0, 0, tagSingle, 0}, body...) // id, from kind, idx, epoch, tag, reg
+		return append([]byte{wireVersion, byte(len(payload))}, payload...)
+	}
+	accepted := map[string][]byte{
+		"W==PW":     frame(12, 0, 2|32, 2, 0, 1, 'v'),
+		"have-list": frame(6, 0, 64, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8),
+		"flags":     frame(6, 0, 128, byte(types.FlagNoValues)),
+	}
+	for name, raw := range accepted {
+		if _, err := NewDecoder(bytes.NewReader(raw)).DecodeRequest(); err != nil {
+			t.Errorf("control frame %q rejected: %v", name, err)
+		}
+	}
+	rejected := map[string][]byte{
+		"W==PW bit without PW":  frame(12, 0, 32),
+		"W==PW bit with W":      frame(12, 0, 2|4|32, 2, 0, 0, 4, 0, 0),
+		"W equal to PW twice":   frame(12, 0, 2|4, 2, 0, 1, 'v', 2, 0, 1, 'v'),
+		"empty have-list":       frame(6, 0, 64, 0),
+		"forged have count":     frame(6, 0, 64, 0xff, 0x7f),
+		"truncated have digest": frame(6, 0, 64, 1, 0x80, 1, 0x80, 1, 1, 2, 3, 4, 5, 6, 7),
+		"zero flags byte":       frame(6, 0, 128, 0),
+		"unknown flag bit":      frame(6, 0, 128, 8),
+		"missing flags byte":    frame(6, 0, 128),
+		"empty sub bundle":      frame(22, 0, 16, 0),
+	}
+	for name, raw := range rejected {
+		if _, err := NewDecoder(bytes.NewReader(raw)).DecodeRequest(); err == nil {
+			t.Errorf("non-canonical frame %q accepted", name)
+		}
 	}
 }
 

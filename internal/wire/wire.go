@@ -8,7 +8,7 @@
 // complete out of order.
 //
 // The LIVE codec (Encoder/Decoder) is a hand-rolled length-prefixed binary
-// format — generation 3, header byte 0x03: each frame is tagged with the
+// format — generation 5, header byte 0x05: each frame is tagged with the
 // request ID and either a single register message or a BATCH of per-register
 // (Reg, Msg) sub-requests, so one frame can carry a whole wave of register
 // rounds (the cross-shard group commit of the Store layer). The codec
@@ -26,12 +26,18 @@
 // matched by Message.Seq, one in-flight request per connection; gen 3
 // tagged every frame with a 64-bit request ID and added the
 // batch frame, which is what turned the transport from lock-step into a
-// pipelined, multiplexed protocol; gen 4 (the current format) stamps every
+// pipelined, multiplexed protocol; gen 4 stamps every
 // request with the client's configuration epoch (uvarint after From.Idx),
 // the dynamic-reconfiguration redirect key — objects refuse requests from
 // a superseded epoch with MsgWrongEpoch so clients refetch the membership
 // and retry, and epoch 0 is the wildcard stamp config-plane rounds and
-// operator tools use. A frame from any other generation is rejected by the
+// operator tools use; gen 5 (the current format) carries value-eliding
+// reads — a READ's have-list and no-values flag, a STATE reply's elided
+// bits, and one bit for W == PW so a settled register ships one copy of
+// its value instead of two (the three mask bits gen 4 left spare; see
+// codec.go). A gen-4 peer would misparse those bits, hence the bump: like
+// every generation change it is a lockstep upgrade of daemons and clients.
+// A frame from any other generation is rejected by the
 // version byte, so mixed deployments fail loudly on the
 // first message. PERSISTED formats, in contrast, all have explicit legacy
 // paths (WAL gob mirror types, snapshot version bytes, shard-table and

@@ -237,7 +237,13 @@ func TestMWTimestampsAreWriterTagged(t *testing.T) {
 	if err := c1.Writer().Write("from-w3"); err != nil {
 		t.Fatal(err)
 	}
-	pw, w, err := tcpnet.Probe(addrs[0], 0, 0)
+	// A write returns on a quorum: the probed object may be the one still
+	// applying it.
+	var pw, w types.Pair
+	waitUntil(t, "object 1 to apply the first write", func() bool {
+		pw, w, err = tcpnet.Probe(addrs[0], 0, 0)
+		return err != nil || !w.IsBottom()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +262,11 @@ func TestMWTimestampsAreWriterTagged(t *testing.T) {
 	if err := c2.Writer().Write("from-w1"); err != nil {
 		t.Fatal(err)
 	}
-	_, w2, err := tcpnet.Probe(addrs[0], 0, 0)
+	var w2 types.Pair
+	waitUntil(t, "object 1 to apply the second write", func() bool {
+		_, w2, err = tcpnet.Probe(addrs[0], 0, 0)
+		return err != nil || w.TS.Less(w2.TS)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

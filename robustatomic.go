@@ -291,7 +291,7 @@ func (c *Cluster) Faults() int { return c.th.T }
 func (c *Cluster) Objects() int { return c.th.S }
 
 // InjectFault makes in-process object sid Byzantine with a named behavior:
-// "silent", "garbage", "stale", "equivocate" or "flaky". It is a no-op
+// "silent", "garbage", "stale", "equivocate", "falseelide" or "flaky". It is a no-op
 // template for chaos testing; remote clusters configure behaviors on the
 // daemons instead.
 func (c *Cluster) InjectFault(sid int, mode string) error {
@@ -312,6 +312,8 @@ func (c *Cluster) InjectFault(sid int, mode string) error {
 		b = &server.Stale{}
 	case "equivocate":
 		b = server.Equivocate{Readers: &server.Stale{}}
+	case "falseelide":
+		b = &server.FalseElide{}
 	case "flaky":
 		// Seed per object: flaky objects must not drop the same message
 		// pattern in lockstep, or t flaky objects act as one.
@@ -510,6 +512,16 @@ func (c *Cluster) writerOn(rc proto.Rounder, reg int, last types.TS) *Writer {
 	return w
 }
 
+// useKnown shares a known-pair set with the register instance's other
+// handles (the keyed Store: one set per shard).
+func (w *Writer) useKnown(k *core.Known) {
+	if w.plain != nil {
+		w.plain.UseKnown(k)
+	} else {
+		w.secret.UseKnown(k)
+	}
+}
+
 // Write stores v (2 communication rounds — the optimistic proposal plus
 // its commit — whenever no concurrent foreign writer interfered; bounded
 // fallback rounds otherwise, see internal/core's adaptive write flow). A
@@ -609,6 +621,16 @@ func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
 		r.plain = core.NewReader(rc, c.th, idx, c.opts.Readers)
 	}
 	return r, nil
+}
+
+// useKnown shares a known-pair set with the register instance's other
+// handles (the keyed Store: one set per shard).
+func (r *Reader) useKnown(k *core.Known) {
+	if r.plain != nil {
+		r.plain.UseKnown(k)
+	} else {
+		r.secret.UseKnown(k)
+	}
 }
 
 // Read returns the register's current value (adaptive: 2 communication

@@ -1,6 +1,7 @@
 package robustatomic
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,18 @@ import (
 	"robustatomic/internal/proto"
 	"robustatomic/internal/shard"
 	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
 )
+
+// ErrShardTableTooLarge is returned by Put and Delete when the mutation's
+// batch would grow its shard's encoded table past what a reader that holds
+// nothing yet can be sent in one frame: a cold read is answered with one
+// copy of the table per register — the shard's and each of the Readers
+// write-back registers' — so the bound is the wire's frame bound divided by
+// Readers+1. A table written past it could never be read back by a fresh
+// process. The whole batch is refused and nothing is written; spread the
+// keys over more shards.
+var ErrShardTableTooLarge = errors.New("robustatomic: shard table exceeds the readable size (frame bound / (Readers+1)); use more shards")
 
 // Flush-outcome counters and per-op latency distributions of the keyed Store
 // layer, process-wide. The four flush counters partition completed flushes by
@@ -192,6 +204,12 @@ type storeShard struct {
 	// assumes cross-process contention and stops paying the optimistic
 	// round for a window, probing the fast path again once it drains.
 	penalty int
+	// maxTable is the largest encoded table a flush may install (see
+	// ErrShardTableTooLarge). discard marks the cached table as holding the
+	// ops of a batch refused for exceeding it: the next flush takes the
+	// certified path and replaces the table with the register's.
+	maxTable int
+	discard  bool
 	// uncommitted holds the ops of failed flushes: a timed-out flush may
 	// have reached some objects, so the ops re-apply in every later flush
 	// until one succeeds and re-asserts them at a higher timestamp — the
@@ -291,12 +309,17 @@ func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 // 0 is the legacy standalone register, so shard i lives on instance i+1.
 func (s *Store) buildShard(i int) (*storeShard, error) {
 	reg := i + 1
+	// One known-pair set per shard, shared by the reader pool and the
+	// committer: what any handle decided or flushed, no handle is sent again
+	// (internal/core/known.go).
+	known := core.NewKnown(s.c.th)
 	readers := make([]*Reader, len(s.opts.Readers))
 	for j, idx := range s.opts.Readers {
 		r, err := s.c.readerReg(idx, reg)
 		if err != nil {
 			return nil, fmt.Errorf("robustatomic: shard %d: %w", i, err)
 		}
+		r.useKnown(known)
 		readers[j] = r
 	}
 	// Recovery read: learn the shard's current table and the timestamp the
@@ -325,6 +348,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		return nil, fmt.Errorf("robustatomic: shard %d recovery: %w", i, err)
 	}
 	w := s.c.shardWriter(reg, cur.TS)
+	w.useKnown(known)
 	return &storeShard{
 		idx:        i,
 		table:      table,
@@ -336,6 +360,9 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		validate:   w.validateClean,
 		tracer:     s.c.opts.Tracer,
 		wTraced:    w.traced,
+		// Each write-back copy carries a "seq.wid|" prefix and every
+		// sub-reply a few dozen bytes of framing.
+		maxTable: wire.MaxFrame/(s.c.opts.Readers+1) - 256,
 	}, nil
 }
 
@@ -471,7 +498,7 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 		}
 	}
 	defer func() {
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrShardTableTooLarge) {
 			mFlushFailed.Inc()
 		}
 	}()
@@ -497,7 +524,19 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 		applied = true
 	}
 
-	if sh.writeClean != nil && sh.penalty == 0 && len(sh.uncommitted) == 0 {
+	// encode renders the cached table as the register value to install, or
+	// refuses the batch (see ErrShardTableTooLarge): the cached table keeps
+	// the refused ops, so it is marked for replacement by the register's.
+	encode := func() (types.Value, error) {
+		sh.enc = shard.AppendSorted(sh.enc[:0], sh.keys, sh.table)
+		if len(sh.enc) > sh.maxTable {
+			sh.discard = true
+			return "", ErrShardTableTooLarge
+		}
+		return types.Value(sh.enc), nil
+	}
+
+	if sh.writeClean != nil && sh.penalty == 0 && len(sh.uncommitted) == 0 && !sh.discard {
 		apply()
 		if !dirty {
 			ok, err := sh.validate()
@@ -515,8 +554,11 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 			// The certified path below re-checks from genuinely-read state
 			// (and surfaces round errors).
 		} else {
-			sh.enc = shard.AppendSorted(sh.enc[:0], sh.keys, sh.table)
-			p, ok, err := sh.writeClean(types.Value(sh.enc))
+			v, err := encode()
+			if err != nil {
+				return err
+			}
+			p, ok, err := sh.writeClean(v)
 			if err != nil {
 				sh.uncommitted = append(sh.uncommitted, b.ops...)
 				return err
@@ -535,7 +577,7 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 
 	rebased := false
 	p, err := sh.modify(func(cur types.Pair) (types.Value, error) {
-		if cur.TS != sh.lastTS {
+		if cur.TS != sh.lastTS || sh.discard {
 			t, err := shard.DecodeTable(string(cur.Val))
 			if err != nil {
 				// Unreachable against ≤ t Byzantine objects: the read only
@@ -545,9 +587,12 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 			// Rebase: the foreign table replaces the cached one (discarding
 			// any fast-path application of the ops) and the ops re-apply
 			// against it from scratch.
+			// (A table refused as too large is replaced the same way; its
+			// register pair is our own completed head, so the no-op elision
+			// below stays open to it.)
 			sh.table, sh.keys = t, shard.SortedKeys(t)
-			sh.lastTS = cur.TS
-			dirty, applied, rebased = false, false, true
+			dirty, applied, rebased = false, false, cur.TS != sh.lastTS
+			sh.lastTS, sh.discard = cur.TS, false
 		}
 		if !applied {
 			apply()
@@ -563,9 +608,14 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 			// pre-adaptive flush always did.
 			return "", core.SkipWrite
 		}
-		sh.enc = shard.AppendSorted(sh.enc[:0], sh.keys, sh.table)
-		return types.Value(sh.enc), nil
+		return encode()
 	})
+	if errors.Is(err, ErrShardTableTooLarge) {
+		// Refused, not failed: nothing was sent, so the ops must not be
+		// re-asserted by later flushes — but earlier failed flushes' ops
+		// applied alongside them still must.
+		return err
+	}
 	if err != nil {
 		sh.uncommitted = append(sh.uncommitted, b.ops...)
 		return err
@@ -694,8 +744,8 @@ func (sh *storeShard) readTable() (tab map[string]string, err error) {
 // invalidateCache drops the certified-table cache entry. Called by the
 // committer whenever it moves the register head past the cached timestamp:
 // the entry stays CORRECT (a timestamp names at most one certified value),
-// but no future read can decide it, so holding a dead 14KB table only
-// costs memory.
+// but no future read can decide it, so holding a dead decoded table (tens
+// of KB on a few-hundred-key shard) only costs memory.
 func (sh *storeShard) invalidateCache() {
 	sh.cacheMu.Lock()
 	sh.cacheTab = nil

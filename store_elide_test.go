@@ -1,0 +1,343 @@
+package robustatomic
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"robustatomic/internal/checker"
+	"robustatomic/internal/core"
+	"robustatomic/internal/obs"
+	"robustatomic/internal/regular"
+	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
+)
+
+// counterDelta returns a function reporting how far a process-wide counter
+// has moved since counterDelta was called.
+func counterDelta(name string) func() int64 {
+	c := obs.Default.Counter(name)
+	base := c.Value()
+	return func() int64 { return c.Value() - base }
+}
+
+// TestStoreGetShipsEachValueOnce pins what value-eliding reads buy the keyed
+// Store, with a foreign writer in the picture: a shard's table reaches a
+// process once — when its own committer flushed it, never; when a foreign
+// process wrote it, in the first query round that finds it — and every
+// later Get moves timestamps only.
+func TestStoreGetShipsEachValueOnce(t *testing.T) {
+	a, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := a.Sibling(Options{Faults: 1, Readers: 2, WriterID: 1, Seed: 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	sa, err := a.NewStore(StoreOptions{Shards: 1, Readers: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.NewStore(StoreOptions{Shards: 1, Readers: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const S = 4
+	get := func(st *Store, want string) (sent int64) {
+		t.Helper()
+		d := counterDelta("server_read_values_sent_total")
+		if v, err := st.Get("k"); err != nil || v != want {
+			t.Fatalf("Get = %q, %v; want %q", v, err, want)
+		}
+		return d()
+	}
+
+	if err := sa.Put("k", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	// The writer's own process: the committer seeded the pair it flushed.
+	for i := 0; i < 2; i++ {
+		if sent := get(sa, "v1"); sent != 0 {
+			t.Errorf("own-writer Get %d was shipped %d values, want 0", i, sent)
+		}
+	}
+	// A foreign process attaching cold: its recovery read is shipped the
+	// table by every object in round 1 (W == PW counts once), and nothing in
+	// round 2 — t+1 identical copies admitted it.
+	d := counterDelta("server_read_values_sent_total")
+	if v, err := sb.Get("k"); err != nil || v != "v1" {
+		t.Fatalf("foreign Get = %q, %v", v, err)
+	}
+	if sent := d(); sent != S {
+		t.Errorf("cold foreign attach was shipped %d values, want %d (one round, one copy per object)", sent, S)
+	}
+	if sent := get(sb, "v1"); sent != 0 {
+		t.Errorf("second foreign Get was shipped %d values, want 0", sent)
+	}
+	// A foreign write: miss, the full pair once, then hits.
+	if err := sa.Put("k", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	if sent := get(sb, "v2"); sent != S {
+		t.Errorf("Get after a foreign Put was shipped %d values, want %d", sent, S)
+	}
+	if sent := get(sb, "v2"); sent != 0 {
+		t.Errorf("next Get was shipped %d values, want 0", sent)
+	}
+	// And the flush path: a Put validates with timestamps only, whichever
+	// process's table is current.
+	d = counterDelta("server_read_values_sent_total")
+	if err := sa.Put("k", "v3"); err != nil {
+		t.Fatal(err)
+	}
+	if sent := d(); sent != 0 {
+		t.Errorf("a validated flush pulled %d values back, want 0", sent)
+	}
+}
+
+// TestFreshReaderAgainstSettledCluster is the benchmark's `settle` shape: a
+// handle with an empty known-pair set — a new process, a new connection —
+// reads registers whose write-back copies are all populated. It must decide
+// what a warm handle decides, be shipped each register's value in one round
+// only, and nothing on its next read. (In-process: every object answers
+// every round before it returns, so the counts are exact.)
+func TestFreshReaderAgainstSettledCluster(t *testing.T) {
+	const readers = 3
+	c, err := NewCluster(Options{Faults: 1, Readers: readers, Seed: 67})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.NewStore(StoreOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("k", strings.Repeat("v", 4096)); err != nil {
+		t.Fatal(err)
+	}
+	// Settle: every reader identity writes the table back once (bench.settle).
+	var table types.Pair
+	for idx := 1; idx <= readers; idx++ {
+		cl := c.inproc.NewClientReg(types.Reader(idx), 1)
+		r := core.NewReader(cl, c.th, idx, readers)
+		p, err := r.ReadPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		table = p
+		if r.Elided {
+			wb := regular.NewWriterAt(cl, c.th, types.ReaderReg(idx), 0, types.At(r.Seq()))
+			if err := wb.WritePair(types.Pair{TS: types.At(r.Seq() + 1), Val: core.EncodePair(p)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh := core.NewReader(c.inproc.NewClientReg(types.Reader(1), 1), c.th, 1, readers)
+	sent := counterDelta("server_read_values_sent_total")
+	elided := counterDelta("server_read_values_elided_total")
+	p, err := fresh.ReadPair()
+	if err != nil || p != table {
+		t.Fatalf("fresh reader decided %v, %v; want %v", p.TS, err, table.TS)
+	}
+	// Round 1: 4 objects × (readers+1) registers, one copy each. Round 2: the
+	// same slots, twice each (pw and w), all elided.
+	if got, want := sent(), int64(4*(readers+1)); got != want {
+		t.Errorf("cold read was shipped %d values, want %d (one round)", got, want)
+	}
+	if got, want := elided(), int64(4*2*(readers+1)); got != want {
+		t.Errorf("cold read's second round elided %d values, want %d", got, want)
+	}
+	sent = counterDelta("server_read_values_sent_total")
+	if p, err := fresh.ReadPair(); err != nil || p != table || !fresh.Elided {
+		t.Fatalf("warm read = %v, %v, elided=%v", p.TS, err, fresh.Elided)
+	}
+	if got := sent(); got != 0 {
+		t.Errorf("warm read was shipped %d values, want 0", got)
+	}
+}
+
+// TestStoreAtomicDespiteFalseElide runs the keyed Store against an object
+// that answers reads with unjustified elision claims, under injected
+// asynchrony: every per-key history stays atomic, nothing errors, the false
+// claims are counted and the honest objects' elisions keep working.
+func TestStoreAtomicDespiteFalseElide(t *testing.T) {
+	const (
+		shards  = 2
+		keys    = 6
+		writes  = 4
+		getters = 2
+		reads   = 8
+	)
+	seed := chaosSeedFor(t, 71, 3)
+	c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: seed, MaxDelay: 200 * time.Microsecond, Tracer: chaosTracer(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.NewStore(StoreOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InjectFault(3, "falseelide"); err != nil {
+		t.Fatal(err)
+	}
+	rejects := counterDelta("core_read_inflate_reject_total")
+	inflated := counterDelta("core_read_inflated_total")
+	hists := make([]*checker.History, keys)
+	var wg sync.WaitGroup
+	for k := 0; k < keys; k++ {
+		k := k
+		hists[k] = &checker.History{}
+		key := fmt.Sprintf("key-%02d", k)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= writes; i++ {
+				val := fmt.Sprintf("k%d-v%d", k, i)
+				id := hists[k].Invoke(types.WriterID(1), checker.OpWrite, types.Value(val))
+				if err := st.Put(key, val); err != nil {
+					t.Errorf("put %s: %v", key, err)
+					return
+				}
+				hists[k].Respond(id, types.Value(val))
+			}
+		}()
+		for g := 0; g < getters; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < reads; i++ {
+					id := hists[k].Invoke(types.Reader(100+k*getters+g), checker.OpRead, "")
+					v, err := st.Get(key)
+					if err != nil {
+						t.Errorf("get %s: %v", key, err)
+						return
+					}
+					hists[k].Respond(id, types.Value(v))
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for k, h := range hists {
+		if err := checker.CheckAtomicMW(h); err != nil {
+			t.Errorf("key %d: %v", k, err)
+		}
+	}
+	if rejects() == 0 {
+		t.Error("no false elision claim was counted")
+	}
+	if inflated() == 0 {
+		t.Error("no honest elision was inflated")
+	}
+}
+
+// TestGetRacesCommitterSeeding hammers one shard's known-pair set from both
+// sides — the committer seeding each flushed table while the reader pool's
+// handles snapshot, inflate from and reseed it — so `go test -race` sees
+// every access pattern the set supports. Per-key values only move forward.
+func TestGetRacesCommitterSeeding(t *testing.T) {
+	c, err := NewCluster(Options{Faults: 1, Readers: 3, Seed: 83})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.NewStore(StoreOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const puts = 300
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, err := st.Get("k")
+				if err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+				n := 0
+				if v != "" {
+					fmt.Sscanf(v, "v%d", &n)
+				}
+				if n < last {
+					t.Errorf("Get went backwards: %d after %d", n, last)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	for i := 1; i <= puts; i++ {
+		if err := st.Put("k", fmt.Sprintf("v%d-%s", i, strings.Repeat("x", 512))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestShardTableSizeBound: a table that a cold reader could not be sent in
+// one frame is refused at Put time with a typed error — it must never be
+// written, or the shard could be flushed but not read again — and the
+// refusal leaves the shard fully usable.
+func TestShardTableSizeBound(t *testing.T) {
+	defer func(old int) { wire.MaxFrame = old }(wire.MaxFrame)
+	wire.MaxFrame = 96 << 10 // readers+1 = 3 copies ⇒ tables up to ~32 KB
+	c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 89})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.NewStore(StoreOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := strings.Repeat("x", 10<<10)
+	for i := 0; i < 3; i++ { // 30 KB: fits
+		if err := st.Put(fmt.Sprint("k", i), chunk); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if err := st.Put("k3", chunk); !errors.Is(err, ErrShardTableTooLarge) {
+		t.Fatalf("put past the bound: %v, want ErrShardTableTooLarge", err)
+	}
+	// The refused key was not written, the others are intact, and the shard
+	// keeps accepting mutations that fit — including one that makes room.
+	for k, want := range map[string]string{"k0": chunk, "k2": chunk, "k3": ""} {
+		if v, err := st.Get(k); err != nil || v != want {
+			t.Errorf("Get %s after the refusal: %d bytes, %v; want %d bytes", k, len(v), err, len(want))
+		}
+	}
+	if err := st.Put("small", "v"); err != nil {
+		t.Errorf("small put after the refusal: %v", err)
+	}
+	if err := st.Delete("k0"); err != nil {
+		t.Errorf("delete after the refusal: %v", err)
+	}
+	if err := st.Put("k3", chunk); err != nil {
+		t.Errorf("put after making room: %v", err)
+	}
+	if v, err := st.Get("k3"); err != nil || v != chunk {
+		t.Errorf("Get k3 = %d bytes, %v", len(v), err)
+	}
+	if v, err := st.Get("small"); err != nil || v != "v" {
+		t.Errorf("Get small = %q, %v", v, err)
+	}
+}
