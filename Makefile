@@ -93,9 +93,15 @@ integration:
 # torture-short is the CI-bounded deterministic torture drill under -race:
 # three fixed-seed fault schedules (partition+heal live, Byzantine mix
 # live, kill-9+restart+repair over real TCP daemons) at reduced scale,
-# every per-key history decided by the atomicity checker. ~2 minutes.
+# every per-key history decided by the atomicity checker (each run logs its
+# read path mix) — then the two regressions that only repetition keeps
+# honest: the repair drill (a repaired object holds every register, 200
+# times over) and the fast hit's safety matrix (crashed writer × Byzantine
+# behaviour × concurrent readers, both models, 20 times). ~3 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
+	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
+	$(GO) test -race -run TestCrashedWriterByzantineReadMatrix -count=20 -timeout 600s ./internal/core/
 
 # torture is the full-scale drill: three seeded schedules over 224
 # simulated clients each (partition+heal live, kill-9+restart+repair tcp,

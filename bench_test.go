@@ -93,7 +93,9 @@ func BenchmarkE4RoundComplexity(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, r := range rows {
-					if r.Name[0] == 'a' && r.ReadRounds != 4 && r.ReadRounds != 3 {
+					// The paper's worst cases bound the adaptive reads from above
+					// (these stable scenarios read in 1 round).
+					if r.Name[0] == 'a' && (r.ReadRounds < 1 || r.ReadRounds > 4) {
 						b.Fatalf("%s: %d read rounds", r.Name, r.ReadRounds)
 					}
 				}
@@ -402,10 +404,10 @@ func BenchmarkE9StoreGet(b *testing.B) {
 }
 
 // BenchmarkE16AdaptiveRead measures the adaptive Store read path in the
-// three shapes the design targets. "stable" is the elision fast case:
-// repeated Gets against an unchanging shard decide in the two query rounds
-// and serve the table from the certified-TS cache (no write-back, no
-// decode). "contended" hammers ONE hot single-shard store from all procs so
+// three shapes the design targets. "stable" is the fast case: repeated Gets
+// against an unchanging shard decide on the first query round (2t+1 objects
+// agree) and serve the table from the certified-TS cache (no decision
+// round, no write-back, no decode). "contended" hammers ONE hot single-shard store from all procs so
 // concurrent Gets coalesce into shared protocol reads (the R-scaling
 // collapse also visible in E7LiveRead R=1/4/8). "zipfmix" is the realistic
 // blend: zipf-skewed Gets over 16 keys on 4 shards with a ~10% Put mix, so

@@ -170,7 +170,7 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%q (2 rounds stable; 4 worst case)\n", v)
+		fmt.Printf("%q (1 round stable, 2 for a fresh handle; 4 worst case)\n", v)
 		return nil
 	case "put":
 		if len(args) != 3 {
@@ -326,7 +326,7 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		if first != nil {
 			return first
 		}
-		fmt.Printf("OK getburst: %d gets, %d workers, %v\n", count, workers, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("OK getburst: %d gets, %d workers, %v; read path 1/2/4 rounds: %s\n", count, workers, time.Since(start).Round(time.Millisecond), readPathMix(obs.Default.Snapshot().Counters))
 		return nil
 	case "repair":
 		if len(args) != 2 {
@@ -342,7 +342,7 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 				fmt.Printf("s%d reg %d: blank (never written), skipped\n", id, r.Reg)
 				continue
 			}
-			fmt.Printf("s%d reg %d: installed ts=%s (%d bytes) from quorum\n", id, r.Reg, r.TS, r.Bytes)
+			fmt.Printf("s%d reg %d: installed ts=%s (%d bytes) + %d write-back registers from quorum\n", id, r.Reg, r.TS, r.Bytes, r.WriteBacks)
 		}
 		if err != nil {
 			return err
@@ -435,7 +435,7 @@ func printMigrated(migrated []robustatomic.RepairedRegister) {
 			fmt.Printf("migrate reg %d: blank (never written), skipped\n", m.Reg)
 			continue
 		}
-		fmt.Printf("migrate reg %d: transferred ts=%s (%d bytes)\n", m.Reg, m.TS, m.Bytes)
+		fmt.Printf("migrate reg %d: transferred ts=%s (%d bytes) + %d write-back registers\n", m.Reg, m.TS, m.Bytes, m.WriteBacks)
 	}
 }
 
@@ -532,10 +532,13 @@ func doctor(addrs []string, shards, readers int) error {
 
 // stats scrapes each daemon's /debug/vars and renders one combined table:
 // metrics down, daemons across. Histograms render their sample count (the
-// full distributions stay on /metrics). One derived row closes the table:
+// full distributions stay on /metrics). Two derived rows close the table:
 // the share of READ slot values each daemon answered with a timestamp
 // instead of the value (value-eliding reads) — near 1 on a settled cluster,
-// and the first thing to look at when a daemon's tx bytes climb.
+// and the first thing to look at when a daemon's tx bytes climb — and, for
+// every scraped process that ran atomic reads itself (a client exposing
+// /debug/vars; a daemon shows "-"), which round path they took: the shares
+// decided in 1 round, in 2, and with the write-back (4, rarely 3).
 func stats(debugAddrs []string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	snaps := make([]obs.Snapshot, len(debugAddrs))
@@ -563,8 +566,8 @@ func stats(debugAddrs []string) error {
 		}
 	}
 	names := make([]string, 0, len(nameSet))
-	const elidedRow = "read values elided (ratio)"
-	width := len(elidedRow)
+	const elidedRow, pathRow = "read values elided (ratio)", "read path 1/2/4 rounds (ratio)"
+	width := len(pathRow)
 	for n := range nameSet {
 		names = append(names, n)
 		if len(n) > width {
@@ -606,5 +609,21 @@ func stats(debugAddrs []string) error {
 		fmt.Printf(" %12.3f", float64(elided)/float64(elided+sent))
 	}
 	fmt.Println()
+	fmt.Printf("%-*s", width, pathRow)
+	for _, s := range snaps {
+		fmt.Printf(" %12s", readPathMix(s.Counters))
+	}
+	fmt.Println()
 	return nil
+}
+
+// readPathMix renders the shares of a process's atomic reads decided in one
+// round, in two, and with the write-back ("-" if it ran none).
+func readPathMix(counters map[string]int64) string {
+	one, elided, fallback := counters["core_read_one_round_total"], counters["core_read_elided_total"], counters["core_read_fallback_total"]
+	n := float64(elided + fallback)
+	if n == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f/%.2f/%.2f", float64(one)/n, float64(elided-one)/n, float64(fallback)/n)
 }

@@ -18,26 +18,36 @@
 // The lexicographic (Seq, WriterID) order totally orders even timestamps
 // picked concurrently.
 //
-// Reads are ADAPTIVE too: the two query rounds — the regular reads of all
-// registers multiplexed onto two physical rounds (a physical round carries
-// one sub-request per register instance to every object) — always run, but
-// the write-back into the reader's own register (two more rounds: PREWRITE,
-// WRITE) is ELIDED whenever the query rounds themselves certify the chosen
-// pair as completely written: a full quorum of S−t distinct objects
-// w-reported the chosen timestamp (or higher) on the SHARED register. So a
-// stable register reads in 2 rounds; only reads concurrent with a write, or
-// reads whose evidence a Byzantine minority withheld, pay the full 4 rounds
-// the paper's Prop. 1 proves necessary in the worst case — the lower bound
-// binds exactly the executions that still take 4.
+// Reads are ADAPTIVE too, twice over. The regular reads of all R+1
+// registers are multiplexed onto physical rounds (one sub-request per
+// register to every object). (1) A register whose FIRST query round shows
+// 2t+1 objects agreeing on one w pair is decided on the spot (the fast hit,
+// regular.ReadAcc: the pair is genuine and no newer write completed); the
+// second query round runs only for the registers that missed, and not at
+// all when none did. (2) The write-back into the reader's own register (two
+// more rounds: PREWRITE, WRITE) is ELIDED whenever the query rounds
+// themselves certify the chosen pair as completely written: a full quorum
+// of S−t distinct objects w-reported the chosen timestamp (or higher) on
+// the SHARED register — which a shared-register hit on the chosen pair
+// exhibits by construction. So a stable register reads in 1 round, a
+// register whose objects disagree but whose decision round finds the
+// evidence in 2; only reads concurrent with a write, or reads whose
+// evidence a Byzantine minority withheld, pay the full 4 rounds the paper's
+// Prop. 1 proves necessary in the worst case — the lower bound binds
+// exactly the executions that still take 4. One flow serves both failure
+// models: the secret-token reader is this one with a token source, and the
+// hit key includes the reply's token (0 throughout the plain model).
 //
 // Elision safety: the condition exhibits ≥ S−t distinct w-reporters at or
 // above the chosen timestamp ts on the shared register, of which at most t
 // lie, so at least S−2t ≥ t+1 CORRECT objects durably hold w ≥ ts (w slots
-// are monotone at correct objects). Any later read's decision then returns
-// a pair ≥ ts without our help: under the true fault set F*, the level
-// ℓ* = min over those t+1 holders of their smallest w-report satisfies
-// ℓ* ≥ ts and counts |F*| + (t+1) ≥ 2t+1 supporters, so λ(F*) ≥ ts and the
-// decision's choice dominates it. The check runs against the shared
+// are monotone at correct objects). Any later read then returns a pair ≥ ts
+// without our help. A later DECISION: under the true fault set F*, the
+// level ℓ* = min over those t+1 holders of their smallest w-report
+// satisfies ℓ* ≥ ts and counts |F*| + (t+1) ≥ 2t+1 supporters, so
+// λ(F*) ≥ ts and the decision's choice dominates it. A later HIT: its 2t+1
+// agreeing objects and those S−2t holders cannot be disjoint, and the
+// holder among them reports w ≥ ts. The check runs against the shared
 // register only — write-back registers hold ENCODED inner pairs whose inner
 // timestamps are not monotone along the outer sequence across reader
 // lifetimes, so quorum w-support there certifies nothing about ts.
@@ -51,8 +61,9 @@
 // (4) a read rd2 succeeding rd1 sees a pair at least rd1's result: either
 // rd1 completed its write-back before returning and rd2 reads that register
 // regularly, or rd1 elided — in which case the elision evidence above
-// already forces rd2's shared-register decision to dominate rd1's result —
-// so there is no new/old inversion either way. Writes are ordered by their
+// already forces rd2's shared-register read, hit or decided, to dominate
+// rd1's result — so there is no new/old inversion either way (DESIGN.md,
+// "Adaptive reads", has the three lemmas). Writes are ordered by their
 // timestamps, which respect real time: a write's discovery round intersects
 // every earlier complete write's WRITE quorum in a correct object, so its
 // timestamp strictly dominates.
@@ -64,6 +75,7 @@ import (
 	"strconv"
 	"strings"
 
+	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/regular"
@@ -160,27 +172,23 @@ func DiscoverNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS
 	return next, nil
 }
 
-// CertifiedNext runs a certified regular read of the shared register
-// (2 rounds, the full decision procedure) and returns the current pair plus
-// the successor timestamp for writer wid. Unlike DiscoverNext's raw quorum
-// maximum, the decision only returns genuine pairs, so not even the
-// timestamp can be Byzantine-inflated. Both rounds are conditioned on k
-// (nil reads unconditioned): a writer whose last pair is still the
-// register's current one — the rebase that finds nothing to rebase onto —
-// moves timestamps, not values.
+// CertifiedNext runs a certified regular read of the shared register (one
+// round on a fast hit, two with the full decision procedure — see
+// regular.ReadAcc) and returns the current pair plus the successor timestamp
+// for writer wid. Unlike DiscoverNext's raw quorum maximum, the read only
+// returns genuine pairs, so not even the timestamp can be
+// Byzantine-inflated. The rounds are conditioned on k (nil reads
+// unconditioned): a writer whose last pair is still the register's current
+// one — the rebase that finds nothing to rebase onto — moves timestamps, not
+// values.
 func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, k *Known) (types.Pair, types.TS, error) {
-	spec1, acc1 := regular.Read1Spec(th, types.WriterReg)
-	k.hintRead(&spec1, types.WriterReg)
-	if err := r.Round(spec1); err != nil {
-		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: round 1: %w", err)
+	acc := regular.NewReadAcc(th)
+	acc.MultiWriter = true
+	hint := func(spec *proto.RoundSpec) { k.hintRead(spec, types.WriterReg) }
+	cur, err := regular.ReadPairOn(r, types.WriterReg, acc, hint)
+	if err != nil {
+		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: %w", err)
 	}
-	spec2, acc2 := regular.Read2Spec(th, types.WriterReg, acc1.Replies)
-	acc2.MultiWriter = true
-	k.hintRead(&spec2, types.WriterReg)
-	if err := r.Round(spec2); err != nil {
-		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: round 2: %w", err)
-	}
-	cur := acc2.Choice()
 	k.Seed(types.WriterReg, cur)
 	return cur, types.MaxTS(cur.TS, own).Next(wid), nil
 }
@@ -245,12 +253,13 @@ func (w *Writer) Validate() (bool, error) {
 }
 
 // Modify performs a certified read-modify-write: a regular read of the
-// shared register (2 rounds, certified by the decision procedure, so unlike
-// the optimistic validation not even the timestamp can be
-// Byzantine-inflated), then fn maps the current pair to the value to
-// install, which the regular write's two rounds store at the successor
-// timestamp. 4 rounds total; the keyed Store layer rebases onto foreign
-// tables through Modify when the flush fast path detects interference.
+// shared register (1 round on a fast hit, else 2 with the decision
+// procedure — either way not even the timestamp can be Byzantine-inflated,
+// unlike the optimistic validation's), then fn maps the current pair to the
+// value to install, which the regular write's two rounds store at the
+// successor timestamp. 3 or 4 rounds total; the keyed Store layer rebases
+// onto foreign tables through Modify when the flush fast path detects
+// interference.
 //
 // Modify is NOT an atomic read-modify-write across writers — registers
 // cannot solve consensus, so two concurrent Modifys may read the same pair
@@ -265,31 +274,60 @@ func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pai
 // LastTS returns the timestamp of the last completed write.
 func (w *Writer) LastTS() types.TS { return w.pw.LastTS() }
 
-// Reader is one of the R readers of the atomic register.
+// Read-path counters: which of its bets the adaptive read won. Every read
+// ends in exactly one of the first three (1 round; 2 rounds; write-back
+// paid — 4 rounds, or 3 when every register hit), so their mix IS the round
+// mix; the miss counter says which register sent a read to the decision
+// round (`storctl stats` derives the ratios).
+var (
+	mReadOneRound = obs.Default.Counter("core_read_one_round_total")
+	mReadElided   = obs.Default.Counter("core_read_elided_total")
+	mReadFallback = obs.Default.Counter("core_read_fallback_total")
+	mMissShared   = obs.Default.Counter(`core_read_hit_miss_total{reg="shared"}`)
+	mMissWB       = obs.Default.Counter(`core_read_hit_miss_total{reg="writeback"}`)
+)
+
+// Reader is one of the R readers of the atomic register — in either model:
+// the secret-token reader is this flow with a token source (NextToken).
 type Reader struct {
 	rounder proto.Rounder
 	th      quorum.Thresholds
 	idx     int // this reader's index, 1-based
 	readers int // R
 	seq     int64
+	// discover marks a handle that has yet to learn its write-back sequence
+	// number from the objects (NewReader): its first read takes no fast hit.
+	discover bool
 
-	// Reusable round state, built on the first read and recycled after:
-	// one two-round accumulator per register, the multiplexed round's
-	// accumulator fanning out to them, and the sid-independent request
-	// bundle — rebuilt only when the known-pair set moved, so steady-state
-	// reads allocate nothing here.
-	regs  []types.RegID
-	accs  []*regular.ReadAcc
-	mux   muxAcc
-	req   types.Message
-	reqFn func(int) types.Message
+	// NextToken, when set, attaches a fresh secret token to each write-back
+	// ([DMSS09] model, see regular.Writer.NextToken).
+	NextToken func() types.Token
 
-	// Elided reports whether the last ReadPair skipped the write-back (the
-	// query rounds certified the chosen pair as completely written).
+	// Reusable round state, built on the first read and recycled after: one
+	// read accumulator per register, the multiplexed round's accumulator
+	// fanning out to them (slow: the parts of the registers that missed), and
+	// the sid-independent request bundle — rebuilt only when the known-pair
+	// set moved, so steady-state reads allocate nothing here.
+	regs   []types.RegID
+	accs   []*regular.ReadAcc
+	mux    muxAcc
+	slow   []MuxPart
+	back   types.Pair // the last write-back (see Choice)
+	req    types.Message
+	reqFn  func(int) types.Message
+	noteFn func() string
+
+	// Hit reports whether the last ReadPair decided every register on its
+	// first query round (no decision round); Elided whether it skipped the
+	// write-back (the query rounds certified the chosen pair as completely
+	// written). Both: a one-round read.
+	Hit    bool
 	Elided bool
-	// FastReads and FallbackReads count reads that elided the write-back
-	// vs. paid the full 4 rounds (instrumentation; the round hook gives
-	// finer grain).
+	// OneRound counts reads decided on the first query round alone,
+	// FastReads those that elided the write-back (one-round reads included)
+	// and FallbackReads those that paid it (instrumentation; the round hook
+	// gives finer grain).
+	OneRound      int
 	FastReads     int
 	FallbackReads int
 }
@@ -300,11 +338,14 @@ type Reader struct {
 // new process reattaching with an identity earlier lifetimes used is safe;
 // CONCURRENT use of one reader identity remains forbidden.
 func NewReader(r proto.Rounder, th quorum.Thresholds, idx, readers int) *Reader {
-	return NewReaderAt(r, th, idx, readers, 0)
+	rd := NewReaderAt(r, th, idx, readers, 0)
+	rd.discover = true
+	return rd
 }
 
 // NewReaderAt returns a reader resuming its write-back register from a known
-// internal sequence number.
+// internal sequence number (nothing left to discover: its first read may
+// already take the fast hit).
 func NewReaderAt(r proto.Rounder, th quorum.Thresholds, idx, readers int, seq int64) *Reader {
 	if idx < 1 || idx > readers {
 		panic(fmt.Sprintf("core: reader index %d out of 1..%d", idx, readers))
@@ -318,6 +359,18 @@ func NewReaderAt(r proto.Rounder, th quorum.Thresholds, idx, readers int, seq in
 func (r *Reader) UseKnown(k *Known) {
 	r.mux.inflater = inflater{known: k}
 	r.req = types.Message{} // hinted from the old set: rebuild
+}
+
+// Choice returns the pair the last ReadPair left register i of the instance
+// at, as far as it knows — 0 the shared register, i reader i's write-back
+// register (its outer pair, the inner one still encoded): what the query
+// rounds settled on, or, for this reader's own register, the write-back that
+// followed them. Repair transfers these.
+func (r *Reader) Choice(i int) types.Pair {
+	if i == r.idx && !r.Elided {
+		return r.back
+	}
+	return r.accs[i].Choice()
 }
 
 // Seq returns the reader's current write-back sequence number.
@@ -346,8 +399,9 @@ func ResumeSeq(prev int64, cert, raw types.TS) int64 {
 	return seq
 }
 
-// Read performs the adaptive atomic read: 2 rounds when the query rounds
-// certify the result as completely written, 4 otherwise.
+// Read performs the adaptive atomic read: 1 round when every register's
+// first-round replies hit and certify the result as completely written, 2
+// when only the decision round could tell, 4 otherwise.
 func (r *Reader) Read() (types.Value, error) {
 	p, err := r.ReadPair()
 	return p.Val, err
@@ -362,7 +416,17 @@ func (r *Reader) init() {
 	r.regs = r.allRegs()
 	r.accs = make([]*regular.ReadAcc, len(r.regs))
 	r.mux.parts = make([]MuxPart, len(r.regs))
+	r.slow = make([]MuxPart, 0, len(r.regs))
 	r.reqFn = func(int) types.Message { return r.req }
+	r.noteFn = func() string {
+		n := 0
+		for _, a := range r.accs {
+			if a.Hit() {
+				n++
+			}
+		}
+		return fmt.Sprintf("hit %d/%d", n, len(r.accs))
+	}
 	for i, reg := range r.regs {
 		// Every register runs the relaxed multi-writer decision: the shared
 		// register (index 0) genuinely has many writers, and a write-back
@@ -370,7 +434,7 @@ func (r *Reader) init() {
 		// ReadPair), so its write at ℓ may follow a crashed predecessor's
 		// ℓ−1 that never completed — the exact premise under which the
 		// stricter SWMR causality filter would wrongly reject the true
-		// fault set (see regular.DecideAcc.MultiWriter).
+		// fault set (see regular.ReadAcc.MultiWriter).
 		r.accs[i] = regular.NewReadAcc(r.th)
 		r.accs[i].MultiWriter = true
 		r.mux.parts[i] = MuxPart{Reg: reg, Req: readReq, Acc: r.accs[i]}
@@ -402,23 +466,52 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 		a.Reset()
 	}
 
-	// Physical round 1: round 1 of every register's regular read.
-	if err := r.rounder.Round(r.muxSpec("AREAD1")); err != nil {
+	// Physical round 1: round 1 of every register's regular read. A traced
+	// round notes how many registers it decided outright.
+	spec := r.muxSpec("AREAD1")
+	spec.Note = r.noteFn
+	if err := r.rounder.Round(spec); err != nil {
 		return types.Pair{}, fmt.Errorf("core: read round 1: %w", err)
 	}
 
-	// Physical round 2: round 2 of every register's regular read, over the
-	// frozen round-1 views.
-	for _, a := range r.accs {
+	// Physical round 2, for the registers whose round 1 missed the fast hit
+	// (regular.ReadAcc) only: the decision round over their frozen round-1
+	// views. A handle still discovering its write-back sequence number takes
+	// no hit, so ResumeSeq below sees both rounds' raw maxima exactly once.
+	all := r.mux.parts
+	r.slow = r.slow[:0]
+	for i, a := range r.accs {
+		if a.Hit() && !r.discover {
+			continue
+		}
 		a.BeginDecide()
+		r.slow = append(r.slow, all[i])
+		if !r.discover {
+			if i == 0 {
+				mMissShared.Inc()
+			} else {
+				mMissWB.Inc()
+			}
+		}
 	}
-	if err := r.rounder.Round(r.muxSpec("AREAD2")); err != nil {
-		return types.Pair{}, fmt.Errorf("core: read round 2: %w", err)
+	r.discover = false
+	if r.Hit = len(r.slow) == 0; !r.Hit {
+		spec = r.muxSpec("AREAD2")
+		if len(r.slow) < len(all) {
+			r.mux.parts = r.slow
+			sub := r.mux.bundle(0)
+			spec.Req = func(int) types.Message { return sub }
+		}
+		err := r.rounder.Round(spec)
+		r.mux.parts = all
+		if err != nil {
+			return types.Pair{}, fmt.Errorf("core: read round 2: %w", err)
+		}
 	}
 
 	// Resume the write-back sequence number from the views just collected:
-	// regs[r.idx] is this reader's own register, so the read's two query
-	// rounds double as the discovery round a fresh handle needs. A handle
+	// regs[r.idx] is this reader's own register, so the read's query rounds
+	// double as the discovery round a fresh handle needs. A handle
 	// that restarted its count at zero would re-issue sequence numbers an
 	// earlier lifetime of this identity already used, carrying this era's
 	// (different) value; objects keep whichever write they saw first (equal
@@ -451,35 +544,42 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	// Write-back elision: when a full quorum of S−t distinct objects
 	// w-reported the chosen timestamp (or higher) on the SHARED register,
 	// the chosen pair is already completely written — at least t+1 correct
-	// objects durably hold it, which forces every later read's decision to
-	// dominate it (see the package documentation's safety argument) — so
-	// the 2-round write-back re-asserting it is pure cost. The check runs
-	// against the shared register only: whatever register `best` surfaced
-	// from, its value originates in shared-register pairs (write-back
-	// registers hold encoded copies), and only the shared register's
-	// w slots are monotone in best's timestamp order. Byzantine objects
-	// cannot fake the condition (t forged reports < S−t) and can at worst
-	// withhold it, costing rounds, never safety.
-	if r.accs[0].WSupport(best.TS) >= r.th.Quorum() {
-		r.Elided = true
+	// objects durably hold it, which forces every later read, hit or
+	// decided, to return a pair at or above it (see the package
+	// documentation's safety argument) — so the 2-round write-back
+	// re-asserting it is pure cost. A shared-register hit on best IS that
+	// evidence; a write-back register's hit only fed the maximum. The check
+	// runs against the shared register only: whatever register `best`
+	// surfaced from, its value originates in shared-register pairs
+	// (write-back registers hold encoded copies), and only the shared
+	// register's w slots are monotone in best's timestamp order. Byzantine
+	// objects cannot fake the condition (t forged reports < S−t) and can at
+	// worst withhold it, costing rounds, never safety.
+	if r.Elided = r.accs[0].WSupport(best.TS) >= r.th.Quorum(); r.Elided {
 		r.FastReads++
+		mReadElided.Inc()
+		if r.Hit {
+			r.OneRound++
+			mReadOneRound.Inc()
+		}
 		return best, nil
 	}
-	r.Elided = false
 	r.FallbackReads++
+	mReadFallback.Inc()
 
-	// Physical rounds 3 and 4: write the result back into this reader's own
+	// Two more physical rounds: write the result back into this reader's own
 	// register before returning. Write-back registers are single-writer
 	// (the reader owns its own), so their timestamps keep WID 0.
 	if r.seq+1 <= 0 {
 		return types.Pair{}, fmt.Errorf("core: write-back register sequence space exhausted")
 	}
 	wb := regular.NewWriterAt(r.rounder, r.th, types.ReaderReg(r.idx), 0, types.At(r.seq))
+	wb.NextToken = r.NextToken
 	back := types.Pair{TS: types.At(r.seq + 1), Val: EncodePair(best)}
 	if err := wb.WritePair(back); err != nil {
 		return types.Pair{}, fmt.Errorf("core: write-back: %w", err)
 	}
-	r.seq++
+	r.seq, r.back = r.seq+1, back
 	r.mux.known.Seed(types.ReaderReg(r.idx), back)
 	return best, nil
 }

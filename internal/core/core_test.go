@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"robustatomic/internal/checker"
@@ -50,6 +51,10 @@ func (cl *cluster) writeOp(v types.Value) sim.OpFunc {
 	}
 }
 
+// Reads completed by every cluster of the package's tests, and how many of
+// them took one round: the model check prints the ratio.
+var readsDone, readsOneRound atomic.Int64
+
 func (cl *cluster) readOp(idx int) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
 		r := NewReaderAt(c, cl.thr, idx, cl.readers, cl.seqs[idx])
@@ -59,6 +64,8 @@ func (cl *cluster) readOp(idx int) sim.OpFunc {
 			return types.Bottom, err
 		}
 		cl.seqs[idx] = r.Seq()
+		readsDone.Add(1)
+		readsOneRound.Add(int64(r.OneRound))
 		return v, nil
 	}
 }
@@ -79,11 +86,12 @@ func TestRoundComplexity(t *testing.T) {
 	// The headline numbers of the adaptive multi-writer register: 2-round
 	// writes when the optimistic proposal certifies (the uncontended case —
 	// the paper's SWMR optimum, recovered), and — since the adaptive read —
-	// 2-round reads on a STABLE register: the query rounds exhibit a full
-	// quorum of w-reports at the chosen timestamp, certifying it as
-	// completely written, so the write-back is elided. Prop. 1's 4-round
-	// worst case survives in executions where the evidence falls short —
-	// see TestReadFallbackOnIncompleteWrite.
+	// 1-round reads on a STABLE register: the first query round's replies
+	// agree on every register (the fast hit, no decision round) and exhibit
+	// a full quorum of w-reports at the chosen timestamp, certifying it as
+	// completely written, so the write-back is elided too. Prop. 1's
+	// 4-round worst case survives in executions where the evidence falls
+	// short — see TestReadFallbackOnIncompleteWrite.
 	thr := th(t, 4, 1)
 	cl := newCluster(thr, 2)
 	s := sim.New(sim.Config{Servers: 4})
@@ -97,8 +105,8 @@ func TestRoundComplexity(t *testing.T) {
 	if v := mustRun(t, s, rd); v != "a" {
 		t.Errorf("read = %q, want a", v)
 	}
-	if rd.Rounds() != 2 {
-		t.Errorf("stable read rounds = %d, want 2 (write-back elided)", rd.Rounds())
+	if rd.Rounds() != 1 {
+		t.Errorf("stable read rounds = %d, want 1 (fast hit, write-back elided)", rd.Rounds())
 	}
 }
 
@@ -247,6 +255,14 @@ func TestRandomizedModelCheckAtomicity(t *testing.T) {
 	if testing.Short() {
 		seeds = 20
 	}
+	done, one := readsDone.Load(), readsOneRound.Load()
+	t.Cleanup(func() { // runs once the parallel seeds are through
+		done, one = readsDone.Load()-done, readsOneRound.Load()-one
+		t.Logf("%d reads under random schedules and faults, %d in one round (hit ratio %.2f)", done, one, float64(one)/float64(max(done, 1)))
+		if one == 0 {
+			t.Error("no read took the fast hit: the model check no longer exercises it")
+		}
+	})
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

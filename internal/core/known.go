@@ -277,20 +277,26 @@ func (in *inflater) admit(sid int, reg types.RegID, m *types.Message) (n int64, 
 		}
 	}
 	if in.known != nil && sid >= 1 && sid < 64 {
+		same := m.W == m.PW // one string on the wire
 		if elided&types.FlagElidedPW == 0 {
-			in.sawFull(sid, reg, m.PW)
+			m.PW = in.sawFull(sid, reg, m.PW)
 		}
-		if elided&types.FlagElidedW == 0 && m.W != m.PW {
-			in.sawFull(sid, reg, m.W)
+		if same {
+			m.W = m.PW
+		} else if elided&types.FlagElidedW == 0 {
+			m.W = in.sawFull(sid, reg, m.W)
 		}
 	}
 	return n, true
 }
 
-// sawFull notes that object sid shipped p in full.
-func (in *inflater) sawFull(sid int, reg types.RegID, p types.Pair) {
+// sawFull notes that object sid shipped p in full and returns the round's
+// first identical copy of it: like an inflated value, a pair several objects
+// shipped reaches the accumulators as ONE string, so their agreement checks
+// (regular.ReadAcc's fast hit) compare pointers, not tables.
+func (in *inflater) sawFull(sid int, reg types.RegID, p types.Pair) types.Pair {
 	if p.Val == "" || p.TS.IsZero() {
-		return
+		return p
 	}
 	i := 0
 	for i < len(in.full) && (in.full[i].reg != reg || in.full[i].pair != p) {
@@ -303,6 +309,7 @@ func (in *inflater) sawFull(sid int, reg types.RegID, p types.Pair) {
 	if f.from |= 1 << uint(sid); bits.OnesCount64(f.from) == in.known.confirm {
 		in.known.Seed(reg, f.pair)
 	}
+	return f.pair
 }
 
 // hintRead conditions a single-register READ round on the set: the request

@@ -238,8 +238,10 @@ func ComplexityTable(t int) (string, error) {
 	b.WriteString("       secret-token atomic 2W/3R (contention-free) · prior art unbounded/Ω(t)\n")
 	b.WriteString("this repo (MWMR, adaptive): 2W uncontended (optimistic proposal certifies),\n")
 	b.WriteString("       3W under write contention, ≤5W vs. Byzantine-inflated reports;\n")
-	b.WriteString("       reads elide the write-back when the queries certify completeness —\n")
-	b.WriteString("       2R (1R secret) on stable registers, 4R worst case per Prop. 1\n")
+	b.WriteString("       reads decide on the first query round when 2t+1 objects agree and\n")
+	b.WriteString("       elide the write-back when the queries certify completeness —\n")
+	b.WriteString("       1R on stable registers, 2R when only the decision round can tell,\n")
+	b.WriteString("       4R worst case per Prop. 1\n")
 	return b.String(), nil
 }
 

@@ -23,13 +23,14 @@ func TestMeasureComplexityMatchesPaper(t *testing.T) {
 	// write path recovers the SWMR-optimal 2 rounds whenever the optimistic
 	// proposal certifies — which it does in every scenario measured here,
 	// since E4's writes run before the Byzantine injection. Likewise the
-	// adaptive read elides its write-back when the query rounds certify the
-	// chosen pair as completely written: E4's reads follow completed writes,
-	// and even with t faulty objects the 2t+1 correct holders are exactly
-	// the S−t elision quorum at S = 3t+1 — so the atomic read lands at 2
-	// rounds and the secret-model read at 1 (fast path + elision). The
-	// paper's 4- and 3-round figures remain the WORST case, pinned by the
-	// fallback round-count tests in internal/core and internal/live.
+	// adaptive read: E4's reads follow completed writes, and even with t
+	// faulty objects the 2t+1 correct holders agree on the written pair —
+	// the fast hit decides every register on the first query round, and at
+	// S = 3t+1 those 2t+1 w-reports are exactly the S−t quorum that elides
+	// the write-back — so the regular and both atomic reads land at 1
+	// round. The paper's 2-, 4- and 3-round figures remain the WORST case,
+	// pinned by the fallback round-count tests in internal/core,
+	// internal/live and internal/lowerbound.
 	for _, tt := range []int{1, 2} {
 		rows, err := MeasureComplexity(tt)
 		if err != nil {
@@ -37,8 +38,8 @@ func TestMeasureComplexityMatchesPaper(t *testing.T) {
 		}
 		want := map[string][2]int{
 			"ABD [3]":                   {1, 2},
-			"regular (GV06-style [15])": {2, 2},
-			"atomic = regular + transformation (this paper §5)": {2, 2},
+			"regular (GV06-style [15])": {2, 1},
+			"atomic = regular + transformation (this paper §5)": {2, 1},
 			"atomic, secret tokens ([8] model)":                 {2, 1},
 		}
 		for _, r := range rows {

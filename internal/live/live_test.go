@@ -137,7 +137,7 @@ func TestLiveSecretAtomicFastPath(t *testing.T) {
 		if v != "a" {
 			t.Fatalf("read = %q", v)
 		}
-		if rd.FastPath {
+		if rd.Hit {
 			fast = true
 			if got := cl.Rounds - before; got != 1 {
 				t.Errorf("fast-path read rounds = %d, want 1 (write-back elided)", got)

@@ -62,6 +62,9 @@ type FixedVictim struct {
 	K        int // write rounds
 	R        int // read rounds
 	Gullible bool
+	// OnReply, when set, sees every reply read c accepts (round r ≥ 1), so a
+	// test can ask what another decision rule would have made of the run.
+	OnReply func(c *sim.Client, r, sid int, m types.Message)
 }
 
 var _ Victim = FixedVictim{}
@@ -120,6 +123,9 @@ func (v FixedVictim) ReadOp(th quorum.Thresholds) sim.OpFunc {
 			acc := proto.NewCountAcc(th.Quorum(), func(sid int, m types.Message) bool {
 				if m.Kind != types.MsgMux {
 					return false
+				}
+				if v.OnReply != nil {
+					v.OnReply(c, r, sid, m)
 				}
 				for _, s := range m.Sub {
 					if s.Msg.Kind != types.MsgState {

@@ -32,6 +32,7 @@ type RoundTrace struct {
 	Start time.Time
 	End   time.Time
 	Err   string
+	Note  string // the protocol's own remark on the round, e.g. "hit 3/3"
 
 	mu     sync.Mutex
 	Events []ObjEvent
@@ -119,6 +120,9 @@ func (op *OpTrace) Format() string {
 		reg := ""
 		if rt.Reg >= 0 {
 			reg = fmt.Sprintf(" reg=%d", rt.Reg)
+		}
+		if rt.Note != "" {
+			rstatus += " " + rt.Note
 		}
 		fmt.Fprintf(&b, "  round %d %s%s start=%s end=%s %s\n",
 			i+1, rt.Label, reg, rel(rt.Start), rel(rt.End), rstatus)

@@ -52,6 +52,9 @@ type RoundSpec struct {
 	// the runtime executing the round. Runtimes must tolerate nil (the
 	// untraced common case costs one nil check per event site).
 	Trace *obs.RoundTrace
+	// Note, when non-nil, annotates a traced round once it completed (e.g.
+	// the atomic read's "hit 3/3"); untraced rounds never call it.
+	Note func() string
 }
 
 // SubRound is one register instance's share of a batched round.

@@ -42,6 +42,9 @@ func (t *Traced) Round(spec RoundSpec) error {
 		spec.Subs[i].Trace = rt
 	}
 	err := t.inner.Round(spec)
+	if spec.Note != nil && err == nil {
+		rt.Note = spec.Note()
+	}
 	rt.Finish(err)
 	return err
 }

@@ -49,136 +49,12 @@ func (a *StateAcc) MaxTS() types.TS {
 	return best
 }
 
-// DecideAcc is the round-2 accumulator: given the frozen round-1 view, it
-// collects fresh state replies until the fault-set-enumeration decision
-// procedure (see package documentation) yields a pair. The choice latches.
-type DecideAcc struct {
-	th quorum.Thresholds
-	// MultiWriter relaxes the decision's consistency checks to the
-	// multi-writer discipline: writers of an MWMR register discover their
-	// sequence number from a quorum and may issue timestamp ℓ while write
-	// ℓ−1 never completed, so the SWMR causality filter ("a correct object
-	// reporting level ℓ implies write ℓ−1 completed") would wrongly reject
-	// the true fault set. Set it before the round runs on registers written
-	// by more than one writer; leave it false on single-writer registers,
-	// where the stricter filter prunes more Byzantine fault assignments.
-	MultiWriter bool
-	r1          map[int]types.Message
-	r2          map[int]types.Message
-	done        bool
-	choice      types.Pair
-	views       []srvView // scratch rebuilt from the maps per decision attempt
-	d           decider
-}
-
-var _ proto.Accumulator = (*DecideAcc)(nil)
-
-// NewDecideAcc returns a round-2 accumulator over the frozen round-1 view.
-func NewDecideAcc(th quorum.Thresholds, round1 map[int]types.Message) *DecideAcc {
-	return &DecideAcc{th: th, r1: round1, r2: make(map[int]types.Message, th.S)}
-}
-
-// Add implements proto.Accumulator.
-func (a *DecideAcc) Add(sid int, m types.Message) {
-	if a.done || m.Kind != types.MsgState {
-		return
-	}
-	if _, dup := a.r2[sid]; dup {
-		return
-	}
-	a.r2[sid] = m
-	if len(a.r2) < a.th.Refute() {
-		return
-	}
-	if a.views == nil {
-		a.views = make([]srvView, a.th.S+1)
-	}
-	fillViews(a.views, a.th.S, a.r1, a.r2)
-	if c, ok := a.d.decide(a.th, a.views, a.MultiWriter); ok {
-		a.done = true
-		a.choice = c
-	}
-}
-
-// Done implements proto.Accumulator.
-func (a *DecideAcc) Done() bool { return a.done }
-
-// Choice returns the decision; valid only once Done.
-func (a *DecideAcc) Choice() types.Pair { return a.choice }
-
-// MaxTS returns the largest timestamp among the pw/w states of both query
-// rounds' replies. Like StateAcc.MaxTS the reports are uncertified — a
-// Byzantine object can inflate the result — so callers resuming a sequence
-// number from it must bound the lead against a certified anchor (see
-// core.ResumeSeq).
-func (a *DecideAcc) MaxTS() types.TS {
-	var best types.TS
-	for _, m := range a.r1 {
-		best = types.MaxTS(best, types.MaxTS(m.PW.TS, m.W.TS))
-	}
-	for _, m := range a.r2 {
-		best = types.MaxTS(best, types.MaxTS(m.PW.TS, m.W.TS))
-	}
-	return best
-}
-
-// WSupport returns how many distinct objects' WRITE-slot reports, in either
-// query round, carry a timestamp at or above ts — the completeness evidence
-// behind the adaptive read's write-back elision (see core.Reader.ReadPair):
-// a quorum of S−t such reports proves at least S−2t ≥ t+1 correct objects
-// durably hold w ≥ ts, which forces every later read's decision to dominate
-// ts without this read re-asserting it.
-func (a *DecideAcc) WSupport(ts types.TS) int {
-	n := 0
-	for sid := 1; sid <= a.th.S; sid++ {
-		m1, ok1 := a.r1[sid]
-		m2, ok2 := a.r2[sid]
-		if (ok1 && !m1.W.TS.Less(ts)) || (ok2 && !m2.W.TS.Less(ts)) {
-			n++
-		}
-	}
-	return n
-}
-
 // srvView is one object's replies across the two query rounds.
 type srvView struct {
 	has1, has2 bool
 	pw1, w1    types.Pair
 	pw2, w2    types.Pair
-}
-
-// fillViews rebuilds the per-object view table from the two reply maps.
-// Replies from object ids outside 1..s are dropped (they could only come
-// from a broken transport; the decision must not index past its table).
-func fillViews(views []srvView, s int, r1, r2 map[int]types.Message) {
-	for i := range views {
-		views[i] = srvView{}
-	}
-	for sid, m := range r1 {
-		if sid < 1 || sid > s {
-			continue
-		}
-		views[sid].has1 = true
-		views[sid].pw1, views[sid].w1 = m.PW, m.W
-	}
-	for sid, m := range r2 {
-		if sid < 1 || sid > s {
-			continue
-		}
-		views[sid].has2 = true
-		views[sid].pw2, views[sid].w2 = m.PW, m.W
-	}
-}
-
-// decide implements the decision procedure over map-shaped views (the
-// DecideAcc representation and the unit tests' natural input); the logic
-// lives in decider.decide, which works on the flat view table and reusable
-// scratch so the hot read path can run it allocation-free.
-func decide(th quorum.Thresholds, r1, r2 map[int]types.Message, mw bool) (types.Pair, bool) {
-	views := make([]srvView, th.S+1)
-	fillViews(views, th.S, r1, r2)
-	var d decider
-	return d.decide(th, views, mw)
+	tok1       types.Token // the token round 1 reported with w1
 }
 
 // decider holds the decision procedure's scratch state: every slice the
@@ -473,31 +349,42 @@ func (d *decider) consistentF(th quorum.Thresholds, views []srvView, f uint64, m
 }
 
 // ReadAcc is the allocation-free read accumulator: ONE accumulator drives
-// BOTH query rounds of one register's regular read, folding (pw, w) state
+// the query rounds of one register's regular read, folding (pw, w) state
 // replies into a fixed per-object view table — proto.BitAcc's discipline
-// applied to the decision procedure. Phase 1 collects the frozen round-1
-// view (done at a quorum of S−t); BeginDecide switches to phase 2, whose
-// replies feed the fault-set enumeration exactly as DecideAcc does. Reset
-// recycles the accumulator and its decision scratch across reads, so a
-// long-lived reader's steady state allocates nothing per read: the map
-// accumulators put the 4-round read at 105 allocs/op against the adaptive
-// write's 7, and the per-reply map traffic was most of the difference.
+// applied to the decision procedure. Phase 1 collects the round-1 view (done
+// at a quorum of S−t) and looks for a FAST HIT: 2t+1 distinct objects
+// reporting the same w pair under the same token decide the read on the
+// spot, with no decision round. The hit pair is genuine (t+1 of its reporters
+// are correct) and fresh (a write completed before the read left w at or
+// above its timestamp at S−2t correct objects, and 2t+1 + S−2t > S puts one
+// of them among the reporters); pw slots and dissenting replies play no part
+// in either half, and ⊥ everywhere is a hit on ⊥. The token is part of the
+// key for the secret-token model's sake ([DMSS09]: one write, one token);
+// unauthenticated registers carry token 0 throughout, where the key is the
+// w pair alone. A miss costs nothing: phase 1 never waits for a hit, and
+// BeginDecide switches to phase 2, whose replies feed the fault-set
+// enumeration over both views. Reset recycles the accumulator and its
+// decision scratch across reads, so a long-lived reader's steady state
+// allocates nothing per read.
 type ReadAcc struct {
 	th quorum.Thresholds
-	// MultiWriter selects the decision's consistency discipline, as on
-	// DecideAcc. Set it before the decision round runs.
+	// MultiWriter relaxes the decision's consistency checks to the
+	// multi-writer discipline (see decider.consistentF): set it, before the
+	// decision round runs, on registers written by more than one writer;
+	// leave it false on single-writer registers, where the stricter causality
+	// filter prunes more Byzantine fault assignments.
 	MultiWriter bool
 	views       []srvView
 	m1, m2      uint64 // reply bitmasks per phase
 	deciding    bool   // phase 2 (decision round) in progress
-	done        bool
+	hit, done   bool   // decided in phase 1 / in phase 2
 	choice      types.Pair
 	d           decider
 }
 
 var _ proto.Accumulator = (*ReadAcc)(nil)
 
-// NewReadAcc returns a reusable two-round read accumulator.
+// NewReadAcc returns a reusable read accumulator.
 func NewReadAcc(th quorum.Thresholds) *ReadAcc {
 	return &ReadAcc{th: th, views: make([]srvView, th.S+1)}
 }
@@ -508,13 +395,14 @@ func (a *ReadAcc) Reset() {
 		a.views[i] = srvView{}
 	}
 	a.m1, a.m2 = 0, 0
-	a.deciding, a.done = false, false
+	a.deciding, a.hit, a.done = false, false, false
 	a.choice = types.Pair{}
 }
 
 // BeginDecide freezes the round-1 view and switches the accumulator to the
-// decision round. Call it between the two physical rounds.
-func (a *ReadAcc) BeginDecide() { a.deciding = true }
+// decision round, dropping a fast hit the caller chose not to take. Call it
+// between the two physical rounds.
+func (a *ReadAcc) BeginDecide() { a.deciding, a.hit, a.choice = true, false, types.Pair{} }
 
 // Add implements proto.Accumulator.
 func (a *ReadAcc) Add(sid int, m types.Message) {
@@ -528,7 +416,10 @@ func (a *ReadAcc) Add(sid int, m types.Message) {
 			return
 		}
 		a.m1 |= bit
-		v.has1, v.pw1, v.w1 = true, m.PW, m.W
+		v.has1, v.pw1, v.w1, v.tok1 = true, m.PW, m.W, m.Token
+		if !a.hit && a.agree(v) >= a.th.Refute() {
+			a.hit, a.choice = true, v.w1
+		}
 		return
 	}
 	if a.done || a.m2&bit != 0 {
@@ -545,8 +436,22 @@ func (a *ReadAcc) Add(sid int, m types.Message) {
 	}
 }
 
-// Done implements proto.Accumulator: a quorum in phase 1, a decision in
-// phase 2.
+// agree counts the round-1 replies carrying v's hit key. Values that reach
+// the accumulator through core's known-pair set are one shared string per
+// pair, so the comparison is a timestamp and a pointer, not the value's
+// bytes.
+func (a *ReadAcc) agree(v *srvView) int {
+	n := 0
+	for sid := 1; sid <= a.th.S; sid++ {
+		if u := &a.views[sid]; u.has1 && u.tok1 == v.tok1 && u.w1 == v.w1 {
+			n++
+		}
+	}
+	return n
+}
+
+// Done implements proto.Accumulator: a quorum in phase 1 (hit or not), a
+// decision in phase 2.
 func (a *ReadAcc) Done() bool {
 	if !a.deciding {
 		return bits.OnesCount64(a.m1) >= a.th.Quorum()
@@ -554,11 +459,18 @@ func (a *ReadAcc) Done() bool {
 	return a.done
 }
 
-// Choice returns the decision; valid only once the decision round is Done.
+// Hit reports whether phase 1 decided the read (see ReadAcc).
+func (a *ReadAcc) Hit() bool { return a.hit }
+
+// Choice returns the read's pair; valid once Hit, or once the decision round
+// is Done.
 func (a *ReadAcc) Choice() types.Pair { return a.choice }
 
-// MaxTS returns the largest timestamp among the pw/w states of both query
-// rounds' replies — uncertified, see DecideAcc.MaxTS.
+// MaxTS returns the largest timestamp among the pw/w states of the query
+// rounds' replies. Like StateAcc.MaxTS the reports are uncertified — a
+// Byzantine object can inflate the result — so callers resuming a sequence
+// number from it must bound the lead against a certified anchor (see
+// core.ResumeSeq).
 func (a *ReadAcc) MaxTS() types.TS {
 	var best types.TS
 	for sid := 1; sid <= a.th.S; sid++ {
@@ -575,8 +487,10 @@ func (a *ReadAcc) MaxTS() types.TS {
 
 // WSupport returns how many distinct objects' WRITE-slot reports, in either
 // query round, carry a timestamp at or above ts — the completeness evidence
-// behind the adaptive read's write-back elision (see core.Reader.ReadPair
-// and DecideAcc.WSupport).
+// behind the adaptive read's write-back elision (see core.Reader.ReadPair):
+// a quorum of S−t such reports proves at least S−2t ≥ t+1 correct objects
+// durably hold w ≥ ts, which forces every later read to return a pair at or
+// above ts without this read re-asserting it.
 func (a *ReadAcc) WSupport(ts types.TS) int {
 	n := 0
 	for sid := 1; sid <= a.th.S; sid++ {

@@ -16,6 +16,36 @@ func view(entries ...[3]interface{}) map[int]types.Message {
 	return out
 }
 
+// decide runs the decision procedure over map-shaped views (the unit
+// tests' natural input). Replies from object ids outside 1..S are dropped,
+// as ReadAcc.Add drops them.
+func decide(th quorum.Thresholds, r1, r2 map[int]types.Message, mw bool) (types.Pair, bool) {
+	views := make([]srvView, th.S+1)
+	for sid, m := range r1 {
+		if sid >= 1 && sid <= th.S {
+			views[sid].has1, views[sid].pw1, views[sid].w1 = true, m.PW, m.W
+		}
+	}
+	for sid, m := range r2 {
+		if sid >= 1 && sid <= th.S {
+			views[sid].has2, views[sid].pw2, views[sid].w2 = true, m.PW, m.W
+		}
+	}
+	var d decider
+	return d.decide(th, views, mw)
+}
+
+// decideAccOver returns a read accumulator in its decision round over the
+// frozen round-1 view r1.
+func decideAccOver(th quorum.Thresholds, r1 map[int]types.Message) *ReadAcc {
+	acc := NewReadAcc(th)
+	for sid, m := range r1 {
+		acc.Add(sid, m)
+	}
+	acc.BeginDecide()
+	return acc
+}
+
 func p(ts int64, v string) types.Pair { return types.Pair{TS: types.At(ts), Val: types.Value(v)} }
 
 var bot = types.BottomPair
@@ -129,10 +159,10 @@ func TestDecideCausalityExcludesLateFabrication(t *testing.T) {
 func TestDecideInsufficientReplies(t *testing.T) {
 	th := thr4(t)
 	r := view([3]interface{}{1, bot, bot}, [3]interface{}{2, bot, bot})
-	// Fewer than 2t+1 round-2 replies never decide (DecideAcc gates on it,
+	// Fewer than 2t+1 round-2 replies never decide (ReadAcc gates on it,
 	// but decide itself must also stay conservative: silent=2 keeps every
 	// level possible).
-	acc := NewDecideAcc(th, r)
+	acc := decideAccOver(th, r)
 	acc.Add(1, types.Message{Kind: types.MsgState, PW: bot, W: bot})
 	acc.Add(2, types.Message{Kind: types.MsgState, PW: bot, W: bot})
 	if acc.Done() {
@@ -206,7 +236,7 @@ func TestDecideDisjointConflictsStarve(t *testing.T) {
 		if _, ok := decide(th, r, r, mw); ok {
 			t.Fatalf("mw=%v: decided over two disjoint equal-TS value conflicts", mw)
 		}
-		acc := NewDecideAcc(th, r)
+		acc := decideAccOver(th, r)
 		acc.MultiWriter = mw
 		for sid, m := range r {
 			acc.Add(sid, m)
@@ -240,7 +270,7 @@ func TestDecideAccMaxTS(t *testing.T) {
 		[3]interface{}{1, p(5, "x"), p(3, "x")},
 		[3]interface{}{2, p(1, "a"), p(1, "a")},
 	)
-	acc := NewDecideAcc(th, r1)
+	acc := decideAccOver(th, r1)
 	acc.Add(3, types.Message{Kind: types.MsgState, PW: p(7, "y"), W: p(2, "y")})
 	if got := acc.MaxTS(); got != types.At(7) {
 		t.Fatalf("MaxTS = %v, want %v", got, types.At(7))

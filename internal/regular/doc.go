@@ -2,7 +2,8 @@
 // REGULAR register over S = 3t+1 Byzantine-prone storage objects without
 // data authentication, with 2-round write phases and 2-round reads — the
 // complexity profile of the regular register of Guerraoui & Vukolić [15]
-// that Section 5 of the paper composes into time-optimal atomic storage.
+// that Section 5 of the paper composes into time-optimal atomic storage —
+// 1-round reads whenever 2t+1 objects' first replies agree (the fast hit).
 // The protocol here is our own reconstruction with the same interface,
 // model and round complexity (see DESIGN.md for the faithfulness note); it
 // is validated by scripted adversarial schedules and large-scale seeded
@@ -13,7 +14,7 @@
 // the per-reader write-back registers), and the writers' shared
 // MULTI-WRITER register, whose writers jump to discovered sequence numbers
 // and whose read decision runs in the relaxed MultiWriter mode (see
-// DecideAcc.MultiWriter and decide.go's prewrite-support analysis).
+// ReadAcc.MultiWriter and decide.go's prewrite-support analysis).
 //
 // # Protocol
 //
@@ -36,8 +37,13 @@
 // after write ts completed; (iii) correct objects only ever hold pairs the
 // register's writer issued.
 //
-// Read(): two query rounds. Round 1 (READ1) collects (pw, w) states from
-// S−t objects. Round 2 (READ2) re-queries all objects — crucially, its
+// Read(): two query rounds, the second only if the first does not settle
+// it. Round 1 (READ1) collects (pw, w) states from S−t objects; if 2t+1 of
+// them report the same w pair, that pair is the read's result (the fast
+// hit: t+1 of the reporters are correct, so it is genuine, and any write
+// completed before the read left w at or above its timestamp at S−2t
+// correct objects, one of which is among the 2t+1 — see ReadAcc). Otherwise
+// round 2 (READ2) re-queries all objects — crucially, its
 // requests are sent after round 1's replies were received, which creates
 // the causal ordering the decision exploits — and terminates, per the
 // adaptive round rule of Definition 1, as soon as the decision procedure

@@ -60,34 +60,42 @@ func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types
 // Read1Spec builds the first read query round: collect states from a quorum.
 func Read1Spec(th quorum.Thresholds, reg types.RegID) (proto.RoundSpec, *StateAcc) {
 	acc := NewStateAcc(th)
-	msg := types.Message{Kind: types.MsgRead1}
-	spec := proto.RoundSpec{
-		Label: "READ1",
-		Req:   func(int) types.Message { return msg },
-		Acc:   proto.Accumulator(acc),
-	}
-	if reg != types.WriterReg {
-		spec.Req = muxWrap(reg, msg)
-		spec.Acc = &muxUnwrapAcc{reg: reg, inner: acc}
-	}
-	return spec, acc
+	return readSpec("READ1", reg, acc), acc
 }
 
-// Read2Spec builds the second read query round over the frozen round-1 view;
-// the returned accumulator yields the read's decision once done.
-func Read2Spec(th quorum.Thresholds, reg types.RegID, round1 map[int]types.Message) (proto.RoundSpec, *DecideAcc) {
-	acc := NewDecideAcc(th, round1)
+// readSpec builds one read query round of register reg over acc.
+func readSpec(label string, reg types.RegID, acc proto.Accumulator) proto.RoundSpec {
 	msg := types.Message{Kind: types.MsgRead1}
-	spec := proto.RoundSpec{
-		Label: "READ2",
-		Req:   func(int) types.Message { return msg },
-		Acc:   proto.Accumulator(acc),
-	}
+	spec := proto.RoundSpec{Label: label, Req: func(int) types.Message { return msg }, Acc: acc}
 	if reg != types.WriterReg {
 		spec.Req = muxWrap(reg, msg)
 		spec.Acc = &muxUnwrapAcc{reg: reg, inner: acc}
 	}
-	return spec, acc
+	return spec
+}
+
+// ReadPairOn runs one regular read of register reg over acc and returns its
+// pair: round READ1 alone when the replies hit (see ReadAcc), the decision
+// round READ2 after it when they miss. hint, when non-nil, conditions each
+// round's spec before it runs (core's value-eliding reads).
+func ReadPairOn(r proto.Rounder, reg types.RegID, acc *ReadAcc, hint func(*proto.RoundSpec)) (types.Pair, error) {
+	acc.Reset()
+	for i, label := range [...]string{"READ1", "READ2"} {
+		if i > 0 {
+			acc.BeginDecide()
+		}
+		spec := readSpec(label, reg, acc)
+		if hint != nil {
+			hint(&spec)
+		}
+		if err := r.Round(spec); err != nil {
+			return types.Pair{}, fmt.Errorf("regular: read round %d: %w", i+1, err)
+		}
+		if acc.Hit() {
+			break
+		}
+	}
+	return acc.Choice(), nil
 }
 
 // muxWrap addresses a message to a non-default register instance by
@@ -241,7 +249,7 @@ type Reader struct {
 	th      quorum.Thresholds
 	reg     types.RegID
 	// MultiWriter marks the register as written by more than one writer,
-	// relaxing the decision procedure accordingly (see DecideAcc).
+	// relaxing the decision procedure accordingly (see ReadAcc).
 	MultiWriter bool
 }
 
@@ -257,16 +265,10 @@ func (r *Reader) Read() (types.Value, error) {
 	return p.Val, err
 }
 
-// ReadPair runs the two query rounds and returns the decision.
+// ReadPair runs the read's query rounds — one on a fast hit, two otherwise —
+// and returns its pair.
 func (r *Reader) ReadPair() (types.Pair, error) {
-	spec1, acc1 := Read1Spec(r.th, r.reg)
-	if err := r.rounder.Round(spec1); err != nil {
-		return types.Pair{}, fmt.Errorf("regular: read round 1: %w", err)
-	}
-	spec2, acc2 := Read2Spec(r.th, r.reg, acc1.Replies)
-	acc2.MultiWriter = r.MultiWriter
-	if err := r.rounder.Round(spec2); err != nil {
-		return types.Pair{}, fmt.Errorf("regular: read round 2: %w", err)
-	}
-	return acc2.Choice(), nil
+	acc := NewReadAcc(r.th)
+	acc.MultiWriter = r.MultiWriter
+	return ReadPairOn(r.rounder, r.reg, acc, nil)
 }

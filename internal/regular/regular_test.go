@@ -61,8 +61,8 @@ func TestReadInitialBottom(t *testing.T) {
 	if v := mustRun(t, s, rd); !v.IsBottom() {
 		t.Errorf("initial read = %q, want ⊥", v)
 	}
-	if rd.Rounds() != 2 {
-		t.Errorf("read rounds = %d, want 2", rd.Rounds())
+	if rd.Rounds() != 1 {
+		t.Errorf("read rounds = %d, want 1 (⊥ everywhere is a fast hit on ⊥)", rd.Rounds())
 	}
 }
 
@@ -177,8 +177,10 @@ func TestReadConcurrentWithCrashedPreWrite(t *testing.T) {
 func TestReadConcurrentWithCrashedCompletePreWrite(t *testing.T) {
 	// Writer completes PREWRITE(2) on a full quorum then crashes before any
 	// WRITE: t+1 correct objects hold pw=(2,b) exactly, so (2,b) is
-	// certified and the read may return it (the write is concurrent —
-	// regularity allows either; our rule picks the certified maximum).
+	// certified and a read may return it — the write is concurrent, so
+	// regularity allows either. The first round's replies agree on
+	// w=(1,a): the fast hit looks at w alone and decides on the last
+	// COMPLETE write without a decision round.
 	thr := th(t, 4, 1)
 	s := sim.New(sim.Config{Servers: 4})
 	defer s.Close()
@@ -187,8 +189,11 @@ func TestReadConcurrentWithCrashedCompletePreWrite(t *testing.T) {
 	s.Step(w2, 1, 2, 3) // PREWRITE quorum; WRITE round starts
 	s.Crash(w2)
 	rd := s.Spawn("rd", types.Reader(1), checker.OpRead, types.Bottom, readOp(thr))
-	if v := mustRun(t, s, rd); v != "b" {
-		t.Errorf("read = %q, want b (pw-certified)", v)
+	if v := mustRun(t, s, rd); v != "a" {
+		t.Errorf("read = %q, want a (2t+1 objects agree on w)", v)
+	}
+	if rd.Rounds() != 1 {
+		t.Errorf("read rounds = %d, want 1", rd.Rounds())
 	}
 }
 

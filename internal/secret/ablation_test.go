@@ -3,6 +3,7 @@ package secret
 import (
 	"testing"
 
+	"robustatomic/internal/regular"
 	"robustatomic/internal/types"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestAblationColludingForgersCannotHitFastPath(t *testing.T) {
 	for _, tt := range []int{1, 2, 3} {
 		thr := th(t, 3*tt+1, tt)
-		acc := NewFastAcc(thr)
+		acc := regular.NewReadAcc(thr)
 		forged := types.Message{
 			Kind:  types.MsgState,
 			W:     types.Pair{TS: types.At(1 << 30), Val: "colluded"},
@@ -24,7 +25,7 @@ func TestAblationColludingForgersCannotHitFastPath(t *testing.T) {
 		for sid := 1; sid <= tt; sid++ {
 			acc.Add(sid, forged)
 		}
-		if _, ok := acc.Fast(); ok {
+		if acc.Hit() {
 			t.Fatalf("t=%d: %d colluders reached the fast path", tt, tt)
 		}
 		// Correct objects answering genuinely terminate the round without a
@@ -36,7 +37,7 @@ func TestAblationColludingForgersCannotHitFastPath(t *testing.T) {
 		if !acc.Done() {
 			t.Fatalf("t=%d: round not terminated at quorum", tt)
 		}
-		if p, ok := acc.Fast(); ok && p.Val == "colluded" {
+		if acc.Hit() && acc.Choice().Val == "colluded" {
 			t.Fatalf("t=%d: forgery won the fast path", tt)
 		}
 	}
@@ -46,28 +47,27 @@ func TestAblationColludingForgersCannotHitFastPath(t *testing.T) {
 // identical genuine tuples the fast path fires in a single round.
 func TestAblationFastPathNeedsUnanimity(t *testing.T) {
 	thr := th(t, 7, 2)
-	acc := NewFastAcc(thr)
+	acc := regular.NewReadAcc(thr)
 	genuine := types.Message{Kind: types.MsgState, W: types.Pair{TS: types.At(3), Val: "v"}, Token: 5}
 	for sid := 1; sid <= 4; sid++ {
 		acc.Add(sid, genuine)
 	}
-	if _, ok := acc.Fast(); ok {
+	if acc.Hit() {
 		t.Fatal("fast path below 2t+1 matches")
 	}
 	acc.Add(5, genuine)
-	p, ok := acc.Fast()
-	if !ok || p != (types.Pair{TS: types.At(3), Val: "v"}) {
-		t.Fatalf("fast path = %v, %v", p, ok)
+	if p := acc.Choice(); !acc.Hit() || p != (types.Pair{TS: types.At(3), Val: "v"}) {
+		t.Fatalf("fast path = %v, %v", p, acc.Hit())
 	}
 	// A mismatching token on the same pair must not count toward unanimity.
-	acc2 := NewFastAcc(thr)
+	acc2 := regular.NewReadAcc(thr)
 	for sid := 1; sid <= 4; sid++ {
 		acc2.Add(sid, genuine)
 	}
 	other := genuine
 	other.Token = 6
 	acc2.Add(5, other)
-	if _, ok := acc2.Fast(); ok {
+	if acc2.Hit() {
 		t.Fatal("mismatching token counted toward the unanimous tuple")
 	}
 }

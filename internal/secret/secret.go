@@ -41,14 +41,19 @@ func NewWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *Writer {
 // timestamp.
 func NewWriterAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, wid int64, last types.TS) *Writer {
 	inner := regular.NewWriterAt(r, th, types.WriterReg, wid, last)
-	inner.NextToken = func() types.Token {
+	inner.NextToken = tokenSource(rng)
+	return &Writer{inner: inner}
+}
+
+// tokenSource draws fresh non-zero tokens from rng (0 means "no token").
+func tokenSource(rng *rand.Rand) func() types.Token {
+	return func() types.Token {
 		for {
 			if tok := types.Token(rng.Uint64()); tok != 0 {
 				return tok
 			}
 		}
 	}
-	return &Writer{inner: inner}
 }
 
 // Write stores v in two rounds, attaching a fresh token.
@@ -95,80 +100,6 @@ func (w *Writer) LastTS() types.TS { return w.inner.LastTS() }
 // regular.Writer.IssuedTS).
 func (w *Writer) IssuedTS() types.TS { return w.inner.IssuedTS() }
 
-// FastAcc is the single-round fast-path accumulator: it terminates with a
-// decision when 2t+1 distinct objects report the identical written
-// (pair, token) tuple, or without one when S−t objects have replied. The
-// matched tuple is genuine (at least t+1 correct reporters) and fresh (the
-// 2t+1 reporters overlap any completed write's acknowledgers in a correct
-// object whose w is monotone).
-type FastAcc struct {
-	th      quorum.Thresholds
-	Replies map[int]types.Message
-	counts  map[tuple]int
-	hit     *types.Pair
-}
-
-type tuple struct {
-	p   types.Pair
-	tok types.Token
-}
-
-var _ proto.Accumulator = (*FastAcc)(nil)
-
-// NewFastAcc returns an empty fast-path accumulator.
-func NewFastAcc(th quorum.Thresholds) *FastAcc {
-	return &FastAcc{
-		th:      th,
-		Replies: make(map[int]types.Message, th.S),
-		counts:  make(map[tuple]int, 4),
-	}
-}
-
-// Add implements proto.Accumulator.
-func (a *FastAcc) Add(sid int, m types.Message) {
-	if m.Kind != types.MsgState {
-		return
-	}
-	if _, dup := a.Replies[sid]; dup {
-		return
-	}
-	a.Replies[sid] = m
-	tu := tuple{p: m.W, tok: m.Token}
-	a.counts[tu]++
-	if a.hit == nil && a.counts[tu] >= a.th.Refute() {
-		p := tu.p
-		a.hit = &p
-	}
-}
-
-// Done implements proto.Accumulator.
-func (a *FastAcc) Done() bool {
-	return a.hit != nil || len(a.Replies) >= a.th.Quorum()
-}
-
-// Fast returns the fast-path decision, if any.
-func (a *FastAcc) Fast() (types.Pair, bool) {
-	if a.hit == nil {
-		return types.Pair{}, false
-	}
-	return *a.hit, true
-}
-
-// WSupport returns how many distinct objects' WRITE-slot reports carry a
-// timestamp at or above ts — the completeness evidence behind the atomic
-// read's write-back elision (see regular.DecideAcc.WSupport and
-// core.Reader.ReadPair; the secret-model composition checks it over the
-// fast round's replies).
-func (a *FastAcc) WSupport(ts types.TS) int {
-	n := 0
-	for _, m := range a.Replies {
-		if !m.W.TS.Less(ts) {
-			n++
-		}
-	}
-	return n
-}
-
 // Reader reads the secret-token register: one round on the fast path, two
 // on the slow path.
 type Reader struct {
@@ -189,27 +120,15 @@ func (r *Reader) Read() (types.Value, error) {
 	return p.Val, err
 }
 
-// ReadPair runs the fast-path round and, if contention or forgery prevented
-// a unanimous quorum, the unauthenticated decision round over the frozen
-// first view.
+// ReadPair runs the regular read (regular.ReadPairOn): one round when 2t+1
+// objects exhibit the same written (pair, token) tuple, the unauthenticated
+// decision round over the frozen first view otherwise.
 func (r *Reader) ReadPair() (types.Pair, error) {
-	acc := NewFastAcc(r.th)
-	spec := proto.RoundSpec{
-		Label: "SREAD1",
-		Req:   func(int) types.Message { return types.Message{Kind: types.MsgRead1} },
-		Acc:   acc,
+	acc := regular.NewReadAcc(r.th)
+	p, err := regular.ReadPairOn(r.rounder, types.WriterReg, acc, nil)
+	if err != nil {
+		return types.Pair{}, fmt.Errorf("secret: %w", err)
 	}
-	if err := r.rounder.Round(spec); err != nil {
-		return types.Pair{}, fmt.Errorf("secret: read round 1: %w", err)
-	}
-	if p, ok := acc.Fast(); ok {
-		r.FastPath = true
-		return p, nil
-	}
-	r.FastPath = false
-	spec2, dec := regular.Read2Spec(r.th, types.WriterReg, acc.Replies)
-	if err := r.rounder.Round(spec2); err != nil {
-		return types.Pair{}, fmt.Errorf("secret: read round 2: %w", err)
-	}
-	return dec.Choice(), nil
+	r.FastPath = acc.Hit()
+	return p, nil
 }

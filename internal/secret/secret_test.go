@@ -70,7 +70,7 @@ func (h *harness) readOp(idx, readers int) sim.OpFunc {
 			return types.Bottom, err
 		}
 		h.seqs[idx] = r.Seq()
-		h.fast = r.FastPath
+		h.fast = r.Hit
 		return v, nil
 	}
 }

@@ -16,9 +16,12 @@ import (
 // reconstitutes a replaced machine from its live peers. Its reads are always
 // UNCONDITIONED — no have-list, no no-values flag — because probe, doctor
 // and repair's verification want the object's raw values, not a reply
-// shaped by what some client holds (TestProbeReadsUnconditioned). One Direct
-// serves any number of register instances over one connection; it is not
-// safe for concurrent use.
+// shaped by what some client holds (TestProbeReadsUnconditioned) — and one
+// object's reply, not a round: nothing here passes through the read
+// accumulators, so no fast hit shortens what an operator sees either
+// (repair's own quorum reads run on fresh handles, both query rounds:
+// TestRepairReconstitutesWipedObject). One Direct serves any number of
+// register instances over one connection; it is not safe for concurrent use.
 type Direct struct {
 	conn    net.Conn
 	enc     *wire.Encoder
@@ -94,26 +97,28 @@ func (d *Direct) ProbeReg(reg int, id types.RegID) (pw, w types.Pair, err error)
 	return rsp.Sub[0].Msg.PW, rsp.Sub[0].Msg.W, nil
 }
 
-// Seed installs a quorum-certified pair into the object's register instance
-// reg (writer's register): PREWRITE then WRITEBACK of the pair, verified by
-// reading the object's state back. The object's monotone state merge keeps
-// Seed safe to repeat and unable to regress newer state.
-func (d *Direct) Seed(reg int, p types.Pair) error {
+// Seed installs a quorum-certified pair into register id of the object's
+// register instance reg (the shared register or one reader's write-back
+// register, addressed like ProbeReg): PREWRITE then WRITEBACK of the pair,
+// verified by reading the object's state back. The object's monotone state
+// merge keeps Seed safe to repeat and unable to regress newer state.
+func (d *Direct) Seed(reg int, id types.RegID, p types.Pair) error {
 	for _, kind := range []types.MsgKind{types.MsgPreWrite, types.MsgWriteBack} {
-		rsp, err := d.exchange(types.Reader(1), reg, types.Message{Kind: kind, Pair: p})
+		m := types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{{Reg: id, Msg: types.Message{Kind: kind, Pair: p}}}}
+		rsp, err := d.exchange(types.Reader(1), reg, m)
 		if err != nil {
-			return fmt.Errorf("tcpnet: seed: %s: %w", kind, err)
+			return fmt.Errorf("tcpnet: seed %v: %s: %w", id, kind, err)
 		}
-		if rsp.Kind != types.MsgAck {
-			return fmt.Errorf("tcpnet: seed: %s not acknowledged: %v", kind, rsp.Kind)
+		if rsp.Kind != types.MsgMux || len(rsp.Sub) != 1 || rsp.Sub[0].Msg.Kind != types.MsgAck {
+			return fmt.Errorf("tcpnet: seed %v: %s not acknowledged: %v", id, kind, rsp.Kind)
 		}
 	}
-	rsp, err := d.exchange(types.Reader(1), reg, types.Message{Kind: types.MsgRead1})
+	pw, w, err := d.ProbeReg(reg, id)
 	if err != nil {
 		return fmt.Errorf("tcpnet: seed: verify: %w", err)
 	}
-	if rsp.Kind != types.MsgState || rsp.W.TS.Less(p.TS) || rsp.PW.TS.Less(p.TS) {
-		return fmt.Errorf("tcpnet: seed: state not installed (pw %v, w %v, want ≥ %v)", rsp.PW, rsp.W, p)
+	if w.TS.Less(p.TS) || pw.TS.Less(p.TS) {
+		return fmt.Errorf("tcpnet: seed %v: state not installed (pw %v, w %v, want ≥ %v)", id, pw, w, p)
 	}
 	return nil
 }
@@ -126,14 +131,4 @@ func Probe(addr string, reg int, timeout time.Duration) (pw, w types.Pair, err e
 	}
 	defer d.Close()
 	return d.Probe(reg)
-}
-
-// Seed is the one-shot form of Direct.Seed.
-func Seed(addr string, reg int, p types.Pair, timeout time.Duration) error {
-	d, err := DialDirect(addr, timeout)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Seed(reg, p)
 }

@@ -175,6 +175,17 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	}
 }
 
+// seedShared installs p in the shared register of instance reg over a
+// one-shot Direct.
+func seedShared(addr string, reg int, p types.Pair, timeout time.Duration) error {
+	d, err := DialDirect(addr, timeout)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Seed(reg, types.WriterReg, p)
+}
+
 // TestServerPersistedAcrossManyInstances verifies the multi-register path:
 // instances touched before a restart recover, instances never touched stay
 // absent, and compaction mid-run loses nothing.
@@ -187,7 +198,7 @@ func TestServerPersistedAcrossManyInstances(t *testing.T) {
 	}
 	addr := s.Addr()
 	for reg := 0; reg < 6; reg++ {
-		if err := Seed(addr, reg, types.Pair{TS: types.At(int64(reg + 1)), Val: types.Value(fmt.Sprintf("reg%d", reg))}, time.Second); err != nil {
+		if err := seedShared(addr, reg, types.Pair{TS: types.At(int64(reg + 1)), Val: types.Value(fmt.Sprintf("reg%d", reg))}, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +206,7 @@ func TestServerPersistedAcrossManyInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-compaction mutations land in the fresh WAL generation.
-	if err := Seed(addr, 2, types.Pair{TS: types.At(9), Val: "after-compact"}, time.Second); err != nil {
+	if err := seedShared(addr, 2, types.Pair{TS: types.At(9), Val: "after-compact"}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Registers(); got != 6 {

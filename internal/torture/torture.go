@@ -9,6 +9,7 @@ import (
 
 	"robustatomic"
 	"robustatomic/internal/checker"
+	"robustatomic/internal/obs"
 	"robustatomic/internal/retry"
 	"robustatomic/internal/types"
 )
@@ -138,6 +139,7 @@ func Run(cfg Config) (res Result, err error) {
 		return Result{Schedule: sched}, fmt.Errorf("torture: setup: %w", err)
 	}
 	defer r.close()
+	mix := readMix()
 	// Dump-on-failure: every op of both processes is traced, so any failed
 	// run carries the round-level anatomy of the ops that died (which rounds
 	// ran, which objects answered, what each reply bundle carried) next to
@@ -291,5 +293,20 @@ func Run(cfg Config) (res Result, err error) {
 	}
 	logf("torture pass: %d ops (%d failed mid-fault), %d keys, %d ops checker-accepted",
 		res.Ops, res.Failed, res.Keys, res.Checked)
+	now := readMix()
+	one, elided, fallback := now[0]-mix[0], now[1]-mix[1], now[2]-mix[2]
+	logf("read path: %d atomic reads, %d in 1 round, %d in 2, %d with write-back (hit ratio %.2f)",
+		elided+fallback, one, elided-one, fallback, float64(one)/float64(max(elided+fallback, 1)))
 	return res, nil
+}
+
+// readMix samples the process-wide read-path counters (core.Reader): reads
+// decided in one round, reads that elided the write-back (those included),
+// reads that paid it.
+func readMix() [3]int64 {
+	var out [3]int64
+	for i, name := range [...]string{"core_read_one_round_total", "core_read_elided_total", "core_read_fallback_total"} {
+		out[i] = obs.Default.Counter(name).Value()
+	}
+	return out
 }

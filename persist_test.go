@@ -10,7 +10,10 @@ import (
 	"time"
 
 	"robustatomic/internal/checker"
+	"robustatomic/internal/core"
+	"robustatomic/internal/obs"
 	"robustatomic/internal/persist"
+	"robustatomic/internal/regular"
 	"robustatomic/internal/server"
 	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
@@ -204,7 +207,12 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 			s.Close()
 		}
 	}()
-	c, err := Connect(addrs, Options{Faults: 1, Readers: 2, Seed: 33})
+	var decisionRounds atomic.Int64
+	c, err := Connect(addrs, Options{Faults: 1, Readers: 2, Seed: 33, RoundHook: func(label string) {
+		if label == "AREAD2" {
+			decisionRounds.Add(1)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +253,32 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 			t.Fatalf("get %s = %q, %v", k, v, err)
 		}
 	}
-	if v, err := rd.Read(); err != nil || v != "solo-gen2" {
-		t.Fatalf("read = %q, %v", v, err)
+	head, err := rd.readPair()
+	if err != nil || head.Val != "solo-gen2" {
+		t.Fatalf("read = %v, %v", head, err)
+	}
+	// Whether those reads wrote back depends on which replies came first;
+	// reader 2's register of the standalone instance is written here the way
+	// a read that could not elide writes it, so the repair below always has
+	// a write-back register to restore that no read of its own touches.
+	wb := regular.NewWriterAt(c.rounder(types.Reader(2), 0), c.th, types.ReaderReg(2), 0, types.TS{})
+	if err := wb.WritePair(types.Pair{TS: types.At(1), Val: core.EncodePair(head)}); err != nil {
+		t.Fatal(err)
 	}
 
 	// The machine hosting s3 dies; a blank replacement takes its address.
+	// The operator gets to the repair long after the client's transport has
+	// seen the old connection die; wait for that here, or what this process
+	// sends next still goes down the dead socket and the replacement misses
+	// the very write-backs that follow its repair.
+	connLost := obs.Default.Counter("tcpnet_conn_lost_total")
+	lostBefore := connLost.Value()
 	servers[2].Close()
+	for deadline := time.Now().Add(5 * time.Second); connLost.Value() == lostBefore; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("client never noticed s3's connection die")
+		}
+	}
 	servers[2] = restartDaemon(t, 3, addrs[2], tcpnet.ServerOptions{})
 	if _, w3, err := tcpnet.Probe(addrs[2], 0, time.Second); err != nil || !w3.IsBottom() {
 		t.Fatalf("replacement not blank: %v, %v", w3, err)
@@ -258,12 +286,18 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 
 	// Repair: quorum-read every hosted instance, install the certified
 	// head into the replacement.
+	decisionRounds.Store(0)
 	repaired, err := c.Repair(3, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(repaired) != shards+1 {
 		t.Fatalf("repaired %d instances, want %d", len(repaired), shards+1)
+	}
+	// What repair installs is decided by the full procedure, never by a fast
+	// hit: its quorum reads run on fresh handles, both query rounds each.
+	if n := decisionRounds.Load(); n != shards+1 {
+		t.Errorf("repair ran %d decision rounds over %d instances", n, shards+1)
 	}
 	for _, r := range repaired {
 		if r.Skipped || r.TS.IsZero() {
@@ -272,6 +306,44 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 	}
 	if _, w3, err := tcpnet.Probe(addrs[2], 0, time.Second); err != nil || string(w3.Val) != "solo-gen2" {
 		t.Fatalf("replacement reg 0 after repair = %v, %v", w3, err)
+	}
+	// A repaired object holds EVERYTHING completed, the readers' write-back
+	// registers included: whatever the correct peer s2 holds there, s3 holds
+	// too (or newer: the transfer read's own write-back may still be on its
+	// way to s2) — left blank, one more fault makes a lone write-back pair
+	// undecidable, and s3 dissents from every fast hit on a settled shard.
+	d2, err := tcpnet.DialDirect(addrs[1], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	d3, err := tcpnet.DialDirect(addrs[2], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	wbs := 0
+	for reg := 0; reg <= shards; reg++ {
+		for idx := 1; idx <= 2; idx++ {
+			_, w2, err2 := d2.ProbeReg(reg, types.ReaderReg(idx))
+			_, w3, err3 := d3.ProbeReg(reg, types.ReaderReg(idx))
+			if err2 != nil || err3 != nil || w3.TS.Less(w2.TS) {
+				t.Errorf("instance %d %v after repair: s3 holds %v, s2 %v (%v, %v)", reg, types.ReaderReg(idx), w3.TS, w2.TS, err2, err3)
+			}
+			if !w2.IsBottom() {
+				wbs++
+			}
+		}
+	}
+	if wbs == 0 {
+		t.Fatal("no write-back register was ever written: the scenario no longer exercises their transfer")
+	}
+	got := 0
+	for _, r := range repaired {
+		got += r.WriteBacks
+	}
+	if got < wbs {
+		t.Errorf("repair reports %d write-back registers installed, peers hold %d", got, wbs)
 	}
 
 	// Re-establish the store's pooled reader connections to the replacement

@@ -322,14 +322,18 @@ func (c *Cluster) migrate(addr string, shards int) ([]RepairedRegister, error) {
 }
 
 // transferRegisters is the shared body of Repair and migrate: certified
-// read, cluster-wide prewrite support, direct seed, per register instance.
+// read, cluster-wide prewrite support, direct seed — per register instance,
+// and within it per register: the shared one AND every reader's write-back
+// register. A target whose write-back registers stayed blank would hold
+// less than a correct object that merely missed messages: one more fault
+// could then leave a lone write-back pair undecidable, and on a settled
+// shard the target would dissent from every fast hit (regular.ReadAcc).
 func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedRegister, error) {
 	out := make([]RepairedRegister, 0, shards+1)
 	for reg := 0; reg <= shards; reg++ {
-		// The quorum read: reader identity 1 against this instance. Its
-		// write-back already repairs the *reader's* register as a side
-		// effect; the explicit seed below installs the writer's register,
-		// which carries the certified head of the instance.
+		// The quorum read: a fresh handle of reader identity 1 against this
+		// instance — fresh, so both query rounds run and every one of the R+1
+		// registers is decided by the full procedure.
 		r, err := c.readerReg(1, reg)
 		if err != nil {
 			return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
@@ -342,23 +346,38 @@ func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedReg
 			out = append(out, RepairedRegister{Reg: reg, Skipped: true})
 			continue
 		}
-		// Re-establish the prewrite-support invariant before installing the
-		// pair in the target's w: one cluster-wide PREWRITE of the certified
-		// pair — monotone, so it can never regress newer state — makes the
-		// seeded w-report consistent with the true fault set on every later
-		// read (see the migrate doc comment).
+		rep := RepairedRegister{Reg: reg, TS: p.TS, Bytes: len(p.Val)}
 		rc := c.rounder(types.Reader(1), reg)
-		err = c.retryEpoch(func() error {
-			return rc.Round(regular.PreWriteSpec(c.th, types.WriterReg, p, 0))
-		})
-		if err != nil {
-			return out, fmt.Errorf("robustatomic: transfer instance %d: prewrite support: %w", reg, err)
-		}
-		if err := d.Seed(reg, p); err != nil {
-			return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
+		for i := 0; i <= c.opts.Readers; i++ {
+			// The shared register gets the read's result — the certified head
+			// of the instance — each write-back register its own decided pair.
+			id, q := types.WriterReg, p
+			if i > 0 {
+				id, q = types.ReaderReg(i), r.rd.Choice(i)
+			}
+			if q.IsBottom() {
+				continue
+			}
+			// Re-establish the prewrite-support invariant before installing the
+			// pair in the target's w: one cluster-wide PREWRITE of the certified
+			// pair — monotone, so it can never regress newer state — makes the
+			// seeded w-report consistent with the true fault set on every later
+			// read (see the migrate doc comment).
+			err = c.retryEpoch(func() error {
+				return rc.Round(regular.PreWriteSpec(c.th, id, q, 0))
+			})
+			if err != nil {
+				return out, fmt.Errorf("robustatomic: transfer instance %d %v: prewrite support: %w", reg, id, err)
+			}
+			if err := d.Seed(reg, id, q); err != nil {
+				return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
+			}
+			if i > 0 {
+				rep.WriteBacks++
+			}
 		}
 		mMigrateRegs.Inc()
-		out = append(out, RepairedRegister{Reg: reg, TS: p.TS, Bytes: len(p.Val)})
+		out = append(out, rep)
 	}
 	return out, nil
 }
@@ -383,7 +402,7 @@ func seedConfig(addr string, p types.Pair) error {
 		return fmt.Errorf("robustatomic: seed config: %w", err)
 	}
 	defer d.Close()
-	if err := d.Seed(config.Reg, p); err != nil {
+	if err := d.Seed(config.Reg, types.WriterReg, p); err != nil {
 		return fmt.Errorf("robustatomic: seed config: %w", err)
 	}
 	return nil

@@ -7,14 +7,15 @@
 // single-writer optimum — whenever no concurrent foreign writer interferes
 // (the optimistic proposal's prewrite round doubles as its validation),
 // degrading to 3 under genuine write contention and bounded further only
-// against Byzantine-forged reports. Reads take 2 rounds on a stable
-// register: when the two query rounds certify the chosen value as
-// completely written on a full quorum, the 2-round write-back is provably
-// redundant and elided (see the internal/core package documentation for
-// the safety argument), falling back to the full 4 rounds exactly when a
-// concurrent or Byzantine-disturbed execution leaves completeness in
-// doubt. The price of robustness is thus paid only when contention or
-// faults actually show up. Timestamps are lexicographically ordered
+// against Byzantine-forged reports. Reads take 1 round on a stable
+// register: when 2t+1 objects' first replies agree, no decision round is
+// needed, and when the replies certify the chosen value as completely
+// written on a full quorum, the 2-round write-back is provably redundant
+// and elided (see the internal/core package documentation for the safety
+// argument) — 2 rounds when only the decision round can tell, falling
+// back to the full 4 exactly when a concurrent or Byzantine-disturbed
+// execution leaves completeness in doubt. The price of robustness is thus
+// paid only when contention or faults actually show up. Timestamps are lexicographically ordered
 // (Seq, WriterID) pairs, so writers that race to the same sequence number
 // still issue totally ordered timestamps.
 //
@@ -29,7 +30,7 @@
 //	w := cluster.Writer()
 //	_ = w.Write("hello") // 2 rounds uncontended (adaptive fast path)
 //	r, _ := cluster.Reader(1)
-//	v, _ := r.Read() // "hello" (2 rounds stable; 4 worst case — the paper's optimum)
+//	v, _ := r.Read() // "hello" (1 round stable; 2 or 4 disturbed — 4 is the paper's optimum)
 //
 // Beyond the paper's single register, Store shards a keyed Put/Get API over
 // N independent MWMR registers hosted on the same objects. Within a
@@ -81,10 +82,12 @@ type Model int
 // Models.
 const (
 	// Unauthenticated is the paper's primary model: Byzantine objects, no
-	// data authentication. Writes take 2 rounds, reads 4 — optimal.
+	// data authentication. Writes take 2 rounds, reads 4 — optimal in the
+	// worst case (both models' operations are adaptive here: see Write, Read).
 	Unauthenticated Model = iota + 1
-	// SecretTokens is the stronger model of [DMSS09]: reads take 3 rounds
-	// in contention-free executions.
+	// SecretTokens is the stronger model of [DMSS09]: writes carry fresh
+	// unguessable tokens, and the paper's reads take 3 rounds in
+	// contention-free executions. The read flow is the same one.
 	SecretTokens
 )
 
@@ -538,8 +541,8 @@ func (w *Writer) Write(v string) error {
 }
 
 // modifyPair performs the certified read-modify-write the keyed Store layer
-// rebases through (4 rounds: certified 2-round regular read + 2-round write
-// at the successor timestamp).
+// rebases through (3 or 4 rounds: certified regular read — 1 round on a fast
+// hit, else 2 — plus the 2-round write at the successor timestamp).
 func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, error)) (p types.Pair, err error) {
 	err = w.c.retryEpoch(func() error {
 		var e error
@@ -587,9 +590,8 @@ func (w *Writer) validateClean() (ok bool, err error) {
 
 // Reader is one of the register's R reader handles.
 type Reader struct {
-	c      *Cluster
-	plain  *core.Reader
-	secret *secret.AtomicReader
+	c  *Cluster
+	rd *core.Reader // one flow for both models (secret: token-carrying write-backs)
 	// traced is the handle's trace-capable round executor (nil unless
 	// Options.Tracer is set); the Store layer points it at sampled OpTraces.
 	traced *proto.Traced
@@ -616,29 +618,23 @@ func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
 	}
 	switch c.opts.Model {
 	case SecretTokens:
-		r.secret = secret.NewAtomicReader(rc, c.th, c.handleRNG(types.Reader(idx), reg), idx, c.opts.Readers)
+		r.rd = secret.NewAtomicReader(rc, c.th, c.handleRNG(types.Reader(idx), reg), idx, c.opts.Readers)
 	default:
-		r.plain = core.NewReader(rc, c.th, idx, c.opts.Readers)
+		r.rd = core.NewReader(rc, c.th, idx, c.opts.Readers)
 	}
 	return r, nil
 }
 
 // useKnown shares a known-pair set with the register instance's other
 // handles (the keyed Store: one set per shard).
-func (r *Reader) useKnown(k *core.Known) {
-	if r.plain != nil {
-		r.plain.UseKnown(k)
-	} else {
-		r.secret.UseKnown(k)
-	}
-}
+func (r *Reader) useKnown(k *core.Known) { r.rd.UseKnown(k) }
 
-// Read returns the register's current value (adaptive: 2 communication
-// rounds on a stable register — 1 in the SecretTokens model — with the
-// write-back elided when the query rounds certify the chosen value as
-// completely written; 4 rounds worst case under contention or Byzantine
-// disturbance, which Proposition 1 proves optimal). The empty string is the
-// initial value.
+// Read returns the register's current value (adaptive, in both models: 1
+// communication round on a stable register — 2t+1 objects agree and the
+// write-back is elided because their replies certify the chosen value as
+// completely written — 2 when only the decision round can tell; 4 rounds
+// worst case under contention or Byzantine disturbance, which Proposition 1
+// proves optimal). The empty string is the initial value.
 func (r *Reader) Read() (string, error) {
 	p, err := r.readPair()
 	return string(p.Val), err
@@ -651,11 +647,7 @@ func (r *Reader) Read() (string, error) {
 func (r *Reader) readPair() (p types.Pair, err error) {
 	err = r.c.retryEpoch(func() error {
 		var e error
-		if r.plain != nil {
-			p, e = r.plain.ReadPair()
-		} else {
-			p, e = r.secret.ReadPair()
-		}
+		p, e = r.rd.ReadPair()
 		return e
 	})
 	return p, err
@@ -663,9 +655,4 @@ func (r *Reader) readPair() (p types.Pair, err error) {
 
 // elided reports whether the last readPair skipped its write-back (the
 // query rounds certified the chosen pair as completely written).
-func (r *Reader) elided() bool {
-	if r.plain != nil {
-		return r.plain.Elided
-	}
-	return r.secret.Elided
-}
+func (r *Reader) elided() bool { return r.rd.Elided }

@@ -105,9 +105,10 @@ if [[ -n "$pipe" && -n "$lock" ]]; then
     fi
 fi
 
-# Adaptive-read gate: the elision/coalescing win must hold in the NEW run,
-# measured against the pre-adaptive (always-4-round) read path's recorded
-# minima — hardcoded here, NOT read from the baseline file, because the
+# Adaptive-read gate: the hit/elision/coalescing win must hold in the NEW
+# run (stable reads take 1 round since the fast hit, 2 before it; the gate
+# counts nanoseconds, not rounds, so either clears it), measured against the
+# pre-adaptive (always-4-round) read path's recorded minima — hardcoded here, NOT read from the baseline file, because the
 # committed baseline now bakes the adaptive numbers in and a drifting
 # reference would let the win erode silently.
 #
@@ -116,7 +117,7 @@ fi
 #
 # Two conditions:
 #   1. Stable single-reader reads at least 2x faster than the 4-round path
-#      (elision + certified-table cache): new R=1 min * 2 <= ref1.
+#      (fast hit + elision + certified-table cache): new R=1 min * 2 <= ref1.
 #   2. The linear R-scaling is collapsed (read coalescing): the marginal
 #      cost per extra concurrent reader, (R8-R1)/7, must be at most half
 #      the pre-adaptive slope. Note R=8's absolute saving exceeds R=1's —

@@ -46,6 +46,13 @@ ctl() { "$workdir/bin/storctl" -servers "$servers" -t 1 -shards 8 "$@"; }
 echo "== traffic"
 for i in $(seq 1 6); do ctl put "smoke:$i" "v$i" >/dev/null; done
 ctl get "smoke:3" >/dev/null
+# A client's own read path mix: every handle's first read of a shard runs
+# both query rounds, its later ones decide on the first.
+ctl getburst smoke 6 >"$workdir/getburst.out"
+grep -Eq 'read path 1/2/4 rounds: [0-9.]+/[0-9.]+/[0-9.]+' "$workdir/getburst.out" || {
+  echo "FAIL: getburst did not print its read path mix:"; cat "$workdir/getburst.out"; exit 1
+}
+cat "$workdir/getburst.out"
 
 echo "== /metrics (Prometheus text, live counters)"
 curl -sf "http://127.0.0.1:8151/metrics" >"$workdir/metrics.out"
@@ -74,6 +81,9 @@ echo "== storctl stats (4-daemon table)"
   127.0.0.1:8151 127.0.0.1:8152 127.0.0.1:8153 127.0.0.1:8154 >"$workdir/stats.out"
 grep -q 'tcpnet_server_requests_total' "$workdir/stats.out" || {
   echo "FAIL: stats table missing request counter:"; cat "$workdir/stats.out"; exit 1
+}
+grep -q 'read path 1/2/4 rounds (ratio)' "$workdir/stats.out" || {
+  echo "FAIL: stats table missing the read path mix row:"; cat "$workdir/stats.out"; exit 1
 }
 head -5 "$workdir/stats.out"
 

@@ -128,9 +128,10 @@ func (o *StoreOptions) defaults(total int) {
 // table at the cached successor (3 rounds, and none of the certified
 // read's fault-set-enumerating decision procedure). When the validation
 // exposes a foreign write, nothing is written and the flush falls back to
-// the certified read-modify-write of PR 4 (4 rounds): read the current
-// table, rebase onto the foreign state, re-apply the batch, write the
-// merged table at the successor timestamp — and the shard stays on that
+// the certified read-modify-write of PR 4 (3 rounds when its certified read
+// hits on its first round, 4 when it needs the decision round): read the
+// current table, rebase onto the foreign state, re-apply the batch, write
+// the merged table at the successor timestamp — and the shard stays on that
 // certified path for the next several flushes (a contention penalty
 // window) before probing the fast path again, so sustained cross-process
 // contention costs at most one extra round every few flushes. A batch
@@ -472,7 +473,7 @@ func (sh *storeShard) mutate(op func(*storeShard) bool) error {
 // Sustained cross-process contention thus pays the optimistic round on at
 // most one flush in slowFlushPenalty+1, keeping contended throughput at the
 // certified path's level, while a single transient conflict costs only a
-// short window of 4-round flushes.
+// short window of certified (3- or 4-round) flushes.
 const slowFlushPenalty = 8
 
 // flush commits batch b. Fast path (no penalty outstanding, no failed-flush
@@ -632,9 +633,10 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 }
 
 // Get returns the value under key. The read path is adaptive at every
-// layer: an atomic shard read costs 2 communication rounds when the query
-// rounds certify the decision as completely written (the write-back is
-// elided; 4 rounds worst case, which the paper proves optimal), concurrent
+// layer: an atomic shard read costs 1 communication round when 2t+1 objects
+// agree on every register and certify the result as completely written, 2
+// when only the decision round can tell (the write-back is elided either
+// way; 4 rounds worst case, which the paper proves optimal), concurrent
 // Gets on the shard coalesce into one shared protocol read (group commit,
 // symmetric to Put's flush batching), and a read deciding on the cached
 // certified timestamp skips decoding the shard table. Absent keys read as

@@ -138,12 +138,19 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 			}
 		}
 	}
-	fresh := core.NewReader(c.inproc.NewClientReg(types.Reader(1), 1), c.th, 1, readers)
+	freshCl := c.inproc.NewClientReg(types.Reader(1), 1)
+	fresh := core.NewReader(freshCl, c.th, 1, readers)
 	sent := counterDelta("server_read_values_sent_total")
 	elided := counterDelta("server_read_values_elided_total")
 	p, err := fresh.ReadPair()
 	if err != nil || p != table {
 		t.Fatalf("fresh reader decided %v, %v; want %v", p.TS, err, table.TS)
+	}
+	// Every register agrees on all four objects, yet a handle's first read
+	// takes no fast hit: it runs both query rounds, and resumes its
+	// write-back sequence number from what they report (settle wrote 1).
+	if freshCl.Rounds != 2 || fresh.Hit || fresh.Seq() != 1 {
+		t.Errorf("first read of a fresh handle: %d rounds, hit=%v, seq=%d; want 2 rounds, no hit, seq 1", freshCl.Rounds, fresh.Hit, fresh.Seq())
 	}
 	// Round 1: 4 objects × (readers+1) registers, one copy each. Round 2: the
 	// same slots, twice each (pw and w), all elided.
@@ -159,6 +166,9 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 	}
 	if got := sent(); got != 0 {
 		t.Errorf("warm read was shipped %d values, want 0", got)
+	}
+	if freshCl.Rounds != 3 || fresh.OneRound != 1 || fresh.Seq() != 1 {
+		t.Errorf("second read: %d rounds in total, %d one-round reads, seq=%d; want 3, 1, 1", freshCl.Rounds, fresh.OneRound, fresh.Seq())
 	}
 }
 
@@ -255,6 +265,7 @@ func TestGetRacesCommitterSeeding(t *testing.T) {
 	}
 	const puts = 300
 	done := make(chan struct{})
+	oneRound := counterDelta("core_read_one_round_total")
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -284,7 +295,15 @@ func TestGetRacesCommitterSeeding(t *testing.T) {
 			}
 		}()
 	}
-	for i := 1; i <= puts; i++ {
+	// Keep flushing until the Gets racing the flushes have decided on one
+	// round's replies a few times over (whenever 2t+1 objects agreed: between
+	// two flushes, or on the pair a flush had only pre-written so far) — a
+	// Get racing this process's own flush on its shard stays atomic, hit or
+	// not: no value above went backwards.
+	for i := 1; i <= puts || oneRound() < 10; i++ {
+		if i > 100*puts {
+			t.Fatalf("%d flushes and only %d one-round Gets raced them", i, oneRound())
+		}
 		if err := st.Put("k", fmt.Sprintf("v%d-%s", i, strings.Repeat("x", 512))); err != nil {
 			t.Fatal(err)
 		}

@@ -10,9 +10,10 @@ import (
 )
 
 // TestStoreGetElidedRounds pins the adaptive read's fast case: on a stable
-// shard (last write complete on a full quorum) a Get is exactly the two
-// query rounds — the write-back the paper's worst-case read needs is
-// certified redundant by the queries themselves and elided.
+// shard (last write complete on a full quorum) a Get is exactly ONE query
+// round — its replies agree on every register, so no decision round runs,
+// and the write-back the paper's worst-case read needs is certified
+// redundant by the same replies and elided.
 func TestStoreGetElidedRounds(t *testing.T) {
 	st, rounds, _ := countingStore(t, 41)
 	if err := st.Put("k", "v"); err != nil {
@@ -24,8 +25,8 @@ func TestStoreGetElidedRounds(t *testing.T) {
 		if err != nil || v != "v" {
 			t.Fatalf("Get %d = %q, %v; want v", i, v, err)
 		}
-		if got := atomic.LoadInt64(rounds); got != 2 {
-			t.Fatalf("stable Get %d took %d rounds, want 2 (write-back elided)", i, got)
+		if got := atomic.LoadInt64(rounds); got != 1 {
+			t.Fatalf("stable Get %d took %d rounds, want 1 (fast hit, write-back elided)", i, got)
 		}
 	}
 }
@@ -72,8 +73,8 @@ func TestStoreGetFallbackOnIncompleteWrite(t *testing.T) {
 	if v, err := st.Get("k"); err != nil || v != "v2" {
 		t.Fatalf("recovered Get = %q, %v; want v2", v, err)
 	}
-	if got := atomic.LoadInt64(rounds); got != 2 {
-		t.Fatalf("recovered Get took %d rounds, want 2 (elision earned back)", got)
+	if got := atomic.LoadInt64(rounds); got != 1 {
+		t.Fatalf("recovered Get took %d rounds, want 1 (hit and elision earned back)", got)
 	}
 }
 
@@ -181,8 +182,8 @@ func TestStoreGetCoalescing(t *testing.T) {
 			t.Fatalf("coalesced Get %d = %q, %v; want v", i, vals[i], errs[i])
 		}
 	}
-	if got := atomic.LoadInt64(rounds); got != 2 {
-		t.Fatalf("%d coalesced Gets took %d rounds, want 2 (one shared elided read)", K, got)
+	if got := atomic.LoadInt64(rounds); got != 1 {
+		t.Fatalf("%d coalesced Gets took %d rounds, want 1 (one shared one-round read)", K, got)
 	}
 	// The shard must be back in its idle state.
 	sh.rmu.Lock()
