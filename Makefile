@@ -96,12 +96,18 @@ integration:
 # every per-key history decided by the atomicity checker (each run logs its
 # read path mix) — then the two regressions that only repetition keeps
 # honest: the repair drill (a repaired object holds every register, 200
-# times over) and the fast hit's safety matrix (crashed writer × Byzantine
-# behaviour × concurrent readers, both models, 20 times). ~3 minutes.
+# times over), the fast hit's safety matrix (crashed writer × Byzantine
+# behaviour × concurrent readers, both models, 20 times), and suspicion-
+# ordered rounds: the t = 2 drill (two liars learned, deferred, reinstated,
+# followed) and the honest racing-flush drill (nobody deferred), 20 times,
+# then the same safety matrix over real sockets with nobody, the Byzantine
+# object or a correct object deferred, for every k. ~5 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
 	$(GO) test -race -run TestCrashedWriterByzantineReadMatrix -count=20 -timeout 600s ./internal/core/
+	$(GO) test -race -short -run 'TestSuspicionOrderedRounds|TestHonestRacingFlushesDeferNobody' -count=20 -timeout 900s .
+	$(GO) test -race -run TestDeferralSafetyMatrix -count=3 -timeout 600s ./internal/tcpnet/ -args -tcpnet.fullmatrix
 
 # torture is the full-scale drill: three seeded schedules over 224
 # simulated clients each (partition+heal live, kill-9+restart+repair tcp,

@@ -538,7 +538,8 @@ func doctor(addrs []string, shards, readers int) error {
 // and the first thing to look at when a daemon's tx bytes climb — and, for
 // every scraped process that ran atomic reads itself (a client exposing
 // /debug/vars; a daemon shows "-"), which round path they took: the shares
-// decided in 1 round, in 2, and with the write-back (4, rarely 3).
+// decided in 1 round, in 2, and with the write-back (4, rarely 3) — and which
+// objects its transport suspects, i.e. whose requests its rounds defer.
 func stats(debugAddrs []string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	snaps := make([]obs.Snapshot, len(debugAddrs))
@@ -614,6 +615,32 @@ func stats(debugAddrs []string) error {
 		fmt.Printf(" %12s", readPathMix(s.Counters))
 	}
 	fmt.Println()
+	// Which objects each scraped CLIENT currently defers (suspicion-ordered
+	// rounds; a daemon runs no mux and shows "-"), and since when.
+	fmt.Printf("%-*s", width, "suspects (sid:dissent run)")
+	var since []string
+	for i, s := range snaps {
+		cell, held := "-", []string(nil)
+		for sid := 1; ; sid++ {
+			run, ok := s.Gauges[fmt.Sprintf(`tcpnet_object_dissent_run{sid="%d"}`, sid)]
+			if !ok {
+				break
+			}
+			cell = "none"
+			if at := s.Gauges[fmt.Sprintf(`tcpnet_object_suspect_since_unix{sid="%d"}`, sid)]; at > 0 {
+				held = append(held, fmt.Sprintf("s%d:%d", sid, run))
+				since = append(since, fmt.Sprintf("%s suspects s%d since %s", debugAddrs[i], sid, time.Unix(at, 0).Format(time.RFC3339)))
+			}
+		}
+		if len(held) > 0 {
+			cell = strings.Join(held, ",")
+		}
+		fmt.Printf(" %12s", cell)
+	}
+	fmt.Println()
+	for _, line := range since {
+		fmt.Println(line)
+	}
 	return nil
 }
 

@@ -416,6 +416,7 @@ func (r *Reader) init() {
 	r.regs = r.allRegs()
 	r.accs = make([]*regular.ReadAcc, len(r.regs))
 	r.mux.parts = make([]MuxPart, len(r.regs))
+	r.mux.read = r.mux.parts
 	r.slow = make([]MuxPart, 0, len(r.regs))
 	r.reqFn = func(int) types.Message { return r.req }
 	r.noteFn = func() string {
@@ -648,6 +649,7 @@ type MuxPart struct {
 // sees it.
 type muxAcc struct {
 	parts []MuxPart
+	read  []MuxPart // every register of the read that parts is one round of
 	inflater
 }
 
@@ -687,11 +689,13 @@ func (a *muxAcc) Add(sid int, m types.Message) {
 		return
 	}
 	var inflated, rejected int64
+	got := 0
 	for i := range m.Sub {
 		j := a.part(i, m.Sub[i].Reg)
 		if j < 0 {
 			continue
 		}
+		got++
 		msg := m.Sub[i].Msg // a copy: the reply itself is never patched
 		n, ok := a.admit(sid, m.Sub[i].Reg, &msg)
 		if !ok {
@@ -709,7 +713,29 @@ func (a *muxAcc) Add(sid int, m types.Message) {
 	}
 	if rejected > 0 {
 		mInflateReject.Add(rejected)
+		a.seen.Inflate |= 1 << uint(sid)
 	}
+	if got < len(a.parts) {
+		a.seen.Withheld |= 1 << uint(sid)
+	}
+}
+
+// Verdict is the read's proto.Verdict: what the fan-out itself saw (rejected
+// elisions, withheld sub-bundles) plus, once EVERY register of the read is
+// decided — in this round or, for a decision round over the registers that
+// missed, the one before — the registers' verdicts merged. A partial
+// decision says nothing: an object serving a frozen past agrees on every
+// register but the one that matters.
+func (a *muxAcc) Verdict() proto.Verdict {
+	v := a.seen
+	for i := range a.read {
+		pv := proto.VerdictOf(a.read[i].Acc)
+		if pv == (proto.Verdict{}) {
+			return a.seen
+		}
+		v.Merge(pv)
+	}
+	return v
 }
 
 // Done implements proto.Accumulator.
@@ -728,7 +754,7 @@ func (a *muxAcc) Done() bool {
 // cost a single physical round-trip. READ sub-requests are conditioned on
 // known (nil for unconditioned reads) and the replies re-inflated from it.
 func MuxRound(label string, parts []MuxPart, known *Known) proto.RoundSpec {
-	acc := &muxAcc{parts: parts, inflater: inflater{known: known}}
+	acc := &muxAcc{parts: parts, read: parts, inflater: inflater{known: known}}
 	acc.refresh()
 	return proto.RoundSpec{Label: label, Req: acc.bundle, Acc: acc}
 }

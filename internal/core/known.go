@@ -196,13 +196,16 @@ type inflater struct {
 	view  []knownReg
 	haves [][]types.Have // view's have-lists, by register
 	full  []shipped
+	// seen is the round's evidence against objects (proto.Verdict): who
+	// claimed an un-offered elision, who withheld a sub-bundle.
+	seen proto.Verdict
 }
 
 // refresh brings view up to date and forgets the previous round's full
 // pairs; it reports whether view changed (requests hinted from the old
 // one must be rebuilt).
 func (in *inflater) refresh() bool {
-	in.full = in.full[:0]
+	in.full, in.seen = in.full[:0], proto.Verdict{}
 	if in.known == nil || in.known.ver.Load() == in.ver {
 		return false
 	}
@@ -336,6 +339,7 @@ func (a *inflateAcc) Add(sid int, m types.Message) {
 	n, ok := a.admit(sid, a.reg, &m)
 	if !ok {
 		mInflateReject.Inc()
+		a.seen.Inflate |= 1 << uint(sid)
 		return
 	}
 	if n > 0 {
@@ -346,3 +350,10 @@ func (a *inflateAcc) Add(sid int, m types.Message) {
 
 // Done implements proto.Accumulator.
 func (a *inflateAcc) Done() bool { return a.inner.Done() }
+
+// Verdict is the inner accumulator's proto.Verdict, plus the rejects.
+func (a *inflateAcc) Verdict() proto.Verdict {
+	v := a.seen
+	v.Merge(proto.VerdictOf(a.inner))
+	return v
+}

@@ -31,6 +31,32 @@ type Accumulator interface {
 	Done() bool
 }
 
+// Verdict is what a round that DECIDED something says about the objects that
+// answered it, as bitmasks (bit sid): Agree marks those whose report matched
+// the decision, the rest those that contradicted it — by a w report other
+// than the pair the read decided (W), a sub-bundle missing from a multiplexed
+// reply (Withheld), an elision claimed for a pair the request did not offer
+// (Inflate). Evidence for the transport that ran the round (tcpnet's
+// suspicion-ordered sends), never an input to any decision.
+type Verdict struct{ Agree, W, Withheld, Inflate uint64 }
+
+// Dissent returns the objects that contradicted the decision for any reason.
+func (v Verdict) Dissent() uint64 { return v.W | v.Withheld | v.Inflate }
+
+// Merge folds o into v; an object dissenting anywhere does not agree.
+func (v *Verdict) Merge(o Verdict) {
+	v.W, v.Withheld, v.Inflate = v.W|o.W, v.Withheld|o.Withheld, v.Inflate|o.Inflate
+	v.Agree = (v.Agree | o.Agree) &^ v.Dissent()
+}
+
+// VerdictOf returns acc's verdict; none if acc decides nothing.
+func VerdictOf(acc Accumulator) Verdict {
+	if j, ok := acc.(interface{ Verdict() Verdict }); ok {
+		return j.Verdict()
+	}
+	return Verdict{}
+}
+
 // RoundSpec describes one communication round. A spec drives either ONE
 // register instance (Req/Acc) or MANY (Subs — a batched round whose
 // per-register sub-rounds share one physical message exchange per object;
@@ -86,6 +112,17 @@ func (s *RoundSpec) Done() bool {
 		}
 	}
 	return true
+}
+
+// Verdict merges the verdicts of the spec's accumulators.
+func (s *RoundSpec) Verdict() (v Verdict) {
+	if len(s.Subs) == 0 {
+		return VerdictOf(s.Acc)
+	}
+	for i := range s.Subs {
+		v.Merge(VerdictOf(s.Subs[i].Acc))
+	}
+	return v
 }
 
 // AddSub feeds one sub-bundle of a batched reply — object sid's reply for

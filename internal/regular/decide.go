@@ -466,6 +466,30 @@ func (a *ReadAcc) Hit() bool { return a.hit }
 // is Done.
 func (a *ReadAcc) Choice() types.Pair { return a.choice }
 
+// Verdict is the read's proto.Verdict: once it is decided, every object's
+// latest w report either is the chosen pair or contradicts it. An undecided
+// read (a first round that missed) says nothing.
+func (a *ReadAcc) Verdict() (v proto.Verdict) {
+	if !a.hit && !a.done {
+		return v
+	}
+	for sid := 1; sid <= a.th.S; sid++ {
+		u := &a.views[sid]
+		w := u.w1
+		if u.has2 {
+			w = u.w2
+		} else if !u.has1 {
+			continue
+		}
+		if w == a.choice {
+			v.Agree |= 1 << uint(sid)
+		} else {
+			v.W |= 1 << uint(sid)
+		}
+	}
+	return v
+}
+
 // MaxTS returns the largest timestamp among the pw/w states of the query
 // rounds' replies. Like StateAcc.MaxTS the reports are uncertified — a
 // Byzantine object can inflate the result — so callers resuming a sequence

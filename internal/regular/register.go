@@ -126,6 +126,9 @@ func (a *muxUnwrapAcc) Add(sid int, m types.Message) {
 // Done implements proto.Accumulator.
 func (a *muxUnwrapAcc) Done() bool { return a.inner.Done() }
 
+// Verdict is the inner accumulator's proto.Verdict.
+func (a *muxUnwrapAcc) Verdict() proto.Verdict { return proto.VerdictOf(a.inner) }
+
 // muxAckAcc counts acks inside single-register mux replies.
 func muxAckAcc(reg types.RegID, need int) proto.Accumulator {
 	return &muxUnwrapAcc{reg: reg, inner: proto.NewAckBits(need)}

@@ -20,8 +20,11 @@ import (
 // object's reply, not a round: nothing here passes through the read
 // accumulators, so no fast hit shortens what an operator sees either
 // (repair's own quorum reads run on fresh handles, both query rounds:
-// TestRepairReconstitutesWipedObject). One Direct serves any number of
-// register instances over one connection; it is not safe for concurrent use.
+// TestRepairReconstitutesWipedObject). Nor is anything here ever DEFERRED: a
+// Direct owns its connection, outside any Mux and its suspicion scoreboard,
+// so probe, doctor, repair and Seed reach exactly the object they name,
+// suspected or not (TestDirectIgnoresSuspicion). One Direct serves any number
+// of register instances over one connection; it is not safe for concurrent use.
 type Direct struct {
 	conn    net.Conn
 	enc     *wire.Encoder

@@ -94,6 +94,11 @@ func TestProbeReadsUnconditioned(t *testing.T) {
 		"ProbeReg": func() (types.Pair, types.Pair, error) { return d.ProbeReg(0, types.WriterReg) },
 	} {
 		pw, w, err := probe()
+		// (s1 is one object of four: the write's rounds may have completed
+		// on the other three, its own frames still in flight.)
+		for deadline := time.Now().Add(5 * time.Second); err == nil && w.Val != "the-value" && time.Now().Before(deadline); {
+			pw, w, err = probe()
+		}
 		if err != nil || pw.Val != "the-value" || w.Val != "the-value" {
 			t.Errorf("%s = pw %v, w %v, %v; want the raw values", name, pw, w, err)
 		}

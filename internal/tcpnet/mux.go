@@ -37,6 +37,7 @@ import (
 	"robustatomic/internal/config"
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
+	"robustatomic/internal/server"
 	"robustatomic/internal/types"
 	"robustatomic/internal/wire"
 )
@@ -173,6 +174,8 @@ type Mux struct {
 	maxInFlight int // ≤0 = unlimited; 1 reproduces lock-step
 	nextID      atomic.Uint64
 	epoch       atomic.Uint64 // configuration epoch stamped on requests
+	susp        *scoreboard   // which slots' requests rounds defer (suspicion.go)
+	srtt        atomic.Int64  // smoothed latency (ns) of deferring rounds
 
 	mu     sync.Mutex
 	addrs  []string // slot sid-1 → address; "" = vacant (guarded by mu)
@@ -236,6 +239,7 @@ func NewMuxLimited(addrs []string, maxInFlight int) *Mux {
 		conns:       make([]*muxConn, len(addrs)),
 		dials:       make([]dialState, len(addrs)),
 		done:        make(chan struct{}),
+		susp:        newScoreboard(len(addrs)),
 	}
 	m.epoch.Store(1) // the bootstrap configuration (see internal/config)
 	return m
@@ -287,6 +291,7 @@ func (m *Mux) Reconfigure(epoch uint64, addrs []string) error {
 			continue
 		}
 		m.addrs[i] = addrs[i]
+		m.susp.reset(i + 1) // a replacement must not inherit its predecessor's record
 		if mc := m.conns[i]; mc != nil {
 			// Detach under the lock: no round may resolve the departed
 			// daemon's connection once the new address view is visible (its
@@ -570,29 +575,33 @@ func (mc *muxConn) release() {
 }
 
 // send registers the round's waiter for req.ID and enqueues the request on
-// object sid's connection, dialing it first if needed.
+// object sid's connection, dialing it first if needed. A nil replyCh sends
+// fire-and-forget: no waiter (nothing to deregister, no in-flight slot), the
+// reply finds no table entry and is dropped by the reader.
 func (m *Mux) send(sid int, req wire.Request, replyCh chan muxReply) (*muxConn, error) {
 	mc, err := m.connFor(sid)
 	if err != nil {
 		return nil, err
 	}
-	if mc.slots != nil {
-		select {
-		case mc.slots <- struct{}{}:
-		case <-mc.down:
-			return nil, ErrConnLost
-		case <-m.done:
-			return nil, errClientClosed
+	if replyCh != nil {
+		if mc.slots != nil {
+			select {
+			case mc.slots <- struct{}{}:
+			case <-mc.down:
+				return nil, ErrConnLost
+			case <-m.done:
+				return nil, errClientClosed
+			}
 		}
-	}
-	mc.mu.Lock()
-	if mc.dead {
+		mc.mu.Lock()
+		if mc.dead {
+			mc.mu.Unlock()
+			return nil, ErrConnLost
+		}
+		mc.waiters[req.ID] = replyCh
+		mMuxInFlight.Inc() // inside the lock: teardown's bulk decrement counts this waiter
 		mc.mu.Unlock()
-		return nil, ErrConnLost
 	}
-	mc.waiters[req.ID] = replyCh
-	mMuxInFlight.Inc() // inside the lock: teardown's bulk decrement counts this waiter
-	mc.mu.Unlock()
 	select {
 	case mc.sendCh <- req:
 	case <-mc.down:
@@ -656,7 +665,10 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 		}
 	}
 	outstanding := 0
-	for sid := 1; sid <= n; sid++ {
+	// post sends the round's request to object sid: awaited on ch, or — ch
+	// nil, a deferred request released once the round is Done —
+	// fire-and-forget.
+	post := func(sid int, ch chan muxReply) bool {
 		req := wire.Request{ID: m.nextID.Add(1), From: proc, Epoch: epoch}
 		// Seq is vestigial on this transport (matching is by ID) but the
 		// automata echo it, so stamp something round-unique for traces.
@@ -673,18 +685,49 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 			req.Msg = spec.Req(sid)
 			req.Msg.Seq = seq
 		}
-		mc, err := m.send(sid, req, replyCh)
+		mc, err := m.send(sid, req, ch)
 		if err != nil {
 			if traced {
 				traceEvent(&spec, sid, "skip", err.Error())
 			}
-			continue // unreachable object: counted as faulty
+			return false // unreachable object: counted as faulty
 		}
 		if traced {
 			traceEvent(&spec, sid, "send", "")
 		}
-		pending = append(pending, sent{mc, req.ID})
-		outstanding++
+		if ch != nil {
+			pending = append(pending, sent{mc, req.ID})
+			outstanding++
+		}
+		return true
+	}
+	// Suspicion-ordered sends (suspicion.go): the requests of the held slots
+	// — at most t persistent dissenters, almost always none — wait until the
+	// round is Done (release(nil): only a request that mutates is still owed,
+	// so every object receives every write, and per-connection FIFO keeps its
+	// PREWRITE before its WRITE), until nothing awaited can complete the
+	// round, or until the hedge delay passes. Which S−t objects answer a
+	// round was never an assumption, so this is timing, not protocol; with
+	// nobody held, the loop below is the whole send phase.
+	held, probe := m.susp.plan()
+	release := func(ch chan muxReply) {
+		for sid := 1; held != 0 && sid <= n; sid++ {
+			if held&(1<<uint(sid)) != 0 && (ch != nil || mutates(&spec, sid)) {
+				post(sid, ch)
+			}
+		}
+		held = 0
+	}
+	reachable := true
+	for sid := 1; sid <= n; sid++ {
+		if held&(1<<uint(sid)) != 0 {
+			traceEvent(&spec, sid, "defer", "")
+		} else if !post(sid, replyCh) {
+			reachable = false
+		}
+	}
+	if !reachable {
+		release(replyCh) // an unsuspected object is down: defer nobody
 	}
 	if outstanding == 0 {
 		return fmt.Errorf("%w: %s: no object reachable", ErrConnLost, spec.Label)
@@ -692,7 +735,21 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	deadline := time.NewTimer(timeout)
+	// A deferring round first waits out the hedge delay only — four smoothed
+	// latencies of such rounds, within [minHedge, timeout/2] — so that a
+	// silent-but-connected object cannot turn a wrong suspicion into a
+	// RoundTimeout.
+	wait := timeout
+	var begun time.Time
+	if held != 0 {
+		mDeferred.Inc()
+		begun = time.Now()
+		wait = min(max(4*time.Duration(m.srtt.Load()), minHedge), timeout/2)
+	} else if probe {
+		mProbes.Inc()
+		traceEvent(&spec, 0, "probe", "")
+	}
+	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	lost := 0
 	// Wrong-epoch refusals: a refusing object contributes nothing to the
@@ -745,7 +802,15 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 				spec.Acc.Add(r.sid, r.msg)
 			}
 			if r.err == nil && spec.Done() {
+				release(nil)
+				m.susp.observe(spec.Verdict())
+				if !begun.IsZero() { // gain 1/8; a racing round's lost update is tolerable
+					m.srtt.Add((int64(time.Since(begun)) - m.srtt.Load()) / 8)
+				}
 				return nil
+			}
+			if outstanding == 0 {
+				release(replyCh) // nothing awaited can complete the round
 			}
 			if outstanding == 0 {
 				// Every in-flight request resolved (reply or connection
@@ -778,6 +843,18 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 				return unsatErr
 			}
 		case <-deadline.C:
+			if wait < timeout { // the hedge delay, not yet the deadline
+				deadline.Reset(timeout - wait)
+				// A round that waited out the hedge delay must not feed it,
+				// or a run of them would grow it by 3/8 a round.
+				wait, begun = timeout, time.Time{}
+				if held != 0 {
+					mHedged.Inc()
+					traceEvent(&spec, 0, "hedge", "")
+					release(replyCh)
+				}
+				continue
+			}
 			mMuxTimeouts.Inc()
 			return fmt.Errorf("%w: %s", ErrRoundTimeout, spec.Label)
 		case <-m.done:
@@ -798,6 +875,23 @@ func traceEvent(spec *proto.RoundSpec, sid int, kind, note string) {
 		spec.Subs[i].Trace.Event(sid, kind, note)
 	}
 }
+
+// mutates reports whether the round's request to object sid changes state.
+func mutates(spec *proto.RoundSpec, sid int) bool {
+	if len(spec.Subs) == 0 {
+		return server.Mutates(spec.Req(sid))
+	}
+	for i := range spec.Subs {
+		if server.Mutates(spec.Subs[i].Req(sid)) {
+			return true
+		}
+	}
+	return false
+}
+
+// minHedge floors a deferring round's hedge delay (a loopback round takes
+// ~0.1 ms; its tail, several).
+const minHedge = time.Millisecond
 
 // traceSubReplies reports, per traced sub-round, whether object sid's
 // batched reply actually carried that register's sub-bundle — the exact

@@ -312,10 +312,16 @@ func TestReconfigurePreservesInflightDial(t *testing.T) {
 // must not contribute to the reported epoch.
 func TestWrongEpochNegativeSeqIgnored(t *testing.T) {
 	hint := config.Config{Epoch: 3, Addrs: []string{"a:1", "b:2", "c:3", "d:4"}}.Encode()
-	addrs := make([]string, 4)
+	// t = 2: the round fails on its third refusal. The two forged ones come
+	// first (the genuine epoch-3 ones are held back), so the reported epoch is
+	// the third's — whichever order the first two arrive in.
+	addrs := make([]string, 7)
 	for i := range addrs {
-		negative := i%2 == 0 // two forged refusals, two genuine epoch-3 ones
+		negative := i < 2
 		addrs[i], _, _ = startRawServer(t, func(req wire.Request, enc *wire.Encoder) {
+			if !negative {
+				time.Sleep(20 * time.Millisecond)
+			}
 			if negative {
 				enc.EncodeResponse(wire.Response{ID: req.ID, Msg: types.Message{
 					Kind: types.MsgWrongEpoch,

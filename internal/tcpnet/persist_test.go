@@ -120,9 +120,14 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	read("")
 
 	// Snapshot s4's raw state, then kill it mid-burst.
-	prePW, preW, err := Probe(addrs[3], 0, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	// (A round completes on S−t replies, so s4 may still have the burst's
+	// last frames in flight: wait for them, or the snapshot is not the state
+	// it crashes in.)
+	var prePW, preW types.Pair
+	for deadline := time.Now().Add(5 * time.Second); preW.TS != types.At(5) && time.Now().Before(deadline); {
+		if prePW, preW, err = Probe(addrs[3], 0, time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if preW.IsBottom() {
 		t.Fatal("s4 holds no state before the kill — test is vacuous")

@@ -295,17 +295,17 @@ func Run(cfg Config) (res Result, err error) {
 		res.Ops, res.Failed, res.Keys, res.Checked)
 	now := readMix()
 	one, elided, fallback := now[0]-mix[0], now[1]-mix[1], now[2]-mix[2]
-	logf("read path: %d atomic reads, %d in 1 round, %d in 2, %d with write-back (hit ratio %.2f)",
-		elided+fallback, one, elided-one, fallback, float64(one)/float64(max(elided+fallback, 1)))
+	logf("read path: %d atomic reads, %d in 1 round, %d in 2, %d with write-back (hit ratio %.2f); %d rounds deferred a suspect",
+		elided+fallback, one, elided-one, fallback, float64(one)/float64(max(elided+fallback, 1)), now[3]-mix[3])
 	return res, nil
 }
 
 // readMix samples the process-wide read-path counters (core.Reader): reads
 // decided in one round, reads that elided the write-back (those included),
-// reads that paid it.
-func readMix() [3]int64 {
-	var out [3]int64
-	for i, name := range [...]string{"core_read_one_round_total", "core_read_elided_total", "core_read_fallback_total"} {
+// reads that paid it — and the rounds tcpnet deferred a suspect's request in.
+func readMix() [4]int64 {
+	var out [4]int64
+	for i, name := range [...]string{"core_read_one_round_total", "core_read_elided_total", "core_read_fallback_total", "tcpnet_round_deferred_total"} {
 		out[i] = obs.Default.Counter(name).Value()
 	}
 	return out

@@ -79,6 +79,10 @@ func TestTortureShort(t *testing.T) {
 		// the adaptive read path (elision, coalescing, table cache) soaks
 		// the chaos instead of the committer.
 		{ByzantineMix, ModeLive, 104, true},
+		// The same mix over real sockets, where a persistently lying object
+		// gets its requests deferred (tcpnet's suspicion-ordered rounds: this
+		// seed's false-elision window is long enough, see the logged count).
+		{ByzantineMix, ModeTCP, 111, true},
 		{KillRestartRepair, ModeTCP, 102, false},
 		// Membership churn: vacancy (leave → join) and atomic live replace,
 		// the per-key histories spanning every epoch change.

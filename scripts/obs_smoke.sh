@@ -85,6 +85,9 @@ grep -q 'tcpnet_server_requests_total' "$workdir/stats.out" || {
 grep -q 'read path 1/2/4 rounds (ratio)' "$workdir/stats.out" || {
   echo "FAIL: stats table missing the read path mix row:"; cat "$workdir/stats.out"; exit 1
 }
+grep -q 'suspects (sid:dissent run)' "$workdir/stats.out" || {
+  echo "FAIL: stats table missing the suspects row:"; cat "$workdir/stats.out"; exit 1
+}
 head -5 "$workdir/stats.out"
 
 echo "== dump-on-failure: traced op against a dead quorum must print traces"
