@@ -87,26 +87,13 @@ func main() {
 		os.Exit(1)
 	}
 	defer s.Close()
-	switch *chaos {
-	case "":
-	case "garbage":
-		s.SetBehavior(server.Garbage{Level: 1 << 30, Val: "forged"})
-	case "silent":
-		s.SetBehavior(server.Silent{})
-	case "flaky":
-		s.SetBehavior(server.Flaky{
-			Rand:     rand.New(rand.NewSource(*chaosSeed)),
-			DropProb: *chaosDrop,
-		})
-	case "stale":
-		s.SetBehavior(&server.Stale{})
-	case "equivocate":
-		s.SetBehavior(server.Equivocate{Readers: &server.Stale{}})
-	case "falseelide":
-		s.SetBehavior(&server.FalseElide{})
-	default:
-		fmt.Fprintf(os.Stderr, "storaged: unknown chaos mode %q\n", *chaos)
-		os.Exit(2)
+	if *chaos != "" {
+		b, err := server.NamedBehavior(*chaos, rand.New(rand.NewSource(*chaosSeed)), *chaosDrop)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "storaged:", err)
+			os.Exit(2)
+		}
+		s.SetBehavior(b)
 	}
 	if *chaosBatchDrop > 0 || *chaosBatchShuffle {
 		s.SetBatchChaos(rand.New(rand.NewSource(*chaosSeed)), *chaosBatchDrop, *chaosBatchShuffle)

@@ -13,9 +13,9 @@ import (
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
-	"robustatomic/internal/live"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/server"
+	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
 )
 
@@ -28,14 +28,17 @@ func main() {
 	}
 	fmt.Printf("fault-injection torture: S=%d objects, t=%d Byzantine, 3 readers, 6 writes\n", s, t)
 
-	cluster := live.New(live.Config{Servers: s, Seed: 99, MaxDelay: 300 * time.Microsecond})
-	defer cluster.Close()
+	// The objects, in this process, behind a transport that delays every
+	// message by a seeded random amount.
+	hosts := server.NewHosts(s)
+	mux := tcpnet.NewMemMux(hosts, 99, 300*time.Microsecond)
+	defer mux.Close()
 
 	// Two objects turn Byzantine mid-run with different attacks.
 	go func() {
 		time.Sleep(2 * time.Millisecond)
-		cluster.SetByzantine(1, server.Garbage{Level: 1 << 40, Val: "forged-by-s1"})
-		cluster.SetByzantine(2, &server.ReplayOnly{Rand: rand.New(rand.NewSource(5))})
+		hosts[0].SetBehavior(server.Garbage{Level: 1 << 40, Val: "forged-by-s1"})
+		hosts[1].SetBehavior(&server.ReplayOnly{Rand: rand.New(rand.NewSource(5))})
 		fmt.Println("  [s1 → garbage forger, s2 → replay attacker]")
 	}()
 
@@ -44,7 +47,7 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := core.NewWriter(cluster.NewClient(types.Writer), th)
+		w := core.NewWriter(mux.Client(types.Writer, 0), th)
 		for i := 1; i <= 6; i++ {
 			v := types.Value(fmt.Sprintf("v%d", i))
 			id := h.Invoke(types.Writer, checker.OpWrite, v)
@@ -60,7 +63,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rd := core.NewReader(cluster.NewClient(types.Reader(r)), th, r, readers)
+			rd := core.NewReader(mux.Client(types.Reader(r), 0), th, r, readers)
 			for i := 0; i < 4; i++ {
 				id := h.Invoke(types.Reader(r), checker.OpRead, types.Bottom)
 				v, err := rd.Read()

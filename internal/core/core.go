@@ -89,8 +89,13 @@ type Writer struct {
 	rounder proto.Rounder
 	th      quorum.Thresholds
 	wid     int64
-	pw      PairWriter
-	known   *Known
+	// pw is the two-phase pair writer every flow drives — token-carrying in
+	// the secret model (regular.Writer.NextToken), which is that model's
+	// whole difference on the write side. Its LastTS is the last COMPLETED
+	// write's timestamp; IssuedTS additionally covers proposals that never
+	// completed and is what successor timestamps must exceed.
+	pw    *regular.Writer
+	known *Known
 
 	// FastWrites and FallbackWrites count Write calls that certified on the
 	// optimistic 2-round path vs. fell back (instrumentation; the round
@@ -107,7 +112,14 @@ func NewWriter(r proto.Rounder, th quorum.Thresholds) *Writer {
 // NewWriterAt returns the handle of writer wid resuming from a known last
 // timestamp (its own, or the highest foreign timestamp it observed).
 func NewWriterAt(r proto.Rounder, th quorum.Thresholds, wid int64, last types.TS) *Writer {
-	return &Writer{rounder: r, th: th, wid: wid, pw: regular.NewWriterAt(r, th, types.WriterReg, wid, last), known: NewKnown(th)}
+	return NewWriterOn(r, th, wid, regular.NewWriterAt(r, th, types.WriterReg, wid, last))
+}
+
+// NewWriterOn returns the handle of writer wid over an already-built pair
+// writer of the shared register (the secret model supplies one that attaches
+// a fresh token to every phase).
+func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.Writer) *Writer {
+	return &Writer{rounder: r, th: th, wid: wid, pw: pw, known: NewKnown(th)}
 }
 
 // UseKnown makes the writer record its writes in, and condition its
@@ -193,16 +205,28 @@ func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.T
 	return cur, types.MaxTS(cur.TS, own).Next(wid), nil
 }
 
-// ModifyCertified runs the certified read-modify-write flow over any
-// pair-writer: certified discovery, fn mapping the current pair to the
-// value to install, write at the successor. A fn returning SkipWrite elides
-// the write phases and yields the (certified) current pair unchanged. The
-// successor is based on the writer's IssuedTS, so a pair abandoned by an
-// earlier failed attempt is never re-issued with a different value.
-// The certified read is conditioned on k (see CertifiedNext), and the
-// installed pair recorded in it.
-func ModifyCertified(r proto.Rounder, th quorum.Thresholds, wid int64, fn func(cur types.Pair) (types.Value, error), pw PairWriter, k *Known) (types.Pair, error) {
-	cur, next, err := CertifiedNext(r, th, wid, pw.IssuedTS(), k)
+// Modify performs a certified read-modify-write: a regular read of the
+// shared register (1 round on a fast hit, else 2 with the decision
+// procedure — either way not even the timestamp can be Byzantine-inflated,
+// unlike the optimistic validation's), then fn maps the current pair to the
+// value to install, which the regular write's two rounds store at the
+// successor timestamp. 3 or 4 rounds total; the keyed Store layer rebases
+// onto foreign tables through Modify when the flush fast path detects
+// interference. A fn returning SkipWrite elides the write phases and yields
+// the (certified) current pair unchanged. The successor is based on the
+// writer's IssuedTS, so a pair abandoned by an earlier failed attempt is
+// never re-issued with a different value. The certified read is conditioned
+// on the known-pair set (see CertifiedNext), and the installed pair recorded
+// in it.
+//
+// Modify is NOT an atomic read-modify-write across writers — registers
+// cannot solve consensus, so two concurrent Modifys may read the same pair
+// and the lexicographically larger writer's result prevails. It guarantees
+// that the installed value derives from a genuine pair at least as fresh as
+// the last complete write, which gives last-writer-wins semantics with no
+// lost update unless the writes genuinely race.
+func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error) {
+	cur, next, err := CertifiedNext(w.rounder, w.th, w.wid, w.pw.IssuedTS(), w.known)
 	if err != nil {
 		return types.Pair{}, err
 	}
@@ -217,58 +241,10 @@ func ModifyCertified(r proto.Rounder, th quorum.Thresholds, wid int64, fn func(c
 		return types.Pair{}, fmt.Errorf("core: register sequence space exhausted")
 	}
 	p := types.Pair{TS: next, Val: v}
-	if err := completed(k, p, pw.WritePair(p)); err != nil {
+	if err := w.completed(p, w.pw.WritePair(p)); err != nil {
 		return types.Pair{}, err
 	}
 	return p, nil
-}
-
-// Write stores v adaptively (see fastpath.go): 2 rounds when the optimistic
-// proposal certifies — the uncontended case, and the paper's SWMR optimum —
-// falling back to discovery or the certified read under interference.
-func (w *Writer) Write(v types.Value) error {
-	fast, err := WriteAdaptive(w.rounder, w.th, w.wid, v, w.pw, w.known)
-	if err == nil {
-		if fast {
-			w.FastWrites++
-		} else {
-			w.FallbackWrites++
-		}
-	}
-	return err
-}
-
-// WriteClean attempts the validate-then-write flush fast path of
-// WriteIfClean: one freshness round, then install v at the cached successor
-// — 3 rounds, no decision procedure. The keyed Store's flush runs on it.
-func (w *Writer) WriteClean(v types.Value) (types.Pair, bool, error) {
-	return WriteIfClean(w.rounder, w.th, w.wid, v, w.pw, w.known)
-}
-
-// Validate runs the one-round freshness check of ValidateClean: true means
-// a quorum confirmed the writer's LastTS is still the register's current
-// timestamp (the no-write flush).
-func (w *Writer) Validate() (bool, error) {
-	return ValidateClean(w.rounder, w.th, w.pw)
-}
-
-// Modify performs a certified read-modify-write: a regular read of the
-// shared register (1 round on a fast hit, else 2 with the decision
-// procedure — either way not even the timestamp can be Byzantine-inflated,
-// unlike the optimistic validation's), then fn maps the current pair to the
-// value to install, which the regular write's two rounds store at the
-// successor timestamp. 3 or 4 rounds total; the keyed Store layer rebases
-// onto foreign tables through Modify when the flush fast path detects
-// interference.
-//
-// Modify is NOT an atomic read-modify-write across writers — registers
-// cannot solve consensus, so two concurrent Modifys may read the same pair
-// and the lexicographically larger writer's result prevails. It guarantees
-// that the installed value derives from a genuine pair at least as fresh as
-// the last complete write, which gives last-writer-wins semantics with no
-// lost update unless the writes genuinely race.
-func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error) {
-	return ModifyCertified(w.rounder, w.th, w.wid, fn, w.pw, w.known)
 }
 
 // LastTS returns the timestamp of the last completed write.

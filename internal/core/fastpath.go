@@ -9,7 +9,7 @@
 // for contention-free executions, a fallback when interference shows. The
 // flows here apply that shape to writes:
 //
-//   - WriteAdaptive (the plain Write): the writer optimistically proposes
+//   - Writer.Write: the writer optimistically proposes
 //     the successor of its own cached timestamp directly in the PREWRITE
 //     round; each object's acknowledgement piggybacks the highest timestamp
 //     it held before applying the prewrite. A quorum reporting nothing at
@@ -25,13 +25,13 @@
 //     the PR 4 worst case; the maxDiscoveryLead bound keeps sequence
 //     numbers sane either way).
 //
-//   - WriteIfClean (the Store flush fast path): validate-then-write. The
+//   - Writer.WriteClean (the Store flush fast path): validate-then-write. The
 //     flush's value DERIVES from the table cached at the writer's base
 //     timestamp, so it must not enter circulation — not even as a
 //     prewrite — until the base is known current: a prewritten pair is
 //     readable as a concurrent write, and a stale-derived table at a
 //     dominating timestamp would let a reader resurrect a key value that a
-//     foreign writer's already-completed Put replaced. WriteIfClean
+//     foreign writer's already-completed Put replaced. WriteClean
 //     therefore runs one read round FIRST (no timestamp beyond the base in
 //     circulation — any write completed before the flush began reached a
 //     correct quorum member, whose report exposes it) and only then the
@@ -44,7 +44,7 @@
 //     documented last-writer-wins shard race, exactly as with the
 //     certified path's read→write gap.
 //
-//   - ValidateClean: the degenerate flush — a batch whose mutations all
+//   - Writer.Validate: the degenerate flush — a batch whose mutations all
 //     turned out to be no-ops needs no register write at all, just one
 //     read round confirming the cached base is still current (Byzantine
 //     objects can force the fallback by over-reporting, but can never fake
@@ -64,59 +64,44 @@ import (
 	"fmt"
 
 	"robustatomic/internal/proto"
-	"robustatomic/internal/quorum"
-	"robustatomic/internal/regular"
 	"robustatomic/internal/types"
 )
 
-// PairWriter is the two-phase pair writer the adaptive flows drive: the
-// plain regular.Writer, or the secret model's token-carrying one. LastTS is
-// the last COMPLETED write's timestamp; IssuedTS additionally covers
-// proposals that never completed and is what successor timestamps must
-// exceed.
-type PairWriter interface {
-	PreWritePair(p types.Pair) (types.TS, error)
-	CommitPair(p types.Pair) error
-	WritePair(p types.Pair) error
-	LastTS() types.TS
-	IssuedTS() types.TS
-}
-
-var (
-	_ PairWriter = (*regular.Writer)(nil)
-)
-
-// SkipWrite is the sentinel a ModifyCertified callback returns to elide the
+// SkipWrite is the sentinel a Modify callback returns to elide the
 // write phases: the certified read still ran (so the caller's view is
 // genuinely current), but nothing is installed and the current pair is
 // returned unchanged.
 var SkipWrite = errors.New("core: modify produced no change, write elided")
 
-// WriteAdaptive stores v through pw with the optimistic fast path described
-// in the package comment: 2 rounds uncontended, 3 under genuine write
-// contention, 5 when a Byzantine report forces the certified fallback. It
-// reports whether the fast path certified.
-func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Value, pw PairWriter, k *Known) (bool, error) {
+// Write stores v adaptively, with the optimistic fast path described in the
+// package comment: 2 rounds when the proposal certifies — the uncontended
+// case, and the paper's SWMR optimum — 3 under genuine write contention, 5
+// when a Byzantine report forces the certified fallback.
+func (w *Writer) Write(v types.Value) error {
 	if v.IsBottom() {
-		return false, fmt.Errorf("core: cannot write the reserved initial value ⊥")
+		return fmt.Errorf("core: cannot write the reserved initial value ⊥")
 	}
-	base := pw.IssuedTS()
-	proposed := base.Next(wid)
+	base := w.pw.IssuedTS()
+	proposed := base.Next(w.wid)
 	if proposed.Seq <= 0 {
 		// Sequence ceiling: only the certified read yields a trustworthy
 		// current timestamp to judge exhaustion by.
-		return false, writeAtCertified(r, th, wid, base, v, pw, k)
+		return w.fellBack(w.writeAtCertified(base, v))
 	}
 	p := types.Pair{TS: proposed, Val: v}
-	prior, err := pw.PreWritePair(p)
+	prior, err := w.pw.PreWritePair(p)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if prior.Less(proposed) {
 		// Certified: nothing at or above the proposal was in circulation
 		// when the quorum acknowledged, so the proposal dominates every
 		// complete write and the WRITE round can finish the operation.
-		return true, completed(k, p, pw.CommitPair(p))
+		if err := w.completed(p, w.pw.CommitPair(p)); err != nil {
+			return err
+		}
+		w.FastWrites++
+		return nil
 	}
 	// Interference. The validation reports are exactly a discovery round's
 	// input (uncertified quorum maximum), so reuse them: write at their
@@ -127,28 +112,36 @@ func WriteAdaptive(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Val
 	// proposal's timestamp is safe HERE because it would carry the same
 	// value v (value agreement is per (timestamp, value)); only later
 	// operations, which carry other values, must stay above IssuedTS.
-	next := prior.Next(wid)
+	next := prior.Next(w.wid)
 	if next.Seq <= 0 || prior.Seq-base.Seq > maxDiscoveryLead {
-		return false, writeAtCertified(r, th, wid, base, v, pw, k)
+		return w.fellBack(w.writeAtCertified(base, v))
 	}
 	p = types.Pair{TS: next, Val: v}
-	return false, completed(k, p, pw.WritePair(p))
+	return w.fellBack(w.completed(p, w.pw.WritePair(p)))
+}
+
+// fellBack counts a Write that completed off the fast path.
+func (w *Writer) fellBack(err error) error {
+	if err == nil {
+		w.FallbackWrites++
+	}
+	return err
 }
 
 // completed passes the outcome of writing p through, recording a completed
 // p in the known-pair set: the writer has the value in hand, so neither its
 // own next certified read nor any reader sharing the set need be sent it.
-func completed(k *Known, p types.Pair, err error) error {
+func (w *Writer) completed(p types.Pair, err error) error {
 	if err == nil {
-		k.Seed(types.WriterReg, p)
+		w.known.Seed(types.WriterReg, p)
 	}
 	return err
 }
 
 // writeAtCertified installs v at the successor of the certified current
 // timestamp (own is the floor the successor must additionally exceed).
-func writeAtCertified(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, v types.Value, pw PairWriter, k *Known) error {
-	_, next, err := CertifiedNext(r, th, wid, own, k)
+func (w *Writer) writeAtCertified(own types.TS, v types.Value) error {
+	_, next, err := CertifiedNext(w.rounder, w.th, w.wid, own, w.known)
 	if err != nil {
 		return err
 	}
@@ -156,12 +149,13 @@ func writeAtCertified(r proto.Rounder, th quorum.Thresholds, wid int64, own type
 		return fmt.Errorf("core: register sequence space exhausted")
 	}
 	p := types.Pair{TS: next, Val: v}
-	return completed(k, p, pw.WritePair(p))
+	return w.completed(p, w.pw.WritePair(p))
 }
 
-// WriteIfClean attempts the flush fast path (see the package comment's
-// validate-then-write discussion): one read round confirms no timestamp
-// beyond the caller's cached base (pw.LastTS()) is in circulation — the
+// WriteClean attempts the flush fast path the keyed Store's flush runs on
+// (see the package comment's validate-then-write discussion): one read round
+// confirms no timestamp beyond the writer's cached base (LastTS) is in
+// circulation — the
 // cached view the value v derives from is still current, so no rebase is
 // needed and nothing stale-derived ever enters circulation — then the two
 // write phases install v at the cached successor, which the validation
@@ -170,20 +164,20 @@ func writeAtCertified(r proto.Rounder, th quorum.Thresholds, wid int64, own type
 // conflict (nothing written; the caller rebases through the certified
 // read-modify-write). A failed earlier proposal (IssuedTS beyond LastTS)
 // also routes to the certified path, which alone may pick timestamps then.
-func WriteIfClean(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Value, pw PairWriter, k *Known) (types.Pair, bool, error) {
+func (w *Writer) WriteClean(v types.Value) (types.Pair, bool, error) {
 	if v.IsBottom() {
 		return types.Pair{}, false, fmt.Errorf("core: cannot write the reserved initial value ⊥")
 	}
-	ok, err := ValidateClean(r, th, pw)
+	ok, err := w.Validate()
 	if err != nil || !ok {
 		return types.Pair{}, false, err
 	}
-	proposed := pw.LastTS().Next(wid)
+	proposed := w.pw.LastTS().Next(w.wid)
 	if proposed.Seq <= 0 {
 		return types.Pair{}, false, nil
 	}
 	p := types.Pair{TS: proposed, Val: v}
-	if err := completed(k, p, pw.WritePair(p)); err != nil {
+	if err := w.completed(p, w.pw.WritePair(p)); err != nil {
 		return types.Pair{}, false, err
 	}
 	return p, true, nil
@@ -198,22 +192,21 @@ func tsOnlyReq(int) types.Message {
 	return types.Message{Kind: types.MsgRead1, Flags: types.FlagNoValues}
 }
 
-// ValidateClean runs one read round and reports whether a quorum confirms
-// no timestamp beyond the caller's cached base (pw.LastTS()) — the no-write
-// flush: a batch of no-op mutations is correct to elide exactly when the
+// Validate runs one read round and reports whether a quorum confirms no
+// timestamp beyond the writer's cached base (LastTS) — the no-write flush: a batch of no-op mutations is correct to elide exactly when the
 // cached table is still the register's current value, which this round
 // witnesses. Byzantine objects can only force a false negative (the caller
 // then pays the certified path); a false positive would need every correct
 // quorum member to miss a completed foreign write, which quorum
 // intersection rules out.
-func ValidateClean(r proto.Rounder, th quorum.Thresholds, pw PairWriter) (bool, error) {
-	base := pw.LastTS()
-	if base.Less(pw.IssuedTS()) {
+func (w *Writer) Validate() (bool, error) {
+	base := w.pw.LastTS()
+	if base.Less(w.pw.IssuedTS()) {
 		return false, nil
 	}
-	acc := proto.NewBitAcc(types.MsgState, th.Quorum())
+	acc := proto.NewBitAcc(types.MsgState, w.th.Quorum())
 	spec := proto.RoundSpec{Label: "WVAL", Req: tsOnlyReq, Acc: acc}
-	if err := r.Round(spec); err != nil {
+	if err := w.rounder.Round(spec); err != nil {
 		return false, fmt.Errorf("core: validate: %w", err)
 	}
 	return !base.Less(acc.MaxTS()), nil

@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"robustatomic/internal/checker"
-	"robustatomic/internal/live"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/regular"
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
+	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
 )
 
@@ -161,12 +161,12 @@ func TestMuxAccRoutesOutOfOrderReplies(t *testing.T) {
 // bundle is reused, and the read's result is unchanged.
 func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 	thr := th(t, 4, 1)
-	lc := live.New(live.Config{Servers: 4})
+	lc := tcpnet.NewMemMux(server.NewHosts(4), 0, 0)
 	defer lc.Close()
-	if err := NewWriter(lc.NewClient(types.Writer), thr).Write("a"); err != nil {
+	if err := NewWriter(lc.Client(types.Writer, 0), thr).Write("a"); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(lc.NewClient(types.Reader(1)), thr, 1, 2)
+	r := NewReader(lc.Client(types.Reader(1), 0), thr, 1, 2)
 	if v, err := r.Read(); err != nil || v != "a" {
 		t.Fatalf("first read = %q, %v", v, err)
 	}
@@ -175,11 +175,11 @@ func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 	if v, err := r.Read(); err != nil || v != "a" {
 		t.Fatalf("second read = %q, %v", v, err)
 	}
-	// 1 round (every register hits) × 4 objects × (pw, w) of the shared
-	// register; the write-back registers are empty, so there is nothing else
-	// to elide.
-	if d := mInflated.Value() - inflated; d != 8 {
-		t.Errorf("steady-state read re-inflated %d values, want 8", d)
+	// 1 round (every register hits) × the S−t = 3 objects it hears before it
+	// is Done × (pw, w) of the shared register; the write-back registers are
+	// empty, so there is nothing else to elide.
+	if d := mInflated.Value() - inflated; d != 6 {
+		t.Errorf("steady-state read re-inflated %d values, want 6", d)
 	}
 	if r.OneRound != 1 {
 		t.Errorf("steady-state read took the decision round (one-round reads: %d)", r.OneRound)
@@ -187,10 +187,10 @@ func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 	if bundle != &r.req.Sub[0] {
 		t.Error("steady-state read rebuilt its request bundle")
 	}
-	if allocs := testing.AllocsPerRun(50, func() { r.Read() }); allocs > 5 {
-		// What remains is the runtime's per-object reply bundles (1 round ×
-		// 4 objects); the client side of a hinted read — hit test included —
-		// allocates nothing.
+	if allocs := testing.AllocsPerRun(50, func() { r.Read() }); allocs > 9 {
+		// What remains is the objects' reply bundles (1 round × 4 objects) and
+		// the round's own reply channel and deadline timer; the client side of
+		// a hinted read — hit test included — allocates nothing.
 		t.Errorf("steady-state read allocates %.0f times", allocs)
 	}
 }
@@ -263,9 +263,9 @@ func TestAtomicDespiteFalseElide(t *testing.T) {
 // rebase that finds nothing to rebase onto moves no value.
 func TestCertifiedReadOffersWritersPair(t *testing.T) {
 	thr := th(t, 4, 1)
-	lc := live.New(live.Config{Servers: 4})
+	lc := tcpnet.NewMemMux(server.NewHosts(4), 0, 0)
 	defer lc.Close()
-	w := NewWriter(lc.NewClient(types.Writer), thr)
+	w := NewWriter(lc.Client(types.Writer, 0), thr)
 	modify := func(v types.Value) types.Pair {
 		t.Helper()
 		var saw types.Pair
@@ -284,7 +284,7 @@ func TestCertifiedReadOffersWritersPair(t *testing.T) {
 	if saw := modify("b"); saw.Val != "a" {
 		t.Fatalf("second modify saw %v, want a", saw)
 	}
-	if d := mInflated.Value() - inflated; d != 8 { // 1 round (fast hit) × 4 objects × (pw, w)
-		t.Errorf("certified read of the writer's own pair re-inflated %d values, want 8", d)
+	if d := mInflated.Value() - inflated; d != 6 { // 1 round (fast hit) × the 3 objects heard × (pw, w)
+		t.Errorf("certified read of the writer's own pair re-inflated %d values, want 6", d)
 	}
 }

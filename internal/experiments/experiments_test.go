@@ -30,7 +30,7 @@ func TestMeasureComplexityMatchesPaper(t *testing.T) {
 	// the write-back — so the regular and both atomic reads land at 1
 	// round. The paper's 2-, 4- and 3-round figures remain the WORST case,
 	// pinned by the fallback round-count tests in internal/core,
-	// internal/live and internal/lowerbound.
+	// internal/tcpnet and internal/lowerbound.
 	for _, tt := range []int{1, 2} {
 		rows, err := MeasureComplexity(tt)
 		if err != nil {

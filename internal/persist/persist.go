@@ -39,6 +39,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -54,6 +55,8 @@ import (
 	"robustatomic/internal/types"
 	"robustatomic/internal/wire"
 )
+
+var _ server.Persister = (*Engine)(nil)
 
 // Durability observability: append and fsync latency distributions (µs,
 // recorded unconditionally — both are I/O-bound, so the two time.Now calls
@@ -147,7 +150,8 @@ func newSyncBatch() *syncBatch {
 // Engine is the durability engine for one storage object's data directory.
 // Append is safe for concurrent use. Recover must be called exactly once,
 // before the first Append. Rotate and Commit must not race Append — the
-// tcpnet server guarantees this by quiescing mutations around compaction.
+// object host guarantees this by quiescing mutations around compaction
+// (server.Host.Compact).
 type Engine struct {
 	dir      string
 	mode     FsyncMode
@@ -302,8 +306,8 @@ func (e *Engine) Recover() (map[int]*server.Store, error) {
 	e.recovered = true
 	stores := make(map[int]*server.Store)
 	if e.baseSnap != nil {
-		if err := decodeStores(e.baseSnap, stores); err != nil {
-			return nil, err
+		if err := server.DecodeStores(e.baseSnap, stores); err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
 		}
 		e.baseSnap = nil // one-shot; free the payload
 	}
@@ -338,15 +342,21 @@ func (e *Engine) Recover() (map[int]*server.Store, error) {
 	return stores, nil
 }
 
+// ErrFormat reports a WAL generation whose records are intact on disk (every
+// frame's CRC holds) but are not this software's record format — a data
+// directory written by a release that predates multi-writer timestamps.
+// Recovery refuses it rather than guess: reconstitute the object from a live
+// quorum (storctl repair) instead.
+var ErrFormat = errors.New("persist: unsupported WAL record format")
+
 // replayWAL replays one WAL file. tolerateTear permits a damaged tail (the
 // newest generation may have been torn by the crash) — the file is then
 // truncated back to its last intact record, so that on the next recovery,
 // when this generation is no longer the newest, it replays cleanly instead
-// of reading as corruption. In older generations damage is an error.
-// Generations written by pre-multi-writer software (scalar gob timestamps)
-// are detected by probing the first record and replayed through the legacy
-// mirror types — crucially BEFORE tear handling, so an intact legacy
-// generation is never mistaken for a torn tail and truncated away.
+// of reading as corruption. In older generations damage is an error. A
+// tear is damage to the FRAMING; a file whose first frame is intact but does
+// not decode was written in another format, and is refused with ErrFormat —
+// never truncated away as if it were a torn tail.
 func replayWAL(path string, tolerateTear bool, apply func(wire.Request) error) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -356,16 +366,14 @@ func replayWAL(path string, tolerateTear bool, apply func(wire.Request) error) (
 	if valid != len(data) && !tolerateTear {
 		return 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the newest generation; reconstitute from a live quorum)", path, valid)
 	}
-	var dec interface {
-		DecodeRequest() (wire.Request, error)
-	} = wire.NewGobDecoder(bytes.NewReader(stream))
-	if len(ends) > 0 && isLegacyStream(stream) {
-		dec = newLegacyDecoder(stream)
-	}
+	dec := wire.NewGobDecoder(bytes.NewReader(stream))
 	applied := 0
 	for i := 0; i < len(ends); i++ {
 		req, err := dec.DecodeRequest()
 		if err != nil {
+			if i == 0 {
+				return 0, fmt.Errorf("%w: %s: %v", ErrFormat, path, err)
+			}
 			if tolerateTear {
 				break
 			}
@@ -680,68 +688,4 @@ func readSnapshotFile(path string) ([]byte, error) {
 		return nil, fmt.Errorf("persist: snapshot %s: CRC mismatch", path)
 	}
 	return payload, nil
-}
-
-// storesVersion heads the multi-register snapshot payload: a uvarint
-// register-instance count, then per instance a uvarint instance number and
-// a length-prefixed server.Store snapshot.
-const storesVersion = 0x01
-
-// EncodeStores captures every hosted register instance into one snapshot
-// payload. Callers must quiesce mutations across the call (the tcpnet
-// server holds its apply lock); the capture itself is cheap — the store
-// snapshot codec neither sorts nor reflects.
-func EncodeStores(stores map[int]*server.Store) ([]byte, error) {
-	regs := make([]int, 0, len(stores))
-	for reg := range stores {
-		regs = append(regs, reg)
-	}
-	sort.Ints(regs)
-	b := []byte{storesVersion}
-	b = binary.AppendUvarint(b, uint64(len(regs)))
-	for _, reg := range regs {
-		snap, err := stores[reg].Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("persist: instance %d: %w", reg, err)
-		}
-		b = binary.AppendUvarint(b, uint64(reg))
-		b = binary.AppendUvarint(b, uint64(len(snap)))
-		b = append(b, snap...)
-	}
-	return b, nil
-}
-
-// decodeStores rebuilds register instances from a snapshot payload into
-// dst.
-func decodeStores(payload []byte, dst map[int]*server.Store) error {
-	if len(payload) == 0 || payload[0] != storesVersion {
-		return fmt.Errorf("persist: snapshot payload: bad header")
-	}
-	rest := payload[1:]
-	n, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return fmt.Errorf("persist: snapshot payload: truncated count")
-	}
-	rest = rest[w:]
-	for i := uint64(0); i < n; i++ {
-		reg, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fmt.Errorf("persist: snapshot payload: truncated instance %d", i)
-		}
-		rest = rest[w:]
-		size, w := binary.Uvarint(rest)
-		if w <= 0 || uint64(len(rest)-w) < size {
-			return fmt.Errorf("persist: snapshot payload: truncated instance %d body", i)
-		}
-		st := server.NewStore()
-		if err := st.Restore(rest[w : w+int(size)]); err != nil {
-			return fmt.Errorf("persist: instance %d: %w", reg, err)
-		}
-		dst[int(reg)] = st
-		rest = rest[w+int(size):]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("persist: snapshot payload: %d trailing bytes", len(rest))
-	}
-	return nil
 }

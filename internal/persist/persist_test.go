@@ -1,6 +1,9 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -309,7 +312,7 @@ func TestCompactionPrunesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := EncodeStores(stores)
+	snap, err := server.EncodeStores(stores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +394,7 @@ func TestCrashMidCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, _ := EncodeStores(stores)
+		snap, _ := server.EncodeStores(stores)
 		if err := e.Commit(gen, snap); err != nil {
 			t.Fatal(err)
 		}
@@ -453,40 +456,49 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestEncodeStoresRoundTrip(t *testing.T) {
-	stores := map[int]*server.Store{}
-	for reg := 0; reg < 4; reg++ {
-		st := server.NewStore()
-		st.Handle(types.Writer, types.Message{Kind: types.MsgWrite, Pair: pair(int64(reg+1), "x")})
-		stores[reg] = st
+// TestScalarTimestampWALRefused: a WAL generation written before multi-writer
+// timestamps (gob records whose Pair.TS is a scalar — intact frames, another
+// record format) is refused with ErrFormat and left untouched on disk; it
+// must neither decode as something else nor be truncated away as a torn tail.
+func TestScalarTimestampWALRefused(t *testing.T) {
+	type oldPair struct {
+		TS  int64
+		Val types.Value
 	}
-	b, err := EncodeStores(stores)
+	type oldMessage struct {
+		Kind types.MsgKind
+		Pair oldPair
+	}
+	type oldRequest struct {
+		From types.ProcID
+		Reg  int
+		Msg  oldMessage
+	}
+	var stream bytes.Buffer
+	enc := gob.NewEncoder(&stream)
+	var file []byte
+	for ts := int64(1); ts <= 3; ts++ {
+		stream.Reset()
+		if err := enc.Encode(oldRequest{From: types.Writer, Msg: oldMessage{Kind: types.MsgWrite, Pair: oldPair{TS: ts, Val: "old"}}}); err != nil {
+			t.Fatal(err)
+		}
+		file = appendFrame(file, stream.Bytes())
+	}
+	dir := t.TempDir()
+	path := walPath(dir, 1)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(dir, Options{Mode: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[int]*server.Store{}
-	if err := decodeStores(b, got); err != nil {
-		t.Fatal(err)
+	defer e.Close()
+	if _, err := e.Recover(); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Recover over a scalar-timestamp WAL: err = %v, want ErrFormat", err)
 	}
-	for reg, st := range stores {
-		if got[reg] == nil || got[reg].Reg(types.WriterReg).W != st.Reg(types.WriterReg).W {
-			t.Errorf("instance %d mismatch", reg)
-		}
-	}
-	if b2, _ := EncodeStores(stores); string(b) != string(b2) {
-		t.Error("EncodeStores not deterministic")
-	}
-	empty, err := EncodeStores(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := decodeStores(empty, map[int]*server.Store{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, junk := range [][]byte{nil, {0x7f}, {storesVersion, 5}, append(append([]byte(nil), b...), 1)} {
-		if err := decodeStores(junk, map[int]*server.Store{}); err == nil {
-			t.Errorf("junk payload %v accepted", junk)
-		}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, file) {
+		t.Fatalf("refused generation was modified on disk (err %v, %d → %d bytes)", err, len(file), len(kept))
 	}
 }
 

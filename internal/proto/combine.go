@@ -28,7 +28,7 @@ var (
 )
 
 // Combiner merges concurrent single-register rounds into batched rounds on
-// an inner Rounder that accepts RoundSpec.Subs (live.Client, tcpnet.Client).
+// an inner Rounder that accepts RoundSpec.Subs (tcpnet.Client).
 // Safe for concurrent use; the inner Rounder is only ever driven by one
 // goroutine at a time (the current batch leader).
 type Combiner struct {

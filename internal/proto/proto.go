@@ -138,8 +138,8 @@ func (s *RoundSpec) AddSub(sid, reg int, m types.Message) {
 }
 
 // Rounder executes rounds on behalf of a client. Implementations:
-// sim.Client (deterministic, adversary-scheduled), live.Client (goroutines
-// and channels) and tcpnet.Client (real sockets).
+// sim.Client (deterministic, adversary-scheduled) and tcpnet.Client (real
+// sockets, or objects in the same process).
 type Rounder interface {
 	// Round runs one communication round to completion. It returns an error
 	// if the client crashed or the runtime shut down; protocols must

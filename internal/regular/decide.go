@@ -292,7 +292,7 @@ func (d *decider) consistentF(th quorum.Thresholds, views []srvView, f uint64, m
 			if !d.checkPair(v.pw1) || !d.checkPair(v.w1) {
 				return false
 			}
-			if l := max64(v.pw1.TS.Seq, v.w1.TS.Seq); l > maxR1 {
+			if l := max(v.pw1.TS.Seq, v.w1.TS.Seq); l > maxR1 {
 				maxR1 = l
 			}
 			maxW1 = types.MaxTS(maxW1, v.w1.TS)
@@ -543,11 +543,4 @@ func forEachSubset(n, k int, fn func(mask uint64)) {
 		}
 	}
 	rec(1, 0, k)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"robustatomic/internal/live"
 	"robustatomic/internal/tcpnet"
 )
 
@@ -65,7 +64,7 @@ func Classify(err error) Class {
 		return Fatal // misuse; never retry a nil error
 	case errors.Is(err, tcpnet.ErrConnLost):
 		return Transient
-	case errors.Is(err, tcpnet.ErrRoundTimeout), errors.Is(err, live.ErrRoundStuck):
+	case errors.Is(err, tcpnet.ErrRoundTimeout):
 		return Degraded
 	case errors.Is(err, tcpnet.ErrWrongEpoch):
 		return Reconfig

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"robustatomic/internal/live"
 	"robustatomic/internal/tcpnet"
 )
 
@@ -23,8 +22,8 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("store: put k: %w: s2 died", tcpnet.ErrConnLost), Transient},
 		{tcpnet.ErrRoundTimeout, Degraded},
 		{fmt.Errorf("retry: read round 3: %w", tcpnet.ErrRoundTimeout), Degraded},
-		{live.ErrRoundStuck, Degraded},
-		{fmt.Errorf("mw: read: %w (quorum unreachable)", live.ErrRoundStuck), Degraded},
+		// What an in-process round no quorum can satisfy fails with, at once.
+		{fmt.Errorf("%w: WRITE: all replies in, accumulator unsatisfied", tcpnet.ErrRoundTimeout), Degraded},
 		// Wrong-epoch redirects: the typed error the mux returns unwraps to
 		// the sentinel, so the classifier sees it through any wrapping.
 		{tcpnet.ErrWrongEpoch, Reconfig},
@@ -32,7 +31,6 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("store: flush: %w", &tcpnet.WrongEpochError{Epoch: 5}), Reconfig},
 		// Everything else must not be retried.
 		{errors.New("wire: protocol generation mismatch"), Fatal},
-		{live.ErrClosed, Fatal},
 		{nil, Fatal},
 	}
 	for _, c := range cases {

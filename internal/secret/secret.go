@@ -26,23 +26,20 @@ import (
 	"robustatomic/internal/types"
 )
 
-// Writer wraps the two-phase writer with fresh tokens per write.
-type Writer struct {
-	inner *regular.Writer
-}
-
-// NewWriter returns the writer handle; rng generates the secret tokens
-// (pass a crypto-strength source in production; tests use seeded PRNGs).
-func NewWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *Writer {
+// NewWriter returns the base register's writer handle: the two-phase
+// regular writer attaching a fresh token to each write; rng generates the
+// tokens (pass a crypto-strength source in production; tests use seeded
+// PRNGs).
+func NewWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *regular.Writer {
 	return NewWriterAt(r, th, rng, 0, types.TS{})
 }
 
 // NewWriterAt returns the handle of writer wid resuming from a known last
 // timestamp.
-func NewWriterAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, wid int64, last types.TS) *Writer {
-	inner := regular.NewWriterAt(r, th, types.WriterReg, wid, last)
-	inner.NextToken = tokenSource(rng)
-	return &Writer{inner: inner}
+func NewWriterAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, wid int64, last types.TS) *regular.Writer {
+	w := regular.NewWriterAt(r, th, types.WriterReg, wid, last)
+	w.NextToken = tokenSource(rng)
+	return w
 }
 
 // tokenSource draws fresh non-zero tokens from rng (0 means "no token").
@@ -55,50 +52,6 @@ func tokenSource(rng *rand.Rand) func() types.Token {
 		}
 	}
 }
-
-// Write stores v in two rounds, attaching a fresh token.
-func (w *Writer) Write(v types.Value) error {
-	if err := w.inner.Write(v); err != nil {
-		return fmt.Errorf("secret: %w", err)
-	}
-	return nil
-}
-
-// WritePair stores an explicit pair (the atomic composition supplies
-// multi-writer timestamps through here), attaching a fresh token.
-func (w *Writer) WritePair(p types.Pair) error {
-	if err := w.inner.WritePair(p); err != nil {
-		return fmt.Errorf("secret: %w", err)
-	}
-	return nil
-}
-
-// PreWritePair runs only the (token-carrying) PREWRITE round, returning the
-// quorum's prior-timestamp report — the optimistic fast path's validation
-// input (see core.PairWriter).
-func (w *Writer) PreWritePair(p types.Pair) (types.TS, error) {
-	prior, err := w.inner.PreWritePair(p)
-	if err != nil {
-		return types.TS{}, fmt.Errorf("secret: %w", err)
-	}
-	return prior, nil
-}
-
-// CommitPair completes the write pre-written by the immediately preceding
-// PreWritePair, reusing its token.
-func (w *Writer) CommitPair(p types.Pair) error {
-	if err := w.inner.CommitPair(p); err != nil {
-		return fmt.Errorf("secret: %w", err)
-	}
-	return nil
-}
-
-// LastTS returns the timestamp of the last completed write.
-func (w *Writer) LastTS() types.TS { return w.inner.LastTS() }
-
-// IssuedTS returns the highest timestamp ever proposed (see
-// regular.Writer.IssuedTS).
-func (w *Writer) IssuedTS() types.TS { return w.inner.IssuedTS() }
 
 // Reader reads the secret-token register: one round on the fast path, two
 // on the slow path.

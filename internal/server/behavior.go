@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 
 	"robustatomic/internal/types"
@@ -290,6 +291,32 @@ func (f Flaky) Reply(inner *Store, from types.ProcID, m types.Message) (types.Me
 		return types.Message{}, false
 	}
 	return msg, ok
+}
+
+// NamedBehavior builds the injectable fault of that name — the one
+// vocabulary of storaged -chaos, Cluster.InjectFault and the torture
+// schedules: "silent", "garbage", "stale", "equivocate", "falseelide", or
+// "flaky" (rng and drop are its coin: seed it per object, or t flaky objects
+// drop the same messages and act as one).
+func NamedBehavior(mode string, rng *rand.Rand, drop float64) (Behavior, error) {
+	switch mode {
+	case "silent":
+		return Silent{}, nil
+	case "garbage":
+		return Garbage{Level: 1 << 30, Val: "forged"}, nil
+	case "stale":
+		// No explicit snapshot: every register instance the object hosts is
+		// frozen at its own state when the fault first bites, so staleness
+		// attacks stay meaningful per shard.
+		return &Stale{}, nil
+	case "equivocate":
+		return Equivocate{Readers: &Stale{}}, nil
+	case "falseelide":
+		return &FalseElide{}, nil
+	case "flaky":
+		return Flaky{Rand: rng, DropProb: drop}, nil
+	}
+	return nil, fmt.Errorf("server: unknown fault mode %q", mode)
 }
 
 var (

@@ -7,9 +7,8 @@ import (
 	"robustatomic/internal/types"
 )
 
-// FuzzSnapshotRestore throws arbitrary bytes at the store snapshot decoder
-// (both the current multi-writer format and the legacy scalar one share the
-// entry point): Restore must never panic, and any input it accepts must
+// FuzzSnapshotRestore throws arbitrary bytes at the store snapshot decoder:
+// Restore must never panic, and any input it accepts must
 // round-trip — re-snapshotting the restored store yields bytes that restore
 // to the identical state.
 func FuzzSnapshotRestore(f *testing.F) {

@@ -11,6 +11,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -45,18 +46,6 @@ func (rs *readStats) flush() {
 		mReadSent.Add(rs.sent)
 		mReadSentBytes.Add(rs.sentBytes)
 	}
-}
-
-// Automaton is a storage object's state machine. Handle processes one client
-// message and returns the reply (objects reply to each message before
-// receiving any other message, per the round model). Snapshot and Restore
-// expose the full state — the lower-bound adversaries "forge the state to σ"
-// by restoring snapshots taken at earlier points of a run, and the
-// durability engine (internal/persist) persists and recovers it.
-type Automaton interface {
-	Handle(from types.ProcID, m types.Message) types.Message
-	Snapshot() ([]byte, error)
-	Restore(snap []byte) error
 }
 
 // RegState is the per-register state of a storage object in the regular
@@ -124,9 +113,14 @@ func (st *RegState) read(m, reply *types.Message, rs *readStats) {
 	}
 }
 
-// Store is the storage object automaton. The zero value is not usable; use
-// NewStore. It is not safe for concurrent use; runtimes serialize access
-// (the model's objects process one message at a time).
+// Store is the storage object automaton of one register instance: Handle
+// processes one client message and returns the reply (objects reply to each
+// message before receiving any other, per the round model); Snapshot and
+// Restore expose the full state — the lower-bound adversaries "forge the
+// state to σ" by restoring snapshots taken at earlier points of a run, and
+// the durability engine (internal/persist) persists and recovers it. The zero
+// value is not usable; use NewStore. It is not safe for concurrent use; Host
+// serializes access (the model's objects process one message at a time).
 type Store struct {
 	regs map[types.RegID]*RegState
 	// ids holds regs' keys in ascending regLess order, maintained
@@ -140,8 +134,6 @@ func NewStore() *Store {
 	mStores.Inc()
 	return &Store{regs: make(map[types.RegID]*RegState)}
 }
-
-var _ Automaton = (*Store)(nil)
 
 // regLess orders register IDs by (Class, Idx).
 func regLess(a, b types.RegID) bool {
@@ -169,7 +161,7 @@ func (s *Store) reg(id types.RegID) *RegState {
 // assertions).
 func (s *Store) Reg(id types.RegID) RegState { return *s.reg(id) }
 
-// Handle implements Automaton.
+// Handle processes one message and returns the reply.
 func (s *Store) Handle(from types.ProcID, m types.Message) types.Message {
 	// Top-level non-mux messages address the writer's register; a bundle's
 	// sub-replies are built in place (a 9-register read copies no message).
@@ -273,16 +265,16 @@ func Mutates(m types.Message) bool {
 // no re-sorting (ids is maintained incrementally), one allocation.
 //
 // Version 0x03 carries multi-writer (Seq, WID) timestamps: each pair is
-// Seq uvarint, WID uvarint, value. Version 0x02 (the PR 3 on-disk format)
-// carried scalar timestamps — Restore still accepts it, decoding every
-// timestamp as (Seq, WID 0), so pre-multi-writer snapshots replay cleanly.
-const (
-	snapshotVersion       = 0x03
-	snapshotVersionScalar = 0x02
-)
+// Seq uvarint, WID uvarint, value. Any other version byte (0x02 carried
+// scalar timestamps) is refused with ErrSnapshotVersion.
+const snapshotVersion = 0x03
 
-// Snapshot implements Automaton. The encoding is deterministic: equal states
-// yield equal bytes.
+// ErrSnapshotVersion reports a snapshot written in a format this software
+// does not read.
+var ErrSnapshotVersion = errors.New("server: unsupported snapshot version")
+
+// Snapshot captures the full state. The encoding is deterministic: equal
+// states yield equal bytes.
 func (s *Store) Snapshot() ([]byte, error) {
 	size := 1 + binary.MaxVarintLen64
 	for _, id := range s.ids {
@@ -314,13 +306,15 @@ func appendPair(b []byte, p types.Pair) []byte {
 	return append(b, string(p.Val)...)
 }
 
-// Restore implements Automaton. It accepts the current multi-writer format
-// and the PR 3-era scalar-timestamp format (version 0x02).
+// Restore replaces the state with a snapshot's.
 func (s *Store) Restore(b []byte) error {
-	if len(b) == 0 || (b[0] != snapshotVersion && b[0] != snapshotVersionScalar) {
-		return fmt.Errorf("server: restore: bad snapshot header")
+	if len(b) == 0 {
+		return fmt.Errorf("server: restore: empty snapshot")
 	}
-	d := snapDecoder{b: b[1:], scalarTS: b[0] == snapshotVersionScalar}
+	if b[0] != snapshotVersion {
+		return fmt.Errorf("%w: restore: header byte %#02x, want %#02x", ErrSnapshotVersion, b[0], snapshotVersion)
+	}
+	d := snapDecoder{b: b[1:]}
 	n := d.uvarint()
 	if n > uint64(len(d.b)) { // each register costs ≥ 6 bytes; cheap bound
 		return fmt.Errorf("server: restore: register count %d exceeds payload", n)
@@ -357,12 +351,10 @@ func (s *Store) Restore(b []byte) error {
 }
 
 // snapDecoder cuts snapshot fields off a byte slice, latching the first
-// error so call sites stay linear. scalarTS selects the legacy pair layout
-// (no WID field; every timestamp decodes as WID 0).
+// error so call sites stay linear.
 type snapDecoder struct {
-	b        []byte
-	scalarTS bool
-	err      error
+	b   []byte
+	err error
 }
 
 func (d *snapDecoder) uvarint() uint64 {
@@ -380,10 +372,7 @@ func (d *snapDecoder) uvarint() uint64 {
 
 func (d *snapDecoder) pair() types.Pair {
 	seq := d.uvarint()
-	var wid uint64
-	if !d.scalarTS {
-		wid = d.uvarint()
-	}
+	wid := d.uvarint()
 	n := d.uvarint()
 	if d.err != nil {
 		return types.Pair{}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -136,6 +137,21 @@ func TestRestoreRejectsJunk(t *testing.T) {
 	good, _ := NewStore().Snapshot()
 	if err := s.Restore(append(good, 0)); err == nil {
 		t.Error("trailing-garbage restore accepted")
+	}
+}
+
+// TestScalarSnapshotRefused: a version-0x02 snapshot (scalar timestamps — a
+// well-formed one: one register, pw = w = (7, "v")) is refused with the typed
+// version error and leaves the store as it was.
+func TestScalarSnapshotRefused(t *testing.T) {
+	old := []byte{0x02, 1, 0, 0, 7, 1, 'v', 7, 1, 'v', 0, 0}
+	s := NewStore()
+	s.Handle(types.Writer, types.Message{Kind: types.MsgWrite, Pair: pair(2, "b")})
+	if err := s.Restore(old); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("Restore(v0x02) = %v, want ErrSnapshotVersion", err)
+	}
+	if st := s.Reg(types.WriterReg); st.W != pair(2, "b") {
+		t.Errorf("refused restore changed the store: %+v", st)
 	}
 }
 

@@ -2,38 +2,27 @@ package shard
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"net/url"
 	"sort"
-	"strings"
 )
 
 // The shard-table codec packs one shard's key→value table into a single
-// register value. Two formats exist:
-//
-//   - Binary v1 (current): a 0x01 header byte, a varint entry count, then
-//     per entry a varint-length-prefixed key and value, keys in sorted
-//     order. No escaping, no per-encode sorting (writers maintain the
-//     sorted key slice incrementally), one allocation per encode.
-//   - Legacy text: percent-escaped "k=v&k=v" pairs, or "!" for the empty
-//     table. Encoded by releases before the binary codec; DecodeTable
-//     still accepts it, so tables persisted on a running cluster survive
-//     a client upgrade.
-//
-// The header byte dispatches decoding: a legacy encoding's first byte is
-// '!' or a percent-escape-safe character ('=' when the key is empty), never
-// a control byte, so 0x01 is unambiguous. The register's reserved initial
-// value ⊥ (the empty string) is never encoded and decodes to an empty
-// table in both formats.
+// register value — binary v1: a 0x01 header byte, a varint entry count, then
+// per entry a varint-length-prefixed key and value, keys in sorted order. No
+// escaping, no per-encode sorting (writers maintain the sorted key slice
+// incrementally), one allocation per encode. The register's reserved initial
+// value ⊥ (the empty string) is never encoded and decodes to an empty table;
+// a value with any other header byte (releases before the binary codec wrote
+// percent-escaped text, which never starts with a control byte) is refused
+// with ErrTableVersion.
 
 // binaryMagic is the header byte of binary codec version 1.
 const binaryMagic = 0x01
 
-// legacyEmptyTable is the legacy text encoding of a table with no entries.
-// It must differ from ⊥ (the empty string), which the protocol refuses to
-// write, and can never collide with a real entry list because '!' is
-// percent-escaped in entries.
-const legacyEmptyTable = "!"
+// ErrTableVersion reports a register value that is not a shard table in a
+// format this software reads.
+var ErrTableVersion = errors.New("shard: unsupported table encoding")
 
 // EncodeTable packs a table into one register value (binary v1). The
 // encoding is deterministic (keys sorted) and injective.
@@ -89,19 +78,15 @@ func varintLen(x uint64) int {
 	return n
 }
 
-// DecodeTable unpacks an encoded shard table in either format. The empty
-// string (the register's initial value ⊥) decodes to an empty table.
+// DecodeTable unpacks an encoded shard table. The empty string (the
+// register's initial value ⊥) decodes to an empty table.
 func DecodeTable(s string) (map[string]string, error) {
 	if s == "" {
 		return map[string]string{}, nil
 	}
-	if s[0] == binaryMagic {
-		return decodeBinary(s)
+	if s[0] != binaryMagic {
+		return nil, fmt.Errorf("%w: header byte %#02x, want %#02x", ErrTableVersion, s[0], binaryMagic)
 	}
-	return decodeLegacy(s)
-}
-
-func decodeBinary(s string) (map[string]string, error) {
 	rest := s[1:]
 	n, w := uvarint(rest)
 	if w <= 0 {
@@ -154,49 +139,6 @@ func uvarint(s string) (uint64, int) {
 		shift += 7
 	}
 	return 0, 0
-}
-
-// legacyEncodeTable emits the pre-binary text format. Kept (unexported) as
-// the reference encoder for compatibility tests and the codec benchmark;
-// production encoding is binary-only.
-func legacyEncodeTable(m map[string]string) string {
-	if len(m) == 0 {
-		return legacyEmptyTable
-	}
-	keys := SortedKeys(m)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('&')
-		}
-		b.WriteString(url.QueryEscape(k))
-		b.WriteByte('=')
-		b.WriteString(url.QueryEscape(m[k]))
-	}
-	return b.String()
-}
-
-func decodeLegacy(s string) (map[string]string, error) {
-	m := make(map[string]string)
-	if s == legacyEmptyTable {
-		return m, nil
-	}
-	for _, pair := range strings.Split(s, "&") {
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("shard: malformed table entry %q", pair)
-		}
-		k, err := url.QueryUnescape(pair[:eq])
-		if err != nil {
-			return nil, fmt.Errorf("shard: malformed table key %q: %w", pair[:eq], err)
-		}
-		v, err := url.QueryUnescape(pair[eq+1:])
-		if err != nil {
-			return nil, fmt.Errorf("shard: malformed table value %q: %w", pair[eq+1:], err)
-		}
-		m[k] = v
-	}
-	return m, nil
 }
 
 // SortedKeys returns m's keys in ascending order.

@@ -1,38 +1,19 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
 )
 
-// TestLegacyTablesStillDecode pins the upgrade path: tables persisted on a
-// running cluster by the pre-binary text codec must decode byte-identically
-// after the codec switch.
-func TestLegacyTablesStillDecode(t *testing.T) {
-	cases := []map[string]string{
-		{},
-		{"a": "1"},
-		{"a": "1", "b": "2", "order:42": "shipped"},
-		{"k=ey": "v&al", "a&b=c": "=&=", "unicode-⊥": "värde", "empty": ""},
-		{"": "empty-key"},
-	}
-	for _, m := range cases {
-		enc := legacyEncodeTable(m)
-		if len(enc) > 0 && enc[0] == binaryMagic {
-			t.Fatalf("legacy encoding %q starts with the binary magic byte", enc)
-		}
-		dec, err := DecodeTable(enc)
-		if err != nil {
-			t.Fatalf("legacy decode(%q): %v", enc, err)
-		}
-		if len(dec) != len(m) {
-			t.Fatalf("legacy round trip of %v lost entries: %v", m, dec)
-		}
-		for k, v := range m {
-			if dec[k] != v {
-				t.Errorf("legacy round trip of %v: key %q = %q", m, k, dec[k])
-			}
+// TestTextTablesRefused: register values written by the pre-binary text codec
+// (percent-escaped "k=v&k=v", "!" for the empty table) are refused with the
+// typed version error — never decoded as something else.
+func TestTextTablesRefused(t *testing.T) {
+	for _, enc := range []string{"!", "a=1", "a=1&b=2&order%3A42=shipped", "=empty-key", "garbage"} {
+		if m, err := DecodeTable(enc); !errors.Is(err, ErrTableVersion) {
+			t.Errorf("DecodeTable(%q) = %v, %v; want ErrTableVersion", enc, m, err)
 		}
 	}
 }
@@ -91,17 +72,11 @@ func benchTable(n int) (map[string]string, []string) {
 	return m, SortedKeys(m)
 }
 
-// BenchmarkTableCodec compares the legacy percent-escaped text codec against
-// the binary codec across table sizes (run with -benchmem: the binary
-// encoder's advantage is as much allocations as time).
+// BenchmarkTableCodec times the codec across table sizes (run with
+// -benchmem: the pooled encoder allocates nothing at steady state).
 func BenchmarkTableCodec(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		m, keys := benchTable(n)
-		b.Run(fmt.Sprintf("text/encode/keys=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				legacyEncodeTable(m)
-			}
-		})
 		b.Run(fmt.Sprintf("binary/encode/keys=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				EncodeSorted(keys, m)
@@ -119,15 +94,7 @@ func BenchmarkTableCodec(b *testing.B) {
 				buf = AppendSorted(buf[:0], keys, m)
 			}
 		})
-		textEnc := legacyEncodeTable(m)
 		binEnc := EncodeSorted(keys, m)
-		b.Run(fmt.Sprintf("text/decode/keys=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeTable(textEnc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("binary/decode/keys=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := DecodeTable(binEnc); err != nil {

@@ -1,13 +1,15 @@
 // The multiplexed client transport (wire generations 3+).
 //
-// A Mux owns one TCP connection per storage object and pipelines any number
-// of concurrent protocol rounds over it. Per connection there are exactly
-// two goroutines: a writer that owns the encoder and drains a send queue
-// (greedily, flushing once the queue runs dry, so a burst of requests
-// coalesces into few syscalls), and a reader that decodes responses and
-// routes each to its waiter by the request ID the frame carries. Rounds
-// register one waiter per request before it is enqueued and deregister
-// whatever they still own when they return, so:
+// A Mux owns one link per storage object and pipelines any number of
+// concurrent protocol rounds over it. The link is a TCP connection to a
+// daemon, or — for an in-process cluster — the object's server.Host itself
+// (memlink.go); Mux.send is the one seam between the round loop and either.
+// Per connection there are exactly two goroutines: a writer that owns the
+// encoder and drains a send queue (greedily, flushing once the queue runs
+// dry, so a burst of requests coalesces into few syscalls), and a reader that
+// decodes responses and routes each to its waiter by the request ID the frame
+// carries. Rounds register one waiter per request before it is enqueued and
+// deregister whatever they still own when they return, so:
 //
 //   - replies complete out of order (the demux table, not FIFO, matches them);
 //   - a reply for an abandoned waiter (timed-out round) finds no table entry
@@ -17,11 +19,11 @@
 //
 // Waiter delivery can never block: a round's reply channel has capacity for
 // every waiter the round registered, and each waiter delivers at most once
-// (it is removed from the table before the send). The dial state machine is
-// the lock-step client's, unchanged: first contact (and first contact after
-// an established connection drops) dials synchronously, a failed dial puts
-// the object in a 1s backoff window during which rounds skip it, and after
-// the window redials run in the background.
+// (it is removed from the table before the send). The dial state machine:
+// first contact (and first contact after an established connection drops)
+// dials synchronously, a failed dial puts the object in a 1s backoff window
+// during which rounds skip it, and after the window redials run in the
+// background.
 package tcpnet
 
 import (
@@ -131,6 +133,12 @@ func (e *WrongEpochError) Unwrap() error { return ErrWrongEpoch }
 // errClientClosed is returned by rounds after Close.
 var errClientClosed = errors.New("tcpnet: client closed")
 
+// errNoReply resolves a request whose link knows no reply will ever come
+// (the in-memory link: a lost request, a withheld reply). Never returned
+// from a round: a round all of whose requests resolved without satisfying
+// its accumulator fails as unsatisfiable, at once.
+var errNoReply = errors.New("tcpnet: no reply")
+
 // errDialPending is returned by connFor while a (re)dial is in flight.
 var errDialPending = errors.New("tcpnet: dial in progress")
 
@@ -153,6 +161,10 @@ const dialTimeout = 2 * time.Second
 // can wait out exactly this window.)
 const DialBackoff = 1 * time.Second
 
+// closeLinger bounds how long Close waits for an object to take the queued
+// frames and hang up.
+const closeLinger = time.Second
+
 // sendQueueDepth is the per-connection send queue; senders beyond it block
 // (backpressure) until the writer drains.
 const sendQueueDepth = 128
@@ -170,12 +182,12 @@ const sendQueueDepth = 128
 // surface that as a WrongEpochError, which the cluster layer answers with
 // a config refetch + Reconfigure + retry.
 type Mux struct {
-	n           int // slot count, immutable (the fixed-S rule)
-	maxInFlight int // ≤0 = unlimited; 1 reproduces lock-step
-	nextID      atomic.Uint64
-	epoch       atomic.Uint64 // configuration epoch stamped on requests
-	susp        *scoreboard   // which slots' requests rounds defer (suspicion.go)
-	srtt        atomic.Int64  // smoothed latency (ns) of deferring rounds
+	n      int      // slot count, immutable (the fixed-S rule)
+	mem    *memLink // non-nil: the objects are in this process (memlink.go)
+	nextID atomic.Uint64
+	epoch  atomic.Uint64 // configuration epoch stamped on requests
+	susp   *scoreboard   // which slots' requests rounds defer (suspicion.go)
+	srtt   atomic.Int64  // smoothed latency (ns) of deferring rounds
 
 	mu     sync.Mutex
 	addrs  []string // slot sid-1 → address; "" = vacant (guarded by mu)
@@ -195,8 +207,7 @@ type dialState struct {
 	inflight bool
 	// syncDone is non-nil while a synchronous dial is in flight; concurrent
 	// rounds sharing the mux wait on it instead of skipping a peer that is a
-	// few microseconds from connected (the lock-step client never had this
-	// race — a private connection is only ever dialed by its own round).
+	// few microseconds from connected.
 	syncDone chan struct{}
 }
 
@@ -205,7 +216,6 @@ type muxConn struct {
 	sid    int
 	conn   net.Conn
 	sendCh chan wire.Request
-	slots  chan struct{} // in-flight semaphore; nil = unlimited
 	down   chan struct{} // closed on teardown
 	closer sync.Once
 
@@ -224,22 +234,15 @@ type muxReply struct {
 	err  error
 }
 
-// NewMux returns a Mux with unlimited pipelining.
-func NewMux(addrs []string) *Mux { return NewMuxLimited(addrs, 0) }
-
-// NewMuxLimited returns a Mux allowing at most maxInFlight in-flight
-// requests per connection (≤0 for unlimited). maxInFlight 1 reproduces the
-// lock-step behavior of wire generations ≤2 — the E13 baseline and a
-// conservative escape hatch.
-func NewMuxLimited(addrs []string, maxInFlight int) *Mux {
+// NewMux returns a Mux over the daemons at addrs.
+func NewMux(addrs []string) *Mux {
 	m := &Mux{
-		n:           len(addrs),
-		addrs:       append([]string(nil), addrs...),
-		maxInFlight: maxInFlight,
-		conns:       make([]*muxConn, len(addrs)),
-		dials:       make([]dialState, len(addrs)),
-		done:        make(chan struct{}),
-		susp:        newScoreboard(len(addrs)),
+		n:     len(addrs),
+		addrs: append([]string(nil), addrs...),
+		conns: make([]*muxConn, len(addrs)),
+		dials: make([]dialState, len(addrs)),
+		done:  make(chan struct{}),
+		susp:  newScoreboard(len(addrs)),
 	}
 	m.epoch.Store(1) // the bootstrap configuration (see internal/config)
 	return m
@@ -315,7 +318,13 @@ func (m *Mux) Reconfigure(epoch uint64, addrs []string) error {
 	return nil
 }
 
-// Close tears down every connection, failing all in-flight waiters.
+// Close interrupts every in-flight round and closes every connection, once
+// what rounds already handed to it has reached its object: a round returns
+// on S−t acks, so the last frames to the slowest t objects are often still
+// queued here, and dropping them would leave those objects behind for good.
+// Each writer drains its queue and half-closes, the object reads to EOF and
+// hangs up, the reader sees that and tears the connection down; an object
+// that does not play along is cut off after closeLinger.
 func (m *Mux) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -326,10 +335,19 @@ func (m *Mux) Close() {
 	close(m.done)
 	conns := append([]*muxConn(nil), m.conns...)
 	m.mu.Unlock()
+	linger := time.Now().Add(closeLinger)
 	for _, mc := range conns {
 		if mc != nil {
-			m.teardown(mc, errClientClosed)
+			mc.conn.SetDeadline(linger) // bounds a flush already blocked, the drain and the wait for EOF
 		}
+	}
+	for _, mc := range conns {
+		if mc != nil {
+			<-mc.down
+		}
+	}
+	if m.mem != nil {
+		m.mem.wg.Wait() // delayed deliveries watch done
 	}
 }
 
@@ -460,9 +478,6 @@ func (m *Mux) installLocked(sid int, addr string, conn net.Conn, err error) (*mu
 		down:    make(chan struct{}),
 		waiters: make(map[uint64]chan muxReply),
 	}
-	if m.maxInFlight > 0 {
-		mc.slots = make(chan struct{}, m.maxInFlight)
-	}
 	m.conns[sid-1] = mc
 	go m.writeLoop(mc)
 	go m.readLoop(mc)
@@ -473,8 +488,8 @@ func (m *Mux) installLocked(sid int, addr string, conn net.Conn, err error) (*mu
 // the table with its dial state reset (an established connection died — the
 // peer is probably still up, so the next round dials synchronously; if it
 // is not, that dial's failure opens the backoff window), and every
-// in-flight waiter fails with err. Idempotent — the reader, the writer,
-// dropConn and Close may race into it.
+// in-flight waiter fails with err. Idempotent — the reader, the writer
+// and dropConn may race into it.
 func (m *Mux) teardown(mc *muxConn, err error) {
 	mc.closer.Do(func() {
 		close(mc.down)
@@ -491,7 +506,9 @@ func (m *Mux) teardown(mc *muxConn, err error) {
 	mc.waiters = nil
 	mc.dead = true
 	mc.mu.Unlock()
-	if !errors.Is(err, errClientClosed) {
+	select {
+	case <-m.done: // Close: the connection was not lost, it was given up
+	default:
 		mMuxConnLost.Inc()
 	}
 	mMuxInFlight.Add(-int64(len(ws)))
@@ -506,29 +523,37 @@ func (m *Mux) teardown(mc *muxConn, err error) {
 func (m *Mux) writeLoop(mc *muxConn) {
 	bw := bufio.NewWriterSize(countingWriter{mc.conn, mMuxTxBytes}, 64<<10)
 	enc := wire.NewEncoder(bw)
+	// drain encodes whatever is queued, then flushes.
+	drain := func() error {
+		for {
+			select {
+			case req := <-mc.sendCh:
+				if err := enc.EncodeRequest(req); err != nil {
+					return err
+				}
+			default:
+				return bw.Flush()
+			}
+		}
+	}
 	for {
 		select {
 		case req := <-mc.sendCh:
-			for {
-				if err := enc.EncodeRequest(req); err != nil {
-					m.teardown(mc, fmt.Errorf("%w (send s%d: %v)", ErrConnLost, mc.sid, err))
-					return
-				}
-				select {
-				case req = <-mc.sendCh:
-					continue
-				default:
-				}
-				break
+			err := enc.EncodeRequest(req)
+			if err == nil {
+				err = drain()
 			}
-			if err := bw.Flush(); err != nil {
+			if err != nil {
 				m.teardown(mc, fmt.Errorf("%w (send s%d: %v)", ErrConnLost, mc.sid, err))
 				return
 			}
 		case <-mc.down:
 			return
 		case <-m.done:
-			m.teardown(mc, errClientClosed)
+			// Close: send what is queued, then EOF; the reader does the rest.
+			if drain() != nil || mc.conn.(*net.TCPConn).CloseWrite() != nil {
+				m.teardown(mc, errClientClosed)
+			}
 			return
 		}
 	}
@@ -560,39 +585,29 @@ func (m *Mux) readLoop(mc *muxConn) {
 		}
 		mMuxInFlight.Dec()
 		ch <- muxReply{sid: mc.sid, msg: rsp.Msg, subs: rsp.Subs}
-		mc.release()
 	}
 }
 
-// release frees one in-flight slot. Called exactly once per registered
-// waiter, by whoever removes it from the table (reader on delivery, round
-// on deregistration); teardown skips it because the dead connection's
-// semaphore is irrelevant and blocked acquirers watch down.
-func (mc *muxConn) release() {
-	if mc.slots != nil {
-		<-mc.slots
-	}
-}
-
-// send registers the round's waiter for req.ID and enqueues the request on
-// object sid's connection, dialing it first if needed. A nil replyCh sends
-// fire-and-forget: no waiter (nothing to deregister, no in-flight slot), the
-// reply finds no table entry and is dropped by the reader.
+// send is the one seam between the round loop and a link: it hands req to
+// object sid and arranges that replyCh receives EXACTLY ONE muxReply for it
+// — the object's response (a duplicate is dropped here, never delivered),
+// the link's failure, or errNoReply where the link can tell that none will
+// come — or nothing at all while a reply may still arrive. Delivery never
+// blocks (the round sized replyCh for every request it sends). A nil
+// replyCh sends fire-and-forget: the object receives the request, whatever
+// it answers is dropped. Over TCP that means: register the round's waiter
+// for req.ID and enqueue the request on the connection, dialing it first if
+// needed; the returned connection is where the round deregisters a waiter
+// it abandons (nil: nothing to deregister).
 func (m *Mux) send(sid int, req wire.Request, replyCh chan muxReply) (*muxConn, error) {
+	if m.mem != nil {
+		return nil, m.mem.send(m, sid, req, replyCh)
+	}
 	mc, err := m.connFor(sid)
 	if err != nil {
 		return nil, err
 	}
 	if replyCh != nil {
-		if mc.slots != nil {
-			select {
-			case mc.slots <- struct{}{}:
-			case <-mc.down:
-				return nil, ErrConnLost
-			case <-m.done:
-				return nil, errClientClosed
-			}
-		}
 		mc.mu.Lock()
 		if mc.dead {
 			mc.mu.Unlock()
@@ -635,8 +650,7 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 	}
 	var pending []sent
 	// Deregister every waiter the round still owns on exit: a late reply
-	// must find no slot (the reader drops it), and the in-flight slot must
-	// not leak.
+	// must find no table entry (the reader drops it).
 	defer func() {
 		for _, p := range pending {
 			p.mc.mu.Lock()
@@ -647,7 +661,6 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 			p.mc.mu.Unlock()
 			if owned {
 				mMuxInFlight.Dec()
-				p.mc.release()
 			}
 		}
 	}()
@@ -696,7 +709,9 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 			traceEvent(&spec, sid, "send", "")
 		}
 		if ch != nil {
-			pending = append(pending, sent{mc, req.ID})
+			if mc != nil {
+				pending = append(pending, sent{mc, req.ID})
+			}
 			outstanding++
 		}
 		return true
@@ -709,7 +724,7 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 	// round, or until the hedge delay passes. Which S−t objects answer a
 	// round was never an assumption, so this is timing, not protocol; with
 	// nobody held, the loop below is the whole send phase.
-	held, probe := m.susp.plan()
+	held, probe, first := m.susp.plan()
 	release := func(ch chan muxReply) {
 		for sid := 1; held != 0 && sid <= n; sid++ {
 			if held&(1<<uint(sid)) != 0 && (ch != nil || mutates(&spec, sid)) {
@@ -718,8 +733,13 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 		}
 		held = 0
 	}
+	// The send order rotates with the round number, so that no object is
+	// always asked (and, on the in-memory link, always heard) last: there the
+	// replies arrive in send order and the round stops at Done, which would
+	// otherwise leave object S out of every quorum.
 	reachable := true
-	for sid := 1; sid <= n; sid++ {
+	for i := 0; i < n; i++ {
+		sid := (first+i)%n + 1
 		if held&(1<<uint(sid)) != 0 {
 			traceEvent(&spec, sid, "defer", "")
 		} else if !post(sid, replyCh) {
@@ -757,12 +777,14 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 	// least one CORRECT object holds a newer configuration — fail the round
 	// immediately with the typed redirect instead of burning the deadline.
 	wrongEpoch := 0
-	weErr := &WrongEpochError{Label: spec.Label}
+	var weErr *WrongEpochError // allocated by the first refusal
 	for {
 		select {
 		case r := <-replyCh:
 			outstanding--
-			if r.err != nil {
+			if r.err == errNoReply {
+				traceEvent(&spec, r.sid, "lost", "")
+			} else if r.err != nil {
 				if traced {
 					traceEvent(&spec, r.sid, "lost", r.err.Error())
 				}
@@ -772,6 +794,9 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 					traceEvent(&spec, r.sid, "reply", fmt.Sprintf("WRONG_EPOCH(%d)", r.msg.Pair.TS.Seq))
 				}
 				wrongEpoch++
+				if weErr == nil {
+					weErr = &WrongEpochError{Label: spec.Label}
+				}
 				// The reported epoch rides in Seq, a Byzantine-controlled
 				// int64: a negative value would convert to an astronomical
 				// uint64 and permanently defeat the refetcher's
@@ -963,8 +988,9 @@ type Client struct {
 	reg   int
 	// Rounds counts completed rounds (instrumentation).
 	Rounds int
-	// stats caches per-label round metrics (single-goroutine per handle;
-	// see live.Client.statsFor for the rationale).
+	// stats caches per-label round metrics: the handle is single-goroutine,
+	// so an unsynchronized linear-scan cache keeps the per-round cost to a
+	// few pointer-equality string compares.
 	stats obs.StatsCache
 }
 
@@ -990,15 +1016,6 @@ func NewClient(proc types.ProcID, addrs []string) *Client {
 // reg of the given objects, on a private pipelined Mux.
 func NewClientReg(proc types.ProcID, addrs []string, reg int) *Client {
 	c := NewMux(addrs).Client(proc, reg)
-	c.owned = true
-	return c
-}
-
-// NewLockStepClientReg returns a round executor whose private Mux allows a
-// single in-flight request per connection — the wire behavior of
-// generations ≤2, kept as the E13 baseline and an escape hatch.
-func NewLockStepClientReg(proc types.ProcID, addrs []string, reg int) *Client {
-	c := NewMuxLimited(addrs, 1).Client(proc, reg)
 	c.owned = true
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,5 +252,62 @@ func TestConcurrentRoundsShareOneConnection(t *testing.T) {
 	}
 	if n := m.pendingWaiters(); n != 0 {
 		t.Errorf("%d pending waiters after quiescence, want 0", n)
+	}
+}
+
+// TestCloseDeliversQueuedFrames: a write returns on S−t acks, so the frames
+// to a slow object are still queued on its connection when the handle is
+// closed right after. Close must deliver them — an object left behind by a
+// closing client stays behind — and return only once the object has them.
+func TestCloseDeliversQueuedFrames(t *testing.T) {
+	servers, addrs := startCluster(t, 4)
+	servers[3].SetNetem(nil, 0, 0, 5*time.Millisecond) // s4 serves, then sits on each reply
+	m := NewMux(addrs)
+	c := m.Client(types.Writer, 0)
+	big := strings.Repeat("x", 1<<20) // 24 MB of frames: more than socket buffers hold
+	var last types.Pair
+	for i := 1; i <= 12; i++ {
+		last = types.Pair{TS: types.At(int64(i)), Val: types.Value(fmt.Sprintf("v%d%s", i, big))}
+		for _, kind := range []types.MsgKind{types.MsgPreWrite, types.MsgWrite} {
+			spec := proto.RoundSpec{
+				Label: "W",
+				Req:   func(int) types.Message { return types.Message{Kind: kind, Pair: last} },
+				Acc:   proto.AckAcc(3),
+			}
+			if err := c.Round(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m.Close()
+	pw, w, err := Probe(addrs[3], 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pw != last || w != last {
+		t.Errorf("after Close s4 holds pw %v, w %v; want ts %v in both", pw.TS, w.TS, last.TS)
+	}
+}
+
+// TestCloseCutsOffStuckObject: an object that stopped reading — the writer
+// is blocked mid-flush on a full socket — must not hold Close beyond the
+// linger.
+func TestCloseCutsOffStuckObject(t *testing.T) {
+	addr, _, _ := startRawServer(t, func(wire.Request, *wire.Encoder) { select {} })
+	m := NewMux([]string{addr})
+	c := m.Client(types.Writer, 0)
+	c.RoundTimeout = 20 * time.Millisecond
+	big := types.Value(strings.Repeat("x", 1<<20))
+	for i := 0; i < 32; i++ { // far more than the socket buffers take
+		spec := ackSpec("W")
+		spec.Req = func(int) types.Message { return types.Message{Kind: types.MsgWrite, Pair: types.Pair{Val: big}} }
+		if err := c.Round(spec); !errors.Is(err, ErrRoundTimeout) {
+			t.Fatalf("round against a stuck object: %v, want a timeout", err)
+		}
+	}
+	begun := time.Now()
+	m.Close()
+	if d := time.Since(begun); d > 2*closeLinger {
+		t.Errorf("Close took %v against a stuck object, want about %v", d, closeLinger)
 	}
 }

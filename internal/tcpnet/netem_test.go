@@ -7,86 +7,100 @@ import (
 	"time"
 
 	"robustatomic/internal/core"
-	"robustatomic/internal/quorum"
+	"robustatomic/internal/server"
 	"robustatomic/internal/types"
 )
 
-// TestTCPPartitionDropsWithoutProcessing: a partitioned daemon drops
-// requests before the WAL and the automaton — its state must not advance —
-// while the S-t live quorum keeps serving; healing folds it straight back.
-func TestTCPPartitionDropsWithoutProcessing(t *testing.T) {
-	thr, err := quorum.NewThresholds(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers, addrs := startCluster(t, 4)
-	servers[0].SetPartitioned(true)
-
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
-	w := core.NewWriter(wc, thr)
-	if err := w.Write("v1"); err != nil {
-		t.Fatalf("write with one partitioned daemon: %v", err)
-	}
-	if n := servers[0].Registers(); n != 0 {
-		t.Fatalf("partitioned daemon instantiated %d registers — it processed dropped requests", n)
-	}
-
-	servers[0].SetPartitioned(false)
-	if err := w.Write("v2"); err != nil {
-		t.Fatalf("write after heal: %v", err)
-	}
-	// The write round completes on 2t+1 acks, possibly before the healed
-	// daemon drains its socket; give it a moment to show state.
-	deadline := time.Now().Add(2 * time.Second)
-	for servers[0].Registers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("healed daemon still not processing requests")
+// eachLink runs f over a Mux on every link it has: n daemons on loopback
+// TCP, the same objects mounted in this process (requests served inline),
+// and again with seeded message delays. hosts[i] is object i+1 either way.
+func eachLink(t *testing.T, n int, f func(t *testing.T, hosts []*server.Host, m *Mux)) {
+	t.Run("tcp", func(t *testing.T) {
+		servers, addrs := startCluster(t, n)
+		hosts := make([]*server.Host, n)
+		for i, s := range servers {
+			hosts[i] = s.Host
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
-	rd := core.NewReader(rc, thr, 1, 2)
-	v, err := rd.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "v2" {
-		t.Fatalf("read = %q, want v2", v)
+		m := NewMux(addrs)
+		defer m.Close()
+		f(t, hosts, m)
+	})
+	for name, maxDelay := range map[string]time.Duration{"mem": 0, "mem-delayed": 200 * time.Microsecond} {
+		t.Run(name, func(t *testing.T) {
+			hosts := server.NewHosts(n)
+			m := NewMemMux(hosts, 11, maxDelay)
+			defer m.Close()
+			f(t, hosts, m)
+		})
 	}
 }
 
-// TestTCPNetemDropDupDelay: seeded link faults — dropped requests, doubled
-// replies (the demux discards the copy: its request id is already resolved),
-// and wire delay — stay within the fault budget and never corrupt results.
-func TestTCPNetemDropDupDelay(t *testing.T) {
-	thr, err := quorum.NewThresholds(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers, addrs := startCluster(t, 4)
-	servers[1].SetNetem(rand.New(rand.NewSource(3)), 0.5, 0, 0)
-	servers[2].SetNetem(rand.New(rand.NewSource(4)), 0, 1.0, time.Millisecond)
-
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
-	w := core.NewWriter(wc, thr)
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
-	rd := core.NewReader(rc, thr, 1, 2)
-	for i := 0; i < 8; i++ {
-		val := types.Value(fmt.Sprintf("v%d", i))
-		if err := w.Write(val); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+// TestPartitionDropsWithoutProcessing: a partitioned object drops requests
+// before the WAL and the automaton — its state must not advance (unlike
+// server.Silent) — while the S-t live quorum keeps serving; healing folds it
+// straight back.
+func TestPartitionDropsWithoutProcessing(t *testing.T) {
+	thr := thresholds(t, 1)
+	eachLink(t, 4, func(t *testing.T, hosts []*server.Host, m *Mux) {
+		hosts[0].SetPartitioned(true)
+		w := core.NewWriter(m.Client(types.Writer, 0), thr)
+		if err := w.Write("v1"); err != nil {
+			t.Fatalf("write with one partitioned object: %v", err)
 		}
+		if n := hosts[0].Registers(); n != 0 {
+			t.Fatalf("partitioned object instantiated %d registers — it processed dropped requests", n)
+		}
+
+		hosts[0].SetPartitioned(false)
+		if err := w.Write("v2"); err != nil {
+			t.Fatalf("write after heal: %v", err)
+		}
+		// The write round completes on 2t+1 acks, possibly before the healed
+		// object has received its request; give it a moment to show state.
+		deadline := time.Now().Add(2 * time.Second)
+		for hosts[0].Registers() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("healed object still not processing requests")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		rd := core.NewReader(m.Client(types.Reader(1), 0), thr, 1, 2)
 		v, err := rd.Read()
 		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if v != val {
-			t.Fatalf("read %d = %q, want %q", i, v, val)
+		if v != "v2" {
+			t.Fatalf("read = %q, want v2", v)
 		}
-	}
+	})
+}
+
+// TestNetemDropDupDelay: seeded link faults — dropped requests, doubled
+// replies (the link discards the copy: the request is already resolved), and
+// wire delay — stay within the fault budget and never corrupt results.
+func TestNetemDropDupDelay(t *testing.T) {
+	thr := thresholds(t, 1)
+	eachLink(t, 4, func(t *testing.T, hosts []*server.Host, m *Mux) {
+		hosts[1].SetNetem(rand.New(rand.NewSource(3)), 0.5, 0, 0)
+		hosts[2].SetNetem(rand.New(rand.NewSource(4)), 0, 1.0, time.Millisecond)
+		w := core.NewWriter(m.Client(types.Writer, 0), thr)
+		rd := core.NewReader(m.Client(types.Reader(1), 0), thr, 1, 2)
+		for i := 0; i < 8; i++ {
+			val := types.Value(fmt.Sprintf("v%d", i))
+			if err := w.Write(val); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			v, err := rd.Read()
+			if err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			if v != val {
+				t.Fatalf("read %d = %q, want %q", i, v, val)
+			}
+			if n := m.pendingWaiters(); n != 0 {
+				t.Fatalf("%d waiters left registered after operation %d", n, i)
+			}
+		}
+	})
 }

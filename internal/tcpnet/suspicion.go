@@ -67,13 +67,18 @@ func (m *Mux) Suspects() (sids []int) {
 }
 
 // plan returns the slots whose requests the next round defers; probe marks
-// the periodic round that defers nobody although there are suspects.
-func (sb *scoreboard) plan() (held uint64, probe bool) {
+// the periodic round that defers nobody although there are suspects. first
+// is where the round's send order starts (slot first+1): a Fibonacci hash of
+// the round number, so that consecutive rounds spread evenly over the slots
+// and no fixed pattern of operations keeps a slot at the same position.
+func (sb *scoreboard) plan() (held uint64, probe bool, first int) {
 	held = sb.held.Load()
-	if sb.rounds.Add(1)%probeEvery == 0 && held != 0 {
-		return 0, true
+	r := sb.rounds.Add(1)
+	first = int(r * 0x9e3779b97f4a7c15 >> 33 % uint64(len(sb.run)-1))
+	if r%probeEvery == 0 && held != 0 {
+		return 0, true, first
 	}
-	return held, false
+	return held, false, first
 }
 
 // observe folds one decided round's verdict into the runs.

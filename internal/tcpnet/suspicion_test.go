@@ -88,14 +88,14 @@ func TestScoreboard(t *testing.T) {
 	// nobody; with none, no round is a probe.
 	sb := newScoreboard(4)
 	for i := 0; i < 3*probeEvery; i++ {
-		if held, probe := sb.plan(); held != 0 || probe {
+		if held, probe, _ := sb.plan(); held != 0 || probe {
 			t.Fatalf("round %d of a trusting mux: held %b probe %v", i+1, held, probe)
 		}
 	}
 	dissent(sb, suspectRun, 4)
 	probes := 0
 	for i := 1; i <= 4*probeEvery; i++ {
-		held, probe := sb.plan()
+		held, probe, _ := sb.plan()
 		if probe {
 			probes++
 		}

@@ -2,15 +2,18 @@ package tcpnet
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
+	"robustatomic/internal/obs"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/server"
 	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
 )
 
 // startCluster launches n object servers on loopback.
@@ -242,5 +245,41 @@ func TestTCPConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if err := checker.CheckAtomic(h); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSameIDServersKeepTheirOwnGauges: during a live replace the incoming
+// daemon for a slot runs beside the outgoing one, under the same object id.
+// Closing the outgoing server must unregister its own register and epoch
+// gauges only: the replacement's still report.
+func TestSameIDServersKeepTheirOwnGauges(t *testing.T) {
+	gauges := func(s *Server) (registers int64, n int) {
+		for name, v := range obs.Default.Snapshot().Gauges {
+			if strings.HasPrefix(name, "tcpnet_server_") && strings.Contains(name, fmt.Sprintf("addr=%q", s.Addr())) {
+				n++
+				if strings.HasPrefix(name, "tcpnet_server_registers{") {
+					registers = v
+				}
+			}
+		}
+		return registers, n
+	}
+	outgoing, err := NewServer(2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	incoming, err := NewServer(2, "127.0.0.1:0")
+	if err != nil {
+		outgoing.Close()
+		t.Fatal(err)
+	}
+	defer incoming.Close()
+	incoming.Serve(wire.Request{Reg: 7, Msg: types.Message{Kind: types.MsgRead1}})
+	outgoing.Close()
+	if _, n := gauges(outgoing); n != 0 {
+		t.Errorf("closed server left %d gauges registered", n)
+	}
+	if registers, n := gauges(incoming); n != 2 || registers != 1 {
+		t.Errorf("after the outgoing s2 closed, the incoming s2 has %d gauges reporting %d registers; want 2 gauges, 1 register", n, registers)
 	}
 }

@@ -25,10 +25,10 @@ type controller interface {
 	close()
 }
 
-// liveCtl tortures the in-process runtime through the root cluster handle's
-// fault passthroughs. Kill/restart map to partition/heal: a live object has
-// no disk, so cutting it off and later reconnecting it is exactly a crash
-// that preserved its state.
+// liveCtl tortures the in-process objects through the root cluster handle's
+// fault passthroughs. Kill/restart map to partition/heal: an in-process
+// object has no disk, so cutting it off and later reconnecting it is exactly
+// a crash that preserved its state.
 type liveCtl struct {
 	root *robustatomic.Cluster
 	s    int
@@ -55,7 +55,7 @@ func (c *liveCtl) apply(ev Event) error {
 		c.drainWindow()
 		return err
 	}
-	return fmt.Errorf("torture: event %v unsupported on the live runtime", ev)
+	return fmt.Errorf("torture: event %v unsupported on in-process objects", ev)
 }
 
 // drainWindow holds the event lock briefly after a fault window closes.
@@ -64,9 +64,9 @@ func (c *liveCtl) apply(ev Event) error {
 // round's in-flight message skew (injected delay + queueing): a round that
 // already lost its request to the object of the CLOSING window (dropped,
 // never retransmitted — down to 3 of 4 possible replies) would then lose a
-// still-in-flight request to the NEXT window's object too, and sit below
-// quorum until the round timeout. The pause lets in-flight messages land
-// while the cluster is whole, so no round ever spans two windows.
+// still-in-flight request to the NEXT window's object too, and fail below
+// quorum. The pause lets in-flight messages land while the cluster is whole,
+// so no round ever spans two windows.
 func (c *liveCtl) drainWindow() { time.Sleep(20 * time.Millisecond) }
 
 func (c *liveCtl) quiesce() error {
@@ -161,20 +161,15 @@ func (c *tcpCtl) apply(ev Event) error {
 			time.Sleep(250 * time.Millisecond)
 		}
 	case EvChaos:
-		switch ev.Behavior {
-		case "flaky":
-			s.SetBehavior(server.Flaky{Rand: c.chaosRng(ev.Sid, 1), DropProb: 0.5})
-		case "stale":
-			s.SetBehavior(&server.Stale{})
-		case "equivocate":
-			s.SetBehavior(server.Equivocate{Readers: &server.Stale{}})
-		case "falseelide":
-			s.SetBehavior(&server.FalseElide{})
-		case "batch-chaos":
+		if ev.Behavior == "batch-chaos" {
 			s.SetBatchChaos(c.chaosRng(ev.Sid, 2), 0.3, true)
-		default:
-			return fmt.Errorf("torture: unknown behavior %q", ev.Behavior)
+			break
 		}
+		b, err := server.NamedBehavior(ev.Behavior, c.chaosRng(ev.Sid, 1), 0.5)
+		if err != nil {
+			return fmt.Errorf("torture: %w", err)
+		}
+		s.SetBehavior(b)
 	case EvClearChaos:
 		s.SetBehavior(nil)
 		s.SetBatchChaos(nil, 0, false)
@@ -314,9 +309,8 @@ type rig struct {
 
 func (r *rig) close() {
 	r.ctrl.close()
-	// Close siblings before the root (procs[0] owns the live runtime).
-	for i := len(r.procs) - 1; i >= 0; i-- {
-		r.procs[i].Close()
+	for _, p := range r.procs {
+		p.Close()
 	}
 }
 
@@ -334,7 +328,7 @@ func procReaders(p int) []int {
 }
 
 // setup builds the cluster under torture for cfg: mode live starts the
-// in-process runtime with seeded message delays and a Sibling second
+// in-process objects, reached with seeded message delays, and a Sibling second
 // process; mode tcp starts S daemons with persist data dirs under dir and
 // Connects each process separately.
 func setup(cfg Config, dir string) (*rig, error) {
@@ -353,13 +347,16 @@ func setup(cfg Config, dir string) (*rig, error) {
 
 	switch cfg.Mode {
 	case ModeLive:
-		o := opts(0)
-		o.MaxDelay = 200 * time.Microsecond // exercise the async delivery path
-		root, err := robustatomic.NewCluster(o)
+		delayed := func(p int) robustatomic.Options {
+			o := opts(p)
+			o.MaxDelay = 200 * time.Microsecond // exercise the delayed link
+			return o
+		}
+		root, err := robustatomic.NewCluster(delayed(0))
 		if err != nil {
 			return nil, err
 		}
-		sib, err := root.Sibling(opts(1))
+		sib, err := root.Sibling(delayed(1))
 		if err != nil {
 			root.Close()
 			return nil, err

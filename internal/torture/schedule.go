@@ -1,5 +1,5 @@
 // Package torture is the seeded, deterministic cluster torture harness: a
-// schedule engine drives a real cluster — the in-process live runtime or
+// schedule engine drives a real cluster — the in-process objects or
 // real TCP daemons with persist data dirs — through composable fault events
 // (partition/heal, message drop/duplication/delay, kill + restart from
 // preserved data dirs, wipe + quorum Repair, and the Byzantine behaviors)
@@ -206,13 +206,7 @@ func Plan(scenario Scenario, mode Mode, seed int64, totalOps, s int) (Schedule, 
 	// closed before the next opens, and the last window closed before the
 	// final tenth of the workload so the run quiesces under its own schedule.
 	span := totalOps * 9 / 10
-	windows := span / 60
-	if windows < 2 {
-		windows = 2
-	}
-	if windows > 8 {
-		windows = 8
-	}
+	windows := min(max(span/60, 2), 8)
 	wlen := span / windows
 	jitter := func(lo, hi int) int { // uniform in [lo, hi)
 		if hi <= lo+1 {

@@ -37,17 +37,13 @@
 // its value instead of two (the three mask bits gen 4 left spare; see
 // codec.go). A gen-4 peer would misparse those bits, hence the bump: like
 // every generation change it is a lockstep upgrade of daemons and clients.
-// A frame from any other generation is rejected by the
-// version byte, so mixed deployments fail loudly on the
-// first message. PERSISTED formats, in contrast, all have explicit legacy
-// paths (WAL gob mirror types, snapshot version bytes, shard-table and
-// write-back codecs): old data directories and old register contents replay
-// and decode unchanged, so the lockstep constraint applies only to the
-// sockets. To that end the WAL keeps writing gob (GobEncoder/GobDecoder
-// below — byte-identical to the gen-1 stream apart from gob's own handling
-// of since-added fields, so every existing data directory remains the
-// current on-disk format and batch envelopes persist without a WAL format
-// bump: gob simply omits absent fields and ignores unknown ones).
+// A frame from any other generation is rejected by the version byte, so mixed
+// deployments fail loudly on the first message. PERSISTED data is versioned
+// the same way — snapshot and shard-table header bytes, and the WAL's record
+// format, which is still gob (GobEncoder/GobDecoder below: gob omits absent
+// fields and ignores unknown ones, so batch envelopes and epoch stamps
+// persisted without a WAL format bump) — and an input in a format this
+// software does not read is refused with a typed error, never guessed at.
 package wire
 
 import (
@@ -83,9 +79,7 @@ type SubReq struct {
 // refuse requests whose epoch is older than their active configuration's
 // with a MsgWrongEpoch reply carrying the newer config; epoch 0 is the
 // wildcard stamp (config-plane rounds, Direct operator connections) and is
-// never refused. The WAL persists requests via gob, which omits absent
-// fields and ignores unknown ones, so pre-epoch data directories replay
-// unchanged with Epoch 0.
+// never refused.
 type Request struct {
 	ID    uint64
 	From  types.ProcID
@@ -108,9 +102,8 @@ type Response struct {
 }
 
 // GobEncoder writes envelopes to a gob stream — the PERSISTED codec: WAL
-// generations are gob streams (one per generation), and recovery's legacy
-// probing is built around gob's properties, so the on-disk format stays gob
-// even though the live sockets moved to the binary codec.
+// generations are gob streams (one per generation); the on-disk format stays
+// gob although the live sockets moved to the binary codec.
 type GobEncoder struct{ enc *gob.Encoder }
 
 // NewGobEncoder returns a GobEncoder on w.

@@ -14,7 +14,7 @@ import (
 // TestPipelinedBatchedRoundsAtomicUnderChaos is the wire-generation-3
 // acceptance test: two separately Connected processes hammer a sharded
 // Store over real TCP daemons with pipelining and cross-shard coalescing
-// forced on, while the fault injection targets exactly the new machinery —
+// (what a remote cluster always does), while the fault injection targets exactly the new machinery —
 // object 1 is protocol-flaky AND drops/reorders individual sub-bundles out
 // of batched replies, object 2 reorders every batch it answers. Every
 // per-key history must still pass the multi-writer atomicity checker. Run
@@ -39,12 +39,12 @@ func TestPipelinedBatchedRoundsAtomicUnderChaos(t *testing.T) {
 	servers[1].SetBatchChaos(rand.New(rand.NewSource(mixSeed(base, 2))), 0, true)
 
 	tracer := chaosTracer(t)
-	c1, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 1, Seed: mixSeed(base, 401), Coalesce: CoalesceOn, Tracer: tracer})
+	c1, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 1, Seed: mixSeed(base, 401), Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 2, Seed: mixSeed(base, 402), Coalesce: CoalesceOn, Tracer: tracer})
+	c2, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 2, Seed: mixSeed(base, 402), Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,36 +124,6 @@ func TestPipelinedBatchedRoundsAtomicUnderChaos(t *testing.T) {
 		}
 		if v1 != v2 {
 			t.Errorf("key %d: processes disagree after quiescence: %q vs %q", k, v1, v2)
-		}
-	}
-}
-
-// TestLockStepStoreStillCorrect pins the escape hatch: Options.LockStep
-// reproduces the one-in-flight wire behavior of generations ≤ 2 (the E13
-// baseline) and the Store stays fully functional on it.
-func TestLockStepStoreStillCorrect(t *testing.T) {
-	addrs, _ := startServers(t, 4)
-	c, err := Connect(addrs, Options{Faults: 1, Readers: 2, Seed: 403, LockStep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.NewStore(StoreOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := st.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		v, err := st.Get(fmt.Sprintf("k%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != fmt.Sprintf("v%d", i) {
-			t.Errorf("k%d = %q, want v%d", i, v, i)
 		}
 	}
 }

@@ -140,27 +140,11 @@ func certifiedConfig(th quorum.Thresholds, replies map[int]types.Message) (confi
 	return cfg, ok
 }
 
-// activeAddrs returns the cluster's current address view: the shared mux's
-// (which tracks adopted configurations) when built, the Connect list
-// otherwise.
-func (c *Cluster) activeAddrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.mux != nil {
-		return c.mux.Addrs()
-	}
-	return append([]string(nil), c.addrs...)
-}
-
-// configurable errors out for clusters whose transport cannot adopt a new
-// membership: reconfiguration needs a remote cluster on the shared
-// pipelined mux (lock-step handles each own a private frozen address list).
+// configurable errors out for in-process clusters: a membership is a set of
+// daemon addresses.
 func (c *Cluster) configurable() error {
 	if c.addrs == nil {
 		return fmt.Errorf("robustatomic: reconfiguration needs a remote cluster (Connect)")
-	}
-	if c.opts.LockStep {
-		return fmt.Errorf("robustatomic: reconfiguration needs the pipelined transport (Options.LockStep is set)")
 	}
 	return nil
 }
@@ -211,9 +195,7 @@ func (c *Cluster) refreshConfig(we *tcpnet.WrongEpochError) error {
 		return err
 	}
 	mCfgRefetch.Inc()
-	c.mu.Lock()
-	cur := c.muxLocked().Epoch()
-	c.mu.Unlock()
+	cur := c.mux.Epoch()
 	if we != nil && cur >= we.Epoch {
 		// A concurrent operation's refetch already adopted an epoch at least
 		// as new as the refusers reported — nothing to learn, just retry the
@@ -228,7 +210,7 @@ func (c *Cluster) refreshConfig(we *tcpnet.WrongEpochError) error {
 			}
 		}
 	}
-	cands = append(cands, c.activeAddrs())
+	cands = append(cands, c.mux.Addrs())
 	for _, addrs := range cands {
 		cfg, ok := c.queryConfigOver(addrs)
 		if !ok || cfg.Epoch <= cur {
@@ -241,9 +223,7 @@ func (c *Cluster) refreshConfig(we *tcpnet.WrongEpochError) error {
 
 // adopt installs a certified configuration into the shared transport.
 func (c *Cluster) adopt(cfg config.Config) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.muxLocked().Reconfigure(cfg.Epoch, cfg.Addrs); err != nil {
+	if err := c.mux.Reconfigure(cfg.Epoch, cfg.Addrs); err != nil {
 		return fmt.Errorf("robustatomic: adopt epoch %d: %w", cfg.Epoch, err)
 	}
 	mCfgAdopted.Inc()

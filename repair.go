@@ -45,7 +45,7 @@ func (c *Cluster) Repair(id int, shards int) ([]RepairedRegister, error) {
 	if c.addrs == nil {
 		return nil, fmt.Errorf("robustatomic: repair needs a remote cluster (Connect)")
 	}
-	addrs := c.activeAddrs()
+	addrs := c.mux.Addrs()
 	if id < 1 || id > len(addrs) {
 		return nil, fmt.Errorf("robustatomic: object id %d out of 1..%d", id, len(addrs))
 	}

@@ -19,9 +19,10 @@
 // (Seq, WriterID) pairs, so writers that race to the same sequence number
 // still issue totally ordered timestamps.
 //
-// The library runs over an in-process cluster (goroutines and channels, with
-// optional fault injection and random delays) or over TCP against storage
-// daemons (cmd/storaged); the protocol stack is identical in both cases.
+// The library runs over an in-process cluster (the objects in this process,
+// with optional fault injection and random delays) or over TCP against
+// storage daemons (cmd/storaged); the protocol stack, the round engine and
+// the object code are identical in both cases — only the link differs.
 // Processes that may write concurrently to one deployment configure
 // distinct Options.WriterID values:
 //
@@ -49,8 +50,7 @@
 //
 // Daemons started with -data-dir write-ahead-log every state mutation and
 // recover it on restart, so a crashed object resumes as correct-but-slow
-// instead of burning the fault budget with amnesia (pre-multi-writer data
-// directories replay unchanged); Cluster.Repair (storctl repair)
+// instead of burning the fault budget with amnesia; Cluster.Repair (storctl repair)
 // reconstitutes a wiped replacement object from a quorum of its live peers.
 //
 // See DESIGN.md for the paper reproduction map, the multi-writer promotion,
@@ -62,11 +62,9 @@ package robustatomic
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"robustatomic/internal/core"
-	"robustatomic/internal/live"
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
@@ -82,8 +80,9 @@ type Model int
 // Models.
 const (
 	// Unauthenticated is the paper's primary model: Byzantine objects, no
-	// data authentication. Writes take 2 rounds, reads 4 — optimal in the
-	// worst case (both models' operations are adaptive here: see Write, Read).
+	// data authentication. The paper's writes take 2 rounds and its reads 4 —
+	// optimal in the worst case; both models' operations are adaptive here
+	// (see Write, Read: a stable register reads in 1 round).
 	Unauthenticated Model = iota + 1
 	// SecretTokens is the stronger model of [DMSS09]: writes carry fresh
 	// unguessable tokens, and the paper's reads take 3 rounds in
@@ -109,14 +108,6 @@ type Options struct {
 	WriterID int
 	// Model selects the failure model. Default Unauthenticated.
 	Model Model
-	// LockStep disables request pipelining on remote clusters: every handle
-	// gets a private connection pool allowing one in-flight request per
-	// object, the wire behavior of generations ≤ 2. Kept as the E13 baseline
-	// and a conservative escape hatch; the default (false) multiplexes every
-	// handle's rounds over one pipelined connection per object.
-	LockStep bool
-	// Coalesce controls cross-shard flush coalescing (see CoalesceMode).
-	Coalesce CoalesceMode
 	// Seed drives randomized delays and token generation.
 	Seed int64
 	// MaxDelay bounds random in-process message delays (0 = none).
@@ -138,26 +129,6 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// CoalesceMode controls whether concurrent Store shard flushes merge into
-// cross-register batched rounds (one frame per object for the whole batch)
-// instead of one round per shard.
-type CoalesceMode int
-
-// Coalesce modes.
-const (
-	// CoalesceAuto (the default) coalesces exactly where it pays: remote
-	// clusters with pipelining enabled. In-process rounds have no frames to
-	// save, and a lock-step transport would serialize the merged rounds
-	// anyway.
-	CoalesceAuto CoalesceMode = iota
-	// CoalesceOn forces coalescing (any transport — the in-process runtime
-	// batches too, which the chaos tests exercise).
-	CoalesceOn
-	// CoalesceOff disables coalescing: every shard flush runs its own
-	// rounds.
-	CoalesceOff
-)
-
 func (o *Options) defaults() {
 	if o.Faults == 0 {
 		o.Faults = 1
@@ -177,21 +148,29 @@ type Cluster struct {
 	opts Options
 	th   quorum.Thresholds
 
-	inproc *live.Cluster // nil when remote
-	addrs  []string      // nil when in-process
-	// shared marks a Sibling handle: Close must not shut down the in-process
-	// runtime it borrowed from its parent.
-	shared bool
+	hosts []*server.Host // the objects of an in-process cluster; nil when remote
+	addrs []string       // the Connect list; nil when in-process
 
-	mu         sync.Mutex // guards tcpClients, mux, combiner
-	tcpClients []*tcpnet.Client
-	// mux is the shared pipelined transport of a remote cluster: every
-	// handle's rounds multiplex over its one connection per object. Built
-	// lazily; nil in-process or under Options.LockStep.
+	// mux is this process's transport: every handle's rounds multiplex over
+	// its one link per object — a pipelined TCP connection to a daemon
+	// (dialed on first use), or the in-memory link to hosts[i].
 	mux *tcpnet.Mux
-	// combiner merges concurrent Store shard flushes into batched rounds
-	// (lazily built by the first coalescing shard writer).
+	// combiner merges concurrent Store shard flushes (this process's writer
+	// identity) into batched rounds: one frame per object for the whole
+	// batch. Nil in-process, where rounds have no frames to save.
 	combiner *proto.Combiner
+}
+
+// newCluster builds the handle and its transport over hosts or addrs.
+func newCluster(opts Options, th quorum.Thresholds, hosts []*server.Host, addrs []string) *Cluster {
+	c := &Cluster{opts: opts, th: th, hosts: hosts, addrs: addrs}
+	if hosts != nil {
+		c.mux = tcpnet.NewMemMux(hosts, opts.Seed, opts.MaxDelay)
+	} else {
+		c.mux = tcpnet.NewMux(addrs)
+		c.combiner = proto.NewCombiner(c.mux.Client(types.WriterID(opts.WriterID), 0))
+	}
+	return c
 }
 
 // mixSeed derives a deterministic sub-seed from the cluster seed and a
@@ -222,16 +201,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	c := &Cluster{
-		opts: opts,
-		th:   th,
-		inproc: live.New(live.Config{
-			Servers:  th.S,
-			Seed:     opts.Seed,
-			MaxDelay: opts.MaxDelay,
-		}),
-	}
-	return c, nil
+	return newCluster(opts, th, server.NewHosts(th.S), nil), nil
 }
 
 // Connect attaches to a remote cluster of storage daemons (cmd/storaged);
@@ -243,49 +213,26 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	return &Cluster{
-		opts:  opts,
-		th:    th,
-		addrs: addrs,
-	}, nil
+	return newCluster(opts, th, nil, addrs), nil
 }
 
 // Sibling returns a second logical client process over the same running
-// cluster: it shares the in-process runtime (or the daemon addresses) but
-// carries its own WriterID, reader identities, seed and transport state —
-// the in-process twin of a second machine running Connect. Concurrent
-// sibling processes MUST configure distinct WriterIDs and use disjoint
-// reader identities (reader handles own their write-back registers).
-// Closing a sibling releases only its own transports; the parent's Close
-// shuts the shared runtime down.
+// cluster: it shares the in-process objects (or the daemon addresses) but
+// carries its own WriterID, reader identities, seed and transport — the
+// in-process twin of a second machine running Connect. Concurrent sibling
+// processes MUST configure distinct WriterIDs and use disjoint reader
+// identities (reader handles own their write-back registers). Closing a
+// handle releases its own transport only.
 func (c *Cluster) Sibling(opts Options) (*Cluster, error) {
 	opts.defaults()
 	if opts.Faults != c.opts.Faults {
 		return nil, fmt.Errorf("robustatomic: sibling fault budget %d != cluster's %d", opts.Faults, c.opts.Faults)
 	}
-	return &Cluster{
-		opts:   opts,
-		th:     c.th,
-		inproc: c.inproc,
-		addrs:  c.addrs,
-		shared: true,
-	}, nil
+	return newCluster(opts, c.th, c.hosts, c.addrs), nil
 }
 
-// Close shuts down an in-process cluster or the TCP connections.
-func (c *Cluster) Close() {
-	if c.inproc != nil && !c.shared {
-		c.inproc.Close()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, tc := range c.tcpClients {
-		tc.Close()
-	}
-	if c.mux != nil {
-		c.mux.Close()
-	}
-}
+// Close shuts down this handle's transport: its rounds fail from here on.
+func (c *Cluster) Close() { c.mux.Close() }
 
 // Faults returns t.
 func (c *Cluster) Faults() int { return c.th.T }
@@ -293,184 +240,109 @@ func (c *Cluster) Faults() int { return c.th.T }
 // Objects returns S = 3t+1.
 func (c *Cluster) Objects() int { return c.th.S }
 
+// host returns in-process object sid, for the fault-injection passthroughs
+// below (remote clusters inject on the daemons instead: storaged -chaos,
+// tcpnet.Server's own Set* methods).
+func (c *Cluster) host(sid int) (*server.Host, error) {
+	if c.hosts == nil {
+		return nil, fmt.Errorf("robustatomic: fault injection needs an in-process cluster")
+	}
+	if sid < 1 || sid > len(c.hosts) {
+		return nil, fmt.Errorf("robustatomic: object id %d out of 1..%d", sid, len(c.hosts))
+	}
+	return c.hosts[sid-1], nil
+}
+
 // InjectFault makes in-process object sid Byzantine with a named behavior:
-// "silent", "garbage", "stale", "equivocate", "falseelide" or "flaky". It is a no-op
-// template for chaos testing; remote clusters configure behaviors on the
-// daemons instead.
+// "silent", "garbage", "stale", "equivocate", "falseelide" or "flaky".
 func (c *Cluster) InjectFault(sid int, mode string) error {
-	if c.inproc == nil {
-		return fmt.Errorf("robustatomic: fault injection needs an in-process cluster")
+	h, err := c.host(sid)
+	if err != nil {
+		return err
 	}
-	var b server.Behavior
-	switch mode {
-	case "silent":
-		b = server.Silent{}
-	case "garbage":
-		b = server.Garbage{Level: 1 << 30, Val: "forged"}
-	case "stale":
-		// No explicit snapshot: every register instance the object hosts
-		// (the single default register and each Store shard) is frozen at
-		// its own state when the fault first bites, so staleness attacks
-		// stay meaningful per shard.
-		b = &server.Stale{}
-	case "equivocate":
-		b = server.Equivocate{Readers: &server.Stale{}}
-	case "falseelide":
-		b = &server.FalseElide{}
-	case "flaky":
-		// Seed per object: flaky objects must not drop the same message
-		// pattern in lockstep, or t flaky objects act as one.
-		b = server.Flaky{Rand: rand.New(rand.NewSource(mixSeed(c.opts.Seed, int64(sid)))), DropProb: 0.5}
-	default:
-		return fmt.Errorf("robustatomic: unknown fault mode %q", mode)
+	b, err := server.NamedBehavior(mode, rand.New(rand.NewSource(mixSeed(c.opts.Seed, int64(sid)))), 0.5)
+	if err != nil {
+		return fmt.Errorf("robustatomic: %w", err)
 	}
-	c.inproc.SetByzantine(sid, b)
+	h.SetBehavior(b)
 	return nil
 }
 
 // ClearFault restores in-process object sid to honest behavior, counting it
 // back out of the fault budget (chaos windows end this way).
 func (c *Cluster) ClearFault(sid int) error {
-	if c.inproc == nil {
-		return fmt.Errorf("robustatomic: fault injection needs an in-process cluster")
+	h, err := c.host(sid)
+	if err == nil {
+		h.SetBehavior(nil)
 	}
-	c.inproc.ClearByzantine(sid)
-	return nil
+	return err
 }
 
 // Partition cuts in-process object sid off the network: its inbound messages
 // are dropped before processing, so its state does not advance — the
-// in-process twin of a network partition (and, since live objects have no
-// disk, also of a kill -9 with preserved state: the object resumes exactly
-// where it stopped when Heal reconnects it). At most t objects may be
-// partitioned at a time for rounds to stay live. Remote clusters partition
-// via tcpnet.Server.SetPartitioned on the daemons instead.
-func (c *Cluster) Partition(sid int) error {
-	if c.inproc == nil {
-		return fmt.Errorf("robustatomic: partitioning needs an in-process cluster")
-	}
-	c.inproc.SetPartitioned(sid, true)
-	return nil
-}
+// in-process twin of a network partition (and, since in-process objects have
+// no disk, also of a kill -9 with preserved state: the object resumes
+// exactly where it stopped when Heal reconnects it). At most t objects may
+// be partitioned at a time for rounds to stay live.
+func (c *Cluster) Partition(sid int) error { return c.setPartitioned(sid, true) }
 
 // Heal reconnects a partitioned in-process object.
-func (c *Cluster) Heal(sid int) error {
-	if c.inproc == nil {
-		return fmt.Errorf("robustatomic: partitioning needs an in-process cluster")
+func (c *Cluster) Heal(sid int) error { return c.setPartitioned(sid, false) }
+
+func (c *Cluster) setPartitioned(sid int, partitioned bool) error {
+	h, err := c.host(sid)
+	if err == nil {
+		h.SetPartitioned(partitioned)
 	}
-	c.inproc.SetPartitioned(sid, false)
-	return nil
+	return err
 }
 
 // SetNetem injects seeded link faults on in-process object sid: each inbound
 // message is dropped with probability drop (never processed) and surviving
-// replies are duplicated with probability dup. Both zero clears. The rand
+// replies are duplicated with probability dup (the link drops the copy, as a
+// TCP client's demux does). Both zero clears. The rand
 // stream derives from the cluster seed and sid, so a replayed seed replays
 // the same loss pattern. Composes with InjectFault — netem is the network,
 // not the object.
 func (c *Cluster) SetNetem(sid int, drop, dup float64) error {
-	if c.inproc == nil {
-		return fmt.Errorf("robustatomic: netem needs an in-process cluster")
+	h, err := c.host(sid)
+	if err != nil {
+		return err
 	}
-	if drop == 0 && dup == 0 {
-		c.inproc.SetNetem(sid, nil, 0, 0)
-		return nil
+	var rng *rand.Rand
+	if drop != 0 || dup != 0 {
+		rng = rand.New(rand.NewSource(mixSeed(c.opts.Seed, int64(sid), 0x6e65746d)))
 	}
-	rng := rand.New(rand.NewSource(mixSeed(c.opts.Seed, int64(sid), 0x6e65746d)))
-	c.inproc.SetNetem(sid, rng, drop, dup)
+	h.SetNetem(rng, drop, dup, 0)
 	return nil
 }
 
-// rounder builds the transport handle for one process against register
+// rounder builds the round executor for one process against register
 // instance reg (0 is the default single register; the Store layer uses
 // 1..Shards).
 func (c *Cluster) rounder(proc types.ProcID, reg int) proto.Rounder {
-	r := c.transport(proc, reg)
+	return c.observed(c.mux.Client(proc, reg))
+}
+
+// observed puts the RoundHook, if any, on r.
+func (c *Cluster) observed(r proto.Rounder) proto.Rounder {
 	if c.opts.RoundHook != nil {
-		r = proto.Observe(r, c.opts.RoundHook)
+		return proto.Observe(r, c.opts.RoundHook)
 	}
 	return r
 }
 
-// transport builds the raw (unobserved) round executor for (proc, reg).
-func (c *Cluster) transport(proc types.ProcID, reg int) proto.Rounder {
-	if c.inproc != nil {
-		return c.inproc.NewClientReg(proc, reg)
-	}
-	if c.opts.LockStep {
-		tc := tcpnet.NewLockStepClientReg(proc, c.addrs, reg)
-		c.mu.Lock()
-		c.tcpClients = append(c.tcpClients, tc)
-		c.mu.Unlock()
-		return tc
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.muxLocked().Client(proc, reg)
-}
-
-// muxLocked returns the shared pipelined Mux, building it on first use.
-// Callers must hold c.mu.
-func (c *Cluster) muxLocked() *tcpnet.Mux {
-	if c.mux == nil {
-		c.mux = tcpnet.NewMux(c.addrs)
-	}
-	return c.mux
-}
-
-// coalesceOn resolves Options.Coalesce for this cluster.
-func (c *Cluster) coalesceOn() bool {
-	switch c.opts.Coalesce {
-	case CoalesceOn:
-		return true
-	case CoalesceOff:
-		return false
-	default:
-		return c.addrs != nil && !c.opts.LockStep
-	}
-}
-
-// flushCombiner returns the cluster-wide Combiner merging concurrent Store
-// shard flushes (this process's writer identity) into batched rounds on one
-// batch-capable inner transport.
-func (c *Cluster) flushCombiner() *proto.Combiner {
-	proc := types.WriterID(c.opts.WriterID)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.combiner != nil {
-		return c.combiner
-	}
-	var inner proto.Rounder
-	switch {
-	case c.inproc != nil:
-		inner = c.inproc.NewClientReg(proc, 0)
-	case c.opts.LockStep:
-		// CoalesceOn forced over a lock-step transport: merged rounds still
-		// batch into one frame, just one in flight at a time.
-		tc := tcpnet.NewLockStepClientReg(proc, c.addrs, 0)
-		c.tcpClients = append(c.tcpClients, tc)
-		inner = tc
-	default:
-		inner = c.muxLocked().Client(proc, 0)
-	}
-	c.combiner = proto.NewCombiner(inner)
-	return c.combiner
-}
-
 // shardWriter builds the committer's writer handle for shard register reg.
-// With coalescing on, the writer's rounds run through the cluster-wide
-// Combiner, so concurrent flushes of different shards merge into one
-// batched frame per object; the RoundHook still observes each shard's
-// logical rounds individually (the hook wraps above the Combiner).
+// Where the objects are remote, the writer's rounds run through the
+// cluster-wide Combiner, so concurrent flushes of different shards merge
+// into one batched frame per object (in-process rounds have no frames to
+// save); the RoundHook still observes each shard's logical rounds
+// individually (the hook wraps above the Combiner).
 func (c *Cluster) shardWriter(reg int, last types.TS) *Writer {
-	if !c.coalesceOn() {
+	if c.combiner == nil {
 		return c.writerReg(reg, last)
 	}
-	r := proto.Rounder(c.flushCombiner().Rounder(reg))
-	if c.opts.RoundHook != nil {
-		r = proto.Observe(r, c.opts.RoundHook)
-	}
-	return c.writerOn(r, reg, last)
+	return c.writerOn(c.observed(c.combiner.Rounder(reg)), reg, last)
 }
 
 // Writer is one of the register's writer handles. Its identity is the
@@ -478,9 +350,8 @@ func (c *Cluster) shardWriter(reg int, last types.TS) *Writer {
 // configure distinct ids. A single handle is single-goroutine, like every
 // client of the model.
 type Writer struct {
-	c      *Cluster
-	plain  *core.Writer
-	secret *secret.AtomicWriter
+	c *Cluster
+	w *core.Writer // one flow for both models (secret: token-carrying write phases)
 	// traced is the handle's trace-capable round executor (nil unless
 	// Options.Tracer is set); the Store layer points it at sampled OpTraces.
 	traced *proto.Traced
@@ -508,22 +379,16 @@ func (c *Cluster) writerOn(rc proto.Rounder, reg int, last types.TS) *Writer {
 	}
 	switch c.opts.Model {
 	case SecretTokens:
-		w.secret = secret.NewAtomicWriterAt(rc, c.th, c.handleRNG(proc, reg), wid, last)
+		w.w = secret.NewAtomicWriterAt(rc, c.th, c.handleRNG(proc, reg), wid, last)
 	default:
-		w.plain = core.NewWriterAt(rc, c.th, wid, last)
+		w.w = core.NewWriterAt(rc, c.th, wid, last)
 	}
 	return w
 }
 
 // useKnown shares a known-pair set with the register instance's other
 // handles (the keyed Store: one set per shard).
-func (w *Writer) useKnown(k *core.Known) {
-	if w.plain != nil {
-		w.plain.UseKnown(k)
-	} else {
-		w.secret.UseKnown(k)
-	}
-}
+func (w *Writer) useKnown(k *core.Known) { w.w.UseKnown(k) }
 
 // Write stores v (2 communication rounds — the optimistic proposal plus
 // its commit — whenever no concurrent foreign writer interfered; bounded
@@ -532,12 +397,7 @@ func (w *Writer) useKnown(k *core.Known) {
 // triggers a transparent config refetch and retry; every Writer operation
 // below reacts the same way.
 func (w *Writer) Write(v string) error {
-	return w.c.retryEpoch(func() error {
-		if w.plain != nil {
-			return w.plain.Write(types.Value(v))
-		}
-		return w.secret.Write(types.Value(v))
-	})
+	return w.c.retryEpoch(func() error { return w.w.Write(types.Value(v)) })
 }
 
 // modifyPair performs the certified read-modify-write the keyed Store layer
@@ -546,11 +406,7 @@ func (w *Writer) Write(v string) error {
 func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, error)) (p types.Pair, err error) {
 	err = w.c.retryEpoch(func() error {
 		var e error
-		if w.plain != nil {
-			p, e = w.plain.Modify(fn)
-		} else {
-			p, e = w.secret.Modify(fn)
-		}
+		p, e = w.w.Modify(fn)
 		return e
 	})
 	return p, err
@@ -563,11 +419,7 @@ func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, error)) (p typ
 func (w *Writer) writeCleanPair(v types.Value) (p types.Pair, ok bool, err error) {
 	err = w.c.retryEpoch(func() error {
 		var e error
-		if w.plain != nil {
-			p, ok, e = w.plain.WriteClean(v)
-		} else {
-			p, ok, e = w.secret.WriteClean(v)
-		}
+		p, ok, e = w.w.WriteClean(v)
 		return e
 	})
 	return p, ok, err
@@ -578,11 +430,7 @@ func (w *Writer) writeCleanPair(v types.Value) (p types.Pair, ok bool, err error
 func (w *Writer) validateClean() (ok bool, err error) {
 	err = w.c.retryEpoch(func() error {
 		var e error
-		if w.plain != nil {
-			ok, e = w.plain.Validate()
-		} else {
-			ok, e = w.secret.Validate()
-		}
+		ok, e = w.w.Validate()
 		return e
 	})
 	return ok, err

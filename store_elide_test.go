@@ -124,7 +124,7 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 	// Settle: every reader identity writes the table back once (bench.settle).
 	var table types.Pair
 	for idx := 1; idx <= readers; idx++ {
-		cl := c.inproc.NewClientReg(types.Reader(idx), 1)
+		cl := c.mux.Client(types.Reader(idx), 1)
 		r := core.NewReader(cl, c.th, idx, readers)
 		p, err := r.ReadPair()
 		if err != nil {
@@ -138,7 +138,7 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 			}
 		}
 	}
-	freshCl := c.inproc.NewClientReg(types.Reader(1), 1)
+	freshCl := c.mux.Client(types.Reader(1), 1)
 	fresh := core.NewReader(freshCl, c.th, 1, readers)
 	sent := counterDelta("server_read_values_sent_total")
 	elided := counterDelta("server_read_values_elided_total")

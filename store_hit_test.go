@@ -112,9 +112,21 @@ func TestStoreGetRoundMix(t *testing.T) {
 	if missWB() != 1 || missShared() != 1 {
 		t.Errorf("miss{writeback}=%d miss{shared}=%d, want 1 and 1", missWB(), missShared())
 	}
-	// All four objects answering again, 2t+1 of them agree on it: one round.
+	// All four objects answering again, three of them agree on every register
+	// — but a round closes on the first S−t replies, and the send order
+	// rotates: one round when s3 is the object left out, two when it is heard.
 	must(a.Heal(1))
-	if n, dump := get("v4"); n != 1 {
-		t.Errorf("healed Get took %d rounds, want 1:\n%s", n, dump)
+	one := 0
+	for i := 0; i < 8; i++ {
+		n, dump := get("v4")
+		if n > 2 {
+			t.Errorf("healed Get took %d rounds, want 1 or 2:\n%s", n, dump)
+		}
+		if n == 1 {
+			one++
+		}
+	}
+	if one == 0 || one == 8 {
+		t.Errorf("%d of 8 healed Gets took one round: s3 is left out of some rounds and heard in others", one)
 	}
 }

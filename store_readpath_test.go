@@ -64,8 +64,10 @@ func TestStoreGetFallbackOnIncompleteWrite(t *testing.T) {
 	if got := atomic.LoadInt64(rounds); got != 4 {
 		t.Fatalf("incomplete-write Get took %d rounds, want 4 (full write-back)", got)
 	}
-	// Quorum recovered: v2 is now held by {1,2,3} (and re-asserted by the
-	// write-back), so the next Get elides again.
+	// Quorum recovered: v2 is now held by {1,2,3}, and the write-back
+	// re-asserted it on {1,2,4} — no three objects agree on both registers, so
+	// whichever S−t answer first, the next Get needs its decision round, which
+	// certifies v2 complete: the write-back is elided again.
 	if err := c.Heal(3); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +75,8 @@ func TestStoreGetFallbackOnIncompleteWrite(t *testing.T) {
 	if v, err := st.Get("k"); err != nil || v != "v2" {
 		t.Fatalf("recovered Get = %q, %v; want v2", v, err)
 	}
-	if got := atomic.LoadInt64(rounds); got != 1 {
-		t.Fatalf("recovered Get took %d rounds, want 1 (hit and elision earned back)", got)
+	if got := atomic.LoadInt64(rounds); got != 2 {
+		t.Fatalf("recovered Get took %d rounds, want 2 (elision earned back)", got)
 	}
 }
 

@@ -14,14 +14,15 @@ import (
 	"robustatomic/internal/types"
 )
 
-// suspicionRig is a Store over real TCP objects whose every operation is
-// recorded twice: its rounds (Options.RoundHook; the sequential phases read
-// them per op) and its place in its key's history (checker.CheckAtomicMW).
+// suspicionRig is a Store over real TCP objects, or the same objects mounted
+// in this process, whose every operation is recorded twice: its rounds
+// (Options.RoundHook; the sequential phases read them per op) and its place
+// in its key's history (checker.CheckAtomicMW).
 type suspicionRig struct {
-	t       *testing.T
-	servers []*tcpnet.Server
-	c       *Cluster
-	st      *Store
+	t     *testing.T
+	hosts []*server.Host
+	c     *Cluster
+	st    *Store
 
 	pad    string // appended to every value written
 	mu     sync.Mutex
@@ -30,29 +31,36 @@ type suspicionRig struct {
 	vers   map[string]int
 }
 
-func newSuspicionRig(t *testing.T, faults, shards int, seed int64) *suspicionRig {
+func newSuspicionRig(t *testing.T, inproc bool, faults, shards int, seed int64) *suspicionRig {
 	r := &suspicionRig{t: t, hists: map[string]*checker.History{}, vers: map[string]int{}}
-	var addrs []string
-	for id := 1; id <= 3*faults+1; id++ {
-		s, err := tcpnet.NewServer(id, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		r.servers = append(r.servers, s)
-		addrs = append(addrs, s.Addr())
-	}
-	c, err := Connect(addrs, Options{Faults: faults, Readers: 2, Seed: seed, RoundHook: func(label string) {
+	opts := Options{Faults: faults, Readers: 2, Seed: seed, RoundHook: func(label string) {
 		r.mu.Lock()
 		r.labels = append(r.labels, label)
 		r.mu.Unlock()
-	}})
-	if err != nil {
-		t.Fatal(err)
+	}}
+	var err error
+	if inproc {
+		if r.c, err = NewCluster(opts); err != nil {
+			t.Fatal(err)
+		}
+		r.hosts = r.c.hosts
+	} else {
+		var addrs []string
+		for id := 1; id <= 3*faults+1; id++ {
+			s, err := tcpnet.NewServer(id, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			r.hosts = append(r.hosts, s.Host)
+			addrs = append(addrs, s.Addr())
+		}
+		if r.c, err = Connect(addrs, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Cleanup(c.Close)
-	r.c = c
-	if r.st, err = c.NewStore(StoreOptions{Shards: shards}); err != nil {
+	t.Cleanup(r.c.Close)
+	if r.st, err = r.c.NewStore(StoreOptions{Shards: shards}); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -126,8 +134,6 @@ func (r *suspicionRig) op(key string, isPut bool) []string {
 }
 
 func (r *suspicionRig) suspects() []int {
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
 	s := r.c.mux.Suspects()
 	if len(s) > r.c.th.T {
 		r.t.Errorf("suspects %v: more than t = %d", s, r.c.th.T)
@@ -150,16 +156,21 @@ func (r *suspicionRig) checkAtomic() {
 // traffic, after which a Get costs 1 round and a Put 3; it must reinstate an
 // object that stops lying, follow a lie that moves, never hold more than t,
 // and never make an operation cost more rounds than it could before — every
-// history atomic throughout.
+// history atomic throughout. Over TCP and in process: the engine is the same.
 func TestSuspicionOrderedRounds(t *testing.T) {
-	r := newSuspicionRig(t, 2, 4, 19)
+	t.Run("tcp", func(t *testing.T) { testSuspicionOrderedRounds(t, false) })
+	t.Run("inproc", func(t *testing.T) { testSuspicionOrderedRounds(t, true) })
+}
+
+func testSuspicionOrderedRounds(t *testing.T, inproc bool) {
+	r := newSuspicionRig(t, inproc, 2, 4, 19)
 	keys := storeKeys(16)
 	for _, k := range keys {
 		r.put(k, types.Writer)
 	}
 	deferred := counterDelta("tcpnet_round_deferred_total")
-	r.servers[1].SetBehavior(server.Garbage{Level: 1 << 30, Val: "forged"})
-	r.servers[4].SetBehavior(&server.Stale{})
+	r.hosts[1].SetBehavior(server.Garbage{Level: 1 << 30, Val: "forged"})
+	r.hosts[4].SetBehavior(&server.Stale{})
 
 	n := 0
 	for ; !reflect.DeepEqual(r.suspects(), []int{2, 5}); n++ {
@@ -210,7 +221,7 @@ func TestSuspicionOrderedRounds(t *testing.T) {
 
 	// s5 stops lying (its true state kept advancing): an agreeing probe
 	// reinstates it.
-	r.servers[4].SetBehavior(nil)
+	r.hosts[4].SetBehavior(nil)
 	probes := counterDelta("tcpnet_round_probe_total")
 	for i := 0; !reflect.DeepEqual(r.suspects(), []int{2}); i++ {
 		if probes() > 12 {
@@ -223,8 +234,8 @@ func TestSuspicionOrderedRounds(t *testing.T) {
 	// The forger moves from s2 to s3: suspicion follows it. (s2 dropped every
 	// write it acknowledged; how soon it is trusted again depends on how soon
 	// traffic rewrites what it missed.)
-	r.servers[1].SetBehavior(nil)
-	r.servers[2].SetBehavior(server.Garbage{Level: 1 << 30, Val: "forged"})
+	r.hosts[1].SetBehavior(nil)
+	r.hosts[2].SetBehavior(server.Garbage{Level: 1 << 30, Val: "forged"})
 	for n = 0; !contains(r.suspects(), 3); n++ {
 		if n > 4000 {
 			t.Fatalf("suspects %v after %d operations, want s3 among them", r.suspects(), n)
@@ -305,7 +316,7 @@ func TestLiarsThatEvadeSuspicionCostNoMoreThanBefore(t *testing.T) {
 		"probe-aware": {func(l *muxLiar) bool { return l.writes < 12 }, true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			r := newSuspicionRig(t, 1, 2, 23)
+			r := newSuspicionRig(t, false, 1, 2, 23)
 			keys := storeKeys(8)
 			for _, k := range keys {
 				r.put(k, types.Writer)
@@ -313,7 +324,7 @@ func TestLiarsThatEvadeSuspicionCostNoMoreThanBefore(t *testing.T) {
 			deferred := counterDelta("tcpnet_round_deferred_total")
 			suspected := counterDelta(`tcpnet_suspect_transitions_total{sid="2",to="suspect"}`)
 			trusted := counterDelta(`tcpnet_suspect_transitions_total{sid="2",to="trusted"}`)
-			r.servers[1].SetBehavior(&muxLiar{lie: tc.lie})
+			r.hosts[1].SetBehavior(&muxLiar{lie: tc.lie})
 			rng := rand.New(rand.NewSource(29))
 			for i := 0; i < 3000; i++ {
 				r.op(keys[rng.Intn(len(keys))], rng.Intn(2) == 0)
@@ -342,7 +353,7 @@ func TestHonestRacingFlushesDeferNobody(t *testing.T) {
 	if testing.Short() {
 		ops = 3000
 	}
-	r := newSuspicionRig(t, 1, 1, 31)
+	r := newSuspicionRig(t, false, 1, 1, 31)
 	keys := storeKeys(256)
 	r.pad = strings.Repeat("x", 100)
 	for _, k := range keys {
@@ -378,4 +389,44 @@ func TestHonestRacingFlushesDeferNobody(t *testing.T) {
 		t.Errorf("suspects %v on an honest cluster", s)
 	}
 	r.checkAtomic()
+}
+
+// TestInProcessReadsHearEveryObject: on the in-memory link replies arrive in
+// send order and a round stops at Done, so with a fixed order object S would
+// never be heard — and its lies never seen. The send order rotates: whichever
+// object forges, a few Gets' worth of reads contradict it.
+func TestInProcessReadsHearEveryObject(t *testing.T) {
+	for sid := 1; sid <= 4; sid++ {
+		c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 43})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		st, err := c.NewStore(StoreOptions{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put("k", "v"); err != nil {
+			t.Fatal(err)
+		}
+		var dissent []func() int64
+		for _, reason := range []string{"w", "withheld", "inflate"} {
+			dissent = append(dissent, counterDelta(fmt.Sprintf(`tcpnet_object_dissent_total{sid="%d",reason=%q}`, sid, reason)))
+		}
+		if err := c.InjectFault(sid, "garbage"); err != nil {
+			t.Fatal(err)
+		}
+		seen := int64(0)
+		for i := 0; i < 32 && seen == 0; i++ {
+			if v, err := st.Get("k"); err != nil || v != "v" {
+				t.Fatalf("s%d forging: Get = %q, %v", sid, v, err)
+			}
+			for _, d := range dissent {
+				seen += d()
+			}
+		}
+		if seen == 0 {
+			t.Errorf("s%d forged its reply to 32 Gets and no read contradicted it: it is never heard", sid)
+		}
+	}
 }

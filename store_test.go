@@ -575,8 +575,8 @@ func TestStoreTCPRecovery(t *testing.T) {
 }
 
 // TestConcurrentHandleCreation creates handles from many goroutines at once,
-// in-process (shared-rng hazard) and over TCP (tcpClients slice hazard);
-// run with -race.
+// in-process (shared-rng hazard) and over TCP (first-dial hazard); run with
+// -race.
 func TestConcurrentHandleCreation(t *testing.T) {
 	t.Run("inproc-secret", func(t *testing.T) {
 		c, err := NewCluster(Options{Faults: 1, Readers: 8, Model: SecretTokens, Seed: 18})
@@ -631,7 +631,7 @@ func TestConcurrentHandleCreation(t *testing.T) {
 		for g := 1; g <= 8; g++ {
 			g := g
 			wg.Add(1)
-			go func() { // races on the cluster's tcpClients slice if unguarded
+			go func() {
 				defer wg.Done()
 				if _, err := c.Reader(g); err != nil {
 					t.Error(err)
