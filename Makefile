@@ -2,7 +2,7 @@ GO ?= go
 # bash + pipefail so piping through tee cannot mask a benchmark failure.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build vet test race bench bench-persist bench-mwmr fuzz integration torture torture-short bench-module e2e
+.PHONY: all build vet test race bench bench-persist bench-mwmr fuzz integration torture torture-short bench-module e2e loc
 
 all: build vet test
 
@@ -43,6 +43,11 @@ e2e:
 		bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace $$t || exit 1; \
 	done; done
 
+# loc prints the size every simplicity PR reports (EXPERIMENTS.md E21, E22):
+# lines of non-test Go outside the benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
 # bench-mwmr isolates the multi-writer contention experiment (E11).
 bench-mwmr:
 	$(GO) test -run xxx -bench E11 -benchmem .
@@ -55,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzWireRequest -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzWireBatch -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/persist/
 
 # bench-persist measures the durability subsystem: the E10 Store write path
 # at each fsync mode plus the raw WAL append micro-benchmark.

@@ -631,10 +631,25 @@ func BenchmarkE11MultiWriterContention(b *testing.B) {
 	}
 }
 
+// discoverNext is the first round of the PR 4 write flow, kept as E12's
+// always-discover baseline: one timestamp-only read round, then the successor
+// of the highest timestamp a quorum exhibits (or of own, if larger). Every
+// complete write reached a correct member of that quorum, so the successor
+// dominates it. The objects here are honest; the flow's defence against a
+// forged report went with it (core.Writer.Write bounds the same lead).
+func discoverNext(r proto.Rounder, th quorum.Thresholds, own types.TS) (types.TS, error) {
+	acc := regular.NewStateAcc(th)
+	req := func(int) types.Message { return types.Message{Kind: types.MsgRead1, Flags: types.FlagNoValues} }
+	if err := r.Round(proto.RoundSpec{Label: "WDISC", Req: req, Acc: acc}); err != nil {
+		return types.TS{}, err
+	}
+	return types.MaxTS(acc.MaxTS(), own).Next(0), nil
+}
+
 // BenchmarkE12AdaptiveWrite quantifies the reclaimed multi-writer tax (the
 // E12 experiment): the same register written through the adaptive fast path
 // (2 rounds uncontended), through the unconditional PR 4 discovery flow
-// (3 rounds — DiscoverNext then the write phases, measured live as the
+// (3 rounds — discoverNext then the write phases, measured live as the
 // pre-adaptive baseline), and under forced contention (two writers, one
 // always lagging two foreign writes, so every second write pays the
 // 3-round fallback). The rounds/op metric makes the adaptivity visible
@@ -675,7 +690,7 @@ func BenchmarkE12AdaptiveWrite(b *testing.B) {
 		rw := regular.NewWriterAt(rc, th, types.WriterReg, 0, types.TS{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			next, err := corereg.DiscoverNext(rc, th, 0, rw.LastTS(), "WDISC")
+			next, err := discoverNext(rc, th, rw.LastTS())
 			if err != nil {
 				b.Fatal(err)
 			}

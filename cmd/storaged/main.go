@@ -17,12 +17,14 @@
 // write-ahead log before the reply leaves and the state is periodically
 // snapshotted and the log truncated, so a crashed or kill -9'd daemon
 // restarts exactly where it stopped — a correct-but-slow object instead of
-// an amnesiac one that silently burns the fault budget. -fsync picks the
-// machine-crash window: "always" fsyncs before every ack (group-committed
-// under load), "batch" (default) fsyncs in the background every couple of
-// milliseconds, "off" leaves flushing to the OS. All modes survive a killed
-// process; fsync only matters when the whole machine dies. An empty
-// -data-dir keeps the daemon purely in-memory, exactly the old behavior.
+// an amnesiac one that silently burns the fault budget. SIGINT/SIGTERM
+// compact once more before exiting: a planned restart (or upgrade) boots
+// from a snapshot and an empty log. -fsync picks the machine-crash window:
+// "always" fsyncs before every ack (group-committed under load), "batch"
+// (default) fsyncs in the background every couple of milliseconds, "off"
+// leaves flushing to the OS. All modes survive a killed process; fsync only
+// matters when the whole machine dies. An empty -data-dir keeps the daemon
+// purely in-memory, exactly the old behavior.
 //
 // To replace a dead machine, start a blank daemon on the old address and
 // reconstitute it from the live quorum with `storctl repair`.
@@ -123,4 +125,11 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Printf("storaged: shutting down (%d register instances hosted)\n", s.Registers())
+	// A planned stop leaves a snapshot and an empty log behind, so the next
+	// start replays nothing — it may be a release of another wire generation,
+	// which refuses this one's log records. Only a crash replays a log, under
+	// the binary that wrote it.
+	if err := s.Compact(); err != nil {
+		fmt.Fprintln(os.Stderr, "storaged: compaction at shutdown:", err)
+	}
 }

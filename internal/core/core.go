@@ -139,57 +139,11 @@ func (w *Writer) UseKnown(k *Known) { w.known = k }
 // exhaustion beyond 2^31 writes even under a sustained attack.
 const maxDiscoveryLead = 1 << 32
 
-// DiscoverNext runs one timestamp-discovery round and returns the successor
-// timestamp writer wid should write at: one past the highest timestamp a
-// quorum exhibits (or past own, whichever is larger). Any complete write's
-// WRITE phase reached 2t+1 objects, of which at least one correct one is in
-// this quorum of 2t+1 (out of 3t+1), so the successor strictly dominates
-// every write that completed before the discovery began — which is what
-// atomicity property (2) needs from write ordering.
-//
-// Since the adaptive fast path (fastpath.go) the hot write flow no longer
-// runs a separate discovery round — a failed optimistic prewrite's
-// validation reports carry the same information. DiscoverNext remains the
-// reference implementation of the unconditional PR 4 flow (and the E12
-// benchmark's always-discover baseline).
-//
-// The replies are uncertified, so a Byzantine object can inflate the
-// discovered sequence number. Unchecked, one forged near-MaxInt64 reply
-// would make the writer install a pair at the ceiling and wedge every
-// writer forever; so whenever the raw result leads the writer's own
-// timestamp implausibly (maxDiscoveryLead) or its successor would
-// overflow, DiscoverNext falls back to CertifiedNext — the certified read
-// decision only yields genuine timestamps, so the forgery costs two extra
-// rounds instead of liveness. (A fresh writer attaching to a legitimately
-// far-ahead register pays the certified path once; its own timestamp then
-// catches up.) The label names the round for traces (e.g. "WDISC").
-func DiscoverNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, label string) (types.TS, error) {
-	acc := regular.NewStateAcc(th)
-	spec := proto.RoundSpec{Label: label, Req: tsOnlyReq, Acc: acc}
-	if err := r.Round(spec); err != nil {
-		return types.TS{}, fmt.Errorf("core: discovery: %w", err)
-	}
-	raw := types.MaxTS(acc.MaxTS(), own)
-	next := raw.Next(wid)
-	if next.Seq <= 0 || raw.Seq-own.Seq > maxDiscoveryLead {
-		_, next, err := CertifiedNext(r, th, wid, own, nil)
-		if err != nil {
-			return types.TS{}, err
-		}
-		if next.Seq <= 0 {
-			return types.TS{}, fmt.Errorf("core: register sequence space exhausted")
-		}
-		return next, nil
-	}
-	return next, nil
-}
-
 // CertifiedNext runs a certified regular read of the shared register (one
 // round on a fast hit, two with the full decision procedure — see
 // regular.ReadAcc) and returns the current pair plus the successor timestamp
-// for writer wid. Unlike DiscoverNext's raw quorum maximum, the read only
-// returns genuine pairs, so not even the timestamp can be
-// Byzantine-inflated. The rounds are conditioned on k (nil reads
+// for writer wid. Unlike a raw quorum maximum, the read only returns genuine
+// pairs, so not even the timestamp can be Byzantine-inflated. The rounds are conditioned on k (nil reads
 // unconditioned): a writer whose last pair is still the register's current
 // one — the rebase that finds nothing to rebase onto — moves timestamps, not
 // values.

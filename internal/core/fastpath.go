@@ -19,7 +19,7 @@
 //     operation: 2 rounds, the SWMR optimum, whenever no foreign writer
 //     (or forger) interfered. On a reported-higher reply the failed
 //     prewrite itself doubles as the discovery round (its reports are
-//     exactly what DiscoverNext would have collected), so a genuinely
+//     exactly what a discovery round would have collected), so a genuinely
 //     contended write costs 3 rounds — the PR 4 constant — and only a
 //     Byzantine-inflated report escalates to the certified read (5 rounds,
 //     the PR 4 worst case; the maxDiscoveryLead bound keeps sequence
@@ -183,11 +183,10 @@ func (w *Writer) WriteClean(v types.Value) (types.Pair, bool, error) {
 	return p, true, nil
 }
 
-// tsOnlyReq is the (static) request of the rounds that only compare
-// timestamps — the flush's WVAL freshness round and timestamp discovery. Like
-// the PREWRITE acknowledgement, their replies carry no values: a validated
-// flush must not pull two copies of the shard table back from every object
-// just to look at their timestamps.
+// tsOnlyReq is the (static) request of the flush's WVAL freshness round, which
+// only compares timestamps. Like the PREWRITE acknowledgement, its replies
+// carry no values: a validated flush must not pull two copies of the shard
+// table back from every object just to look at their timestamps.
 func tsOnlyReq(int) types.Message {
 	return types.Message{Kind: types.MsgRead1, Flags: types.FlagNoValues}
 }

@@ -13,17 +13,18 @@
 //
 // A data directory holds numbered generations:
 //
-//	wal-<gen>.log    framed records (see wal.go), one gob stream per file
+//	wal-<gen>.log    framed records, each one wire frame (see wal.go)
 //	snap-<gen>.snap  state snapshot + CRC32 trailer, covering every
 //	                 generation before <gen>
 //
-// Every Open starts a fresh WAL generation (a gob stream cannot be extended
-// across process lifetimes), so recovery loads the newest intact snapshot
-// and replays all WAL generations at or after it, in order. Compaction
-// (Rotate + Commit) writes a new snapshot with an atomic rename and then
-// prunes every older generation; a crash at any point between those steps
-// recovers cleanly because the old snapshot and WAL files are only deleted
-// after the new snapshot is durably in place.
+// Every Open starts a fresh WAL generation, so the only file a crash can
+// have torn is the newest one: recovery loads the newest intact snapshot and
+// replays all WAL generations at or after it, in order, truncating a torn
+// tail in the newest and refusing damage anywhere else. Compaction (Rotate +
+// Commit) writes a new snapshot with an atomic rename and then prunes every
+// older generation; a crash at any point between those steps recovers
+// cleanly because the old snapshot and WAL files are only deleted after the
+// new snapshot is durably in place.
 //
 // # Durability modes
 //
@@ -37,7 +38,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -165,9 +165,7 @@ type Engine struct {
 	mu        sync.Mutex
 	gen       uint64
 	f         *os.File
-	buf       bytes.Buffer
-	enc       *wire.GobEncoder
-	frame     []byte // reusable frame build buffer
+	rec       []byte // reusable record build buffer
 	walSize   int64
 	records   int64
 	recovered bool
@@ -279,7 +277,6 @@ func Open(dir string, o Options) (*Engine, error) {
 		return nil, fmt.Errorf("persist: create wal: %w", err)
 	}
 	e.f = f
-	e.enc = wire.NewGobEncoder(&e.buf)
 	if e.mode == FsyncBatch {
 		go e.syncLoop()
 	} else {
@@ -293,7 +290,8 @@ func Open(dir string, o Options) (*Engine, error) {
 // generation in order, returning the reconstituted register-instance map
 // (keyed by wire register instance). A torn tail in the newest generation
 // is truncated silently — those records' acknowledgements never left.
-// Damage in any older generation is an error: records after the damage are
+// Damage in any older generation, and a record this software does not read
+// in any generation (ErrFormat), is an error: records after it are
 // unreachable and replaying around them could durably regress acknowledged
 // state; the operator should reconstitute the object from a live quorum
 // (storctl repair) instead.
@@ -311,28 +309,25 @@ func (e *Engine) Recover() (map[int]*server.Store, error) {
 		}
 		e.baseSnap = nil // one-shot; free the payload
 	}
+	apply := func(from types.ProcID, reg int, msg types.Message) {
+		st := stores[reg]
+		if st == nil {
+			st = server.NewStore()
+			stores[reg] = st
+		}
+		st.Handle(from, msg)
+	}
 	for i, w := range e.replays {
-		last := i == len(e.replays)-1
-		n, err := replayWAL(w.path, last, func(req wire.Request) error {
-			apply := func(reg int, msg types.Message) {
-				st := stores[reg]
-				if st == nil {
-					st = server.NewStore()
-					stores[reg] = st
-				}
-				st.Handle(req.From, msg)
+		n, err := replayWAL(w.path, i == len(e.replays)-1, func(req wire.Request) {
+			if len(req.Subs) == 0 {
+				apply(req.From, req.Reg, req.Msg)
 			}
-			if len(req.Subs) > 0 {
-				// A batch envelope logs many register instances' mutations as
-				// one record; replay each sub against its own instance (the
-				// server sanitized instance numbers before appending).
-				for _, sub := range req.Subs {
-					apply(sub.Reg, sub.Msg)
-				}
-				return nil
+			// A batch envelope logs many register instances' mutations as
+			// one record; replay each sub against its own instance (the
+			// server sanitized instance numbers before appending).
+			for _, sub := range req.Subs {
+				apply(req.From, sub.Reg, sub.Msg)
 			}
-			apply(req.Reg, req.Msg)
-			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -342,56 +337,48 @@ func (e *Engine) Recover() (map[int]*server.Store, error) {
 	return stores, nil
 }
 
-// ErrFormat reports a WAL generation whose records are intact on disk (every
-// frame's CRC holds) but are not this software's record format — a data
-// directory written by a release that predates multi-writer timestamps.
-// Recovery refuses it rather than guess: reconstitute the object from a live
-// quorum (storctl repair) instead.
+// ErrFormat reports a WAL record that is intact on disk (its CRC holds) but
+// does not parse as a frame of this software's wire generation: a log written
+// by another release (the error then wraps wire.ErrVersion), or corruption
+// the framing cannot see. Recovery refuses it at any position, leaving the
+// file untouched, rather than guess or cut acknowledged records off behind
+// it: reconstitute the object from a live quorum (storctl repair) instead.
 var ErrFormat = errors.New("persist: unsupported WAL record format")
 
-// replayWAL replays one WAL file. tolerateTear permits a damaged tail (the
-// newest generation may have been torn by the crash) — the file is then
-// truncated back to its last intact record, so that on the next recovery,
-// when this generation is no longer the newest, it replays cleanly instead
-// of reading as corruption. In older generations damage is an error. A
-// tear is damage to the FRAMING; a file whose first frame is intact but does
-// not decode was written in another format, and is refused with ErrFormat —
-// never truncated away as if it were a torn tail.
-func replayWAL(path string, tolerateTear bool, apply func(wire.Request) error) (int, error) {
+// replayWAL replays one WAL file record by record and returns how many it
+// applied. Replay stops where the FRAMING is damaged: in the newest
+// generation that is the tail the crash tore, and the file is truncated back
+// to its last intact record, so that on the next recovery — when this
+// generation is no longer the newest — it replays cleanly; in an older
+// generation it is an error. An intact record that does not parse is never
+// a tear: it is refused with ErrFormat wherever it sits.
+func replayWAL(path string, newest bool, apply func(wire.Request)) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("persist: replay: %w", err)
 	}
-	stream, ends, valid := parseFrames(data)
-	if valid != len(data) && !tolerateTear {
-		return 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the newest generation; reconstitute from a live quorum)", path, valid)
-	}
-	dec := wire.NewGobDecoder(bytes.NewReader(stream))
-	applied := 0
-	for i := 0; i < len(ends); i++ {
-		req, err := dec.DecodeRequest()
+	applied, off := 0, 0
+	for off < len(data) {
+		payload, size := cutRecord(data[off:])
+		if size == 0 {
+			break
+		}
+		req, err := wire.ParseRequest(payload)
 		if err != nil {
-			if i == 0 {
-				return 0, fmt.Errorf("%w: %s: %v", ErrFormat, path, err)
-			}
-			if tolerateTear {
-				break
-			}
-			return applied, fmt.Errorf("persist: %s: record %d: %w", path, i, err)
+			return applied, fmt.Errorf("%w: %s: record %d at offset %d: %w", ErrFormat, path, applied, off, err)
 		}
-		if err := apply(req); err != nil {
-			return applied, err
-		}
+		apply(req)
 		applied++
+		off += size
 	}
-	if tolerateTear && (valid != len(data) || applied < len(ends)) {
-		cut := int64(0)
-		if applied > 0 {
-			cut = int64(ends[applied-1])
-		}
-		if err := os.Truncate(path, cut); err != nil {
-			return applied, fmt.Errorf("persist: %s: truncating torn tail: %w", path, err)
-		}
+	if off == len(data) {
+		return applied, nil
+	}
+	if !newest {
+		return applied, fmt.Errorf("persist: %s: corrupt record at offset %d (not the newest generation; reconstitute from a live quorum)", path, off)
+	}
+	if err := os.Truncate(path, int64(off)); err != nil {
+		return applied, fmt.Errorf("persist: %s: truncating torn tail: %w", path, err)
 	}
 	return applied, nil
 }
@@ -415,16 +402,14 @@ func (e *Engine) Append(req wire.Request) error {
 		e.mu.Unlock()
 		return fmt.Errorf("persist: wal latched after earlier failure: %w", err)
 	}
-	e.buf.Reset()
-	if err := e.enc.Encode(req); err != nil {
-		// The encoder's gob stream may now hold a partial message; no
-		// further record could be framed coherently after it.
-		e.failed = err
+	rec, err := buildRecord(&e.rec, req)
+	if err != nil {
+		// An envelope no frame can carry (wire.ErrFrameTooLarge): this one
+		// record is refused with nothing written, and the log stays usable.
 		e.mu.Unlock()
 		return fmt.Errorf("persist: %w", err)
 	}
-	e.frame = appendFrame(e.frame[:0], e.buf.Bytes())
-	if _, err := e.f.Write(e.frame); err != nil {
+	if _, err := e.f.Write(rec); err != nil {
 		// A partial frame may sit mid-file now. Without latching, later
 		// appends would land after the damage and replay would silently
 		// drop them at the torn frame — acked records lost, the amnesia
@@ -434,10 +419,10 @@ func (e *Engine) Append(req wire.Request) error {
 		e.mu.Unlock()
 		return fmt.Errorf("persist: wal write: %w", err)
 	}
-	e.walSize += int64(len(e.frame))
+	e.walSize += int64(len(rec))
 	e.records++
 	mWALAppends.Inc()
-	mWALBytes.Add(int64(len(e.frame)))
+	mWALBytes.Add(int64(len(rec)))
 	switch e.mode {
 	case FsyncOff:
 		e.mu.Unlock()
@@ -580,8 +565,6 @@ func (e *Engine) Rotate() (uint64, error) {
 	e.f = f
 	e.walSize = 0
 	e.dirty = false
-	e.buf.Reset()
-	e.enc = wire.NewGobEncoder(&e.buf) // each generation is its own gob stream
 	return e.gen, nil
 }
 

@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,6 +52,43 @@ func newestWAL(t *testing.T, dir string) string {
 	}
 	sort.Strings(paths)
 	return paths[len(paths)-1]
+}
+
+// frameRecord frames payload as one WAL record, written out independently of
+// buildRecord: uvarint length | payload | CRC32 (IEEE, little-endian).
+func frameRecord(payload []byte) []byte {
+	rec := binary.AppendUvarint(nil, uint64(len(payload)))
+	rec = append(rec, payload...)
+	return binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+}
+
+// splitRecords walks a WAL file's intact records, independently of cutRecord,
+// returning each payload and the offset at which each record ends.
+func splitRecords(data []byte) (payloads [][]byte, ends []int) {
+	off := 0
+	for {
+		n, w := binary.Uvarint(data[off:])
+		end := off + w + int(n) + 4
+		if w <= 0 || n == 0 || n > uint64(len(data)) || end > len(data) {
+			return payloads, ends
+		}
+		payload := data[off+w : end-4]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[end-4:]) {
+			return payloads, ends
+		}
+		payloads, ends = append(payloads, payload), append(ends, end)
+		off = end
+	}
+}
+
+// wireFrame is what a wire.Encoder writes for req.
+func wireFrame(t testing.TB, req wire.Request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.NewEncoder(&buf).EncodeRequest(req); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestParseFsyncMode(t *testing.T) {
@@ -155,6 +194,7 @@ func TestTornTailTruncated(t *testing.T) {
 		{"truncated-frame", func(d []byte) []byte { return d[:len(d)-3] }},
 		{"flipped-crc", func(d []byte) []byte { d[len(d)-1] ^= 0xff; return d }},
 		{"garbage-tail", func(d []byte) []byte { return append(d, 0xde, 0xad) }},
+		{"zero-filled-tail", func(d []byte) []byte { return append(d, make([]byte, 64)...) }},
 	} {
 		t.Run(damage.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -179,7 +219,7 @@ func TestTornTailTruncated(t *testing.T) {
 			defer e2.Close()
 			got := stores[0].Reg(types.WriterReg).W
 			switch damage.name {
-			case "garbage-tail":
+			case "garbage-tail", "zero-filled-tail":
 				if got != pair(8, "v") {
 					t.Errorf("W = %v, want all 8 records", got)
 				}
@@ -189,6 +229,59 @@ func TestTornTailTruncated(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("every-offset", tornAtEveryOffset)
+}
+
+// tornAtEveryOffset (TestTornTailTruncated/every-offset) cuts a 3-record
+// generation at every byte offset, as a crash mid-write(2) could: recovery
+// applies exactly the complete records, truncates the file to that boundary,
+// and the next lifetime — in which the once-torn generation is no longer the
+// newest — replays clean.
+func tornAtEveryOffset(t *testing.T) {
+	var file []byte
+	for ts := int64(1); ts <= 3; ts++ {
+		file = append(file, frameRecord(wireFrame(t, writeReq(0, ts, strings.Repeat("v", int(ts)*40))))...)
+	}
+	_, ends := splitRecords(file)
+	if len(ends) != 3 || ends[2] != len(file) {
+		t.Fatalf("record boundaries = %v in a %d-byte file", ends, len(file))
+	}
+	for cut := 0; cut <= len(file); cut++ {
+		complete, boundary := 0, 0
+		for _, end := range ends {
+			if end <= cut {
+				complete, boundary = complete+1, end
+			}
+		}
+		dir := t.TempDir()
+		path := walPath(dir, 1)
+		if err := os.WriteFile(path, file[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, stores := open(t, dir, Options{Mode: FsyncOff})
+		if got := e.Records(); got != int64(complete) {
+			t.Fatalf("cut at %d: recovered %d records, want %d", cut, got, complete)
+		}
+		if complete > 0 && stores[0].Reg(types.WriterReg).W.TS != types.At(int64(complete)) {
+			t.Fatalf("cut at %d: W = %v, want timestamp %d", cut, stores[0].Reg(types.WriterReg).W, complete)
+		}
+		// Open drops a generation that is empty to begin with; any other ends
+		// at its last complete record now.
+		if cut > 0 {
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(boundary) {
+				t.Fatalf("cut at %d: file after recovery: %v, %v; want %d bytes", cut, fi, err, boundary)
+			}
+		}
+		if err := e.Append(writeReq(0, 9, "next-lifetime")); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		e2, rec := open(t, dir, Options{Mode: FsyncOff})
+		if got := e2.Records(); got != int64(complete+1) || rec[0].Reg(types.WriterReg).W != pair(9, "next-lifetime") {
+			t.Fatalf("cut at %d: next lifetime replayed %d records, W = %v", cut, got, rec[0].Reg(types.WriterReg).W)
+		}
+		e2.Close()
 	}
 }
 
@@ -456,33 +549,21 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestScalarTimestampWALRefused: a WAL generation written before multi-writer
-// timestamps (gob records whose Pair.TS is a scalar — intact frames, another
-// record format) is refused with ErrFormat and left untouched on disk; it
-// must neither decode as something else nor be truncated away as a torn tail.
-func TestScalarTimestampWALRefused(t *testing.T) {
-	type oldPair struct {
-		TS  int64
-		Val types.Value
-	}
-	type oldMessage struct {
-		Kind types.MsgKind
-		Pair oldPair
-	}
-	type oldRequest struct {
-		From types.ProcID
-		Reg  int
-		Msg  oldMessage
-	}
+// TestGobStreamWALRefused: what every data directory written before the log
+// moved to wire frames holds — a generation whose record payloads form one gob
+// stream of wire.Request — is refused with ErrFormat and left untouched on
+// disk; it must neither decode as something else nor be truncated away as a
+// torn tail.
+func TestGobStreamWALRefused(t *testing.T) {
 	var stream bytes.Buffer
 	enc := gob.NewEncoder(&stream)
 	var file []byte
 	for ts := int64(1); ts <= 3; ts++ {
 		stream.Reset()
-		if err := enc.Encode(oldRequest{From: types.Writer, Msg: oldMessage{Kind: types.MsgWrite, Pair: oldPair{TS: ts, Val: "old"}}}); err != nil {
+		if err := enc.Encode(writeReq(0, ts, "old")); err != nil {
 			t.Fatal(err)
 		}
-		file = appendFrame(file, stream.Bytes())
+		file = append(file, frameRecord(stream.Bytes())...)
 	}
 	dir := t.TempDir()
 	path := walPath(dir, 1)
@@ -494,12 +575,195 @@ func TestScalarTimestampWALRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.Recover(); !errors.Is(err, ErrFormat) {
-		t.Fatalf("Recover over a scalar-timestamp WAL: err = %v, want ErrFormat", err)
+	if _, err := e.Recover(); !errors.Is(err, ErrFormat) || !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("Recover over a gob-stream WAL: err = %v, want ErrFormat wrapping wire.ErrVersion", err)
 	}
 	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, file) {
 		t.Fatalf("refused generation was modified on disk (err %v, %d → %d bytes)", err, len(file), len(kept))
 	}
+}
+
+// TestIntactUndecodableRecordRefusedNotTruncated: a record whose CRC holds but
+// which does not decode is not a torn tail, at any position of any
+// generation — truncating there would cut every acknowledged record after it
+// off and report success. Recovery refuses with ErrFormat and leaves the file
+// byte-identical.
+func TestIntactUndecodableRecordRefusedNotTruncated(t *testing.T) {
+	foreign := wireFrame(t, writeReq(0, 3, "v"))
+	foreign[0] ^= 0xff // another generation's header byte
+	for _, tc := range []struct {
+		name    string
+		before  int // good records ahead of the bad one
+		payload []byte
+		version bool // the refusal wraps wire.ErrVersion
+	}{
+		{"garbage-after-records", 2, []byte("an intact frame that is no record"), true},
+		{"foreign-generation-after-records", 2, foreign, true},
+		{"malformed-frame-after-records", 2, []byte{0x05, 2, 0xff, 0xff}, false},
+		{"garbage-first", 0, []byte("an intact frame that is no record"), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, _ := open(t, dir, Options{Mode: FsyncOff})
+			for ts := int64(1); ts <= int64(tc.before); ts++ {
+				if err := e.Append(writeReq(0, ts, "v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := newestWAL(t, dir)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The bad record, then one more acknowledged record behind it.
+			good := data[:len(data)/max(tc.before, 1)]
+			data = append(append(data, frameRecord(tc.payload)...), good...)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e2, err := Open(dir, Options{Mode: FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			if _, err := e2.Recover(); !errors.Is(err, ErrFormat) || errors.Is(err, wire.ErrVersion) != tc.version {
+				t.Fatalf("Recover = %v, want ErrFormat (wrapping wire.ErrVersion: %v)", err, tc.version)
+			}
+			if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, data) {
+				t.Fatalf("refused generation was modified on disk (err %v, %d → %d bytes)", err, len(data), len(kept))
+			}
+		})
+	}
+}
+
+// TestWALRecordIsWireFrame: the log has no format of its own. The payload of
+// an appended record is byte for byte what a wire.Encoder writes for the same
+// request, and it replays through Recover.
+func TestWALRecordIsWireFrame(t *testing.T) {
+	table := types.Value(strings.Repeat("k=v;", 9<<10)) // a 36 KB shard table
+	reqs := []wire.Request{
+		{ID: 7, From: types.WriterID(2), Epoch: 3, Reg: 1, Msg: types.Message{Kind: types.MsgPreWrite, Seq: 4, Pair: pair(1, "single")}},
+		{ID: 8, From: types.WriterID(2), Epoch: 3, Subs: []wire.SubReq{
+			{Reg: 2, Msg: types.Message{Kind: types.MsgWrite, Pair: pair(2, "batch-a")}},
+			{Reg: 3, Msg: types.Message{Kind: types.MsgWrite, Pair: pair(2, "batch-b")}},
+		}},
+		{ID: 9, From: types.WriterID(2), Epoch: 3, Reg: 4, Msg: types.Message{Kind: types.MsgWrite, Pair: types.Pair{TS: types.At(3), Val: table}}},
+	}
+	dir := t.TempDir()
+	e, _ := open(t, dir, Options{Mode: FsyncOff})
+	for _, req := range reqs {
+		if err := e.Append(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(newestWAL(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.WALSize(); got != int64(len(data)) {
+		t.Errorf("WALSize() = %d, the file holds %d bytes", got, len(data))
+	}
+	payloads, ends := splitRecords(data)
+	if len(payloads) != len(reqs) || ends[len(ends)-1] != len(data) {
+		t.Fatalf("file holds %d intact records ending at %v, want %d filling %d bytes", len(payloads), ends, len(reqs), len(data))
+	}
+	for i, req := range reqs {
+		if want := wireFrame(t, req); !bytes.Equal(payloads[i], want) {
+			t.Errorf("record %d payload differs from the wire frame (%d vs %d bytes)", i, len(payloads[i]), len(want))
+		}
+	}
+	e.Close()
+	e2, stores := open(t, dir, Options{})
+	defer e2.Close()
+	for reg, want := range map[int]types.Pair{2: pair(2, "batch-a"), 3: pair(2, "batch-b"), 4: {TS: types.At(3), Val: table}} {
+		if got := stores[reg].Reg(types.WriterReg).W; got != want {
+			t.Errorf("instance %d: recovered W = %.40v, want %.40v", reg, got, want)
+		}
+	}
+	if got := stores[1].Reg(types.WriterReg).PW; got != pair(1, "single") {
+		t.Errorf("instance 1: recovered PW = %v", got)
+	}
+}
+
+// TestOversizeAppendRefusedNotLatched: an envelope no frame can carry refuses
+// that one record with nothing written; the log takes the next one.
+func TestOversizeAppendRefusedNotLatched(t *testing.T) {
+	defer func(old int) { wire.MaxFrame = old }(wire.MaxFrame)
+	wire.MaxFrame = 1 << 10
+	dir := t.TempDir()
+	e, _ := open(t, dir, Options{Mode: FsyncOff})
+	if err := e.Append(writeReq(0, 1, strings.Repeat("x", 2<<10))); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("oversize append: %v, want wire.ErrFrameTooLarge", err)
+	}
+	if e.WALSize() != 0 {
+		t.Fatalf("refused record wrote %d bytes", e.WALSize())
+	}
+	if err := e.Append(writeReq(0, 2, "fits")); err != nil {
+		t.Fatalf("append after a refused record: %v", err)
+	}
+	e.Close()
+	e2, stores := open(t, dir, Options{})
+	defer e2.Close()
+	if got := stores[0].Reg(types.WriterReg).W; got != pair(2, "fits") || e2.Records() != 1 {
+		t.Errorf("recovered W = %v from %d records, want (2,fits) from 1", got, e2.Records())
+	}
+}
+
+// FuzzWALReplay recovers from arbitrary file bytes: it never panics, applies
+// exactly the intact records ahead of the first damaged or undecodable one,
+// truncates a tear to that boundary, and never modifies a file it refuses.
+func FuzzWALReplay(f *testing.F) {
+	var file []byte
+	for ts := int64(1); ts <= 3; ts++ {
+		file = append(file, frameRecord(wireFrame(f, writeReq(int(ts), ts, "seed")))...)
+	}
+	f.Add(file)
+	f.Add(file[:len(file)-3])
+	f.Add(append(append([]byte(nil), file...), frameRecord([]byte("not a frame"))...))
+	f.Add(append(frameRecord([]byte{0x3f, 0xff, 0x81}), file...))
+	f.Add(make([]byte, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := walPath(dir, 1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The expectation, from the independent walk: records parse until the
+		// framing breaks (a tear) or an intact record does not (a refusal).
+		payloads, ends := splitRecords(data)
+		want, boundary, refused := 0, 0, false
+		for i, payload := range payloads {
+			if _, err := wire.ParseRequest(payload); err != nil {
+				refused = true
+				break
+			}
+			want, boundary = i+1, ends[i]
+		}
+		e, err := Open(dir, Options{Mode: FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		_, err = e.Recover()
+		if refused {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("undecodable intact record: Recover = %v, want ErrFormat", err)
+			}
+			if kept, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(kept, data) {
+				t.Fatalf("refused file was modified (err %v, %d → %d bytes)", rerr, len(data), len(kept))
+			}
+			return
+		}
+		if err != nil || e.Records() != int64(want) {
+			t.Fatalf("Recover = %v with %d records applied, want %d", err, e.Records(), want)
+		}
+		if kept, rerr := os.ReadFile(path); len(data) > 0 && (rerr != nil || !bytes.Equal(kept, data[:boundary])) {
+			t.Fatalf("file after recovery: err %v, %d bytes, want the %d-byte intact prefix", rerr, len(kept), boundary)
+		}
+	})
 }
 
 func TestAppendBeforeRecoverRefused(t *testing.T) {

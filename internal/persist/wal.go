@@ -3,57 +3,60 @@ package persist
 import (
 	"encoding/binary"
 	"hash/crc32"
+
+	"robustatomic/internal/wire"
 )
 
-// WAL record framing. Each record is one frame:
+// WAL record framing. Each record is
 //
 //	uvarint payload length | payload | 4-byte little-endian CRC32 (IEEE) of payload
 //
-// The payload bytes of consecutive frames in one WAL file form a single gob
-// stream of wire.Request envelopes (one Encode per frame), so the per-record
-// overhead is the frame header plus gob's incremental message cost — the
-// type descriptors are transmitted once per file, not once per record.
+// and its payload is one wire frame: exactly the bytes wire.AppendRequest
+// builds for the logged request, version byte included, so every record
+// decodes on its own (wire.ParseRequest) and the wire generation byte is the
+// log's format version.
 //
-// Framing exists for crash tolerance, not for decoding: a torn tail (the
-// crash interrupted a write mid-frame) is detected by an unreadable length,
-// a length overrunning the file, or a CRC mismatch, and replay stops at the
-// last intact frame. Every frame is written with a single write(2), so a
-// torn frame can only be the final one of a file.
+// The framing exists for crash tolerance: a torn tail (the crash interrupted
+// a write mid-record) shows as an unreadable length, a length overrunning the
+// file, or a CRC mismatch, and replay stops at the last intact record. Every
+// record is written with a single write(2), so a torn record can only be the
+// final one of a file.
 
-// maxFrame bounds a single record's payload (a mutating request envelope).
-// Anything larger is a corrupt length field, not a real record: the bound
-// lets parseFrames reject forged lengths without touching the payload.
-const maxFrame = 64 << 20
+// recordRoom is what buildRecord leaves ahead of the frame for the record's
+// length header.
+const recordRoom = binary.MaxVarintLen64
 
-// appendFrame appends one framed record to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+// buildRecord builds req's record in *buf, a buffer kept across records: the
+// frame is encoded once, recordRoom bytes in, and framed where it stands —
+// its CRC appended, its length right-aligned in the room ahead of it. The
+// record is a slice of *buf.
+func buildRecord(buf *[]byte, req wire.Request) ([]byte, error) {
+	b, err := wire.AppendRequest(append((*buf)[:0], make([]byte, recordRoom)...), req)
+	if err != nil {
+		return nil, err
+	}
+	frame := b[recordRoom:]
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(frame))
+	*buf = b
+	var hdr [recordRoom]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
+	rec := b[recordRoom-n:]
+	copy(rec, hdr[:n])
+	return rec, nil
 }
 
-// parseFrames walks the framed records in data, returning the concatenated
-// payload stream (the file's gob stream), the file offset at which each
-// frame ends, and the offset at which parsing stopped — len(data) when
-// every byte framed cleanly, the start of the first damaged frame otherwise
-// (a torn tail, or corruption). The per-frame end offsets let replay
-// truncate a tolerated tear back to the last intact record boundary.
-func parseFrames(data []byte) (stream []byte, ends []int, valid int) {
-	stream = make([]byte, 0, len(data))
-	for valid < len(data) {
-		rest := data[valid:]
-		size, w := binary.Uvarint(rest)
-		if w <= 0 || size > maxFrame || uint64(len(rest)-w) < size+4 {
-			return stream, ends, valid
-		}
-		payload := rest[w : w+int(size)]
-		crc := binary.LittleEndian.Uint32(rest[w+int(size):])
-		if crc32.ChecksumIEEE(payload) != crc {
-			return stream, ends, valid
-		}
-		stream = append(stream, payload...)
-		valid += w + int(size) + 4
-		ends = append(ends, valid)
+// cutRecord cuts the record at the front of data, returning its payload (a
+// slice of data) and its framed size — or size 0 when no intact record
+// starts there: a torn tail, or corruption. No record is empty, so a zero
+// length is damage too (the zero-filled tail a machine crash can leave).
+func cutRecord(data []byte) (payload []byte, size int) {
+	n, w := binary.Uvarint(data)
+	if w <= 0 || n == 0 || len(data)-w < 4 || n > uint64(len(data)-w-4) {
+		return nil, 0
 	}
-	return stream, ends, valid
+	payload = data[w : w+int(n)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[w+int(n):]) {
+		return nil, 0
+	}
+	return payload, w + int(n) + 4
 }

@@ -17,7 +17,6 @@
 package secret
 
 import (
-	"fmt"
 	"math/rand"
 
 	"robustatomic/internal/proto"
@@ -26,16 +25,10 @@ import (
 	"robustatomic/internal/types"
 )
 
-// NewWriter returns the base register's writer handle: the two-phase
-// regular writer attaching a fresh token to each write; rng generates the
-// tokens (pass a crypto-strength source in production; tests use seeded
-// PRNGs).
-func NewWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *regular.Writer {
-	return NewWriterAt(r, th, rng, 0, types.TS{})
-}
-
-// NewWriterAt returns the handle of writer wid resuming from a known last
-// timestamp.
+// NewWriterAt returns the base register's handle of writer wid, resuming from
+// a known last timestamp: the two-phase regular writer attaching a fresh token
+// to each write; rng generates the tokens (pass a crypto-strength source in
+// production; tests use seeded PRNGs).
 func NewWriterAt(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand, wid int64, last types.TS) *regular.Writer {
 	w := regular.NewWriterAt(r, th, types.WriterReg, wid, last)
 	w.NextToken = tokenSource(rng)
@@ -51,37 +44,4 @@ func tokenSource(rng *rand.Rand) func() types.Token {
 			}
 		}
 	}
-}
-
-// Reader reads the secret-token register: one round on the fast path, two
-// on the slow path.
-type Reader struct {
-	rounder proto.Rounder
-	th      quorum.Thresholds
-	// FastPath reports whether the last read decided on its first round.
-	FastPath bool
-}
-
-// NewReader returns a reader handle.
-func NewReader(r proto.Rounder, th quorum.Thresholds) *Reader {
-	return &Reader{rounder: r, th: th}
-}
-
-// Read returns the register value.
-func (r *Reader) Read() (types.Value, error) {
-	p, err := r.ReadPair()
-	return p.Val, err
-}
-
-// ReadPair runs the regular read (regular.ReadPairOn): one round when 2t+1
-// objects exhibit the same written (pair, token) tuple, the unauthenticated
-// decision round over the frozen first view otherwise.
-func (r *Reader) ReadPair() (types.Pair, error) {
-	acc := regular.NewReadAcc(r.th)
-	p, err := regular.ReadPairOn(r.rounder, types.WriterReg, acc, nil)
-	if err != nil {
-		return types.Pair{}, fmt.Errorf("secret: %w", err)
-	}
-	r.FastPath = acc.Hit()
-	return p, nil
 }

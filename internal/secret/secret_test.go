@@ -7,11 +7,52 @@ import (
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
+	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
+	"robustatomic/internal/regular"
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
 )
+
+// NewWriter returns the base register's handle of writer 0, starting fresh.
+func NewWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *regular.Writer {
+	return NewWriterAt(r, th, rng, 0, types.TS{})
+}
+
+// Reader reads the base secret-token register on its own (no atomic
+// transformation): one round on the fast path, two on the slow path. A
+// reference for these tests; the deployed read flow is NewAtomicReader.
+type Reader struct {
+	rounder proto.Rounder
+	th      quorum.Thresholds
+	// FastPath reports whether the last read decided on its first round.
+	FastPath bool
+}
+
+// NewReader returns a reader handle.
+func NewReader(r proto.Rounder, th quorum.Thresholds) *Reader {
+	return &Reader{rounder: r, th: th}
+}
+
+// Read returns the register value.
+func (r *Reader) Read() (types.Value, error) {
+	p, err := r.ReadPair()
+	return p.Val, err
+}
+
+// ReadPair runs the regular read (regular.ReadPairOn): one round when 2t+1
+// objects exhibit the same written (pair, token) tuple, the unauthenticated
+// decision round over the frozen first view otherwise.
+func (r *Reader) ReadPair() (types.Pair, error) {
+	acc := regular.NewReadAcc(r.th)
+	p, err := regular.ReadPairOn(r.rounder, types.WriterReg, acc, nil)
+	if err != nil {
+		return types.Pair{}, fmt.Errorf("secret: %w", err)
+	}
+	r.FastPath = acc.Hit()
+	return p, nil
+}
 
 func th(t *testing.T, s, tt int) quorum.Thresholds {
 	t.Helper()

@@ -106,9 +106,8 @@ var ErrFrameTooLarge = errors.New("wire: encoded frame exceeds the frame bound")
 
 // Encoder writes binary frames to a stream. Not safe for concurrent use.
 type Encoder struct {
-	w       io.Writer
-	payload []byte // reused payload build buffer
-	frame   []byte // reused frame build buffer (header + payload)
+	w     io.Writer
+	frame []byte // reused frame build buffer
 }
 
 // NewEncoder returns an Encoder on w.
@@ -116,62 +115,91 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
 // EncodeRequest writes one request envelope as a single frame.
 func (e *Encoder) EncodeRequest(req Request) error {
-	b := binary.AppendUvarint(e.payload[:0], req.ID)
+	f, err := AppendRequest(e.frame[:0], req)
+	return e.write(f, err)
+}
+
+// EncodeResponse writes one response envelope as a single frame.
+func (e *Encoder) EncodeResponse(rsp Response) error {
+	f, err := appendResponse(e.frame[:0], rsp)
+	return e.write(f, err)
+}
+
+// write writes the frame f with a single Write call and keeps its buffer for
+// the next one, so a long-lived connection stops allocating once the buffer
+// reaches the connection's peak message size.
+func (e *Encoder) write(f []byte, err error) error {
+	e.frame = f
+	if err != nil {
+		return err
+	}
+	if _, err := e.w.Write(f); err != nil {
+		return fmt.Errorf("wire: encode: %w", err)
+	}
+	return nil
+}
+
+// AppendRequest appends req's frame to dst — the one serialisation of a
+// request, on a socket (Encoder) and in a WAL record (internal/persist). An
+// envelope past MaxFrame is refused with ErrFrameTooLarge and dst comes back
+// at its original length.
+func AppendRequest(dst []byte, req Request) ([]byte, error) {
+	b := openFrame(dst)
+	b = binary.AppendUvarint(b, req.ID)
 	b = binary.AppendVarint(b, int64(req.From.Kind))
 	b = binary.AppendVarint(b, int64(req.From.Idx))
 	b = binary.AppendUvarint(b, req.Epoch)
 	if len(req.Subs) > 0 {
-		b = append(b, tagBatch)
-		b = binary.AppendUvarint(b, uint64(len(req.Subs)))
-		for i := range req.Subs {
-			b = binary.AppendVarint(b, int64(req.Subs[i].Reg))
-			b = appendMessage(b, &req.Subs[i].Msg, 0)
-		}
+		b = appendBatch(b, req.Subs)
 	} else {
 		b = append(b, tagSingle)
 		b = binary.AppendVarint(b, int64(req.Reg))
 		b = appendMessage(b, &req.Msg, 0)
 	}
-	e.payload = b
-	return e.writeFrame()
+	return sealFrame(b, len(dst))
 }
 
-// EncodeResponse writes one response envelope as a single frame.
-func (e *Encoder) EncodeResponse(rsp Response) error {
-	b := binary.AppendUvarint(e.payload[:0], rsp.ID)
+// appendResponse appends rsp's frame to dst (see AppendRequest).
+func appendResponse(dst []byte, rsp Response) ([]byte, error) {
+	b := openFrame(dst)
+	b = binary.AppendUvarint(b, rsp.ID)
 	b = binary.AppendVarint(b, int64(rsp.Server))
 	if len(rsp.Subs) > 0 {
-		b = append(b, tagBatch)
-		b = binary.AppendUvarint(b, uint64(len(rsp.Subs)))
-		for i := range rsp.Subs {
-			b = binary.AppendVarint(b, int64(rsp.Subs[i].Reg))
-			b = appendMessage(b, &rsp.Subs[i].Msg, 0)
-		}
+		b = appendBatch(b, rsp.Subs)
 	} else {
 		b = append(b, tagSingle)
 		b = appendMessage(b, &rsp.Msg, 0)
 	}
-	e.payload = b
-	return e.writeFrame()
+	return sealFrame(b, len(dst))
 }
 
-// writeFrame assembles [version][uvarint length][payload] in the reused
-// frame buffer and writes it with a single Write call (both buffers are
-// kept across messages, so a long-lived connection stops allocating once
-// they reach the connection's peak message size).
-func (e *Encoder) writeFrame() error {
-	n := len(e.payload)
-	if n > MaxFrame {
-		return fmt.Errorf("%w (%d-byte payload)", ErrFrameTooLarge, n)
+func appendBatch(b []byte, subs []SubReq) []byte {
+	b = append(b, tagBatch)
+	b = binary.AppendUvarint(b, uint64(len(subs)))
+	for i := range subs {
+		b = binary.AppendVarint(b, int64(subs[i].Reg))
+		b = appendMessage(b, &subs[i].Msg, 0)
 	}
-	f := append(e.frame[:0], wireVersion)
-	f = binary.AppendUvarint(f, uint64(n))
-	f = append(f, e.payload...)
-	e.frame = f
-	if _, err := e.w.Write(f); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+	return b
+}
+
+// frameRoom is what openFrame leaves ahead of a payload under construction:
+// the version byte and the widest length the header may need.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+func openFrame(dst []byte) []byte { return append(dst, make([]byte, frameRoom)...) }
+
+// sealFrame turns b[start:] — frameRoom spare bytes, then a payload — into
+// [version][uvarint length][payload], closing the gap the header left unused
+// (the payload's length is not known until it is built; this move is the
+// frame's one copy).
+func sealFrame(b []byte, start int) ([]byte, error) {
+	payload := b[start+frameRoom:]
+	if len(payload) > MaxFrame {
+		return b[:start], fmt.Errorf("%w (%d-byte payload)", ErrFrameTooLarge, len(payload))
 	}
-	return nil
+	b = binary.AppendUvarint(append(b[:start], wireVersion), uint64(len(payload)))
+	return append(b, payload...), nil
 }
 
 // Decoder reads binary frames from a stream. Not safe for concurrent use.
@@ -189,8 +217,31 @@ func (d *Decoder) DecodeRequest() (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
+	return parseRequest(payload)
+}
+
+// ParseRequest parses frame, which must hold exactly one request frame as
+// AppendRequest builds it — a stored record; a stream goes through a Decoder.
+// The request's values are copies, so frame may be reused.
+func ParseRequest(frame []byte) (Request, error) {
+	if len(frame) == 0 {
+		return Request{}, fmt.Errorf("wire: decode: empty frame")
+	}
+	if frame[0] != wireVersion {
+		return Request{}, versionError(frame[0])
+	}
+	n, w := binary.Uvarint(frame[1:])
+	if w <= 0 || n > uint64(MaxFrame) || n != uint64(len(frame)-1-w) {
+		return Request{}, fmt.Errorf("wire: decode: frame length %d in a %d-byte frame", n, len(frame))
+	}
+	return parseRequest(frame[1+w:])
+}
+
+// parseRequest parses a request frame's payload.
+func parseRequest(payload []byte) (Request, error) {
 	var req Request
 	var kind, idx int64
+	var err error
 	if req.ID, payload, err = cutUvarint(payload); err == nil {
 		if kind, payload, err = cutVarint(payload); err == nil {
 			if idx, payload, err = cutVarint(payload); err == nil {
@@ -314,7 +365,7 @@ func (d *Decoder) readFrame() ([]byte, error) {
 		return nil, fmt.Errorf("wire: decode: %w", err)
 	}
 	if ver != wireVersion {
-		return nil, fmt.Errorf("%w: got frame header 0x%02x, want 0x%02x", ErrVersion, ver, wireVersion)
+		return nil, versionError(ver)
 	}
 	n, err := binary.ReadUvarint(d.r)
 	if err != nil {
@@ -331,6 +382,10 @@ func (d *Decoder) readFrame() ([]byte, error) {
 		return nil, fmt.Errorf("wire: decode: truncated frame: %w", err)
 	}
 	return buf, nil
+}
+
+func versionError(ver byte) error {
+	return fmt.Errorf("%w: got frame header 0x%02x, want 0x%02x", ErrVersion, ver, wireVersion)
 }
 
 // Message field-presence mask bits.

@@ -7,52 +7,28 @@
 // any number of requests may be in flight on one connection and replies may
 // complete out of order.
 //
-// The LIVE codec (Encoder/Decoder) is a hand-rolled length-prefixed binary
-// format — generation 5, header byte 0x05: each frame is tagged with the
-// request ID and either a single register message or a BATCH of per-register
+// The codec (codec.go) is a hand-rolled length-prefixed binary format,
+// generation 5, header byte 0x05: each frame is tagged with the request ID
+// and carries either a single register message or a BATCH of per-register
 // (Reg, Msg) sub-requests, so one frame can carry a whole wave of register
-// rounds (the cross-shard group commit of the Store layer). The codec
-// encodes into a pooled per-connection buffer and writes each envelope as
-// one frame. See codec.go for the format.
+// rounds (the cross-shard group commit of the Store layer).
 //
-// Versioning: the LIVE wire format is not negotiated — clients and daemons
-// of one deployment must run the same protocol generation, upgraded in
-// lockstep (daemons first is fine: requests fail with a version/decode
-// error until both sides match, without corrupting state). Generation
-// history: gen 1 was the gob stream of the original deployment, whose Pair
-// carried a scalar timestamp until the multi-writer refactor changed it to
-// the (Seq, WID) struct (a type change gob surfaces immediately); gen 2
-// replaced gob with the binary codec — lock-step request/reply, replies
-// matched by Message.Seq, one in-flight request per connection; gen 3
-// tagged every frame with a 64-bit request ID and added the
-// batch frame, which is what turned the transport from lock-step into a
-// pipelined, multiplexed protocol; gen 4 stamps every
-// request with the client's configuration epoch (uvarint after From.Idx),
-// the dynamic-reconfiguration redirect key — objects refuse requests from
-// a superseded epoch with MsgWrongEpoch so clients refetch the membership
-// and retry, and epoch 0 is the wildcard stamp config-plane rounds and
-// operator tools use; gen 5 (the current format) carries value-eliding
-// reads — a READ's have-list and no-values flag, a STATE reply's elided
-// bits, and one bit for W == PW so a settled register ships one copy of
-// its value instead of two (the three mask bits gen 4 left spare; see
-// codec.go). A gen-4 peer would misparse those bits, hence the bump: like
-// every generation change it is a lockstep upgrade of daemons and clients.
-// A frame from any other generation is rejected by the version byte, so mixed
-// deployments fail loudly on the first message. PERSISTED data is versioned
-// the same way — snapshot and shard-table header bytes, and the WAL's record
-// format, which is still gob (GobEncoder/GobDecoder below: gob omits absent
-// fields and ignores unknown ones, so batch envelopes and epoch stamps
-// persisted without a WAL format bump) — and an input in a format this
-// software does not read is refused with a typed error, never guessed at.
+// Versioning: the format is not negotiated. A frame whose first byte is not
+// this generation's is refused with ErrVersion, so clients and daemons of one
+// deployment run the same generation and upgrade in lockstep; a mixed
+// deployment fails loudly on the first message without corrupting state.
+//
+// The same frame is the write-ahead log's record (internal/persist logs what
+// AppendRequest builds and replays it through ParseRequest), so the wire
+// generation byte versions the log as well: a generation bump is a WAL bump.
+// A log written under another generation is refused with persist.ErrFormat,
+// never guessed at; a planned upgrade therefore stops daemons cleanly —
+// storaged compacts on SIGTERM, so the new binary boots from a snapshot
+// (versioned on its own, server.ErrSnapshotVersion) and an empty log — and
+// only a crash replays a log, under the binary that wrote it.
 package wire
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-
-	"robustatomic/internal/types"
-)
+import "robustatomic/internal/types"
 
 // SubReq is one register instance's share of a batch frame: the register
 // instance it addresses (request direction) or answers for (response
@@ -99,50 +75,4 @@ type Response struct {
 	Server int
 	Msg    types.Message
 	Subs   []SubReq
-}
-
-// GobEncoder writes envelopes to a gob stream — the PERSISTED codec: WAL
-// generations are gob streams (one per generation); the on-disk format stays
-// gob although the live sockets moved to the binary codec.
-type GobEncoder struct{ enc *gob.Encoder }
-
-// NewGobEncoder returns a GobEncoder on w.
-func NewGobEncoder(w io.Writer) *GobEncoder { return &GobEncoder{enc: gob.NewEncoder(w)} }
-
-// Encode writes one envelope.
-func (e *GobEncoder) Encode(v any) error {
-	if err := e.enc.Encode(v); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	return nil
-}
-
-// GobDecoder reads envelopes from a gob stream (see GobEncoder).
-type GobDecoder struct{ dec *gob.Decoder }
-
-// NewGobDecoder returns a GobDecoder on r.
-func NewGobDecoder(r io.Reader) *GobDecoder { return &GobDecoder{dec: gob.NewDecoder(r)} }
-
-// DecodeRequest reads one request.
-func (d *GobDecoder) DecodeRequest() (Request, error) {
-	var req Request
-	if err := d.dec.Decode(&req); err != nil {
-		if err == io.EOF {
-			return req, io.EOF
-		}
-		return req, fmt.Errorf("wire: decode request: %w", err)
-	}
-	return req, nil
-}
-
-// DecodeResponse reads one response.
-func (d *GobDecoder) DecodeResponse() (Response, error) {
-	var rsp Response
-	if err := d.dec.Decode(&rsp); err != nil {
-		if err == io.EOF {
-			return rsp, io.EOF
-		}
-		return rsp, fmt.Errorf("wire: decode response: %w", err)
-	}
-	return rsp, nil
 }

@@ -60,35 +60,3 @@ func TestPairWireProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestGobCodecRoundTrip covers the persisted WAL codec, which deliberately
-// stays on gob (see wire.go's versioning comment): the Engine's generations
-// must keep round-tripping byte-compatibly.
-func TestGobCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewGobEncoder(&buf)
-	reqs := []Request{
-		{From: types.Writer, Reg: 0, Msg: types.Message{Kind: types.MsgPreWrite, Pair: types.Pair{TS: types.TS{Seq: 1, WID: 2}, Val: "v"}}},
-		{From: types.Reader(2), Reg: 3, Msg: types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{
-			{Reg: types.ReaderReg(1), Msg: types.Message{Kind: types.MsgWriteBack, Pair: types.Pair{TS: types.At(4), Val: "wb"}}},
-		}}},
-	}
-	for _, r := range reqs {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec := NewGobDecoder(&buf)
-	for i, want := range reqs {
-		got, err := dec.DecodeRequest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("gob round trip %d:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-	if _, err := dec.DecodeRequest(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
