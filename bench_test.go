@@ -203,29 +203,6 @@ func BenchmarkE7LiveRead(b *testing.B) {
 	}
 }
 
-// BenchmarkE7SecretRead measures the 3-round secret-token read against the
-// 4-round unauthenticated read (the Section 5 model contrast).
-func BenchmarkE7SecretRead(b *testing.B) {
-	c, err := NewCluster(Options{Faults: 1, Readers: 1, Model: SecretTokens, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Writer().Write("x"); err != nil {
-		b.Fatal(err)
-	}
-	r, err := c.Reader(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Read(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkE8TCP measures end-to-end write/read latency over loopback TCP
 // against 4 storage daemons.
 func BenchmarkE8TCP(b *testing.B) {

@@ -212,7 +212,7 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		}
 		fmt.Printf("OK (shard %d/%d)\n", st.ShardOf(args[1]), st.Shards())
 		return nil
-	case "burst":
+	case "burst", "getburst":
 		// burst hammers the store with <count> concurrent puts over ONE
 		// pipelined connection set: keys <prefix>:1..count, value v<i>. This
 		// is the integration-drill workload for the multiplexed wire — many
@@ -221,54 +221,8 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		// being kill -9'd and restarted mid-burst (the mux fails that
 		// connection's in-flight rounds, the quorum masks the loss, and the
 		// 1s-backoff redial folds the daemon back in).
-		if len(args) != 3 {
-			return fmt.Errorf("usage: storctl burst <prefix> <count>")
-		}
-		count, err := strconv.Atoi(args[2])
-		if err != nil || count < 1 {
-			return fmt.Errorf("burst: bad count %q", args[2])
-		}
-		st, err := cluster.NewStore(storeOpts)
-		if err != nil {
-			return err
-		}
-		const workers = 16
-		var (
-			next    atomic.Int64
-			firstMu sync.Mutex
-			first   error
-			wg      sync.WaitGroup
-		)
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i > count {
-						return
-					}
-					key := fmt.Sprintf("%s:%d", args[1], i)
-					if err := st.Put(key, fmt.Sprintf("v%d", i)); err != nil {
-						firstMu.Lock()
-						if first == nil {
-							first = fmt.Errorf("put %s: %w", key, err)
-						}
-						firstMu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if first != nil {
-			return first
-		}
-		fmt.Printf("OK burst: %d puts, %d workers, %v\n", count, workers, time.Since(start).Round(time.Millisecond))
-		return nil
-	case "getburst":
-		// getburst is the read-side drill symmetric to burst: 16 workers Get
+		//
+		// getburst is the read-side drill symmetric to burst: the workers Get
 		// keys <prefix>:1..count concurrently through ONE store (and, with
 		// the default single -reader identity, ONE reader handle) and verify
 		// each value is the v<i> a prior burst wrote. The concurrency makes
@@ -279,54 +233,44 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		// the quorum view is disturbed and the 4-round fallback carries the
 		// reads, so every certified value still comes back.
 		if len(args) != 3 {
-			return fmt.Errorf("usage: storctl getburst <prefix> <count>")
+			return fmt.Errorf("usage: storctl %s <prefix> <count>", args[0])
 		}
 		count, err := strconv.Atoi(args[2])
 		if err != nil || count < 1 {
-			return fmt.Errorf("getburst: bad count %q", args[2])
+			return fmt.Errorf("%s: bad count %q", args[0], args[2])
 		}
 		st, err := cluster.NewStore(storeOpts)
 		if err != nil {
 			return err
 		}
-		const workers = 16
-		var (
-			next    atomic.Int64
-			firstMu sync.Mutex
-			first   error
-			wg      sync.WaitGroup
-		)
+		put := args[0] == "burst"
 		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i > count {
-						return
-					}
-					key := fmt.Sprintf("%s:%d", args[1], i)
-					v, err := st.Get(key)
-					if err == nil && v != fmt.Sprintf("v%d", i) {
-						err = fmt.Errorf("certified %q, want %q", v, fmt.Sprintf("v%d", i))
-					}
-					if err != nil {
-						firstMu.Lock()
-						if first == nil {
-							first = fmt.Errorf("get %s: %w", key, err)
-						}
-						firstMu.Unlock()
-						return
-					}
+		err = runBurst(count, func(i int) error {
+			key, want := fmt.Sprintf("%s:%d", args[1], i), fmt.Sprintf("v%d", i)
+			if put {
+				if err := st.Put(key, want); err != nil {
+					return fmt.Errorf("put %s: %w", key, err)
 				}
-			}()
+				return nil
+			}
+			v, err := st.Get(key)
+			if err == nil && v != want {
+				err = fmt.Errorf("certified %q, want %q", v, want)
+			}
+			if err != nil {
+				return fmt.Errorf("get %s: %w", key, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		wg.Wait()
-		if first != nil {
-			return first
+		elapsed := time.Since(start).Round(time.Millisecond)
+		if put {
+			fmt.Printf("OK burst: %d puts, %d workers, %v\n", count, burstWorkers, elapsed)
+		} else {
+			fmt.Printf("OK getburst: %d gets, %d workers, %v; read path 1/2/4 rounds: %s\n", count, burstWorkers, elapsed, readPathMix(obs.Default.Snapshot().Counters))
 		}
-		fmt.Printf("OK getburst: %d gets, %d workers, %v; read path 1/2/4 rounds: %s\n", count, workers, time.Since(start).Round(time.Millisecond), readPathMix(obs.Default.Snapshot().Counters))
 		return nil
 	case "repair":
 		if len(args) != 2 {
@@ -417,6 +361,42 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 }
 
 // printConfig renders one configuration, vacant slots marked.
+// burstWorkers is the concurrency of the burst and getburst drills.
+const burstWorkers = 16
+
+// runBurst runs op(1..count) over burstWorkers goroutines and returns the
+// first error; a worker stops at its own first error.
+func runBurst(count int, op func(i int) error) error {
+	var (
+		next    atomic.Int64
+		firstMu sync.Mutex
+		first   error
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < burstWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i > count {
+					return
+				}
+				if err := op(i); err != nil {
+					firstMu.Lock()
+					if first == nil {
+						first = err
+					}
+					firstMu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
 func printConfig(cfg config.Config) {
 	fmt.Printf("epoch %d (%d/%d slots live)\n", cfg.Epoch, cfg.Live(), len(cfg.Addrs))
 	for i, a := range cfg.Addrs {

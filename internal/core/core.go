@@ -377,11 +377,13 @@ func (r *Reader) init() {
 func readReq(int) types.Message { return types.Message{Kind: types.MsgRead1} }
 
 // muxSpec builds the query-round spec over the reader's prebuilt parts:
-// MuxRound minus the per-round allocations. Read requests are
-// sid-independent and runtimes treat request messages as immutable (a slow
-// object may still be sent the previous round's bundle), so one bundle
-// serves every object, and a NEW one is built — never the old one patched —
-// when the known-pair set has moved since the last round.
+// every object receives one sub-request per register and replies with one
+// sub-reply per register, so the bundled rounds advance in lockstep and
+// cost a single physical round-trip. Read requests are sid-independent and
+// runtimes treat request messages as immutable (a slow object may still be
+// sent the previous round's bundle), so one bundle serves every object, and
+// a NEW one is built — never the old one patched — when the known-pair set
+// has moved since the last round.
 func (r *Reader) muxSpec(label string) proto.RoundSpec {
 	if r.mux.refresh() || r.req.Sub == nil {
 		r.req = r.mux.bundle(0)
@@ -527,9 +529,8 @@ func (r *Reader) allRegs() []types.RegID {
 }
 
 // EncodePair encodes a pair as a register value for write-back registers:
-// "seq|value" for single-writer timestamps (the exact pre-multi-writer
-// encoding, so PR 3-era persisted write-back values keep round-tripping) and
-// "seq.wid|value" for timestamps carrying a writer id.
+// "seq|value" for timestamps of writer 0 and "seq.wid|value" for timestamps
+// carrying a writer id.
 func EncodePair(p types.Pair) types.Value {
 	if p.IsBottom() {
 		return types.Bottom
@@ -537,9 +538,8 @@ func EncodePair(p types.Pair) types.Value {
 	return types.Value(p.TS.String() + "|" + string(p.Val))
 }
 
-// DecodePair decodes a write-back register value, accepting both the legacy
-// scalar "seq|value" form and the multi-writer "seq.wid|value" form. The
-// empty value decodes to the initial pair.
+// DecodePair decodes a write-back register value in either EncodePair form.
+// The empty value decodes to the initial pair.
 func DecodePair(v types.Value) (types.Pair, error) {
 	if v.IsBottom() {
 		return types.BottomPair, nil
@@ -676,15 +676,4 @@ func (a *muxAcc) Done() bool {
 		}
 	}
 	return true
-}
-
-// MuxRound builds the physical round bundling the given register rounds:
-// every object receives one sub-request per register and replies with one
-// sub-reply per register, so the bundled rounds advance in lockstep and
-// cost a single physical round-trip. READ sub-requests are conditioned on
-// known (nil for unconditioned reads) and the replies re-inflated from it.
-func MuxRound(label string, parts []MuxPart, known *Known) proto.RoundSpec {
-	acc := &muxAcc{parts: parts, read: parts, inflater: inflater{known: known}}
-	acc.refresh()
-	return proto.RoundSpec{Label: label, Req: acc.bundle, Acc: acc}
 }

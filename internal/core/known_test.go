@@ -138,12 +138,13 @@ func TestMuxAccRoutesOutOfOrderReplies(t *testing.T) {
 		accs[i] = regular.NewStateAcc(thr)
 		parts[i] = MuxPart{Reg: reg, Req: readReq, Acc: accs[i]}
 	}
-	spec := MuxRound("X", parts, nil)
+	acc := &muxAcc{parts: parts, read: parts} // an unconditioned bundled round
+	acc.refresh()
 	sub := func(reg types.RegID, seq int64) types.SubMsg {
 		return types.SubMsg{Reg: reg, Msg: types.Message{Kind: types.MsgState, W: pairAt(seq, "v")}}
 	}
-	spec.Acc.Add(1, types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{sub(regs[0], 10), sub(regs[1], 11), sub(regs[2], 12)}})
-	spec.Acc.Add(2, types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{sub(regs[2], 22), sub(types.ReaderReg(7), 99), sub(regs[0], 20)}})
+	acc.Add(1, types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{sub(regs[0], 10), sub(regs[1], 11), sub(regs[2], 12)}})
+	acc.Add(2, types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{sub(regs[2], 22), sub(types.ReaderReg(7), 99), sub(regs[0], 20)}})
 	for i, want := range []map[int]int64{{1: 10, 2: 20}, {1: 11}, {1: 12, 2: 22}} {
 		if len(accs[i].Replies) != len(want) {
 			t.Errorf("register %v got %d replies, want %d", regs[i], len(accs[i].Replies), len(want))

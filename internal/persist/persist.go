@@ -52,6 +52,7 @@ import (
 
 	"robustatomic/internal/obs"
 	"robustatomic/internal/server"
+	"robustatomic/internal/shard"
 	"robustatomic/internal/types"
 	"robustatomic/internal/wire"
 )
@@ -134,19 +135,6 @@ type walFile struct {
 	path string
 }
 
-// syncBatch is one group-commit fsync: every Append whose record it covers
-// blocks on done; exactly one of them (or the previous leader, via lead)
-// performs the fsync.
-type syncBatch struct {
-	done chan struct{}
-	lead chan struct{} // capacity 1: handoff token making its receiver the syncer
-	err  error
-}
-
-func newSyncBatch() *syncBatch {
-	return &syncBatch{done: make(chan struct{}), lead: make(chan struct{}, 1)}
-}
-
 // Engine is the durability engine for one storage object's data directory.
 // Append is safe for concurrent use. Recover must be called exactly once,
 // before the first Append. Rotate and Commit must not race Append — the
@@ -170,10 +158,12 @@ type Engine struct {
 	records   int64
 	recovered bool
 	closed    bool
-	failed    error      // latched after a WAL write/fsync failure: all appends refuse
-	pending   *syncBatch // FsyncAlways: batch collecting appends for the next fsync
-	syncing   bool       // FsyncAlways: a group-commit leader is running
-	dirty     bool       // FsyncBatch: bytes written since the last background sync
+	failed    error // latched after a WAL write/fsync failure: all appends refuse
+	dirty     bool  // FsyncBatch: bytes written since the last background sync
+
+	// syncs is the FsyncAlways group commit: appends whose records reached
+	// the file while an fsync was in flight share the next one.
+	syncs shard.Group[struct{}, struct{}]
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -434,48 +424,35 @@ func (e *Engine) Append(req wire.Request) error {
 		mWALAppendLat.RecordSince(start)
 		return nil
 	}
-	// FsyncAlways: group commit. Join (or start) the batch covering this
-	// record; one member fsyncs for all of them.
-	b := e.pending
-	if b == nil {
-		b = newSyncBatch()
-		e.pending = b
+	// FsyncAlways: group commit. The record is in the file before this call
+	// joins a batch, and a batch's fsync starts after its last member joined,
+	// so it covers every member's record.
+	e.mu.Unlock()
+	_, led, err := e.syncs.Do(struct{}{}, e.syncBatch)
+	if err == nil && led {
+		mWALAppendLat.RecordSince(start)
 	}
-	if e.syncing {
-		// A leader is fsyncing an earlier batch. Wait for ours — unless the
-		// leader hands off, making us the next leader.
-		e.mu.Unlock()
-		select {
-		case <-b.done:
-			return b.err
-		case <-b.lead:
-			e.mu.Lock()
-		}
-	}
-	e.syncing = true
-	e.pending = nil
+	return err
+}
+
+// syncBatch fsyncs the WAL on behalf of one batch of FsyncAlways appends.
+func (e *Engine) syncBatch([]struct{}) (struct{}, error) {
+	e.mu.Lock()
 	f := e.f
 	e.mu.Unlock()
 	syncStart := time.Now()
-	b.err = f.Sync()
+	err := f.Sync()
 	mWALFsyncs.Inc()
 	mWALFsyncLat.RecordSince(syncStart)
-	close(b.done)
-	e.mu.Lock()
-	if b.err != nil && e.f == f && !e.closed {
-		e.failed = b.err // a disk that cannot fsync must stop acking
+	if err == nil {
+		return struct{}{}, nil
 	}
-	if e.pending != nil {
-		e.pending.lead <- struct{}{}
-	} else {
-		e.syncing = false
+	e.mu.Lock()
+	if e.f == f && !e.closed {
+		e.failed = err // a disk that cannot fsync must stop acking
 	}
 	e.mu.Unlock()
-	if b.err != nil {
-		return fmt.Errorf("persist: wal fsync: %w", b.err)
-	}
-	mWALAppendLat.RecordSince(start)
-	return nil
+	return struct{}{}, fmt.Errorf("persist: wal fsync: %w", err)
 }
 
 // syncLoop is the FsyncBatch background syncer.

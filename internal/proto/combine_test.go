@@ -69,12 +69,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // pendingSubs snapshots the register layout of the combiner's pending
 // batches (white-box; same package).
 func pendingSubs(c *Combiner) [][]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out [][]int
-	for _, b := range c.pending {
+	for _, subs := range c.group.Pending() {
 		var regs []int
-		for _, s := range b.subs {
+		for _, s := range subs {
 			regs = append(regs, s.Reg)
 		}
 		out = append(out, regs)

@@ -260,9 +260,8 @@ func Mutates(m types.Message) bool {
 
 // Snapshot format: one version byte, a uvarint register count, then per
 // register (in ascending regLess order) the RegID and RegState fields,
-// integers as uvarints and values length-prefixed. The hand-rolled codec
-// replaces the original per-call gob encoder: no type-descriptor preamble,
-// no re-sorting (ids is maintained incrementally), one allocation.
+// integers as uvarints and values length-prefixed: no re-sorting (ids is
+// maintained incrementally), one allocation.
 //
 // Version 0x03 carries multi-writer (Seq, WID) timestamps: each pair is
 // Seq uvarint, WID uvarint, value. Any other version byte (0x02 carried

@@ -1,0 +1,109 @@
+package shard
+
+import "sync"
+
+// Group is the leader-handoff group commit: concurrent callers' jobs collect
+// into batches, exactly one batch runs at a time, and the batch that
+// accumulated while one ran is run next by one of its own members. The
+// Store's per-shard Puts/Deletes and Gets, proto.Combiner's cross-shard
+// rounds and persist's FsyncAlways appends are all this one mechanism. What
+// it guarantees:
+//
+//   - a job joins its batch strictly BEFORE the batch's leader detaches it
+//     (both under mu), so run starts after every member's Do began and ends
+//     before any member's Do returns — the batch executes inside every
+//     member's call interval (what makes a shared Get linearizable);
+//   - a caller leads at most one batch per Do, and only one containing its
+//     own job (so leading is bounded work done on the caller's own behalf);
+//   - exactly one run executes at a time, and the handoff token orders
+//     consecutive runs (state a run leaves is visible to the next);
+//   - a run's result and error reach every member of its batch.
+//
+// The zero value is an idle group that admits every job into the one open
+// batch.
+type Group[J, R any] struct {
+	// Admit, when non-nil, reports whether job may join a pending batch
+	// already holding batch; a job no pending batch admits opens a new one,
+	// and pending batches run in the order they were opened. Set it before
+	// the first Do.
+	Admit func(batch []J, job J) bool
+
+	mu      sync.Mutex
+	running bool                // a leader is between detaching its batch and handing off
+	pending []*groupBatch[J, R] // batches awaiting a leader, oldest first; empty when idle
+}
+
+type groupBatch[J, R any] struct {
+	jobs []J
+	done chan struct{} // closed once res and err are set
+	lead chan struct{} // capacity 1: the handoff token making its receiver the leader
+	res  R
+	err  error
+}
+
+// Do adds job to a pending batch and returns once that batch has run,
+// with the run's result; led reports whether this caller ran it. run is
+// invoked with the batch's jobs in arrival order, by at most one caller at a
+// time.
+func (g *Group[J, R]) Do(job J, run func([]J) (R, error)) (res R, led bool, err error) {
+	g.mu.Lock()
+	b := g.join(job)
+	if g.running {
+		// A leader is running. Wait for our batch's result — unless the
+		// leader hands this batch off, making us the next leader.
+		g.mu.Unlock()
+		select {
+		case <-b.done:
+			return b.res, false, b.err
+		case <-b.lead:
+			g.mu.Lock()
+		}
+	}
+	// Leader of the oldest batch (idle: the one just opened; handed off: the
+	// head the token was sent to). Detach it, so later jobs open the next.
+	g.running = true
+	n := copy(g.pending, g.pending[1:])
+	g.pending[n] = nil
+	g.pending = g.pending[:n]
+	g.mu.Unlock()
+	b.res, b.err = run(b.jobs)
+	close(b.done)
+	g.mu.Lock()
+	if len(g.pending) > 0 {
+		g.pending[0].lead <- struct{}{}
+	} else {
+		g.running = false
+	}
+	g.mu.Unlock()
+	return b.res, true, b.err
+}
+
+// join appends job to the oldest pending batch that admits it, opening a new
+// one at the tail if none does. Caller holds mu.
+func (g *Group[J, R]) join(job J) *groupBatch[J, R] {
+	for _, b := range g.pending {
+		if g.Admit == nil || g.Admit(b.jobs, job) {
+			b.jobs = append(b.jobs, job)
+			return b
+		}
+	}
+	b := &groupBatch[J, R]{
+		jobs: []J{job},
+		done: make(chan struct{}),
+		lead: make(chan struct{}, 1),
+	}
+	g.pending = append(g.pending, b)
+	return b
+}
+
+// Pending snapshots the jobs of the batches awaiting a leader, oldest first
+// (tests wait on it to know a job has joined before releasing a run).
+func (g *Group[J, R]) Pending() [][]J {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([][]J, len(g.pending))
+	for i, b := range g.pending {
+		out[i] = append([]J(nil), b.jobs...)
+	}
+	return out
+}

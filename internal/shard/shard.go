@@ -1,8 +1,9 @@
 // Package shard provides the machinery of the keyed multi-register Store
 // layer: hash-based routing of keys onto N independent atomic registers, a
 // lazily-instantiated per-shard table, a blocking pool of client handles,
-// and the codec that packs one shard's key→value table into a single
-// register value.
+// the leader-handoff group commit (Group — also what batches cross-shard
+// rounds and WAL fsyncs), and the codec that packs one shard's key→value
+// table into a single register value.
 //
 // The layering mirrors the paper's cloud key-value scenario (Section 1.1):
 // each shard is one robust atomic SWMR register hosted on the same S = 3t+1

@@ -364,8 +364,8 @@ type SubMsg struct {
 // Message is the single wire message type. Fields beyond Kind are
 // kind-specific; unused fields stay at their zero values. Using one concrete
 // struct (rather than an interface hierarchy) keeps messages trivially
-// copyable, comparable where needed, gob-encodable for the TCP transport and
-// forgeable by simulated Byzantine objects.
+// copyable, comparable where needed and forgeable by simulated Byzantine
+// objects (internal/wire is its binary encoding).
 type Message struct {
 	Kind MsgKind
 

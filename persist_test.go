@@ -378,18 +378,3 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 		t.Fatalf("second repair: %v", err)
 	}
 }
-
-// TestRepairRefusesSecretTokens: the quorum read cannot recover the secret
-// tokens peers hold alongside the pair, so a half-repaired object would be
-// permanently excluded from the fast path; Repair must refuse up front.
-func TestRepairRefusesSecretTokens(t *testing.T) {
-	addrs := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}
-	c, err := Connect(addrs, Options{Faults: 1, Model: SecretTokens})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Repair(1, 2); err == nil {
-		t.Fatal("repair accepted a SecretTokens cluster")
-	}
-}

@@ -290,9 +290,6 @@ func (c *Cluster) migrate(addr string, shards int) ([]RepairedRegister, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("robustatomic: negative shard count %d", shards)
 	}
-	if c.opts.Model == SecretTokens {
-		return nil, fmt.Errorf("robustatomic: migration does not support the SecretTokens model (transferred state would lack the peers' tokens)")
-	}
 	d, err := tcpnet.DialDirect(addr, 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: migrate: %w", err)

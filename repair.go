@@ -55,14 +55,6 @@ func (c *Cluster) Repair(id int, shards int) ([]RepairedRegister, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("robustatomic: negative shard count %d", shards)
 	}
-	if c.opts.Model == SecretTokens {
-		// The quorum read yields the certified pair but not the secret
-		// tokens the peers hold alongside it; a replacement seeded with a
-		// zero token could never again contribute to the single-round
-		// fast path's (pair, token) matching, silently weakening the
-		// deployment. Refuse rather than half-repair.
-		return nil, fmt.Errorf("robustatomic: repair does not support the SecretTokens model (recovered state would lack the peers' tokens)")
-	}
 	d, err := tcpnet.DialDirect(addrs[id-1], 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: repair: %w", err)

@@ -15,9 +15,11 @@
 // argument) — 2 rounds when only the decision round can tell, falling
 // back to the full 4 exactly when a concurrent or Byzantine-disturbed
 // execution leaves completeness in doubt. The price of robustness is thus
-// paid only when contention or faults actually show up. Timestamps are lexicographically ordered
-// (Seq, WriterID) pairs, so writers that race to the same sequence number
-// still issue totally ordered timestamps.
+// paid only when contention or faults actually show up. Timestamps are
+// lexicographically ordered (Seq, WriterID) pairs, so writers that race to
+// the same sequence number still issue totally ordered timestamps. (The
+// paper's secret-token model is kept as a reference, package secret under
+// internal/; it is not a deployment option.)
 //
 // The library runs over an in-process cluster (the objects in this process,
 // with optional fault injection and random delays) or over TCP against
@@ -68,26 +70,9 @@ import (
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
-	"robustatomic/internal/secret"
 	"robustatomic/internal/server"
 	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
-)
-
-// Model selects the failure/authentication model.
-type Model int
-
-// Models.
-const (
-	// Unauthenticated is the paper's primary model: Byzantine objects, no
-	// data authentication. The paper's writes take 2 rounds and its reads 4 —
-	// optimal in the worst case; both models' operations are adaptive here
-	// (see Write, Read: a stable register reads in 1 round).
-	Unauthenticated Model = iota + 1
-	// SecretTokens is the stronger model of [DMSS09]: writes carry fresh
-	// unguessable tokens, and the paper's reads take 3 rounds in
-	// contention-free executions. The read flow is the same one.
-	SecretTokens
 )
 
 // Options configures a cluster.
@@ -106,9 +91,7 @@ type Options struct {
 	// which preserves the exact timestamps of the original single-writer
 	// deployments.
 	WriterID int
-	// Model selects the failure model. Default Unauthenticated.
-	Model Model
-	// Seed drives randomized delays and token generation.
+	// Seed drives randomized in-process delays and injected faults.
 	Seed int64
 	// MaxDelay bounds random in-process message delays (0 = none).
 	MaxDelay time.Duration
@@ -135,9 +118,6 @@ func (o *Options) defaults() {
 	}
 	if o.Readers == 0 {
 		o.Readers = 2
-	}
-	if o.Model == 0 {
-		o.Model = Unauthenticated
 	}
 }
 
@@ -173,10 +153,9 @@ func newCluster(opts Options, th quorum.Thresholds, hosts []*server.Host, addrs 
 	return c
 }
 
-// mixSeed derives a deterministic sub-seed from the cluster seed and a
-// handle's coordinates, splitmix64-style, so every handle gets a private
-// rand stream: near-identical inputs (adjacent reader indices, adjacent
-// shards) yield unrelated streams, and no two handles ever share a
+// mixSeed derives a deterministic sub-seed from the cluster seed and an
+// injected fault's coordinates, splitmix64-style: near-identical inputs
+// (adjacent object ids) yield unrelated streams, and no two faults share a
 // *rand.Rand (which is not concurrency-safe).
 func mixSeed(seed int64, salts ...int64) int64 {
 	z := uint64(seed) ^ 0x5eedcafe
@@ -187,11 +166,6 @@ func mixSeed(seed int64, salts ...int64) int64 {
 		z ^= z >> 31
 	}
 	return int64(z)
-}
-
-// handleRNG returns a fresh private rand stream for the handle (proc, reg).
-func (c *Cluster) handleRNG(proc types.ProcID, reg int) *rand.Rand {
-	return rand.New(rand.NewSource(mixSeed(c.opts.Seed, int64(proc.Kind), int64(proc.Idx), int64(reg))))
 }
 
 // NewCluster starts an in-process cluster of S = 3t+1 storage objects.
@@ -221,12 +195,18 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 // carries its own WriterID, reader identities, seed and transport — the
 // in-process twin of a second machine running Connect. Concurrent sibling
 // processes MUST configure distinct WriterIDs and use disjoint reader
-// identities (reader handles own their write-back registers). Closing a
-// handle releases its own transport only.
+// identities (reader handles own their write-back registers). Faults and
+// Readers are cluster-wide constants and must match: a reader consults all R
+// write-back registers, so a sibling built with a smaller R would miss a
+// value a peer's reader already wrote back and returned. Closing a handle
+// releases its own transport only.
 func (c *Cluster) Sibling(opts Options) (*Cluster, error) {
 	opts.defaults()
 	if opts.Faults != c.opts.Faults {
 		return nil, fmt.Errorf("robustatomic: sibling fault budget %d != cluster's %d", opts.Faults, c.opts.Faults)
+	}
+	if opts.Readers != c.opts.Readers {
+		return nil, fmt.Errorf("robustatomic: sibling reader count %d != cluster's %d", opts.Readers, c.opts.Readers)
 	}
 	return newCluster(opts, c.th, c.hosts, c.addrs), nil
 }
@@ -351,7 +331,7 @@ func (c *Cluster) shardWriter(reg int, last types.TS) *Writer {
 // client of the model.
 type Writer struct {
 	c *Cluster
-	w *core.Writer // one flow for both models (secret: token-carrying write phases)
+	w *core.Writer
 	// traced is the handle's trace-capable round executor (nil unless
 	// Options.Tracer is set); the Store layer points it at sampled OpTraces.
 	traced *proto.Traced
@@ -370,19 +350,12 @@ func (c *Cluster) writerReg(reg int, last types.TS) *Writer {
 // writerOn builds the writer handle for register instance reg over an
 // already-constructed round executor.
 func (c *Cluster) writerOn(rc proto.Rounder, reg int, last types.TS) *Writer {
-	proc := types.WriterID(c.opts.WriterID)
-	wid := int64(c.opts.WriterID)
 	w := &Writer{c: c}
 	if c.opts.Tracer != nil {
 		w.traced = proto.Trace(rc, reg)
 		rc = w.traced
 	}
-	switch c.opts.Model {
-	case SecretTokens:
-		w.w = secret.NewAtomicWriterAt(rc, c.th, c.handleRNG(proc, reg), wid, last)
-	default:
-		w.w = core.NewWriterAt(rc, c.th, wid, last)
-	}
+	w.w = core.NewWriterAt(rc, c.th, int64(c.opts.WriterID), last)
 	return w
 }
 
@@ -439,7 +412,7 @@ func (w *Writer) validateClean() (ok bool, err error) {
 // Reader is one of the register's R reader handles.
 type Reader struct {
 	c  *Cluster
-	rd *core.Reader // one flow for both models (secret: token-carrying write-backs)
+	rd *core.Reader
 	// traced is the handle's trace-capable round executor (nil unless
 	// Options.Tracer is set); the Store layer points it at sampled OpTraces.
 	traced *proto.Traced
@@ -464,12 +437,7 @@ func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
 		r.traced = proto.Trace(rc, reg)
 		rc = r.traced
 	}
-	switch c.opts.Model {
-	case SecretTokens:
-		r.rd = secret.NewAtomicReader(rc, c.th, c.handleRNG(types.Reader(idx), reg), idx, c.opts.Readers)
-	default:
-		r.rd = core.NewReader(rc, c.th, idx, c.opts.Readers)
-	}
+	r.rd = core.NewReader(rc, c.th, idx, c.opts.Readers)
 	return r, nil
 }
 
@@ -477,12 +445,12 @@ func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
 // handles (the keyed Store: one set per shard).
 func (r *Reader) useKnown(k *core.Known) { r.rd.UseKnown(k) }
 
-// Read returns the register's current value (adaptive, in both models: 1
-// communication round on a stable register — 2t+1 objects agree and the
-// write-back is elided because their replies certify the chosen value as
-// completely written — 2 when only the decision round can tell; 4 rounds
-// worst case under contention or Byzantine disturbance, which Proposition 1
-// proves optimal). The empty string is the initial value.
+// Read returns the register's current value (adaptive: 1 communication
+// round on a stable register — 2t+1 objects agree and the write-back is
+// elided because their replies certify the chosen value as completely
+// written — 2 when only the decision round can tell; 4 rounds worst case
+// under contention or Byzantine disturbance, which Proposition 1 proves
+// optimal). The empty string is the initial value.
 func (r *Reader) Read() (string, error) {
 	p, err := r.readPair()
 	return string(p.Val), err

@@ -85,24 +85,26 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	}
 }
 
-func TestPublicAPISecretModel(t *testing.T) {
-	c, err := NewCluster(Options{Faults: 1, Readers: 2, Model: SecretTokens, Seed: 3})
+// TestSiblingRefusesDifferentReaderCount: R is a cluster-wide constant — a
+// sibling reading fewer write-back registers than its peers write could miss
+// a value a peer's reader already wrote back and returned (new/old inversion).
+func TestSiblingRefusesDifferentReaderCount(t *testing.T) {
+	c, err := NewCluster(Options{Faults: 1, Readers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	w := c.Writer()
-	if err := w.Write("s"); err != nil {
-		t.Fatal(err)
+	for _, readers := range []int{0, 1, 4} { // 0 defaults to 2
+		if sib, err := c.Sibling(Options{Faults: 1, Readers: readers, WriterID: 1}); err == nil {
+			sib.Close()
+			t.Errorf("sibling with Readers = %d accepted on a cluster with 3", readers)
+		}
 	}
-	r, _ := c.Reader(2)
-	v, err := r.Read()
+	sib, err := c.Sibling(Options{Faults: 1, Readers: 3, WriterID: 1})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("sibling with the cluster's reader count refused: %v", err)
 	}
-	if v != "s" {
-		t.Errorf("read = %q", v)
-	}
+	sib.Close()
 }
 
 func TestPublicAPIConcurrent(t *testing.T) {

@@ -157,24 +157,20 @@ type Store struct {
 }
 
 // storeShard is one shard's client-side state. table/keys/lastTS mirror the
-// register state as of this process's last flush; they are committer-private
-// (exactly one committer runs at a time, and the lead-handoff channel
-// establishes happens-before between consecutive committers), so only next,
-// flushing and batch op collection need the mutex.
+// register state as of this process's last flush; they are committer-private:
+// puts runs exactly one flush at a time and orders consecutive ones
+// (shard.Group), so they need no lock of their own.
 type storeShard struct {
 	idx int // shard index, for error/trace labels
 
-	mu       sync.Mutex   // guards next, flushing, and batch op appends
-	flushing bool         // a committer is running (its flush may be in flight)
-	next     *commitBatch // batch collecting mutations for the next flush; nil if none pending
-
-	// Read-side group commit, symmetric to the write side above: Gets that
-	// arrive while a shard read is in flight coalesce into one pending
-	// getBatch served by a SINGLE protocol read (and single write-back, when
-	// one is needed) once the in-flight read completes.
-	rmu      sync.Mutex // guards gnext, greading
-	greading bool       // a read leader is running
-	gnext    *getBatch  // batch collecting Gets for the next shared read; nil if none pending
+	// Group commit, both directions (shard.Group): mutations that arrive
+	// while a flush is in flight commit together in the next one, in call
+	// order; Gets that arrive while a shard read is in flight share the next
+	// one — a SINGLE protocol read (and write-back, when one is needed) that
+	// runs inside every sharer's operation interval, so each may linearize
+	// at its linearization point.
+	puts shard.Group[func(*storeShard) bool, struct{}]
+	gets shard.Group[struct{}, map[string]string]
 
 	// Certified-table cache: the decoded table of the most recent read
 	// decision, keyed by its register timestamp. A read deciding on the
@@ -226,10 +222,9 @@ type storeShard struct {
 	wTraced *proto.Traced
 
 	// The three committer-only register operations below are never called
-	// concurrently (exactly one committer runs at a time, and the
-	// lead-handoff channel establishes happens-before between consecutive
-	// committers). Swappable in tests and benchmarks; a nil writeClean
-	// disables the flush fast path entirely (certified path only).
+	// concurrently (puts runs one flush at a time). Swappable in tests and
+	// benchmarks; a nil writeClean disables the flush fast path entirely
+	// (certified path only).
 	//
 	// modify performs one certified read-modify-write of the shard register.
 	modify func(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error)
@@ -239,41 +234,6 @@ type storeShard struct {
 	writeClean func(v types.Value) (types.Pair, bool, error)
 	// validate runs the 1-round freshness check backing no-op elision.
 	validate func() (bool, error)
-}
-
-// commitBatch represents one group commit: the key mutations (in call order)
-// accumulated since the previous flush took over. Every mutator whose op
-// rides in the batch blocks on done; exactly one of them (or the previous
-// committer, via lead) performs the flush. An op returns whether it changed
-// the table — an all-no-op batch elides the register write.
-type commitBatch struct {
-	ops  []func(*storeShard) bool
-	done chan struct{} // closed when the covering flush completes
-	lead chan struct{} // capacity 1: the handoff token making its receiver the committer
-	err  error         // the covering flush's result; valid after done is closed
-}
-
-func newCommitBatch() *commitBatch {
-	return &commitBatch{done: make(chan struct{}), lead: make(chan struct{}, 1)}
-}
-
-// getBatch represents one shared shard read: every Get that joined blocks on
-// done; exactly one of them (or the previous leader, via lead) runs the
-// protocol read and publishes the decoded table. Sharing is linearizable:
-// joiners enter the batch strictly before the leader starts the read (the
-// leader detaches the batch under rmu first), so the shared read executes
-// within every joiner's operation interval and each Get may linearize at
-// the shared read's linearization point.
-type getBatch struct {
-	done    chan struct{} // closed when the covering read completes
-	lead    chan struct{} // capacity 1: the handoff token making its receiver the leader
-	waiters int           // Gets coalesced into this batch (guarded by rmu)
-	table   map[string]string
-	err     error // the covering read's result; valid after done is closed
-}
-
-func newGetBatch() *getBatch {
-	return &getBatch{done: make(chan struct{}), lead: make(chan struct{}, 1)}
 }
 
 // NewStore returns a keyed store over the cluster.
@@ -431,41 +391,10 @@ func (s *Store) Delete(key string) error {
 // register write — per-key atomicity is preserved because each key's value
 // still changes only at register writes, in the order the ops applied.
 func (sh *storeShard) mutate(op func(*storeShard) bool) error {
-	sh.mu.Lock()
-	b := sh.next
-	if b == nil {
-		b = newCommitBatch()
-		sh.next = b
-	}
-	b.ops = append(b.ops, op)
-	if sh.flushing {
-		// A committer is running. Wait for our batch's flush — unless the
-		// committer hands this batch off, making us the next committer.
-		sh.mu.Unlock()
-		select {
-		case <-b.done:
-			return b.err
-		case <-b.lead:
-			sh.mu.Lock()
-		}
-	}
-	// Committer: flush batch b.
-	sh.flushing = true
-	sh.next = nil
-	sh.mu.Unlock()
-	b.err = sh.flush(b)
-	close(b.done)
-	// Hand off to a waiter of the batch that accumulated during our flush,
-	// if any; it performs the next flush (each caller flushes at most once,
-	// always for a batch containing its own op).
-	sh.mu.Lock()
-	if sh.next != nil {
-		sh.next.lead <- struct{}{}
-	} else {
-		sh.flushing = false
-	}
-	sh.mu.Unlock()
-	return b.err
+	_, _, err := sh.puts.Do(op, func(ops []func(*storeShard) bool) (struct{}, error) {
+		return struct{}{}, sh.flush(ops)
+	})
+	return err
 }
 
 // slowFlushPenalty is how many flushes stay on the certified path after a
@@ -476,7 +405,7 @@ func (sh *storeShard) mutate(op func(*storeShard) bool) error {
 // short window of certified (3- or 4-round) flushes.
 const slowFlushPenalty = 8
 
-// flush commits batch b. Fast path (no penalty outstanding, no failed-flush
+// flush commits one batch of mutations. Fast path (no penalty outstanding, no failed-flush
 // ops pending): apply the batch to the committer's cached table and try the
 // validated write — 3 rounds, or 1 validation round and NO register write
 // if every op was a no-op. A validation conflict (foreign
@@ -488,9 +417,9 @@ const slowFlushPenalty = 8
 // elided and the certified read alone linearizes it. Failed flushes park
 // their ops in uncommitted, which forces the certified path (and a real
 // write) until one succeeds.
-func (sh *storeShard) flush(b *commitBatch) (err error) {
+func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 	if sh.tracer != nil && sh.wTraced != nil {
-		if op := sh.tracer.StartOp("FLUSH", fmt.Sprintf("%d ops", len(b.ops))); op != nil {
+		if op := sh.tracer.StartOp("FLUSH", fmt.Sprintf("%d ops", len(ops))); op != nil {
 			sh.wTraced.SetOp(op)
 			defer func() {
 				sh.wTraced.SetOp(nil)
@@ -517,7 +446,7 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 				dirty = true
 			}
 		}
-		for _, op := range b.ops {
+		for _, op := range ops {
 			if op(sh) {
 				dirty = true
 			}
@@ -561,7 +490,7 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 			}
 			p, ok, err := sh.writeClean(v)
 			if err != nil {
-				sh.uncommitted = append(sh.uncommitted, b.ops...)
+				sh.uncommitted = append(sh.uncommitted, ops...)
 				return err
 			}
 			if ok {
@@ -618,7 +547,7 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 		return err
 	}
 	if err != nil {
-		sh.uncommitted = append(sh.uncommitted, b.ops...)
+		sh.uncommitted = append(sh.uncommitted, ops...)
 		return err
 	}
 	sh.uncommitted = nil
@@ -650,56 +579,23 @@ func (s *Store) Get(key string) (val string, err error) {
 		return "", err
 	}
 	table, err := sh.sharedRead()
-	if err != nil {
-		return "", err
-	}
-	return table[key], nil
+	return table[key], err // a failed read's table is nil
 }
 
 // sharedRead returns the shard table as decided by a protocol read executed
 // within the caller's operation interval — this caller's own, or a shared
-// one the caller coalesced into (see getBatch). The leader-handoff protocol
-// mirrors mutate: exactly one leader reads at a time, and the batch that
-// accumulates during its read is handed to one of its waiters.
+// one the caller coalesced into (storeShard.gets).
 func (sh *storeShard) sharedRead() (map[string]string, error) {
-	sh.rmu.Lock()
-	b := sh.gnext
-	if b == nil {
-		b = newGetBatch()
-		sh.gnext = b
+	table, led, err := sh.gets.Do(struct{}{}, sh.readTable)
+	if !led {
+		mGetCoalesced.Inc()
 	}
-	if sh.greading {
-		// A leader is running. Wait for our batch's shared read — unless the
-		// leader hands this batch off, making us the next leader.
-		b.waiters++
-		sh.rmu.Unlock()
-		select {
-		case <-b.done:
-			mGetCoalesced.Inc()
-			return b.table, b.err
-		case <-b.lead:
-			sh.rmu.Lock()
-		}
-	}
-	// Leader: one protocol read serves batch b.
-	sh.greading = true
-	sh.gnext = nil
-	sh.rmu.Unlock()
-	b.table, b.err = sh.readTable()
-	close(b.done)
-	sh.rmu.Lock()
-	if sh.gnext != nil {
-		sh.gnext.lead <- struct{}{}
-	} else {
-		sh.greading = false
-	}
-	sh.rmu.Unlock()
-	return b.table, b.err
+	return table, err
 }
 
 // readTable performs one atomic shard read and returns the decoded table,
 // consulting and refreshing the certified-table cache.
-func (sh *storeShard) readTable() (tab map[string]string, err error) {
+func (sh *storeShard) readTable([]struct{}) (tab map[string]string, err error) {
 	r := sh.pool.Acquire()
 	defer sh.pool.Release(r)
 	if sh.tracer != nil && r.traced != nil {

@@ -128,9 +128,9 @@ func TestStoreGetNoElisionUnderByzantine(t *testing.T) {
 // TestStoreGetCoalescing pins the read-side group commit: Gets that arrive
 // while a shard read is in flight coalesce into one pending batch served by
 // a SINGLE protocol read once the in-flight read completes — K concurrent
-// Gets cost 2 rounds, not 2K. The test plays the in-flight leader itself
-// (taking the leadership flag, then handing off exactly as a finishing
-// leader does), which makes the coalescing window deterministic.
+// Gets cost 1 round, not K. The test plays the in-flight leader itself (a
+// gated run on the shard's read group), which makes the coalescing window
+// deterministic.
 func TestStoreGetCoalescing(t *testing.T) {
 	st, rounds, _ := countingStore(t, 44)
 	if err := st.Put("k", "v"); err != nil {
@@ -141,9 +141,14 @@ func TestStoreGetCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pose as a running read leader: arriving Gets must now coalesce.
-	sh.rmu.Lock()
-	sh.greading = true
-	sh.rmu.Unlock()
+	release := make(chan struct{})
+	leading := make(chan struct{})
+	go sh.gets.Do(struct{}{}, func([]struct{}) (map[string]string, error) {
+		close(leading)
+		<-release
+		return nil, nil
+	})
+	<-leading
 
 	const K = 6
 	var wg sync.WaitGroup
@@ -158,12 +163,10 @@ func TestStoreGetCoalescing(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		sh.rmu.Lock()
 		joined := 0
-		if sh.gnext != nil {
-			joined = sh.gnext.waiters
+		if p := sh.gets.Pending(); len(p) == 1 {
+			joined = len(p[0])
 		}
-		sh.rmu.Unlock()
 		if joined == K {
 			break
 		}
@@ -172,12 +175,10 @@ func TestStoreGetCoalescing(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Finish as the leader would: hand the pending batch its leadership
+	// Finish the leader's run: it hands the pending batch its leadership
 	// token. One waiter runs the shared read; the rest ride it.
 	atomic.StoreInt64(rounds, 0)
-	sh.rmu.Lock()
-	sh.gnext.lead <- struct{}{}
-	sh.rmu.Unlock()
+	close(release)
 	wg.Wait()
 	for i := 0; i < K; i++ {
 		if errs[i] != nil || vals[i] != "v" {
@@ -188,11 +189,8 @@ func TestStoreGetCoalescing(t *testing.T) {
 		t.Fatalf("%d coalesced Gets took %d rounds, want 1 (one shared one-round read)", K, got)
 	}
 	// The shard must be back in its idle state.
-	sh.rmu.Lock()
-	idle := !sh.greading && sh.gnext == nil
-	sh.rmu.Unlock()
-	if !idle {
-		t.Fatal("shard read state not idle after the batch drained")
+	if p := sh.gets.Pending(); len(p) != 0 {
+		t.Fatalf("shard read state not idle after the batch drained: %d pending", len(p))
 	}
 }
 

@@ -116,27 +116,6 @@ func TestStoreKeysShareShardIndependently(t *testing.T) {
 	}
 }
 
-func TestStoreSecretModel(t *testing.T) {
-	c, err := NewCluster(Options{Faults: 1, Readers: 2, Model: SecretTokens, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.NewStore(StoreOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		k := fmt.Sprintf("s%d", i)
-		if err := st.Put(k, fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if v, err := st.Get(k); err != nil || v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("get %s = %q, %v", k, v, err)
-		}
-	}
-}
-
 // TestStorePerKeyAtomicity drives the acceptance scenario: 64 keys over 8
 // shards under concurrent putters and getters, with a Byzantine (flaky)
 // object injected on one shard's objects mid-workload, and verifies per-key
@@ -410,15 +389,13 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 			<-entered // the blocker's write is now in flight
 			run(tc.first)
 			waitUntil(t, "first mutation queued", func() bool {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return sh.next != nil && len(sh.next.ops) == 1
+				p := sh.puts.Pending()
+				return len(p) == 1 && len(p[0]) == 1
 			})
 			run(tc.second)
 			waitUntil(t, "second mutation queued", func() bool {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return sh.next != nil && len(sh.next.ops) == 2
+				p := sh.puts.Pending()
+				return len(p) == 1 && len(p[0]) == 2
 			})
 			close(gate)
 			wg.Wait()
@@ -575,11 +552,10 @@ func TestStoreTCPRecovery(t *testing.T) {
 }
 
 // TestConcurrentHandleCreation creates handles from many goroutines at once,
-// in-process (shared-rng hazard) and over TCP (first-dial hazard); run with
-// -race.
+// in-process and over TCP (first-dial hazard); run with -race.
 func TestConcurrentHandleCreation(t *testing.T) {
-	t.Run("inproc-secret", func(t *testing.T) {
-		c, err := NewCluster(Options{Faults: 1, Readers: 8, Model: SecretTokens, Seed: 18})
+	t.Run("inproc", func(t *testing.T) {
+		c, err := NewCluster(Options{Faults: 1, Readers: 8, Seed: 18})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,7 +564,7 @@ func TestConcurrentHandleCreation(t *testing.T) {
 		for g := 1; g <= 8; g++ {
 			g := g
 			wg.Add(1)
-			go func() { // concurrent creation AND use: tokens draw from rngs
+			go func() { // concurrent creation AND use
 				defer wg.Done()
 				r, err := c.Reader(g)
 				if err != nil {
