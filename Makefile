@@ -79,9 +79,10 @@ integration:
 # three fixed-seed fault schedules (partition+heal in process, Byzantine mix
 # in process, kill-9+restart+repair over real TCP daemons) at reduced scale,
 # every per-key history decided by the atomicity checker (each run logs its
-# read path mix) — then the two regressions that only repetition keeps
+# read path mix) — then the regressions that only repetition keeps
 # honest: the repair drill (a repaired object holds every register, 200
-# times over), the fast hit's safety matrix (crashed writer × Byzantine
+# times over), repair beside a reader (the repairing process reads as its
+# own identity, 50 times), the fast hit's safety matrix (crashed writer × Byzantine
 # behaviour × concurrent readers, both models, 20 times), and suspicion-
 # ordered rounds: the t = 2 drill (two liars learned, deferred, reinstated,
 # followed) and the honest racing-flush drill (nobody deferred), 20 times,
@@ -90,6 +91,7 @@ integration:
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
+	$(GO) test -race -run TestRepairBesideAReader -count=50 -timeout 600s .
 	$(GO) test -race -run TestCrashedWriterByzantineReadMatrix -count=20 -timeout 600s ./internal/core/
 	$(GO) test -race -short -run 'TestSuspicionOrderedRounds|TestHonestRacingFlushesDeferNobody' -count=20 -timeout 900s .
 	$(GO) test -race -run TestDeferralSafetyMatrix -count=3 -timeout 600s ./internal/tcpnet/ -args -tcpnet.fullmatrix

@@ -59,12 +59,12 @@ func main() {
 	servers := flag.String("servers", "", "comma-separated daemon addresses (empty = in-process cluster)")
 	shards := flag.Int("shards", 16, "Store shards")
 	faults := flag.Int("faults", 1, "fault budget t (cluster size 3t+1)")
-	readers := flag.Int("readers", 8, "reader handles in the per-shard read pools")
+	readers := flag.Int("readers", 1, "R: the deployment-wide count of client processes (storbench is process 0), not a pool size — every Get consults R write-back registers and every object holds R+1 copies of a settled table")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	format := flag.String("format", "table", "output: table | csv | json")
 	chaos := flag.String("chaos", "", "in-process only: make object 2 Byzantine (flaky | stale | equivocate | falseelide | silent | garbage)")
 	obsDump := flag.Bool("obs", false, "after the sweep, print the client-side obs snapshot (round counts, flush-path mix, mux state)")
-	preset := flag.String("preset", "", "workload preset: read-heavy (0.98 Gets, zipf skew 1.3 over 128 keys, 16 reader handles — drives the adaptive read path: elision, coalescing, table cache); explicitly-set flags win")
+	preset := flag.String("preset", "", "workload preset: read-heavy (0.98 Gets, zipf skew 1.3 over 128 keys — drives the adaptive read path: elision, coalescing, table cache); explicitly-set flags win")
 	flag.Parse()
 
 	// Presets fill in defaults for flags the user did NOT set explicitly:
@@ -85,9 +85,6 @@ func main() {
 			}
 			if !set["keys"] {
 				*keys = 128
-			}
-			if !set["readers"] {
-				*readers = 16
 			}
 		default:
 			fmt.Fprintf(os.Stderr, "storbench: unknown -preset %q (want read-heavy)\n", *preset)

@@ -26,13 +26,15 @@
 // redirect to the active configuration (storctl config shows it).
 //
 // Every invocation recovers shard state from the cluster before writing, so
-// puts compose across invocations. The registers are multi-writer:
-// concurrent puts from different processes are safe PROVIDED each process
-// uses a distinct -writer id (embedded in every timestamp it issues) and a
-// distinct -reader index (reader identities own their write-back registers
-// exclusively). Concurrent puts to the same key resolve atomically to one
-// of the written values; concurrent puts to different keys of the same
-// shard are last-writer-wins at shard granularity. All clients of one
+// puts compose across invocations. The registers are multi-writer and every
+// client process has one identity: storctl processes that run CONCURRENTLY —
+// reading, writing or operating (repair, join, move) — each take a distinct
+// -writer id out of 0..R-1 (it is embedded in every timestamp the process
+// issues, and id i owns write-back register i+1), and every client of the
+// deployment passes the same -readers R, the number of client processes the
+// deployment is sized for. Concurrent puts to the same key resolve
+// atomically to one of the written values; concurrent puts to different keys
+// of the same shard are last-writer-wins at shard granularity. All clients of one
 // deployment must agree on -shards — it determines which register a key
 // routes to, and how many register instances repair reconstitutes
 // (instance 0 plus one per shard).
@@ -61,20 +63,19 @@ import (
 func main() {
 	servers := flag.String("servers", "", "comma-separated object addresses (3t+1 of them, in id order)")
 	t := flag.Int("t", 1, "fault budget")
-	readers := flag.Int("readers", 2, "total reader count R")
-	readerIdx := flag.Int("reader", 1, "this client's reader index (1..R; concurrent clients use distinct indices)")
-	writerID := flag.Int("writer", 0, "this client's writer id (concurrent writing clients use distinct ids)")
+	readers := flag.Int("readers", 2, "R, the deployment-wide count of client processes (the same for every client)")
+	writerID := flag.Int("writer", 0, "this process's identity, 0..R-1 (concurrent storctl processes use distinct ids)")
 	shards := flag.Int("shards", 8, "shard count of the keyed store (put/get/del, repair/probe)")
 	trace := flag.Int("trace", 0, "per-op round tracing: sample one op in N (1 = every op, 0 = off); failed-op traces dump to stderr on error")
 	flag.Parse()
 
-	if err := run(*servers, *t, *readers, *readerIdx, *writerID, *shards, *trace, flag.Args()); err != nil {
+	if err := run(*servers, *t, *readers, *writerID, *shards, *trace, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "storctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run(servers string, t, readers, readerIdx, writerID, shards, trace int, args []string) error {
+func run(servers string, t, readers, writerID, shards, trace int, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: storctl [flags] write <value> | read | put <key> <value> | get <key> | del <key> | burst <prefix> <count> | getburst <prefix> <count> | stats <debug-addr>... | repair <object-id> | probe <object-id> | doctor | config | join <addr> | leave <slot> | move <slot> <addr> | reseed <addr>")
 	}
@@ -147,10 +148,7 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		return err
 	}
 	defer cluster.Close()
-	// The keyed store's read pool uses only this client's own reader
-	// identity, so concurrent storctl processes with distinct -reader
-	// indices never contend for a write-back register.
-	storeOpts := robustatomic.StoreOptions{Shards: shards, Readers: []int{readerIdx}}
+	storeOpts := robustatomic.StoreOptions{Shards: shards}
 	switch args[0] {
 	case "write":
 		if len(args) != 2 {
@@ -162,7 +160,7 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		fmt.Println("OK (2 rounds uncontended; fallback on interference)")
 		return nil
 	case "read":
-		r, err := cluster.Reader(readerIdx)
+		r, err := cluster.Reader(writerID + 1)
 		if err != nil {
 			return err
 		}
@@ -223,12 +221,11 @@ func run(servers string, t, readers, readerIdx, writerID, shards, trace int, arg
 		// 1s-backoff redial folds the daemon back in).
 		//
 		// getburst is the read-side drill symmetric to burst: the workers Get
-		// keys <prefix>:1..count concurrently through ONE store (and, with
-		// the default single -reader identity, ONE reader handle) and verify
-		// each value is the v<i> a prior burst wrote. The concurrency makes
-		// shard read coalescing real — Gets landing on a shard with a read
-		// already in flight ride that read's decision rounds instead of
-		// queueing for the pool — and the sweep must ride out daemon faults
+		// keys <prefix>:1..count concurrently through ONE store (one reader
+		// handle per shard) and verify each value is the v<i> a prior burst
+		// wrote. The concurrency makes shard read coalescing real — Gets
+		// landing on a shard with a read already in flight share the next
+		// one's rounds — and the sweep must ride out daemon faults
 		// exactly as the write drill does: write-back elision refuses while
 		// the quorum view is disturbed and the 4-round fallback carries the
 		// reads, so every certified value still comes back.

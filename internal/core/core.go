@@ -124,7 +124,7 @@ func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.W
 
 // UseKnown makes the writer record its writes in, and condition its
 // certified reads on, k instead of the handle's private set — the keyed
-// Store shares one set per shard between its committer and its reader pool.
+// Store shares one set per shard between its committer and its reader.
 func (w *Writer) UseKnown(k *Known) { w.known = k }
 
 // maxDiscoveryLead bounds how far past the writer's own knowledge an

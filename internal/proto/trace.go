@@ -12,8 +12,8 @@ import (
 
 // Traced wraps a Rounder with an attachable current-operation trace. The
 // handle's own rounds are single-goroutine, but the op pointer is set and
-// cleared by whoever owns the handle at the time (reader pool acquire /
-// shard committer), so it is atomic.
+// cleared by whoever runs the handle's operation at the time (a shard's read
+// leader, its committer), so it is atomic.
 type Traced struct {
 	inner Rounder
 	reg   int

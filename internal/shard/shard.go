@@ -1,9 +1,8 @@
 // Package shard provides the machinery of the keyed multi-register Store
 // layer: hash-based routing of keys onto N independent atomic registers, a
-// lazily-instantiated per-shard table, a blocking pool of client handles,
-// the leader-handoff group commit (Group — also what batches cross-shard
-// rounds and WAL fsyncs), and the codec that packs one shard's key→value
-// table into a single register value.
+// lazily-instantiated per-shard table, the leader-handoff group commit
+// (Group — also what batches cross-shard rounds and WAL fsyncs), and the
+// codec that packs one shard's key→value table into a single register value.
 //
 // The layering mirrors the paper's cloud key-value scenario (Section 1.1):
 // each shard is one robust atomic SWMR register hosted on the same S = 3t+1
@@ -110,32 +109,4 @@ func (l *Lazy[T]) Built() []T {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// Pool is a fixed-size blocking pool of client handles. The model's reader
-// identities must each be used by at most one client at a time; the pool
-// enforces that by handing a handle to exactly one acquirer until released.
-type Pool[T any] struct {
-	ch chan T
-}
-
-// NewPool returns a pool holding the given handles.
-func NewPool[T any](items []T) *Pool[T] {
-	p := &Pool[T]{ch: make(chan T, len(items))}
-	for _, it := range items {
-		p.ch <- it
-	}
-	return p
-}
-
-// Acquire takes a handle, blocking until one is free.
-func (p *Pool[T]) Acquire() T { return <-p.ch }
-
-// Release returns a handle to the pool.
-func (p *Pool[T]) Release(v T) {
-	select {
-	case p.ch <- v:
-	default:
-		panic("shard: pool release without acquire")
-	}
 }

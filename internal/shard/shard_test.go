@@ -93,34 +93,6 @@ func TestLazyRetriesFailedBuild(t *testing.T) {
 	}
 }
 
-func TestPoolExclusiveHandles(t *testing.T) {
-	p := NewPool([]int{1, 2})
-	var inUse, maxInUse int32
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				h := p.Acquire()
-				n := atomic.AddInt32(&inUse, 1)
-				for {
-					m := atomic.LoadInt32(&maxInUse)
-					if n <= m || atomic.CompareAndSwapInt32(&maxInUse, m, n) {
-						break
-					}
-				}
-				atomic.AddInt32(&inUse, -1)
-				p.Release(h)
-			}
-		}()
-	}
-	wg.Wait()
-	if maxInUse > 2 {
-		t.Errorf("%d handles in use at once from a pool of 2", maxInUse)
-	}
-}
-
 func TestEmptyTableIsNotBottom(t *testing.T) {
 	if EncodeTable(nil) == "" {
 		t.Fatal("empty table must not encode to the reserved initial value ⊥")

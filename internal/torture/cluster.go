@@ -89,18 +89,18 @@ func (c *liveCtl) close() {} // the harness closes the root cluster
 // tcpCtl tortures real TCP daemons. Kill closes a daemon (its data dir
 // survives), restart recovers it from the preserved WAL on the same address,
 // wipe deletes the data dir before the blank restart, and repair
-// reconstitutes the blank object from the live quorum via the process-0
-// client cluster.
+// reconstitutes the blank object from the live quorum via the operator's
+// client cluster, a process identity of its own.
 type tcpCtl struct {
-	mu      sync.Mutex
-	seed    int64
-	root    string   // base directory for data dirs
-	addrs   []string // index sid-1; tracks the ACTIVE configuration's addresses
-	dirs    []string
-	gen     []int            // per-slot replacement generation (names fresh data dirs)
-	servers []*tcpnet.Server // index sid-1; nil while killed
-	repairC *robustatomic.Cluster
-	shards  int
+	mu       sync.Mutex
+	seed     int64
+	root     string   // base directory for data dirs
+	addrs    []string // index sid-1; tracks the ACTIVE configuration's addresses
+	dirs     []string
+	gen      []int            // per-slot replacement generation (names fresh data dirs)
+	servers  []*tcpnet.Server // index sid-1; nil while killed
+	operator *robustatomic.Cluster
+	shards   int
 }
 
 // chaosRng derives the seeded stream for one object's Byzantine/link
@@ -143,7 +143,7 @@ func (c *tcpCtl) apply(ev Event) error {
 		}
 		return c.restart(ev.Sid)
 	case EvRepair:
-		// Repair's quorum read runs over the repair cluster's shared mux,
+		// Repair's quorum read runs over the operator cluster's mux,
 		// which redials a restarted daemon only after DialBackoff — and a
 		// fast workload can reach this event while earlier restarts are
 		// still inside that backoff. Retry past a full backoff window
@@ -152,7 +152,7 @@ func (c *tcpCtl) apply(ev Event) error {
 		var err error
 		deadline := time.Now().Add(3*tcpnet.DialBackoff + time.Second)
 		for {
-			if _, err = c.repairC.Repair(ev.Sid, c.shards); err == nil {
+			if _, err = c.operator.Repair(ev.Sid, c.shards); err == nil {
 				return nil
 			}
 			if time.Now().After(deadline) {
@@ -183,7 +183,7 @@ func (c *tcpCtl) apply(ev Event) error {
 		// Vacate the slot first — the config write still counts the leaving
 		// daemon toward its quorum — then kill it for real. Clients at the
 		// old epoch chase the wrong-epoch redirect to the vacancy config.
-		if _, err := c.repairC.Leave(ev.Sid); err != nil {
+		if _, err := c.operator.Leave(ev.Sid); err != nil {
 			return fmt.Errorf("torture: leave s%d: %w", ev.Sid, err)
 		}
 		s.Close()
@@ -196,10 +196,10 @@ func (c *tcpCtl) apply(ev Event) error {
 		if err != nil {
 			return err
 		}
-		// The migration's quorum reads ride the repair cluster's mux, which
+		// The migration's quorum reads ride the operator cluster's mux, which
 		// may still hold dial backoff from this window's kill; let it heal.
 		time.Sleep(tcpnet.DialBackoff + 200*time.Millisecond)
-		if _, _, err := c.repairC.Join(srv.Addr(), c.shards); err != nil {
+		if _, _, err := c.operator.Join(srv.Addr(), c.shards); err != nil {
 			srv.Close()
 			return fmt.Errorf("torture: join %s: %w", srv.Addr(), err)
 		}
@@ -213,7 +213,7 @@ func (c *tcpCtl) apply(ev Event) error {
 		if err != nil {
 			return err
 		}
-		if _, _, err := c.repairC.Move(ev.Sid, srv.Addr(), c.shards); err != nil {
+		if _, _, err := c.operator.Move(ev.Sid, srv.Addr(), c.shards); err != nil {
 			srv.Close()
 			return fmt.Errorf("torture: replace s%d with %s: %w", ev.Sid, srv.Addr(), err)
 		}
@@ -290,6 +290,9 @@ func (c *tcpCtl) quiesce() error {
 func (c *tcpCtl) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.operator != nil {
+		c.operator.Close()
+	}
 	for _, s := range c.servers {
 		if s != nil {
 			s.Close()
@@ -314,32 +317,20 @@ func (r *rig) close() {
 	}
 }
 
-// readersPerProc is each logical process's private reader-identity count;
-// identity 1 is reserved for Repair's hardcoded reader.
-const readersPerProc = 4
-
-// procReaders returns process p's disjoint reader identities.
-func procReaders(p int) []int {
-	ids := make([]int, readersPerProc)
-	for i := range ids {
-		ids[i] = 2 + p*readersPerProc + i
-	}
-	return ids
-}
-
 // setup builds the cluster under torture for cfg: mode live starts the
 // in-process objects, reached with seeded message delays, and a Sibling second
 // process; mode tcp starts S daemons with persist data dirs under dir and
 // Connects each process separately.
 func setup(cfg Config, dir string) (*rig, error) {
-	nProcs := 2
-	totalReaders := 1 + nProcs*readersPerProc
+	// Process identities 0..nProcs-1 are the workload's; nProcs is the
+	// operator's (Repair, Leave, Join, Move — tcp only).
+	const nProcs = 2
 	tracer := obs.NewTracer(64, 1)
 	opts := func(p int) robustatomic.Options {
 		return robustatomic.Options{
 			Faults:   cfg.Faults,
-			Readers:  totalReaders,
-			WriterID: p + 1,
+			Readers:  nProcs + 1,
+			WriterID: p,
 			Seed:     cfg.Seed + int64(p),
 			Tracer:   tracer,
 		}
@@ -391,21 +382,19 @@ func setup(cfg Config, dir string) (*rig, error) {
 			ctl.servers[i] = srv
 			ctl.addrs[i] = srv.Addr()
 		}
-		procs := make([]*robustatomic.Cluster, nProcs)
-		for p := 0; p < nProcs; p++ {
+		procs := make([]*robustatomic.Cluster, 0, nProcs+1)
+		for p := 0; p <= nProcs; p++ {
 			c, err := robustatomic.Connect(ctl.addrs, opts(p))
 			if err != nil {
 				for _, pc := range procs {
-					if pc != nil {
-						pc.Close()
-					}
+					pc.Close()
 				}
 				ctl.close()
 				return nil, err
 			}
-			procs[p] = c
+			procs = append(procs, c)
 		}
-		ctl.repairC = procs[0]
+		ctl.operator, procs = procs[nProcs], procs[:nProcs]
 		return &rig{procs: procs, ctrl: ctl, tracer: tracer}, nil
 	}
 	return nil, fmt.Errorf("torture: unknown mode %q", cfg.Mode)

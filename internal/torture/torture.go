@@ -30,7 +30,7 @@ type Config struct {
 	// Keys is the workload's key-space size. Default 16.
 	Keys int
 	// Clients is the number of concurrent simulated clients, split across
-	// two logical processes (distinct WriterIDs, disjoint readers).
+	// two logical processes (distinct WriterIDs).
 	Clients int
 	// OpsPerClient is each client's operation count.
 	OpsPerClient int
@@ -152,7 +152,7 @@ func Run(cfg Config) (res Result, err error) {
 
 	stores := make([]*robustatomic.Store, len(r.procs))
 	for p, c := range r.procs {
-		st, err := c.NewStore(robustatomic.StoreOptions{Shards: cfg.Shards, Readers: procReaders(p)})
+		st, err := c.NewStore(robustatomic.StoreOptions{Shards: cfg.Shards})
 		if err != nil {
 			return Result{Schedule: sched}, fmt.Errorf("torture: store %d: %w", p, err)
 		}

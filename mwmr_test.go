@@ -57,21 +57,21 @@ func TestTwoProcessesConcurrentPutSameKey(t *testing.T) {
 
 	// "Process" 1 and "process" 2: independent Connects, distinct writer
 	// identities, disjoint reader-identity sets over a shared total of 4.
-	c1, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 1, Seed: 101})
+	c1, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 1, Seed: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 2, Seed: 102})
+	c2, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 2, Seed: 102})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	st1, err := c1.NewStore(StoreOptions{Shards: shards, Readers: []int{1, 2}})
+	st1, err := c1.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := c2.NewStore(StoreOptions{Shards: shards, Readers: []int{3, 4}})
+	st2, err := c2.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestTwoWritersStandaloneRegister(t *testing.T) {
 	addrs, servers := startServers(t, 4)
 	servers[2].SetBehavior(&server.Stale{})
 
-	c1, err := Connect(addrs, Options{Faults: 1, Readers: 2, WriterID: 1, Seed: 201})
+	c1, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 1, Seed: 201})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Connect(addrs, Options{Faults: 1, Readers: 2, WriterID: 2, Seed: 202})
+	c2, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 2, Seed: 202})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTwoWritersStandaloneRegister(t *testing.T) {
 // lexicographic (Seq, WriterID) order resolved the race.
 func TestMWTimestampsAreWriterTagged(t *testing.T) {
 	addrs, _ := startServers(t, 4)
-	c1, err := Connect(addrs, Options{Faults: 1, Readers: 2, WriterID: 3, Seed: 301})
+	c1, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 3, Seed: 301})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMWTimestampsAreWriterTagged(t *testing.T) {
 		t.Errorf("pw %v below w %v", pw.TS, w.TS)
 	}
 	// A second writer's write discovers seq 1 and must dominate it.
-	c2, err := Connect(addrs, Options{Faults: 1, Readers: 2, WriterID: 1, Seed: 302})
+	c2, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 1, Seed: 302})
 	if err != nil {
 		t.Fatal(err)
 	}

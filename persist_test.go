@@ -346,10 +346,8 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 		t.Errorf("repair reports %d write-back registers installed, peers hold %d", got, wbs)
 	}
 
-	// Re-establish the store's pooled reader connections to the replacement
-	// daemon (their conns still point at the dead predecessor; the first
-	// round through each reader redials). Two gets per key rotate through
-	// both pooled reader identities of each shard.
+	// Re-establish the client's connection to the replacement daemon (it
+	// still points at the dead predecessor; the first round redials).
 	for _, k := range keys {
 		for i := 0; i < 2; i++ {
 			if v, err := st.Get(k); err != nil || v != k+"-gen2" {

@@ -39,21 +39,21 @@ func TestPipelinedBatchedRoundsAtomicUnderChaos(t *testing.T) {
 	servers[1].SetBatchChaos(rand.New(rand.NewSource(mixSeed(base, 2))), 0, true)
 
 	tracer := chaosTracer(t)
-	c1, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 1, Seed: mixSeed(base, 401), Tracer: tracer})
+	c1, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 1, Seed: mixSeed(base, 401), Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 2, Seed: mixSeed(base, 402), Tracer: tracer})
+	c2, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 2, Seed: mixSeed(base, 402), Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	st1, err := c1.NewStore(StoreOptions{Shards: shards, Readers: []int{1, 2}})
+	st1, err := c1.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := c2.NewStore(StoreOptions{Shards: shards, Readers: []int{3, 4}})
+	st2, err := c2.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func (c *Cluster) ConfigQuery() (config.Config, error) {
 		return config.Config{}, err
 	}
 	spec, acc := configReadSpec(c.th)
-	if err := c.rounder(types.Reader(1), config.Reg).Round(spec); err != nil {
+	if err := c.rounder(types.Reader(c.readerID()), config.Reg).Round(spec); err != nil {
 		return config.Config{}, fmt.Errorf("robustatomic: config read: %w", err)
 	}
 	if cfg, ok := certifiedConfig(c.th, acc.Replies); ok {
@@ -173,7 +173,7 @@ func (c *Cluster) queryConfigOver(addrs []string) (config.Config, bool) {
 	if len(addrs) != c.th.S {
 		return config.Config{}, false
 	}
-	tc := tcpnet.NewClientReg(types.Reader(1), addrs, config.Reg)
+	tc := tcpnet.NewClientReg(types.Reader(c.readerID()), addrs, config.Reg)
 	defer tc.Close()
 	spec, acc := configReadSpec(c.th)
 	if err := tc.Round(spec); err != nil {
@@ -308,13 +308,11 @@ func (c *Cluster) migrate(addr string, shards int) ([]RepairedRegister, error) {
 func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedRegister, error) {
 	out := make([]RepairedRegister, 0, shards+1)
 	for reg := 0; reg <= shards; reg++ {
-		// The quorum read: a fresh handle of reader identity 1 against this
-		// instance — fresh, so both query rounds run and every one of the R+1
-		// registers is decided by the full procedure.
-		r, err := c.readerReg(1, reg)
-		if err != nil {
-			return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
-		}
+		// The quorum read: a fresh handle of this process's reader identity
+		// against this instance — fresh, so both query rounds run and every
+		// one of the R+1 registers is decided by the full procedure; this
+		// process's own, so it shares a write-back register with no other.
+		r := c.readerReg(c.readerID(), reg)
 		p, err := r.readPair()
 		if err != nil {
 			return out, fmt.Errorf("robustatomic: transfer instance %d: quorum read: %w", reg, err)
@@ -324,7 +322,7 @@ func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedReg
 			continue
 		}
 		rep := RepairedRegister{Reg: reg, TS: p.TS, Bytes: len(p.Val)}
-		rc := c.rounder(types.Reader(1), reg)
+		rc := c.rounder(types.Reader(c.readerID()), reg)
 		for i := 0; i <= c.opts.Readers; i++ {
 			// The shared register gets the read's result — the certified head
 			// of the instance — each write-back register its own decided pair.
@@ -420,7 +418,7 @@ func (c *Cluster) ReseedConfig(addr string) error {
 		return err
 	}
 	spec, acc := configReadSpec(c.th)
-	if err := c.rounder(types.Reader(1), config.Reg).Round(spec); err != nil {
+	if err := c.rounder(types.Reader(c.readerID()), config.Reg).Round(spec); err != nil {
 		return fmt.Errorf("robustatomic: reseed: config read: %w", err)
 	}
 	_, p, ok := certifiedConfigPair(c.th, acc.Replies)

@@ -43,12 +43,12 @@ func TestConfigQueryBootstrap(t *testing.T) {
 func TestLiveReplace(t *testing.T) {
 	const shards = 4
 	addrs, servers := startServers(t, 4)
-	c1, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 1, Seed: 72})
+	c1, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 1, Seed: 72})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	st1, err := c1.NewStore(StoreOptions{Shards: shards, Readers: []int{1, 2}})
+	st1, err := c1.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestLiveReplace(t *testing.T) {
 	// The stale client: connected with the superseded list (dead old daemon
 	// included). Every operation must succeed via the transparent redirect →
 	// certified refetch → retry path.
-	c2, err := Connect(addrs, Options{Faults: 1, Readers: 4, WriterID: 2, Seed: 73})
+	c2, err := Connect(addrs, Options{Faults: 1, Readers: 3, WriterID: 2, Seed: 73})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	st2, err := c2.NewStore(StoreOptions{Shards: shards, Readers: []int{3, 4}})
+	st2, err := c2.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestLeaveThenJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.NewStore(StoreOptions{Shards: shards, Readers: []int{1, 2}})
+	st, err := c.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStoreShardCountCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.NewStore(StoreOptions{Shards: config.Reg, Readers: []int{1}}); err == nil {
+	if _, err := c.NewStore(StoreOptions{Shards: config.Reg}); err == nil {
 		t.Fatal("shard count colliding with the config register accepted, want error")
 	}
 }

@@ -37,10 +37,13 @@ type RepairedRegister struct {
 // budget: the replacement again certifies the current value, so the
 // deployment survives a further t failures.
 //
-// Repair requires a remote (Connect) cluster. Run it while the repaired
-// registers are otherwise idle, after replacing a dead machine with a blank
-// daemon on the old address. Re-running it is harmless: objects merge state
-// monotonically, so a repeated or stale install is a no-op.
+// Repair requires a remote (Connect) cluster. Run it after replacing a dead
+// machine with a blank daemon on the old address. Its reads run as this
+// process's reader identity (WriterID+1), like Join's and Move's: run it from
+// an operator process with a WriterID of its own, or while this handle's
+// Store is not reading — other processes may keep operating. Re-running it
+// is harmless: objects merge state monotonically, so a repeated or stale
+// install is a no-op.
 func (c *Cluster) Repair(id int, shards int) ([]RepairedRegister, error) {
 	if c.addrs == nil {
 		return nil, fmt.Errorf("robustatomic: repair needs a remote cluster (Connect)")

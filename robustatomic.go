@@ -25,8 +25,8 @@
 // with optional fault injection and random delays) or over TCP against
 // storage daemons (cmd/storaged); the protocol stack, the round engine and
 // the object code are identical in both cases — only the link differs.
-// Processes that may write concurrently to one deployment configure
-// distinct Options.WriterID values:
+// Every client process of one deployment configures a distinct
+// Options.WriterID, its process identity:
 //
 //	cluster, _ := robustatomic.NewCluster(robustatomic.Options{Faults: 1, Readers: 2})
 //	defer cluster.Close()
@@ -42,9 +42,8 @@
 // cache is current, the certified read-modify-write when a foreign write
 // forces a rebase, one validation round and no write at all for no-op
 // batches); across processes, separately Connected clients with distinct
-// WriterIDs (and disjoint StoreOptions.Readers) may Put concurrently —
-// contention on the same key resolves atomically to one of the written
-// values:
+// WriterIDs may Put concurrently — contention on the same key resolves
+// atomically to one of the written values:
 //
 //	st, _ := cluster.NewStore(robustatomic.StoreOptions{Shards: 8})
 //	_ = st.Put("order:42", "shipped")
@@ -62,6 +61,7 @@
 package robustatomic
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -80,16 +80,19 @@ type Options struct {
 	// Faults is t, the number of Byzantine storage objects tolerated.
 	// The cluster uses S = 3t+1 objects. Default 1.
 	Faults int
-	// Readers is R, the number of reader handles (each gets a dedicated
-	// write-back register). Default 2.
+	// Readers is R, the deployment-wide number of client processes, the same
+	// in every one of them: each process owns one write-back register, every
+	// read consults all R, and every object holds R+1 copies of a settled
+	// value, so size it to the processes that exist, not to concurrency
+	// within one. Default 2.
 	Readers int
-	// WriterID identifies this process's writer among the register's
-	// concurrent writers: it is embedded in every timestamp the process
-	// issues, breaking ties between writers that concurrently picked the
-	// same sequence number. Processes that may write concurrently to the
-	// same cluster MUST use distinct ids; 0 (the default) is writer w_0,
-	// which preserves the exact timestamps of the original single-writer
-	// deployments.
+	// WriterID is this process's identity i, 0 ≤ i < Readers: the process is
+	// writer w_i — i is embedded in every timestamp it issues, breaking ties
+	// between writers that picked the same sequence number — and reader
+	// r_(i+1), which is what the Store, Repair, Join and Move read as. Two
+	// live processes of one deployment MUST NOT share an id; reusing one
+	// across sequential process lifetimes is safe (a fresh handle
+	// rediscovers its write-back sequence number, core.ResumeSeq).
 	WriterID int
 	// Seed drives randomized in-process delays and injected faults.
 	Seed int64
@@ -111,6 +114,11 @@ type Options struct {
 	// see obs.Tracer.FormatFailed and the chaos harnesses.
 	Tracer *obs.Tracer
 }
+
+// ErrProcessID is returned by NewCluster, Connect and Sibling for a WriterID
+// outside 0..Readers-1 (the process would have no write-back register), and
+// by Sibling for its parent's WriterID (two live handles, one identity).
+var ErrProcessID = errors.New("robustatomic: bad process identity")
 
 func (o *Options) defaults() {
 	if o.Faults == 0 {
@@ -141,8 +149,12 @@ type Cluster struct {
 	combiner *proto.Combiner
 }
 
-// newCluster builds the handle and its transport over hosts or addrs.
-func newCluster(opts Options, th quorum.Thresholds, hosts []*server.Host, addrs []string) *Cluster {
+// newCluster checks the process identity and builds the handle and its
+// transport over hosts or addrs.
+func newCluster(opts Options, th quorum.Thresholds, hosts []*server.Host, addrs []string) (*Cluster, error) {
+	if opts.WriterID < 0 || opts.WriterID >= opts.Readers {
+		return nil, fmt.Errorf("%w: WriterID %d out of 0..%d (Readers counts the deployment's client processes)", ErrProcessID, opts.WriterID, opts.Readers-1)
+	}
 	c := &Cluster{opts: opts, th: th, hosts: hosts, addrs: addrs}
 	if hosts != nil {
 		c.mux = tcpnet.NewMemMux(hosts, opts.Seed, opts.MaxDelay)
@@ -150,7 +162,7 @@ func newCluster(opts Options, th quorum.Thresholds, hosts []*server.Host, addrs 
 		c.mux = tcpnet.NewMux(addrs)
 		c.combiner = proto.NewCombiner(c.mux.Client(types.WriterID(opts.WriterID), 0))
 	}
-	return c
+	return c, nil
 }
 
 // mixSeed derives a deterministic sub-seed from the cluster seed and an
@@ -175,7 +187,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	return newCluster(opts, th, server.NewHosts(th.S), nil), nil
+	return newCluster(opts, th, server.NewHosts(th.S), nil)
 }
 
 // Connect attaches to a remote cluster of storage daemons (cmd/storaged);
@@ -187,28 +199,29 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	return newCluster(opts, th, nil, addrs), nil
+	return newCluster(opts, th, nil, addrs)
 }
 
 // Sibling returns a second logical client process over the same running
 // cluster: it shares the in-process objects (or the daemon addresses) but
-// carries its own WriterID, reader identities, seed and transport — the
-// in-process twin of a second machine running Connect. Concurrent sibling
-// processes MUST configure distinct WriterIDs and use disjoint reader
-// identities (reader handles own their write-back registers). Faults and
-// Readers are cluster-wide constants and must match: a reader consults all R
-// write-back registers, so a sibling built with a smaller R would miss a
-// value a peer's reader already wrote back and returned. Closing a handle
-// releases its own transport only.
+// carries its own WriterID, seed and transport — the in-process twin of a
+// second machine running Connect, and like it refused its parent's
+// WriterID. Faults and Readers are cluster-wide constants and must match:
+// a reader consults all R write-back registers, so a sibling built with a
+// smaller R would miss a value a peer's reader already wrote back and
+// returned. Closing a handle releases its own transport only.
 func (c *Cluster) Sibling(opts Options) (*Cluster, error) {
 	opts.defaults()
+	if opts.WriterID == c.opts.WriterID {
+		return nil, fmt.Errorf("%w: sibling WriterID %d is its parent's", ErrProcessID, opts.WriterID)
+	}
 	if opts.Faults != c.opts.Faults {
 		return nil, fmt.Errorf("robustatomic: sibling fault budget %d != cluster's %d", opts.Faults, c.opts.Faults)
 	}
 	if opts.Readers != c.opts.Readers {
 		return nil, fmt.Errorf("robustatomic: sibling reader count %d != cluster's %d", opts.Readers, c.opts.Readers)
 	}
-	return newCluster(opts, c.th, c.hosts, c.addrs), nil
+	return newCluster(opts, c.th, c.hosts, c.addrs)
 }
 
 // Close shuts down this handle's transport: its rounds fail from here on.
@@ -326,9 +339,8 @@ func (c *Cluster) shardWriter(reg int, last types.TS) *Writer {
 }
 
 // Writer is one of the register's writer handles. Its identity is the
-// cluster's Options.WriterID; distinct concurrently-writing processes must
-// configure distinct ids. A single handle is single-goroutine, like every
-// client of the model.
+// cluster's Options.WriterID. A single handle is single-goroutine, like
+// every client of the model.
 type Writer struct {
 	c *Cluster
 	w *core.Writer
@@ -338,7 +350,7 @@ type Writer struct {
 }
 
 // Writer returns this process's writer handle for the standalone register
-// (create it once per process; concurrent processes use distinct WriterIDs).
+// (create it once per process).
 func (c *Cluster) Writer() *Writer { return c.writerReg(0, types.TS{}) }
 
 // writerReg builds the writer handle for register instance reg, resuming
@@ -418,19 +430,25 @@ type Reader struct {
 	traced *proto.Traced
 }
 
-// Reader returns reader handle idx (1-based, ≤ Options.Readers). Each
-// reader identity must be used by at most one client at a time. Sequential
-// reuse across process lifetimes is safe: a fresh handle rediscovers its
-// write-back sequence number from its first read's query rounds, so it
-// never re-issues a number an earlier lifetime already used (see
-// core.ResumeSeq). Concurrent use of one identity remains forbidden.
-func (c *Cluster) Reader(idx int) (*Reader, error) { return c.readerReg(idx, 0) }
-
-// readerReg builds reader handle idx for register instance reg.
-func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
+// Reader returns reader handle idx (1-based, ≤ Options.Readers) of the
+// standalone register. This process's own identity is WriterID+1; any other
+// idx belongs to the process configured with WriterID idx-1, if there is
+// one, and an identity must be used by at most one client at a time.
+// Sequential reuse is safe: every read rediscovers the write-back sequence
+// number from its query rounds (see core.ResumeSeq).
+func (c *Cluster) Reader(idx int) (*Reader, error) {
 	if idx < 1 || idx > c.opts.Readers {
 		return nil, fmt.Errorf("robustatomic: reader index %d out of 1..%d", idx, c.opts.Readers)
 	}
+	return c.readerReg(idx, 0), nil
+}
+
+// readerID is this process's reader identity: process i reads as r_(i+1)
+// (in range: newCluster checked WriterID).
+func (c *Cluster) readerID() int { return c.opts.WriterID + 1 }
+
+// readerReg builds reader handle idx for register instance reg.
+func (c *Cluster) readerReg(idx, reg int) *Reader {
 	rc := c.rounder(types.Reader(idx), reg)
 	r := &Reader{c: c}
 	if c.opts.Tracer != nil {
@@ -438,7 +456,7 @@ func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
 		rc = r.traced
 	}
 	r.rd = core.NewReader(rc, c.th, idx, c.opts.Readers)
-	return r, nil
+	return r
 }
 
 // useKnown shares a known-pair set with the register instance's other

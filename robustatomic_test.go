@@ -89,13 +89,13 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 // sibling reading fewer write-back registers than its peers write could miss
 // a value a peer's reader already wrote back and returned (new/old inversion).
 func TestSiblingRefusesDifferentReaderCount(t *testing.T) {
-	c, err := NewCluster(Options{Faults: 1, Readers: 3})
+	c, err := NewCluster(Options{Faults: 1, Readers: 3, WriterID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for _, readers := range []int{0, 1, 4} { // 0 defaults to 2
-		if sib, err := c.Sibling(Options{Faults: 1, Readers: readers, WriterID: 1}); err == nil {
+		if sib, err := c.Sibling(Options{Faults: 1, Readers: readers}); err == nil {
 			sib.Close()
 			t.Errorf("sibling with Readers = %d accepted on a cluster with 3", readers)
 		}

@@ -12,15 +12,19 @@
 #      storctl repair it from the live quorum, verify its state by probe
 #   5. multi-writer drill: restart one daemon Byzantine (-chaos flaky with
 #      -chaos-drop), hammer ONE key from two concurrent storctl put
-#      processes with distinct -writer/-reader identities, then certify by
-#      quorum read that exactly one of the written values survived
+#      processes with distinct -writer identities, then certify by quorum
+#      read that exactly one of the written values survived
 #   6. coalesced-read drill: storctl getburst re-reads the pipelined burst
 #      against a -chaos-batch-drop daemon that is kill -9'd mid-flight
 #   7. live replace drill: daemon 4 Leaves the configuration, is kill -9'd,
 #      and a fresh daemon Joins on a NEW port — all while a write burst and
-#      a read burst are in flight with zero failed ops; storctl doctor then
-#      certifies no register divergence across the epoch change
+#      a read burst are in flight with zero failed ops
 #   8. kill a third daemon and verify reads still certify
+#
+# Every drill ends with storctl doctor: no register anywhere may hold two
+# values at one timestamp. The deployment is sized for four client processes
+# (-readers 4), and storctl processes that run at the same time — operator
+# commands included — each take their own -writer id.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,7 +70,12 @@ echo "== launch 4 durable daemons"
 for id in 1 2 3 4; do start_daemon "$id"; done
 for id in 1 2 3 4; do wait_serving "$id"; done
 
-ctl() { "$workdir/bin/storctl" -servers "$servers" -t 1 -shards 8 "$@"; }
+ctl() { "$workdir/bin/storctl" -servers "$servers" -t 1 -shards 8 -readers 4 "$@"; }
+
+doctor() { # $1 = the drill it closes; fails on any diverged pair
+  ctl doctor >"$workdir/doctor.out" || { echo "FAIL: doctor after $1:"; cat "$workdir/doctor.out"; exit 1; }
+  grep -q "OK doctor" "$workdir/doctor.out" || { echo "FAIL: doctor output after $1:"; cat "$workdir/doctor.out"; exit 1; }
+}
 
 echo "== populate"
 for i in $(seq 1 8); do ctl put "key:$i" "value-$i" >/dev/null; done
@@ -116,6 +125,8 @@ if grep -q "reg 0: pw=(0" <<<"$probe"; then
   echo "FAIL: daemon 2 restarted blank:"; echo "$probe"; exit 1
 fi
 
+doctor "kill -9 + WAL replay"
+
 echo "== graceful stop of daemon 2: SIGTERM compacts, the restart boots from the snapshot"
 # A planned stop must leave nothing to replay: a snapshot, and no records in
 # any WAL generation the snapshot does not already cover.
@@ -146,6 +157,8 @@ if grep -q "reg 0: pw=(0" <<<"$probe"; then
   echo "FAIL: daemon 2 booted blank from its snapshot:"; echo "$probe"; exit 1
 fi
 
+doctor "graceful stop + snapshot boot"
+
 echo "== replace daemon 3 (wipe + blank restart + quorum repair)"
 kill -9 "${pids[3]}"
 rm -rf "$workdir/data/s3"
@@ -157,6 +170,8 @@ if grep -q "reg 0: pw=(0" <<<"$probe"; then
   echo "FAIL: repair left daemon 3 blank:"; echo "$probe"; exit 1
 fi
 
+doctor "wipe + repair"
+
 echo "== multi-writer drill: concurrent puts to ONE key under -chaos-drop"
 # Daemon 1 turns Byzantine-flaky: it drops about half its replies. The
 # multi-writer protocol must still let two independent processes write
@@ -166,22 +181,22 @@ start_daemon 1 -chaos flaky -chaos-drop 0.5 -chaos-seed 42
 wait_serving 1
 mwkey="mw:contended"
 (for i in $(seq 1 6); do
-  ctl -writer 1 -reader 1 put "$mwkey" "A-$i" >/dev/null
+  ctl -writer 1 put "$mwkey" "A-$i" >/dev/null
 done) &
 wa=$!
 (for i in $(seq 1 6); do
-  ctl -writer 2 -reader 2 put "$mwkey" "B-$i" >/dev/null
+  ctl -writer 2 put "$mwkey" "B-$i" >/dev/null
 done) &
 wb=$!
 wait "$wa" "$wb"
 # The quorum read must certify one of the two final writes: every earlier
 # value of a writer is dominated by that writer's own later timestamps.
-out=$(ctl -reader 1 get "$mwkey")
+out=$(ctl -writer 1 get "$mwkey")
 [[ "$out" == '"A-6"'* || "$out" == '"B-6"'* ]] || {
   echo "FAIL: contended key => $out (want A-6 or B-6)"; exit 1
 }
 # Both identities observe the same certified value.
-out2=$(ctl -reader 2 get "$mwkey")
+out2=$(ctl -writer 2 get "$mwkey")
 [[ "${out2%% *}" == "${out%% *}" ]] || {
   echo "FAIL: readers disagree after quiescence: $out vs $out2"; exit 1
 }
@@ -190,6 +205,8 @@ echo "== restore daemon 1 to honest (budget back to t=1 for the next drill)"
 kill -9 "${pids[1]}"
 start_daemon 1
 wait_serving 1
+
+doctor "multi-writer"
 
 echo "== pipelined burst: kill -9 + restart a daemon mid-flight"
 # storctl burst drives many concurrent puts through ONE pipelined connection
@@ -202,7 +219,7 @@ burstn=600
 # -trace 1 traces every op: if the burst fails, the failed ops' round-level
 # anatomy (which objects answered, what each reply bundle carried) dumps to
 # burst.out next to the error.
-ctl -trace 1 -writer 1 -reader 1 burst "burst" "$burstn" >"$workdir/burst.out" 2>&1 &
+ctl -trace 1 -writer 1 burst "burst" "$burstn" >"$workdir/burst.out" 2>&1 &
 burst_pid=$!
 sleep 0.15
 kill -9 "${pids[2]}"
@@ -216,6 +233,8 @@ for i in 1 $((burstn / 2)) $burstn; do
   [[ "$out" == "\"v$i\""* ]] || { echo "FAIL: burst:$i => $out"; exit 1; }
 done
 
+doctor "pipelined burst"
+
 echo "== batch-chaos daemon: burst must survive sub-bundle drops + shuffles"
 # Restart daemon 1 with the batched-frame attack flags: 30% of sub-bundles
 # silently vanish from its batched replies and the survivors come back
@@ -224,7 +243,7 @@ echo "== batch-chaos daemon: burst must survive sub-bundle drops + shuffles"
 kill -9 "${pids[1]}"
 start_daemon 1 -chaos-batch-drop 0.3 -chaos-batch-shuffle -chaos-seed 7
 wait_serving 1
-ctl -trace 1 -writer 1 -reader 1 burst "chaosburst" 120 >"$workdir/chaosburst.out" 2>&1 || {
+ctl -trace 1 -writer 1 burst "chaosburst" 120 >"$workdir/chaosburst.out" 2>&1 || {
   echo "FAIL: chaos burst errored (per-op round traces follow):"
   cat "$workdir/chaosburst.out"; exit 1
 }
@@ -233,13 +252,12 @@ out=$(ctl get "chaosburst:120")
 
 echo "== coalesced-read burst vs the batch-chaos daemon, kill -9 mid-flight"
 # getburst re-reads every key of the pipelined burst: 16 workers through ONE
-# reader identity, so Gets landing on a shard with a read already in flight
-# coalesce into that read's decision rounds instead of queueing for the
-# pool. Daemon 1 is still dropping/shuffling 30% of its reply sub-bundles;
+# store, so Gets landing on a shard with a read already in flight share the
+# next one's rounds. Daemon 1 is still dropping/shuffling 30% of its reply sub-bundles;
 # mid-flight it is kill -9'd and restarted honest. Every certified v<i>
 # must still come back: elision refuses while the quorum view is disturbed
 # and the 4-round fallback carries the reads.
-ctl -trace 1 -reader 2 getburst "burst" "$burstn" >"$workdir/getburst.out" 2>&1 &
+ctl -trace 1 -writer 2 getburst "burst" "$burstn" >"$workdir/getburst.out" 2>&1 &
 getburst_pid=$!
 sleep 0.1
 kill -9 "${pids[1]}"
@@ -249,6 +267,8 @@ wait_serving 1
 wait "$getburst_pid" || { echo "FAIL: getburst errored:"; cat "$workdir/getburst.out"; exit 1; }
 grep -q "OK getburst" "$workdir/getburst.out" || { echo "FAIL: getburst output:"; cat "$workdir/getburst.out"; exit 1; }
 
+doctor "batch chaos + coalesced-read burst"
+
 echo "== live replace drill: leave + kill -9 + join on a new port under fire"
 # Membership churn under load: while a write burst and a read burst hammer
 # the cluster, daemon 4 Leaves the configuration and is kill -9'd, and a
@@ -256,14 +276,16 @@ echo "== live replace drill: leave + kill -9 + join on a new port under fire"
 # migrated state. Both bursts must complete with ZERO failed client ops —
 # the clients chase the wrong-epoch redirect to the new configuration
 # transparently — and every later storctl invocation still reaches the
-# cluster through the now-stale -servers bootstrap list.
+# cluster through the now-stale -servers bootstrap list. Three processes at
+# once, three identities: the write burst is 3, the read burst 2, the
+# operator's leave and join the default 0.
 ctl config >"$workdir/config.out"
 grep -q "^epoch 1" "$workdir/config.out" || {
   echo "FAIL: pre-replace config:"; cat "$workdir/config.out"; exit 1
 }
-ctl -trace 1 -writer 3 -reader 1 burst "livemove" 1200 >"$workdir/livemove.out" 2>&1 &
+ctl -trace 1 -writer 3 burst "livemove" 1200 >"$workdir/livemove.out" 2>&1 &
 live_burst=$!
-ctl -trace 1 -reader 2 getburst "burst" "$burstn" >"$workdir/livemove-get.out" 2>&1 &
+ctl -trace 1 -writer 2 getburst "burst" "$burstn" >"$workdir/livemove-get.out" 2>&1 &
 live_get=$!
 sleep 0.15
 ctl leave 4 >"$workdir/leave.out" || { echo "FAIL: leave:"; cat "$workdir/leave.out"; exit 1; }
@@ -295,12 +317,9 @@ out=$(ctl get "livemove:1200")
 out=$(ctl get "key:1")
 [[ "$out" == '"value-1"'* ]] || { echo "FAIL: key:1 after replace => $out"; exit 1; }
 
-echo "== doctor: no diverged register state after the churn"
-servers_v2="127.0.0.1:7101,127.0.0.1:7102,127.0.0.1:7103,127.0.0.1:7105"
-"$workdir/bin/storctl" -servers "$servers_v2" -t 1 -shards 8 doctor >"$workdir/doctor.out" || {
-  echo "FAIL: doctor:"; cat "$workdir/doctor.out"; exit 1
-}
-grep -q "OK doctor" "$workdir/doctor.out" || { echo "FAIL: doctor output:"; cat "$workdir/doctor.out"; exit 1; }
+# doctor dials the daemons directly: from here on, the new membership's.
+live_servers="127.0.0.1:7101,127.0.0.1:7102,127.0.0.1:7103,127.0.0.1:7105"
+servers=$live_servers doctor "live replace"
 
 echo "== kill daemon 4: reads must still certify (budget restored by repair)"
 kill -9 "${pids[4]}"
@@ -310,6 +329,8 @@ for i in 1 5 8; do
   out=$(ctl get "key:$i")
   [[ "$out" == "\"value-$i\""* ]] || { echo "FAIL: key:$i => $out"; exit 1; }
 done
+
+servers=$live_servers doctor "degraded reads"
 
 if [[ "${TORTURE:-}" == "full" ]]; then
   # Nightly configuration: the full-scale deterministic torture suite —

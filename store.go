@@ -19,8 +19,8 @@ import (
 // ErrShardTableTooLarge is returned by Put and Delete when the mutation's
 // batch would grow its shard's encoded table past what a reader that holds
 // nothing yet can be sent in one frame: a cold read is answered with one
-// copy of the table per register — the shard's and each of the Readers
-// write-back registers' — so the bound is the wire's frame bound divided by
+// copy of the table per register — the shard's and each client process's
+// write-back register — so the bound is the wire's frame bound divided by
 // Readers+1. A table written past it could never be read back by a fresh
 // process. The whole batch is refused and nothing is written; spread the
 // keys over more shards.
@@ -77,27 +77,6 @@ type StoreOptions struct {
 	// onto. More shards mean more write parallelism and smaller per-shard
 	// tables. Default 8.
 	Shards int
-	// Readers lists the reader identities (1..Options.Readers) this Store's
-	// per-shard read pools may use. Default: all of them. Reader identities
-	// own their write-back registers exclusively, so separately Connected
-	// processes sharing shards must use DISJOINT sets here (writers need no
-	// such partitioning — the shard registers are multi-writer; only the
-	// per-reader write-back registers remain single-writer). Reusing an
-	// identity across sequential process lifetimes is safe — a fresh
-	// handle rediscovers its write-back sequence number during its first
-	// read (core.ResumeSeq) — but two live processes must never share one.
-	Readers []int
-}
-
-func (o *StoreOptions) defaults(total int) {
-	if o.Shards == 0 {
-		o.Shards = 8
-	}
-	if len(o.Readers) == 0 {
-		for i := 1; i <= total; i++ {
-			o.Readers = append(o.Readers, i)
-		}
-	}
 }
 
 // Store is a keyed Put/Get layer over N independent robust atomic registers
@@ -109,14 +88,15 @@ func (o *StoreOptions) defaults(total int) {
 // carries over key by key.
 //
 // Shards are instantiated lazily: the first operation touching a shard
-// creates its writer handle and reader pool and recovers the shard's
+// creates its writer and reader handles and recovers the shard's
 // current contents and write timestamp from the cluster, so a Store attached
 // to a non-empty cluster (e.g. a fresh Connect to running daemons) resumes
 // where previous writers stopped.
 //
 // Store is safe for concurrent use, and — since the registers are
 // multi-writer — so is the cluster: separately Connected processes may Put
-// concurrently, provided each configured a distinct Options.WriterID.
+// and Get concurrently, each under its own Options.WriterID (a shard's
+// reads run as the process's one reader identity, one at a time).
 // Within one process, writes to the same shard coalesce (group commit):
 // mutations that arrive while a flush is in flight merge into one pending
 // batch and commit together in the next flush, so N concurrent Puts to a
@@ -151,7 +131,6 @@ func (o *StoreOptions) defaults(total int) {
 // cross-process write isolation matters.
 type Store struct {
 	c      *Cluster
-	opts   StoreOptions
 	router shard.Router
 	shards *shard.Lazy[*storeShard]
 }
@@ -179,14 +158,17 @@ type storeShard struct {
 	// timestamps name at most one genuinely-written value, so a hit cannot
 	// disagree with a decode. Invalidated whenever this process's committer
 	// moves the register head (the entry can no longer be decided by a
-	// correct read) and replaced whenever a read decides a newer timestamp.
+	// correct read) and replaced whenever a read decides another timestamp
+	// (gets runs one read at a time, so the latest decision is the newest).
 	// cacheTab is shared read-only by every Get it serves and must never
 	// alias the committer-private table.
 	cacheMu  sync.Mutex
 	cacheTS  types.TS
 	cacheTab map[string]string
 
-	pool *shard.Pool[*Reader]
+	// reader is the shard's one reader handle, this process's identity; gets
+	// runs one read at a time, so it is never used concurrently.
+	reader *Reader
 
 	// Committer-private state below.
 	table  map[string]string
@@ -236,21 +218,27 @@ type storeShard struct {
 	validate func() (bool, error)
 }
 
+// traceOp brackets one Store-level operation (RECOVER, FLUSH, GET) for the
+// sampled tracer: every round t runs until the returned function is called
+// lands on the op's trace, and that call files the op with its outcome.
+// Without a tracer, or for an op sampled out, it is a no-op.
+func traceOp(tr *obs.Tracer, t *proto.Traced, kind, format string, n int) func(error) {
+	if tr != nil && t != nil {
+		if op := tr.StartOp(kind, fmt.Sprintf(format, n)); op != nil {
+			t.SetOp(op)
+			return func(err error) {
+				t.SetOp(nil)
+				tr.EndOp(op, err)
+			}
+		}
+	}
+	return func(error) {}
+}
+
 // NewStore returns a keyed store over the cluster.
 func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
-	opts.defaults(c.opts.Readers)
-	// Reader identities own their write-back registers exclusively, so a
-	// duplicated index would put two pool handles — two writers — on one
-	// single-writer register and corrupt its timestamp discipline.
-	seen := make(map[int]bool, len(opts.Readers))
-	for _, idx := range opts.Readers {
-		if idx < 1 || idx > c.opts.Readers {
-			return nil, fmt.Errorf("robustatomic: store reader index %d out of 1..%d", idx, c.opts.Readers)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("robustatomic: duplicate store reader index %d", idx)
-		}
-		seen[idx] = true
+	if opts.Shards == 0 {
+		opts.Shards = 8
 	}
 	// Shard i lives on register instance i+1; the topmost instance must stay
 	// clear of the reserved configuration register.
@@ -261,7 +249,7 @@ func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	s := &Store{c: c, opts: opts, router: router}
+	s := &Store{c: c, router: router}
 	s.shards = shard.NewLazy(opts.Shards, s.buildShard)
 	return s, nil
 }
@@ -270,37 +258,20 @@ func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 // 0 is the legacy standalone register, so shard i lives on instance i+1.
 func (s *Store) buildShard(i int) (*storeShard, error) {
 	reg := i + 1
-	// One known-pair set per shard, shared by the reader pool and the
-	// committer: what any handle decided or flushed, no handle is sent again
+	// One known-pair set per shard, shared by the reader and the committer:
+	// what either decided or flushed, neither is sent again
 	// (internal/core/known.go).
 	known := core.NewKnown(s.c.th)
-	readers := make([]*Reader, len(s.opts.Readers))
-	for j, idx := range s.opts.Readers {
-		r, err := s.c.readerReg(idx, reg)
-		if err != nil {
-			return nil, fmt.Errorf("robustatomic: shard %d: %w", i, err)
-		}
-		r.useKnown(known)
-		readers[j] = r
-	}
+	r := s.c.readerReg(s.c.readerID(), reg)
+	r.useKnown(known)
 	// Recovery read: learn the shard's current table and the timestamp the
 	// writer must exceed, so a new Store over an existing cluster neither
 	// clobbers other keys in the shard nor reuses timestamps. Traced as its
 	// own op: recovery reads race whatever chaos is in flight when a shard is
 	// first touched, which is exactly when flakes have fired historically.
-	cur, err := func() (types.Pair, error) {
-		r := readers[0]
-		if tr := s.c.opts.Tracer; tr != nil && r.traced != nil {
-			if op := tr.StartOp("RECOVER", fmt.Sprintf("shard %d", i)); op != nil {
-				r.traced.SetOp(op)
-				defer r.traced.SetOp(nil)
-				p, err := r.readPair()
-				tr.EndOp(op, err)
-				return p, err
-			}
-		}
-		return r.readPair()
-	}()
+	end := traceOp(s.c.opts.Tracer, r.traced, "RECOVER", "shard %d", i)
+	cur, err := r.readPair()
+	end(err)
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: shard %d recovery: %w", i, err)
 	}
@@ -315,7 +286,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		table:      table,
 		keys:       shard.SortedKeys(table),
 		lastTS:     cur.TS,
-		pool:       shard.NewPool(readers),
+		reader:     r,
 		modify:     w.modifyPair,
 		writeClean: w.writeCleanPair,
 		validate:   w.validateClean,
@@ -418,16 +389,9 @@ const slowFlushPenalty = 8
 // their ops in uncommitted, which forces the certified path (and a real
 // write) until one succeeds.
 func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
-	if sh.tracer != nil && sh.wTraced != nil {
-		if op := sh.tracer.StartOp("FLUSH", fmt.Sprintf("%d ops", len(ops))); op != nil {
-			sh.wTraced.SetOp(op)
-			defer func() {
-				sh.wTraced.SetOp(nil)
-				sh.tracer.EndOp(op, err)
-			}()
-		}
-	}
+	end := traceOp(sh.tracer, sh.wTraced, "FLUSH", "%d ops", len(ops))
 	defer func() {
+		end(err)
 		if err != nil && !errors.Is(err, ErrShardTableTooLarge) {
 			mFlushFailed.Inc()
 		}
@@ -596,17 +560,9 @@ func (sh *storeShard) sharedRead() (map[string]string, error) {
 // readTable performs one atomic shard read and returns the decoded table,
 // consulting and refreshing the certified-table cache.
 func (sh *storeShard) readTable([]struct{}) (tab map[string]string, err error) {
-	r := sh.pool.Acquire()
-	defer sh.pool.Release(r)
-	if sh.tracer != nil && r.traced != nil {
-		if op := sh.tracer.StartOp("GET", fmt.Sprintf("shard %d", sh.idx)); op != nil {
-			r.traced.SetOp(op)
-			defer func() {
-				r.traced.SetOp(nil)
-				sh.tracer.EndOp(op, err)
-			}()
-		}
-	}
+	r := sh.reader
+	end := traceOp(sh.tracer, r.traced, "GET", "shard %d", sh.idx)
+	defer func() { end(err) }()
 	p, err := r.readPair()
 	if err != nil {
 		return nil, err
@@ -615,28 +571,22 @@ func (sh *storeShard) readTable([]struct{}) (tab map[string]string, err error) {
 		mGetElided.Inc()
 	}
 	sh.cacheMu.Lock()
-	if sh.cacheTab != nil && p.TS == sh.cacheTS {
-		tab := sh.cacheTab
-		sh.cacheMu.Unlock()
+	tab, ts := sh.cacheTab, sh.cacheTS
+	sh.cacheMu.Unlock()
+	if tab != nil && p.TS == ts {
 		mGetCacheHit.Inc()
 		return tab, nil
 	}
-	sh.cacheMu.Unlock()
-	table, err := shard.DecodeTable(string(p.Val))
+	tab, err = shard.DecodeTable(string(p.Val))
 	if err != nil {
 		// Unreachable against ≤ t Byzantine objects: reads only return
 		// values certified by t+1 objects, hence genuinely written ones.
 		return nil, fmt.Errorf("robustatomic: shard %d returned corrupt table: %w", sh.idx, err)
 	}
 	sh.cacheMu.Lock()
-	// Replace only forward: a concurrent slower read that decided an older
-	// timestamp must not clobber a fresher entry (atomic reads are monotone
-	// in real time, but two in-flight reads may complete out of order).
-	if sh.cacheTab == nil || sh.cacheTS.Less(p.TS) {
-		sh.cacheTS, sh.cacheTab = p.TS, table
-	}
+	sh.cacheTS, sh.cacheTab = p.TS, tab
 	sh.cacheMu.Unlock()
-	return table, nil
+	return tab, nil
 }
 
 // invalidateCache drops the certified-table cache entry. Called by the

@@ -40,11 +40,11 @@ func TestStoreGetShipsEachValueOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	sa, err := a.NewStore(StoreOptions{Shards: 1, Readers: []int{1}})
+	sa, err := a.NewStore(StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := b.NewStore(StoreOptions{Shards: 1, Readers: []int{2}})
+	sb, err := b.NewStore(StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,8 @@ func TestStoreAtomicDespiteFalseElide(t *testing.T) {
 }
 
 // TestGetRacesCommitterSeeding hammers one shard's known-pair set from both
-// sides — the committer seeding each flushed table while the reader pool's
-// handles snapshot, inflate from and reseed it — so `go test -race` sees
+// sides — the committer seeding each flushed table while the shard's reader
+// snapshots, inflates from and reseeds it — so `go test -race` sees
 // every access pattern the set supports. Per-key values only move forward.
 func TestGetRacesCommitterSeeding(t *testing.T) {
 	c, err := NewCluster(Options{Faults: 1, Readers: 3, Seed: 83})

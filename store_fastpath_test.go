@@ -141,20 +141,20 @@ func TestStoreNoOpMutationsElided(t *testing.T) {
 // read-modify-write, and rebase WITHOUT dropping B's key.
 func TestStoreFlushRebasesAfterForeignWrite(t *testing.T) {
 	addrs, _ := startServers(t, 4)
-	connect := func(wid int, reader int) *Store {
+	connect := func(wid int) *Store {
 		c, err := Connect(addrs, Options{Faults: 1, Readers: 2, WriterID: wid, Seed: int64(40 + wid)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		st, err := c.NewStore(StoreOptions{Shards: 1, Readers: []int{reader}})
+		st, err := c.NewStore(StoreOptions{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	a := connect(1, 1)
-	b := connect(2, 2)
+	a := connect(0)
+	b := connect(1)
 	if err := a.Put("a-key", "a1"); err != nil {
 		t.Fatal(err)
 	}

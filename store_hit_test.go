@@ -27,11 +27,11 @@ func TestStoreGetRoundMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	sa, err := a.NewStore(StoreOptions{Shards: 1, Readers: []int{1}})
+	sa, err := a.NewStore(StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := b.NewStore(StoreOptions{Shards: 1, Readers: []int{2}})
+	sb, err := b.NewStore(StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,26 +267,6 @@ func TestStoreReadHeavyChaos(t *testing.T) {
 	}
 }
 
-// TestStoreRejectsBadReaderSets pins reader-identity partitioning: a pool
-// may not duplicate an identity (two handles would write-race one
-// single-writer write-back register) nor claim one outside 1..R.
-func TestStoreRejectsBadReaderSets(t *testing.T) {
-	c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.NewStore(StoreOptions{Readers: []int{1, 1}}); err == nil {
-		t.Error("duplicate reader index accepted")
-	}
-	if _, err := c.NewStore(StoreOptions{Readers: []int{3}}); err == nil {
-		t.Error("out-of-range reader index accepted")
-	}
-	if _, err := c.NewStore(StoreOptions{Readers: []int{2}}); err != nil {
-		t.Errorf("valid reader subset rejected: %v", err)
-	}
-}
-
 // waitUntil polls cond until it holds or the deadline passes.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
