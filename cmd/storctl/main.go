@@ -99,13 +99,13 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 		if err != nil || id < 1 || id > len(addrs) {
 			return fmt.Errorf("probe: object id %q out of 1..%d", args[1], len(addrs))
 		}
-		d, err := tcpnet.DialDirect(addrs[id-1], 5*time.Second)
+		d, err := tcpnet.DialDirect(addrs[id-1], types.Reader(writerID+1), 5*time.Second)
 		if err != nil {
 			return err
 		}
 		defer d.Close()
 		for reg := 0; reg <= shards; reg++ {
-			pw, w, err := d.Probe(reg)
+			pw, w, err := d.ProbeReg(reg, types.WriterReg)
 			if err != nil {
 				return err
 			}
@@ -129,7 +129,7 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 		if len(args) != 1 {
 			return fmt.Errorf("usage: storctl doctor")
 		}
-		return doctor(addrs, shards, readers)
+		return doctor(addrs, types.Reader(writerID+1), shards, readers)
 	}
 	var tracer *obs.Tracer
 	if trace > 0 {
@@ -426,7 +426,7 @@ func printMigrated(migrated []robustatomic.RepairedRegister) {
 // write-back sequence number for a different certified value). Doctor
 // prints the affected daemons and the wipe+repair remediation, and fails
 // (exit 1) when anything diverged — clean clusters print OK.
-func doctor(addrs []string, shards, readers int) error {
+func doctor(addrs []string, from types.ProcID, shards, readers int) error {
 	type regKey struct {
 		reg int
 		id  types.RegID
@@ -440,7 +440,7 @@ func doctor(addrs []string, shards, readers int) error {
 	scanned, unreachable := 0, 0
 	for i, addr := range addrs {
 		id := i + 1
-		d, err := tcpnet.DialDirect(addr, 5*time.Second)
+		d, err := tcpnet.DialDirect(addr, from, 5*time.Second)
 		if err != nil {
 			fmt.Printf("s%d %s: UNREACHABLE (%v) — skipped\n", id, addr, err)
 			unreachable++

@@ -75,7 +75,7 @@ func doctorSweep(t *testing.T, addrs []string, shards, readers, reg int) (writte
 	vals := map[key]types.Value{}
 	written = map[int]int{}
 	for i, addr := range addrs {
-		d, err := tcpnet.DialDirect(addr, time.Second)
+		d, err := tcpnet.DialDirect(addr, types.Reader(1), time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestRepairBesideAReader(t *testing.T) {
 			}
 			// A was idle: r1 is exactly where A left it, the repaired object included.
 			for _, sid := range []int{1, 2, 4} {
-				d, err := tcpnet.DialDirect(addrs[sid-1], time.Second)
+				d, err := tcpnet.DialDirect(addrs[sid-1], types.Reader(1), time.Second)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -95,7 +95,7 @@ type Writer struct {
 	// write's timestamp; IssuedTS additionally covers proposals that never
 	// completed and is what successor timestamps must exceed.
 	pw    *regular.Writer
-	known *Known
+	known *proto.Known
 
 	// FastWrites and FallbackWrites count Write calls that certified on the
 	// optimistic 2-round path vs. fell back (instrumentation; the round
@@ -119,13 +119,13 @@ func NewWriterAt(r proto.Rounder, th quorum.Thresholds, wid int64, last types.TS
 // writer of the shared register (the secret model supplies one that attaches
 // a fresh token to every phase).
 func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.Writer) *Writer {
-	return &Writer{rounder: r, th: th, wid: wid, pw: pw, known: NewKnown(th)}
+	return &Writer{rounder: r, th: th, wid: wid, pw: pw, known: proto.NewKnown(th)}
 }
 
 // UseKnown makes the writer record its writes in, and condition its
 // certified reads on, k instead of the handle's private set — the keyed
 // Store shares one set per shard between its committer and its reader.
-func (w *Writer) UseKnown(k *Known) { w.known = k }
+func (w *Writer) UseKnown(k *proto.Known) { w.known = k }
 
 // maxDiscoveryLead bounds how far past the writer's own knowledge an
 // UNCERTIFIED discovery result may jump before the writer insists on
@@ -147,11 +147,10 @@ const maxDiscoveryLead = 1 << 32
 // unconditioned): a writer whose last pair is still the register's current
 // one — the rebase that finds nothing to rebase onto — moves timestamps, not
 // values.
-func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, k *Known) (types.Pair, types.TS, error) {
+func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, k *proto.Known) (types.Pair, types.TS, error) {
 	acc := regular.NewReadAcc(th)
 	acc.MultiWriter = true
-	hint := func(spec *proto.RoundSpec) { k.hintRead(spec, types.WriterReg) }
-	cur, err := regular.ReadPairOn(r, types.WriterReg, acc, hint)
+	cur, err := regular.ReadPairOn(r, types.WriterReg, acc, k)
 	if err != nil {
 		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: %w", err)
 	}
@@ -234,17 +233,15 @@ type Reader struct {
 	NextToken func() types.Token
 
 	// Reusable round state, built on the first read and recycled after: one
-	// read accumulator per register, the multiplexed round's accumulator
-	// fanning out to them (slow: the parts of the registers that missed), and
-	// the sid-independent request bundle — rebuilt only when the known-pair
-	// set moved, so steady-state reads allocate nothing here.
+	// read accumulator per register, the register-addressed rounds fanning
+	// out to them (part i is register regs[i]; slow lists the registers that
+	// missed), conditioned on the known-pair set — steady-state reads
+	// allocate nothing here.
 	regs   []types.RegID
 	accs   []*regular.ReadAcc
-	mux    muxAcc
-	slow   []MuxPart
+	mux    proto.RegAcc
+	slow   []int
 	back   types.Pair // the last write-back (see Choice)
-	req    types.Message
-	reqFn  func(int) types.Message
 	noteFn func() string
 
 	// Hit reports whether the last ReadPair decided every register on its
@@ -280,16 +277,15 @@ func NewReaderAt(r proto.Rounder, th quorum.Thresholds, idx, readers int, seq in
 	if idx < 1 || idx > readers {
 		panic(fmt.Sprintf("core: reader index %d out of 1..%d", idx, readers))
 	}
-	return &Reader{rounder: r, th: th, idx: idx, readers: readers, seq: seq, mux: muxAcc{inflater: inflater{known: NewKnown(th)}}}
+	rd := &Reader{rounder: r, th: th, idx: idx, readers: readers, seq: seq}
+	rd.mux.UseKnown(proto.NewKnown(th))
+	return rd
 }
 
 // UseKnown makes the reader condition its reads on (and feed) k instead of
 // the handle's private set. Handles of one register instance in one process
 // should share a set: what one of them decided, none of them is sent again.
-func (r *Reader) UseKnown(k *Known) {
-	r.mux.inflater = inflater{known: k}
-	r.req = types.Message{} // hinted from the old set: rebuild
-}
+func (r *Reader) UseKnown(k *proto.Known) { r.mux.UseKnown(k) }
 
 // Choice returns the pair the last ReadPair left register i of the instance
 // at, as far as it knows — 0 the shared register, i reader i's write-back
@@ -337,18 +333,18 @@ func (r *Reader) Read() (types.Value, error) {
 	return p.Val, err
 }
 
-// init builds the reader's reusable round state: accumulators and the
-// multiplexed parts referencing them.
+// init builds the reader's reusable round state: one accumulator per
+// register, each a part of the register-addressed rounds — every object
+// receives one READ per register and answers with one reply per register, so
+// the R+1 regular reads advance in lockstep and cost a single physical
+// round-trip (proto.RegAcc).
 func (r *Reader) init() {
 	if r.accs != nil {
 		return
 	}
-	r.regs = r.allRegs()
+	r.regs = make([]types.RegID, r.readers+1)
 	r.accs = make([]*regular.ReadAcc, len(r.regs))
-	r.mux.parts = make([]MuxPart, len(r.regs))
-	r.mux.read = r.mux.parts
-	r.slow = make([]MuxPart, 0, len(r.regs))
-	r.reqFn = func(int) types.Message { return r.req }
+	r.slow = make([]int, 0, len(r.regs))
 	r.noteFn = func() string {
 		n := 0
 		for _, a := range r.accs {
@@ -358,7 +354,12 @@ func (r *Reader) init() {
 		}
 		return fmt.Sprintf("hit %d/%d", n, len(r.accs))
 	}
-	for i, reg := range r.regs {
+	for i := range r.regs {
+		// The writers' register, then every reader's write-back register.
+		r.regs[i] = types.WriterReg
+		if i > 0 {
+			r.regs[i] = types.ReaderReg(i)
+		}
 		// Every register runs the relaxed multi-writer decision: the shared
 		// register (index 0) genuinely has many writers, and a write-back
 		// register's owner resumes its sequence number by discovery (see
@@ -368,27 +369,8 @@ func (r *Reader) init() {
 		// fault set (see regular.ReadAcc.MultiWriter).
 		r.accs[i] = regular.NewReadAcc(r.th)
 		r.accs[i].MultiWriter = true
-		r.mux.parts[i] = MuxPart{Reg: reg, Req: readReq, Acc: r.accs[i]}
+		r.mux.Part(r.regs[i], types.Message{Kind: types.MsgRead1}, r.accs[i])
 	}
-}
-
-// readReq is the per-register READ every query round sends (its have-list
-// is filled in from the known-pair set when the bundle is built).
-func readReq(int) types.Message { return types.Message{Kind: types.MsgRead1} }
-
-// muxSpec builds the query-round spec over the reader's prebuilt parts:
-// every object receives one sub-request per register and replies with one
-// sub-reply per register, so the bundled rounds advance in lockstep and
-// cost a single physical round-trip. Read requests are sid-independent and
-// runtimes treat request messages as immutable (a slow object may still be
-// sent the previous round's bundle), so one bundle serves every object, and
-// a NEW one is built — never the old one patched — when the known-pair set
-// has moved since the last round.
-func (r *Reader) muxSpec(label string) proto.RoundSpec {
-	if r.mux.refresh() || r.req.Sub == nil {
-		r.req = r.mux.bundle(0)
-	}
-	return proto.RoundSpec{Label: label, Req: r.reqFn, Acc: &r.mux}
 }
 
 // ReadPair performs the adaptive atomic read, returning the chosen
@@ -401,7 +383,7 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 
 	// Physical round 1: round 1 of every register's regular read. A traced
 	// round notes how many registers it decided outright.
-	spec := r.muxSpec("AREAD1")
+	spec := r.mux.Spec("AREAD1", nil)
 	spec.Note = r.noteFn
 	if err := r.rounder.Round(spec); err != nil {
 		return types.Pair{}, fmt.Errorf("core: read round 1: %w", err)
@@ -411,14 +393,13 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	// (regular.ReadAcc) only: the decision round over their frozen round-1
 	// views. A handle still discovering its write-back sequence number takes
 	// no hit, so ResumeSeq below sees both rounds' raw maxima exactly once.
-	all := r.mux.parts
 	r.slow = r.slow[:0]
 	for i, a := range r.accs {
 		if a.Hit() && !r.discover {
 			continue
 		}
 		a.BeginDecide()
-		r.slow = append(r.slow, all[i])
+		r.slow = append(r.slow, i)
 		if !r.discover {
 			if i == 0 {
 				mMissShared.Inc()
@@ -429,15 +410,11 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	}
 	r.discover = false
 	if r.Hit = len(r.slow) == 0; !r.Hit {
-		spec = r.muxSpec("AREAD2")
-		if len(r.slow) < len(all) {
-			r.mux.parts = r.slow
-			sub := r.mux.bundle(0)
-			spec.Req = func(int) types.Message { return sub }
+		only := r.slow
+		if len(only) == len(r.accs) {
+			only = nil // every register: the first round's request serves again
 		}
-		err := r.rounder.Round(spec)
-		r.mux.parts = all
-		if err != nil {
+		if err := r.rounder.Round(r.mux.Spec("AREAD2", only)); err != nil {
 			return types.Pair{}, fmt.Errorf("core: read round 2: %w", err)
 		}
 	}
@@ -460,7 +437,7 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	// What was just decided is what the next read will most likely be
 	// answered with: offer it, so the objects need not send it again.
 	for i, a := range r.accs {
-		r.mux.seed(r.regs[i], a.Choice())
+		r.mux.Seed(r.regs[i], a.Choice())
 	}
 
 	// The read's result is the maximum pair across the writer's register
@@ -513,19 +490,8 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 		return types.Pair{}, fmt.Errorf("core: write-back: %w", err)
 	}
 	r.seq, r.back = r.seq+1, back
-	r.mux.known.Seed(types.ReaderReg(r.idx), back)
+	r.mux.Seed(types.ReaderReg(r.idx), back)
 	return best, nil
-}
-
-// allRegs returns the writer's register followed by every reader's
-// write-back register.
-func (r *Reader) allRegs() []types.RegID {
-	regs := make([]types.RegID, 0, r.readers+1)
-	regs = append(regs, types.WriterReg)
-	for i := 1; i <= r.readers; i++ {
-		regs = append(regs, types.ReaderReg(i))
-	}
-	return regs
 }
 
 // EncodePair encodes a pair as a register value for write-back registers:
@@ -561,119 +527,4 @@ func DecodePair(v types.Value) (types.Pair, error) {
 		}
 	}
 	return types.Pair{TS: types.TS{Seq: seq, WID: wid}, Val: types.Value(rest)}, nil
-}
-
-// MuxPart is one register's contribution to a multiplexed physical round.
-type MuxPart struct {
-	Reg types.RegID
-	Req func(sid int) types.Message
-	Acc proto.Accumulator
-}
-
-// muxAcc fans multiplexed replies out to the per-register accumulators; the
-// physical round terminates when every register's round would. Sub-round
-// accumulators are monotone, so the conjunction is monotone. It is also
-// where value-eliding reads are undone (see known.go): the round's requests
-// are hinted from the inflater's view of the known-pair set, and every
-// sub-reply is re-inflated against it before its register's accumulator
-// sees it.
-type muxAcc struct {
-	parts []MuxPart
-	read  []MuxPart // every register of the read that parts is one round of
-	inflater
-}
-
-// bundle builds the round's request to object sid: one sub-request per
-// part, READs carrying their register's have-list.
-func (a *muxAcc) bundle(sid int) types.Message {
-	sub := make([]types.SubMsg, len(a.parts))
-	for i, p := range a.parts {
-		msg := p.Req(sid)
-		if msg.Kind == types.MsgRead1 {
-			msg.Have = a.have(p.Reg)
-		}
-		sub[i] = types.SubMsg{Reg: p.Reg, Msg: msg}
-	}
-	return types.Message{Kind: types.MsgMux, Sub: sub}
-}
-
-// part returns the index of the part a sub-reply for reg at position i
-// belongs to: i itself when the object kept the request's order (every
-// correct one does), else whatever a scan finds; -1 for a register the
-// round never asked about.
-func (a *muxAcc) part(i int, reg types.RegID) int {
-	if i < len(a.parts) && a.parts[i].Reg == reg {
-		return i
-	}
-	for j := range a.parts {
-		if a.parts[j].Reg == reg {
-			return j
-		}
-	}
-	return -1
-}
-
-// Add implements proto.Accumulator.
-func (a *muxAcc) Add(sid int, m types.Message) {
-	if m.Kind != types.MsgMux {
-		return
-	}
-	var inflated, rejected int64
-	got := 0
-	for i := range m.Sub {
-		j := a.part(i, m.Sub[i].Reg)
-		if j < 0 {
-			continue
-		}
-		got++
-		msg := m.Sub[i].Msg // a copy: the reply itself is never patched
-		n, ok := a.admit(sid, m.Sub[i].Reg, &msg)
-		if !ok {
-			// Elision claimed for a pair the request did not offer: only a
-			// faulty object sends that, and it is dropped like a sub-reply
-			// the object withheld.
-			rejected++
-			continue
-		}
-		inflated += n
-		a.parts[j].Acc.Add(sid, msg)
-	}
-	if inflated > 0 {
-		mInflated.Add(inflated)
-	}
-	if rejected > 0 {
-		mInflateReject.Add(rejected)
-		a.seen.Inflate |= 1 << uint(sid)
-	}
-	if got < len(a.parts) {
-		a.seen.Withheld |= 1 << uint(sid)
-	}
-}
-
-// Verdict is the read's proto.Verdict: what the fan-out itself saw (rejected
-// elisions, withheld sub-bundles) plus, once EVERY register of the read is
-// decided — in this round or, for a decision round over the registers that
-// missed, the one before — the registers' verdicts merged. A partial
-// decision says nothing: an object serving a frozen past agrees on every
-// register but the one that matters.
-func (a *muxAcc) Verdict() proto.Verdict {
-	v := a.seen
-	for i := range a.read {
-		pv := proto.VerdictOf(a.read[i].Acc)
-		if pv == (proto.Verdict{}) {
-			return a.seen
-		}
-		v.Merge(pv)
-	}
-	return v
-}
-
-// Done implements proto.Accumulator.
-func (a *muxAcc) Done() bool {
-	for i := range a.parts {
-		if !a.parts[i].Acc.Done() {
-			return false
-		}
-	}
-	return true
 }

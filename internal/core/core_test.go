@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"robustatomic/internal/checker"
+	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
@@ -32,11 +33,11 @@ type cluster struct {
 	readers int
 	writeTS types.TS
 	seqs    map[int]int64 // reader idx → write-back seq
-	known   *Known
+	known   *proto.Known
 }
 
 func newCluster(thr quorum.Thresholds, readers int) *cluster {
-	return &cluster{thr: thr, readers: readers, seqs: make(map[int]int64, readers), known: NewKnown(thr)}
+	return &cluster{thr: thr, readers: readers, seqs: make(map[int]int64, readers), known: proto.NewKnown(thr)}
 }
 
 func (cl *cluster) writeOp(v types.Value) sim.OpFunc {

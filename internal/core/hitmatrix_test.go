@@ -8,6 +8,7 @@ import (
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
+	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/secret"
 	"robustatomic/internal/server"
@@ -20,7 +21,7 @@ import (
 // source for its write-backs).
 type model struct {
 	name   string
-	write  func(c *sim.Client, last types.TS, k *core.Known, v types.Value) (types.TS, error)
+	write  func(c *sim.Client, last types.TS, k *proto.Known, v types.Value) (types.TS, error)
 	reader func(c *sim.Client, idx, readers int, seq int64, fresh bool) *core.Reader
 }
 
@@ -28,7 +29,7 @@ func models(thr quorum.Thresholds, rng *rand.Rand) []model {
 	return []model{
 		{
 			name: "plain",
-			write: func(c *sim.Client, last types.TS, k *core.Known, v types.Value) (types.TS, error) {
+			write: func(c *sim.Client, last types.TS, k *proto.Known, v types.Value) (types.TS, error) {
 				w := core.NewWriterAt(c, thr, 0, last)
 				w.UseKnown(k)
 				err := w.Write(v)
@@ -43,7 +44,7 @@ func models(thr quorum.Thresholds, rng *rand.Rand) []model {
 		},
 		{
 			name: "secret",
-			write: func(c *sim.Client, last types.TS, k *core.Known, v types.Value) (types.TS, error) {
+			write: func(c *sim.Client, last types.TS, k *proto.Known, v types.Value) (types.TS, error) {
 				w := secret.NewAtomicWriterAt(c, thr, rng, 0, last)
 				w.UseKnown(k)
 				err := w.Write(v)
@@ -127,7 +128,7 @@ func runMatrixCell(t *testing.T, thr quorum.Thresholds, readers, mi int, phase s
 	h := &checker.History{}
 	s := sim.New(sim.Config{Servers: thr.S, History: h})
 	defer s.Close()
-	known := core.NewKnown(thr)
+	known := proto.NewKnown(thr)
 	var last types.TS
 	seqs := make([]int64, readers+1)
 

@@ -33,7 +33,7 @@
 // modes differ in when fsync makes records survive a killed *machine*:
 // FsyncAlways group-commits (concurrent appends amortize one fsync, every
 // append waits for it — the storeShard group-commit pattern applied to
-// fsync), FsyncBatch syncs in the background every BatchInterval (bounded
+// fsync), FsyncBatch syncs in the background every batchInterval (bounded
 // loss window), FsyncOff leaves flushing to the OS entirely.
 package persist
 
@@ -81,7 +81,7 @@ type FsyncMode int
 // Fsync modes.
 const (
 	// FsyncBatch writes each record to the OS synchronously and fsyncs in
-	// the background every BatchInterval: a machine crash can lose at most
+	// the background every batchInterval: a machine crash can lose at most
 	// the last interval's acknowledgements, a process crash loses nothing.
 	FsyncBatch FsyncMode = iota
 	// FsyncAlways fsyncs before Append returns. Concurrent appends share
@@ -124,10 +124,11 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 type Options struct {
 	// Mode is the fsync policy. Default FsyncBatch.
 	Mode FsyncMode
-	// BatchInterval is the background fsync period of FsyncBatch (and the
-	// bound on its loss window under a machine crash). Default 2ms.
-	BatchInterval time.Duration
 }
+
+// batchInterval is the background fsync period of FsyncBatch, and the bound
+// on its loss window under a machine crash.
+const batchInterval = 2 * time.Millisecond
 
 // walFile locates one recovered WAL generation.
 type walFile struct {
@@ -141,9 +142,8 @@ type walFile struct {
 // object host guarantees this by quiescing mutations around compaction
 // (server.Host.Compact).
 type Engine struct {
-	dir      string
-	mode     FsyncMode
-	interval time.Duration
+	dir  string
+	mode FsyncMode
 
 	// Recovery inputs, fixed at Open and consumed by Recover.
 	baseGen  uint64
@@ -196,9 +196,6 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 // (newest intact snapshot), prunes generations older than it, and starts a
 // fresh WAL generation for this process lifetime. Call Recover next.
 func Open(dir string, o Options) (*Engine, error) {
-	if o.BatchInterval <= 0 {
-		o.BatchInterval = 2 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
@@ -227,7 +224,6 @@ func Open(dir string, o Options) (*Engine, error) {
 	e := &Engine{
 		dir:      dir,
 		mode:     o.Mode,
-		interval: o.BatchInterval,
 		stopSync: make(chan struct{}),
 		syncDone: make(chan struct{}),
 	}
@@ -458,7 +454,7 @@ func (e *Engine) syncBatch([]struct{}) (struct{}, error) {
 // syncLoop is the FsyncBatch background syncer.
 func (e *Engine) syncLoop() {
 	defer close(e.syncDone)
-	t := time.NewTicker(e.interval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -9,10 +9,10 @@
 // built from it carries those pairs' (timestamp, digest) as the
 // sub-request's have-list; an object whose slot matches an entry answers
 // with the timestamp and an "elided" bit instead of the value
-// (server.RegState.read), and the reply is re-inflated from the set HERE —
-// in the multiplexed round's accumulator, before any regular accumulator
-// sees it — so the decision procedure, the write-back elision check and the
-// checkers run on byte-identical inputs.
+// (server.RegState.read), and the reply is re-inflated from the set in RegAcc
+// (regacc.go), before the register's own accumulator sees it — so the
+// decision procedure, the write-back elision check and the checkers run on
+// byte-identical inputs.
 //
 // Safety: for a correct object the inflated reply EQUALS the unconditioned
 // reply. The object elides only a slot whose (timestamp, digest) the request
@@ -23,7 +23,7 @@
 // writer-issued values under one timestamp: they are the same value, except
 // in the one known residual where a timestamp does not name a value (a
 // write-back owner that crashed and re-issued a sequence number can leave
-// correct objects holding different values under it; see ResumeSeq), and
+// correct objects holding different values under it; see core.ResumeSeq), and
 // there the digest tells them apart. No value a Byzantine object merely SENT
 // ever enters a have-list, so the digest is never computed over an
 // adversary's input and needs no cryptographic strength. A Byzantine object
@@ -33,7 +33,8 @@
 // is dropped like a withheld sub-reply. Conditioning a READ therefore gives
 // the adversary no reply it could not already produce, and an empty
 // have-list IS the unconditioned read: there is no second read path.
-package core
+
+package proto
 
 import (
 	"math/bits"
@@ -41,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"robustatomic/internal/obs"
-	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/types"
 )
@@ -119,7 +119,7 @@ func (kr *knownReg) holds(p types.Pair) bool {
 }
 
 // put places p at the front. An entry already at p's timestamp is replaced
-// (the residual of the package comment: the newer observation wins);
+// (the residual of the file comment: the newer observation wins);
 // otherwise the oldest entry makes room.
 func (kr *knownReg) put(p types.Pair) {
 	at := kr.find(p.TS)
@@ -189,23 +189,23 @@ type shipped struct {
 // copy of the set — what its requests are hinted from and its replies
 // inflated against, so another handle's update can never orphan a correct
 // object's elision — and the pairs the current round's replies shipped in
-// full, by sender. Embedded in the accumulators that front the regular ones.
+// full, by sender. Embedded in RegAcc.
 type inflater struct {
 	known *Known
 	ver   uint64 // version of known that view copies
 	view  []knownReg
 	haves [][]types.Have // view's have-lists, by register
 	full  []shipped
-	// seen is the round's evidence against objects (proto.Verdict): who
+	// seen is the round's evidence against objects (Verdict): who
 	// claimed an un-offered elision, who withheld a sub-bundle.
-	seen proto.Verdict
+	seen Verdict
 }
 
 // refresh brings view up to date and forgets the previous round's full
 // pairs; it reports whether view changed (requests hinted from the old
 // one must be rebuilt).
 func (in *inflater) refresh() bool {
-	in.full, in.seen = in.full[:0], proto.Verdict{}
+	in.full, in.seen = in.full[:0], Verdict{}
 	if in.known == nil || in.known.ver.Load() == in.ver {
 		return false
 	}
@@ -249,10 +249,10 @@ func (in *inflater) have(reg types.RegID) []types.Have {
 	return nil
 }
 
-// seed records a genuine pair (see Known.Seed), skipping the lock when the
-// view already holds it — the steady state of a reader reseeding what it
-// just decided.
-func (in *inflater) seed(reg types.RegID, p types.Pair) {
+// Seed records a genuine pair of register reg in the Known set (see
+// Known.Seed), skipping the lock when the view already holds it — the steady
+// state of a reader reseeding what it just decided.
+func (in *inflater) Seed(reg types.RegID, p types.Pair) {
 	if kr := in.reg(reg); kr != nil && kr.holds(p) {
 		return
 	}
@@ -313,47 +313,4 @@ func (in *inflater) sawFull(sid int, reg types.RegID, p types.Pair) types.Pair {
 		in.known.Seed(reg, f.pair)
 	}
 	return f.pair
-}
-
-// hintRead conditions a single-register READ round on the set: the request
-// carries reg's have-list and replies are inflated before spec's own
-// accumulator sees them. For rounds addressed directly at the shared
-// register (multiplexed rounds get the same treatment from muxAcc).
-func (k *Known) hintRead(spec *proto.RoundSpec, reg types.RegID) {
-	acc := &inflateAcc{inflater: inflater{known: k}, inner: spec.Acc, reg: reg}
-	acc.refresh()
-	msg := types.Message{Kind: types.MsgRead1, Have: acc.have(reg)}
-	spec.Req = func(int) types.Message { return msg }
-	spec.Acc = acc
-}
-
-// inflateAcc is hintRead's accumulator shim.
-type inflateAcc struct {
-	inflater
-	inner proto.Accumulator
-	reg   types.RegID
-}
-
-// Add implements proto.Accumulator.
-func (a *inflateAcc) Add(sid int, m types.Message) {
-	n, ok := a.admit(sid, a.reg, &m)
-	if !ok {
-		mInflateReject.Inc()
-		a.seen.Inflate |= 1 << uint(sid)
-		return
-	}
-	if n > 0 {
-		mInflated.Add(n)
-	}
-	a.inner.Add(sid, m)
-}
-
-// Done implements proto.Accumulator.
-func (a *inflateAcc) Done() bool { return a.inner.Done() }
-
-// Verdict is the inner accumulator's proto.Verdict, plus the rejects.
-func (a *inflateAcc) Verdict() proto.Verdict {
-	v := a.seen
-	v.Merge(proto.VerdictOf(a.inner))
-	return v
 }

@@ -1,6 +1,6 @@
 // Package proto defines the client-side round abstraction shared by every
-// protocol implementation and every runtime (deterministic simulator, live
-// goroutine runtime, TCP transport).
+// protocol implementation and both runtimes (the deterministic simulator,
+// and tcpnet's round engine over sockets or objects in this process).
 //
 // A round follows Definition 1 of the paper: the client sends a message to
 // all objects, objects reply immediately, and the round terminates when the
@@ -34,8 +34,8 @@ type Accumulator interface {
 // Verdict is what a round that DECIDED something says about the objects that
 // answered it, as bitmasks (bit sid): Agree marks those whose report matched
 // the decision, the rest those that contradicted it — by a w report other
-// than the pair the read decided (W), a sub-bundle missing from a multiplexed
-// reply (Withheld), an elision claimed for a pair the request did not offer
+// than the pair the read decided (W), a register's part missing from a reply
+// (Withheld), an elision claimed for a pair the request did not offer
 // (Inflate). Evidence for the transport that ran the round (tcpnet's
 // suspicion-ordered sends), never an input to any decision.
 type Verdict struct{ Agree, W, Withheld, Inflate uint64 }
@@ -62,7 +62,7 @@ func VerdictOf(acc Accumulator) Verdict {
 // per-register sub-rounds share one physical message exchange per object;
 // when Subs is non-empty, Req and Acc are ignored). Batched rounds exist so
 // concurrent flushes of different Store shards coalesce into one frame per
-// daemon; only the batch-capable runtimes (live, tcpnet) accept them.
+// daemon; only tcpnet's round engine accepts them.
 type RoundSpec struct {
 	// Label names the round for traces and diagrams (e.g. "PREWRITE").
 	Label string

@@ -8,87 +8,54 @@ import (
 	"robustatomic/internal/types"
 )
 
-// PreWriteSpec builds the writer's first round: store the pair in pw at
-// every object, await S−t acknowledgements.
-func PreWriteSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) proto.RoundSpec {
-	return writeSpec(th, "PREWRITE", types.MsgPreWrite, reg, p, tok)
-}
-
-// PreWriteValidatedSpec builds the PREWRITE round with the validation
-// accumulator (a proto.BitAcc over the acks): same request as PreWriteSpec,
-// but the replies' prior-state piggybacks — each object's pre-prewrite
-// (pw, w) timestamps, values stripped — are folded into the accumulator's
+// PreWriteSpec builds the writer's first round — store the pair in pw of
+// register reg at every object, await S−t acknowledgements — and returns the
+// acknowledgement count with it: the replies' prior-state piggybacks (each
+// object's pre-prewrite (pw, w) timestamps, values stripped) fold into its
 // MaxTS, the optimistic write's certification input. The reports are
 // uncertified: a Byzantine acknowledger can inflate the maximum (forcing
 // the caller's fallback, bounded like discovery inflation) or underreport
 // it (harmless — any write that COMPLETED before this round began reached
 // a correct member of this quorum, whose honest report carries it).
-func PreWriteValidatedSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
-	acc := proto.NewAckBits(th.Quorum())
-	msg := types.Message{Kind: types.MsgPreWrite, Pair: p, Token: tok}
-	spec := proto.RoundSpec{
-		Label: "PREWRITE",
-		Req:   func(int) types.Message { return msg },
-		Acc:   proto.Accumulator(acc),
-	}
-	if reg != types.WriterReg {
-		spec.Req = muxWrap(reg, msg)
-		spec.Acc = &muxUnwrapAcc{reg: reg, inner: acc}
-	}
-	return spec, acc
+func PreWriteSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
+	return writeSpec(th, "PREWRITE", types.MsgPreWrite, reg, p, tok)
 }
 
 // WriteSpec builds the writer's second round: store the pair in w.
 func WriteSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) proto.RoundSpec {
-	return writeSpec(th, "WRITE", types.MsgWrite, reg, p, tok)
+	spec, _ := writeSpec(th, "WRITE", types.MsgWrite, reg, p, tok)
+	return spec
 }
 
-func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types.RegID, p types.Pair, tok types.Token) proto.RoundSpec {
-	msg := types.Message{Kind: kind, Pair: p, Token: tok}
-	spec := proto.RoundSpec{
-		Label: label,
-		Req:   func(int) types.Message { return msg },
-		Acc:   proto.NewAckBits(th.Quorum()),
-	}
-	if reg != types.WriterReg {
-		spec.Req = muxWrap(reg, msg)
-		spec.Acc = muxAckAcc(reg, th.Quorum())
-	}
-	return spec
+func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types.RegID, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
+	acks := proto.NewAckBits(th.Quorum())
+	var ra proto.RegAcc
+	ra.Part(reg, types.Message{Kind: kind, Pair: p, Token: tok}, acks)
+	return ra.Spec(label, nil), acks
 }
 
 // Read1Spec builds the first read query round: collect states from a quorum.
 func Read1Spec(th quorum.Thresholds, reg types.RegID) (proto.RoundSpec, *StateAcc) {
 	acc := NewStateAcc(th)
-	return readSpec("READ1", reg, acc), acc
-}
-
-// readSpec builds one read query round of register reg over acc.
-func readSpec(label string, reg types.RegID, acc proto.Accumulator) proto.RoundSpec {
-	msg := types.Message{Kind: types.MsgRead1}
-	spec := proto.RoundSpec{Label: label, Req: func(int) types.Message { return msg }, Acc: acc}
-	if reg != types.WriterReg {
-		spec.Req = muxWrap(reg, msg)
-		spec.Acc = &muxUnwrapAcc{reg: reg, inner: acc}
-	}
-	return spec
+	var ra proto.RegAcc
+	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
+	return ra.Spec("READ1", nil), acc
 }
 
 // ReadPairOn runs one regular read of register reg over acc and returns its
 // pair: round READ1 alone when the replies hit (see ReadAcc), the decision
-// round READ2 after it when they miss. hint, when non-nil, conditions each
-// round's spec before it runs (core's value-eliding reads).
-func ReadPairOn(r proto.Rounder, reg types.RegID, acc *ReadAcc, hint func(*proto.RoundSpec)) (types.Pair, error) {
+// round READ2 after it when they miss. The rounds are conditioned on k (nil
+// reads unconditioned): what the set holds, the objects need not send.
+func ReadPairOn(r proto.Rounder, reg types.RegID, acc *ReadAcc, k *proto.Known) (types.Pair, error) {
 	acc.Reset()
+	var ra proto.RegAcc
+	ra.UseKnown(k)
+	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
 	for i, label := range [...]string{"READ1", "READ2"} {
 		if i > 0 {
 			acc.BeginDecide()
 		}
-		spec := readSpec(label, reg, acc)
-		if hint != nil {
-			hint(&spec)
-		}
-		if err := r.Round(spec); err != nil {
+		if err := r.Round(ra.Spec(label, nil)); err != nil {
 			return types.Pair{}, fmt.Errorf("regular: read round %d: %w", i+1, err)
 		}
 		if acc.Hit() {
@@ -96,42 +63,6 @@ func ReadPairOn(r proto.Rounder, reg types.RegID, acc *ReadAcc, hint func(*proto
 		}
 	}
 	return acc.Choice(), nil
-}
-
-// muxWrap addresses a message to a non-default register instance by
-// wrapping it in a single-entry mux bundle.
-func muxWrap(reg types.RegID, msg types.Message) func(int) types.Message {
-	bundle := types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{{Reg: reg, Msg: msg}}}
-	return func(int) types.Message { return bundle }
-}
-
-// muxUnwrapAcc unwraps single-register mux replies for an inner accumulator.
-type muxUnwrapAcc struct {
-	reg   types.RegID
-	inner proto.Accumulator
-}
-
-// Add implements proto.Accumulator.
-func (a *muxUnwrapAcc) Add(sid int, m types.Message) {
-	if m.Kind != types.MsgMux {
-		return
-	}
-	for _, sub := range m.Sub {
-		if sub.Reg == a.reg {
-			a.inner.Add(sid, sub.Msg)
-		}
-	}
-}
-
-// Done implements proto.Accumulator.
-func (a *muxUnwrapAcc) Done() bool { return a.inner.Done() }
-
-// Verdict is the inner accumulator's proto.Verdict.
-func (a *muxUnwrapAcc) Verdict() proto.Verdict { return proto.VerdictOf(a.inner) }
-
-// muxAckAcc counts acks inside single-register mux replies.
-func muxAckAcc(reg types.RegID, need int) proto.Accumulator {
-	return &muxUnwrapAcc{reg: reg, inner: proto.NewAckBits(need)}
 }
 
 // Writer is one writer of a regular register instance. A register owned by a
@@ -218,7 +149,7 @@ func (w *Writer) PreWritePair(p types.Pair) (types.TS, error) {
 		w.pending = w.NextToken()
 	}
 	w.issued = types.MaxTS(w.issued, p.TS)
-	spec, acc := PreWriteValidatedSpec(w.th, w.reg, p, w.pending)
+	spec, acc := PreWriteSpec(w.th, w.reg, p, w.pending)
 	if err := w.rounder.Round(spec); err != nil {
 		return types.TS{}, fmt.Errorf("regular: prewrite: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"robustatomic/internal/checker"
-	"robustatomic/internal/core"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/regular"
@@ -83,11 +82,11 @@ type harness struct {
 	fast bool
 	// known is shared by the per-operation handles, as one Store shard's
 	// handles share theirs: the tests run with value-eliding reads warm.
-	known *core.Known
+	known *proto.Known
 }
 
 func newHarness(thr quorum.Thresholds, seed int64) *harness {
-	return &harness{thr: thr, rng: rand.New(rand.NewSource(seed)), seqs: map[int]int64{}, known: core.NewKnown(thr)}
+	return &harness{thr: thr, rng: rand.New(rand.NewSource(seed)), seqs: map[int]int64{}, known: proto.NewKnown(thr)}
 }
 
 func (h *harness) writeOp(v types.Value) sim.OpFunc {

@@ -95,27 +95,10 @@ func (s *Stale) Reply(inner *Store, from types.ProcID, m types.Message) (types.M
 		}
 	}
 	reply := inner.Handle(from, m)
-	if isReadOnly(m) {
+	if !Mutates(m) {
 		return frozen.Handle(from, m), true
 	}
 	return reply, true
-}
-
-// isReadOnly reports whether a message only queries state.
-func isReadOnly(m types.Message) bool {
-	switch m.Kind {
-	case types.MsgRead1, types.MsgABDQuery, types.MsgConfirm:
-		return true
-	case types.MsgMux:
-		for _, sub := range m.Sub {
-			if !isReadOnly(sub.Msg) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
 }
 
 // Garbage fabricates wildly wrong replies: reads see a bogus high-timestamp
@@ -139,27 +122,27 @@ func (g Garbage) Reply(inner *Store, from types.ProcID, m types.Message) (types.
 		val = "forged"
 	}
 	fake := types.Pair{TS: types.At(level), Val: val}
-	switch m.Kind {
-	case types.MsgRead1:
-		return types.Message{Kind: types.MsgState, PW: fake, W: fake, Seq: m.Seq}, true
-	case types.MsgABDQuery:
-		return types.Message{Kind: types.MsgABDVal, Pair: fake, Seq: m.Seq}, true
-	case types.MsgMux:
-		out := types.Message{Kind: types.MsgMux, Seq: m.Seq, Sub: make([]types.SubMsg, len(m.Sub))}
-		for i, sub := range m.Sub {
-			r, _ := g.Reply(inner, from, sub.Msg)
-			out.Sub[i] = types.SubMsg{Reg: sub.Reg, Msg: r}
+	reply := types.ReplyTo(&m)
+	for i, n := 0, m.NumParts(); i < n; i++ {
+		_, req := m.Part(i)
+		_, rsp := reply.Part(i)
+		switch req.Kind {
+		case types.MsgRead1:
+			*rsp = types.Message{Kind: types.MsgState, PW: fake, W: fake}
+		case types.MsgABDQuery:
+			*rsp = types.Message{Kind: types.MsgABDVal, Pair: fake}
+		case types.MsgPreWrite:
+			// Poison the validation piggyback too: the ack's prior-state report
+			// carries the fabricated timestamp, forcing the optimistic write's
+			// fallback on every attempt (a liveness nuisance the adaptive flow
+			// bounds, never a safety breach — the report is uncertified).
+			*rsp = types.Message{Kind: types.MsgAck, PW: fake, W: fake}
+		default:
+			*rsp = types.Message{Kind: types.MsgAck}
 		}
-		return out, true
-	case types.MsgPreWrite:
-		// Poison the validation piggyback too: the ack's prior-state report
-		// carries the fabricated timestamp, forcing the optimistic write's
-		// fallback on every attempt (a liveness nuisance the adaptive flow
-		// bounds, never a safety breach — the report is uncertified).
-		return types.Message{Kind: types.MsgAck, PW: fake, W: fake, Seq: m.Seq}, true
-	default:
-		return types.Message{Kind: types.MsgAck, Seq: m.Seq}, true
 	}
+	reply.Seq = m.Seq
+	return reply, true
 }
 
 // Equivocate answers different client kinds with different behaviors — the
@@ -228,12 +211,10 @@ type FalseElide struct {
 // Reply implements Behavior.
 func (f *FalseElide) Reply(inner *Store, from types.ProcID, m types.Message) (types.Message, bool) {
 	reply := inner.Handle(from, m)
-	if m.Kind == types.MsgMux {
-		for i := range reply.Sub {
-			f.lie(&m.Sub[i].Msg, &reply.Sub[i].Msg)
-		}
-	} else {
-		f.lie(&m, &reply)
+	for i, n := 0, m.NumParts(); i < n; i++ {
+		_, req := m.Part(i)
+		_, rsp := reply.Part(i)
+		f.lie(req, rsp)
 	}
 	return reply, true
 }

@@ -64,8 +64,8 @@ type Persister interface {
 // (Byzantine) Behavior, link and batch fault injection, the configuration
 // epoch gate, and the write-ahead hook. It owns no goroutine, socket or
 // clock: a transport hands it requests through Serve and carries out what
-// Serve returns, so the TCP daemon, the in-memory link of an in-process
-// cluster and a simulator all run the same object.
+// Serve returns, so the TCP daemon and the in-memory link of an in-process
+// cluster run the same object.
 type Host struct {
 	ID int
 

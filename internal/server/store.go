@@ -161,20 +161,16 @@ func (s *Store) reg(id types.RegID) *RegState {
 // assertions).
 func (s *Store) Reg(id types.RegID) RegState { return *s.reg(id) }
 
-// Handle processes one message and returns the reply.
+// Handle processes one message and returns the reply: every part of m (see
+// types.Address) against the register it addresses, each sub-reply built in
+// place in a reply of m's shape (a 9-register read copies no message).
 func (s *Store) Handle(from types.ProcID, m types.Message) types.Message {
-	// Top-level non-mux messages address the writer's register; a bundle's
-	// sub-replies are built in place (a 9-register read copies no message).
 	var rs readStats
-	var reply types.Message
-	if m.Kind == types.MsgMux {
-		reply = types.Message{Kind: types.MsgMux, Sub: make([]types.SubMsg, len(m.Sub))}
-		for i := range m.Sub {
-			reply.Sub[i].Reg = m.Sub[i].Reg
-			s.handleReg(&m.Sub[i].Msg, m.Sub[i].Reg, &reply.Sub[i].Msg, &rs)
-		}
-	} else {
-		s.handleReg(&m, types.WriterReg, &reply, &rs)
+	reply := types.ReplyTo(&m)
+	for i, n := 0, m.NumParts(); i < n; i++ {
+		id, req := m.Part(i)
+		_, rsp := reply.Part(i)
+		s.handleReg(req, id, rsp, &rs)
 	}
 	rs.flush()
 	reply.Seq = m.Seq
@@ -213,14 +209,6 @@ func (s *Store) handleReg(m *types.Message, id types.RegID, reply *types.Message
 			st.setW(m.Pair)
 		}
 		reply.Kind = types.MsgAck
-	case types.MsgConfirm:
-		// Vouch for a pair the object has seen at or above the queried
-		// timestamp in its written state.
-		if st.W == m.Pair || st.PW == m.Pair {
-			reply.Kind, reply.Pair = types.MsgAck, m.Pair
-			return
-		}
-		reply.Kind, reply.PW, reply.W = types.MsgState, st.PW, st.W
 	default:
 		reply.Kind, reply.PW, reply.W = types.MsgState, st.PW, st.W
 	}
@@ -238,24 +226,20 @@ func (st *RegState) setW(p types.Pair) {
 	st.W, st.digW = p, 0
 }
 
-// Mutates reports whether handling m can advance a store's state. The
-// durability layer logs exactly these messages (PREWRITE, WRITE, WRITEBACK,
-// ABD_STORE, and any MUX bundle carrying one) before the reply leaves;
-// everything else only queries state and needs no logging.
+// Mutates reports whether handling m can advance a store's state: whether
+// any of its parts is a PREWRITE, WRITE, WRITEBACK or ABD_STORE. The
+// durability layer logs exactly these messages before the reply leaves, the
+// transport still owes them to an object it deferred, and an object serving
+// its past (Stale) answers them from its present; everything else only
+// queries state.
 func Mutates(m types.Message) bool {
-	switch m.Kind {
-	case types.MsgPreWrite, types.MsgWrite, types.MsgWriteBack, types.MsgABDStore:
-		return true
-	case types.MsgMux:
-		for _, sub := range m.Sub {
-			if Mutates(sub.Msg) {
-				return true
-			}
+	for i, n := 0, m.NumParts(); i < n; i++ {
+		switch _, part := m.Part(i); part.Kind {
+		case types.MsgPreWrite, types.MsgWrite, types.MsgWriteBack, types.MsgABDStore:
+			return true
 		}
-		return false
-	default:
-		return false
 	}
+	return false
 }
 
 // Snapshot format: one version byte, a uvarint register count, then per

@@ -68,19 +68,6 @@ func TestStoreABD(t *testing.T) {
 	}
 }
 
-func TestStoreConfirm(t *testing.T) {
-	s := NewStore()
-	s.Handle(types.Writer, types.Message{Kind: types.MsgWrite, Pair: pair(2, "b")})
-	r := s.Handle(types.Reader(1), types.Message{Kind: types.MsgConfirm, Pair: pair(2, "b")})
-	if r.Kind != types.MsgAck {
-		t.Errorf("confirm of held pair: %v", r)
-	}
-	r = s.Handle(types.Reader(1), types.Message{Kind: types.MsgConfirm, Pair: pair(3, "c")})
-	if r.Kind == types.MsgAck {
-		t.Errorf("confirmed unseen pair")
-	}
-}
-
 func TestStoreMuxRoutesPerRegister(t *testing.T) {
 	s := NewStore()
 	req := types.Message{Kind: types.MsgMux, Seq: 2, Sub: []types.SubMsg{
@@ -234,7 +221,6 @@ func TestMutates(t *testing.T) {
 	ro := []types.Message{
 		{Kind: types.MsgRead1},
 		{Kind: types.MsgABDQuery},
-		{Kind: types.MsgConfirm},
 		{Kind: types.MsgAck},
 		{Kind: types.MsgMux, Sub: []types.SubMsg{
 			{Reg: types.WriterReg, Msg: types.Message{Kind: types.MsgRead1}},

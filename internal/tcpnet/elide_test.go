@@ -84,13 +84,12 @@ func TestProbeReadsUnconditioned(t *testing.T) {
 			t.Fatalf("read = %q, %v", v, err)
 		}
 	}
-	d, err := DialDirect(addrs[0], time.Second)
+	d, err := DialDirect(addrs[0], types.Reader(1), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	for name, probe := range map[string]func() (types.Pair, types.Pair, error){
-		"Probe":    func() (types.Pair, types.Pair, error) { return d.Probe(0) },
 		"ProbeReg": func() (types.Pair, types.Pair, error) { return d.ProbeReg(0, types.WriterReg) },
 	} {
 		pw, w, err := probe()

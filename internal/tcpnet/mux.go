@@ -95,8 +95,7 @@ var ErrConnLost = errors.New("tcpnet: connection lost with requests in flight")
 
 // ErrWrongEpoch is the sentinel every WrongEpochError wraps: the round was
 // refused by objects whose active configuration supersedes the client's.
-// The remedy is a config refetch and a retry — not a backoff
-// (internal/retry classifies it accordingly).
+// The remedy is a config refetch and a retry — not a backoff.
 var ErrWrongEpoch = errors.New("tcpnet: request epoch superseded by a newer configuration")
 
 // WrongEpochError reports a round refused for carrying a stale

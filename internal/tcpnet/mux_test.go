@@ -280,7 +280,7 @@ func TestCloseDeliversQueuedFrames(t *testing.T) {
 		}
 	}
 	m.Close()
-	pw, w, err := Probe(addrs[3], 0, time.Second)
+	pw, w, err := probeShared(addrs[3], 0, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

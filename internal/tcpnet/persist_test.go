@@ -125,7 +125,7 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	// it crashes in.)
 	var prePW, preW types.Pair
 	for deadline := time.Now().Add(5 * time.Second); preW.TS != types.At(5) && time.Now().Before(deadline); {
-		if prePW, preW, err = Probe(addrs[3], 0, time.Second); err != nil {
+		if prePW, preW, err = probeShared(addrs[3], 0, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	servers[3] = restartServer(t, 4, addrs[3], opts[3])
 
 	// (b) No amnesia: the recovered state equals the pre-crash state.
-	postPW, postW, err := Probe(addrs[3], 0, time.Second)
+	postPW, postW, err := probeShared(addrs[3], 0, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +183,23 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 // seedShared installs p in the shared register of instance reg over a
 // one-shot Direct.
 func seedShared(addr string, reg int, p types.Pair, timeout time.Duration) error {
-	d, err := DialDirect(addr, timeout)
+	d, err := DialDirect(addr, types.Reader(1), timeout)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
 	return d.Seed(reg, types.WriterReg, p)
+}
+
+// probeShared reads the shared register of instance reg over a one-shot
+// Direct.
+func probeShared(addr string, reg int, timeout time.Duration) (pw, w types.Pair, err error) {
+	d, err := DialDirect(addr, types.Reader(1), timeout)
+	if err != nil {
+		return types.Pair{}, types.Pair{}, err
+	}
+	defer d.Close()
+	return d.ProbeReg(reg, types.WriterReg)
 }
 
 // TestServerPersistedAcrossManyInstances verifies the multi-register path:
@@ -225,7 +236,7 @@ func TestServerPersistedAcrossManyInstances(t *testing.T) {
 		t.Fatalf("recovered %d instances, want 6", got)
 	}
 	for reg := 0; reg < 6; reg++ {
-		_, w, err := Probe(addr, reg, time.Second)
+		_, w, err := probeShared(addr, reg, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

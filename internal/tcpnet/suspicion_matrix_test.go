@@ -69,7 +69,7 @@ func runDeferralCell(t *testing.T, phase string, k, byzSID int, mk func() server
 	m := NewMux(addrs)
 	defer m.Close()
 	h := &checker.History{}
-	known := core.NewKnown(th)
+	known := proto.NewKnown(th)
 	var last types.TS
 	write := func(v types.Value) {
 		t.Helper()

@@ -298,7 +298,7 @@ func TestDeferredObjectEndsUpWhereItsPeersAre(t *testing.T) {
 	for sid := 1; sid <= 4; sid++ {
 		var pw, wr types.Pair
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if pw, wr, err = Probe(addrs[sid-1], 0, time.Second); err != nil {
+			if pw, wr, err = probeShared(addrs[sid-1], 0, time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if wr == want {
@@ -478,7 +478,7 @@ func TestDirectIgnoresSuspicion(t *testing.T) {
 		m.susp.observe(proto.Verdict{W: mask(2)})
 	}
 	deferred := mDeferred.Value()
-	d, err := DialDirect(addrs[1], time.Second)
+	d, err := DialDirect(addrs[1], types.Reader(1), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestDirectIgnoresSuspicion(t *testing.T) {
 	if err := d.Seed(0, types.WriterReg, p); err != nil {
 		t.Fatal(err)
 	}
-	if pw, w, err := d.Probe(0); err != nil || pw != p || w != p {
+	if pw, w, err := d.ProbeReg(0, types.WriterReg); err != nil || pw != p || w != p {
 		t.Errorf("probe of the suspected object = pw %v, w %v, %v; want %v", pw, w, err, p)
 	}
 	if got := m.Suspects(); len(got) != 1 || got[0] != 2 || mDeferred.Value() != deferred {

@@ -40,15 +40,14 @@ type ServerOptions struct {
 	DataDir string
 	// Fsync selects the WAL fsync policy (persist.FsyncBatch by default).
 	Fsync persist.FsyncMode
-	// Persist overrides the engine (tests, alternate engines). When set,
-	// DataDir and Fsync are ignored.
-	Persist server.Persister
-	// CompactAt is the WAL size in bytes that triggers a snapshot+truncate
-	// cycle. Default 1 MiB; negative disables automatic compaction.
-	CompactAt int64
-	// CompactEvery is the compaction poll period. Default 250ms.
-	CompactEvery time.Duration
 }
+
+// A durable server snapshots and truncates its log once it has outgrown
+// compactAt bytes, checking every compactEvery.
+const (
+	compactAt    = 1 << 20
+	compactEvery = 250 * time.Millisecond
+)
 
 // Server serves one storage object over TCP: a listener, one goroutine per
 // connection that hands each decoded request to the object's Host and
@@ -66,8 +65,8 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	opts   ServerOptions
-	gauges [2]string // this server's callback-gauge names (Close unregisters them)
+	wal    server.Persister // nil: memory only
+	gauges [2]string        // this server's callback-gauge names (Close unregisters them)
 
 	warnCompact sync.Once
 }
@@ -82,20 +81,15 @@ func NewServer(id int, addr string) (*Server, error) {
 // options. Recovery (snapshot load + WAL replay) completes before the
 // listener accepts its first connection.
 func NewServerWith(id int, addr string, opts ServerOptions) (*Server, error) {
-	if opts.CompactAt == 0 {
-		opts.CompactAt = 1 << 20
-	}
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 250 * time.Millisecond
-	}
-	if opts.Persist == nil && opts.DataDir != "" {
+	var wal server.Persister
+	if opts.DataDir != "" {
 		eng, err := persist.Open(opts.DataDir, persist.Options{Mode: opts.Fsync})
 		if err != nil {
 			return nil, fmt.Errorf("tcpnet: %w", err)
 		}
-		opts.Persist = eng
+		wal = eng
 	}
-	host, err := server.NewHost(id, opts.Persist)
+	host, err := server.NewHost(id, wal)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: %w", err)
 	}
@@ -104,7 +98,7 @@ func NewServerWith(id int, addr string, opts ServerOptions) (*Server, error) {
 		host.Close()
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
-	s := &Server{Host: host, lis: lis, opts: opts}
+	s := &Server{Host: host, lis: lis, wal: wal}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	// Keyed by listen address as well as object id: a replacement daemon for
 	// a slot runs beside the outgoing one during a live replace, and closing
@@ -115,7 +109,7 @@ func NewServerWith(id int, addr string, opts ServerOptions) (*Server, error) {
 	obs.Default.GaugeFunc(s.gauges[1], func() int64 { return int64(host.Epoch()) })
 	s.wg.Add(1)
 	go s.acceptLoop()
-	if opts.Persist != nil && opts.CompactAt > 0 {
+	if wal != nil {
 		s.wg.Add(1)
 		go s.compactLoop()
 	}
@@ -140,14 +134,14 @@ func (s *Server) Close() {
 // compactLoop triggers compaction whenever the WAL outgrows the threshold.
 func (s *Server) compactLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.CompactEvery)
+	t := time.NewTicker(compactEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-t.C:
-			if s.opts.Persist.WALSize() < s.opts.CompactAt {
+			if s.wal.WALSize() < compactAt {
 				continue
 			}
 			if err := s.Compact(); err != nil {

@@ -10,7 +10,6 @@ import (
 	"robustatomic"
 	"robustatomic/internal/checker"
 	"robustatomic/internal/obs"
-	"robustatomic/internal/retry"
 	"robustatomic/internal/types"
 )
 
@@ -200,7 +199,7 @@ func Run(cfg Config) (res Result, err error) {
 			st := stores[proc]
 			self := types.WriterID(10 + ci)
 			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(1+ci)*0x9e3779b9))
-			bo := retry.Backoff{Base: time.Millisecond, Cap: 30 * time.Millisecond, Rng: rand.New(rand.NewSource(int64(ci)))}
+			bo := Backoff{Base: time.Millisecond, Cap: 30 * time.Millisecond, Rng: rand.New(rand.NewSource(int64(ci)))}
 			for op := 0; op < cfg.OpsPerClient && !aborted.Load(); op++ {
 				key := keys[rng.Intn(len(keys))]
 				var err error

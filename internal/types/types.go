@@ -267,8 +267,8 @@ func (r RegID) String() string {
 // MsgKind enumerates protocol message types across all implemented protocols.
 type MsgKind int
 
-// Message kinds. One shared message vocabulary keeps the simulator, the live
-// runtime and the TCP wire format uniform across protocols.
+// Message kinds. One shared message vocabulary keeps the simulator, the
+// in-process clusters and the TCP wire format uniform across protocols.
 const (
 	// Regular register protocol (internal/regular) and derivatives.
 	MsgPreWrite  MsgKind = iota + 1 // writer round 1: store pair in pw
@@ -283,11 +283,10 @@ const (
 	MsgABDStore // store a pair
 	MsgABDVal   // reply carrying a pair
 
-	// Retry baseline (internal/retry).
-	MsgConfirm // ask whether object vouches for a pair
+	_ // was MsgConfirm (never sent; the number stays reserved)
 
 	// Multiplexed physical round of the atomic transformation.
-	MsgMux // bundle of per-register sub-messages
+	MsgMux // bundle of per-register parts (see Address)
 
 	// Dynamic reconfiguration (internal/config): an object refusing a
 	// request stamped with a configuration epoch older than its active one.
@@ -320,8 +319,6 @@ func (k MsgKind) String() string {
 		return "ABD_STORE"
 	case MsgABDVal:
 		return "ABD_VAL"
-	case MsgConfirm:
-		return "CONFIRM"
 	case MsgMux:
 		return "MUX"
 	case MsgWrongEpoch:
@@ -355,10 +352,62 @@ const (
 	FlagElidedW
 )
 
-// SubMsg is a per-register payload inside a multiplexed physical round.
+// SubMsg is one PART of a message: a register-level payload and the register
+// it addresses (in a request) or answers for (in a reply).
 type SubMsg struct {
 	Reg RegID
 	Msg Message
+}
+
+// Register addressing. One object hosts the R+1 registers of an atomic
+// register (Section 5: the writers' register and the readers' write-back
+// registers share objects and physical rounds), and one message reaches any
+// number of them: a BARE message — any kind but MsgMux — is one part,
+// addressed at WriterReg; a MsgMux bundle carries the parts its Sub lists. A
+// reply has the shape of its request. That rule is decided by the four
+// functions below and spelled nowhere else: clients build requests and walk
+// replies through proto.RegAcc, objects through Store.Handle.
+
+// Address returns the message carrying parts: the part itself when it is the
+// only one and addresses WriterReg (so a single-register protocol and the
+// transformation's shared register meet in one encoding), else a bundle
+// holding a copy of parts — the caller keeps its slice.
+func Address(parts []SubMsg) Message {
+	if len(parts) == 1 && parts[0].Reg == WriterReg {
+		return parts[0].Msg
+	}
+	return Message{Kind: MsgMux, Sub: append([]SubMsg(nil), parts...)}
+}
+
+// NumParts returns how many parts m carries.
+func (m *Message) NumParts() int {
+	if m.Kind == MsgMux {
+		return len(m.Sub)
+	}
+	return 1
+}
+
+// Part returns the register part i (0 ≤ i < NumParts) belongs to and the part
+// itself, in place: a bundle's i-th entry, or the bare message.
+func (m *Message) Part(i int) (RegID, *Message) {
+	if m.Kind == MsgMux {
+		return m.Sub[i].Reg, &m.Sub[i].Msg
+	}
+	return WriterReg, m
+}
+
+// ReplyTo returns the empty reply of req's shape — bare, or a bundle naming
+// req's registers in req's order — for the object to fill in through Part:
+// one allocation per bundle, none per part.
+func ReplyTo(req *Message) Message {
+	if req.Kind != MsgMux {
+		return Message{}
+	}
+	reply := Message{Kind: MsgMux, Sub: make([]SubMsg, len(req.Sub))}
+	for i := range req.Sub {
+		reply.Sub[i].Reg = req.Sub[i].Reg
+	}
+	return reply
 }
 
 // Message is the single wire message type. Fields beyond Kind are
@@ -386,7 +435,7 @@ type Message struct {
 	// rounds are never mistaken for current-round replies.
 	Seq int
 
-	// Sub carries the per-register payloads of a MsgMux bundle.
+	// Sub carries the parts of a MsgMux bundle (see Address).
 	Sub []SubMsg
 
 	// Have (READ requests) lists the pairs of the addressed register the

@@ -103,7 +103,7 @@ func TestRegIDs(t *testing.T) {
 func TestMsgKindStrings(t *testing.T) {
 	kinds := []MsgKind{
 		MsgPreWrite, MsgWrite, MsgRead1, MsgWriteBack, MsgAck, MsgState,
-		MsgABDQuery, MsgABDStore, MsgABDVal, MsgConfirm, MsgMux,
+		MsgABDQuery, MsgABDStore, MsgABDVal, MsgMux, MsgWrongEpoch,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -141,5 +141,55 @@ func TestMessageString(t *testing.T) {
 	}
 	if s := (Message{Kind: MsgWrite, Pair: Pair{TS: At(2), Val: "b"}}).String(); s != "WRITE(2,b)" {
 		t.Errorf("write string = %q", s)
+	}
+}
+
+// TestMsgKindWireValues: kinds travel as their numbers (wire frames, WAL
+// records), so a deleted kind leaves its number reserved.
+func TestMsgKindWireValues(t *testing.T) {
+	for kind, want := range map[MsgKind]int{MsgPreWrite: 1, MsgState: 6, MsgABDVal: 9, MsgMux: 11, MsgWrongEpoch: 12} {
+		if int(kind) != want {
+			t.Errorf("%v = %d on the wire, want %d", kind, int(kind), want)
+		}
+	}
+}
+
+// TestAddressing: the addressing rule, from both ends — Address decides bare
+// or bundled, NumParts/Part read either shape back, ReplyTo mirrors it.
+func TestAddressing(t *testing.T) {
+	read := Message{Kind: MsgRead1, Seq: 4}
+	for name, parts := range map[string][]SubMsg{
+		"writers' register alone": {{Reg: WriterReg, Msg: read}},
+		"a write-back register":   {{Reg: ReaderReg(2), Msg: read}},
+		"R+1 registers":           {{Reg: WriterReg, Msg: read}, {Reg: ReaderReg(1), Msg: read}, {Reg: ReaderReg(2), Msg: read}},
+		"no registers":            {},
+	} {
+		m := Address(parts)
+		if bare := len(parts) == 1 && parts[0].Reg == WriterReg; bare != (m.Kind != MsgMux) {
+			t.Errorf("%s: addressed as %v", name, m)
+		}
+		reply := ReplyTo(&m)
+		if m.NumParts() != len(parts) || reply.NumParts() != len(parts) || (reply.Kind == MsgMux) != (m.Kind == MsgMux) {
+			t.Fatalf("%s: %d parts in, %d in the request, %d in its reply %v", name, len(parts), m.NumParts(), reply.NumParts(), reply)
+		}
+		for i, want := range parts {
+			reg, part := m.Part(i)
+			rreg, rpart := reply.Part(i)
+			if reg != want.Reg || rreg != want.Reg || part.Kind != MsgRead1 || part.Seq != 4 || rpart.Kind != 0 {
+				t.Errorf("%s: part %d = %v %v, reply part %v %v", name, i, reg, part, rreg, rpart)
+			}
+			rpart.Kind = MsgState // filled in place
+		}
+		for i := range parts {
+			if _, rpart := reply.Part(i); rpart.Kind != MsgState {
+				t.Errorf("%s: reply part %d was a copy", name, i)
+			}
+		}
+		if len(parts) > 1 {
+			parts[1].Reg = ReaderReg(9)
+			if reg, _ := m.Part(1); reg == ReaderReg(9) {
+				t.Errorf("%s: the bundle aliases the caller's parts", name)
+			}
+		}
 	}
 }

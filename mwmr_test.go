@@ -241,7 +241,7 @@ func TestMWTimestampsAreWriterTagged(t *testing.T) {
 	// applying it.
 	var pw, w types.Pair
 	waitUntil(t, "object 1 to apply the first write", func() bool {
-		pw, w, err = tcpnet.Probe(addrs[0], 0, 0)
+		pw, w, err = probe(addrs[0], 0)
 		return err != nil || !w.IsBottom()
 	})
 	if err != nil {
@@ -264,7 +264,7 @@ func TestMWTimestampsAreWriterTagged(t *testing.T) {
 	}
 	var w2 types.Pair
 	waitUntil(t, "object 1 to apply the second write", func() bool {
-		_, w2, err = tcpnet.Probe(addrs[0], 0, 0)
+		_, w2, err = probe(addrs[0], 0)
 		return err != nil || w.TS.Less(w2.TS)
 	})
 	if err != nil {

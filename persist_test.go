@@ -174,7 +174,7 @@ func TestStoreCrashRestartAtomicity(t *testing.T) {
 	// The restarted daemon recovered from disk and caught up: every shard
 	// register holds genuine, current state.
 	for reg := 1; reg <= shards; reg++ {
-		_, w, err := tcpnet.Probe(addrs[victim], reg, time.Second)
+		_, w, err := probe(addrs[victim], reg)
 		if err != nil {
 			t.Fatalf("probe restarted s%d reg %d: %v", victim+1, reg, err)
 		}
@@ -280,7 +280,7 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 		}
 	}
 	servers[2] = restartDaemon(t, 3, addrs[2], tcpnet.ServerOptions{})
-	if _, w3, err := tcpnet.Probe(addrs[2], 0, time.Second); err != nil || !w3.IsBottom() {
+	if _, w3, err := probe(addrs[2], 0); err != nil || !w3.IsBottom() {
 		t.Fatalf("replacement not blank: %v, %v", w3, err)
 	}
 
@@ -304,7 +304,7 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 			t.Errorf("instance %d not repaired: %+v", r.Reg, r)
 		}
 	}
-	if _, w3, err := tcpnet.Probe(addrs[2], 0, time.Second); err != nil || string(w3.Val) != "solo-gen2" {
+	if _, w3, err := probe(addrs[2], 0); err != nil || string(w3.Val) != "solo-gen2" {
 		t.Fatalf("replacement reg 0 after repair = %v, %v", w3, err)
 	}
 	// A repaired object holds EVERYTHING completed, the readers' write-back
@@ -312,12 +312,12 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 	// too (or newer: the transfer read's own write-back may still be on its
 	// way to s2) — left blank, one more fault makes a lone write-back pair
 	// undecidable, and s3 dissents from every fast hit on a settled shard.
-	d2, err := tcpnet.DialDirect(addrs[1], time.Second)
+	d2, err := tcpnet.DialDirect(addrs[1], types.Reader(1), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	d3, err := tcpnet.DialDirect(addrs[2], time.Second)
+	d3, err := tcpnet.DialDirect(addrs[2], types.Reader(1), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,4 +375,15 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 	if _, err := c.Repair(3, shards); err != nil {
 		t.Fatalf("second repair: %v", err)
 	}
+}
+
+// probe reads the raw shared-register state object addr holds for register
+// instance reg (an operator's view: one object, no quorum).
+func probe(addr string, reg int) (pw, w types.Pair, err error) {
+	d, err := tcpnet.DialDirect(addr, types.Reader(1), time.Second)
+	if err != nil {
+		return types.Pair{}, types.Pair{}, err
+	}
+	defer d.Close()
+	return d.ProbeReg(reg, types.WriterReg)
 }

@@ -54,9 +54,9 @@ var (
 const maxEpochRetries = 4
 
 // retryEpoch runs op, reacting to wrong-epoch redirects with a config
-// refetch and an immediate retry (the internal/retry classification:
-// Reconfig failures are cured by refetching, not by waiting). Any other
-// outcome — success, or any other failure — passes through untouched.
+// refetch and an immediate retry (a superseded epoch is cured by
+// refetching, not by waiting). Any other outcome — success, or any other
+// failure — passes through untouched.
 // Retrying at the OPERATION level is deliberate: a redirected round's
 // accumulators are bound to the superseded membership view, so the
 // operation restarts from scratch against the adopted one.
@@ -84,21 +84,22 @@ func (c *Cluster) retryEpoch(op func() error) error {
 	return err
 }
 
-// configReadSpec builds the config register's one-round certified read:
-// collect (pw, w) states from a quorum, certify below. One round suffices
-// where the data plane needs two: the caller does not need atomicity, only
-// a GENUINE configuration no older than whatever is refusing it — and any
-// epoch that actually blocks a data round is held by more than t objects,
-// hence by at least t+1 of them, hence certifiable from one quorum of
-// states (see refreshConfig).
-func configReadSpec(th quorum.Thresholds) (proto.RoundSpec, *regular.StateAcc) {
-	acc := regular.NewStateAcc(th)
-	spec := proto.RoundSpec{
-		Label: "CFGREAD",
-		Req:   func(int) types.Message { return types.Message{Kind: types.MsgRead1} },
-		Acc:   acc,
+// readConfig runs the config register's one-round certified read over r:
+// collect (pw, w) states from a quorum and certify (certifiedConfigPair).
+// One round suffices where the data plane needs two: the caller does not
+// need atomicity, only a GENUINE configuration no older than whatever is
+// refusing it — and any epoch that actually blocks a data round is held by
+// more than t objects, hence by at least t+1 of them, hence certifiable from
+// one quorum of states (see refreshConfig). ok is false when the register
+// was never written.
+func (c *Cluster) readConfig(r proto.Rounder) (cfg config.Config, carrier types.Pair, ok bool, err error) {
+	spec, acc := regular.Read1Spec(c.th, types.WriterReg)
+	spec.Label = "CFGREAD"
+	if err := r.Round(spec); err != nil {
+		return config.Config{}, types.Pair{}, false, fmt.Errorf("config read: %w", err)
 	}
-	return spec, acc
+	cfg, carrier, ok = certifiedConfigPair(c.th, acc.Replies)
+	return cfg, carrier, ok, nil
 }
 
 // certifiedConfigPair extracts the newest certified configuration from a
@@ -134,12 +135,6 @@ func certifiedConfigPair(th quorum.Thresholds, replies map[int]types.Message) (c
 	return best, bestPair, found
 }
 
-// certifiedConfig is certifiedConfigPair without the carrier pair.
-func certifiedConfig(th quorum.Thresholds, replies map[int]types.Message) (config.Config, bool) {
-	cfg, _, ok := certifiedConfigPair(th, replies)
-	return cfg, ok
-}
-
 // configurable errors out for in-process clusters: a membership is a set of
 // daemon addresses.
 func (c *Cluster) configurable() error {
@@ -156,14 +151,14 @@ func (c *Cluster) ConfigQuery() (config.Config, error) {
 	if err := c.configurable(); err != nil {
 		return config.Config{}, err
 	}
-	spec, acc := configReadSpec(c.th)
-	if err := c.rounder(types.Reader(c.readerID()), config.Reg).Round(spec); err != nil {
-		return config.Config{}, fmt.Errorf("robustatomic: config read: %w", err)
+	cfg, _, ok, err := c.readConfig(c.rounder(types.Reader(c.readerID()), config.Reg))
+	if err != nil {
+		return config.Config{}, fmt.Errorf("robustatomic: %w", err)
 	}
-	if cfg, ok := certifiedConfig(c.th, acc.Replies); ok {
-		return cfg, nil
+	if !ok {
+		cfg = config.Bootstrap(c.addrs)
 	}
-	return config.Bootstrap(c.addrs), nil
+	return cfg, nil
 }
 
 // queryConfigOver runs the certified config read over an explicit address
@@ -175,11 +170,8 @@ func (c *Cluster) queryConfigOver(addrs []string) (config.Config, bool) {
 	}
 	tc := tcpnet.NewClientReg(types.Reader(c.readerID()), addrs, config.Reg)
 	defer tc.Close()
-	spec, acc := configReadSpec(c.th)
-	if err := tc.Round(spec); err != nil {
-		return config.Config{}, false
-	}
-	return certifiedConfig(c.th, acc.Replies)
+	cfg, _, ok, err := c.readConfig(tc)
+	return cfg, ok && err == nil
 }
 
 // refreshConfig reacts to a wrong-epoch redirect: learn a certified
@@ -275,37 +267,33 @@ func (c *Cluster) transitionConfig(transition func(config.Config) (config.Config
 	return next, p, nil
 }
 
-// migrate transfers the certified state of register instances 0..shards to
-// the daemon at addr — an incoming member, dialed directly since it is not
-// (yet) in any configuration. Per instance: certified quorum read against
-// the live members, a cluster-wide re-PREWRITE of the certified pair (the
+// transferRegisters transfers the certified state of register instances
+// 0..shards to the daemon at addr — a blank replacement (Repair) or an
+// incoming member (Join, Move), dialed directly since it need not be in any
+// configuration yet. Per instance: certified quorum read against the live
+// members, a cluster-wide re-PREWRITE of the certified pair (the
 // multi-writer decision procedure assumes every w-held pair completed its
 // PREWRITE at 2t+1 objects; certification may rest on a thinner original
-// quorum, and the incoming daemon's w-report must not be the one that
-// breaks the invariant), then a direct seed into the target. Run BEFORE the
-// config write activates the new epoch, so the transfer's own rounds are
-// not refused; writes racing the transfer merely leave the incoming daemon
-// slightly stale, which the protocol already tolerates (correct-but-slow).
-func (c *Cluster) migrate(addr string, shards int) ([]RepairedRegister, error) {
+// quorum, and the target's w-report must not be the one that breaks the
+// invariant), then a direct seed into the target — and within an instance
+// per register: the shared one AND every reader's write-back register. A
+// target whose write-back registers stayed blank would hold less than a
+// correct object that merely missed messages: one more fault could then
+// leave a lone write-back pair undecidable, and on a settled shard the
+// target would dissent from every fast hit (regular.ReadAcc). A migration
+// runs BEFORE the config write activates the new epoch, so the transfer's
+// own rounds are not refused; writes racing the transfer merely leave the
+// target slightly stale, which the protocol already tolerates
+// (correct-but-slow).
+func (c *Cluster) transferRegisters(addr string, shards int) ([]RepairedRegister, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("robustatomic: negative shard count %d", shards)
 	}
-	d, err := tcpnet.DialDirect(addr, 5*time.Second)
+	d, err := tcpnet.DialDirect(addr, types.Reader(c.readerID()), 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("robustatomic: migrate: %w", err)
+		return nil, fmt.Errorf("robustatomic: transfer: %w", err)
 	}
 	defer d.Close()
-	return c.transferRegisters(d, shards)
-}
-
-// transferRegisters is the shared body of Repair and migrate: certified
-// read, cluster-wide prewrite support, direct seed — per register instance,
-// and within it per register: the shared one AND every reader's write-back
-// register. A target whose write-back registers stayed blank would hold
-// less than a correct object that merely missed messages: one more fault
-// could then leave a lone write-back pair undecidable, and on a settled
-// shard the target would dissent from every fast hit (regular.ReadAcc).
-func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedRegister, error) {
 	out := make([]RepairedRegister, 0, shards+1)
 	for reg := 0; reg <= shards; reg++ {
 		// The quorum read: a fresh handle of this process's reader identity
@@ -337,9 +325,10 @@ func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedReg
 			// pair in the target's w: one cluster-wide PREWRITE of the certified
 			// pair — monotone, so it can never regress newer state — makes the
 			// seeded w-report consistent with the true fault set on every later
-			// read (see the migrate doc comment).
+			// read.
 			err = c.retryEpoch(func() error {
-				return rc.Round(regular.PreWriteSpec(c.th, id, q, 0))
+				spec, _ := regular.PreWriteSpec(c.th, id, q, 0)
+				return rc.Round(spec)
 			})
 			if err != nil {
 				return out, fmt.Errorf("robustatomic: transfer instance %d %v: prewrite support: %w", reg, id, err)
@@ -371,8 +360,8 @@ var ErrNewcomerUnseeded = errors.New("robustatomic: configuration decided but ne
 // seedConfig installs the configuration pair into the incoming daemon's
 // config register: the daemon was not a member when the config write ran,
 // and its epoch gate activates from exactly this instance's state.
-func seedConfig(addr string, p types.Pair) error {
-	d, err := tcpnet.DialDirect(addr, 5*time.Second)
+func (c *Cluster) seedConfig(addr string, p types.Pair) error {
+	d, err := tcpnet.DialDirect(addr, types.Reader(c.readerID()), 5*time.Second)
 	if err != nil {
 		return fmt.Errorf("robustatomic: seed config: %w", err)
 	}
@@ -395,13 +384,13 @@ const (
 // ErrNewcomerUnseeded wrapper (see that error's doc for why this state is
 // special: the config write already decided, only the newcomer's copy is
 // missing, and re-seeding is idempotent).
-func seedNewcomer(addr string, p types.Pair) error {
+func (c *Cluster) seedNewcomer(addr string, p types.Pair) error {
 	var err error
 	for attempt := 0; attempt < seedAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(seedRetryPause)
 		}
-		if err = seedConfig(addr, p); err == nil {
+		if err = c.seedConfig(addr, p); err == nil {
 			return nil
 		}
 	}
@@ -417,35 +406,38 @@ func (c *Cluster) ReseedConfig(addr string) error {
 	if err := c.configurable(); err != nil {
 		return err
 	}
-	spec, acc := configReadSpec(c.th)
-	if err := c.rounder(types.Reader(c.readerID()), config.Reg).Round(spec); err != nil {
-		return fmt.Errorf("robustatomic: reseed: config read: %w", err)
+	_, p, ok, err := c.readConfig(c.rounder(types.Reader(c.readerID()), config.Reg))
+	if err != nil {
+		return fmt.Errorf("robustatomic: reseed: %w", err)
 	}
-	_, p, ok := certifiedConfigPair(c.th, acc.Replies)
 	if !ok {
 		return fmt.Errorf("robustatomic: reseed: no certified configuration (register never written — nothing to seed)")
 	}
-	return seedConfig(addr, p)
+	return c.seedConfig(addr, p)
 }
 
 // Join admits the daemon at addr into the lowest vacant slot of the active
-// configuration: register state for instances 0..shards migrates to it
-// first (so it serves reads the moment it is a member), then the config
-// register's certified read-modify-write decides the transition, the
-// winning configuration is seeded into the newcomer, and the cluster's own
-// transport adopts it. The epoch advances by one; S is fixed, so Join only
-// succeeds while a Leave has left a slot vacant.
+// configuration (see admit). The epoch advances by one; S is fixed, so Join
+// only succeeds while a Leave has left a slot vacant.
 func (c *Cluster) Join(addr string, shards int) (config.Config, []RepairedRegister, error) {
+	return c.admit(addr, shards, func(base config.Config) (config.Config, error) { return base.Join(addr) })
+}
+
+// admit brings the daemon at addr into the configuration transition yields —
+// the body of Join and Move: register state for instances 0..shards migrates
+// to it first (so it serves reads the moment it is a member), then the
+// config register's certified read-modify-write decides the transition, the
+// winning configuration is seeded into the newcomer, and the cluster's own
+// transport adopts it.
+func (c *Cluster) admit(addr string, shards int, transition func(config.Config) (config.Config, error)) (config.Config, []RepairedRegister, error) {
 	if err := c.configurable(); err != nil {
 		return config.Config{}, nil, err
 	}
-	migrated, err := c.migrate(addr, shards)
+	migrated, err := c.transferRegisters(addr, shards)
 	if err != nil {
 		return config.Config{}, migrated, err
 	}
-	next, p, err := c.transitionConfig(func(base config.Config) (config.Config, error) {
-		return base.Join(addr)
-	})
+	next, p, err := c.transitionConfig(transition)
 	if err != nil {
 		return config.Config{}, migrated, err
 	}
@@ -460,7 +452,7 @@ func (c *Cluster) Join(addr string, shards int) (config.Config, []RepairedRegist
 // distinguished ErrNewcomerUnseeded tells the operator exactly what is
 // left to remediate (and how).
 func (c *Cluster) sealTransition(next config.Config, addr string, p types.Pair) error {
-	serr := seedNewcomer(addr, p)
+	serr := c.seedNewcomer(addr, p)
 	if aerr := c.adopt(next); aerr != nil {
 		return errors.Join(serr, aerr)
 	}
@@ -487,25 +479,11 @@ func (c *Cluster) Leave(sid int) (config.Config, error) {
 }
 
 // Move atomically replaces slot sid's address with addr — the live-replace
-// flow: migrate register state to the incoming daemon, decide the
-// single-slot swap on the config register, seed the winning configuration
-// into the newcomer, adopt. Unlike Leave-then-Join there is no vacancy
-// window: the slot is always populated, so the fault budget never pays for
-// the handoff, and old- and new-epoch quorums intersect in ≥ t+1 common
-// members throughout (see DESIGN.md).
+// flow (see admit), deciding the single-slot swap on the config register.
+// Unlike Leave-then-Join there is no vacancy window: the slot is always
+// populated, so the fault budget never pays for the handoff, and old- and
+// new-epoch quorums intersect in ≥ t+1 common members throughout (see
+// DESIGN.md).
 func (c *Cluster) Move(sid int, addr string, shards int) (config.Config, []RepairedRegister, error) {
-	if err := c.configurable(); err != nil {
-		return config.Config{}, nil, err
-	}
-	migrated, err := c.migrate(addr, shards)
-	if err != nil {
-		return config.Config{}, migrated, err
-	}
-	next, p, err := c.transitionConfig(func(base config.Config) (config.Config, error) {
-		return base.Move(sid, addr)
-	})
-	if err != nil {
-		return config.Config{}, migrated, err
-	}
-	return next, migrated, c.sealTransition(next, addr, p)
+	return c.admit(addr, shards, func(base config.Config) (config.Config, error) { return base.Move(sid, addr) })
 }

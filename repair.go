@@ -2,9 +2,7 @@ package robustatomic
 
 import (
 	"fmt"
-	"time"
 
-	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
 )
 
@@ -55,13 +53,5 @@ func (c *Cluster) Repair(id int, shards int) ([]RepairedRegister, error) {
 	if addrs[id-1] == "" {
 		return nil, fmt.Errorf("robustatomic: slot %d is vacant in the active configuration", id)
 	}
-	if shards < 0 {
-		return nil, fmt.Errorf("robustatomic: negative shard count %d", shards)
-	}
-	d, err := tcpnet.DialDirect(addrs[id-1], 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("robustatomic: repair: %w", err)
-	}
-	defer d.Close()
-	return c.transferRegisters(d, shards)
+	return c.transferRegisters(addrs[id-1], shards)
 }

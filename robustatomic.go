@@ -373,7 +373,7 @@ func (c *Cluster) writerOn(rc proto.Rounder, reg int, last types.TS) *Writer {
 
 // useKnown shares a known-pair set with the register instance's other
 // handles (the keyed Store: one set per shard).
-func (w *Writer) useKnown(k *core.Known) { w.w.UseKnown(k) }
+func (w *Writer) useKnown(k *proto.Known) { w.w.UseKnown(k) }
 
 // Write stores v (2 communication rounds — the optimistic proposal plus
 // its commit — whenever no concurrent foreign writer interfered; bounded
@@ -461,7 +461,7 @@ func (c *Cluster) readerReg(idx, reg int) *Reader {
 
 // useKnown shares a known-pair set with the register instance's other
 // handles (the keyed Store: one set per shard).
-func (r *Reader) useKnown(k *core.Known) { r.rd.UseKnown(k) }
+func (r *Reader) useKnown(k *proto.Known) { r.rd.UseKnown(k) }
 
 // Read returns the register's current value (adaptive: 1 communication
 // round on a stable register — 2t+1 objects agree and the write-back is

@@ -261,7 +261,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 	// One known-pair set per shard, shared by the reader and the committer:
 	// what either decided or flushed, neither is sent again
 	// (internal/core/known.go).
-	known := core.NewKnown(s.c.th)
+	known := proto.NewKnown(s.c.th)
 	r := s.c.readerReg(s.c.readerID(), reg)
 	r.useKnown(known)
 	// Recovery read: learn the shard's current table and the timestamp the

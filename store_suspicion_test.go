@@ -275,12 +275,13 @@ func contains(s []int, x int) bool {
 	return false
 }
 
-// muxLiar serves multiplexed reads (the atomic read's query rounds) from a
-// frozen past whenever lie says so, and is correct otherwise.
+// muxLiar serves reads that ask for values (the atomic read's query rounds —
+// a bundle, or the bare READ of a decision round over the shared register
+// alone) from a frozen past whenever lie says so, and is correct otherwise.
 type muxLiar struct {
 	stale  server.Stale
-	writes int // mutating requests since the last multiplexed read
-	reads  int // multiplexed reads so far
+	writes int // mutating requests since the last such read
+	reads  int // such reads so far
 	lie    func(l *muxLiar) bool
 }
 
@@ -288,7 +289,7 @@ func (l *muxLiar) Reply(inner *server.Store, from types.ProcID, m types.Message)
 	switch {
 	case server.Mutates(m):
 		l.writes++
-	case m.Kind == types.MsgMux:
+	case m.Kind == types.MsgMux || m.Kind == types.MsgRead1 && m.Flags&types.FlagNoValues == 0:
 		l.reads++
 		lie := l.lie(l)
 		l.writes = 0
