@@ -87,7 +87,9 @@ integration:
 # ordered rounds: the t = 2 drill (two liars learned, deferred, reinstated,
 # followed) and the honest racing-flush drill (nobody deferred), 20 times,
 # then the same safety matrix over real sockets with nobody, the Byzantine
-# object or a correct object deferred, for every k. ~5 minutes.
+# object or a correct object deferred, for every k, and the protocol points
+# scripted on the simulator (a batched round, suspect deferred + hedge fired,
+# wrong epoch, crash with a disk), 20 times. ~5 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
@@ -95,6 +97,7 @@ torture-short:
 	$(GO) test -race -run TestCrashedWriterByzantineReadMatrix -count=20 -timeout 600s ./internal/core/
 	$(GO) test -race -short -run 'TestSuspicionOrderedRounds|TestHonestRacingFlushesDeferNobody' -count=20 -timeout 900s .
 	$(GO) test -race -run TestDeferralSafetyMatrix -count=3 -timeout 600s ./internal/tcpnet/ -args -tcpnet.fullmatrix
+	$(GO) test -race -run TestScripted -count=20 -timeout 600s ./internal/sim/
 
 # torture is the full-scale drill: three seeded schedules over 224
 # simulated clients each (partition+heal live, kill-9+restart+repair tcp,

@@ -287,9 +287,11 @@ func runAtomicSchedule(t *testing.T, seed int64) {
 	perm := rng.Perm(S)
 	for i := 0; i < nByz; i++ {
 		sid := perm[i] + 1
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			s.SetByzantine(sid, server.Silent{})
+		case 5:
+			s.SetByzantine(sid, &server.FalseElide{})
 		case 1:
 			s.SetByzantine(sid, server.Garbage{Level: int64(rng.Intn(8)), Val: "evil"})
 		case 2:

@@ -162,7 +162,11 @@ func MeasureComplexity(t int) ([]ComplexityRow, error) {
 			th = quorum.Thresholds{S: 2*t + 1, T: t}
 		}
 		maxW, maxR := 0, 0
-		for scenario := 0; scenario < 4; scenario++ {
+		// Each faulty scenario runs twice: RunOp delivers in object order and a
+		// round integrates no reply past the one that completes it, so t faulty
+		// objects placed first are heard in every quorum and placed last, never.
+		for run := 0; run < 8; run++ {
+			scenario, first := run/2, 1+run%2*(th.S-th.T)
 			sm := sim.New(sim.Config{Servers: th.S})
 			for i := 1; i <= 2; i++ {
 				w := sm.Spawn(fmt.Sprintf("w%d", i), types.Writer, checker.OpWrite, types.Bottom, hn.write(th, i))
@@ -174,23 +178,18 @@ func MeasureComplexity(t int) ([]ComplexityRow, error) {
 					maxW = w.Rounds()
 				}
 			}
-			switch scenario {
-			case 1:
-				for i := 1; i <= th.T; i++ {
-					sm.SetByzantine(i, server.Silent{})
-				}
-			case 2:
-				if !strings.HasPrefix(hn.name, "ABD") { // crash model has no liars
-					for i := 1; i <= th.T; i++ {
-						sm.SetByzantine(i, server.Garbage{Level: 500, Val: "evil"})
-					}
-				}
-			case 3:
-				if !strings.HasPrefix(hn.name, "ABD") {
-					for i := 1; i <= th.T; i++ {
-						sm.SetByzantine(i, &server.Stale{Snap: sm.Snapshot(i)})
-					}
-				}
+			var byz func(sid int) server.Behavior
+			switch {
+			case scenario == 1:
+				byz = func(int) server.Behavior { return server.Silent{} }
+			case strings.HasPrefix(hn.name, "ABD"): // crash model has no liars
+			case scenario == 2:
+				byz = func(int) server.Behavior { return server.Garbage{Level: 500, Val: "evil"} }
+			case scenario == 3:
+				byz = func(sid int) server.Behavior { return &server.Stale{Snap: sm.Snapshot(sid)} }
+			}
+			for sid := first; byz != nil && sid < first+th.T; sid++ {
+				sm.SetByzantine(sid, byz(sid))
 			}
 			rd := sm.Spawn("rd", types.Reader(1), checker.OpRead, types.Bottom, hn.read(th))
 			if err := sm.RunOp(rd); err != nil {

@@ -23,14 +23,15 @@ func TestMeasureComplexityMatchesPaper(t *testing.T) {
 	// write path recovers the SWMR-optimal 2 rounds whenever the optimistic
 	// proposal certifies — which it does in every scenario measured here,
 	// since E4's writes run before the Byzantine injection. Likewise the
-	// adaptive read: E4's reads follow completed writes, and even with t
-	// faulty objects the 2t+1 correct holders agree on the written pair —
-	// the fast hit decides every register on the first query round, and at
-	// S = 3t+1 those 2t+1 w-reports are exactly the S−t quorum that elides
-	// the write-back — so the regular and both atomic reads land at 1
-	// round. The paper's 2-, 4- and 3-round figures remain the WORST case,
-	// pinned by the fallback round-count tests in internal/core,
-	// internal/tcpnet and internal/lowerbound.
+	// adaptive read: E4's reads follow completed writes, and when the 2t+1
+	// correct holders are the quorum a read hears, the fast hit decides every
+	// register on the first query round and (at S = 3t+1 those 2t+1 w-reports
+	// are exactly the S−t quorum) elides the write-back: 1 round. With t forgers
+	// (Garbage) heard inside the quorum, only t+1 reports agree and the decision
+	// round must tell: 2 rounds, the regular register's figure. The paper's
+	// 4- and 3-round figures remain the WORST case, pinned by the
+	// fallback round-count tests in internal/core, internal/tcpnet and
+	// internal/lowerbound.
 	for _, tt := range []int{1, 2} {
 		rows, err := MeasureComplexity(tt)
 		if err != nil {
@@ -38,9 +39,9 @@ func TestMeasureComplexityMatchesPaper(t *testing.T) {
 		}
 		want := map[string][2]int{
 			"ABD [3]":                   {1, 2},
-			"regular (GV06-style [15])": {2, 1},
-			"atomic = regular + transformation (this paper §5)": {2, 1},
-			"atomic, secret tokens ([8] model)":                 {2, 1},
+			"regular (GV06-style [15])": {2, 2},
+			"atomic = regular + transformation (this paper §5)": {2, 2},
+			"atomic, secret tokens ([8] model)":                 {2, 2},
 		}
 		for _, r := range rows {
 			w, ok := want[r.Name]

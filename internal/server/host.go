@@ -64,8 +64,8 @@ type Persister interface {
 // (Byzantine) Behavior, link and batch fault injection, the configuration
 // epoch gate, and the write-ahead hook. It owns no goroutine, socket or
 // clock: a transport hands it requests through Serve and carries out what
-// Serve returns, so the TCP daemon and the in-memory link of an in-process
-// cluster run the same object.
+// Serve returns, so the TCP daemon, the in-memory link of an in-process
+// cluster and the simulator's scripted link run the same object.
 type Host struct {
 	ID int
 
@@ -147,6 +147,14 @@ func (h *Host) Registers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.stores)
+}
+
+// Store returns register instance reg's automaton (created on first touch),
+// for the simulator's adversaries to snapshot and forge and tests to inspect.
+func (h *Host) Store(reg int) *Store {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.storeLocked(reg)
 }
 
 // Epoch returns the object's active configuration epoch (instrumentation

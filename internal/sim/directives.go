@@ -1,69 +1,94 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
-	"robustatomic/internal/server"
+	"robustatomic/internal/tcpnet"
 )
 
 // DeliverRequests delivers every queued (undelivered) request from op to the
 // given objects, oldest first, honoring the model's FIFO rule: an object
-// processes a pending earlier-round invocation before a later one. Each
-// delivered request is processed immediately by the object, whose reply (if
-// any — Byzantine objects may withhold) enters the reply transit queue.
+// processes a pending earlier-round invocation before a later one.
 func (s *Sim) DeliverRequests(op *Op, sids ...int) {
 	for _, sid := range sids {
-		sl := s.slotFor(sid)
-		queue := op.pendingReq[sid]
-		op.pendingReq[sid] = nil
-		for _, tm := range queue {
-			behavior := server.Behavior(server.Honest{})
-			if sl.byz && sl.behavior != nil {
-				behavior = sl.behavior
-			}
-			reply, ok := behavior.Reply(sl.store, op.Client, tm.msg)
-			late := op.cur == nil || tm.seq != op.cur.seq
-			s.trace(TraceEvent{Op: op.Label, Round: tm.seq, Server: sid, Kind: TraceRequest, Byz: sl.byz, Late: late})
-			if ok {
-				reply.Seq = tm.msg.Seq
-				op.pendingRep[sid] = append(op.pendingRep[sid], transitMsg{seq: tm.seq, msg: reply})
-			}
+		for len(op.pendingReq[sid]) > 0 {
+			s.deliverRequest(op, sid)
 		}
+	}
+}
+
+// deliverRequest delivers op's oldest queued request to object sid, which
+// processes it at once — one Host.Serve step — and whose reply (if any:
+// Byzantine objects may withhold) enters the reply transit queue.
+func (s *Sim) deliverRequest(op *Op, sid int) {
+	tm := op.pendingReq[sid][0]
+	op.pendingReq[sid] = op.pendingReq[sid][1:]
+	s.trace(TraceEvent{Op: op.Label, Round: tm.seq, Server: sid, Byz: s.byz[sid-1], Late: op.cur == nil || tm.seq != op.cur.seq})
+	// (A duplicate would be dropped at the link; delay is the adversary's.)
+	if rsp, send, _, _ := s.hosts[sid-1].Serve(tm.req); send {
+		op.pendingRep[sid] = append(op.pendingRep[sid], transit{seq: tm.seq, rsp: rsp})
 	}
 }
 
 // DeliverReplies delivers every in-transit reply from the given objects to
-// op, oldest first. Replies for the current round feed its accumulator;
-// replies from already-terminated rounds are received and ignored (the
-// model's "late replies"). If, after the directive, the current round's
-// accumulator is satisfied, the round terminates and the client resumes
-// (running until it posts its next round or completes).
+// op, oldest first.
 func (s *Sim) DeliverReplies(op *Op, sids ...int) {
 	for _, sid := range sids {
-		queue := op.pendingRep[sid]
-		op.pendingRep[sid] = nil
-		for _, tm := range queue {
-			op.observed = append(op.observed, Observed{Server: sid, Seq: tm.seq, Msg: tm.msg})
-			late := op.cur == nil || tm.seq != op.cur.seq
-			s.trace(TraceEvent{Op: op.Label, Round: tm.seq, Server: sid, Kind: TraceReply, Byz: s.slotFor(sid).byz, Late: late})
-			if !late && !op.cur.finished {
-				op.cur.spec.Acc.Add(sid, tm.msg)
-			}
+		for len(op.pendingRep[sid]) > 0 {
+			s.deliverReply(op, sid)
 		}
 	}
-	s.maybeFinishRound(op)
 }
 
-// maybeFinishRound terminates the current round if its accumulator is
-// satisfied, resuming the client.
-func (s *Sim) maybeFinishRound(op *Op) {
-	if op.cur == nil || op.cur.finished || !op.cur.spec.Acc.Done() {
+// deliverReply delivers the oldest in-transit reply from object sid to op. A
+// reply for the current round feeds its state machine; replies from
+// already-terminated rounds are received and ignored (the model's "late
+// replies"). If the reply ends the round, the client resumes (running until
+// it posts its next round or completes) — unless every reply is in and the
+// round unsatisfied, where the engine spares real time the wait for a deadline
+// that must fail: the client stays parked on a round only FireTimer can end,
+// which is what RunOp, RunConcurrent and CheckLiveness report.
+func (s *Sim) deliverReply(op *Op, sid int) {
+	tm := op.pendingRep[sid][0]
+	op.pendingRep[sid] = op.pendingRep[sid][1:]
+	op.observed = append(op.observed, Observed{Server: sid, Seq: tm.seq, Msg: tm.rsp.Msg})
+	if op.cur == nil || tm.seq != op.cur.seq {
+		return // late
+	}
+	done, err := op.cur.rd.Resolve(sid, tm.rsp.Msg, tm.rsp.Subs, nil, op.post)
+	if errors.Is(err, tcpnet.ErrRoundTimeout) {
+		op.cur.stalled = err
+	} else if done {
+		s.resume(op, err)
+	}
+}
+
+// FireTimer fires the timer of op's in-flight round: first its hedge delay,
+// if the round deferred anyone (their requests enter transit), then its
+// deadline, which fails the round with tcpnet.ErrRoundTimeout.
+func (s *Sim) FireTimer(op *Op) {
+	if op.cur == nil {
 		return
 	}
-	op.cur.finished = true
-	op.rounds++
-	s.resume(op, nil)
+	err := op.cur.stalled
+	if err == nil {
+		_, err = op.cur.rd.TimerFired(op.post)
+	}
+	if err != nil {
+		s.resume(op, err)
+	}
+}
+
+// hedge advances virtual time for an op nothing deliverable can move, if its
+// round waits on a hedge delay. False: only the round's deadline is left.
+func (s *Sim) hedge(op *Op) bool {
+	if op.cur == nil || op.cur.stalled != nil || !op.cur.rd.Hedging() {
+		return false
+	}
+	s.FireTimer(op)
+	return true
 }
 
 // Step delivers requests then replies for op at the given objects.
@@ -72,17 +97,8 @@ func (s *Sim) Step(op *Op, sids ...int) {
 	s.DeliverReplies(op, sids...)
 }
 
-// allServers returns 1..S.
-func (s *Sim) allServers() []int {
-	out := make([]int, s.NumServers())
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
 // StepAll delivers requests and replies for op at every object.
-func (s *Sim) StepAll(op *Op) { s.Step(op, s.allServers()...) }
+func (s *Sim) StepAll(op *Op) { s.Step(op, s.all...) }
 
 // Crash crashes the client executing op: if a round is pending it fails with
 // ErrCrashed and the operation is marked done. Its invocation stays pending
@@ -91,16 +107,10 @@ func (s *Sim) Crash(op *Op) {
 	if op.done {
 		return
 	}
+	// The client may ignore ErrCrashed and try more rounds: Round fails them
+	// without a rendezvous, so its next action is the operation's end.
 	op.crashed = true
-	if op.cur != nil {
-		op.cur.finished = true
-		s.resume(op, ErrCrashed)
-	}
-	// The client may ignore ErrCrashed and try more rounds; drain until it
-	// gives up (Round returns ErrCrashed immediately once crashed).
-	for !op.done {
-		s.resume(op, ErrCrashed)
-	}
+	s.resume(op, ErrCrashed)
 }
 
 // LivenessError reports a wait-freedom violation: a round that cannot
@@ -117,43 +127,44 @@ func (e *LivenessError) Error() string {
 }
 
 // CheckLiveness delivers all requests and replies from every correct
-// (non-Byzantine) object and fails if the current round still cannot
-// terminate — the situation the paper's Definition 1 forbids: a round may
-// only keep waiting for objects that are faulty in some indistinguishable
-// run, and here all potentially-correct replies are in.
+// (non-Byzantine) object, across a hedge delay if one is pending, and fails
+// if the current round still cannot terminate — the situation the paper's
+// Definition 1 forbids: a round may only keep waiting for objects that are
+// faulty in some indistinguishable run, and here all potentially-correct
+// replies are in.
 func (s *Sim) CheckLiveness(op *Op) error {
 	if op.done || op.cur == nil {
 		return nil
 	}
 	var correct []int
-	for _, sl := range s.slots {
-		if !sl.byz {
-			correct = append(correct, sl.id)
+	for i, byz := range s.byz {
+		if !byz {
+			correct = append(correct, i+1)
 		}
 	}
 	entry := op.cur
 	s.Step(op, correct...)
-	if !entry.finished {
+	if op.cur == entry && s.hedge(op) {
+		s.Step(op, correct...)
+	}
+	if op.cur == entry {
 		return &LivenessError{Op: op.Label, Round: entry.spec.Label, Seq: entry.seq}
 	}
 	return nil
 }
 
 // RunOp drives op to completion by repeatedly delivering everything from
-// every object. It returns a LivenessError if the operation stops making
-// progress (its round cannot terminate even with every object's reply).
+// every object, firing a hedge delay when that moves nothing. It returns a
+// LivenessError if the operation stops making progress (its round cannot
+// terminate even with every object's reply).
 func (s *Sim) RunOp(op *Op) error {
 	for !op.done {
-		before := op.seq
+		cur := op.cur
 		s.StepAll(op)
-		if op.done {
-			break
-		}
-		if op.seq == before && op.cur != nil && !op.cur.finished {
-			// No new round started and the current one cannot finish even
-			// though everything deliverable was delivered.
-			label, seq, _ := op.CurrentRound()
-			return &LivenessError{Op: op.Label, Round: label, Seq: seq}
+		if op.cur == cur && !s.hedge(op) {
+			// Everything deliverable was delivered, nothing is deferred, and
+			// the round is where it was: only its deadline is left.
+			return &LivenessError{Op: op.Label, Round: cur.spec.Label, Seq: cur.seq}
 		}
 	}
 	return nil
@@ -161,8 +172,9 @@ func (s *Sim) RunOp(op *Op) error {
 
 // RunConcurrent drives the given operations to completion under a seeded
 // uniformly random schedule: at each step one deliverable (op, object,
-// request|reply) event is chosen at random and delivered. It returns a
-// LivenessError if pending operations stop making progress.
+// request|reply) event is chosen at random and delivered; with nothing
+// deliverable, the pending hedge delays fire. It returns a LivenessError if
+// pending operations stop making progress.
 func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 	rng := rand.New(rand.NewSource(seed))
 	type event struct {
@@ -172,12 +184,14 @@ func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 	}
 	for {
 		var events []event
-		anyPending := false
+		var pending *Op // the first, if any
 		for _, op := range ops {
 			if op.done {
 				continue
 			}
-			anyPending = true
+			if pending == nil {
+				pending = op
+			}
 			for sid := 1; sid <= s.NumServers(); sid++ {
 				if len(op.pendingReq[sid]) > 0 {
 					events = append(events, event{op: op, sid: sid, req: true})
@@ -187,55 +201,23 @@ func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 				}
 			}
 		}
-		if !anyPending {
+		if pending == nil {
 			return nil
 		}
 		if len(events) == 0 {
+			hedged := false
 			for _, op := range ops {
-				if !op.done {
-					label, seq, _ := op.CurrentRound()
-					return &LivenessError{Op: op.Label, Round: label, Seq: seq}
-				}
+				hedged = s.hedge(op) || hedged
 			}
-			return nil
+			if hedged {
+				continue
+			}
+			return &LivenessError{Op: pending.Label, Round: pending.cur.spec.Label, Seq: pending.cur.seq}
 		}
-		ev := events[rng.Intn(len(events))]
-		if ev.req {
-			q := ev.op.pendingReq[ev.sid]
-			ev.op.pendingReq[ev.sid] = q[1:]
-			s.deliverOneRequest(ev.op, ev.sid, q[0])
+		if ev := events[rng.Intn(len(events))]; ev.req {
+			s.deliverRequest(ev.op, ev.sid)
 		} else {
-			q := ev.op.pendingRep[ev.sid]
-			ev.op.pendingRep[ev.sid] = q[1:]
-			s.deliverOneReply(ev.op, ev.sid, q[0])
+			s.deliverReply(ev.op, ev.sid)
 		}
 	}
-}
-
-// deliverOneRequest delivers a single request message to an object.
-func (s *Sim) deliverOneRequest(op *Op, sid int, tm transitMsg) {
-	sl := s.slotFor(sid)
-	behavior := server.Behavior(server.Honest{})
-	if sl.byz && sl.behavior != nil {
-		behavior = sl.behavior
-	}
-	reply, ok := behavior.Reply(sl.store, op.Client, tm.msg)
-	late := op.cur == nil || tm.seq != op.cur.seq
-	s.trace(TraceEvent{Op: op.Label, Round: tm.seq, Server: sid, Kind: TraceRequest, Byz: sl.byz, Late: late})
-	if ok {
-		reply.Seq = tm.msg.Seq
-		op.pendingRep[sid] = append(op.pendingRep[sid], transitMsg{seq: tm.seq, msg: reply})
-	}
-}
-
-// deliverOneReply delivers a single reply message to the client, finishing
-// the round if its accumulator is now satisfied.
-func (s *Sim) deliverOneReply(op *Op, sid int, tm transitMsg) {
-	op.observed = append(op.observed, Observed{Server: sid, Seq: tm.seq, Msg: tm.msg})
-	late := op.cur == nil || tm.seq != op.cur.seq
-	s.trace(TraceEvent{Op: op.Label, Round: tm.seq, Server: sid, Kind: TraceReply, Byz: s.slotFor(sid).byz, Late: late})
-	if !late && !op.cur.finished {
-		op.cur.spec.Acc.Add(sid, tm.msg)
-	}
-	s.maybeFinishRound(op)
 }

@@ -1,14 +1,16 @@
 // Package sim is a deterministic message-passing simulator for the paper's
-// system model (Section 2): clients (one writer, R readers) exchange
+// system model (Section 2): clients (writers and readers) exchange
 // request/reply messages with S storage objects over reliable FIFO
 // point-to-point channels; objects reply to each message before receiving
 // any other; up to t objects are Byzantine; clients fail by crashing.
 //
-// Client operations run in goroutines, but every scheduling decision —
-// which requests and replies are delivered, in what order, which objects
-// turn Byzantine, which states get forged — is made by the single driver
-// goroutine through explicit directives, so every run is fully
-// deterministic and replayable. This is the substrate on which the paper's
+// The objects are server.Hosts and a round is the tcpnet.Round state machine
+// the deployed transport runs; the simulator is its second driver. Client
+// operations run in goroutines, but every scheduling decision — which
+// requests and replies are delivered, in what order, when a round's timer
+// fires, which objects turn Byzantine, which states get forged — is made by
+// the single driver goroutine through explicit directives, so every run is
+// fully deterministic and replayable. This is the substrate on which the paper's
 // lower-bound constructions (Figures 1 and 2) execute, and on which the
 // protocol implementations are model-checked against adversarial and
 // randomized schedules.
@@ -23,7 +25,9 @@ import (
 	"robustatomic/internal/checker"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/server"
+	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
 )
 
 // actionTimeout bounds every rendezvous with a client goroutine; exceeding
@@ -49,17 +53,15 @@ type Config struct {
 // Sim is one simulated execution (a partial run under construction).
 type Sim struct {
 	cfg   Config
-	slots []*slot
+	hosts []*server.Host // slot sid-1
+	byz   []bool         // slot sid-1: outside liveness accounting, "@" in diagrams
+	procs map[types.ProcID]*tcpnet.Process
 	ops   []*Op
 	wg    sync.WaitGroup
-}
-
-// slot is the simulator-side wrapper of one storage object.
-type slot struct {
-	id       int
-	store    *server.Store
-	byz      bool
-	behavior server.Behavior
+	all   []int // 1..S
+	// watchdog bounds each rendezvous with a client goroutine: one timer for
+	// the Sim's lifetime, armed only while the driver waits.
+	watchdog *time.Timer
 }
 
 // New creates a simulation with cfg.Servers correct, empty storage objects.
@@ -67,57 +69,37 @@ func New(cfg Config) *Sim {
 	if cfg.Servers <= 0 {
 		panic(fmt.Sprintf("sim: need at least one server, got %d", cfg.Servers))
 	}
-	s := &Sim{cfg: cfg}
-	s.slots = make([]*slot, cfg.Servers)
-	for i := range s.slots {
-		s.slots[i] = &slot{id: i + 1, store: server.NewStore()}
+	s := &Sim{
+		cfg:      cfg,
+		hosts:    server.NewHosts(cfg.Servers),
+		byz:      make([]bool, cfg.Servers),
+		procs:    make(map[types.ProcID]*tcpnet.Process),
+		watchdog: time.NewTimer(actionTimeout),
+	}
+	s.watchdog.Stop()
+	for sid := 1; sid <= cfg.Servers; sid++ {
+		s.all = append(s.all, sid)
 	}
 	return s
 }
 
 // NumServers returns S.
-func (s *Sim) NumServers() int { return len(s.slots) }
-
-// slotFor returns the slot of object sid (1-based).
-func (s *Sim) slotFor(sid int) *slot {
-	if sid < 1 || sid > len(s.slots) {
-		panic(fmt.Sprintf("sim: server %d out of range 1..%d", sid, len(s.slots)))
-	}
-	return s.slots[sid-1]
-}
+func (s *Sim) NumServers() int { return len(s.hosts) }
 
 // SetByzantine marks object sid Byzantine with the given behavior
 // (nil keeps the previous behavior, or Honest if none was set). Byzantine
 // objects are excluded from liveness accounting.
 func (s *Sim) SetByzantine(sid int, b server.Behavior) {
-	sl := s.slotFor(sid)
-	sl.byz = true
+	s.byz[sid-1] = true
 	if b != nil {
-		sl.behavior = b
+		s.hosts[sid-1].SetBehavior(b)
 	}
-	if sl.behavior == nil {
-		sl.behavior = server.Honest{}
-	}
-}
-
-// IsByzantine reports whether object sid is currently Byzantine.
-func (s *Sim) IsByzantine(sid int) bool { return s.slotFor(sid).byz }
-
-// Byzantines returns the ids of all currently Byzantine objects.
-func (s *Sim) Byzantines() []int {
-	var out []int
-	for _, sl := range s.slots {
-		if sl.byz {
-			out = append(out, sl.id)
-		}
-	}
-	return out
 }
 
 // Snapshot captures the full state of object sid. The lower-bound
 // adversaries snapshot block states σ_i at chosen points of a run.
 func (s *Sim) Snapshot(sid int) []byte {
-	snap, err := s.slotFor(sid).store.Snapshot()
+	snap, err := s.Store(sid).Snapshot()
 	if err != nil {
 		panic(fmt.Sprintf("sim: snapshot of s%d: %v", sid, err))
 	}
@@ -128,13 +110,14 @@ func (s *Sim) Snapshot(sid int) []byte {
 // ("the objects forge their state to σ before replying"). The object keeps
 // evolving honestly from the forged state unless a behavior overrides it.
 func (s *Sim) Restore(sid int, snap []byte) {
-	if err := s.slotFor(sid).store.Restore(snap); err != nil {
+	if err := s.Store(sid).Restore(snap); err != nil {
 		panic(fmt.Sprintf("sim: restore of s%d: %v", sid, err))
 	}
 }
 
-// Store exposes object sid's automaton for white-box assertions in tests.
-func (s *Sim) Store(sid int) *server.Store { return s.slotFor(sid).store }
+// Store exposes object sid's automaton (register instance 0, the one bare
+// rounds address) for white-box assertions in tests.
+func (s *Sim) Store(sid int) *server.Store { return s.hosts[sid-1].Store(0) }
 
 // Close crashes every live operation and waits for all client goroutines to
 // exit. Always call it (usually via defer) to avoid leaking goroutines.
@@ -153,15 +136,9 @@ func (s *Sim) Close() {
 // Client and returns the operation's result.
 type OpFunc func(c *Client) (types.Value, error)
 
-type actionKind int
-
-const (
-	actionRound actionKind = iota + 1
-	actionDone
-)
-
+// action is what a client goroutine hands the driver: its next round, or
+// (round nil) its operation's end.
 type action struct {
-	kind   actionKind
 	round  *pendingRound
 	result types.Value
 	err    error
@@ -169,15 +146,15 @@ type action struct {
 
 // pendingRound is one in-flight communication round of an operation.
 type pendingRound struct {
-	spec     proto.RoundSpec
-	seq      int
-	reqs     map[int]types.Message
-	finished bool
+	spec    proto.RoundSpec
+	seq     int
+	rd      tcpnet.Round
+	stalled error // every reply in, unsatisfied: the error its deadline will deliver
 }
 
-// Observed is one reply as seen by a client, in delivery order. The
-// lower-bound harness compares Observed streams across paired runs to
-// verify the proofs' indistinguishability claims.
+// Observed is one reply as seen by a client, in delivery order (a batched
+// reply's Msg is zero). The lower-bound harness compares Observed streams
+// across paired runs to verify the proofs' indistinguishability claims.
 type Observed struct {
 	Server int
 	Seq    int
@@ -187,11 +164,8 @@ type Observed struct {
 // Op is a client operation under simulation.
 type Op struct {
 	sim    *Sim
-	ID     int
 	Label  string
 	Client types.ProcID
-
-	kind   checker.OpKind
 	histID int
 
 	actionCh chan action
@@ -206,13 +180,16 @@ type Op struct {
 	err      error
 	observed []Observed
 
-	pendingReq map[int][]transitMsg // per server, FIFO
-	pendingRep map[int][]transitMsg // per server, FIFO
+	// The scripted link: per server, FIFO, until a directive delivers it.
+	pendingReq map[int][]transit
+	pendingRep map[int][]transit
 }
 
-type transitMsg struct {
-	seq int
-	msg types.Message
+// transit is a request on its way to an object, or the reply on its way back.
+type transit struct {
+	seq int // the operation's round number
+	req wire.Request
+	rsp wire.Response
 }
 
 // Client is the protocol-facing handle passed to OpFunc. It implements
@@ -233,19 +210,8 @@ func (c *Client) Round(spec proto.RoundSpec) error {
 	if op.crashed {
 		return ErrCrashed
 	}
-	if len(spec.Subs) > 0 {
-		// Batched rounds belong to the Store's cross-shard coalescing; the
-		// simulator drives single-register protocols only.
-		return fmt.Errorf("sim: batched round %s not supported", spec.Label)
-	}
 	op.seq++
-	pr := &pendingRound{spec: spec, seq: op.seq, reqs: make(map[int]types.Message, op.sim.NumServers())}
-	for sid := 1; sid <= op.sim.NumServers(); sid++ {
-		m := spec.Req(sid)
-		m.Seq = pr.seq
-		pr.reqs[sid] = m
-	}
-	op.actionCh <- action{kind: actionRound, round: pr}
+	op.actionCh <- action{round: &pendingRound{spec: spec, seq: op.seq}}
 	return <-op.resumeCh
 }
 
@@ -255,25 +221,26 @@ func (c *Client) Round(spec proto.RoundSpec) error {
 func (s *Sim) Spawn(label string, client types.ProcID, kind checker.OpKind, arg types.Value, fn OpFunc) *Op {
 	op := &Op{
 		sim:        s,
-		ID:         len(s.ops),
 		Label:      label,
 		Client:     client,
-		kind:       kind,
 		histID:     -1,
 		actionCh:   make(chan action),
 		resumeCh:   make(chan error),
-		pendingReq: make(map[int][]transitMsg),
-		pendingRep: make(map[int][]transitMsg),
+		pendingReq: make(map[int][]transit),
+		pendingRep: make(map[int][]transit),
 	}
 	if s.cfg.History != nil {
 		op.histID = s.cfg.History.Invoke(client, kind, arg)
+	}
+	if s.procs[client] == nil {
+		s.procs[client] = tcpnet.NewProcess(len(s.hosts))
 	}
 	s.ops = append(s.ops, op)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		v, err := fn(&Client{op: op})
-		op.actionCh <- action{kind: actionDone, result: v, err: err}
+		op.actionCh <- action{result: v, err: err}
 	}()
 	s.waitAction(op)
 	return op
@@ -282,36 +249,47 @@ func (s *Sim) Spawn(label string, client types.ProcID, kind checker.OpKind, arg 
 // waitAction blocks until op's goroutine posts its next action (a new round
 // or completion) and updates op state accordingly.
 func (s *Sim) waitAction(op *Op) {
+	s.watchdog.Reset(actionTimeout)
+	var a action
 	select {
-	case a := <-op.actionCh:
-		switch a.kind {
-		case actionRound:
-			op.cur = a.round
-			// The client "sends messages to all objects": requests enter
-			// the per-server FIFO transit queues.
-			for sid := 1; sid <= s.NumServers(); sid++ {
-				op.pendingReq[sid] = append(op.pendingReq[sid], transitMsg{seq: a.round.seq, msg: a.round.reqs[sid]})
-			}
-		case actionDone:
-			op.cur = nil
-			op.done = true
-			op.result = a.result
-			op.err = a.err
-			if s.cfg.History != nil && op.histID >= 0 && a.err == nil {
-				s.cfg.History.Respond(op.histID, a.result)
-			}
-		}
-	case <-time.After(actionTimeout):
+	case a = <-op.actionCh:
+		s.watchdog.Stop()
+	case <-s.watchdog.C:
 		panic(fmt.Sprintf("sim: op %s (%s) stuck outside Round for %v — protocol bug", op.Label, op.Client, actionTimeout))
+	}
+	op.cur = a.round
+	if a.round == nil {
+		op.done, op.result, op.err = true, a.result, a.err
+		if op.histID >= 0 && a.err == nil {
+			s.cfg.History.Respond(op.histID, a.result)
+		}
+		return
+	}
+	// The client "sends messages to all objects": the round begins on its
+	// identity's process state and what it posts enters transit.
+	if _, err := a.round.rd.Begin(s.procs[op.Client], op.Client, 0, a.round.seq, 0, &a.round.spec, op.post); err != nil {
+		s.resume(op, err)
 	}
 }
 
-// resume hands the finished round back to the client and waits for its next
-// action.
+// post is the scripted link's sending half (a tcpnet.Post). Fire-and-forget
+// requests travel like any other: their replies arrive late and are ignored.
+func (op *Op) post(sid int, req wire.Request, _ bool) error {
+	op.pendingReq[sid] = append(op.pendingReq[sid], transit{seq: op.cur.seq, req: req})
+	return nil
+}
+
+// resume hands the finished round back to the client — complete, or failed
+// with err — and waits for its next action.
 func (s *Sim) resume(op *Op, err error) {
+	if err == nil {
+		op.rounds++
+	}
+	s.watchdog.Reset(actionTimeout)
 	select {
 	case op.resumeCh <- err:
-	case <-time.After(actionTimeout):
+		s.watchdog.Stop()
+	case <-s.watchdog.C:
 		panic(fmt.Sprintf("sim: op %s not waiting for resume — driver bug", op.Label))
 	}
 	s.waitAction(op)
@@ -319,9 +297,6 @@ func (s *Sim) resume(op *Op, err error) {
 
 // Done reports whether the operation completed (including by crash).
 func (op *Op) Done() bool { return op.done }
-
-// Crashed reports whether the operation was crashed by the driver.
-func (op *Op) Crashed() bool { return op.crashed }
 
 // Result returns the operation's result once done.
 func (op *Op) Result() (types.Value, error) {
@@ -346,7 +321,5 @@ func (op *Op) CurrentRound() (label string, seq int, ok bool) {
 // Observations returns the full reply stream the client has received, in
 // delivery order.
 func (op *Op) Observations() []Observed {
-	out := make([]Observed, len(op.observed))
-	copy(out, op.observed)
-	return out
+	return append([]Observed(nil), op.observed...)
 }

@@ -9,6 +9,7 @@ import (
 	"robustatomic/internal/checker"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/server"
+	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
 )
 
@@ -183,7 +184,7 @@ func TestCrashMidRound(t *testing.T) {
 	op := s.Spawn("w", types.Writer, checker.OpWrite, "a", storeOp(pair(1, "a"), 3))
 	s.Step(op, 1) // not enough
 	s.Crash(op)
-	if !op.Done() || !op.Crashed() {
+	if !op.Done() || !op.crashed {
 		t.Fatal("crash did not complete op")
 	}
 	if _, err := op.Result(); !errors.Is(err, ErrCrashed) {
@@ -285,11 +286,19 @@ func TestTraceAndDiagram(t *testing.T) {
 	w := s.Spawn("write(1)", types.Writer, checker.OpWrite, "a", storeOp(pair(1, "a"), 3))
 	s.Step(w, 1, 2, 3)
 	s.Step(w, 1, 2, 3)
-	if !tr.Received("write(1)", 1, 1) || tr.Received("write(1)", 1, 4) {
+	received := func(round, sid int) bool { // on time, ignoring late catch-up deliveries
+		for _, ev := range tr.Events {
+			if ev.Op == "write(1)" && ev.Round == round && ev.Server == sid && !ev.Late {
+				return true
+			}
+		}
+		return false
+	}
+	if !received(1, 1) || received(1, 4) {
 		t.Error("trace receipt wrong")
 	}
-	if tr.OpRounds("write(1)") != 2 {
-		t.Errorf("op rounds = %d", tr.OpRounds("write(1)"))
+	if !received(2, 1) || received(3, 1) {
+		t.Error("traced rounds wrong")
 	}
 	d := tr.BlockDiagram([]string{"B1", "B2"}, map[string][]int{
 		"B1": {1, 2, 3},
@@ -330,15 +339,36 @@ func TestResultBeforeDone(t *testing.T) {
 	s.RunOp(op)
 }
 
-func TestByzantinesAccessors(t *testing.T) {
-	s := New(Config{Servers: 5})
-	defer s.Close()
-	s.SetByzantine(2, server.Garbage{})
-	s.SetByzantine(5, server.Silent{})
-	if !s.IsByzantine(2) || s.IsByzantine(3) {
-		t.Error("IsByzantine wrong")
+// TestLivenessViolationDetectedWhenEveryObjectReplies: the round engine ends
+// a round whose every reply is in and whose accumulator is unsatisfied; under
+// the simulator that is a wait-freedom violation like any other — the three
+// drivers report it, the client stays parked, and only the round's deadline
+// hands it the engine's error.
+func TestLivenessViolationDetectedWhenEveryObjectReplies(t *testing.T) {
+	drivers := map[string]func(*Sim, *Op) error{
+		"RunOp":         (*Sim).RunOp,
+		"CheckLiveness": (*Sim).CheckLiveness,
+		"RunConcurrent": func(s *Sim, op *Op) error { return s.RunConcurrent(1, op) },
 	}
-	if got := s.Byzantines(); !reflect.DeepEqual(got, []int{2, 5}) {
-		t.Errorf("Byzantines = %v", got)
+	for name, run := range drivers {
+		s := New(Config{Servers: 3})
+		s.SetByzantine(3, server.Garbage{Level: 9, Val: "evil"}) // a liar that replies
+		// A protocol that waits for one more reply than there are objects.
+		op := s.Spawn("r", types.Reader(1), checker.OpRead, types.Bottom, queryOp(4))
+		if name == "CheckLiveness" {
+			s.Step(op, 3) // CheckLiveness itself delivers the correct objects only
+		}
+		var lv *LivenessError
+		if err := run(s, op); !errors.As(err, &lv) {
+			t.Errorf("%s: expected LivenessError, got %v", name, err)
+		}
+		if op.Done() {
+			t.Errorf("%s: the stuck operation finished", name)
+		}
+		s.FireTimer(op)
+		if _, err := op.Result(); !errors.Is(err, tcpnet.ErrRoundTimeout) {
+			t.Errorf("%s: after the deadline: %v, want ErrRoundTimeout", name, err)
+		}
+		s.Close()
 	}
 }

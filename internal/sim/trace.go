@@ -5,28 +5,15 @@ import (
 	"strings"
 )
 
-// TraceKind classifies trace events.
-type TraceKind int
-
-// Trace event kinds.
-const (
-	// TraceRequest records an object receiving a round's request (and
-	// replying, per the model) — this is what the paper's block diagrams
-	// draw as a rectangle.
-	TraceRequest TraceKind = iota + 1
-	// TraceReply records the client receiving a reply.
-	TraceReply
-)
-
-// TraceEvent is one delivery event of a run.
+// TraceEvent records an object receiving a round's request (and replying,
+// per the model) — what the paper's block diagrams draw as a rectangle.
 type TraceEvent struct {
 	Op     string
 	Round  int
 	Server int
-	Kind   TraceKind
 	Byz    bool // object was Byzantine at delivery time
-	Late   bool // delivered after the round had terminated (the paper's
-	// "late replies", not illustrated in its diagrams)
+	Late   bool // delivered after the round had terminated (a catch-up
+	// delivery, not illustrated in the paper's diagrams)
 }
 
 // Trace accumulates the delivery events of a run.
@@ -39,41 +26,6 @@ func (s *Sim) trace(ev TraceEvent) {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Events = append(s.cfg.Trace.Events, ev)
 	}
-}
-
-// Received reports whether object sid received op's round-r request
-// on time (ignoring late catch-up deliveries).
-func (tr *Trace) Received(op string, round, sid int) bool {
-	for _, ev := range tr.Events {
-		if ev.Kind == TraceRequest && ev.Op == op && ev.Round == round && ev.Server == sid && !ev.Late {
-			return true
-		}
-	}
-	return false
-}
-
-// OpRounds returns the highest round number traced for op.
-func (tr *Trace) OpRounds(op string) int {
-	max := 0
-	for _, ev := range tr.Events {
-		if ev.Op == op && ev.Round > max {
-			max = ev.Round
-		}
-	}
-	return max
-}
-
-// Ops returns the distinct op labels in first-appearance order.
-func (tr *Trace) Ops() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, ev := range tr.Events {
-		if !seen[ev.Op] {
-			seen[ev.Op] = true
-			out = append(out, ev.Op)
-		}
-	}
-	return out
 }
 
 // BlockDiagram renders the run in the style of the paper's Figures 1 and 2:
@@ -89,34 +41,40 @@ func (tr *Trace) BlockDiagram(rows []string, blocks map[string][]int) string {
 		op    string
 		round int
 	}
+	// One pass: which objects received each (op, round) on time, which were
+	// Byzantine when they did, and the columns — ops in first-appearance
+	// order, rounds 1..highest traced.
+	type cell struct {
+		col
+		sid int
+	}
+	got, byzAt := map[cell]bool{}, map[cell]bool{}
+	var ops []string
+	rounds := map[string]int{}
+	for _, ev := range tr.Events {
+		if _, seen := rounds[ev.Op]; !seen {
+			ops = append(ops, ev.Op)
+		}
+		rounds[ev.Op] = max(rounds[ev.Op], ev.Round)
+		c := cell{col{ev.Op, ev.Round}, ev.Server}
+		got[c] = got[c] || !ev.Late
+		byzAt[c] = byzAt[c] || ev.Byz
+	}
 	var cols []col
-	for _, op := range tr.Ops() {
-		for r := 1; r <= tr.OpRounds(op); r++ {
+	for _, op := range ops {
+		for r := 1; r <= rounds[op]; r++ {
 			cols = append(cols, col{op: op, round: r})
 		}
 	}
-	byzAt := func(name string, c col) bool {
-		for _, sid := range blocks[name] {
-			for _, ev := range tr.Events {
-				if ev.Kind == TraceRequest && ev.Op == c.op && ev.Round == c.round && ev.Server == sid && ev.Byz {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	var b strings.Builder
 	// Header: operation names spanning their rounds.
-	head := make([]string, len(cols))
-	for i, c := range cols {
-		if i == 0 || cols[i-1].op != c.op {
-			head[i] = c.op
-		}
-	}
 	fmt.Fprintf(&b, "%-5s", "")
-	for i, h := range head {
+	for i, c := range cols {
+		h := ""
+		if i == 0 || cols[i-1].op != c.op {
+			h = c.op
+		}
 		fmt.Fprintf(&b, "|%-8s", h)
-		_ = i
 	}
 	b.WriteString("|\n")
 	fmt.Fprintf(&b, "%-5s", "")
@@ -127,32 +85,31 @@ func (tr *Trace) BlockDiagram(rows []string, blocks map[string][]int) string {
 	for _, name := range rows {
 		fmt.Fprintf(&b, "%-5s", name)
 		for _, c := range cols {
-			total, got := 0, 0
+			total, n, byz := len(blocks[name]), 0, false
 			for _, sid := range blocks[name] {
-				total++
-				if tr.Received(c.op, c.round, sid) {
-					got++
+				if got[cell{c, sid}] {
+					n++
 				}
+				byz = byz || byzAt[cell{c, sid}]
 			}
-			byz := byzAt(name, c)
-			var cell string
+			var text string
 			switch {
 			case total == 0:
-				cell = "   --   "
-			case got == total && byz:
-				cell = " @████  "
-			case got == total:
-				cell = "  ████  "
-			case got > 0 && byz:
-				cell = " @▪▪    "
-			case got > 0:
-				cell = "  ▪▪    "
+				text = "   --   "
+			case n == total && byz:
+				text = " @████  "
+			case n == total:
+				text = "  ████  "
+			case n > 0 && byz:
+				text = " @▪▪    "
+			case n > 0:
+				text = "  ▪▪    "
 			case byz:
-				cell = " @      "
+				text = " @      "
 			default:
-				cell = "        "
+				text = "        "
 			}
-			b.WriteString("|" + cell)
+			b.WriteString("|" + text)
 		}
 		b.WriteString("|\n")
 	}

@@ -3,7 +3,7 @@
 // A Mux owns one link per storage object and pipelines any number of
 // concurrent protocol rounds over it. The link is a TCP connection to a
 // daemon, or — for an in-process cluster — the object's server.Host itself
-// (memlink.go); Mux.send is the one seam between the round loop and either.
+// (memlink.go); Mux.send is the one seam between Mux.round and either.
 // Per connection there are exactly two goroutines: a writer that owns the
 // encoder and drains a send queue (greedily, flushing once the queue runs
 // dry, so a burst of requests coalesces into few syscalls), and a reader that
@@ -33,13 +33,10 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"robustatomic/internal/config"
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
-	"robustatomic/internal/server"
 	"robustatomic/internal/types"
 	"robustatomic/internal/wire"
 )
@@ -181,12 +178,8 @@ const sendQueueDepth = 128
 // surface that as a WrongEpochError, which the cluster layer answers with
 // a config refetch + Reconfigure + retry.
 type Mux struct {
-	n      int      // slot count, immutable (the fixed-S rule)
-	mem    *memLink // non-nil: the objects are in this process (memlink.go)
-	nextID atomic.Uint64
-	epoch  atomic.Uint64 // configuration epoch stamped on requests
-	susp   *scoreboard   // which slots' requests rounds defer (suspicion.go)
-	srtt   atomic.Int64  // smoothed latency (ns) of deferring rounds
+	*Process          // what the rounds share: epoch, scoreboard, request ids (round.go)
+	mem      *memLink // non-nil: the objects are in this process (memlink.go)
 
 	mu     sync.Mutex
 	addrs  []string // slot sid-1 → address; "" = vacant (guarded by mu)
@@ -235,23 +228,14 @@ type muxReply struct {
 
 // NewMux returns a Mux over the daemons at addrs.
 func NewMux(addrs []string) *Mux {
-	m := &Mux{
-		n:     len(addrs),
-		addrs: append([]string(nil), addrs...),
-		conns: make([]*muxConn, len(addrs)),
-		dials: make([]dialState, len(addrs)),
-		done:  make(chan struct{}),
-		susp:  newScoreboard(len(addrs)),
+	return &Mux{
+		Process: NewProcess(len(addrs)),
+		addrs:   append([]string(nil), addrs...),
+		conns:   make([]*muxConn, len(addrs)),
+		dials:   make([]dialState, len(addrs)),
+		done:    make(chan struct{}),
 	}
-	m.epoch.Store(1) // the bootstrap configuration (see internal/config)
-	return m
 }
-
-// NumServers returns S, the number of storage objects (epoch-invariant).
-func (m *Mux) NumServers() int { return m.n }
-
-// Epoch returns the configuration epoch the mux stamps on requests.
-func (m *Mux) Epoch() uint64 { return m.epoch.Load() }
 
 // Addrs returns a copy of the mux's current address view (slot sid-1 →
 // address, "" for vacant slots).
@@ -627,22 +611,13 @@ func (m *Mux) send(sid int, req wire.Request, replyCh chan muxReply) (*muxConn, 
 	return mc, nil
 }
 
-// round runs one communication round over the mux: one tagged request per
-// object (single or batch form, per the spec), replies demultiplexed by ID
-// and integrated as they arrive, out of order across concurrent rounds.
+// round drives one round (round.go) in real time: it posts the round's
+// requests on the link, feeds it the replies — demultiplexed by ID, out of
+// order across concurrent rounds — and its timer, and deregisters the rest.
 func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec proto.RoundSpec) error {
-	n := m.n
-	// Stamp the round with the active configuration epoch. Config-plane
-	// rounds (the config register itself) carry the epoch-0 wildcard: the
-	// config must stay read/writable ACROSS an epoch change, or a client
-	// refused for staleness could never learn the new configuration.
-	epoch := m.epoch.Load()
-	if len(spec.Subs) == 0 && reg == config.Reg {
-		epoch = 0
-	}
 	// Capacity n: every registered waiter delivers at most once, so sends
 	// to this channel can never block even after the round abandons it.
-	replyCh := make(chan muxReply, n)
+	replyCh := make(chan muxReply, m.n)
 	type sent struct {
 		mc *muxConn
 		id uint64
@@ -653,294 +628,45 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 	defer func() {
 		for _, p := range pending {
 			p.mc.mu.Lock()
-			_, owned := p.mc.waiters[p.id]
-			if owned {
+			if _, owned := p.mc.waiters[p.id]; owned {
 				delete(p.mc.waiters, p.id)
-			}
-			p.mc.mu.Unlock()
-			if owned {
 				mMuxInFlight.Dec()
 			}
+			p.mc.mu.Unlock()
 		}
 	}()
-	// traced is set when anyone wants per-object events: the round's own
-	// trace, or a merged sub-round's (the Combiner threads each originating
-	// flush's trace through its SubRound, so a traced flush keeps its events
-	// even when its round rode inside another leader's batch).
-	traced := spec.Trace != nil
-	if len(spec.Subs) > 0 {
-		mMuxBatchSubs.Record(int64(len(spec.Subs)))
-		for i := range spec.Subs {
-			if spec.Subs[i].Trace != nil {
-				traced = true
-			}
-		}
-	}
-	outstanding := 0
-	// post sends the round's request to object sid: awaited on ch, or — ch
-	// nil, a deferred request released once the round is Done —
-	// fire-and-forget.
-	post := func(sid int, ch chan muxReply) bool {
-		req := wire.Request{ID: m.nextID.Add(1), From: proc, Epoch: epoch}
-		// Seq is vestigial on this transport (matching is by ID) but the
-		// automata echo it, so stamp something round-unique for traces.
-		seq := int(req.ID & (1<<30 - 1))
-		if len(spec.Subs) > 0 {
-			req.Subs = make([]wire.SubReq, len(spec.Subs))
-			for i := range spec.Subs {
-				msg := spec.Subs[i].Req(sid)
-				msg.Seq = seq
-				req.Subs[i] = wire.SubReq{Reg: spec.Subs[i].Reg, Msg: msg}
-			}
-		} else {
-			req.Reg = reg
-			req.Msg = spec.Req(sid)
-			req.Msg.Seq = seq
+	post := func(sid int, req wire.Request, awaited bool) error {
+		ch := replyCh
+		if !awaited {
+			ch = nil
 		}
 		mc, err := m.send(sid, req, ch)
-		if err != nil {
-			if traced {
-				traceEvent(&spec, sid, "skip", err.Error())
-			}
-			return false // unreachable object: counted as faulty
+		if mc != nil && awaited {
+			pending = append(pending, sent{mc, req.ID})
 		}
-		if traced {
-			traceEvent(&spec, sid, "send", "")
-		}
-		if ch != nil {
-			if mc != nil {
-				pending = append(pending, sent{mc, req.ID})
-			}
-			outstanding++
-		}
-		return true
+		return err
 	}
-	// Suspicion-ordered sends (suspicion.go): the requests of the held slots
-	// — at most t persistent dissenters, almost always none — wait until the
-	// round is Done (release(nil): only a request that mutates is still owed,
-	// so every object receives every write, and per-connection FIFO keeps its
-	// PREWRITE before its WRITE), until nothing awaited can complete the
-	// round, or until the hedge delay passes. Which S−t objects answer a
-	// round was never an assumption, so this is timing, not protocol; with
-	// nobody held, the loop below is the whole send phase.
-	held, probe, first := m.susp.plan()
-	release := func(ch chan muxReply) {
-		for sid := 1; held != 0 && sid <= n; sid++ {
-			if held&(1<<uint(sid)) != 0 && (ch != nil || mutates(&spec, sid)) {
-				post(sid, ch)
-			}
-		}
-		held = 0
+	var rd Round
+	wait, err := rd.Begin(m.Process, proc, reg, 0, timeout, &spec, post)
+	if err != nil {
+		return err
 	}
-	// The send order rotates with the round number, so that no object is
-	// always asked (and, on the in-memory link, always heard) last: there the
-	// replies arrive in send order and the round stops at Done, which would
-	// otherwise leave object S out of every quorum.
-	reachable := true
-	for i := 0; i < n; i++ {
-		sid := (first+i)%n + 1
-		if held&(1<<uint(sid)) != 0 {
-			traceEvent(&spec, sid, "defer", "")
-		} else if !post(sid, replyCh) {
-			reachable = false
-		}
-	}
-	if !reachable {
-		release(replyCh) // an unsuspected object is down: defer nobody
-	}
-	if outstanding == 0 {
-		return fmt.Errorf("%w: %s: no object reachable", ErrConnLost, spec.Label)
-	}
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	// A deferring round first waits out the hedge delay only — four smoothed
-	// latencies of such rounds, within [minHedge, timeout/2] — so that a
-	// silent-but-connected object cannot turn a wrong suspicion into a
-	// RoundTimeout.
-	wait := timeout
-	var begun time.Time
-	if held != 0 {
-		mDeferred.Inc()
-		begun = time.Now()
-		wait = min(max(4*time.Duration(m.srtt.Load()), minHedge), timeout/2)
-	} else if probe {
-		mProbes.Inc()
-		traceEvent(&spec, 0, "probe", "")
-	}
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	lost := 0
-	// Wrong-epoch refusals: a refusing object contributes nothing to the
-	// accumulator, so track them separately. More than t refusals prove at
-	// least one CORRECT object holds a newer configuration — fail the round
-	// immediately with the typed redirect instead of burning the deadline.
-	wrongEpoch := 0
-	var weErr *WrongEpochError // allocated by the first refusal
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	for {
 		select {
 		case r := <-replyCh:
-			outstanding--
-			if r.err == errNoReply {
-				traceEvent(&spec, r.sid, "lost", "")
-			} else if r.err != nil {
-				if traced {
-					traceEvent(&spec, r.sid, "lost", r.err.Error())
-				}
-				lost++
-			} else if r.msg.Kind == types.MsgWrongEpoch {
-				if traced {
-					traceEvent(&spec, r.sid, "reply", fmt.Sprintf("WRONG_EPOCH(%d)", r.msg.Pair.TS.Seq))
-				}
-				wrongEpoch++
-				if weErr == nil {
-					weErr = &WrongEpochError{Label: spec.Label}
-				}
-				// The reported epoch rides in Seq, a Byzantine-controlled
-				// int64: a negative value would convert to an astronomical
-				// uint64 and permanently defeat the refetcher's
-				// already-adopted short-circuit, so ignore it. (Genuine
-				// epochs start at 1.)
-				if s := r.msg.Pair.TS.Seq; s > 0 {
-					if e := uint64(s); e > weErr.Epoch {
-						weErr.Epoch = e
-					}
-				}
-				if !r.msg.Pair.Val.IsBottom() {
-					weErr.Hints = append(weErr.Hints, r.msg.Pair.Val)
-				}
-				if wrongEpoch > (n-1)/3 {
-					return weErr
-				}
-			} else if len(r.subs) > 0 {
-				if traced {
-					traceSubReplies(&spec, r)
-				}
-				for _, sub := range r.subs {
-					spec.AddSub(r.sid, sub.Reg, sub.Msg)
-				}
-			} else {
-				if spec.Trace != nil {
-					spec.Trace.Event(r.sid, "reply", r.msg.TraceNote())
-				}
-				spec.Acc.Add(r.sid, r.msg)
+			if done, err := rd.Resolve(r.sid, r.msg, r.subs, r.err, post); done {
+				return err
 			}
-			if r.err == nil && spec.Done() {
-				release(nil)
-				m.susp.observe(spec.Verdict())
-				if !begun.IsZero() { // gain 1/8; a racing round's lost update is tolerable
-					m.srtt.Add((int64(time.Since(begun)) - m.srtt.Load()) / 8)
-				}
-				return nil
+		case <-timer.C:
+			if wait, err = rd.TimerFired(post); err != nil {
+				return err
 			}
-			if outstanding == 0 {
-				release(replyCh) // nothing awaited can complete the round
-			}
-			if outstanding == 0 {
-				// Every in-flight request resolved (reply or connection
-				// loss) and the accumulators are still unsatisfied: no
-				// later delivery can complete this round. Withheld replies
-				// keep their waiters outstanding, so this fires only when
-				// nothing more can arrive. Any wrong-epoch refusal in the
-				// mix makes the redirect the actionable diagnosis first
-				// (during a partial activation, fewer than t+1 objects may
-				// refuse yet still deny the quorum) — but with ≤ t refusers
-				// the redirect is unproven, so the error carries the
-				// underlying transient failure as Cause: if the refetch
-				// finds nothing newer (a lone Byzantine forgery, or a
-				// config not yet certifiable), the caller degrades to the
-				// Cause and its ordinary retry path instead of hard-failing.
-				if lost > 0 {
-					lostErr := fmt.Errorf("%w: %s: %d of %d requests failed", ErrConnLost, spec.Label, lost, n)
-					if wrongEpoch > 0 {
-						weErr.Cause = lostErr
-						return weErr
-					}
-					return lostErr
-				}
-				unsatErr := fmt.Errorf("%w: %s: all replies in, accumulator unsatisfied", ErrRoundTimeout, spec.Label)
-				if wrongEpoch > 0 {
-					weErr.Cause = unsatErr
-					return weErr
-				}
-				mMuxUnsat.Inc()
-				return unsatErr
-			}
-		case <-deadline.C:
-			if wait < timeout { // the hedge delay, not yet the deadline
-				deadline.Reset(timeout - wait)
-				// A round that waited out the hedge delay must not feed it,
-				// or a run of them would grow it by 3/8 a round.
-				wait, begun = timeout, time.Time{}
-				if held != 0 {
-					mHedged.Inc()
-					traceEvent(&spec, 0, "hedge", "")
-					release(replyCh)
-				}
-				continue
-			}
-			mMuxTimeouts.Inc()
-			return fmt.Errorf("%w: %s", ErrRoundTimeout, spec.Label)
+			timer.Reset(wait)
 		case <-m.done:
 			return errClientClosed
 		}
-	}
-}
-
-// traceEvent posts a round-level event to whoever is tracing this round:
-// the spec's own trace when present, otherwise every traced sub-round (a
-// combiner-merged frame where only some originating flushes are traced).
-func traceEvent(spec *proto.RoundSpec, sid int, kind, note string) {
-	if spec.Trace != nil {
-		spec.Trace.Event(sid, kind, note)
-		return
-	}
-	for i := range spec.Subs {
-		spec.Subs[i].Trace.Event(sid, kind, note)
-	}
-}
-
-// mutates reports whether the round's request to object sid changes state.
-func mutates(spec *proto.RoundSpec, sid int) bool {
-	if len(spec.Subs) == 0 {
-		return server.Mutates(spec.Req(sid))
-	}
-	for i := range spec.Subs {
-		if server.Mutates(spec.Subs[i].Req(sid)) {
-			return true
-		}
-	}
-	return false
-}
-
-// minHedge floors a deferring round's hedge delay (a loopback round takes
-// ~0.1 ms; its tail, several).
-const minHedge = time.Millisecond
-
-// traceSubReplies reports, per traced sub-round, whether object sid's
-// batched reply actually carried that register's sub-bundle — the exact
-// information a sub-bundle-dropping daemon hides from the accumulator.
-func traceSubReplies(spec *proto.RoundSpec, r muxReply) {
-	for i := range spec.Subs {
-		rt := spec.Subs[i].Trace
-		if rt == nil {
-			continue
-		}
-		found := false
-		for _, sub := range r.subs {
-			if sub.Reg == spec.Subs[i].Reg {
-				found = true
-				break
-			}
-		}
-		if found {
-			rt.Event(r.sid, "reply", "sub present")
-		} else {
-			rt.Event(r.sid, "reply", "SUB MISSING")
-		}
-	}
-	if spec.Trace != nil {
-		spec.Trace.Event(r.sid, "reply", fmt.Sprintf("%d/%d subs", len(r.subs), len(spec.Subs)))
 	}
 }
 

@@ -1,0 +1,353 @@
+// One communication round as a state machine: everything a round decides,
+// nothing that moves a byte or waits. In: a reply (or a link failure) from an
+// object, the firing of its one timer. Out: requests to post, the delay to
+// arm the timer for, the round's end. Two drivers: Mux.round in real time,
+// and the simulator (internal/sim), whose adversary owns the schedule.
+package tcpnet
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"robustatomic/internal/config"
+	"robustatomic/internal/proto"
+	"robustatomic/internal/server"
+	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
+)
+
+// Process is what the rounds of one client process share. A Mux is one
+// process; the simulator keeps one per client identity.
+type Process struct {
+	n      int // slot count, immutable (the fixed-S rule)
+	nextID atomic.Uint64
+	epoch  atomic.Uint64 // configuration epoch stamped on requests
+	susp   *scoreboard   // which slots' requests rounds defer (suspicion.go)
+	srtt   atomic.Int64  // smoothed latency (ns) of deferring rounds
+}
+
+// NewProcess returns the round state of a client process facing n objects.
+func NewProcess(n int) *Process {
+	p := &Process{n: n, susp: newScoreboard(n)}
+	p.epoch.Store(1) // the bootstrap configuration (see internal/config)
+	return p
+}
+
+// NumServers returns S, the number of storage objects (epoch-invariant).
+func (p *Process) NumServers() int { return p.n }
+
+// Epoch returns the configuration epoch the process stamps on requests.
+func (p *Process) Epoch() uint64 { return p.epoch.Load() }
+
+// minHedge floors a deferring round's hedge delay (a loopback round takes
+// ~0.1 ms; its tail, several).
+const minHedge = time.Millisecond
+
+// Post is a round's way out, passed by the driver with every input: it hands
+// req to object sid, awaited (the driver will feed the round that request's
+// resolution) or fire-and-forget. An error means the object is unreachable,
+// which counts as faulty.
+type Post func(sid int, req wire.Request, awaited bool) error
+
+// Round is one in-flight round. Begin it, then feed it every resolution and
+// every firing of its timer until one of them ends it. Not safe for
+// concurrent use; a driver abandons it by dropping it.
+type Round struct {
+	p    *Process
+	spec proto.RoundSpec
+	tmpl wire.Request // From, Epoch and (bare form) Reg of every request
+	seq  int
+	// traced is set when anyone wants per-object events: the round's own
+	// trace, or a merged sub-round's (the Combiner threads each originating
+	// flush's trace through its SubRound, so a traced flush keeps its events
+	// even when its round rode inside another leader's batch).
+	traced bool
+	held   uint64 // slots whose requests are still deferred (bit sid)
+	// A deferring round first waits out the hedge delay only — four smoothed
+	// latencies of such rounds, within [minHedge, timeout/2] — so that a
+	// silent-but-connected object cannot turn a wrong suspicion into a
+	// RoundTimeout. wait is what the armed timer measures: that delay, then
+	// the deadline.
+	timeout, wait time.Duration
+	begun         time.Time // set while the round's latency may feed srtt
+	outstanding   int       // awaited requests not yet resolved
+	lost          int
+	// Wrong-epoch refusals: a refusing object contributes nothing to the
+	// accumulator, so they are tracked apart. More than t of them prove at
+	// least one CORRECT object holds a newer configuration — the round fails
+	// at once with the typed redirect instead of burning the deadline.
+	wrongEpoch int
+	weErr      *WrongEpochError // allocated by the first refusal
+}
+
+// Begin starts r as a round of p, sent as from against register instance reg
+// (a batched spec addresses the instances its Subs name): one request per
+// object. The requests carry seq, or — seq 0, a transport that matches replies
+// by id — something request-unique for traces (the automata echo it). Begin
+// returns the delay to arm the round's timer for; timeout ≤ 0 means 5 s.
+func (r *Round) Begin(p *Process, from types.ProcID, reg, seq int, timeout time.Duration, spec *proto.RoundSpec, post Post) (time.Duration, error) {
+	*r = Round{p: p, spec: *spec, seq: seq, traced: spec.Trace != nil}
+	r.tmpl = wire.Request{From: from, Epoch: p.epoch.Load()}
+	if len(spec.Subs) == 0 {
+		r.tmpl.Reg = reg
+		// Config-plane rounds (the config register itself) carry the epoch-0
+		// wildcard: the config must stay read/writable ACROSS an epoch change,
+		// or a client refused for staleness could never learn the new one.
+		if reg == config.Reg {
+			r.tmpl.Epoch = 0
+		}
+	} else {
+		mMuxBatchSubs.Record(int64(len(spec.Subs)))
+		for i := range spec.Subs {
+			if spec.Subs[i].Trace != nil {
+				r.traced = true
+			}
+		}
+	}
+	// Suspicion-ordered sends (suspicion.go): the requests of the held slots
+	// — at most t persistent dissenters, almost always none — wait until the
+	// round is Done (only a request that mutates is still owed then, so every
+	// object receives every write, and per-link FIFO keeps its PREWRITE before
+	// its WRITE), until nothing awaited can complete the round, or until the
+	// hedge delay passes. Which S−t objects answer a round was never an
+	// assumption, so this is timing, not protocol; with nobody held, the loop
+	// below is the whole send phase.
+	//
+	// The send order rotates with the round number, so that no object is
+	// always asked (and, on the in-memory link, always heard) last: there the
+	// replies arrive in send order and the round stops at Done, which would
+	// otherwise leave object S out of every quorum.
+	held, probe, first := p.susp.plan()
+	r.held = held
+	reachable := true
+	for i := 0; i < p.n; i++ {
+		sid := (first+i)%p.n + 1
+		if held&(1<<uint(sid)) != 0 {
+			traceEvent(spec, sid, "defer", "")
+		} else if !r.send(sid, post, true) {
+			reachable = false
+		}
+	}
+	if !reachable {
+		r.release(post, true) // an unsuspected object is down: defer nobody
+	}
+	if r.outstanding == 0 {
+		return 0, fmt.Errorf("%w: %s: no object reachable", ErrConnLost, spec.Label)
+	}
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	r.timeout, r.wait = timeout, timeout
+	if r.held != 0 {
+		mDeferred.Inc()
+		r.begun = time.Now()
+		r.wait = min(max(4*time.Duration(p.srtt.Load()), minHedge), timeout/2)
+	} else if probe {
+		mProbes.Inc()
+		traceEvent(spec, 0, "probe", "")
+	}
+	return r.wait, nil
+}
+
+// send builds the round's request to object sid and posts it.
+func (r *Round) send(sid int, post Post, awaited bool) bool {
+	spec, req := &r.spec, r.tmpl
+	req.ID = r.p.nextID.Add(1)
+	seq := r.seq
+	if seq == 0 {
+		seq = int(req.ID & (1<<30 - 1))
+	}
+	if len(spec.Subs) > 0 {
+		req.Subs = make([]wire.SubReq, len(spec.Subs))
+		for i := range spec.Subs {
+			msg := spec.Subs[i].Req(sid)
+			msg.Seq = seq
+			req.Subs[i] = wire.SubReq{Reg: spec.Subs[i].Reg, Msg: msg}
+		}
+	} else {
+		req.Msg = spec.Req(sid)
+		req.Msg.Seq = seq
+	}
+	if err := post(sid, req, awaited); err != nil {
+		if r.traced {
+			traceEvent(spec, sid, "skip", err.Error())
+		}
+		return false
+	}
+	if r.traced {
+		traceEvent(spec, sid, "send", "")
+	}
+	if awaited {
+		r.outstanding++
+	}
+	return true
+}
+
+// release posts the deferred requests: awaited, or — the round is over —
+// fire-and-forget, and then only those that change the object's state.
+func (r *Round) release(post Post, awaited bool) {
+	for sid := 1; r.held != 0 && sid <= r.p.n; sid++ {
+		if r.held&(1<<uint(sid)) != 0 && (awaited || mutates(&r.spec, sid)) {
+			r.send(sid, post, awaited)
+		}
+	}
+	r.held = 0
+}
+
+// Hedging reports whether the timer measures the hedge delay (firing it
+// releases what the round deferred) and not yet the deadline.
+func (r *Round) Hedging() bool { return r.wait < r.timeout }
+
+// TimerFired feeds the round the firing of its timer: the hedge delay — the
+// deferred requests go out, re-arm the timer for the returned rest of the
+// deadline — or the deadline, which ends the round with ErrRoundTimeout.
+func (r *Round) TimerFired(post Post) (time.Duration, error) {
+	if !r.Hedging() {
+		mMuxTimeouts.Inc()
+		return 0, fmt.Errorf("%w: %s", ErrRoundTimeout, r.spec.Label)
+	}
+	rest := r.timeout - r.wait
+	// A round that waited out the hedge delay must not feed it, or a run of
+	// them would grow it by 3/8 a round.
+	r.wait, r.begun = r.timeout, time.Time{}
+	if r.held != 0 {
+		mHedged.Inc()
+		traceEvent(&r.spec, 0, "hedge", "")
+		r.release(post, true)
+	}
+	return rest, nil
+}
+
+// Resolve feeds the round the resolution of one awaited request: object
+// sid's reply (msg, or subs for a batch), or the link's failure (errNoReply
+// where it could tell that no reply will come). done reports the round over:
+// complete (a nil error) or failed.
+func (r *Round) Resolve(sid int, msg types.Message, subs []wire.SubReq, err error, post Post) (done bool, _ error) {
+	spec, n := &r.spec, r.p.n
+	r.outstanding--
+	if err == errNoReply {
+		traceEvent(spec, sid, "lost", "")
+	} else if err != nil {
+		if r.traced {
+			traceEvent(spec, sid, "lost", err.Error())
+		}
+		r.lost++
+	} else if msg.Kind == types.MsgWrongEpoch {
+		if r.traced {
+			traceEvent(spec, sid, "reply", fmt.Sprintf("WRONG_EPOCH(%d)", msg.Pair.TS.Seq))
+		}
+		r.wrongEpoch++
+		if r.weErr == nil {
+			r.weErr = &WrongEpochError{Label: spec.Label}
+		}
+		// The reported epoch rides in Seq, a Byzantine-controlled int64: a
+		// negative value would convert to an astronomical uint64 and
+		// permanently defeat the refetcher's already-adopted short-circuit,
+		// so ignore it. (Genuine epochs start at 1.)
+		if s := msg.Pair.TS.Seq; s > 0 {
+			if e := uint64(s); e > r.weErr.Epoch {
+				r.weErr.Epoch = e
+			}
+		}
+		if !msg.Pair.Val.IsBottom() {
+			r.weErr.Hints = append(r.weErr.Hints, msg.Pair.Val)
+		}
+		if r.wrongEpoch > (n-1)/3 {
+			return true, r.weErr
+		}
+	} else if len(subs) > 0 {
+		if r.traced {
+			traceSubReplies(spec, sid, subs)
+		}
+		for _, sub := range subs {
+			spec.AddSub(sid, sub.Reg, sub.Msg)
+		}
+	} else {
+		if spec.Trace != nil {
+			spec.Trace.Event(sid, "reply", msg.TraceNote())
+		}
+		spec.Acc.Add(sid, msg)
+	}
+	if err == nil && spec.Done() {
+		r.release(post, false)
+		r.p.susp.observe(spec.Verdict())
+		if !r.begun.IsZero() { // gain 1/8; a racing round's lost update is tolerable
+			r.p.srtt.Add((int64(time.Since(r.begun)) - r.p.srtt.Load()) / 8)
+		}
+		return true, nil
+	}
+	if r.outstanding == 0 {
+		r.release(post, true) // nothing awaited can complete the round
+	}
+	if r.outstanding > 0 {
+		return false, nil
+	}
+	// Every awaited request resolved (reply or link failure) and the
+	// accumulators are still unsatisfied: no later delivery can complete this
+	// round. Withheld replies stay outstanding, so this fires only when
+	// nothing more can arrive. Any wrong-epoch refusal in the mix makes the
+	// redirect the actionable diagnosis first (during a partial activation,
+	// fewer than t+1 objects may refuse yet still deny the quorum) — but with
+	// ≤ t refusers the redirect is unproven, so the error carries the
+	// underlying transient failure as Cause: if the refetch finds nothing
+	// newer (a lone Byzantine forgery, or a config not yet certifiable), the
+	// caller degrades to the Cause and its ordinary retry path instead of
+	// hard-failing.
+	cause := fmt.Errorf("%w: %s: all replies in, accumulator unsatisfied", ErrRoundTimeout, spec.Label)
+	if r.lost > 0 {
+		cause = fmt.Errorf("%w: %s: %d of %d requests failed", ErrConnLost, spec.Label, r.lost, n)
+	}
+	if r.wrongEpoch > 0 {
+		r.weErr.Cause = cause
+		return true, r.weErr
+	}
+	if r.lost == 0 {
+		mMuxUnsat.Inc()
+	}
+	return true, cause
+}
+
+// traceEvent posts a round-level event to whoever is tracing this round:
+// the spec's own trace when present, otherwise every traced sub-round (a
+// combiner-merged frame where only some originating flushes are traced).
+func traceEvent(spec *proto.RoundSpec, sid int, kind, note string) {
+	if spec.Trace != nil {
+		spec.Trace.Event(sid, kind, note)
+		return
+	}
+	for i := range spec.Subs {
+		spec.Subs[i].Trace.Event(sid, kind, note)
+	}
+}
+
+// mutates reports whether the round's request to object sid changes state.
+func mutates(spec *proto.RoundSpec, sid int) bool {
+	if len(spec.Subs) == 0 {
+		return server.Mutates(spec.Req(sid))
+	}
+	for i := range spec.Subs {
+		if server.Mutates(spec.Subs[i].Req(sid)) {
+			return true
+		}
+	}
+	return false
+}
+
+// traceSubReplies reports, per traced sub-round, whether object sid's
+// batched reply actually carried that register's sub-bundle — the exact
+// information a sub-bundle-dropping daemon hides from the accumulator.
+func traceSubReplies(spec *proto.RoundSpec, sid int, subs []wire.SubReq) {
+	for i := range spec.Subs {
+		note := "SUB MISSING"
+		for _, sub := range subs {
+			if sub.Reg == spec.Subs[i].Reg {
+				note = "sub present"
+			}
+		}
+		spec.Subs[i].Trace.Event(sid, "reply", note)
+	}
+	if spec.Trace != nil {
+		spec.Trace.Event(sid, "reply", fmt.Sprintf("%d/%d subs", len(subs), len(spec.Subs)))
+	}
+}

@@ -27,7 +27,7 @@ type Mode string
 
 // Modes.
 const (
-	// ModeLive tortures the in-process runtime (goroutines + channels, seeded
+	// ModeLive tortures the in-process cluster (the in-memory link, seeded
 	// message delays). Kill/restart map to partition/heal — a live object has
 	// no disk, so cutting it off and reconnecting it IS a crash with
 	// preserved state.
