@@ -76,8 +76,9 @@ integration:
 	./scripts/integration.sh
 
 # torture-short is the CI-bounded deterministic torture drill under -race:
-# three fixed-seed fault schedules (partition+heal in process, Byzantine mix
-# in process, kill-9+restart+repair over real TCP daemons) at reduced scale,
+# fixed-seed fault schedules (partition+heal and Byzantine mix on the
+# simulator, Byzantine mix, kill-9+restart+repair and membership churn over
+# real TCP daemons) at reduced scale,
 # every per-key history decided by the atomicity checker (each run logs its
 # read path mix) — then the regressions that only repetition keeps
 # honest: the repair drill (a repaired object holds every register, 200
@@ -89,7 +90,10 @@ integration:
 # then the same safety matrix over real sockets with nobody, the Byzantine
 # object or a correct object deferred, for every k, and the protocol points
 # scripted on the simulator (a batched round, suspect deferred + hedge fired,
-# wrong epoch, crash with a disk), 20 times. ~5 minutes.
+# wrong epoch, crash with a disk), 20 times, and on the simulator under the
+# whole Store: a seed replays its execution (event trace and histories) and
+# the scripted Store points (flush rebased, ack lost and retried), 20 seeds
+# 20 times. ~6 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
@@ -98,10 +102,13 @@ torture-short:
 	$(GO) test -race -short -run 'TestSuspicionOrderedRounds|TestHonestRacingFlushesDeferNobody' -count=20 -timeout 900s .
 	$(GO) test -race -run TestDeferralSafetyMatrix -count=3 -timeout 600s ./internal/tcpnet/ -args -tcpnet.fullmatrix
 	$(GO) test -race -run TestScripted -count=20 -timeout 600s ./internal/sim/
+	$(GO) test -race -short -run 'TestSeedReplaysExecution|TestScriptedStore' -count=20 -timeout 900s ./internal/torture/
 
-# torture is the full-scale drill: three seeded schedules over 224
-# simulated clients each (partition+heal live, kill-9+restart+repair tcp,
-# Byzantine mix tcp). A failure prints the seed and a one-line replay
-# command that reproduces the identical event schedule.
+# torture is the full-scale drill: seeded schedules over 224 simulated
+# clients each (partition+heal live, kill-9+restart+repair tcp, Byzantine mix
+# tcp and live, membership churn tcp), then 5,000 seeds each replaying its
+# execution on the simulator. A failure prints the seed and a one-line replay
+# command that reproduces the identical event schedule — live, the identical
+# execution.
 torture:
-	$(GO) test -run TestTortureFull -v -timeout 1800s ./internal/torture/ -args -torture.full
+	$(GO) test -run 'TestTortureFull|TestSeedReplaysExecution' -v -timeout 1800s ./internal/torture/ -args -torture.full

@@ -4,14 +4,19 @@ import (
 	"flag"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"robustatomic/internal/obs"
+	"robustatomic/internal/sim"
 )
 
 // chaosSeedFlag replays a chaos-enabled test under the exact fault streams
-// of a logged failure: every such test routes its base seed through
-// chaosSeedFor, so one flag pins the whole run.
+// of a logged failure — and, on the scheduled cluster, the exact
+// interleaving: every such test routes its base seed through chaosSeedFor, so
+// one flag pins the whole run.
 var chaosSeedFlag = flag.Int64("chaos.seed", 0, "override the base seed of chaos-enabled tests (replay a logged failure)")
 
 // chaosSeedFor returns the chaos-enabled test's base seed — def unless
@@ -59,4 +64,84 @@ func chaosTracer(t *testing.T) *obs.Tracer {
 		t.Logf("failed-op round traces (dump-on-failure):\n%s", tr.FormatFailed())
 	})
 	return tr
+}
+
+// eachChaosCluster runs a chaos test's body over both in-process clusters:
+// "inline", whose clients run in parallel over the in-memory link (the
+// interleaving is the Go scheduler's, and the race detector watches it), and
+// "scheduled", the same stack on the simulator — seeded message latencies, one
+// client running at a time, so opts.Seed replays the interleaving too. run
+// runs the given client bodies concurrently, to completion.
+func eachChaosCluster(t *testing.T, opts Options, body func(t *testing.T, c *Cluster, run func(clients ...func()))) {
+	t.Run("inline", func(t *testing.T) {
+		c, err := NewCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		body(t, c, func(clients ...func()) {
+			var wg sync.WaitGroup
+			for _, f := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					f()
+				}()
+			}
+			wg.Wait()
+		})
+	})
+	t.Run("scheduled", func(t *testing.T) {
+		s := sim.New(sim.Config{Servers: 3*max(opts.Faults, 1) + 1})
+		defer s.Close()
+		s.Seed(opts.Seed)
+		s.SetLatency(0, 200*time.Microsecond)
+		c, err := NewSimCluster(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		body(t, c, func(clients ...func()) {
+			for _, f := range clients {
+				s.Go(f)
+			}
+			if err := s.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+}
+
+// TestStoreRoundCountsAgreeAcrossLinks: the Store that runs on the simulator
+// is the shipped one — over the scheduled link as over the inline one, an
+// uncontended Put costs 3 rounds and a stable Get 1.
+func TestStoreRoundCountsAgreeAcrossLinks(t *testing.T) {
+	var rounds atomic.Int64
+	opts := Options{Faults: 1, Readers: 2, Seed: 5, RoundHook: func(string) { rounds.Add(1) }}
+	eachChaosCluster(t, opts, func(t *testing.T, c *Cluster, run func(...func())) {
+		st, err := c.NewStore(StoreOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(ops ...func() error) int64 {
+			before := rounds.Load()
+			run(func() {
+				for _, op := range ops {
+					if err := op(); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			return rounds.Load() - before
+		}
+		put := func(v string) func() error { return func() error { return st.Put("k", v) } }
+		get := func() error { _, err := st.Get("k"); return err }
+		count(put("v0"), get) // shard recovery; a handle's first read runs both query rounds
+		if n := count(put("v1")); n != 3 {
+			t.Errorf("uncontended Put: %d rounds, want 3", n)
+		}
+		if n := count(get); n != 1 {
+			t.Errorf("stable Get: %d rounds, want 1", n)
+		}
+	})
 }

@@ -14,17 +14,15 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"robustatomic"
 )
 
 func main() {
 	cluster, err := robustatomic.NewCluster(robustatomic.Options{
-		Faults:   1,
-		Readers:  2,
-		Seed:     7,
-		MaxDelay: 200 * time.Microsecond,
+		Faults:  1,
+		Readers: 2,
+		Seed:    7,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"log"
 	"math/rand"
 	"sync"
-	"time"
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
@@ -28,19 +27,10 @@ func main() {
 	}
 	fmt.Printf("fault-injection torture: S=%d objects, t=%d Byzantine, 3 readers, 6 writes\n", s, t)
 
-	// The objects, in this process, behind a transport that delays every
-	// message by a seeded random amount.
+	// The objects, in this process: the clients below reach them in parallel.
 	hosts := server.NewHosts(s)
-	mux := tcpnet.NewMemMux(hosts, 99, 300*time.Microsecond)
+	mux := tcpnet.NewMemMux(hosts)
 	defer mux.Close()
-
-	// Two objects turn Byzantine mid-run with different attacks.
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		hosts[0].SetBehavior(server.Garbage{Level: 1 << 40, Val: "forged-by-s1"})
-		hosts[1].SetBehavior(&server.ReplayOnly{Rand: rand.New(rand.NewSource(5))})
-		fmt.Println("  [s1 → garbage forger, s2 → replay attacker]")
-	}()
 
 	h := &checker.History{}
 	var wg sync.WaitGroup
@@ -49,6 +39,11 @@ func main() {
 		defer wg.Done()
 		w := core.NewWriter(mux.Client(types.Writer, 0), th)
 		for i := 1; i <= 6; i++ {
+			if i == 3 { // two objects turn Byzantine mid-run, with different attacks
+				hosts[0].SetBehavior(server.Garbage{Level: 1 << 40, Val: "forged-by-s1"})
+				hosts[1].SetBehavior(&server.ReplayOnly{Rand: rand.New(rand.NewSource(5))})
+				fmt.Println("  [s1 → garbage forger, s2 → replay attacker]")
+			}
 			v := types.Value(fmt.Sprintf("v%d", i))
 			id := h.Invoke(types.Writer, checker.OpWrite, v)
 			if err := w.Write(v); err != nil {

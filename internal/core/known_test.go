@@ -23,7 +23,7 @@ var (
 // bundle is reused, and the read's result is unchanged.
 func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 	thr := th(t, 4, 1)
-	lc := tcpnet.NewMemMux(server.NewHosts(4), 0, 0)
+	lc := tcpnet.NewMemMux(server.NewHosts(4))
 	defer lc.Close()
 	if err := NewWriter(lc.Client(types.Writer, 0), thr).Write("a"); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestAtomicDespiteFalseElide(t *testing.T) {
 // rebase that finds nothing to rebase onto moves no value.
 func TestCertifiedReadOffersWritersPair(t *testing.T) {
 	thr := th(t, 4, 1)
-	lc := tcpnet.NewMemMux(server.NewHosts(4), 0, 0)
+	lc := tcpnet.NewMemMux(server.NewHosts(4))
 	defer lc.Close()
 	w := NewWriter(lc.Client(types.Writer, 0), thr)
 	modify := func(v types.Value) types.Pair {

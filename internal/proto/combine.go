@@ -43,6 +43,10 @@ func NewCombiner(inner Rounder) *Combiner {
 	return &Combiner{inner: inner, group: shard.Group[SubRound, struct{}]{Admit: regFree}}
 }
 
+// SetWait installs the group's Wait hook (shard.Group.Wait; nil in
+// production). Call it before the first round.
+func (c *Combiner) SetWait(wait func(done, lead <-chan struct{})) { c.group.Wait = wait }
+
 // regFree reports whether batch holds no sub-round for sub's instance.
 func regFree(batch []SubRound, sub SubRound) bool {
 	for i := range batch {

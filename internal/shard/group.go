@@ -27,6 +27,11 @@ type Group[J, R any] struct {
 	// and pending batches run in the order they were opened. Set it before
 	// the first Do.
 	Admit func(batch []J, job J) bool
+	// Wait, when non-nil, is called by a follower about to block and returns
+	// once done is closed or lead holds the token: the one place Do blocks,
+	// handed to a scheduler that runs one goroutine at a time (internal/sim).
+	// Nil in production.
+	Wait func(done, lead <-chan struct{})
 
 	mu      sync.Mutex
 	running bool                // a leader is between detaching its batch and handing off
@@ -52,6 +57,9 @@ func (g *Group[J, R]) Do(job J, run func([]J) (R, error)) (res R, led bool, err 
 		// A leader is running. Wait for our batch's result — unless the
 		// leader hands this batch off, making us the next leader.
 		g.mu.Unlock()
+		if g.Wait != nil {
+			g.Wait(b.done, b.lead)
+		}
 		select {
 		case <-b.done:
 			return b.res, false, b.err

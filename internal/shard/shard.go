@@ -13,7 +13,7 @@ package shard
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Router maps keys onto shard indices 0..N-1 with FNV-1a hashing. The zero
@@ -54,45 +54,56 @@ func (r Router) Locate(key string) int {
 }
 
 // Lazy is a fixed-size table of per-shard values built on first use. Each
-// slot locks independently, so building one shard (which may involve a slow
-// network recovery read) never stalls operations on other shards. A slot
-// whose build fails stays empty and is retried on the next Get, so a
-// transient failure (e.g. an unreachable cluster during shard recovery) does
-// not poison the shard forever.
+// slot builds independently, so building one shard (which may involve a slow
+// network recovery read) never stalls operations on other shards; concurrent
+// first Gets of one slot wait for a single build the way any batch waits for
+// its leader (Group). A slot whose build fails stays empty and is retried on
+// the next Get, so a transient failure (e.g. an unreachable cluster during
+// shard recovery) does not poison the shard forever.
 type Lazy[T any] struct {
 	build func(int) (T, error)
 	slots []lazySlot[T]
 }
 
 type lazySlot[T any] struct {
-	mu    sync.Mutex
-	built bool
-	val   T
+	building Group[struct{}, struct{}] // one build at a time
+	built    atomic.Bool
+	val      T // written before built is set
 }
 
 // NewLazy returns a table of n slots built by build (called at most once per
-// slot per success).
-func NewLazy[T any](n int, build func(int) (T, error)) *Lazy[T] {
-	return &Lazy[T]{build: build, slots: make([]lazySlot[T], n)}
+// slot per success). wait is the slots' Group.Wait (nil in production).
+func NewLazy[T any](n int, build func(int) (T, error), wait func(done, lead <-chan struct{})) *Lazy[T] {
+	l := &Lazy[T]{build: build, slots: make([]lazySlot[T], n)}
+	for i := range l.slots {
+		l.slots[i].building.Wait = wait
+	}
+	return l
 }
 
 // Get returns slot i, building it on first touch. Concurrent Gets of the
 // same slot observe a single build; Gets of different slots never contend.
 func (l *Lazy[T]) Get(i int) (T, error) {
+	var zero T
 	if i < 0 || i >= len(l.slots) {
-		var zero T
 		return zero, fmt.Errorf("shard: slot %d out of 0..%d", i, len(l.slots)-1)
 	}
 	s := &l.slots[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.built {
-		v, err := l.build(i)
+	if !s.built.Load() {
+		_, _, err := s.building.Do(struct{}{}, func([]struct{}) (struct{}, error) {
+			if s.built.Load() {
+				return struct{}{}, nil
+			}
+			v, err := l.build(i)
+			if err == nil {
+				s.val = v
+				s.built.Store(true)
+			}
+			return struct{}{}, err
+		})
 		if err != nil {
-			var zero T
 			return zero, err
 		}
-		s.built, s.val = true, v
 	}
 	return s.val, nil
 }
@@ -101,12 +112,9 @@ func (l *Lazy[T]) Get(i int) (T, error) {
 func (l *Lazy[T]) Built() []T {
 	var out []T
 	for i := range l.slots {
-		s := &l.slots[i]
-		s.mu.Lock()
-		if s.built {
+		if s := &l.slots[i]; s.built.Load() {
 			out = append(out, s.val)
 		}
-		s.mu.Unlock()
 	}
 	return out
 }

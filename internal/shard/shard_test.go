@@ -45,7 +45,7 @@ func TestLazySingleBuildUnderConcurrency(t *testing.T) {
 	l := NewLazy(4, func(i int) (int, error) {
 		atomic.AddInt32(&builds, 1)
 		return i * 10, nil
-	})
+	}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -79,7 +79,7 @@ func TestLazyRetriesFailedBuild(t *testing.T) {
 			return "", errors.New("transient")
 		}
 		return "ok", nil
-	})
+	}, nil)
 	if _, err := l.Get(0); err == nil {
 		t.Fatal("first build should fail")
 	}

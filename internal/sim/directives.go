@@ -1,90 +1,50 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"time"
 
-	"robustatomic/internal/tcpnet"
+	"robustatomic/internal/wire"
 )
 
 // DeliverRequests delivers every queued (undelivered) request from op to the
 // given objects, oldest first, honoring the model's FIFO rule: an object
 // processes a pending earlier-round invocation before a later one.
-func (s *Sim) DeliverRequests(op *Op, sids ...int) {
-	for _, sid := range sids {
-		for len(op.pendingReq[sid]) > 0 {
-			s.deliverRequest(op, sid)
-		}
-	}
-}
-
-// deliverRequest delivers op's oldest queued request to object sid, which
-// processes it at once — one Host.Serve step — and whose reply (if any:
-// Byzantine objects may withhold) enters the reply transit queue.
-func (s *Sim) deliverRequest(op *Op, sid int) {
-	tm := op.pendingReq[sid][0]
-	op.pendingReq[sid] = op.pendingReq[sid][1:]
-	s.trace(TraceEvent{Op: op.Label, Round: tm.seq, Server: sid, Byz: s.byz[sid-1], Late: op.cur == nil || tm.seq != op.cur.seq})
-	// (A duplicate would be dropped at the link; delay is the adversary's.)
-	if rsp, send, _, _ := s.hosts[sid-1].Serve(tm.req); send {
-		op.pendingRep[sid] = append(op.pendingRep[sid], transit{seq: tm.seq, rsp: rsp})
-	}
-}
+func (s *Sim) DeliverRequests(op *Op, sids ...int) { s.deliverAll(op, 0, sids) }
 
 // DeliverReplies delivers every in-transit reply from the given objects to
-// op, oldest first.
-func (s *Sim) DeliverReplies(op *Op, sids ...int) {
+// op, oldest first. After each, the client runs: a reply that ends the round
+// resumes it until it posts its next round or completes, and the replies
+// behind it are late — a round integrates no reply past the one that
+// completes it.
+func (s *Sim) DeliverReplies(op *Op, sids ...int) { s.deliverAll(op, 1, sids) }
+
+func (s *Sim) deliverAll(op *Op, dir int, sids []int) {
 	for _, sid := range sids {
-		for len(op.pendingRep[sid]) > 0 {
-			s.deliverReply(op, sid)
+		for ln := op.port.lanes[sid-1]; len(ln.q[dir]) > 0; {
+			s.deliver(ln, dir)
+			s.settle()
 		}
 	}
 }
 
-// deliverReply delivers the oldest in-transit reply from object sid to op. A
-// reply for the current round feeds its state machine; replies from
-// already-terminated rounds are received and ignored (the model's "late
-// replies"). If the reply ends the round, the client resumes (running until
-// it posts its next round or completes) — unless every reply is in and the
-// round unsatisfied, where the engine spares real time the wait for a deadline
-// that must fail: the client stays parked on a round only FireTimer can end,
-// which is what RunOp, RunConcurrent and CheckLiveness report.
-func (s *Sim) deliverReply(op *Op, sid int) {
-	tm := op.pendingRep[sid][0]
-	op.pendingRep[sid] = op.pendingRep[sid][1:]
-	op.observed = append(op.observed, Observed{Server: sid, Seq: tm.seq, Msg: tm.rsp.Msg})
-	if op.cur == nil || tm.seq != op.cur.seq {
-		return // late
-	}
-	done, err := op.cur.rd.Resolve(sid, tm.rsp.Msg, tm.rsp.Subs, nil, op.post)
-	if errors.Is(err, tcpnet.ErrRoundTimeout) {
-		op.cur.stalled = err
-	} else if done {
-		s.resume(op, err)
-	}
-}
-
-// FireTimer fires the timer of op's in-flight round: first its hedge delay,
-// if the round deferred anyone (their requests enter transit), then its
-// deadline, which fails the round with tcpnet.ErrRoundTimeout.
+// FireTimer takes the virtual clock to the instant op's timer fires: first
+// the hedge delay of its in-flight round, if the round deferred anyone (their
+// requests enter transit), then its deadline, which fails the round with
+// tcpnet.ErrRoundTimeout.
 func (s *Sim) FireTimer(op *Op) {
-	if op.cur == nil {
-		return
-	}
-	err := op.cur.stalled
-	if err == nil {
-		_, err = op.cur.rd.TimerFired(op.post)
-	}
-	if err != nil {
-		s.resume(op, err)
+	if t := op.task; !t.done && t.until >= 0 {
+		s.now = max(s.now, t.until)
+		s.settle()
 	}
 }
 
 // hedge advances virtual time for an op nothing deliverable can move, if its
 // round waits on a hedge delay. False: only the round's deadline is left.
 func (s *Sim) hedge(op *Op) bool {
-	if op.cur == nil || op.cur.stalled != nil || !op.cur.rd.Hedging() {
+	if t := op.task; t.done || t.until < 0 || t.until >= op.deadline {
 		return false
 	}
 	s.FireTimer(op)
@@ -100,17 +60,13 @@ func (s *Sim) Step(op *Op, sids ...int) {
 // StepAll delivers requests and replies for op at every object.
 func (s *Sim) StepAll(op *Op) { s.Step(op, s.all...) }
 
-// Crash crashes the client executing op: if a round is pending it fails with
-// ErrCrashed and the operation is marked done. Its invocation stays pending
-// in the history (a crashed client's operation never responds).
+// Crash crashes the client executing op: a pending round fails with
+// ErrCrashed, so does every round it may still try, and the operation ends.
+// Its invocation stays pending in the history (a crashed client's operation
+// never responds).
 func (s *Sim) Crash(op *Op) {
-	if op.done {
-		return
-	}
-	// The client may ignore ErrCrashed and try more rounds: Round fails them
-	// without a rendezvous, so its next action is the operation's end.
 	op.crashed = true
-	s.resume(op, ErrCrashed)
+	s.settle()
 }
 
 // LivenessError reports a wait-freedom violation: a round that cannot
@@ -126,6 +82,8 @@ func (e *LivenessError) Error() string {
 	return fmt.Sprintf("sim: wait-freedom violated: op %s round %q (#%d) cannot terminate on all correct replies", e.Op, e.Round, e.Seq)
 }
 
+func (op *Op) stuck() error { return &LivenessError{Op: op.Label, Round: op.label, Seq: op.seq} }
+
 // CheckLiveness delivers all requests and replies from every correct
 // (non-Byzantine) object, across a hedge delay if one is pending, and fails
 // if the current round still cannot terminate — the situation the paper's
@@ -133,22 +91,19 @@ func (e *LivenessError) Error() string {
 // faulty in some indistinguishable run, and here all potentially-correct
 // replies are in.
 func (s *Sim) CheckLiveness(op *Op) error {
-	if op.done || op.cur == nil {
-		return nil
-	}
 	var correct []int
 	for i, byz := range s.byz {
 		if !byz {
 			correct = append(correct, i+1)
 		}
 	}
-	entry := op.cur
+	entry := op.seq
 	s.Step(op, correct...)
-	if op.cur == entry && s.hedge(op) {
+	if !op.done && op.seq == entry && s.hedge(op) {
 		s.Step(op, correct...)
 	}
-	if op.cur == entry {
-		return &LivenessError{Op: op.Label, Round: entry.spec.Label, Seq: entry.seq}
+	if !op.done && op.seq == entry {
+		return op.stuck()
 	}
 	return nil
 }
@@ -159,15 +114,24 @@ func (s *Sim) CheckLiveness(op *Op) error {
 // terminate even with every object's reply).
 func (s *Sim) RunOp(op *Op) error {
 	for !op.done {
-		cur := op.cur
+		cur := op.seq
 		s.StepAll(op)
-		if op.cur == cur && !s.hedge(op) {
+		if !op.done && op.seq == cur && !s.hedge(op) {
 			// Everything deliverable was delivered, nothing is deferred, and
 			// the round is where it was: only its deadline is left.
-			return &LivenessError{Op: op.Label, Round: cur.spec.Label, Seq: cur.seq}
+			return op.stuck()
 		}
 	}
 	return nil
+}
+
+// action is one thing a schedule can let happen next: a client goroutine
+// runs until it parks again, or the oldest message of a lane's direction is
+// delivered.
+type action struct {
+	t   *task
+	ln  *lane
+	dir int
 }
 
 // RunConcurrent drives the given operations to completion under a seeded
@@ -177,13 +141,9 @@ func (s *Sim) RunOp(op *Op) error {
 // pending operations stop making progress.
 func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 	rng := rand.New(rand.NewSource(seed))
-	type event struct {
-		op  *Op
-		sid int
-		req bool
-	}
+	var events []action
 	for {
-		var events []event
+		events = events[:0]
 		var pending *Op // the first, if any
 		for _, op := range ops {
 			if op.done {
@@ -192,12 +152,11 @@ func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 			if pending == nil {
 				pending = op
 			}
-			for sid := 1; sid <= s.NumServers(); sid++ {
-				if len(op.pendingReq[sid]) > 0 {
-					events = append(events, event{op: op, sid: sid, req: true})
-				}
-				if len(op.pendingRep[sid]) > 0 {
-					events = append(events, event{op: op, sid: sid, req: false})
+			for _, ln := range op.port.lanes {
+				for dir := range ln.q {
+					if len(ln.q[dir]) > 0 {
+						events = append(events, action{ln: ln, dir: dir})
+					}
 				}
 			}
 		}
@@ -212,12 +171,86 @@ func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 			if hedged {
 				continue
 			}
-			return &LivenessError{Op: pending.Label, Round: pending.cur.spec.Label, Seq: pending.cur.seq}
+			return pending.stuck()
 		}
-		if ev := events[rng.Intn(len(events))]; ev.req {
-			s.deliverRequest(ev.op, ev.sid)
-		} else {
-			s.deliverReply(ev.op, ev.sid)
+		ev := events[rng.Intn(len(events))]
+		s.deliver(ev.ln, ev.dir)
+		s.settle()
+	}
+}
+
+// Message is a message in transit as Run's script sees it: request Req (From
+// names the client) on its way to object Sid, or (Reply) that object's reply
+// to it on its way back.
+type Message struct {
+	Sid   int
+	Reply bool
+	Req   wire.Request
+}
+
+// Hold puts Run's deliveries under a script (nil: none): a message f holds
+// stays in transit, and so does what is behind it in its lane — how a test
+// names a protocol point, such as a flush held between two of its rounds.
+func (s *Sim) Hold(f func(Message) bool) { s.hold = f }
+
+// enabled lists (into acts) what can happen now, and returns the next
+// instant at which more can (negative: never).
+func (s *Sim) enabled(acts []action) ([]action, time.Duration) {
+	next := time.Duration(-1)
+	later := func(at time.Duration) {
+		if at > s.now && (next < 0 || at < next) {
+			next = at
+		}
+	}
+	for _, t := range s.tasks {
+		if t.runnable() {
+			acts = append(acts, action{t: t})
+		} else if !t.done {
+			later(t.until)
+		}
+	}
+	for _, ln := range s.lanes {
+		for dir, q := range ln.q {
+			if len(q) == 0 || s.hold != nil && s.hold(Message{Sid: ln.sid, Reply: dir == 1, Req: q[0].req}) {
+				continue
+			}
+			if q[0].due <= s.now {
+				acts = append(acts, action{ln: ln, dir: dir})
+			} else {
+				later(q[0].due)
+			}
+		}
+	}
+	return acts, next
+}
+
+// Run lets the client goroutines run under the seeded schedule (Seed) until
+// all of them have ended, or until holds (nil: never): at each step one of
+// the things that can happen now — a goroutine runs until it parks again,
+// the oldest message of a lane is delivered — is chosen at random, and only
+// when nothing can does the virtual clock advance, to the next instant at
+// which something can: a message falls due, a timer fires, a sleeper wakes.
+// It fails if goroutines remain and nothing ever can again.
+func (s *Sim) Run(until func() bool) error {
+	var acts []action
+	for {
+		s.tasks = slices.DeleteFunc(s.tasks, func(t *task) bool { return t.done })
+		if len(s.tasks) == 0 || until != nil && until() {
+			return nil
+		}
+		var next time.Duration
+		switch acts, next = s.enabled(acts[:0]); {
+		case len(acts) == 0 && next < 0:
+			return fmt.Errorf("sim: deadlock at %v: %d client goroutines parked, nothing deliverable, no timer armed", s.now, len(s.tasks))
+		case len(acts) == 0:
+			s.now = next
+		default:
+			if a := acts[s.rng.Intn(len(acts))]; a.t != nil {
+				s.note(a.t.id)
+				s.resume(a.t)
+			} else {
+				s.deliver(a.ln, a.dir)
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"robustatomic/internal/checker"
@@ -90,70 +89,75 @@ func readSpec(label string, acc proto.Accumulator) proto.RoundSpec {
 // TestScriptedBatchedRound: two registers' rounds merged by a proto.Combiner
 // over a sim.Client travel as ONE Subs request per object through
 // Host.Serve, and an object that shuffles its batched reply is still routed
-// by register instance.
+// by register instance. The two rounds park in Group.Do behind a leader the
+// script holds open: they share a batch on the first attempt, every time.
 func TestScriptedBatchedRound(t *testing.T) {
 	const S = 4
 	pairs := map[int]types.Pair{1: pair(1, "one"), 2: pair(2, "two")}
-	// Whether both rounds joined the batch before its leader detached it is
-	// the Go scheduler's business (shard.Group): hold the leader back, yield,
-	// and take the first attempt on which they did.
-	for attempt := 0; attempt < 100; attempt++ {
-		s := New(Config{Servers: S})
-		for reg, p := range pairs { // seed the two register instances
-			for _, h := range s.hosts {
-				h.Serve(wire.Request{From: types.Writer, Reg: reg, Msg: types.Message{Kind: types.MsgWrite, Pair: p}})
-			}
+	s := New(Config{Servers: S})
+	defer s.Close()
+	for reg, p := range pairs { // seed the two register instances
+		for _, h := range s.hosts {
+			h.Serve(wire.Request{From: types.Writer, Reg: reg, Msg: types.Message{Kind: types.MsgWrite, Pair: p}})
 		}
-		s.hosts[0].SetBatchChaos(rand.New(rand.NewSource(1)), 0, true)
-		accs := map[int]*stateAcc{0: {need: 1, w: map[int]types.Pair{}}, 1: {need: S, w: map[int]types.Pair{}}, 2: {need: S, w: map[int]types.Pair{}}}
-		join := make(chan struct{})
-		op := s.Spawn("batch", types.Reader(1), checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
-			comb := proto.NewCombiner(c)
-			errs := make(chan error, len(accs))
-			round := func(reg int) { errs <- comb.Rounder(reg).Round(readSpec(fmt.Sprint("READ", reg), accs[reg])) }
-			go round(0) // leads alone, held open by the script
-			<-join
-			go round(1)
-			go round(2)
-			var err error
-			for range accs {
-				err = errors.Join(err, <-errs)
-			}
-			return types.Bottom, err
-		})
-		close(join)
-		for i := 0; i < 100; i++ {
-			runtime.Gosched()
-		}
-		s.StepAll(op) // the leader's round completes; the batch it held back runs
-		merged := !op.Done() && len(op.cur.spec.Subs) == 2
-		if merged {
-			for sid := 1; sid <= S; sid++ {
-				if q := op.pendingReq[sid]; len(q) != 1 || len(q[0].req.Subs) != 2 {
-					t.Fatalf("object %d: %d requests in transit, want one with two sub-requests: %+v", sid, len(q), q)
-				}
-			}
-		}
-		if err := s.RunOp(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Result(); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if !merged {
-			continue
-		}
-		for reg, want := range pairs {
-			for sid := 1; sid <= S; sid++ {
-				if got := accs[reg].w[sid]; got != want {
-					t.Errorf("register %d, object %d: routed %v, want %v", reg, sid, got, want)
-				}
-			}
-		}
-		return
 	}
-	t.Fatal("the two rounds never shared a batch")
+	s.hosts[0].SetBatchChaos(rand.New(rand.NewSource(1)), 0, true)
+	accs := []*stateAcc{{need: 1, w: map[int]types.Pair{}}, {need: S, w: map[int]types.Pair{}}, {need: S, w: map[int]types.Pair{}}}
+	op := s.Spawn("batch", types.Reader(1), checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
+		comb := proto.NewCombiner(c)
+		comb.SetWait(s.Await)
+		errs, left := make([]error, len(accs)), len(accs)
+		for reg := range accs { // register 0 first: its round leads alone
+			s.Go(func() {
+				errs[reg] = comb.Rounder(reg).Round(readSpec(fmt.Sprint("READ", reg), accs[reg]))
+				left--
+			})
+		}
+		s.Until(func() bool { return left == 0 })
+		return types.Bottom, errors.Join(errs...)
+	})
+	inTransit := func(subs int) {
+		t.Helper()
+		for sid := 1; sid <= S; sid++ {
+			if q := op.port.lanes[sid-1].q[0]; len(q) != 1 || len(q[0].req.Subs) != subs {
+				t.Fatalf("object %d: %d requests in transit, want one with %d sub-requests: %+v", sid, len(q), subs, q)
+			}
+		}
+	}
+	inTransit(1)  // the leader's round; the other two are parked behind it
+	s.StepAll(op) // it completes; the batch it held back runs
+	inTransit(2)
+	if err := s.RunOp(op); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := op.Result(); err != nil {
+		t.Fatal(err)
+	}
+	for reg, want := range pairs {
+		for sid := 1; sid <= S; sid++ {
+			if got := accs[reg].w[sid]; got != want {
+				t.Errorf("register %d, object %d: routed %v, want %v", reg, sid, got, want)
+			}
+		}
+	}
+}
+
+// reads spawns a reader that runs one read round after another — acc holds
+// the current round's accumulator, errs the failed rounds' errors — until the
+// simulation closes.
+func reads(s *Sim, need int) (op *Op, acc **stateAcc, errs *[]error) {
+	acc, errs = new(*stateAcc), new([]error)
+	op = s.Spawn("rd", types.Reader(1), checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
+		for {
+			*acc = &stateAcc{need: need, w: map[int]types.Pair{}}
+			if err := c.Round(readSpec("READ", *acc)); errors.Is(err, ErrCrashed) {
+				return types.Bottom, err
+			} else if err != nil {
+				*errs = append(*errs, err)
+			}
+		}
+	})
+	return op, acc, errs
 }
 
 // TestScriptedSuspectDeferredHedgeFired: a reader that learned a persistent
@@ -168,64 +172,55 @@ func TestScriptedSuspectDeferredHedgeFired(t *testing.T) {
 		h.Serve(wire.Request{From: types.Writer, Msg: types.Message{Kind: types.MsgWrite, Pair: pair(1, "a")}})
 	}
 	s.SetByzantine(liar, server.Garbage{Level: 7, Val: "evil"})
-	reader := types.Reader(1)
-	read := func(label string) (*Op, *stateAcc) {
-		acc := &stateAcc{need: S - 1, w: map[int]types.Pair{}}
-		return s.Spawn(label, reader, checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
-			return types.Bottom, c.Round(readSpec("READ", acc))
-		}), acc
-	}
-	for i := 0; i == 0 || len(s.procs[reader].Suspects()) == 0; i++ {
+	op, acc, errs := reads(s, S-1)
+	for i := 0; len(op.mux.Suspects()) == 0; i++ {
 		if i == 20 {
 			t.Fatal("20 contradicted reads and nobody is suspected")
 		}
-		op, _ := read(fmt.Sprint("learn", i))
-		s.Step(op, 1, 2, 3)
-		if !op.Done() {
-			t.Fatal("learning read did not complete on three replies")
-		}
+		s.Step(op, 1, 2, 3, 4) // the liar is heard within the quorum
 	}
-	if got := s.procs[reader].Suspects(); !reflect.DeepEqual(got, []int{liar}) {
+	if got := op.mux.Suspects(); !reflect.DeepEqual(got, []int{liar}) {
 		t.Fatalf("suspects = %v, want [%d]", got, liar)
 	}
 
-	op, acc := read("deferred")
+	// The round in flight is the first that defers.
 	for sid := 1; sid <= S; sid++ {
 		want := 1
 		if sid == liar {
 			want = 0 // deferred
 		}
-		if len(op.pendingReq[sid]) != want {
-			t.Fatalf("object %d: %d requests in transit, want %d", sid, len(op.pendingReq[sid]), want)
+		if n := len(op.port.lanes[sid-1].q[0]); n != want {
+			t.Fatalf("object %d: %d requests in transit, want %d", sid, n, want)
 		}
 	}
+	deferred, before := *acc, op.Rounds()
 	s.Step(op, 1, 3) // object 4 is correct, and slow
 	s.DeliverRequests(op, 4)
-	if op.Done() {
+	if op.Rounds() != before {
 		t.Fatal("round completed on two replies")
 	}
 	s.FireTimer(op) // the hedge delay
-	if len(op.pendingReq[liar]) != 1 {
+	if len(op.port.lanes[liar-1].q[0]) != 1 {
 		t.Fatal("hedge did not release the suspect's request")
 	}
 	s.Step(op, liar)
-	if !op.Done() || len(acc.w) != S-1 {
-		t.Fatalf("round did not complete on the released suspect's reply (%d replies)", len(acc.w))
+	if op.Rounds() != before+1 || len(deferred.w) != S-1 {
+		t.Fatalf("round did not complete on the released suspect's reply (%d replies)", len(deferred.w))
 	}
 	// Wait-freedom holds across a deferral: the correct objects alone (the
 	// hedge delay passing if it must) complete a round.
-	op, _ = read("correct-only")
-	drive(t, s, op)
+	if err := s.CheckLiveness(op); err != nil {
+		t.Fatal(err)
+	}
 
-	op, _ = read("hopeless")
 	s.Step(op, 1) // one reply; nothing else will ever be delivered
 	s.FireTimer(op)
-	if op.Done() {
+	if len(*errs) != 0 {
 		t.Fatal("the hedge delay ended the round")
 	}
 	s.FireTimer(op)
-	if _, err := op.Result(); !errors.Is(err, tcpnet.ErrRoundTimeout) {
-		t.Fatalf("hopeless round: %v, want ErrRoundTimeout", err)
+	if len(*errs) != 1 || !errors.Is((*errs)[0], tcpnet.ErrRoundTimeout) {
+		t.Fatalf("hopeless round: %v, want ErrRoundTimeout", *errs)
 	}
 }
 

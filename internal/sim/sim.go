@@ -4,21 +4,29 @@
 // point-to-point channels; objects reply to each message before receiving
 // any other; up to t objects are Byzantine; clients fail by crashing.
 //
-// The objects are server.Hosts and a round is the tcpnet.Round state machine
-// the deployed transport runs; the simulator is its second driver. Client
-// operations run in goroutines, but every scheduling decision — which
-// requests and replies are delivered, in what order, when a round's timer
-// fires, which objects turn Byzantine, which states get forged — is made by
-// the single driver goroutine through explicit directives, so every run is
-// fully deterministic and replayable. This is the substrate on which the paper's
-// lower-bound constructions (Figures 1 and 2) execute, and on which the
-// protocol implementations are model-checked against adversarial and
-// randomized schedules.
+// The simulator is a link (tcpnet.Link): the objects are server.Hosts, the
+// clients are the deployed stack — tcpnet.Mux and whatever runs on it, up to
+// the sharded Store — and what the simulator owns is the one power the model
+// gives the adversary, the order of delivery: the messages in transit, a
+// virtual clock that advances only when nothing else can happen, and a
+// scheduler under which EXACTLY ONE client goroutine runs at a time. A client
+// goroutine (Go, Spawn) yields only where the client stack blocks — a round
+// waiting on its link, a shard.Group follower waiting on its leader (Await),
+// a Sleep — so every scheduling decision is made by the goroutine driving the
+// simulation, through explicit directives or a seeded Run, and one seed is
+// one execution. This is the substrate on which the paper's lower-bound
+// constructions (Figures 1 and 2) execute, and on which the protocol
+// implementations are model-checked against adversarial and randomized
+// schedules. What a one-runner schedule cannot find is a data race: the
+// baton orders every access. Races are the business of the links on which
+// clients run in parallel (tcpnet's in-memory link and real sockets).
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,13 +38,15 @@ import (
 	"robustatomic/internal/wire"
 )
 
-// actionTimeout bounds every rendezvous with a client goroutine; exceeding
-// it means a harness bug (a protocol that blocks outside Round), and the
-// simulator panics with a diagnostic rather than deadlocking the test.
+// actionTimeout bounds, in real time, how long the running client goroutine
+// may take to yield; exceeding it means a harness bug (a client that blocks
+// on something the scheduler does not know), and the simulator panics with a
+// diagnostic rather than deadlocking the test.
 const actionTimeout = 30 * time.Second
 
-// ErrCrashed is returned from Client.Round when the driver crashed the
-// operation; protocols must propagate it.
+// ErrCrashed fails the rounds of an operation the driver crashed, and every
+// round once the simulation or the round's link is closed; protocols must
+// propagate it.
 var ErrCrashed = errors.New("sim: client crashed")
 
 // Config configures a simulation instance.
@@ -55,12 +65,26 @@ type Sim struct {
 	cfg   Config
 	hosts []*server.Host // slot sid-1
 	byz   []bool         // slot sid-1: outside liveness accounting, "@" in diagrams
-	procs map[types.ProcID]*tcpnet.Process
-	ops   []*Op
-	wg    sync.WaitGroup
-	all   []int // 1..S
-	// watchdog bounds each rendezvous with a client goroutine: one timer for
-	// the Sim's lifetime, armed only while the driver waits.
+	all   []int          // 1..S
+
+	now    time.Duration      // the virtual clock
+	rng    *rand.Rand         // Run's choices and the latency draws (Seed)
+	lo, hi time.Duration      // a message's transit time is drawn from [lo, hi]
+	hold   func(Message) bool // Run's script; nil: nothing is held
+	lanes  []*lane            // every link's, in creation order
+	digest uint64             // of every scheduling step so far
+
+	// The baton: tasks holds the client goroutines still alive, running the
+	// one that is not parked (nil: the driver runs), and yield is where it
+	// hands the baton back. All other state here is touched only by whoever
+	// holds it. watchdog bounds each wait for the baton: one timer for the
+	// Sim's lifetime, armed only while the driver waits.
+	tasks    []*task
+	spawned  uint64
+	running  *task
+	yield    chan struct{}
+	closed   bool
+	wg       sync.WaitGroup
 	watchdog *time.Timer
 }
 
@@ -73,7 +97,8 @@ func New(cfg Config) *Sim {
 		cfg:      cfg,
 		hosts:    server.NewHosts(cfg.Servers),
 		byz:      make([]bool, cfg.Servers),
-		procs:    make(map[types.ProcID]*tcpnet.Process),
+		rng:      rand.New(rand.NewSource(1)),
+		yield:    make(chan struct{}),
 		watchdog: time.NewTimer(actionTimeout),
 	}
 	s.watchdog.Stop()
@@ -85,6 +110,33 @@ func New(cfg Config) *Sim {
 
 // NumServers returns S.
 func (s *Sim) NumServers() int { return len(s.hosts) }
+
+// Hosts returns the objects (slot sid-1), for fault injection.
+func (s *Sim) Hosts() []*server.Host { return s.hosts }
+
+// Now reads the virtual clock.
+func (s *Sim) Now() time.Duration { return s.now }
+
+// Seed seeds the choices of Run and the latency draws.
+func (s *Sim) Seed(seed int64) { s.rng = rand.New(rand.NewSource(seed)) }
+
+// SetLatency gives every message sent from here on a transit time drawn
+// uniformly from [lo, hi] (initially none: deliverable at once, the order
+// all the schedule's).
+func (s *Sim) SetLatency(lo, hi time.Duration) { s.lo, s.hi = lo, hi }
+
+// Digest returns a hash of every scheduling step so far — which goroutine
+// ran, which message reached whom, when on the virtual clock: two runs with
+// equal digests are the same execution.
+func (s *Sim) Digest() uint64 { return s.digest }
+
+// note folds one scheduling step into the digest (FNV-1a over words).
+func (s *Sim) note(vals ...uint64) {
+	s.digest = (s.digest ^ uint64(s.now)) * 0x100000001b3
+	for _, v := range vals {
+		s.digest = (s.digest ^ v) * 0x100000001b3
+	}
+}
 
 // SetByzantine marks object sid Byzantine with the given behavior
 // (nil keeps the previous behavior, or Honest if none was set). Byzantine
@@ -119,38 +171,283 @@ func (s *Sim) Restore(sid int, snap []byte) {
 // rounds address) for white-box assertions in tests.
 func (s *Sim) Store(sid int) *server.Store { return s.hosts[sid-1].Store(0) }
 
-// Close crashes every live operation and waits for all client goroutines to
-// exit. Always call it (usually via defer) to avoid leaking goroutines.
+// Close fails every wait on the simulated link from here on and runs the
+// client goroutines to their end. Always call it (usually via defer) to avoid
+// leaking goroutines.
 func (s *Sim) Close() {
-	for _, op := range s.ops {
-		if !op.done {
-			s.Crash(op)
-		}
+	s.closed = true
+	if s.settle(); len(s.tasks) > 0 {
+		panic(fmt.Sprintf("sim: %d client goroutines still parked at Close", len(s.tasks)))
 	}
 	s.wg.Wait()
 }
 
-// --- Operations and the client rendezvous ----------------------------------
+// --- The scheduler ----------------------------------------------------------
+
+// task is one client goroutine under the scheduler: parked until ready holds
+// (nil: not yet started, runnable); until is the instant of the virtual clock
+// that alone makes it hold (negative: none).
+type task struct {
+	id    uint64
+	wake  chan struct{}
+	ready func() bool
+	until time.Duration
+	done  bool
+}
+
+func (t *task) runnable() bool { return !t.done && (t.ready == nil || t.ready()) }
+
+// Go starts fn as a client goroutine: it runs when the driver's directives
+// or Run let it, and only while no other does.
+func (s *Sim) Go(fn func()) { s.start(fn) }
+
+func (s *Sim) start(fn func()) *task {
+	s.spawned++
+	t := &task{id: s.spawned, wake: make(chan struct{})}
+	s.tasks = append(s.tasks, t)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		<-t.wake
+		fn()
+		t.done = true
+		s.yield <- struct{}{}
+	}()
+	return t
+}
+
+// resume hands the baton to t and waits for it back.
+func (s *Sim) resume(t *task) {
+	s.running = t
+	s.watchdog.Reset(actionTimeout)
+	t.wake <- struct{}{}
+	select {
+	case <-s.yield:
+		s.watchdog.Stop()
+	case <-s.watchdog.C:
+		panic(fmt.Sprintf("sim: a client goroutine ran %v without yielding — it blocks on something the scheduler does not know", actionTimeout))
+	}
+	s.running = nil
+}
+
+// park yields the baton until ready holds; until is the instant that alone
+// makes it hold (negative: none).
+func (s *Sim) park(ready func() bool, until time.Duration) {
+	for !ready() {
+		t := s.running
+		if t == nil {
+			panic("sim: a goroutine the scheduler does not run blocked on the simulated link (start it with Go or Spawn)")
+		}
+		t.ready, t.until = ready, until
+		s.yield <- struct{}{}
+		<-t.wake
+	}
+}
+
+// settle runs every runnable client goroutine, oldest first, until all are
+// parked or done.
+func (s *Sim) settle() {
+	for again := true; again; {
+		again = false
+		for i := 0; i < len(s.tasks); i++ { // resume may append
+			if t := s.tasks[i]; t.runnable() {
+				s.resume(t)
+				again = true
+			}
+		}
+	}
+	s.tasks = slices.DeleteFunc(s.tasks, func(t *task) bool { return t.done })
+}
+
+// Until parks the calling client goroutine until cond holds.
+func (s *Sim) Until(cond func() bool) { s.park(cond, -1) }
+
+// Await is the simulator's shard.Group.Wait: a follower parks here until its
+// batch is done or it is handed the lead.
+func (s *Sim) Await(done, lead <-chan struct{}) {
+	s.Until(func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return len(lead) > 0
+		}
+	})
+}
+
+// Sleep parks the calling client goroutine for d of virtual time (or until
+// the simulation closes).
+func (s *Sim) Sleep(d time.Duration) {
+	at := s.now + d
+	s.park(func() bool { return s.now >= at || s.closed }, at)
+}
+
+// --- The link ---------------------------------------------------------------
+
+// port is one client's end of the simulated link (a tcpnet.Link), what a Mux
+// mounts: a client process's, or an operation's (Spawn), which the model
+// makes a client of its own.
+type port struct {
+	s      *Sim
+	op     *Op
+	closed bool
+	lanes  []*lane // slot sid-1
+}
+
+// lane is the FIFO channel pair between a port and one object: q[0] the
+// requests on their way there, q[1] the replies on their way back.
+type lane struct {
+	port *port
+	sid  int
+	q    [2][]*message
+}
+
+// message is a request in transit, then its reply.
+type message struct {
+	seq int // the operation's round number
+	req wire.Request
+	rsp wire.Response
+	to  chan<- tcpnet.Reply // nil: fire-and-forget
+	due time.Duration       // deliverable from this instant on
+}
+
+// Link returns a new client process's link to the objects.
+func (s *Sim) Link() tcpnet.Link { return s.port(nil) }
+
+func (s *Sim) port(op *Op) *port {
+	p := &port{s: s, op: op}
+	for _, sid := range s.all {
+		p.lanes = append(p.lanes, &lane{port: p, sid: sid})
+	}
+	s.lanes = append(s.lanes, p.lanes...)
+	return p
+}
+
+// transit draws one message's transit time.
+func (s *Sim) transit() time.Duration {
+	if s.hi == s.lo {
+		return s.lo
+	}
+	return s.lo + time.Duration(s.rng.Int63n(int64(s.hi-s.lo)+1))
+}
+
+// gone reports why the port's waits must fail, if they must.
+func (p *port) gone() error {
+	if p.closed || p.s.closed || p.op != nil && p.op.crashed {
+		return ErrCrashed
+	}
+	return nil
+}
+
+// Send implements tcpnet.Link: the request enters transit. Fire-and-forget
+// requests travel like any other: their replies arrive late and are ignored.
+// Nothing is ever resolved as lost: a request an object drops and a reply it
+// withholds are silence, as over a socket.
+func (p *port) Send(sid int, req wire.Request, reply chan<- tcpnet.Reply) (tcpnet.Sent, error) {
+	if err := p.gone(); err != nil {
+		return nil, err
+	}
+	m := &message{req: req, to: reply, due: p.s.now + p.s.transit()}
+	if p.op != nil {
+		m.seq = p.op.seq
+	}
+	ln := p.lanes[sid-1]
+	ln.q[0] = append(ln.q[0], m)
+	return nil, nil
+}
+
+// Now implements tcpnet.Link.
+func (p *port) Now() time.Time { return time.Unix(0, int64(p.s.now)) }
+
+// NewTimer implements tcpnet.Link.
+func (p *port) NewTimer(d time.Duration) tcpnet.Timer { return &timer{s: p.s, at: p.s.now + d} }
+
+// Framed implements tcpnet.Link: the simulated link stands for sockets.
+func (p *port) Framed() bool { return true }
+
+// Close implements tcpnet.Link.
+func (p *port) Close() { p.closed = true }
+
+// timer is a round's timer on the virtual clock.
+type timer struct {
+	s  *Sim
+	at time.Duration
+}
+
+func (t *timer) Reset(d time.Duration) bool { t.at = t.s.now + d; return true }
+func (t *timer) Stop() bool                 { return true }
+
+// Wait implements tcpnet.Link: the round parks until the schedule delivers
+// it a reply, the clock reaches its timer, or its client is gone.
+func (p *port) Wait(reply <-chan tcpnet.Reply, armed tcpnet.Timer) (tcpnet.Reply, bool, error) {
+	t := armed.(*timer)
+	p.s.park(func() bool { return p.gone() != nil || len(reply) > 0 || p.s.now >= t.at }, t.at)
+	if err := p.gone(); err != nil {
+		return tcpnet.Reply{}, false, err
+	}
+	if len(reply) > 0 {
+		return <-reply, false, nil
+	}
+	return tcpnet.Reply{}, true, nil
+}
+
+// deliver delivers the oldest message of ln's direction dir; one the clock
+// has not reached yet takes the clock there. A request is processed by its
+// object at once — one Host.Serve step — and the reply (if any: Byzantine
+// objects may withhold) enters transit, deliverable once the object's netem
+// delay and its own transit time have passed. A reply goes to the round that
+// awaits it, whose goroutine integrates it when it next runs; a reply for a
+// round that is over lands in a channel nobody reads (the model's "late
+// replies": received and ignored).
+func (s *Sim) deliver(ln *lane, dir int) {
+	m := ln.q[dir][0]
+	ln.q[dir] = ln.q[dir][1:]
+	s.now = max(s.now, m.due)
+	op := ln.port.op
+	if dir == 0 {
+		if op != nil {
+			s.trace(TraceEvent{Op: op.Label, Round: m.seq, Server: ln.sid, Byz: s.byz[ln.sid-1], Late: !op.inRound || m.seq != op.seq})
+		}
+		// (A duplicate would be dropped at the link.)
+		rsp, send, _, delay := s.hosts[ln.sid-1].Serve(m.req)
+		s.note(uint64(ln.sid), m.req.ID, uint64(m.req.From.Idx), uint64(m.req.Reg), uint64(m.req.Msg.Kind), uint64(len(m.req.Subs)), uint64(delay))
+		if send {
+			m.rsp, m.due = rsp, s.now+delay+s.transit()
+			ln.q[1] = append(ln.q[1], m)
+		}
+		return
+	}
+	s.note(uint64(ln.sid)<<32, m.rsp.ID, uint64(m.rsp.Msg.Kind), uint64(len(m.rsp.Subs)))
+	if op != nil {
+		seen := m.rsp.Msg
+		if len(m.rsp.Subs) == 0 {
+			seen.Seq = m.seq // on the wire it echoes a request id
+		}
+		op.observed = append(op.observed, Observed{Server: ln.sid, Seq: m.seq, Msg: seen})
+	}
+	if m.to != nil {
+		m.to <- tcpnet.Reply{Sid: ln.sid, Msg: m.rsp.Msg, Subs: m.rsp.Subs}
+	}
+}
+
+// Drain delivers everything in transit, replies included, whatever its due
+// time, without running anyone: callable by the running client goroutine, to
+// close a fault window with nothing in flight across it.
+func (s *Sim) Drain() {
+	for _, ln := range s.lanes {
+		for dir := range ln.q {
+			for len(ln.q[dir]) > 0 {
+				s.deliver(ln, dir)
+			}
+		}
+	}
+}
+
+// --- Operations -------------------------------------------------------------
 
 // OpFunc is the body of a client operation; it issues rounds through the
 // Client and returns the operation's result.
 type OpFunc func(c *Client) (types.Value, error)
-
-// action is what a client goroutine hands the driver: its next round, or
-// (round nil) its operation's end.
-type action struct {
-	round  *pendingRound
-	result types.Value
-	err    error
-}
-
-// pendingRound is one in-flight communication round of an operation.
-type pendingRound struct {
-	spec    proto.RoundSpec
-	seq     int
-	rd      tcpnet.Round
-	stalled error // every reply in, unsatisfied: the error its deadline will deliver
-}
 
 // Observed is one reply as seen by a client, in delivery order (a batched
 // reply's Msg is zero). The lower-bound harness compares Observed streams
@@ -161,41 +458,37 @@ type Observed struct {
 	Msg    types.Message
 }
 
-// Op is a client operation under simulation.
+// Op is a client operation under simulation: a client goroutine on a link
+// and a Mux of its own, whose rounds the directives address.
 type Op struct {
 	sim    *Sim
 	Label  string
 	Client types.ProcID
-	histID int
+	port   *port
+	mux    *tcpnet.Mux
+	task   *task
 
-	actionCh chan action
-	resumeCh chan error
-
-	cur      *pendingRound
+	// The in-flight round (inRound), or the last: its label, its number, and
+	// the instant its deadline falls on the virtual clock.
+	label    string
 	seq      int
+	inRound  bool
+	deadline time.Duration
+
 	rounds   int
 	done     bool
 	crashed  bool
 	result   types.Value
 	err      error
 	observed []Observed
-
-	// The scripted link: per server, FIFO, until a directive delivers it.
-	pendingReq map[int][]transit
-	pendingRep map[int][]transit
-}
-
-// transit is a request on its way to an object, or the reply on its way back.
-type transit struct {
-	seq int // the operation's round number
-	req wire.Request
-	rsp wire.Response
 }
 
 // Client is the protocol-facing handle passed to OpFunc. It implements
-// proto.Rounder.
+// proto.Rounder over the operation's Mux, and holds the simulator's liveness
+// oracle.
 type Client struct {
-	op *Op
+	op    *Op
+	inner *tcpnet.Client
 }
 
 var _ proto.Rounder = (*Client)(nil)
@@ -203,96 +496,53 @@ var _ proto.Rounder = (*Client)(nil)
 // NumServers implements proto.Rounder.
 func (c *Client) NumServers() int { return c.op.sim.NumServers() }
 
-// Round implements proto.Rounder: it posts the round to the driver and
-// blocks until the driver completes it (or crashes the client).
+// Round implements proto.Rounder: the round runs on the Mux, under the
+// schedule. When every reply is in and the round unsatisfied, the engine
+// ends it there — it spares real time the wait for a deadline that must
+// fail; under the simulator that is a wait-freedom violation, so the client
+// stays parked until the round's deadline (FireTimer), which is what RunOp,
+// RunConcurrent and CheckLiveness report.
 func (c *Client) Round(spec proto.RoundSpec) error {
-	op := c.op
+	op, s := c.op, c.op.sim
 	if op.crashed {
 		return ErrCrashed
 	}
 	op.seq++
-	op.actionCh <- action{round: &pendingRound{spec: spec, seq: op.seq}}
-	return <-op.resumeCh
-}
-
-// Spawn starts a client operation and blocks until it posts its first round
-// or completes. kind/arg feed the history checker (use checker.OpRead with
-// types.Bottom for reads).
-func (s *Sim) Spawn(label string, client types.ProcID, kind checker.OpKind, arg types.Value, fn OpFunc) *Op {
-	op := &Op{
-		sim:        s,
-		Label:      label,
-		Client:     client,
-		histID:     -1,
-		actionCh:   make(chan action),
-		resumeCh:   make(chan error),
-		pendingReq: make(map[int][]transit),
-		pendingRep: make(map[int][]transit),
-	}
-	if s.cfg.History != nil {
-		op.histID = s.cfg.History.Invoke(client, kind, arg)
-	}
-	if s.procs[client] == nil {
-		s.procs[client] = tcpnet.NewProcess(len(s.hosts))
-	}
-	s.ops = append(s.ops, op)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		v, err := fn(&Client{op: op})
-		op.actionCh <- action{result: v, err: err}
-	}()
-	s.waitAction(op)
-	return op
-}
-
-// waitAction blocks until op's goroutine posts its next action (a new round
-// or completion) and updates op state accordingly.
-func (s *Sim) waitAction(op *Op) {
-	s.watchdog.Reset(actionTimeout)
-	var a action
-	select {
-	case a = <-op.actionCh:
-		s.watchdog.Stop()
-	case <-s.watchdog.C:
-		panic(fmt.Sprintf("sim: op %s (%s) stuck outside Round for %v — protocol bug", op.Label, op.Client, actionTimeout))
-	}
-	op.cur = a.round
-	if a.round == nil {
-		op.done, op.result, op.err = true, a.result, a.err
-		if op.histID >= 0 && a.err == nil {
-			s.cfg.History.Respond(op.histID, a.result)
+	op.label, op.inRound, op.deadline = spec.Label, true, s.now+c.inner.RoundTimeout
+	err := c.inner.Round(spec)
+	if errors.Is(err, tcpnet.ErrRoundTimeout) && s.now < op.deadline {
+		s.park(func() bool { return s.now >= op.deadline || op.port.gone() != nil }, op.deadline)
+		if op.crashed {
+			err = ErrCrashed
 		}
-		return
 	}
-	// The client "sends messages to all objects": the round begins on its
-	// identity's process state and what it posts enters transit.
-	if _, err := a.round.rd.Begin(s.procs[op.Client], op.Client, 0, a.round.seq, 0, &a.round.spec, op.post); err != nil {
-		s.resume(op, err)
-	}
-}
-
-// post is the scripted link's sending half (a tcpnet.Post). Fire-and-forget
-// requests travel like any other: their replies arrive late and are ignored.
-func (op *Op) post(sid int, req wire.Request, _ bool) error {
-	op.pendingReq[sid] = append(op.pendingReq[sid], transit{seq: op.cur.seq, req: req})
-	return nil
-}
-
-// resume hands the finished round back to the client — complete, or failed
-// with err — and waits for its next action.
-func (s *Sim) resume(op *Op, err error) {
+	op.inRound = false
 	if err == nil {
 		op.rounds++
 	}
-	s.watchdog.Reset(actionTimeout)
-	select {
-	case op.resumeCh <- err:
-		s.watchdog.Stop()
-	case <-s.watchdog.C:
-		panic(fmt.Sprintf("sim: op %s not waiting for resume — driver bug", op.Label))
+	return err
+}
+
+// Spawn starts a client operation and runs it until it posts its first round
+// or completes. kind/arg feed the history checker (use checker.OpRead with
+// types.Bottom for reads).
+func (s *Sim) Spawn(label string, client types.ProcID, kind checker.OpKind, arg types.Value, fn OpFunc) *Op {
+	op := &Op{sim: s, Label: label, Client: client}
+	op.port = s.port(op)
+	op.mux = tcpnet.NewLinkMux(len(s.hosts), op.port)
+	histID := -1
+	if s.cfg.History != nil {
+		histID = s.cfg.History.Invoke(client, kind, arg)
 	}
-	s.waitAction(op)
+	op.task = s.start(func() {
+		op.result, op.err = fn(&Client{op: op, inner: op.mux.Client(client, 0)})
+		op.done = true
+		if histID >= 0 && op.err == nil {
+			s.cfg.History.Respond(histID, op.result)
+		}
+	})
+	s.settle()
+	return op
 }
 
 // Done reports whether the operation completed (including by crash).
@@ -312,10 +562,7 @@ func (op *Op) Rounds() int { return op.rounds }
 
 // CurrentRound returns the label and sequence number of the in-flight round.
 func (op *Op) CurrentRound() (label string, seq int, ok bool) {
-	if op.cur == nil {
-		return "", 0, false
-	}
-	return op.cur.spec.Label, op.cur.seq, true
+	return op.label, op.seq, op.inRound
 }
 
 // Observations returns the full reply stream the client has received, in

@@ -29,14 +29,14 @@ func thresholds(t *testing.T, tt int) quorum.Thresholds {
 }
 
 // TestMemAtomicConcurrentClients: one writer and three readers hammer the
-// atomic register over the delayed in-memory link with t Byzantine objects;
-// the full history must satisfy atomicity. Run with -race.
+// atomic register over the in-memory link, in parallel, with t Byzantine
+// objects; the full history must satisfy atomicity. Run with -race.
 func TestMemAtomicConcurrentClients(t *testing.T) {
 	for _, tt := range []int{1, 2} {
 		t.Run(fmt.Sprintf("t=%d", tt), func(t *testing.T) {
 			thr := thresholds(t, tt)
 			hosts := server.NewHosts(thr.S)
-			m := NewMemMux(hosts, int64(tt), 300*time.Microsecond)
+			m := NewMemMux(hosts)
 			defer m.Close()
 			hosts[0].SetBehavior(server.Garbage{Level: 999, Val: "evil"})
 			if tt > 1 {
@@ -100,44 +100,41 @@ func TestMemBeyondBudgetFailsFast(t *testing.T) {
 			}
 		},
 	} {
-		for _, maxDelay := range []time.Duration{0, 100 * time.Microsecond} {
-			t.Run(fmt.Sprintf("%s/delay=%v", name, maxDelay), func(t *testing.T) {
-				hosts := server.NewHosts(4)
-				m := NewMemMux(hosts, 5, maxDelay)
-				defer m.Close()
-				fault(hosts[1], true)
-				fault(hosts[2], true)
-				unsat := mMuxUnsat.Value()
-				cl := m.Client(types.Writer, 0)
-				cl.RoundTimeout = time.Minute
-				w := regular.NewWriter(cl, thr, types.WriterReg)
-				start := time.Now()
-				err := w.Write("v1")
-				if !errors.Is(err, ErrRoundTimeout) || errors.Is(err, ErrConnLost) {
-					t.Fatalf("write with 2 > t objects not answering: err = %v, want an unsatisfied round", err)
-				}
-				if elapsed := time.Since(start); elapsed > time.Second {
-					t.Fatalf("the round took %v to fail — it waited for replies that cannot come", elapsed)
-				}
-				if mMuxUnsat.Value() == unsat {
-					t.Error("tcpnet_round_unsat_total did not move")
-				}
-				fault(hosts[1], false)
-				fault(hosts[2], false)
-				if err := w.Write("v2"); err != nil {
-					t.Fatalf("write after heal: %v", err)
-				}
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			hosts := server.NewHosts(4)
+			m := NewMemMux(hosts)
+			defer m.Close()
+			fault(hosts[1], true)
+			fault(hosts[2], true)
+			unsat := mMuxUnsat.Value()
+			cl := m.Client(types.Writer, 0)
+			cl.RoundTimeout = time.Minute
+			w := regular.NewWriter(cl, thr, types.WriterReg)
+			start := time.Now()
+			err := w.Write("v1")
+			if !errors.Is(err, ErrRoundTimeout) || errors.Is(err, ErrConnLost) {
+				t.Fatalf("write with 2 > t objects not answering: err = %v, want an unsatisfied round", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("the round took %v to fail — it waited for replies that cannot come", elapsed)
+			}
+			if mMuxUnsat.Value() == unsat {
+				t.Error("tcpnet_round_unsat_total did not move")
+			}
+			fault(hosts[1], false)
+			fault(hosts[2], false)
+			if err := w.Write("v2"); err != nil {
+				t.Fatalf("write after heal: %v", err)
+			}
+		})
 	}
 }
 
-// TestMemInlineRoundsSpawnNoGoroutines pins the MaxDelay == 0 link: requests
+// TestMemInlineRoundsSpawnNoGoroutines pins the in-memory link: requests
 // are served on the round's own goroutine, so many rounds later the goroutine
-// count is what it was (with injected delays every message costs a goroutine;
-// the delayed tests exercise that path).
+// count is what it was.
 func TestMemInlineRoundsSpawnNoGoroutines(t *testing.T) {
-	m := NewMemMux(server.NewHosts(4), 8, 0)
+	m := NewMemMux(server.NewHosts(4))
 	defer m.Close()
 	cl := m.Client(types.Writer, 0)
 	round := func() {
@@ -160,35 +157,17 @@ func TestMemInlineRoundsSpawnNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestMemCloseInterruptsRounds: a round waiting on delayed messages observes
-// the mux's Close, and Close returns once every delivery goroutine has.
+// TestMemCloseInterruptsRounds: rounds on a closed mux fail (a round that is
+// WAITING when the mux closes: internal/sim's TestScheduledCloseInterruptsRounds).
 func TestMemCloseInterruptsRounds(t *testing.T) {
-	thr := thresholds(t, 1)
-	m := NewMemMux(server.NewHosts(4), 7, time.Hour)
-	cl := m.Client(types.Writer, 0)
-	cl.RoundTimeout = time.Hour
-	errCh := make(chan error, 1)
-	go func() { errCh <- regular.NewWriter(cl, thr, types.WriterReg).Write("a") }()
-	time.Sleep(10 * time.Millisecond)
-	closed := make(chan struct{})
-	go func() {
-		m.Close()
-		close(closed)
-	}()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Error("round survived the mux's Close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("round did not observe the mux's Close")
+	m := NewMemMux(server.NewHosts(4))
+	w := regular.NewWriter(m.Client(types.Writer, 0), thresholds(t, 1), types.WriterReg)
+	if err := w.Write("a"); err != nil {
+		t.Fatal(err)
 	}
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return: a delivery goroutine is still asleep")
-	}
-	if err := cl.Round(ackSpec("AFTER")); err == nil {
+	m.Close()
+	m.Close() // idempotent
+	if err := w.Write("b"); err == nil {
 		t.Error("a round ran on a closed mux")
 	}
 }
@@ -224,58 +203,56 @@ func holders(hosts []*server.Host, reg int, want types.Pair) int {
 
 // TestMemBatchedRounds drives two-phase batched writes (PREWRITE then
 // WRITEBACK across several register instances in one physical round each) on
-// the inline and the delayed link, alone and with an object that drops
+// the in-memory link, alone and with an object that drops
 // individual sub-replies out of every batch: each instance converges
 // independently, instances the batch never addressed stay untouched.
 func TestMemBatchedRounds(t *testing.T) {
 	for _, flaky := range []bool{false, true} {
-		for _, maxDelay := range []time.Duration{0, 200 * time.Microsecond} {
-			t.Run(fmt.Sprintf("flaky=%v/delay=%v", flaky, maxDelay), func(t *testing.T) {
-				hosts := server.NewHosts(4)
-				m := NewMemMux(hosts, 13, maxDelay)
-				defer m.Close()
-				need := 4
-				if flaky {
-					hosts[0].SetBehavior(server.Flaky{Rand: rand.New(rand.NewSource(99)), DropProb: 0.7})
-					need = 3
+		t.Run(fmt.Sprintf("flaky=%v", flaky), func(t *testing.T) {
+			hosts := server.NewHosts(4)
+			m := NewMemMux(hosts)
+			defer m.Close()
+			need := 4
+			if flaky {
+				hosts[0].SetBehavior(server.Flaky{Rand: rand.New(rand.NewSource(99)), DropProb: 0.7})
+				need = 3
+			}
+			regs := []int{1, 3, 7}
+			cl := m.Client(types.Writer, 0)
+			var last func(reg int) types.Pair
+			for i := 1; i <= 10; i++ {
+				pair := func(reg int) types.Pair {
+					return types.Pair{TS: types.At(int64(10*i + reg)), Val: types.Value(fmt.Sprintf("batched-%d-%d", i, reg))}
 				}
-				regs := []int{1, 3, 7}
-				cl := m.Client(types.Writer, 0)
-				var last func(reg int) types.Pair
-				for i := 1; i <= 10; i++ {
-					pair := func(reg int) types.Pair {
-						return types.Pair{TS: types.At(int64(10*i + reg)), Val: types.Value(fmt.Sprintf("batched-%d-%d", i, reg))}
-					}
-					for _, kind := range []types.MsgKind{types.MsgPreWrite, types.MsgWriteBack} {
-						if err := cl.Round(batchWriteSpec(kind, regs, pair, need)); err != nil {
-							t.Fatalf("iteration %d, batched %v: %v", i, kind, err)
-						}
-					}
-					last = pair
-				}
-				if cl.Rounds != 20 {
-					t.Errorf("10 batched writes cost %d rounds, want 20", cl.Rounds)
-				}
-				m.Close() // nothing still in flight while the objects are inspected
-				for _, reg := range regs {
-					if n := holders(hosts, reg, last(reg)); n < need {
-						t.Errorf("instance %d: %d objects hold %v, want ≥ %d", reg, n, last(reg), need)
+				for _, kind := range []types.MsgKind{types.MsgPreWrite, types.MsgWriteBack} {
+					if err := cl.Round(batchWriteSpec(kind, regs, pair, need)); err != nil {
+						t.Fatalf("iteration %d, batched %v: %v", i, kind, err)
 					}
 				}
-				if n := holders(hosts, 2, types.Pair{}); n != 4 {
-					t.Errorf("instance 2, never addressed, is blank on %d of 4 objects", n)
+				last = pair
+			}
+			if cl.Rounds != 20 {
+				t.Errorf("10 batched writes cost %d rounds, want 20", cl.Rounds)
+			}
+			m.Close() // nothing still in flight while the objects are inspected
+			for _, reg := range regs {
+				if n := holders(hosts, reg, last(reg)); n < need {
+					t.Errorf("instance %d: %d objects hold %v, want ≥ %d", reg, n, last(reg), need)
 				}
-			})
-		}
+			}
+			if n := holders(hosts, 2, types.Pair{}); n != 4 {
+				t.Errorf("instance 2, never addressed, is blank on %d of 4 objects", n)
+			}
+		})
 	}
 }
 
 // TestMemBatchedViaCombiner runs concurrent per-register writers through a
-// Combiner over one client of the delayed link: the merged batches produce
+// Combiner over one client of the in-memory link: the merged batches produce
 // the per-register end state independent rounds would.
 func TestMemBatchedViaCombiner(t *testing.T) {
 	hosts := server.NewHosts(4)
-	m := NewMemMux(hosts, 14, 50*time.Microsecond)
+	m := NewMemMux(hosts)
 	defer m.Close()
 	comb := proto.NewCombiner(m.Client(types.Writer, 0))
 	pair := func(reg int) types.Pair {

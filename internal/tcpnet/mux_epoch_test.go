@@ -258,17 +258,17 @@ func TestReconfigurePreservesInflightDial(t *testing.T) {
 	// is blocked inside net.DialTimeout (m.mu released): inflight with a
 	// live syncDone, plus a stale backoff latch on the slot.
 	done := make(chan struct{})
-	m.mu.Lock()
-	m.dials[0] = dialState{failedAt: time.Now(), inflight: true, syncDone: done}
-	m.mu.Unlock()
+	socks(m).mu.Lock()
+	socks(m).dials[0] = dialState{failedAt: time.Now(), inflight: true, syncDone: done}
+	socks(m).mu.Unlock()
 
 	if err := m.Reconfigure(2, []string{addrB}); err != nil {
 		t.Fatal(err)
 	}
 
-	m.mu.Lock()
-	ds := m.dials[0]
-	m.mu.Unlock()
+	socks(m).mu.Lock()
+	ds := socks(m).dials[0]
+	socks(m).mu.Unlock()
 	if !ds.inflight || ds.syncDone != done {
 		t.Fatalf("reconfigure clobbered the in-flight dial marker (inflight=%v, syncDone preserved=%v): "+
 			"the dialer would close a nil/foreign channel", ds.inflight, ds.syncDone == done)
@@ -280,20 +280,20 @@ func TestReconfigurePreservesInflightDial(t *testing.T) {
 	// The dialer completes: it finds its own marker intact, clears it, and
 	// installLocked's stale-address guard discards the outcome (addrA is no
 	// longer slot 1's address). Replay exactly connOrWait's completion step.
-	m.mu.Lock()
-	if m.dials[0].syncDone == done {
-		m.dials[0].inflight = false
-		m.dials[0].syncDone = nil
+	socks(m).mu.Lock()
+	if socks(m).dials[0].syncDone == done {
+		socks(m).dials[0].inflight = false
+		socks(m).dials[0].syncDone = nil
 	}
-	_, installErr := m.installLocked(1, addrA, nil, errors.New("dial tcp: i/o timeout"))
-	m.mu.Unlock()
+	_, installErr := socks(m).installLocked(1, addrA, nil, errors.New("dial tcp: i/o timeout"))
+	socks(m).mu.Unlock()
 	close(done)
 	if installErr == nil {
 		t.Fatal("stale dial outcome installed, want discarded")
 	}
-	m.mu.Lock()
-	stale := !m.dials[0].failedAt.IsZero()
-	m.mu.Unlock()
+	socks(m).mu.Lock()
+	stale := !socks(m).dials[0].failedAt.IsZero()
+	socks(m).mu.Unlock()
 	if stale {
 		t.Error("stale dial's failure latched a backoff onto the NEW address")
 	}

@@ -158,7 +158,7 @@ func TestDropConnFailsInFlightWaiters(t *testing.T) {
 		t.Fatalf("round against dead peer: err = %v, want ErrConnLost", err)
 	}
 	begin := time.Now()
-	if _, err := c.mux.connFor(1); err != errObjectDown {
+	if _, err := socks(c.mux).connFor(1); err != errObjectDown {
 		t.Fatalf("connFor(dead) = %v, want errObjectDown", err)
 	}
 	if d := time.Since(begin); d > 100*time.Millisecond {

@@ -11,9 +11,10 @@ import (
 	"robustatomic/internal/types"
 )
 
-// eachLink runs f over a Mux on every link it has: n daemons on loopback
-// TCP, the same objects mounted in this process (requests served inline),
-// and again with seeded message delays. hosts[i] is object i+1 either way.
+// eachLink runs f over a Mux on both links that run in real time: n daemons
+// on loopback TCP, and the same objects mounted in this process (requests
+// served inline). hosts[i] is object i+1 either way. (The scheduled link:
+// internal/sim's link tests.)
 func eachLink(t *testing.T, n int, f func(t *testing.T, hosts []*server.Host, m *Mux)) {
 	t.Run("tcp", func(t *testing.T) {
 		servers, addrs := startCluster(t, n)
@@ -25,14 +26,12 @@ func eachLink(t *testing.T, n int, f func(t *testing.T, hosts []*server.Host, m 
 		defer m.Close()
 		f(t, hosts, m)
 	})
-	for name, maxDelay := range map[string]time.Duration{"mem": 0, "mem-delayed": 200 * time.Microsecond} {
-		t.Run(name, func(t *testing.T) {
-			hosts := server.NewHosts(n)
-			m := NewMemMux(hosts, 11, maxDelay)
-			defer m.Close()
-			f(t, hosts, m)
-		})
-	}
+	t.Run("mem", func(t *testing.T) {
+		hosts := server.NewHosts(n)
+		m := NewMemMux(hosts)
+		defer m.Close()
+		f(t, hosts, m)
+	})
 }
 
 // TestPartitionDropsWithoutProcessing: a partitioned object drops requests

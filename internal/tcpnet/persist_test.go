@@ -36,12 +36,12 @@ func restartServer(t *testing.T, id int, addr string, opts ServerOptions) *Serve
 func forceRedial(t *testing.T, c *Client, sid int) {
 	t.Helper()
 	m := c.mux
-	m.mu.Lock()
-	m.dials[sid-1].failedAt = time.Now().Add(-2 * DialBackoff)
-	m.mu.Unlock()
+	socks(m).mu.Lock()
+	socks(m).dials[sid-1].failedAt = time.Now().Add(-2 * DialBackoff)
+	socks(m).mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mc, err := m.connFor(sid)
+		mc, err := socks(m).connFor(sid)
 		if err == nil && mc != nil {
 			return
 		}

@@ -1,13 +1,11 @@
 // One communication round as a state machine: everything a round decides,
 // nothing that moves a byte or waits. In: a reply (or a link failure) from an
 // object, the firing of its one timer. Out: requests to post, the delay to
-// arm the timer for, the round's end. Two drivers: Mux.round in real time,
-// and the simulator (internal/sim), whose adversary owns the schedule.
+// arm the timer for, the round's end. Mux.round drives it, over every link.
 package tcpnet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"robustatomic/internal/config"
@@ -17,47 +15,23 @@ import (
 	"robustatomic/internal/wire"
 )
 
-// Process is what the rounds of one client process share. A Mux is one
-// process; the simulator keeps one per client identity.
-type Process struct {
-	n      int // slot count, immutable (the fixed-S rule)
-	nextID atomic.Uint64
-	epoch  atomic.Uint64 // configuration epoch stamped on requests
-	susp   *scoreboard   // which slots' requests rounds defer (suspicion.go)
-	srtt   atomic.Int64  // smoothed latency (ns) of deferring rounds
-}
-
-// NewProcess returns the round state of a client process facing n objects.
-func NewProcess(n int) *Process {
-	p := &Process{n: n, susp: newScoreboard(n)}
-	p.epoch.Store(1) // the bootstrap configuration (see internal/config)
-	return p
-}
-
-// NumServers returns S, the number of storage objects (epoch-invariant).
-func (p *Process) NumServers() int { return p.n }
-
-// Epoch returns the configuration epoch the process stamps on requests.
-func (p *Process) Epoch() uint64 { return p.epoch.Load() }
-
 // minHedge floors a deferring round's hedge delay (a loopback round takes
 // ~0.1 ms; its tail, several).
 const minHedge = time.Millisecond
 
-// Post is a round's way out, passed by the driver with every input: it hands
-// req to object sid, awaited (the driver will feed the round that request's
+// postFn is a round's way out, passed by Mux.round with every input: it hands
+// req to object sid, awaited (the round will be fed that request's
 // resolution) or fire-and-forget. An error means the object is unreachable,
 // which counts as faulty.
-type Post func(sid int, req wire.Request, awaited bool) error
+type postFn func(sid int, req wire.Request, awaited bool) error
 
-// Round is one in-flight round. Begin it, then feed it every resolution and
+// round is one in-flight round. Begin it, then feed it every resolution and
 // every firing of its timer until one of them ends it. Not safe for
-// concurrent use; a driver abandons it by dropping it.
-type Round struct {
-	p    *Process
+// concurrent use; abandoned by dropping it.
+type round struct {
+	m    *Mux
 	spec proto.RoundSpec
 	tmpl wire.Request // From, Epoch and (bare form) Reg of every request
-	seq  int
 	// traced is set when anyone wants per-object events: the round's own
 	// trace, or a merged sub-round's (the Combiner threads each originating
 	// flush's trace through its SubRound, so a traced flush keeps its events
@@ -70,7 +44,7 @@ type Round struct {
 	// RoundTimeout. wait is what the armed timer measures: that delay, then
 	// the deadline.
 	timeout, wait time.Duration
-	begun         time.Time // set while the round's latency may feed srtt
+	begun         time.Time // on the link's clock; set while the round's latency may feed srtt
 	outstanding   int       // awaited requests not yet resolved
 	lost          int
 	// Wrong-epoch refusals: a refusing object contributes nothing to the
@@ -81,14 +55,13 @@ type Round struct {
 	weErr      *WrongEpochError // allocated by the first refusal
 }
 
-// Begin starts r as a round of p, sent as from against register instance reg
+// begin starts r as a round of m, sent as from against register instance reg
 // (a batched spec addresses the instances its Subs name): one request per
-// object. The requests carry seq, or — seq 0, a transport that matches replies
-// by id — something request-unique for traces (the automata echo it). Begin
-// returns the delay to arm the round's timer for; timeout ≤ 0 means 5 s.
-func (r *Round) Begin(p *Process, from types.ProcID, reg, seq int, timeout time.Duration, spec *proto.RoundSpec, post Post) (time.Duration, error) {
-	*r = Round{p: p, spec: *spec, seq: seq, traced: spec.Trace != nil}
-	r.tmpl = wire.Request{From: from, Epoch: p.epoch.Load()}
+// object. begin returns the delay to arm the round's timer for; timeout ≤ 0
+// means 5 s.
+func (r *round) begin(m *Mux, from types.ProcID, reg int, timeout time.Duration, spec *proto.RoundSpec, post postFn) (time.Duration, error) {
+	*r = round{m: m, spec: *spec, traced: spec.Trace != nil}
+	r.tmpl = wire.Request{From: from, Epoch: m.epoch.Load()}
 	if len(spec.Subs) == 0 {
 		r.tmpl.Reg = reg
 		// Config-plane rounds (the config register itself) carry the epoch-0
@@ -118,11 +91,11 @@ func (r *Round) Begin(p *Process, from types.ProcID, reg, seq int, timeout time.
 	// always asked (and, on the in-memory link, always heard) last: there the
 	// replies arrive in send order and the round stops at Done, which would
 	// otherwise leave object S out of every quorum.
-	held, probe, first := p.susp.plan()
+	held, probe, first := m.susp.plan()
 	r.held = held
 	reachable := true
-	for i := 0; i < p.n; i++ {
-		sid := (first+i)%p.n + 1
+	for i := 0; i < m.n; i++ {
+		sid := (first+i)%m.n + 1
 		if held&(1<<uint(sid)) != 0 {
 			traceEvent(spec, sid, "defer", "")
 		} else if !r.send(sid, post, true) {
@@ -141,8 +114,8 @@ func (r *Round) Begin(p *Process, from types.ProcID, reg, seq int, timeout time.
 	r.timeout, r.wait = timeout, timeout
 	if r.held != 0 {
 		mDeferred.Inc()
-		r.begun = time.Now()
-		r.wait = min(max(4*time.Duration(p.srtt.Load()), minHedge), timeout/2)
+		r.begun = m.link.Now()
+		r.wait = min(max(4*time.Duration(m.srtt.Load()), minHedge), timeout/2)
 	} else if probe {
 		mProbes.Inc()
 		traceEvent(spec, 0, "probe", "")
@@ -150,14 +123,13 @@ func (r *Round) Begin(p *Process, from types.ProcID, reg, seq int, timeout time.
 	return r.wait, nil
 }
 
-// send builds the round's request to object sid and posts it.
-func (r *Round) send(sid int, post Post, awaited bool) bool {
+// send builds the round's request to object sid and posts it. Replies are
+// matched by id; the messages carry something request-unique for traces (the
+// automata echo it).
+func (r *round) send(sid int, post postFn, awaited bool) bool {
 	spec, req := &r.spec, r.tmpl
-	req.ID = r.p.nextID.Add(1)
-	seq := r.seq
-	if seq == 0 {
-		seq = int(req.ID & (1<<30 - 1))
-	}
+	req.ID = r.m.nextID.Add(1)
+	seq := int(req.ID & (1<<30 - 1))
 	if len(spec.Subs) > 0 {
 		req.Subs = make([]wire.SubReq, len(spec.Subs))
 		for i := range spec.Subs {
@@ -186,8 +158,8 @@ func (r *Round) send(sid int, post Post, awaited bool) bool {
 
 // release posts the deferred requests: awaited, or — the round is over —
 // fire-and-forget, and then only those that change the object's state.
-func (r *Round) release(post Post, awaited bool) {
-	for sid := 1; r.held != 0 && sid <= r.p.n; sid++ {
+func (r *round) release(post postFn, awaited bool) {
+	for sid := 1; r.held != 0 && sid <= r.m.n; sid++ {
 		if r.held&(1<<uint(sid)) != 0 && (awaited || mutates(&r.spec, sid)) {
 			r.send(sid, post, awaited)
 		}
@@ -195,15 +167,11 @@ func (r *Round) release(post Post, awaited bool) {
 	r.held = 0
 }
 
-// Hedging reports whether the timer measures the hedge delay (firing it
-// releases what the round deferred) and not yet the deadline.
-func (r *Round) Hedging() bool { return r.wait < r.timeout }
-
-// TimerFired feeds the round the firing of its timer: the hedge delay — the
+// timerFired feeds the round the firing of its timer: the hedge delay — the
 // deferred requests go out, re-arm the timer for the returned rest of the
 // deadline — or the deadline, which ends the round with ErrRoundTimeout.
-func (r *Round) TimerFired(post Post) (time.Duration, error) {
-	if !r.Hedging() {
+func (r *round) timerFired(post postFn) (time.Duration, error) {
+	if r.wait == r.timeout { // not the hedge delay: the deadline
 		mMuxTimeouts.Inc()
 		return 0, fmt.Errorf("%w: %s", ErrRoundTimeout, r.spec.Label)
 	}
@@ -219,12 +187,13 @@ func (r *Round) TimerFired(post Post) (time.Duration, error) {
 	return rest, nil
 }
 
-// Resolve feeds the round the resolution of one awaited request: object
-// sid's reply (msg, or subs for a batch), or the link's failure (errNoReply
-// where it could tell that no reply will come). done reports the round over:
+// resolve feeds the round the resolution of one awaited request: an object's
+// reply (Msg, or Subs for a batch), or the link's failure (errNoReply where
+// it could tell that no reply will come). done reports the round over:
 // complete (a nil error) or failed.
-func (r *Round) Resolve(sid int, msg types.Message, subs []wire.SubReq, err error, post Post) (done bool, _ error) {
-	spec, n := &r.spec, r.p.n
+func (r *round) resolve(rp Reply, post postFn) (done bool, _ error) {
+	sid, msg, subs, err := rp.Sid, rp.Msg, rp.Subs, rp.Err
+	spec, n := &r.spec, r.m.n
 	r.outstanding--
 	if err == errNoReply {
 		traceEvent(spec, sid, "lost", "")
@@ -271,9 +240,9 @@ func (r *Round) Resolve(sid int, msg types.Message, subs []wire.SubReq, err erro
 	}
 	if err == nil && spec.Done() {
 		r.release(post, false)
-		r.p.susp.observe(spec.Verdict())
+		r.m.susp.observe(spec.Verdict())
 		if !r.begun.IsZero() { // gain 1/8; a racing round's lost update is tolerable
-			r.p.srtt.Add((int64(time.Since(r.begun)) - r.p.srtt.Load()) / 8)
+			r.m.srtt.Add((int64(r.m.link.Now().Sub(r.begun)) - r.m.srtt.Load()) / 8)
 		}
 		return true, nil
 	}

@@ -57,8 +57,8 @@ func newScoreboard(n int) *scoreboard {
 }
 
 // Suspects returns the slots (object ids) whose requests rounds defer now.
-func (p *Process) Suspects() (sids []int) {
-	for held, sid := p.susp.held.Load(), 1; sid <= p.n; sid++ {
+func (m *Mux) Suspects() (sids []int) {
+	for held, sid := m.susp.held.Load(), 1; sid <= m.n; sid++ {
 		if held&(1<<uint(sid)) != 0 {
 			sids = append(sids, sid)
 		}

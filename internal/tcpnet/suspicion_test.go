@@ -180,7 +180,7 @@ func fakeCluster(t *testing.T, n int, scripts map[int]script, suspects ...int) (
 	// First contact dials synchronously: connect every slot now, so that the
 	// timing asserted below is the rounds', not the dials'.
 	for sid := 1; sid <= n; sid++ {
-		if _, err := m.connFor(sid); err != nil {
+		if _, err := socks(m).connFor(sid); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -148,15 +148,15 @@ func TestDeadPeerDoesNotStallRounds(t *testing.T) {
 	if err := w.Write("a"); err != nil { // pays the one failed dial
 		t.Fatal(err)
 	}
-	wc.mux.mu.Lock()
-	failedAt := wc.mux.dials[3].failedAt
-	wc.mux.mu.Unlock()
+	socks(wc.mux).mu.Lock()
+	failedAt := socks(wc.mux).dials[3].failedAt
+	socks(wc.mux).mu.Unlock()
 	if failedAt.IsZero() {
 		t.Fatal("failed dial not recorded")
 	}
 	// Within the backoff window connFor must refuse instantly, not dial.
 	start := time.Now()
-	if _, err := wc.mux.connFor(4); err != errObjectDown {
+	if _, err := socks(wc.mux).connFor(4); err != errObjectDown {
 		t.Fatalf("connFor(dead) = %v, want errObjectDown", err)
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
@@ -177,15 +177,15 @@ func TestDeadPeerDoesNotStallRounds(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", deadAddr, err)
 	}
 	defer s4.Close()
-	wc.mux.mu.Lock()
-	wc.mux.dials[3].failedAt = time.Now().Add(-2 * DialBackoff)
-	wc.mux.mu.Unlock()
-	if _, err := wc.mux.connFor(4); err != errDialPending {
+	socks(wc.mux).mu.Lock()
+	socks(wc.mux).dials[3].failedAt = time.Now().Add(-2 * DialBackoff)
+	socks(wc.mux).mu.Unlock()
+	if _, err := socks(wc.mux).connFor(4); err != errDialPending {
 		t.Fatalf("connFor(recovering) = %v, want errDialPending", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mc, err := wc.mux.connFor(4)
+		mc, err := socks(wc.mux).connFor(4)
 		if err == nil && mc != nil {
 			break
 		}

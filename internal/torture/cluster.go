@@ -12,10 +12,12 @@ import (
 	"robustatomic/internal/obs"
 	"robustatomic/internal/persist"
 	"robustatomic/internal/server"
+	"robustatomic/internal/sim"
 	"robustatomic/internal/tcpnet"
 )
 
-// controller applies schedule events to a running cluster. The harness
+// controller applies schedule events to a running cluster, on the goroutine
+// of the client whose operation crossed the event's threshold. The harness
 // serializes apply calls (events fire under its mutex); quiesce restores
 // every object to healthy-and-connected and waits until the cluster is
 // reachable again, so the quiescent agreement reads run fault-free.
@@ -25,66 +27,93 @@ type controller interface {
 	close()
 }
 
-// liveCtl tortures the in-process objects through the root cluster handle's
-// fault passthroughs. Kill/restart map to partition/heal: an in-process
-// object has no disk, so cutting it off and later reconnecting it is exactly
-// a crash that preserved its state.
-type liveCtl struct {
-	root *robustatomic.Cluster
-	s    int
-}
-
-func (c *liveCtl) apply(ev Event) error {
-	switch ev.Kind {
-	case EvPartition, EvKill:
-		return c.root.Partition(ev.Sid)
-	case EvHeal, EvRestart:
-		err := c.root.Heal(ev.Sid)
-		c.drainWindow()
-		return err
-	case EvChaos:
-		return c.root.InjectFault(ev.Sid, ev.Behavior)
-	case EvClearChaos:
-		err := c.root.ClearFault(ev.Sid)
-		c.drainWindow()
-		return err
-	case EvNetem:
-		return c.root.SetNetem(ev.Sid, ev.Drop, ev.Dup)
-	case EvClearNetem:
-		err := c.root.SetNetem(ev.Sid, 0, 0)
-		c.drainWindow()
-		return err
+// setFault applies a link or behavior fault event to object h — the part of
+// the schedule that is the same on every runtime. The object's Byzantine and
+// link behaviors draw from streams derived from the schedule's seed, so a
+// replayed seed replays the same drop pattern.
+func setFault(h *server.Host, ev Event, seed int64) error {
+	rng := func(salt int64) *rand.Rand {
+		return rand.New(rand.NewSource(seed*1000003 + int64(ev.Sid)*8191 + salt))
 	}
-	return fmt.Errorf("torture: event %v unsupported on in-process objects", ev)
-}
-
-// drainWindow holds the event lock briefly after a fault window closes.
-// Window boundaries are op counts, and under hundreds of concurrent
-// clients the gap to the next window can be shorter in wall-clock than a
-// round's in-flight message skew (injected delay + queueing): a round that
-// already lost its request to the object of the CLOSING window (dropped,
-// never retransmitted — down to 3 of 4 possible replies) would then lose a
-// still-in-flight request to the NEXT window's object too, and fail below
-// quorum. The pause lets in-flight messages land while the cluster is whole,
-// so no round ever spans two windows.
-func (c *liveCtl) drainWindow() { time.Sleep(20 * time.Millisecond) }
-
-func (c *liveCtl) quiesce() error {
-	for sid := 1; sid <= c.s; sid++ {
-		if err := c.root.Heal(sid); err != nil {
-			return err
+	switch ev.Kind {
+	case EvPartition:
+		h.SetPartitioned(true)
+	case EvHeal:
+		h.SetPartitioned(false)
+	case EvChaos:
+		if ev.Behavior == "batch-chaos" {
+			h.SetBatchChaos(rng(2), 0.3, true)
+			break
 		}
-		if err := c.root.ClearFault(sid); err != nil {
-			return err
+		b, err := server.NamedBehavior(ev.Behavior, rng(1), 0.5)
+		if err != nil {
+			return fmt.Errorf("torture: %w", err)
 		}
-		if err := c.root.SetNetem(sid, 0, 0); err != nil {
-			return err
-		}
+		h.SetBehavior(b)
+	case EvClearChaos:
+		h.SetBehavior(nil)
+		h.SetBatchChaos(nil, 0, false)
+	case EvNetem:
+		h.SetNetem(rng(3), ev.Drop, ev.Dup, time.Duration(ev.DelayUS)*time.Microsecond)
+	case EvClearNetem:
+		h.SetNetem(nil, 0, 0, 0)
+	default:
+		return fmt.Errorf("torture: event %v unsupported on this runtime", ev)
 	}
 	return nil
 }
 
-func (c *liveCtl) close() {} // the harness closes the root cluster
+// closesWindow reports the events that end a fault window. Window boundaries
+// are op counts, and under hundreds of concurrent clients the gap to the next
+// window can be shorter than a round's in-flight message skew: a round that
+// already lost its request to the object of the CLOSING window (dropped, never
+// retransmitted — down to 3 of 4 possible replies) would then lose a
+// still-in-flight request to the NEXT window's object too, and fail below
+// quorum. So a controller lets what is in flight land while the cluster is
+// whole — no round spans two windows.
+func closesWindow(k EventKind) bool { return k == EvHeal || k == EvClearChaos || k == EvClearNetem }
+
+// whole restores object h to healthy-and-connected.
+func whole(h *server.Host) {
+	h.SetPartitioned(false)
+	h.SetBehavior(nil)
+	h.SetBatchChaos(nil, 0, false)
+	h.SetNetem(nil, 0, 0, 0)
+}
+
+// liveCtl tortures the objects of a simulation (the client processes reach
+// them over its scheduled link). Kill/restart map to partition/heal: an
+// in-process object has no disk, so cutting it off and later reconnecting it
+// is exactly a crash that preserved its state. Events are applied by the
+// running client goroutine, and a closing window drains by delivering what is
+// in transit: nothing here sleeps.
+type liveCtl struct {
+	sim  *sim.Sim
+	seed int64
+}
+
+func (c *liveCtl) apply(ev Event) error {
+	switch ev.Kind {
+	case EvKill:
+		ev.Kind = EvPartition
+	case EvRestart:
+		ev.Kind = EvHeal
+	}
+	err := setFault(c.sim.Hosts()[ev.Sid-1], ev, c.seed)
+	if closesWindow(ev.Kind) {
+		c.sim.Drain()
+	}
+	return err
+}
+
+func (c *liveCtl) quiesce() error {
+	for _, h := range c.sim.Hosts() {
+		whole(h)
+	}
+	return nil
+}
+
+func (c *liveCtl) close() { c.sim.Close() }
 
 // tcpCtl tortures real TCP daemons. Kill closes a daemon (its data dir
 // survives), restart recovers it from the preserved WAL on the same address,
@@ -103,24 +132,11 @@ type tcpCtl struct {
 	shards   int
 }
 
-// chaosRng derives the seeded stream for one object's Byzantine/link
-// behavior, so a replayed seed replays the same drop pattern.
-func (c *tcpCtl) chaosRng(sid int, salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(c.seed*1000003 + int64(sid)*8191 + salt))
-}
-
 func (c *tcpCtl) apply(ev Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.servers[ev.Sid-1]
 	switch ev.Kind {
-	case EvPartition:
-		s.SetPartitioned(true)
-	case EvHeal:
-		s.SetPartitioned(false)
-		// Same window-straddle hazard as liveCtl.drainWindow: let rounds
-		// that lost a message to this window finish before the next opens.
-		time.Sleep(20 * time.Millisecond)
 	case EvKill:
 		s.Close()
 		c.servers[ev.Sid-1] = nil
@@ -160,25 +176,6 @@ func (c *tcpCtl) apply(ev Event) error {
 			}
 			time.Sleep(250 * time.Millisecond)
 		}
-	case EvChaos:
-		if ev.Behavior == "batch-chaos" {
-			s.SetBatchChaos(c.chaosRng(ev.Sid, 2), 0.3, true)
-			break
-		}
-		b, err := server.NamedBehavior(ev.Behavior, c.chaosRng(ev.Sid, 1), 0.5)
-		if err != nil {
-			return fmt.Errorf("torture: %w", err)
-		}
-		s.SetBehavior(b)
-	case EvClearChaos:
-		s.SetBehavior(nil)
-		s.SetBatchChaos(nil, 0, false)
-		time.Sleep(20 * time.Millisecond)
-	case EvNetem:
-		s.SetNetem(c.chaosRng(ev.Sid, 3), ev.Drop, ev.Dup, time.Duration(ev.DelayUS)*time.Microsecond)
-	case EvClearNetem:
-		s.SetNetem(nil, 0, 0, 0)
-		time.Sleep(20 * time.Millisecond)
 	case EvLeave:
 		// Vacate the slot first — the config write still counts the leaving
 		// daemon toward its quorum — then kill it for real. Clients at the
@@ -222,7 +219,12 @@ func (c *tcpCtl) apply(ev Event) error {
 		c.addrs[ev.Sid-1] = srv.Addr()
 		time.Sleep(20 * time.Millisecond)
 	default:
-		return fmt.Errorf("torture: event %v unsupported on tcp daemons", ev)
+		if err := setFault(s.Host, ev, c.seed); err != nil {
+			return err
+		}
+		if closesWindow(ev.Kind) {
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
 	return nil
 }
@@ -274,11 +276,7 @@ func (c *tcpCtl) quiesce() error {
 				return err
 			}
 		}
-		s := c.servers[sid-1]
-		s.SetPartitioned(false)
-		s.SetBehavior(nil)
-		s.SetBatchChaos(nil, 0, false)
-		s.SetNetem(nil, 0, 0, 0)
+		whole(c.servers[sid-1].Host)
 	}
 	c.mu.Unlock()
 	// Client muxes to a restarted daemon redial only after DialBackoff;
@@ -308,7 +306,29 @@ type rig struct {
 	procs  []*robustatomic.Cluster
 	ctrl   controller
 	tracer *obs.Tracer
+	clients
 }
+
+// clients is how the workload's clients run: started with Go, paused with
+// Sleep, and waited for with Run(nil). A live rig's are the simulation's
+// (*sim.Sim), a tcp rig's run in real time.
+type clients interface {
+	Go(fn func())
+	Sleep(d time.Duration)
+	Run(until func() bool) error
+}
+
+type realTime struct{ sync.WaitGroup }
+
+func (r *realTime) Go(fn func()) {
+	r.Add(1)
+	go func() {
+		defer r.Done()
+		fn()
+	}()
+}
+func (*realTime) Sleep(d time.Duration)         { time.Sleep(d) }
+func (r *realTime) Run(func() bool) (err error) { r.Wait(); return }
 
 func (r *rig) close() {
 	r.ctrl.close()
@@ -317,10 +337,11 @@ func (r *rig) close() {
 	}
 }
 
-// setup builds the cluster under torture for cfg: mode live starts the
-// in-process objects, reached with seeded message delays, and a Sibling second
-// process; mode tcp starts S daemons with persist data dirs under dir and
-// Connects each process separately.
+// setup builds the cluster under torture for cfg: mode live starts a
+// simulation — the objects, the scheduled link with seeded message latencies,
+// the clients' scheduler — and a Sibling second process on it; mode tcp starts
+// S daemons with persist data dirs under dir and Connects each process
+// separately.
 func setup(cfg Config, dir string) (*rig, error) {
 	// Process identities 0..nProcs-1 are the workload's; nProcs is the
 	// operator's (Repair, Leave, Join, Move — tcp only).
@@ -338,24 +359,22 @@ func setup(cfg Config, dir string) (*rig, error) {
 
 	switch cfg.Mode {
 	case ModeLive:
-		delayed := func(p int) robustatomic.Options {
-			o := opts(p)
-			o.MaxDelay = 200 * time.Microsecond // exercise the delayed link
-			return o
-		}
-		root, err := robustatomic.NewCluster(delayed(0))
+		s := sim.New(sim.Config{Servers: 3*cfg.Faults + 1})
+		s.Seed(cfg.Seed)
+		s.SetLatency(0, 200*time.Microsecond)
+		root, err := robustatomic.NewSimCluster(s, opts(0))
 		if err != nil {
 			return nil, err
 		}
-		sib, err := root.Sibling(delayed(1))
+		sib, err := root.Sibling(opts(1))
 		if err != nil {
-			root.Close()
 			return nil, err
 		}
 		return &rig{
-			procs:  []*robustatomic.Cluster{root, sib},
-			ctrl:   &liveCtl{root: root, s: root.Objects()},
-			tracer: tracer,
+			procs:   []*robustatomic.Cluster{root, sib},
+			ctrl:    &liveCtl{sim: s, seed: cfg.Seed},
+			tracer:  tracer,
+			clients: s,
 		}, nil
 
 	case ModeTCP:
@@ -395,7 +414,7 @@ func setup(cfg Config, dir string) (*rig, error) {
 			procs = append(procs, c)
 		}
 		ctl.operator, procs = procs[nProcs], procs[:nProcs]
-		return &rig{procs: procs, ctrl: ctl, tracer: tracer}, nil
+		return &rig{procs: procs, ctrl: ctl, tracer: tracer, clients: &realTime{}}, nil
 	}
 	return nil, fmt.Errorf("torture: unknown mode %q", cfg.Mode)
 }

@@ -1,6 +1,7 @@
 // Package torture is the seeded, deterministic cluster torture harness: a
-// schedule engine drives a real cluster — the in-process objects or
-// real TCP daemons with persist data dirs — through composable fault events
+// schedule engine drives a real cluster — objects in this process under the
+// simulator's schedule, or real TCP daemons with persist data dirs — through
+// composable fault events
 // (partition/heal, message drop/duplication/delay, kill + restart from
 // preserved data dirs, wipe + quorum Repair, and the Byzantine behaviors)
 // while hundreds of simulated clients issue Put/Get/Delete against the
@@ -12,9 +13,14 @@
 // point from a seeded rand stream. Events fire when the global count of
 // completed client operations crosses the event's At threshold, not at wall
 // times, so a replayed seed fires the identical event sequence at the same
-// logical progress points even though goroutine interleaving varies run to
-// run. Failures print the seed and a replay command reproducing the exact
-// schedule (see Replay in the test harness).
+// logical progress points. In ModeLive that is the whole of it: the clients
+// are the simulator's goroutines, one running at a time, the link and the
+// clock are its own, so one seed is one EXECUTION — the same interleaving,
+// the same messages in the same order, the same histories (Result.Digest). In
+// ModeTCP the clients run in parallel over real sockets (which is where the
+// race detector watches them) and the interleaving varies run to run.
+// Failures print the seed and a replay command (see Replay in the test
+// harness).
 package torture
 
 import (
@@ -27,10 +33,10 @@ type Mode string
 
 // Modes.
 const (
-	// ModeLive tortures the in-process cluster (the in-memory link, seeded
-	// message delays). Kill/restart map to partition/heal — a live object has
-	// no disk, so cutting it off and reconnecting it IS a crash with
-	// preserved state.
+	// ModeLive tortures an in-process cluster under internal/sim (the
+	// scheduled link, seeded message latencies, a virtual clock). Kill/restart
+	// map to partition/heal — a live object has no disk, so cutting it off
+	// and reconnecting it IS a crash with preserved state.
 	ModeLive Mode = "live"
 	// ModeTCP tortures real TCP daemons with persist data dirs: kill closes
 	// the daemon and restart recovers it from its preserved WAL; wipe deletes
@@ -145,7 +151,7 @@ type Event struct {
 	Behavior string  // EvChaos: flaky | stale | equivocate | falseelide | batch-chaos
 	Drop     float64 // EvNetem: request drop probability
 	Dup      float64 // EvNetem: reply duplication probability
-	DelayUS  int     // EvNetem: reply delay in microseconds (tcp only)
+	DelayUS  int     // EvNetem: reply delay in microseconds
 }
 
 // String implements fmt.Stringer.
@@ -223,7 +229,7 @@ func Plan(scenario Scenario, mode Mode, seed int64, totalOps, s int) (Schedule, 
 		case PartitionHeal:
 			if rng.Intn(3) == 0 {
 				ev := Event{At: start, Kind: EvNetem, Sid: sid, Drop: 0.2 + 0.3*rng.Float64(), Dup: 0.2 * rng.Float64()}
-				if mode == ModeTCP && rng.Intn(2) == 0 {
+				if rng.Intn(2) == 0 {
 					ev.DelayUS = 500 + rng.Intn(2000)
 				}
 				sched.Events = append(sched.Events, ev, Event{At: end, Kind: EvClearNetem, Sid: sid})
@@ -245,10 +251,7 @@ func Plan(scenario Scenario, mode Mode, seed int64, totalOps, s int) (Schedule, 
 					Event{At: end, Kind: EvRestart, Sid: sid})
 			}
 		case ByzantineMix:
-			behaviors := []string{"flaky", "stale", "equivocate", "falseelide"}
-			if mode == ModeTCP {
-				behaviors = append(behaviors, "batch-chaos")
-			}
+			behaviors := []string{"flaky", "stale", "equivocate", "falseelide", "batch-chaos"}
 			if rng.Intn(4) == 0 {
 				sched.Events = append(sched.Events,
 					Event{At: start, Kind: EvNetem, Sid: sid, Drop: 0.3, Dup: 0.2},

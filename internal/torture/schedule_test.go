@@ -39,6 +39,14 @@ func TestPlanShape(t *testing.T) {
 	// An atomic replace is a point event: the slot stays populated, so it
 	// neither opens nor closes a fault window.
 	neutral := map[EventKind]bool{EvReplace: true}
+	// Link delay and batch chaos run on every runtime: some seed of the range
+	// plans each into a live schedule.
+	liveDelay, liveBatchChaos := false, false
+	defer func() {
+		if !liveDelay || !liveBatchChaos {
+			t.Errorf("live plans over seeds 1..20: delayed netem window %v, batch-chaos window %v; want both", liveDelay, liveBatchChaos)
+		}
+	}()
 	for _, sc := range Scenarios() {
 		for _, mode := range ScenarioModes(sc) {
 			for seed := int64(1); seed <= 20; seed++ {
@@ -51,6 +59,10 @@ func TestPlanShape(t *testing.T) {
 				}
 				faulted := 0
 				for i, ev := range sched.Events {
+					if mode == ModeLive {
+						liveDelay = liveDelay || sc == PartitionHeal && ev.DelayUS > 0
+						liveBatchChaos = liveBatchChaos || sc == ByzantineMix && ev.Behavior == "batch-chaos"
+					}
 					if i > 0 && ev.At < sched.Events[i-1].At {
 						t.Fatalf("%s/%s seed %d: events out of order:\n%s", sc, mode, seed, sched)
 					}

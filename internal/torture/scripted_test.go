@@ -1,0 +1,250 @@
+package torture
+
+// Store-level protocol points, scripted on the simulator: the whole client
+// stack — Store, group commits, Combiner, round engine — under a schedule
+// that names the instant a flush is held at or an ack is lost, with two more
+// processes reading throughout and every history decided by the checker.
+
+import (
+	"testing"
+	"time"
+
+	"robustatomic"
+	"robustatomic/internal/checker"
+	"robustatomic/internal/server"
+	"robustatomic/internal/sim"
+	"robustatomic/internal/types"
+)
+
+// storePoint is one scripted execution: processes 0 and 1 write one key,
+// processes 2 and 3 read it.
+type storePoint struct {
+	t      *testing.T
+	sim    *sim.Sim
+	opts   robustatomic.Options
+	root   *robustatomic.Cluster // process 3; the others are its Siblings
+	stores []*robustatomic.Store
+	rec    recorder
+}
+
+const pointKey = "k"
+
+func newStorePoint(t *testing.T, seed int64) *storePoint {
+	p := &storePoint{t: t, sim: sim.New(sim.Config{Servers: 4}), stores: make([]*robustatomic.Store, 4)}
+	t.Cleanup(p.sim.Close)
+	p.sim.Seed(seed)
+	p.sim.SetLatency(0, 200*time.Microsecond)
+	p.opts = robustatomic.Options{Faults: 1, Readers: 4, WriterID: 3, Seed: seed}
+	var err error
+	if p.root, err = robustatomic.NewSimCluster(p.sim, p.opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.root.Close)
+	for proc := range p.stores {
+		p.start(proc)
+	}
+	return p
+}
+
+// start starts process proc: a client process with that identity and nothing
+// remembered. It returns the process's Close.
+func (p *storePoint) start(proc int) (stop func()) {
+	c := p.root
+	if proc != p.opts.WriterID {
+		opts := p.opts
+		opts.WriterID = proc
+		var err error
+		if c, err = p.root.Sibling(opts); err != nil {
+			p.t.Fatal(err)
+		}
+		p.t.Cleanup(c.Close)
+	}
+	st, err := c.NewStore(robustatomic.StoreOptions{Shards: 1})
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.stores[proc] = st
+	return c.Close
+}
+
+// put starts a client of process proc putting val; *done reports it over and
+// whether it succeeded (a failed Put stays pending in the history: the Store
+// may still land it).
+func (p *storePoint) put(proc int, val string) (done, ok *bool) {
+	done, ok = new(bool), new(bool)
+	p.sim.Go(func() {
+		id := p.rec.invoke(pointKey, types.WriterID(10+proc), checker.OpWrite, types.Value(val))
+		if err := p.stores[proc].Put(pointKey, val); err != nil {
+			p.rec.abandon(id)
+		} else {
+			p.rec.respond(id, "")
+			*ok = true
+		}
+		*done = true
+	})
+	return done, ok
+}
+
+// gets starts a client of process proc reading the key n times.
+func (p *storePoint) gets(proc, n int) {
+	p.sim.Go(func() {
+		for i := 0; i < n; i++ {
+			id := p.rec.invoke(pointKey, types.Reader(proc), checker.OpRead, "")
+			v, err := p.stores[proc].Get(pointKey)
+			if err != nil {
+				p.t.Errorf("get by process %d: %v", proc, err)
+				p.rec.abandon(id)
+				return
+			}
+			p.rec.respond(id, types.Value(v))
+		}
+	})
+}
+
+// run lets the clients run until holds (nil: to completion).
+func (p *storePoint) run(until func() bool) {
+	p.t.Helper()
+	if err := p.sim.Run(until); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// settle reads the key once more per reading process, sequentially, and
+// decides the history.
+func (p *storePoint) settle(seed int64) {
+	p.t.Helper()
+	for proc := 2; proc < len(p.stores); proc++ {
+		p.gets(proc, 1)
+		p.run(nil)
+	}
+	if _, err := checkAll(p.rec.histories(), checker.Budget{MaxNodes: 2_000_000, Deadline: 30 * time.Second}); err != nil {
+		p.t.Fatalf("seed %d: %v", seed, err)
+	}
+}
+
+// ackEater is an object that does everything a correct one does, except
+// that process 0 never hears its WRITE acknowledged.
+type ackEater struct{ eaten *int }
+
+func (b ackEater) Reply(st *server.Store, from types.ProcID, m types.Message) (types.Message, bool) {
+	if from == types.WriterID(0) && m.Kind == types.MsgWrite {
+		*b.eaten++
+		return st.Handle(from, m), false
+	}
+	return st.Handle(from, m), true
+}
+
+func pointSeeds() int64 {
+	if testing.Short() {
+		return 20
+	}
+	return 200
+}
+
+// TestScriptedStoreFlushRebased: process 0's flush has validated its cached
+// table (WVAL) and posted its PREWRITE when a foreign flush of the same shard
+// runs to completion; only then does the PREWRITE reach anyone.
+func TestScriptedStoreFlushRebased(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		held := false
+		p.sim.Hold(func(m sim.Message) bool { // process 0's flush, at its PREWRITE
+			at := m.Req.From == types.WriterID(0) && !m.Reply && len(m.Req.Subs) > 0 && m.Req.Subs[0].Msg.Kind == types.MsgPreWrite
+			held = held || at
+			return at
+		})
+		aDone, aOK := p.put(0, "a1")
+		p.run(func() bool { return held })
+		bDone, bOK := p.put(1, "b1")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(func() bool { return *bDone })
+		if !*bOK || *aDone {
+			t.Fatalf("seed %d: the foreign flush (ok %v) did not land inside the held one (over %v)", seed, *bOK, *aDone)
+		}
+		p.sim.Hold(nil)
+		p.run(nil)
+		if !*aOK {
+			t.Fatalf("seed %d: the held flush failed", seed)
+		}
+		p.settle(seed)
+	}
+}
+
+// TestScriptedStoreAckLost is the Store-level half of ROADMAP 1b: process 0's
+// flush reaches its WRITE quorum and every ack is lost, so the Put fails at
+// its round's deadline with the write in place; the Store retries the
+// mutation inside the process's next flush, beside a foreign writer and two
+// readers.
+func TestScriptedStoreAckLost(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		lost := 0
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(ackEater{&lost})
+		}
+		aDone, aOK := p.put(0, "a1")
+		p.put(1, "b1")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(func() bool { return *aDone })
+		if *aOK || lost < 3 {
+			t.Fatalf("seed %d: the flush whose acks were lost (%d of them) succeeded: %v", seed, lost, *aOK)
+		}
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(nil)
+		}
+		retry, retried := p.put(0, "a2")
+		p.put(1, "b2")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(nil)
+		if !*retry || !*retried {
+			t.Fatalf("seed %d: the flush retrying the lost mutation failed", seed)
+		}
+		p.settle(seed)
+	}
+}
+
+// TestScriptedStoreAckLostRestart is the other hypothesis of ROADMAP 1b: the
+// process whose flush reached its WRITE quorum and lost every ack DIES with
+// its Put failed, and a fresh process with the same identity — nothing
+// remembered, its shard recovered by a read — puts again.
+func TestScriptedStoreAckLostRestart(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		stop := p.start(0)
+		p.put(0, "a0")
+		p.run(nil)
+		lost := 0
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(ackEater{&lost})
+		}
+		aDone, aOK := p.put(0, "a1")
+		p.put(1, "b1")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(func() bool { return *aDone })
+		if *aOK || lost < 3 {
+			t.Fatalf("seed %d: the flush whose acks were lost (%d of them) succeeded: %v", seed, lost, *aOK)
+		}
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(nil)
+		}
+		stop()
+		p.start(0)
+		again, ok := p.put(0, "a2")
+		p.put(1, "b2")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(nil)
+		if !*again || !*ok {
+			t.Fatalf("seed %d: the restarted process's Put failed", seed)
+		}
+		p.settle(seed)
+	}
+}

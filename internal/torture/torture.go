@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,12 +11,13 @@ import (
 	"robustatomic"
 	"robustatomic/internal/checker"
 	"robustatomic/internal/obs"
+	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
 )
 
 // Config parameterizes one torture run. Seed, Scenario and Mode fully
 // determine the fault schedule; the workload shape determines its trigger
-// points.
+// points. In ModeLive they determine the whole execution.
 type Config struct {
 	Seed     int64
 	Scenario Scenario
@@ -85,6 +87,9 @@ type Result struct {
 	Failed   int // operations that errored mid-fault (recorded as pending)
 	Keys     int // distinct keys with non-empty histories
 	Checked  int // operations decided by the per-key atomicity checks
+	// Digest is the simulator's hash of every scheduling step of a ModeLive
+	// run (sim.Digest; zero in ModeTCP): a replayed seed reproduces it.
+	Digest uint64
 }
 
 // pickKeys chooses n workload keys that hash onto n DISTINCT shards.
@@ -120,22 +125,29 @@ func pickKeys(st *robustatomic.Store, n int) ([]string, error) {
 // processes disagree on any key's value, or if the cluster breaks in a way
 // the fault schedule does not license. The returned error embeds the seed
 // and the full schedule; the test harness prints the replay command.
-func Run(cfg Config) (res Result, err error) {
+func Run(cfg Config) (Result, error) {
 	cfg.defaults()
+	sched, err := Plan(cfg.Scenario, cfg.Mode, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3*cfg.Faults+1)
+	if err != nil {
+		return Result{}, err
+	}
+	res, _, err := execute(cfg, sched)
+	return res, err
+}
+
+// execute runs the workload of cfg (defaults applied) under sched and also
+// returns the per-key histories it decided.
+func execute(cfg Config, sched Schedule) (res Result, hists map[string]*checker.History, err error) {
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	totalOps := cfg.Clients * cfg.OpsPerClient
-	sched, err := Plan(cfg.Scenario, cfg.Mode, cfg.Seed, totalOps, 3*cfg.Faults+1)
-	if err != nil {
-		return Result{}, err
-	}
 	logf("%s", sched)
 
 	r, err := setup(cfg, cfg.Dir)
 	if err != nil {
-		return Result{Schedule: sched}, fmt.Errorf("torture: setup: %w", err)
+		return Result{Schedule: sched}, nil, fmt.Errorf("torture: setup: %w", err)
 	}
 	defer r.close()
 	mix := readMix()
@@ -153,13 +165,13 @@ func Run(cfg Config) (res Result, err error) {
 	for p, c := range r.procs {
 		st, err := c.NewStore(robustatomic.StoreOptions{Shards: cfg.Shards})
 		if err != nil {
-			return Result{Schedule: sched}, fmt.Errorf("torture: store %d: %w", p, err)
+			return Result{Schedule: sched}, nil, fmt.Errorf("torture: store %d: %w", p, err)
 		}
 		stores[p] = st
 	}
 	keys, err := pickKeys(stores[0], cfg.Keys)
 	if err != nil {
-		return Result{Schedule: sched}, err
+		return Result{Schedule: sched}, nil, err
 	}
 
 	var (
@@ -190,11 +202,8 @@ func Run(cfg Config) (res Result, err error) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
+	for ci := 0; ci < cfg.Clients; ci++ {
+		r.Go(func() {
 			proc := ci % len(r.procs)
 			st := stores[proc]
 			self := types.WriterID(10 + ci)
@@ -235,53 +244,62 @@ func Run(cfg Config) (res Result, err error) {
 					if n := failed.Add(1); n <= 16 {
 						logf("op failure %d (client %d, key %s): %v", n, ci, key, err)
 					}
-					time.Sleep(bo.Next(err))
+					r.Sleep(bo.Next(err))
 				} else {
 					bo.Reset()
 				}
 				fire(done.Add(1))
 			}
-		}(i)
+		})
 	}
-	wg.Wait()
+	if err = r.Run(nil); err != nil {
+		return Result{Schedule: sched}, nil, fmt.Errorf("torture: %w\n%s", err, sched)
+	}
 
 	if evErr != nil {
-		return Result{Schedule: sched}, fmt.Errorf("torture: schedule event failed: %w\n%s", evErr, sched)
+		return Result{Schedule: sched}, nil, fmt.Errorf("torture: schedule event failed: %w\n%s", evErr, sched)
 	}
 	fire(int64(totalOps)) // defensive: nothing may be left pending
 	if err := r.ctrl.quiesce(); err != nil {
-		return Result{Schedule: sched}, fmt.Errorf("torture: quiesce: %w\n%s", err, sched)
+		return Result{Schedule: sched}, nil, fmt.Errorf("torture: quiesce: %w\n%s", err, sched)
 	}
 
 	// Quiescent agreement: with every fault healed, each process reads every
 	// key sequentially; the reads join the per-key histories (so atomicity
 	// covers them too) and the processes' views must agree exactly.
 	final := make([]map[string]string, len(r.procs))
-	for p := range r.procs {
-		final[p] = make(map[string]string, len(keys))
-		self := types.Reader(1000 + p)
-		for _, key := range keys {
-			id := rec.invoke(key, self, checker.OpRead, "")
-			v, err := stores[p].Get(key)
-			if err != nil {
-				return Result{Schedule: sched}, fmt.Errorf("torture: quiescent read of %q by process %d failed on a healed cluster: %w\n%s", key, p, err, sched)
+	var readErr error
+	r.Go(func() {
+		for p := range r.procs {
+			final[p] = make(map[string]string, len(keys))
+			self := types.Reader(1000 + p)
+			for _, key := range keys {
+				id := rec.invoke(key, self, checker.OpRead, "")
+				v, err := stores[p].Get(key)
+				if err != nil {
+					readErr = fmt.Errorf("quiescent read of %q by process %d failed on a healed cluster: %w", key, p, err)
+					return
+				}
+				rec.respond(id, types.Value(v))
+				final[p][key] = v
 			}
-			rec.respond(id, types.Value(v))
-			final[p][key] = v
 		}
+	})
+	if err = errors.Join(r.Run(nil), readErr); err != nil {
+		return Result{Schedule: sched}, nil, fmt.Errorf("torture: %w\n%s", err, sched)
 	}
 	for _, key := range keys {
 		if final[0][key] != final[1][key] {
-			return Result{Schedule: sched}, fmt.Errorf(
+			return Result{Schedule: sched}, nil, fmt.Errorf(
 				"torture: quiescent disagreement on %q: process 0 reads %q, process 1 reads %q\n%s",
 				key, final[0][key], final[1][key], sched)
 		}
 	}
 
-	hists := rec.histories()
+	hists = rec.histories()
 	checked, err := checkAll(hists, cfg.Budget)
 	if err != nil {
-		return Result{Schedule: sched}, fmt.Errorf("torture: %w\n%s", err, sched)
+		return Result{Schedule: sched}, nil, fmt.Errorf("torture: %w\n%s", err, sched)
 	}
 	res = Result{
 		Schedule: sched,
@@ -290,13 +308,16 @@ func Run(cfg Config) (res Result, err error) {
 		Keys:     len(hists),
 		Checked:  checked,
 	}
+	if s, live := r.clients.(*sim.Sim); live {
+		res.Digest = s.Digest()
+	}
 	logf("torture pass: %d ops (%d failed mid-fault), %d keys, %d ops checker-accepted",
 		res.Ops, res.Failed, res.Keys, res.Checked)
 	now := readMix()
 	one, elided, fallback := now[0]-mix[0], now[1]-mix[1], now[2]-mix[2]
 	logf("read path: %d atomic reads, %d in 1 round, %d in 2, %d with write-back (hit ratio %.2f); %d rounds deferred a suspect",
 		elided+fallback, one, elided-one, fallback, float64(one)/float64(max(elided+fallback, 1)), now[3]-mix[3])
-	return res, nil
+	return res, hists, nil
 }
 
 // readMix samples the process-wide read-path counters (core.Reader): reads

@@ -140,7 +140,8 @@ func TestTortureFull(t *testing.T) {
 
 // TestTortureReplay re-runs one seeded schedule from the command line — the
 // command every torture failure prints. It first proves the plan is the
-// identical event schedule (byte-for-byte), then runs it.
+// identical event schedule (byte-for-byte), then runs it — in live mode
+// twice, proving the seed reproduces the execution, not just the schedule.
 func TestTortureReplay(t *testing.T) {
 	if *tortureSeed == 0 {
 		t.Skip("replay runs under -args -torture.seed=<seed> (printed by torture failures)")
@@ -164,6 +165,12 @@ func TestTortureReplay(t *testing.T) {
 	}
 	t.Logf("replaying:\n%s", a)
 	res := runTorture(t, cfg, *tortureFull)
+	if cfg.Mode == ModeLive {
+		if again := runTorture(t, cfg, *tortureFull); again.Digest != res.Digest {
+			t.Fatalf("the seed ran two executions: event-trace digests %x and %x", res.Digest, again.Digest)
+		}
+		t.Logf("event-trace digest %x, reproduced", res.Digest)
+	}
 	t.Logf("%d ops (%d failed mid-fault), %d keys, %d checker-accepted",
 		res.Ops, res.Failed, res.Keys, res.Checked)
 }

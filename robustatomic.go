@@ -22,9 +22,9 @@
 // internal/; it is not a deployment option.)
 //
 // The library runs over an in-process cluster (the objects in this process,
-// with optional fault injection and random delays) or over TCP against
-// storage daemons (cmd/storaged); the protocol stack, the round engine and
-// the object code are identical in both cases — only the link differs.
+// with optional fault injection) or over TCP against storage daemons
+// (cmd/storaged); the protocol stack, the round engine and the object code
+// are identical in both cases — only the link differs.
 // Every client process of one deployment configures a distinct
 // Options.WriterID, its process identity:
 //
@@ -64,13 +64,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"robustatomic/internal/core"
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/server"
+	"robustatomic/internal/sim"
 	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
 )
@@ -94,10 +94,8 @@ type Options struct {
 	// across sequential process lifetimes is safe (a fresh handle
 	// rediscovers its write-back sequence number, core.ResumeSeq).
 	WriterID int
-	// Seed drives randomized in-process delays and injected faults.
+	// Seed drives injected in-process faults.
 	Seed int64
-	// MaxDelay bounds random in-process message delays (0 = none).
-	MaxDelay time.Duration
 	// RoundHook, when set, is invoked with the round's label after every
 	// successfully completed communication round of every handle built from
 	// this cluster — instrumentation for round-complexity assertions and
@@ -134,10 +132,7 @@ func (o *Options) defaults() {
 // each handle is then single-goroutine as the model prescribes.
 type Cluster struct {
 	opts Options
-	th   quorum.Thresholds
-
-	hosts []*server.Host // the objects of an in-process cluster; nil when remote
-	addrs []string       // the Connect list; nil when in-process
+	deployment
 
 	// mux is this process's transport: every handle's rounds multiplex over
 	// its one link per object — a pipelined TCP connection to a daemon
@@ -145,22 +140,32 @@ type Cluster struct {
 	mux *tcpnet.Mux
 	// combiner merges concurrent Store shard flushes (this process's writer
 	// identity) into batched rounds: one frame per object for the whole
-	// batch. Nil in-process, where rounds have no frames to save.
+	// batch. Nil where the link says a request costs no frame (Mux.Framed).
 	combiner *proto.Combiner
 }
 
+// deployment is what the client processes of one cluster have in common.
+type deployment struct {
+	th    quorum.Thresholds
+	hosts []*server.Host // the objects of an in-process cluster; nil when remote
+	addrs []string       // the Connect list; nil when in-process
+	// dial builds one client process's transport to the objects, and wait is
+	// the shard.Group hook of every group commit over it: nil, except under
+	// the simulator's one-at-a-time scheduler.
+	dial func() *tcpnet.Mux
+	wait func(done, lead <-chan struct{})
+}
+
 // newCluster checks the process identity and builds the handle and its
-// transport over hosts or addrs.
-func newCluster(opts Options, th quorum.Thresholds, hosts []*server.Host, addrs []string) (*Cluster, error) {
+// transport.
+func newCluster(opts Options, d deployment) (*Cluster, error) {
 	if opts.WriterID < 0 || opts.WriterID >= opts.Readers {
 		return nil, fmt.Errorf("%w: WriterID %d out of 0..%d (Readers counts the deployment's client processes)", ErrProcessID, opts.WriterID, opts.Readers-1)
 	}
-	c := &Cluster{opts: opts, th: th, hosts: hosts, addrs: addrs}
-	if hosts != nil {
-		c.mux = tcpnet.NewMemMux(hosts, opts.Seed, opts.MaxDelay)
-	} else {
-		c.mux = tcpnet.NewMux(addrs)
+	c := &Cluster{opts: opts, deployment: d, mux: d.dial()}
+	if c.mux.Framed() {
 		c.combiner = proto.NewCombiner(c.mux.Client(types.WriterID(opts.WriterID), 0))
+		c.combiner.SetWait(d.wait)
 	}
 	return c, nil
 }
@@ -187,7 +192,22 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	return newCluster(opts, th, server.NewHosts(th.S), nil)
+	hosts := server.NewHosts(th.S)
+	return newCluster(opts, deployment{th: th, hosts: hosts, dial: func() *tcpnet.Mux { return tcpnet.NewMemMux(hosts) }})
+}
+
+// NewSimCluster returns a client process of a cluster whose objects are the
+// simulator's, reached over its scheduled link: the same Store, group commits
+// and round engine, under a schedule — delivery order, virtual clock, which
+// client goroutine runs — the simulation owns and a seed replays. Client
+// goroutines must be the simulator's (sim.Go); Siblings share the objects.
+func NewSimCluster(s *sim.Sim, opts Options) (*Cluster, error) {
+	opts.defaults()
+	th, err := quorum.NewThresholds(s.NumServers(), opts.Faults)
+	if err != nil {
+		return nil, fmt.Errorf("robustatomic: %w", err)
+	}
+	return newCluster(opts, deployment{th: th, hosts: s.Hosts(), wait: s.Await, dial: func() *tcpnet.Mux { return tcpnet.NewLinkMux(th.S, s.Link()) }})
 }
 
 // Connect attaches to a remote cluster of storage daemons (cmd/storaged);
@@ -199,11 +219,11 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	return newCluster(opts, th, nil, addrs)
+	return newCluster(opts, deployment{th: th, addrs: addrs, dial: func() *tcpnet.Mux { return tcpnet.NewMux(addrs) }})
 }
 
 // Sibling returns a second logical client process over the same running
-// cluster: it shares the in-process objects (or the daemon addresses) but
+// cluster: it shares the objects (or the daemon addresses) but
 // carries its own WriterID, seed and transport — the in-process twin of a
 // second machine running Connect, and like it refused its parent's
 // WriterID. Faults and Readers are cluster-wide constants and must match:
@@ -221,7 +241,7 @@ func (c *Cluster) Sibling(opts Options) (*Cluster, error) {
 	if opts.Readers != c.opts.Readers {
 		return nil, fmt.Errorf("robustatomic: sibling reader count %d != cluster's %d", opts.Readers, c.opts.Readers)
 	}
-	return newCluster(opts, c.th, c.hosts, c.addrs)
+	return newCluster(opts, c.deployment)
 }
 
 // Close shuts down this handle's transport: its rounds fail from here on.
@@ -290,26 +310,6 @@ func (c *Cluster) setPartitioned(sid int, partitioned bool) error {
 	return err
 }
 
-// SetNetem injects seeded link faults on in-process object sid: each inbound
-// message is dropped with probability drop (never processed) and surviving
-// replies are duplicated with probability dup (the link drops the copy, as a
-// TCP client's demux does). Both zero clears. The rand
-// stream derives from the cluster seed and sid, so a replayed seed replays
-// the same loss pattern. Composes with InjectFault — netem is the network,
-// not the object.
-func (c *Cluster) SetNetem(sid int, drop, dup float64) error {
-	h, err := c.host(sid)
-	if err != nil {
-		return err
-	}
-	var rng *rand.Rand
-	if drop != 0 || dup != 0 {
-		rng = rand.New(rand.NewSource(mixSeed(c.opts.Seed, int64(sid), 0x6e65746d)))
-	}
-	h.SetNetem(rng, drop, dup, 0)
-	return nil
-}
-
 // rounder builds the round executor for one process against register
 // instance reg (0 is the default single register; the Store layer uses
 // 1..Shards).
@@ -326,11 +326,10 @@ func (c *Cluster) observed(r proto.Rounder) proto.Rounder {
 }
 
 // shardWriter builds the committer's writer handle for shard register reg.
-// Where the objects are remote, the writer's rounds run through the
+// Where the link frames its requests, the writer's rounds run through the
 // cluster-wide Combiner, so concurrent flushes of different shards merge
-// into one batched frame per object (in-process rounds have no frames to
-// save); the RoundHook still observes each shard's logical rounds
-// individually (the hook wraps above the Combiner).
+// into one batched frame per object; the RoundHook still observes each
+// shard's logical rounds individually (the hook wraps above the Combiner).
 func (c *Cluster) shardWriter(reg int, last types.TS) *Writer {
 	if c.combiner == nil {
 		return c.writerReg(reg, last)

@@ -2,9 +2,7 @@ package robustatomic
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -108,40 +106,31 @@ func TestSiblingRefusesDifferentReaderCount(t *testing.T) {
 }
 
 func TestPublicAPIConcurrent(t *testing.T) {
-	c, err := NewCluster(Options{Faults: 1, Readers: 3, Seed: 4, MaxDelay: 100 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w := c.Writer()
-		for i := 1; i <= 5; i++ {
-			if err := w.Write(fmt.Sprintf("v%d", i)); err != nil {
-				t.Errorf("write: %v", err)
-			}
-		}
-	}()
-	for i := 1; i <= 3; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := c.Reader(i)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for j := 0; j < 3; j++ {
-				if _, err := r.Read(); err != nil {
-					t.Errorf("read: %v", err)
+	eachChaosCluster(t, Options{Faults: 1, Readers: 3, Seed: 4}, func(t *testing.T, c *Cluster, run func(...func())) {
+		clients := []func(){func() {
+			w := c.Writer()
+			for i := 1; i <= 5; i++ {
+				if err := w.Write(fmt.Sprintf("v%d", i)); err != nil {
+					t.Errorf("write: %v", err)
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		}}
+		for i := 1; i <= 3; i++ {
+			clients = append(clients, func() {
+				r, err := c.Reader(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 0; j < 3; j++ {
+					if _, err := r.Read(); err != nil {
+						t.Errorf("read: %v", err)
+					}
+				}
+			})
+		}
+		run(clients...)
+	})
 }
 
 func TestPublicAPIReaderBounds(t *testing.T) {

@@ -250,7 +250,7 @@ func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
 	s := &Store{c: c, router: router}
-	s.shards = shard.NewLazy(opts.Shards, s.buildShard)
+	s.shards = shard.NewLazy(opts.Shards, s.buildShard, c.wait)
 	return s, nil
 }
 
@@ -281,7 +281,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 	}
 	w := s.c.shardWriter(reg, cur.TS)
 	w.useKnown(known)
-	return &storeShard{
+	sh := &storeShard{
 		idx:        i,
 		table:      table,
 		keys:       shard.SortedKeys(table),
@@ -295,7 +295,9 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		// Each write-back copy carries a "seq.wid|" prefix and every
 		// sub-reply a few dozen bytes of framing.
 		maxTable: wire.MaxFrame/(s.c.opts.Readers+1) - 256,
-	}, nil
+	}
+	sh.puts.Wait, sh.gets.Wait = s.c.wait, s.c.wait
+	return sh, nil
 }
 
 // Shards returns the shard count N.

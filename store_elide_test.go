@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
@@ -173,8 +172,8 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 }
 
 // TestStoreAtomicDespiteFalseElide runs the keyed Store against an object
-// that answers reads with unjustified elision claims, under injected
-// asynchrony: every per-key history stays atomic, nothing errors, the false
+// that answers reads with unjustified elision claims, in parallel and under
+// seeded asynchrony: every per-key history stays atomic, nothing errors, the false
 // claims are counted and the honest objects' elisions keep working.
 func TestStoreAtomicDespiteFalseElide(t *testing.T) {
 	const (
@@ -185,68 +184,60 @@ func TestStoreAtomicDespiteFalseElide(t *testing.T) {
 		reads   = 8
 	)
 	seed := chaosSeedFor(t, 71, 3)
-	c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: seed, MaxDelay: 200 * time.Microsecond, Tracer: chaosTracer(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.NewStore(StoreOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.InjectFault(3, "falseelide"); err != nil {
-		t.Fatal(err)
-	}
-	rejects := counterDelta("core_read_inflate_reject_total")
-	inflated := counterDelta("core_read_inflated_total")
-	hists := make([]*checker.History, keys)
-	var wg sync.WaitGroup
-	for k := 0; k < keys; k++ {
-		k := k
-		hists[k] = &checker.History{}
-		key := fmt.Sprintf("key-%02d", k)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= writes; i++ {
-				val := fmt.Sprintf("k%d-v%d", k, i)
-				id := hists[k].Invoke(types.WriterID(1), checker.OpWrite, types.Value(val))
-				if err := st.Put(key, val); err != nil {
-					t.Errorf("put %s: %v", key, err)
-					return
-				}
-				hists[k].Respond(id, types.Value(val))
-			}
-		}()
-		for g := 0; g < getters; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < reads; i++ {
-					id := hists[k].Invoke(types.Reader(100+k*getters+g), checker.OpRead, "")
-					v, err := st.Get(key)
-					if err != nil {
-						t.Errorf("get %s: %v", key, err)
+	opts := Options{Faults: 1, Readers: 2, Seed: seed, Tracer: chaosTracer(t)}
+	eachChaosCluster(t, opts, func(t *testing.T, c *Cluster, run func(...func())) {
+		st, err := c.NewStore(StoreOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.InjectFault(3, "falseelide"); err != nil {
+			t.Fatal(err)
+		}
+		rejects := counterDelta("core_read_inflate_reject_total")
+		inflated := counterDelta("core_read_inflated_total")
+		hists := make([]*checker.History, keys)
+		var clients []func()
+		for k := 0; k < keys; k++ {
+			hists[k] = &checker.History{}
+			key := fmt.Sprintf("key-%02d", k)
+			clients = append(clients, func() {
+				for i := 1; i <= writes; i++ {
+					val := fmt.Sprintf("k%d-v%d", k, i)
+					id := hists[k].Invoke(types.WriterID(1), checker.OpWrite, types.Value(val))
+					if err := st.Put(key, val); err != nil {
+						t.Errorf("put %s: %v", key, err)
 						return
 					}
-					hists[k].Respond(id, types.Value(v))
+					hists[k].Respond(id, types.Value(val))
 				}
-			}()
+			})
+			for g := 0; g < getters; g++ {
+				clients = append(clients, func() {
+					for i := 0; i < reads; i++ {
+						id := hists[k].Invoke(types.Reader(100+k*getters+g), checker.OpRead, "")
+						v, err := st.Get(key)
+						if err != nil {
+							t.Errorf("get %s: %v", key, err)
+							return
+						}
+						hists[k].Respond(id, types.Value(v))
+					}
+				})
+			}
 		}
-	}
-	wg.Wait()
-	for k, h := range hists {
-		if err := checker.CheckAtomicMW(h); err != nil {
-			t.Errorf("key %d: %v", k, err)
+		run(clients...)
+		for k, h := range hists {
+			if err := checker.CheckAtomicMW(h); err != nil {
+				t.Errorf("key %d: %v", k, err)
+			}
 		}
-	}
-	if rejects() == 0 {
-		t.Error("no false elision claim was counted")
-	}
-	if inflated() == 0 {
-		t.Error("no honest elision was inflated")
-	}
+		if rejects() == 0 {
+			t.Error("no false elision claim was counted")
+		}
+		if inflated() == 0 {
+			t.Error("no honest elision was inflated")
+		}
+	})
 }
 
 // TestGetRacesCommitterSeeding hammers one shard's known-pair set from both

@@ -129,73 +129,66 @@ func TestStorePerKeyAtomicity(t *testing.T) {
 		readers = 2
 	)
 	seed := chaosSeedFor(t, 15, 2)
-	c, err := NewCluster(Options{Faults: 1, Readers: readers, Seed: seed, MaxDelay: 200 * time.Microsecond, Tracer: chaosTracer(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.NewStore(StoreOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Object s2 turns Byzantine for the whole run: it drops about half its
-	// replies across every shard it hosts (the injected behavior applies to
-	// the physical object, hence to all register instances on it).
-	if err := c.InjectFault(2, "flaky"); err != nil {
-		t.Fatal(err)
-	}
-
-	hists := make([]*checker.History, keys)
-	for i := range hists {
-		hists[i] = &checker.History{}
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < keys; k++ {
-		k := k
-		key := fmt.Sprintf("key-%03d", k)
-		wg.Add(1)
-		go func() { // one putter per key: per-key writes stay sequential
-			defer wg.Done()
-			for i := 1; i <= writes; i++ {
-				val := fmt.Sprintf("k%d-v%d", k, i)
-				id := hists[k].Invoke(types.Writer, checker.OpWrite, types.Value(val))
-				if err := st.Put(key, val); err != nil {
-					t.Errorf("put %s: %v", key, err)
-					return
-				}
-				hists[k].Respond(id, types.Value(val))
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < reads; i++ {
-				id := hists[k].Invoke(types.Reader(k+1), checker.OpRead, "")
-				v, err := st.Get(key)
-				if err != nil {
-					t.Errorf("get %s: %v", key, err)
-					return
-				}
-				hists[k].Respond(id, types.Value(v))
-			}
-		}()
-	}
-	wg.Wait()
-	for k, h := range hists {
-		if err := checker.CheckAtomic(h); err != nil {
-			t.Errorf("key %d: %v", k, err)
+	opts := Options{Faults: 1, Readers: readers, Seed: seed, Tracer: chaosTracer(t)}
+	eachChaosCluster(t, opts, func(t *testing.T, c *Cluster, run func(...func())) {
+		st, err := c.NewStore(StoreOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		// Object s2 turns Byzantine for the whole run: it drops about half its
+		// replies across every shard it hosts (the injected behavior applies to
+		// the physical object, hence to all register instances on it).
+		if err := c.InjectFault(2, "flaky"); err != nil {
+			t.Fatal(err)
+		}
+
+		hists := make([]*checker.History, keys)
+		for i := range hists {
+			hists[i] = &checker.History{}
+		}
+		var clients []func()
+		for k := 0; k < keys; k++ {
+			key := fmt.Sprintf("key-%03d", k)
+			clients = append(clients, func() { // one putter per key: per-key writes stay sequential
+				for i := 1; i <= writes; i++ {
+					val := fmt.Sprintf("k%d-v%d", k, i)
+					id := hists[k].Invoke(types.Writer, checker.OpWrite, types.Value(val))
+					if err := st.Put(key, val); err != nil {
+						t.Errorf("put %s: %v", key, err)
+						return
+					}
+					hists[k].Respond(id, types.Value(val))
+				}
+			}, func() {
+				for i := 0; i < reads; i++ {
+					id := hists[k].Invoke(types.Reader(k+1), checker.OpRead, "")
+					v, err := st.Get(key)
+					if err != nil {
+						t.Errorf("get %s: %v", key, err)
+						return
+					}
+					hists[k].Respond(id, types.Value(v))
+				}
+			})
+		}
+		run(clients...)
+		for k, h := range hists {
+			if err := checker.CheckAtomic(h); err != nil {
+				t.Errorf("key %d: %v", k, err)
+			}
+		}
+	})
 }
 
 // TestStoreReadHeavyChaos is the root-package twin of the torture suite's
 // read-heavy mode: a Get-dominated workload on FEW shards (so concurrent
 // Gets coalesce into shared reads and re-decide cached tables) under a
-// flaky Byzantine object and injected asynchrony, with two concurrent
+// flaky Byzantine object, in parallel and under seeded asynchrony, with two concurrent
 // putter streams per key so the multi-writer checker decides every
 // history. This is the chaos coverage for the adaptive read path: elision
 // firing and being refused mid-fault, leader handoff racing the committer,
-// and cache invalidation racing flushes — all -race-visible.
+// and cache invalidation racing flushes — all -race-visible on the inline
+// cluster, and replayable from the seed on the scheduled one.
 func TestStoreReadHeavyChaos(t *testing.T) {
 	const (
 		shards  = 4 // deliberately fewer shards than keys: Gets contend and coalesce
@@ -205,66 +198,57 @@ func TestStoreReadHeavyChaos(t *testing.T) {
 		reads   = 6 // per getter
 	)
 	seed := chaosSeedFor(t, 27, 2)
-	c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: seed, MaxDelay: 200 * time.Microsecond, Tracer: chaosTracer(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.NewStore(StoreOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.InjectFault(2, "flaky"); err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Faults: 1, Readers: 2, Seed: seed, Tracer: chaosTracer(t)}
+	eachChaosCluster(t, opts, func(t *testing.T, c *Cluster, run func(...func())) {
+		st, err := c.NewStore(StoreOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.InjectFault(2, "flaky"); err != nil {
+			t.Fatal(err)
+		}
 
-	hists := make([]*checker.History, keys)
-	for i := range hists {
-		hists[i] = &checker.History{}
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < keys; k++ {
-		k := k
-		key := fmt.Sprintf("key-%03d", k)
-		for w := 0; w < 2; w++ { // two concurrent putter streams per key
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 1; i <= writes; i++ {
-					val := fmt.Sprintf("k%d-w%d-v%d", k, w, i)
-					id := hists[k].Invoke(types.WriterID(10+w), checker.OpWrite, types.Value(val))
-					if err := st.Put(key, val); err != nil {
-						t.Errorf("put %s: %v", key, err)
-						return
+		hists := make([]*checker.History, keys)
+		for i := range hists {
+			hists[i] = &checker.History{}
+		}
+		var clients []func()
+		for k := 0; k < keys; k++ {
+			key := fmt.Sprintf("key-%03d", k)
+			for w := 0; w < 2; w++ { // two concurrent putter streams per key
+				clients = append(clients, func() {
+					for i := 1; i <= writes; i++ {
+						val := fmt.Sprintf("k%d-w%d-v%d", k, w, i)
+						id := hists[k].Invoke(types.WriterID(10+w), checker.OpWrite, types.Value(val))
+						if err := st.Put(key, val); err != nil {
+							t.Errorf("put %s: %v", key, err)
+							return
+						}
+						hists[k].Respond(id, types.Value(val))
 					}
-					hists[k].Respond(id, types.Value(val))
-				}
-			}()
-		}
-		for g := 0; g < getters; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < reads; i++ {
-					id := hists[k].Invoke(types.Reader(100+k*getters+g), checker.OpRead, "")
-					v, err := st.Get(key)
-					if err != nil {
-						t.Errorf("get %s: %v", key, err)
-						return
+				})
+			}
+			for g := 0; g < getters; g++ {
+				clients = append(clients, func() {
+					for i := 0; i < reads; i++ {
+						id := hists[k].Invoke(types.Reader(100+k*getters+g), checker.OpRead, "")
+						v, err := st.Get(key)
+						if err != nil {
+							t.Errorf("get %s: %v", key, err)
+							return
+						}
+						hists[k].Respond(id, types.Value(v))
 					}
-					hists[k].Respond(id, types.Value(v))
-				}
-			}()
+				})
+			}
 		}
-	}
-	wg.Wait()
-	for k, h := range hists {
-		if err := checker.CheckAtomicMW(h); err != nil {
-			t.Errorf("key %d: %v", k, err)
+		run(clients...)
+		for k, h := range hists {
+			if err := checker.CheckAtomicMW(h); err != nil {
+				t.Errorf("key %d: %v", k, err)
+			}
 		}
-	}
+	})
 }
 
 // waitUntil polls cond until it holds or the deadline passes.
