@@ -76,12 +76,12 @@ integration:
 	./scripts/integration.sh
 
 # torture-short is the CI-bounded deterministic torture drill under -race:
-# fixed-seed fault schedules (partition+heal and Byzantine mix on the
-# simulator, Byzantine mix, kill-9+restart+repair and membership churn over
-# real TCP daemons) at reduced scale,
-# every per-key history decided by the atomicity checker (each run logs its
-# read path mix) — then the regressions that only repetition keeps
-# honest: the repair drill (a repaired object holds every register, 200
+# fixed-seed fault schedules (all five scenarios on the simulator, each run
+# twice to one digest; Byzantine mix, kill-9+restart+wipe+repair and
+# membership churn over real TCP daemons too) at reduced scale, every per-key
+# history decided by the atomicity checker and every object's raw state swept
+# by doctor at quiesce (each run logs its read path mix) — then the
+# regressions that only repetition keeps honest: the repair drill (a repaired object holds every register, 200
 # times over), repair beside a reader (the repairing process reads as its
 # own identity, 50 times), the fast hit's safety matrix (crashed writer × Byzantine
 # behaviour × concurrent readers, both models, 20 times), and suspicion-
@@ -92,8 +92,9 @@ integration:
 # scripted on the simulator (a batched round, suspect deferred + hedge fired,
 # wrong epoch, crash with a disk), 20 times, and on the simulator under the
 # whole Store: a seed replays its execution (event trace and histories) and
-# the scripted Store points (flush rebased, ack lost and retried), 20 seeds
-# 20 times. ~6 minutes.
+# the scripted Store points (flush rebased, ack lost and retried, config
+# decided with the newcomer unseeded, register transferred with the epoch
+# unsealed), 20 seeds 20 times. ~6 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
@@ -105,8 +106,8 @@ torture-short:
 	$(GO) test -race -short -run 'TestSeedReplaysExecution|TestScriptedStore' -count=20 -timeout 900s ./internal/torture/
 
 # torture is the full-scale drill: seeded schedules over 224 simulated
-# clients each (partition+heal live, kill-9+restart+repair tcp, Byzantine mix
-# tcp and live, membership churn tcp), then 5,000 seeds each replaying its
+# clients each (all five scenarios live; kill-9+restart+repair, Byzantine mix
+# and membership churn over tcp too), then 5,000 seeds each replaying its
 # execution on the simulator. A failure prints the seed and a one-line replay
 # command that reproduces the identical event schedule — live, the identical
 # execution.

@@ -220,8 +220,9 @@ func BenchmarkE8TCP(b *testing.B) {
 		addrs = append(addrs, s.Addr())
 	}
 	b.Run("write", func(b *testing.B) {
-		wc := tcpnet.NewClient(types.Writer, addrs)
-		defer wc.Close()
+		m := tcpnet.NewMux(addrs)
+		defer m.Close()
+		wc := m.Client(types.Writer, 0)
 		wc.RoundTimeout = 5 * time.Second
 		w := corereg.NewWriter(wc, th)
 		b.ResetTimer()
@@ -232,8 +233,9 @@ func BenchmarkE8TCP(b *testing.B) {
 		}
 	})
 	b.Run("read", func(b *testing.B) {
-		rc := tcpnet.NewClient(types.Reader(1), addrs)
-		defer rc.Close()
+		m := tcpnet.NewMux(addrs)
+		defer m.Close()
+		rc := m.Client(types.Reader(1), 0)
 		rd := corereg.NewReader(rc, th, 1, 2)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"robustatomic/internal/obs"
+	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
 )
 
@@ -114,12 +115,16 @@ func eachChaosCluster(t *testing.T, opts Options, body func(t *testing.T, c *Clu
 
 // TestStoreRoundCountsAgreeAcrossLinks: the Store that runs on the simulator
 // is the shipped one — over the scheduled link as over the inline one, an
-// uncontended Put costs 3 rounds and a stable Get 1.
+// uncontended Put costs 3 rounds and a stable Get 1 — and so is the operator
+// plane: a Repair and a Move of a settled cluster cost the same rounds on
+// those two links and over sockets.
 func TestStoreRoundCountsAgreeAcrossLinks(t *testing.T) {
 	var rounds atomic.Int64
 	opts := Options{Faults: 1, Readers: 2, Seed: 5, RoundHook: func(string) { rounds.Add(1) }}
-	eachChaosCluster(t, opts, func(t *testing.T, c *Cluster, run func(...func())) {
-		st, err := c.NewStore(StoreOptions{Shards: 2})
+	const shards = 2
+	migration := map[string][2]int64{} // link → rounds of a Repair, of a Move
+	body := func(t *testing.T, c *Cluster, run func(...func()), fresh string) {
+		st, err := c.NewStore(StoreOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,5 +148,33 @@ func TestStoreRoundCountsAgreeAcrossLinks(t *testing.T) {
 		if n := count(get); n != 1 {
 			t.Errorf("stable Get: %d rounds, want 1", n)
 		}
+		repair := count(func() error { _, err := c.Repair(4, shards); return err })
+		move := count(func() error { _, _, err := c.Move(2, fresh, shards); return err })
+		migration[t.Name()] = [2]int64{repair, move}
+	}
+	eachChaosCluster(t, opts, func(t *testing.T, c *Cluster, run func(...func())) {
+		blank, _ := server.NewHost(2, nil)
+		body(t, c, run, c.reg.Add(blank)[0])
 	})
+	t.Run("sockets", func(t *testing.T) {
+		addrs, _ := startServers(t, 5)
+		c, err := Connect(addrs[:4], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		body(t, c, func(clients ...func()) { clients[0]() }, addrs[4])
+	})
+	var want [2]int64
+	for link, got := range migration {
+		if want == [2]int64{} {
+			want = got
+		}
+		if got != want || got[0] == 0 || got[1] <= got[0] {
+			t.Errorf("rounds of (Repair, Move) per link = %v: %s differs, or a Move does not cost a Repair plus its config write", migration, link)
+		}
+	}
+	if len(migration) != 3 {
+		t.Errorf("measured %d links, want 3: %v", len(migration), migration)
+	}
 }

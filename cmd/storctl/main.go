@@ -56,8 +56,6 @@ import (
 	"robustatomic"
 	"robustatomic/internal/config"
 	"robustatomic/internal/obs"
-	"robustatomic/internal/tcpnet"
-	"robustatomic/internal/types"
 )
 
 func main() {
@@ -86,50 +84,6 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 			return fmt.Errorf("usage: storctl stats <debug-addr>... (the storaged -debug-addr addresses)")
 		}
 		return stats(args[1:])
-	}
-	if args[0] == "probe" {
-		// Probe talks to a single daemon directly; no cluster needed. The
-		// writer's register prints for every instance; the per-reader
-		// write-back registers print only when non-blank (there are R of them
-		// per instance and most stay untouched).
-		if len(args) != 2 {
-			return fmt.Errorf("usage: storctl probe <object-id>")
-		}
-		id, err := strconv.Atoi(args[1])
-		if err != nil || id < 1 || id > len(addrs) {
-			return fmt.Errorf("probe: object id %q out of 1..%d", args[1], len(addrs))
-		}
-		d, err := tcpnet.DialDirect(addrs[id-1], types.Reader(writerID+1), 5*time.Second)
-		if err != nil {
-			return err
-		}
-		defer d.Close()
-		for reg := 0; reg <= shards; reg++ {
-			pw, w, err := d.ProbeReg(reg, types.WriterReg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("s%d reg %d: pw=%s w=%s\n", id, reg, pw, w)
-			for r := 1; r <= readers; r++ {
-				pw, w, err := d.ProbeReg(reg, types.ReaderReg(r))
-				if err != nil {
-					return err
-				}
-				if pw.IsBottom() && w.IsBottom() {
-					continue
-				}
-				fmt.Printf("s%d reg %d r%d: pw=%s w=%s\n", id, reg, r, pw, w)
-			}
-		}
-		return nil
-	}
-	if args[0] == "doctor" {
-		// Doctor scans every daemon's raw register state directly; no cluster
-		// needed.
-		if len(args) != 1 {
-			return fmt.Errorf("usage: storctl doctor")
-		}
-		return doctor(addrs, types.Reader(writerID+1), shards, readers)
 	}
 	var tracer *obs.Tracer
 	if trace > 0 {
@@ -269,6 +223,32 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 			fmt.Printf("OK getburst: %d gets, %d workers, %v; read path 1/2/4 rounds: %s\n", count, burstWorkers, elapsed, readPathMix(obs.Default.Snapshot().Counters))
 		}
 		return nil
+	case "probe":
+		// Probe asks a single daemon (no quorum round runs, so none need be up
+		// but that one). The writer's register prints for every instance; the
+		// per-reader write-back registers print only when non-blank (there are
+		// R of them per instance and most stay untouched).
+		if len(args) != 2 {
+			return fmt.Errorf("usage: storctl probe <object-id>")
+		}
+		id, err := strconv.Atoi(args[1])
+		if err != nil {
+			return fmt.Errorf("probe: bad object id %q", args[1])
+		}
+		regs, err := cluster.Probe(id, shards)
+		for _, r := range regs {
+			if r.Reader == 0 {
+				fmt.Printf("s%d reg %d: pw=%s w=%s\n", id, r.Reg, r.PW, r.W)
+			} else if !r.PW.IsBottom() || !r.W.IsBottom() {
+				fmt.Printf("s%d reg %d r%d: pw=%s w=%s\n", id, r.Reg, r.Reader, r.PW, r.W)
+			}
+		}
+		return err
+	case "doctor":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: storctl doctor")
+		}
+		return doctor(cluster.Doctor(shards), addrs)
 	case "repair":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: storctl repair <object-id>")
@@ -357,7 +337,6 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 	}
 }
 
-// printConfig renders one configuration, vacant slots marked.
 // burstWorkers is the concurrency of the burst and getburst drills.
 const burstWorkers = 16
 
@@ -394,6 +373,7 @@ func runBurst(count int, op func(i int) error) error {
 	return first
 }
 
+// printConfig renders one configuration, vacant slots marked.
 func printConfig(cfg config.Config) {
 	fmt.Printf("epoch %d (%d/%d slots live)\n", cfg.Epoch, cfg.Live(), len(cfg.Addrs))
 	for i, a := range cfg.Addrs {
@@ -416,84 +396,26 @@ func printMigrated(migrated []robustatomic.RepairedRegister) {
 	}
 }
 
-// doctor sweeps every daemon's raw register state — the writer's register
-// and all R per-reader write-back registers of every instance — and reports
-// timestamps at which daemons hold DIVERGED values: two pairs with one
-// timestamp but different contents. A correct history binds each timestamp
-// to exactly one value, so divergence is always pathological; on a
-// write-back register it is the known residue of pre-v8 reader write-back
-// sequence reuse (a reader restarting mid-operation could reissue a
-// write-back sequence number for a different certified value). Doctor
-// prints the affected daemons and the wipe+repair remediation, and fails
+// doctor prints a sweep of every daemon's raw register state
+// (Cluster.Doctor: each asked directly, an unreachable one reported and
+// skipped): the affected daemons and the wipe+repair remediation, failing
 // (exit 1) when anything diverged — clean clusters print OK.
-func doctor(addrs []string, from types.ProcID, shards, readers int) error {
-	type regKey struct {
-		reg int
-		id  types.RegID
-	}
-	type owner struct {
-		daemon int
-		pair   types.Pair
-		kind   string // "pw" or "w"
-	}
-	byTS := map[regKey]map[types.TS][]owner{}
-	scanned, unreachable := 0, 0
-	for i, addr := range addrs {
-		id := i + 1
-		d, err := tcpnet.DialDirect(addr, from, 5*time.Second)
-		if err != nil {
-			fmt.Printf("s%d %s: UNREACHABLE (%v) — skipped\n", id, addr, err)
-			unreachable++
-			continue
-		}
-		for reg := 0; reg <= shards; reg++ {
-			regIDs := make([]types.RegID, 0, readers+1)
-			regIDs = append(regIDs, types.WriterReg)
-			for r := 1; r <= readers; r++ {
-				regIDs = append(regIDs, types.ReaderReg(r))
-			}
-			for _, rid := range regIDs {
-				pw, w, err := d.ProbeReg(reg, rid)
-				if err != nil {
-					d.Close()
-					return fmt.Errorf("doctor: s%d reg %d %v: %w", id, reg, rid, err)
-				}
-				k := regKey{reg, rid}
-				for _, o := range []owner{{id, pw, "pw"}, {id, w, "w"}} {
-					if o.pair.IsBottom() {
-						continue
-					}
-					if byTS[k] == nil {
-						byTS[k] = map[types.TS][]owner{}
-					}
-					byTS[k][o.pair.TS] = append(byTS[k][o.pair.TS], o)
-				}
-			}
-		}
-		d.Close()
-		scanned++
-	}
-	diverged := 0
-	for k, tss := range byTS {
-		for ts, owners := range tss {
-			vals := map[types.Value]bool{}
-			for _, o := range owners {
-				vals[o.pair.Val] = true
-			}
-			if len(vals) < 2 {
-				continue
-			}
-			diverged++
-			fmt.Printf("DIVERGED reg %d %v ts=%s: %d distinct values at one timestamp\n", k.reg, k.id, ts, len(vals))
-			for _, o := range owners {
-				fmt.Printf("  s%d %s holds %q\n", o.daemon, o.kind, o.pair.Val)
-			}
+func doctor(rep robustatomic.DoctorReport, addrs []string) error {
+	for id := 1; id <= len(addrs); id++ {
+		if err := rep.Skipped[id]; err != nil {
+			fmt.Printf("s%d %s: UNREACHABLE (%v) — skipped\n", id, addrs[id-1], err)
 		}
 	}
-	if diverged == 0 {
-		fmt.Printf("OK doctor: %d daemons scanned, no diverged timestamps", scanned)
-		if unreachable > 0 {
-			fmt.Printf(" (%d unreachable, not scanned)", unreachable)
+	for _, d := range rep.Diverged {
+		fmt.Printf("DIVERGED reg %d r%d ts=%s: one timestamp, different values\n", d.Reg, d.Reader, d.TS)
+		for _, h := range d.Holders {
+			fmt.Printf("  s%d holds pw=%s w=%s\n", h.Object, h.PW, h.W)
+		}
+	}
+	if len(rep.Diverged) == 0 {
+		fmt.Printf("OK doctor: %d daemons scanned, no diverged timestamps", len(addrs)-len(rep.Skipped))
+		if n := len(rep.Skipped); n > 0 {
+			fmt.Printf(" (%d unreachable, not scanned)", n)
 		}
 		fmt.Println()
 		return nil
@@ -504,7 +426,7 @@ func doctor(addrs []string, from types.ProcID, shards, readers int) error {
 	fmt.Println("  2. wipe its -data-dir")
 	fmt.Println("  3. restart it blank on the same address")
 	fmt.Println("  4. storctl -servers ... repair <object-id>")
-	return fmt.Errorf("doctor: %d diverged timestamp(s) found", diverged)
+	return fmt.Errorf("doctor: %d diverged timestamp(s) found", len(rep.Diverged))
 }
 
 // stats scrapes each daemon's /debug/vars and renders one combined table:

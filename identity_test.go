@@ -6,10 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"robustatomic/internal/server"
-	"robustatomic/internal/tcpnet"
 	"robustatomic/internal/types"
 )
 
@@ -65,7 +63,7 @@ func TestProcessIdentity(t *testing.T) {
 // instances 0..shards holds two values at one timestamp. It returns, per
 // write-back register index, how many objects hold it non-blank on instance
 // reg.
-func doctorSweep(t *testing.T, addrs []string, shards, readers, reg int) (written map[int]int) {
+func doctorSweep(t *testing.T, c *Cluster, addrs []string, shards, readers, reg int) (written map[int]int) {
 	t.Helper()
 	type key struct {
 		reg int
@@ -75,10 +73,7 @@ func doctorSweep(t *testing.T, addrs []string, shards, readers, reg int) (writte
 	vals := map[key]types.Value{}
 	written = map[int]int{}
 	for i, addr := range addrs {
-		d, err := tcpnet.DialDirect(addr, types.Reader(1), time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := c.mux.Direct(addr, types.Reader(1))
 		defer d.Close()
 		for inst := 0; inst <= shards; inst++ {
 			for idx := 0; idx <= readers; idx++ {
@@ -112,7 +107,7 @@ func doctorSweep(t *testing.T, addrs []string, shards, readers, reg int) (writte
 // rounds counts the writing process's rounds (its RoundHook): a round returns
 // on S−t replies, so object 4 is healed only once it has dropped a frame for
 // every one of them. Object 3 stays partitioned; the caller heals it.
-func leaveHeadOnTwo(t *testing.T, servers []*tcpnet.Server, rounds *atomic.Int64, write func() error) {
+func leaveHeadOnTwo(t *testing.T, servers []*server.Host, rounds *atomic.Int64, write func() error) {
 	t.Helper()
 	servers[3].SetPartitioned(true)
 	dropped, before := counterDelta("tcpnet_server_link_dropped_total"), rounds.Load()
@@ -129,7 +124,11 @@ func leaveHeadOnTwo(t *testing.T, servers []*tcpnet.Server, rounds *atomic.Int64
 // on the objects — and concurrent Gets of a shard still share one read.
 func TestStoreUsesOneReaderIdentity(t *testing.T) {
 	const readers, id = 4, 2
-	addrs, servers := startServers(t, 4)
+	addrs, daemons := startServers(t, 4)
+	servers := make([]*server.Host, len(daemons))
+	for i, d := range daemons {
+		servers[i] = d.Host
+	}
 	var rounds atomic.Int64
 	c, err := Connect(addrs, Options{Faults: 1, Readers: readers, WriterID: id, Seed: 95, RoundHook: func(string) { rounds.Add(1) }})
 	if err != nil {
@@ -196,7 +195,7 @@ func TestStoreUsesOneReaderIdentity(t *testing.T) {
 	}
 
 	servers[2].SetPartitioned(false)
-	written := doctorSweep(t, addrs, 1, readers, 1)
+	written := doctorSweep(t, c, addrs, 1, readers, 1)
 	if len(written) != 1 || written[id+1] < 3 {
 		t.Errorf("write-back registers written on the objects (index: holders) = %v, want only r%d, on a quorum", written, id+1)
 	}
@@ -225,98 +224,94 @@ func (r *fromRecorder) Reply(inner *server.Store, from types.ProcID, m types.Mes
 func TestRepairBesideAReader(t *testing.T) {
 	for _, reading := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reading=%v", reading), func(t *testing.T) {
-			const shards, readers = 1, 2
-			addrs, servers := startServers(t, 4)
-			var rounds atomic.Int64
-			connect := func(id int) *Cluster {
-				c, err := Connect(addrs, Options{Faults: 1, Readers: readers, WriterID: id, Seed: int64(96 + id), RoundHook: func(string) { rounds.Add(1) }})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(c.Close)
-				return c
-			}
-			a, b := connect(0), connect(1)
-			st, err := a.NewStore(StoreOptions{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			leaveHeadOnTwo(t, servers, &rounds, func() error { return st.Put("k", "v") })
-			get := func() {
-				if v, err := st.Get("k"); err != nil || v != "v" {
-					t.Errorf("A's Get = %q, %v", v, err)
-				}
-			}
-			fallbacks := counterDelta("core_read_fallback_total")
-			for i := 0; i < 8; i++ {
+			eachFabric(t, 4, func(t *testing.T, f *fabric) { repairBesideAReader(t, f, reading) })
+		})
+	}
+}
+
+func repairBesideAReader(t *testing.T, f *fabric, reading bool) {
+	const shards, readers = 1, 2
+	addrs, servers := f.addrs, f.hosts()
+	var rounds atomic.Int64
+	connect := func(id int) *Cluster {
+		return f.connect(Options{Faults: 1, Readers: readers, WriterID: id, Seed: int64(96 + id), RoundHook: func(string) { rounds.Add(1) }})
+	}
+	a, b := connect(0), connect(1)
+	st, err := a.NewStore(StoreOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaveHeadOnTwo(t, servers, &rounds, func() error { return st.Put("k", "v") })
+	get := func() {
+		if v, err := st.Get("k"); err != nil || v != "v" {
+			t.Errorf("A's Get = %q, %v", v, err)
+		}
+	}
+	fallbacks := counterDelta("core_read_fallback_total")
+	for i := 0; i < 8; i++ {
+		get()
+	}
+	if fallbacks() != 8 {
+		t.Fatalf("%d of A's 8 Gets paid a write-back: the scenario no longer forces them", fallbacks())
+	}
+	sh, err := st.shards.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wroteBack := sh.reader.rd.Choice(1) // A's last write-back
+
+	// B repairs object 4, the one that missed the Put; objects 1 and 2
+	// record who asks.
+	rec := &fromRecorder{seen: map[types.ProcID]int{}}
+	servers[0].SetBehavior(rec)
+	servers[1].SetBehavior(rec)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for reading {
+			select {
+			case <-stop:
+				return
+			default:
 				get()
 			}
-			if fallbacks() != 8 {
-				t.Fatalf("%d of A's 8 Gets paid a write-back: the scenario no longer forces them", fallbacks())
-			}
-			sh, err := st.shards.Get(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wroteBack := sh.reader.rd.Choice(1) // A's last write-back
+		}
+	}()
+	_, err = b.Repair(4, shards)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	servers[0].SetBehavior(nil)
+	servers[1].SetBehavior(nil)
 
-			// B repairs object 4, the one that missed the Put; objects 1 and 2
-			// record who asks.
-			rec := &fromRecorder{seen: map[types.ProcID]int{}}
-			servers[0].SetBehavior(rec)
-			servers[1].SetBehavior(rec)
-			stop, done := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(done)
-				for reading {
-					select {
-					case <-stop:
-						return
-					default:
-						get()
-					}
-				}
-			}()
-			_, err = b.Repair(4, shards)
-			close(stop)
-			<-done
-			if err != nil {
-				t.Fatalf("Repair: %v", err)
-			}
-			servers[0].SetBehavior(nil)
-			servers[1].SetBehavior(nil)
+	rec.mu.Lock()
+	for from, n := range rec.seen {
+		if from != types.Reader(2) && !(reading && from == types.Reader(1)) {
+			t.Errorf("%d requests during B's Repair came from %v, want r2 only", n, from)
+		}
+	}
+	if rec.seen[types.Reader(2)] == 0 {
+		t.Error("B's Repair sent nothing as r2")
+	}
+	rec.mu.Unlock()
 
-			rec.mu.Lock()
-			for from, n := range rec.seen {
-				if from != types.Reader(2) && !(reading && from == types.Reader(1)) {
-					t.Errorf("%d requests during B's Repair came from %v, want r2 only", n, from)
-				}
-			}
-			if rec.seen[types.Reader(2)] == 0 {
-				t.Error("B's Repair sent nothing as r2")
-			}
-			rec.mu.Unlock()
-
-			servers[2].SetPartitioned(false)
-			written := doctorSweep(t, addrs, shards, readers, 1)
-			if written[1] < 3 || written[2] < 3 {
-				t.Errorf("write-back registers on the objects (index: holders) = %v, want r1 (A) and r2 (B's transfer read), each on a quorum", written)
-			}
-			if reading {
-				return
-			}
-			// A was idle: r1 is exactly where A left it, the repaired object included.
-			for _, sid := range []int{1, 2, 4} {
-				d, err := tcpnet.DialDirect(addrs[sid-1], types.Reader(1), time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, w, err := d.ProbeReg(1, types.ReaderReg(1))
-				d.Close()
-				if err != nil || w != wroteBack {
-					t.Errorf("object %d holds %v in r1 (%v), want A's last write-back %v", sid, w.TS, err, wroteBack.TS)
-				}
-			}
-		})
+	servers[2].SetPartitioned(false)
+	written := doctorSweep(t, b, addrs, shards, readers, 1)
+	if written[1] < 3 || written[2] < 3 {
+		t.Errorf("write-back registers on the objects (index: holders) = %v, want r1 (A) and r2 (B's transfer read), each on a quorum", written)
+	}
+	if reading {
+		return
+	}
+	// A was idle: r1 is exactly where A left it, the repaired object included.
+	for _, sid := range []int{1, 2, 4} {
+		d := f.direct(b, addrs[sid-1])
+		_, w, err := d.ProbeReg(1, types.ReaderReg(1))
+		d.Close()
+		if err != nil || w != wroteBack {
+			t.Errorf("object %d holds %v in r1 (%v), want A's last write-back %v", sid, w.TS, err, wroteBack.TS)
+		}
 	}
 }

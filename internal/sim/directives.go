@@ -180,10 +180,11 @@ func (s *Sim) RunConcurrent(seed int64, ops ...*Op) error {
 }
 
 // Message is a message in transit as Run's script sees it: request Req (From
-// names the client) on its way to object Sid, or (Reply) that object's reply
-// to it on its way back.
+// names the client) on its way to the object at Addr, slot Sid of the sending
+// link's view, or (Reply) that object's reply to it on its way back.
 type Message struct {
 	Sid   int
+	Addr  string
 	Reply bool
 	Req   wire.Request
 }
@@ -211,7 +212,7 @@ func (s *Sim) enabled(acts []action) ([]action, time.Duration) {
 	}
 	for _, ln := range s.lanes {
 		for dir, q := range ln.q {
-			if len(q) == 0 || s.hold != nil && s.hold(Message{Sid: ln.sid, Reply: dir == 1, Req: q[0].req}) {
+			if len(q) == 0 || s.hold != nil && s.hold(Message{Sid: ln.sid, Addr: ln.addr, Reply: dir == 1, Req: q[0].req}) {
 				continue
 			}
 			if q[0].due <= s.now {
@@ -243,6 +244,9 @@ func (s *Sim) Run(until func() bool) error {
 		case len(acts) == 0 && next < 0:
 			return fmt.Errorf("sim: deadlock at %v: %d client goroutines parked, nothing deliverable, no timer armed", s.now, len(s.tasks))
 		case len(acts) == 0:
+			if until != nil && until() { // a script's hold took effect: before any timer does
+				return nil
+			}
 			s.now = next
 		default:
 			if a := acts[s.rng.Intn(len(acts))]; a.t != nil {

@@ -51,9 +51,9 @@ func TestScheduledAtomicConcurrentClients(t *testing.T) {
 		for seed := int64(1); seed <= 20; seed++ {
 			thr := thresholds(t, 3*tt+1, tt)
 			s, m := scheduled(t, thr.S, seed)
-			s.hosts[0].SetBehavior(server.Garbage{Level: 999, Val: "evil"})
+			s.Hosts()[0].SetBehavior(server.Garbage{Level: 999, Val: "evil"})
 			if tt > 1 {
-				s.hosts[1].SetBehavior(&server.ReplayOnly{Rand: rand.New(rand.NewSource(7))})
+				s.Hosts()[1].SetBehavior(&server.ReplayOnly{Rand: rand.New(rand.NewSource(7))})
 			}
 			h := &checker.History{}
 			const writes, readers = 6, 3
@@ -97,8 +97,8 @@ func TestScheduledAtomicConcurrentClients(t *testing.T) {
 func TestScheduledBeyondBudget(t *testing.T) {
 	thr := thresholds(t, 4, 1)
 	s, m := scheduled(t, 4, 5)
-	s.hosts[1].SetPartitioned(true)
-	s.hosts[2].SetBehavior(server.Silent{})
+	s.Hosts()[1].SetPartitioned(true)
+	s.Hosts()[2].SetBehavior(server.Silent{})
 	cl := m.Client(types.Writer, 0)
 	cl.RoundTimeout = time.Minute
 	w := regular.NewWriter(cl, thr, types.WriterReg)
@@ -111,8 +111,8 @@ func TestScheduledBeyondBudget(t *testing.T) {
 	if s.Now() < time.Minute || time.Since(start) > 5*time.Second {
 		t.Fatalf("the round failed at virtual %v after %v of real time; want the one-minute deadline, at once", s.Now(), time.Since(start))
 	}
-	s.hosts[1].SetPartitioned(false)
-	s.hosts[2].SetBehavior(nil)
+	s.Hosts()[1].SetPartitioned(false)
+	s.Hosts()[2].SetBehavior(nil)
 	if run(t, s, func() { err = w.Write("v2") }); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestScheduledBatchedViaCombiner(t *testing.T) {
 		s, m := scheduled(t, 4, 14)
 		need := 4
 		if flaky {
-			s.hosts[0].SetBehavior(server.Flaky{Rand: rand.New(rand.NewSource(99)), DropProb: 0.7})
+			s.Hosts()[0].SetBehavior(server.Flaky{Rand: rand.New(rand.NewSource(99)), DropProb: 0.7})
 			need = 3
 		}
 		comb := proto.NewCombiner(m.Client(types.Writer, 0))
@@ -189,13 +189,13 @@ func TestScheduledBatchedViaCombiner(t *testing.T) {
 		}
 		run(t, s, clients...)
 		s.Drain() // nothing still in flight while the objects are inspected
-		s.hosts[0].SetBehavior(nil)
+		s.Hosts()[0].SetBehavior(nil)
 		for _, reg := range []int{1, 3, 4, 5, 6, 7} {
-			if n := holders(s.hosts, reg, pair(reg)); n < need {
+			if n := holders(s.Hosts(), reg, pair(reg)); n < need {
 				t.Errorf("flaky=%v: instance %d: %d objects hold %v, want ≥ %d", flaky, reg, n, pair(reg), need)
 			}
 		}
-		if n := holders(s.hosts, 2, types.Pair{}); n != 4 {
+		if n := holders(s.Hosts(), 2, types.Pair{}); n != 4 {
 			t.Errorf("flaky=%v: instance 2, never addressed, is blank on %d of 4 objects", flaky, n)
 		}
 	}
@@ -212,18 +212,18 @@ func TestScheduledPartitionAndNetem(t *testing.T) {
 	s, m := scheduled(t, 4, 11)
 	w := core.NewWriter(m.Client(types.Writer, 0), thr)
 	rd := core.NewReader(m.Client(types.Reader(1), 0), thr, 1, 2)
-	s.hosts[0].SetPartitioned(true)
+	s.Hosts()[0].SetPartitioned(true)
 	run(t, s, func() {
 		if err := w.Write("v0"); err != nil {
 			t.Errorf("write with one partitioned object: %v", err)
 		}
 	})
-	if n := s.hosts[0].Registers(); n != 0 {
+	if n := s.Hosts()[0].Registers(); n != 0 {
 		t.Fatalf("partitioned object instantiated %d registers — it processed dropped requests", n)
 	}
-	s.hosts[0].SetPartitioned(false)
-	s.hosts[1].SetNetem(rand.New(rand.NewSource(3)), 0.5, 0, 0)
-	s.hosts[2].SetNetem(rand.New(rand.NewSource(4)), 0, 1.0, time.Millisecond)
+	s.Hosts()[0].SetPartitioned(false)
+	s.Hosts()[1].SetNetem(rand.New(rand.NewSource(3)), 0.5, 0, 0)
+	s.Hosts()[2].SetNetem(rand.New(rand.NewSource(4)), 0, 1.0, time.Millisecond)
 	run(t, s, func() {
 		for i := 1; i <= 8; i++ {
 			val := types.Value(fmt.Sprintf("v%d", i))
@@ -237,7 +237,7 @@ func TestScheduledPartitionAndNetem(t *testing.T) {
 			}
 		}
 	})
-	if s.hosts[0].Registers() == 0 {
+	if s.Hosts()[0].Registers() == 0 {
 		t.Error("healed object still not processing requests")
 	}
 
@@ -245,8 +245,8 @@ func TestScheduledPartitionAndNetem(t *testing.T) {
 	// millisecond late, on a link with no latency of its own.
 	s, m = scheduled(t, 4, 12)
 	s.SetLatency(0, 0)
-	s.hosts[3].SetPartitioned(true)
-	s.hosts[2].SetNetem(nil, 0, 0, time.Millisecond)
+	s.Hosts()[3].SetPartitioned(true)
+	s.Hosts()[2].SetNetem(nil, 0, 0, time.Millisecond)
 	run(t, s, func() {
 		if err := m.Client(types.Writer, 0).Round(proto.RoundSpec{
 			Label: "PING",
@@ -274,7 +274,7 @@ func TestHedgeDelayOnTheLinksClock(t *testing.T) {
 		s := New(Config{Servers: S})
 		defer s.Close()
 		s.SetLatency(rtt/2, rtt/2)
-		for _, h := range s.hosts {
+		for _, h := range s.Hosts() {
 			h.Serve(wire.Request{From: types.Writer, Msg: types.Message{Kind: types.MsgWrite, Pair: pair(1, "a")}})
 		}
 		s.SetByzantine(liar, server.Garbage{Level: 7, Val: "evil"})

@@ -97,11 +97,11 @@ func TestScriptedBatchedRound(t *testing.T) {
 	s := New(Config{Servers: S})
 	defer s.Close()
 	for reg, p := range pairs { // seed the two register instances
-		for _, h := range s.hosts {
+		for _, h := range s.Hosts() {
 			h.Serve(wire.Request{From: types.Writer, Reg: reg, Msg: types.Message{Kind: types.MsgWrite, Pair: p}})
 		}
 	}
-	s.hosts[0].SetBatchChaos(rand.New(rand.NewSource(1)), 0, true)
+	s.Hosts()[0].SetBatchChaos(rand.New(rand.NewSource(1)), 0, true)
 	accs := []*stateAcc{{need: 1, w: map[int]types.Pair{}}, {need: S, w: map[int]types.Pair{}}, {need: S, w: map[int]types.Pair{}}}
 	op := s.Spawn("batch", types.Reader(1), checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
 		comb := proto.NewCombiner(c)
@@ -168,7 +168,7 @@ func TestScriptedSuspectDeferredHedgeFired(t *testing.T) {
 	const S, liar = 4, 2
 	s := New(Config{Servers: S})
 	defer s.Close()
-	for _, h := range s.hosts {
+	for _, h := range s.Hosts() {
 		h.Serve(wire.Request{From: types.Writer, Msg: types.Message{Kind: types.MsgWrite, Pair: pair(1, "a")}})
 	}
 	s.SetByzantine(liar, server.Garbage{Level: 7, Val: "evil"})
@@ -326,7 +326,7 @@ func TestScriptedCrashWithADisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.hosts[1] = durable
+	s.reg.Resolve(s.addrs[1]).Store(durable)
 	var last types.TS
 	write := func(v types.Value) *Op {
 		return s.Spawn("w-"+string(v), types.Writer, checker.OpWrite, v, func(c *Client) (types.Value, error) {
@@ -343,12 +343,12 @@ func TestScriptedCrashWithADisk(t *testing.T) {
 	}
 	// Crash: the new instance boots from a copy of the log.
 	disk.dead = true
-	zombie := s.hosts[1]
+	zombie := s.Hosts()[1]
 	reborn, err := server.NewHost(2, &diskLog{reqs: append([]wire.Request(nil), disk.reqs...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.hosts[1] = reborn
+	s.reg.Resolve(s.addrs[1]).Store(reborn)
 	if _, acked, _, _ := zombie.Serve(wire.Request{From: types.Writer, Msg: types.Message{Kind: types.MsgWrite, Pair: pair(9, "zombie")}}); acked {
 		t.Error("the crashed instance acknowledged a write after its disk was taken")
 	}

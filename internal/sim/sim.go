@@ -63,9 +63,11 @@ type Config struct {
 // Sim is one simulated execution (a partial run under construction).
 type Sim struct {
 	cfg   Config
-	hosts []*server.Host // slot sid-1
-	byz   []bool         // slot sid-1: outside liveness accounting, "@" in diagrams
-	all   []int          // 1..S
+	reg   *tcpnet.Registry // the fabric: every object mounted, by address
+	addrs []string         // the bootstrap configuration: objects 1..S
+	byz   []bool           // slot sid-1: outside liveness accounting, "@" in diagrams
+	all   []int            // 1..S
+	stray int              // requests sent to an address that names no object
 
 	now    time.Duration      // the virtual clock
 	rng    *rand.Rand         // Run's choices and the latency draws (Seed)
@@ -95,13 +97,14 @@ func New(cfg Config) *Sim {
 	}
 	s := &Sim{
 		cfg:      cfg,
-		hosts:    server.NewHosts(cfg.Servers),
+		reg:      new(tcpnet.Registry),
 		byz:      make([]bool, cfg.Servers),
 		rng:      rand.New(rand.NewSource(1)),
 		yield:    make(chan struct{}),
 		watchdog: time.NewTimer(actionTimeout),
 	}
 	s.watchdog.Stop()
+	s.addrs = s.reg.Add(server.NewHosts(cfg.Servers)...)
 	for sid := 1; sid <= cfg.Servers; sid++ {
 		s.all = append(s.all, sid)
 	}
@@ -109,10 +112,41 @@ func New(cfg Config) *Sim {
 }
 
 // NumServers returns S.
-func (s *Sim) NumServers() int { return len(s.hosts) }
+func (s *Sim) NumServers() int { return len(s.all) }
 
-// Hosts returns the objects (slot sid-1), for fault injection.
-func (s *Sim) Hosts() []*server.Host { return s.hosts }
+// Hosts returns the objects now serving the bootstrap configuration's
+// addresses (slot sid-1), for fault injection.
+func (s *Sim) Hosts() []*server.Host {
+	hosts := make([]*server.Host, len(s.addrs))
+	for i := range hosts {
+		hosts[i] = s.host(i + 1)
+	}
+	return hosts
+}
+
+func (s *Sim) host(sid int) *server.Host { return s.reg.Resolve(s.addrs[sid-1]).Load() }
+
+// Addrs returns the bootstrap configuration: the addresses of objects 1..S.
+func (s *Sim) Addrs() []string { return slices.Clone(s.addrs) }
+
+// Registry returns the fabric the simulated links resolve addresses on:
+// storing into an address's mount replaces the machine there (lost: a blank
+// object; crashed: one recovered from its Persister; nil: down, requests fail
+// at once), and every link reaches the new object from then on, what is in
+// transit to the old one included.
+func (s *Sim) Registry() *tcpnet.Registry { return s.reg }
+
+// AddHost mounts a blank object, to serve as object id — a machine that is in
+// no configuration yet — and returns its address.
+func (s *Sim) AddHost(id int) (addr string, h *server.Host) {
+	h, _ = server.NewHost(id, nil) // no disk: nothing to recover, nothing to fail
+	return s.reg.Add(h)[0], h
+}
+
+// Stray counts the requests clients addressed to no object: a slot vacant in
+// their link's view, or an address that names nothing on this fabric (a
+// forged redirect hint's).
+func (s *Sim) Stray() int { return s.stray }
 
 // Now reads the virtual clock.
 func (s *Sim) Now() time.Duration { return s.now }
@@ -144,7 +178,7 @@ func (s *Sim) note(vals ...uint64) {
 func (s *Sim) SetByzantine(sid int, b server.Behavior) {
 	s.byz[sid-1] = true
 	if b != nil {
-		s.hosts[sid-1].SetBehavior(b)
+		s.host(sid).SetBehavior(b)
 	}
 }
 
@@ -169,7 +203,7 @@ func (s *Sim) Restore(sid int, snap []byte) {
 
 // Store exposes object sid's automaton (register instance 0, the one bare
 // rounds address) for white-box assertions in tests.
-func (s *Sim) Store(sid int) *server.Store { return s.hosts[sid-1].Store(0) }
+func (s *Sim) Store(sid int) *server.Store { return s.host(sid).Store(0) }
 
 // Close fails every wait on the simulated link from here on and runs the
 // client goroutines to their end. Always call it (usually via defer) to avoid
@@ -294,11 +328,14 @@ type port struct {
 	lanes  []*lane // slot sid-1
 }
 
-// lane is the FIFO channel pair between a port and one object: q[0] the
-// requests on their way there, q[1] the replies on their way back.
+// lane is the FIFO channel pair between a port's slot and the object its
+// address names (at; nil: none, the slot is unreachable): q[0] the requests on
+// their way there, q[1] the replies on their way back.
 type lane struct {
 	port *port
 	sid  int
+	addr string
+	at   *tcpnet.Mount
 	q    [2][]*message
 }
 
@@ -311,17 +348,60 @@ type message struct {
 	due time.Duration       // deliverable from this instant on
 }
 
-// Link returns a new client process's link to the objects.
-func (s *Sim) Link() tcpnet.Link { return s.port(nil) }
+// Link returns a new client process's link to the objects of the bootstrap
+// configuration.
+func (s *Sim) Link() tcpnet.Link { return s.port(nil, s.addrs) }
 
-func (s *Sim) port(op *Op) *port {
-	p := &port{s: s, op: op}
-	for _, sid := range s.all {
-		p.lanes = append(p.lanes, &lane{port: p, sid: sid})
+func (s *Sim) port(op *Op, addrs []string) *port {
+	p := &port{s: s, op: op, lanes: make([]*lane, len(addrs))}
+	for i, addr := range addrs {
+		p.lane(i+1, addr)
 	}
-	s.lanes = append(s.lanes, p.lanes...)
 	return p
 }
+
+// lane points the port's slot sid at addr, on a new lane.
+func (p *port) lane(sid int, addr string) {
+	ln := &lane{port: p, sid: sid, addr: addr, at: p.s.reg.Resolve(addr)}
+	p.lanes[sid-1] = ln
+	p.s.lanes = append(p.s.lanes, ln)
+}
+
+// Addrs implements tcpnet.Link.
+func (p *port) Addrs() []string {
+	addrs := make([]string, len(p.lanes))
+	for i, ln := range p.lanes {
+		addrs[i] = ln.addr
+	}
+	return addrs
+}
+
+// Readdress implements tcpnet.Link: a slot whose address changed switches to a
+// new lane. The old one is cut as a connection is: what it carries still
+// reaches the object it was sent to, whose replies no round hears any more —
+// each round that awaits one learns the loss at once (tcpnet.ErrConnLost).
+func (p *port) Readdress(addrs []string) ([]int, error) {
+	if err := p.gone(); err != nil {
+		return nil, err
+	}
+	changed := tcpnet.Changed(p.Addrs(), addrs)
+	for _, sid := range changed {
+		old := p.lanes[sid-1]
+		for _, q := range old.q {
+			for _, m := range q {
+				if m.to != nil {
+					m.to <- tcpnet.Reply{Sid: sid, Err: tcpnet.ErrConnLost}
+					m.to = nil
+				}
+			}
+		}
+		p.lane(sid, addrs[sid-1])
+	}
+	return changed, nil
+}
+
+// Fresh implements tcpnet.Link.
+func (p *port) Fresh(addrs []string) tcpnet.Link { return p.s.port(p.op, addrs) }
 
 // transit draws one message's transit time.
 func (s *Sim) transit() time.Duration {
@@ -347,11 +427,18 @@ func (p *port) Send(sid int, req wire.Request, reply chan<- tcpnet.Reply) (tcpne
 	if err := p.gone(); err != nil {
 		return nil, err
 	}
+	ln := p.lanes[sid-1]
+	if ln.at == nil {
+		p.s.stray++
+		return nil, fmt.Errorf("sim: s%d: no object at %q", sid, ln.addr)
+	}
+	if ln.at.Load() == nil {
+		return nil, fmt.Errorf("sim: s%d: the object at %q is down", sid, ln.addr)
+	}
 	m := &message{req: req, to: reply, due: p.s.now + p.s.transit()}
 	if p.op != nil {
 		m.seq = p.op.seq
 	}
-	ln := p.lanes[sid-1]
 	ln.q[0] = append(ln.q[0], m)
 	return nil, nil
 }
@@ -409,7 +496,14 @@ func (s *Sim) deliver(ln *lane, dir int) {
 			s.trace(TraceEvent{Op: op.Label, Round: m.seq, Server: ln.sid, Byz: s.byz[ln.sid-1], Late: !op.inRound || m.seq != op.seq})
 		}
 		// (A duplicate would be dropped at the link.)
-		rsp, send, _, delay := s.hosts[ln.sid-1].Serve(m.req)
+		h := ln.at.Load()
+		if h == nil { // the object went down with the request on its way
+			if m.to != nil {
+				m.to <- tcpnet.Reply{Sid: ln.sid, Err: tcpnet.ErrConnLost}
+			}
+			return
+		}
+		rsp, send, _, delay := h.Serve(m.req)
 		s.note(uint64(ln.sid), m.req.ID, uint64(m.req.From.Idx), uint64(m.req.Reg), uint64(m.req.Msg.Kind), uint64(len(m.req.Subs)), uint64(delay))
 		if send {
 			m.rsp, m.due = rsp, s.now+delay+s.transit()
@@ -528,8 +622,8 @@ func (c *Client) Round(spec proto.RoundSpec) error {
 // types.Bottom for reads).
 func (s *Sim) Spawn(label string, client types.ProcID, kind checker.OpKind, arg types.Value, fn OpFunc) *Op {
 	op := &Op{sim: s, Label: label, Client: client}
-	op.port = s.port(op)
-	op.mux = tcpnet.NewLinkMux(len(s.hosts), op.port)
+	op.port = s.port(op, s.addrs)
+	op.mux = tcpnet.NewLinkMux(len(s.all), op.port)
 	histID := -1
 	if s.cfg.History != nil {
 		histID = s.cfg.History.Invoke(client, kind, arg)

@@ -2,89 +2,64 @@ package tcpnet
 
 import (
 	"fmt"
-	"net"
-	"time"
 
 	"robustatomic/internal/proto"
 	"robustatomic/internal/types"
-	"robustatomic/internal/wire"
 )
 
 // Direct is a request/reply channel to a single object, for operator
 // tooling (storctl repair and probe). It deliberately bypasses the quorum
 // protocol: a probe inspects one object's raw state, and a seed installs
 // recovered state into one object — the RADON-style repair write-back that
-// reconstitutes a replaced machine from its live peers. Its reads are always
-// UNCONDITIONED — no have-list, no no-values flag — because probe, doctor
-// and repair's verification want the object's raw values, not a reply
-// shaped by what some client holds (TestProbeReadsUnconditioned) — and one
-// object's reply, not a round: nothing here passes through the read
-// accumulators, so no fast hit shortens what an operator sees either
+// reconstitutes a replaced machine from its live peers. It is a ONE-SLOT MUX
+// on a fresh link to the object's address (Mux.Fresh) — the object need be in
+// no configuration — so each exchange is a round like any other, of one
+// object, and three contracts hold by construction. Its reads are always
+// UNCONDITIONED — the round's accumulator is a proto.RegAcc without a Known
+// set: no have-list, no no-values flag — because probe, doctor and repair's
+// verification want the object's raw values, not a reply shaped by what some
+// client holds (TestProbeReadsUnconditioned); nothing passes through the read
+// accumulators either, so no fast hit shortens what an operator sees
 // (repair's own quorum reads run on fresh handles, both query rounds:
-// TestRepairReconstitutesWipedObject). Nor is anything here ever DEFERRED: a
-// Direct owns its connection, outside any Mux and its suspicion scoreboard,
-// so probe, doctor, repair and Seed reach exactly the object they name,
-// suspected or not (TestDirectIgnoresSuspicion). Its requests are addressed
-// like any client's (proto.RegAcc, as a round of one object) and carry the
-// identity of the process that dialed — the object logs them, and an
-// equivocating one answers them, as that process's. One Direct serves any
-// number of register instances over one connection; it is not safe for
-// concurrent use.
+// TestRepairReconstitutesWipedObject). Nothing here is ever DEFERRED: the
+// scoreboard of a mux of one slot holds nobody (t = 0), and it is not the
+// scoreboard of the mux that suspects the object, so probe, doctor, repair
+// and Seed reach exactly the object they name (TestDirectIgnoresSuspicion).
+// And its requests carry the identity of the process that asked — the object
+// logs them, and an equivocating one answers them, as that process's — under
+// the epoch-0 wildcard stamp no object refuses. One Direct serves any number
+// of register instances; it is not safe for concurrent use.
 type Direct struct {
-	conn    net.Conn
-	enc     *wire.Encoder
-	dec     *wire.Decoder
-	timeout time.Duration
-	from    types.ProcID
-	id      uint64
+	mux  *Mux
+	from types.ProcID
 }
 
-// DialDirect connects to one object as process from. timeout bounds the dial
-// and each subsequent exchange (≤ 0 means 5s).
-func DialDirect(addr string, from types.ProcID, timeout time.Duration) (*Direct, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
-	}
-	return &Direct{conn: conn, enc: wire.NewEncoder(conn), dec: wire.NewDecoder(conn), timeout: timeout, from: from}, nil
+// Direct returns a channel to the object at addr — on the fabric this mux's
+// link runs on, sharing nothing else with it — that sends as process from.
+// Nothing is dialed until the first exchange; each is bounded by the round
+// timeout (5 s).
+func (m *Mux) Direct(addr string, from types.ProcID) *Direct {
+	d := &Direct{mux: m.Fresh([]string{addr}), from: from}
+	d.mux.epoch.Store(0)
+	return d
 }
 
-// Close releases the connection.
-func (d *Direct) Close() { d.conn.Close() }
+// Close releases the link.
+func (d *Direct) Close() { d.mux.Close() }
 
 // ask sends msg to register id of the object's register instance reg and
 // returns the object's answer for that register, which must be of kind want.
-func (d *Direct) ask(reg int, id types.RegID, msg types.Message, want types.MsgKind) (types.Message, error) {
-	var got types.Message
+func (d *Direct) ask(reg int, id types.RegID, msg types.Message, want types.MsgKind) (got types.Message, err error) {
 	var ra proto.RegAcc
 	ra.Part(id, msg, proto.NewCountAcc(1, func(_ int, m types.Message) bool {
 		got = m
-		return m.Kind == want
+		return true
 	}))
-	spec := ra.Spec(msg.Kind.String(), nil)
-	req := spec.Req(0)
-	d.conn.SetDeadline(time.Now().Add(d.timeout))
-	d.id++
-	req.Seq = int(d.id)
-	if err := d.enc.EncodeRequest(wire.Request{ID: d.id, From: d.from, Reg: reg, Msg: req}); err != nil {
-		return types.Message{}, err
+	err = d.mux.round(d.from, reg, 0, ra.Spec(msg.Kind.String(), nil))
+	if err == nil && got.Kind != want {
+		err = fmt.Errorf("unexpected reply %v", got.TraceNote())
 	}
-	for {
-		rsp, err := d.dec.DecodeResponse()
-		if err != nil {
-			return types.Message{}, err
-		}
-		if rsp.ID != d.id {
-			continue
-		}
-		if spec.Acc.Add(rsp.Server, rsp.Msg); !spec.Acc.Done() {
-			return types.Message{}, fmt.Errorf("unexpected reply %v", rsp.Msg.TraceNote())
-		}
-		return got, nil
-	}
+	return got, err
 }
 
 // ProbeReg reads the object's raw (pw, w) state for register id of instance

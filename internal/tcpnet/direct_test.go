@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"robustatomic/internal/server"
 	"robustatomic/internal/types"
@@ -47,10 +46,7 @@ func TestDirectActsAsItsCaller(t *testing.T) {
 	})
 	p := types.Pair{TS: types.At(3), Val: "seeded"}
 	for _, operator := range []types.ProcID{types.Reader(3), types.WriterID(2)} {
-		d, err := DialDirect(addr, operator, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := direct(addr, operator)
 		defer d.Close()
 		wal.reqs = nil
 		for _, id := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
@@ -75,10 +71,7 @@ func TestDirectActsAsItsCaller(t *testing.T) {
 	}
 	host.SetBehavior(server.Equivocate{Readers: &server.Stale{Snap: frozen}})
 	for operator, want := range map[types.ProcID]types.Pair{types.WriterID(2): p, types.Reader(3): types.BottomPair} {
-		d, err := DialDirect(addr, operator, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := direct(addr, operator)
 		defer d.Close()
 		if _, w, err := d.ProbeReg(0, types.ReaderReg(2)); err != nil || w != want {
 			t.Errorf("%v's probe of an object equivocating by kind saw w = %v (%v), want %v", operator, w, err, want)

@@ -84,10 +84,7 @@ func TestProbeReadsUnconditioned(t *testing.T) {
 			t.Fatalf("read = %q, %v", v, err)
 		}
 	}
-	d, err := DialDirect(addrs[0], types.Reader(1), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mux.Direct(addrs[0], types.Reader(1))
 	defer d.Close()
 	for name, probe := range map[string]func() (types.Pair, types.Pair, error){
 		"ProbeReg": func() (types.Pair, types.Pair, error) { return d.ProbeReg(0, types.WriterReg) },

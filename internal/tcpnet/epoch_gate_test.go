@@ -56,8 +56,8 @@ func TestServerEpochGate(t *testing.T) {
 	}
 
 	// Seed the data plane at the bootstrap epoch.
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	w := core.NewWriter(wc, thr)
 	if err := w.Write("v1"); err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestServerEpochGate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cc := NewClientReg(types.Writer, addrs, config.Reg)
-	defer cc.Close()
+	cc := NewMux(addrs).Client(types.Writer, config.Reg)
+	defer cc.mux.Close()
 	if err := core.NewWriter(cc, thr).Write(cfg.Encode()); err != nil {
 		t.Fatalf("config write: %v", err)
 	}
@@ -123,8 +123,8 @@ func TestServerEpochGate(t *testing.T) {
 	if got := s1.Epoch(); got != 2 {
 		t.Errorf("recovered epoch = %d, want 2", got)
 	}
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
+	rc := NewMux(addrs).Client(types.Reader(1), 0)
+	defer rc.mux.Close()
 	if err := rc.mux.Reconfigure(2, addrs); err != nil {
 		t.Fatal(err)
 	}

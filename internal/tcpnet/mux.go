@@ -10,6 +10,7 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,7 +94,7 @@ var errNoReply = errors.New("tcpnet: no reply")
 // objects. Any number of Clients — and any number of concurrent rounds — share
 // it; thousands of register operations share one link per object.
 //
-// Over sockets, the address set is the mux's view of the active configuration
+// The link's address set is the mux's view of the active configuration
 // and may change at runtime (Reconfigure): the slot count S is fixed for the
 // mux's lifetime, but a slot's address can be swapped or vacated as the
 // cluster reconfigures. Every request is stamped with the configuration epoch
@@ -105,6 +106,7 @@ type Mux struct {
 	n      int // slot count, immutable (the fixed-S rule)
 	nextID atomic.Uint64
 	epoch  atomic.Uint64 // configuration epoch stamped on requests
+	cfgMu  sync.Mutex    // serializes Reconfigure (cfgMu, then the link's own lock)
 	susp   *scoreboard   // which slots' requests rounds defer (suspicion.go)
 	srtt   atomic.Int64  // smoothed latency (ns, on the link's clock) of deferring rounds
 }
@@ -125,29 +127,49 @@ func (m *Mux) NumServers() int { return m.n }
 // Epoch returns the configuration epoch the mux stamps on requests.
 func (m *Mux) Epoch() uint64 { return m.epoch.Load() }
 
-// Addrs returns a copy of the current address view of a mux over sockets
-// (slot sid-1 → address, "" for vacant slots).
-func (m *Mux) Addrs() []string {
-	l := m.link.(*sockLink)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.addrs...)
-}
+// Addrs returns a copy of the mux's address view (slot sid-1 → address, ""
+// for vacant slots).
+func (m *Mux) Addrs() []string { return m.link.Addrs() }
 
-// Reconfigure installs a newer configuration into a mux over sockets: it
-// adopts the epoch and the address view (sockLink.readdress: connections on
-// unchanged slots are untouched, a changed slot forgets its connection, its
-// backoff and its suspicion record). A stale call (epoch not newer than the
-// mux's) is a no-op, so racing refetches converge on the newest configuration.
+// Reconfigure installs a newer configuration: the link takes the address view
+// (Link.Readdress: what it kept for unchanged slots is untouched), the slots
+// that changed forget their suspicion record — a replacement must not inherit
+// its predecessor's — and then the mux adopts the epoch, so no round stamps
+// the new epoch on a request to an old address. A stale call (epoch not newer
+// than the mux's) is a no-op, so racing refetches converge on the newest
+// configuration.
 func (m *Mux) Reconfigure(epoch uint64, addrs []string) error {
-	l, ok := m.link.(*sockLink)
-	if !ok {
-		return errors.New("tcpnet: reconfigure: the link reaches its objects by no address")
-	}
 	if len(addrs) != m.n {
 		return fmt.Errorf("tcpnet: reconfigure with %d slots, mux has %d (S is fixed)", len(addrs), m.n)
 	}
-	return l.readdress(m, epoch, addrs)
+	m.cfgMu.Lock()
+	defer m.cfgMu.Unlock()
+	if epoch <= m.epoch.Load() {
+		return nil
+	}
+	changed, err := m.link.Readdress(addrs)
+	if err != nil {
+		return err
+	}
+	for _, sid := range changed {
+		m.susp.reset(sid)
+	}
+	m.epoch.Store(epoch)
+	return nil
+}
+
+// Fresh returns a Mux of its own — own link, own scoreboard, the bootstrap
+// epoch — over exactly addrs, on the fabric this mux's link runs on: an
+// address set nobody vouches for yet is asked without touching this mux's
+// connections or its suspicions. The caller closes it.
+func (m *Mux) Fresh(addrs []string) *Mux { return NewLinkMux(len(addrs), m.link.Fresh(addrs)) }
+
+// Sleep waits d out on the link's clock; an error means the mux closed first.
+func (m *Mux) Sleep(d time.Duration) error {
+	t := m.link.NewTimer(d)
+	defer t.Stop()
+	_, _, err := m.link.Wait(nil, t)
+	return err
 }
 
 // Framed reports whether a request costs a frame on the mux's link, so that
@@ -217,16 +239,14 @@ func (m *Mux) round(proc types.ProcID, reg int, timeout time.Duration, spec prot
 }
 
 // Client executes protocol rounds for one process against one register
-// instance, over a Mux (its own, or one shared with other handles via
-// Mux.Client). Operations are issued one at a time per handle; any number
-// of handles run concurrently over a shared Mux.
+// instance, over a Mux shared with other handles (Mux.Client). Operations are
+// issued one at a time per handle; any number of handles run concurrently.
 type Client struct {
 	Proc         types.ProcID
 	RoundTimeout time.Duration // default 5s
 
-	mux   *Mux
-	owned bool // Close tears the mux down (private mux constructors)
-	reg   int
+	mux *Mux
+	reg int
 	// Rounds counts completed rounds (instrumentation).
 	Rounds int
 	// stats caches per-label round metrics: the handle is single-goroutine,
@@ -247,30 +267,8 @@ func (c *Client) statsFor(spec *proto.RoundSpec) *obs.RoundStats {
 
 var _ proto.Rounder = (*Client)(nil)
 
-// NewClient returns a round executor for proc against the given addresses,
-// addressing the default register (instance 0), on a private pipelined Mux.
-func NewClient(proc types.ProcID, addrs []string) *Client {
-	return NewClientReg(proc, addrs, 0)
-}
-
-// NewClientReg returns a round executor for proc against register instance
-// reg of the given objects, on a private pipelined Mux.
-func NewClientReg(proc types.ProcID, addrs []string, reg int) *Client {
-	c := NewMux(addrs).Client(proc, reg)
-	c.owned = true
-	return c
-}
-
 // NumServers implements proto.Rounder.
 func (c *Client) NumServers() int { return c.mux.NumServers() }
-
-// Close tears down the client's private Mux; a no-op for handles on a
-// shared Mux (close the Mux itself).
-func (c *Client) Close() {
-	if c.owned {
-		c.mux.Close()
-	}
-}
 
 // Round implements proto.Rounder.
 func (c *Client) Round(spec proto.RoundSpec) error {

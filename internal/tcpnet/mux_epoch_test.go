@@ -35,8 +35,8 @@ func TestWrongEpochFailFast(t *testing.T) {
 			enc.EncodeResponse(wrongEpochReply(req, 7, hint))
 		})
 	}
-	c := NewClient(types.Reader(1), addrs)
-	defer c.Close()
+	c := NewMux(addrs).Client(types.Reader(1), 0)
+	defer c.mux.Close()
 	c.RoundTimeout = 5 * time.Second
 
 	start := time.Now()
@@ -87,8 +87,8 @@ func TestWrongEpochMinorityStillRedirects(t *testing.T) {
 			enc.EncodeResponse(wire.Response{ID: req.ID, Msg: types.Message{Kind: types.MsgAck}})
 		})
 	}
-	c := NewClient(types.WriterID(1), addrs)
-	defer c.Close()
+	c := NewMux(addrs).Client(types.WriterID(1), 0)
+	defer c.mux.Close()
 
 	// Needs all four acks; the refusal denies the fourth.
 	spec := proto.RoundSpec{
@@ -333,8 +333,8 @@ func TestWrongEpochNegativeSeqIgnored(t *testing.T) {
 			enc.EncodeResponse(wrongEpochReply(req, 3, hint))
 		})
 	}
-	c := NewClient(types.Reader(1), addrs)
-	defer c.Close()
+	c := NewMux(addrs).Client(types.Reader(1), 0)
+	defer c.mux.Close()
 
 	err := c.Round(ackSpec("FORGED"))
 	var we *WrongEpochError

@@ -78,8 +78,8 @@ func TestLateReplyAfterTimeoutDiscarded(t *testing.T) {
 		}
 		enc.EncodeResponse(wire.Response{ID: req.ID, Msg: types.Message{Kind: types.MsgAck}})
 	})
-	c := NewClient(types.Reader(1), []string{addr})
-	defer c.Close()
+	c := NewMux([]string{addr}).Client(types.Reader(1), 0)
+	defer c.mux.Close()
 	c.RoundTimeout = 30 * time.Millisecond
 
 	err := c.Round(ackSpec("SLOW"))
@@ -118,8 +118,8 @@ func TestDropConnFailsInFlightWaiters(t *testing.T) {
 	addr, _, stop := startRawServer(t, func(req wire.Request, enc *wire.Encoder) {
 		// Withhold every reply: rounds stay in flight until the drop.
 	})
-	c := NewClient(types.Reader(1), []string{addr})
-	defer c.Close()
+	c := NewMux([]string{addr}).Client(types.Reader(1), 0)
+	defer c.mux.Close()
 	c.RoundTimeout = 10 * time.Second
 
 	errCh := make(chan error, 1)
@@ -280,7 +280,7 @@ func TestCloseDeliversQueuedFrames(t *testing.T) {
 		}
 	}
 	m.Close()
-	pw, w, err := probeShared(addrs[3], 0, time.Second)
+	pw, w, err := probeShared(addrs[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,8 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	}()
 
 	h := &checker.History{}
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	w := core.NewWriter(wc, thr)
 	write := func(i int) {
 		t.Helper()
@@ -98,8 +98,8 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 		}
 		h.Respond(id, types.Bottom)
 	}
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
+	rc := NewMux(addrs).Client(types.Reader(1), 0)
+	defer rc.mux.Close()
 	rd := core.NewReader(rc, thr, 1, 2)
 	read := func(want string) {
 		t.Helper()
@@ -125,7 +125,7 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	// it crashes in.)
 	var prePW, preW types.Pair
 	for deadline := time.Now().Add(5 * time.Second); preW.TS != types.At(5) && time.Now().Before(deadline); {
-		if prePW, preW, err = probeShared(addrs[3], 0, time.Second); err != nil {
+		if prePW, preW, err = probeShared(addrs[3], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 	servers[3] = restartServer(t, 4, addrs[3], opts[3])
 
 	// (b) No amnesia: the recovered state equals the pre-crash state.
-	postPW, postW, err := probeShared(addrs[3], 0, time.Second)
+	postPW, postW, err := probeShared(addrs[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,22 +182,16 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 
 // seedShared installs p in the shared register of instance reg over a
 // one-shot Direct.
-func seedShared(addr string, reg int, p types.Pair, timeout time.Duration) error {
-	d, err := DialDirect(addr, types.Reader(1), timeout)
-	if err != nil {
-		return err
-	}
+func seedShared(addr string, reg int, p types.Pair) error {
+	d := direct(addr, types.Reader(1))
 	defer d.Close()
 	return d.Seed(reg, types.WriterReg, p)
 }
 
 // probeShared reads the shared register of instance reg over a one-shot
 // Direct.
-func probeShared(addr string, reg int, timeout time.Duration) (pw, w types.Pair, err error) {
-	d, err := DialDirect(addr, types.Reader(1), timeout)
-	if err != nil {
-		return types.Pair{}, types.Pair{}, err
-	}
+func probeShared(addr string, reg int) (pw, w types.Pair, err error) {
+	d := direct(addr, types.Reader(1))
 	defer d.Close()
 	return d.ProbeReg(reg, types.WriterReg)
 }
@@ -214,7 +208,7 @@ func TestServerPersistedAcrossManyInstances(t *testing.T) {
 	}
 	addr := s.Addr()
 	for reg := 0; reg < 6; reg++ {
-		if err := seedShared(addr, reg, types.Pair{TS: types.At(int64(reg + 1)), Val: types.Value(fmt.Sprintf("reg%d", reg))}, time.Second); err != nil {
+		if err := seedShared(addr, reg, types.Pair{TS: types.At(int64(reg + 1)), Val: types.Value(fmt.Sprintf("reg%d", reg))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +216,7 @@ func TestServerPersistedAcrossManyInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-compaction mutations land in the fresh WAL generation.
-	if err := seedShared(addr, 2, types.Pair{TS: types.At(9), Val: "after-compact"}, time.Second); err != nil {
+	if err := seedShared(addr, 2, types.Pair{TS: types.At(9), Val: "after-compact"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Registers(); got != 6 {
@@ -236,7 +230,7 @@ func TestServerPersistedAcrossManyInstances(t *testing.T) {
 		t.Fatalf("recovered %d instances, want 6", got)
 	}
 	for reg := 0; reg < 6; reg++ {
-		_, w, err := probeShared(addr, reg, time.Second)
+		_, w, err := probeShared(addr, reg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,8 +91,8 @@ const sendQueueDepth = 128
 
 // sockLink is a Mux's link to daemons: its view of the active configuration's
 // addresses (addrs[i] serves object i+1; a slot's address can be swapped or
-// vacated as the cluster reconfigures, see readdress) and one connection per
-// populated slot.
+// vacated as the cluster reconfigures, see Readdress) and one connection per
+// populated slot. The only link that dials.
 type sockLink struct {
 	wallClock
 
@@ -139,37 +139,36 @@ func newSockLink(addrs []string) *sockLink {
 	}
 }
 
-// readdress installs a newer configuration into m, whose link l is: the mux
-// adopts the epoch and — under the link's lock, so that no round sees the new
-// epoch with the old addresses — the address view, and for every slot whose
-// address changed the old connection is torn down and the slot's backoff
-// latch dropped — a departed daemon must not keep an eternal redial loop (or
-// its backoff latch) alive, nor delay the replacement's first dial. A dial
-// already in flight for the old address is left to finish on its own (its
-// outcome is discarded by the stale-address guard); clobbering its marker here
-// would race a second dial onto the slot and panic the first dialer's channel
-// close. Connections on unchanged slots are untouched; in-flight rounds on
-// a torn-down slot fail with ErrConnLost and retry against the new
-// address. A stale call (epoch not newer than the mux's) is a no-op, so
-// racing refetches converge on the newest configuration.
-func (l *sockLink) readdress(m *Mux, epoch uint64, addrs []string) error {
+// Addrs implements Link.
+func (l *sockLink) Addrs() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.addrs...)
+}
+
+// Fresh implements Link: nothing is dialed until a round asks.
+func (l *sockLink) Fresh(addrs []string) Link { return newSockLink(addrs) }
+
+// Readdress implements Link: for every slot whose address changed the old
+// connection is torn down and the slot's backoff latch dropped — a departed
+// daemon must not keep an eternal redial loop (or its backoff latch) alive,
+// nor delay the replacement's first dial. A dial already in flight for the
+// old address is left to finish on its own (its outcome is discarded by the
+// stale-address guard); clobbering its marker here would race a second dial
+// onto the slot and panic the first dialer's channel close. Connections on
+// unchanged slots are untouched; in-flight rounds on a torn-down slot fail
+// with ErrConnLost and retry against the new address.
+func (l *sockLink) Readdress(addrs []string) (changed []int, err error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return errClientClosed
+		return nil, errClientClosed
 	}
-	if epoch <= m.epoch.Load() {
-		l.mu.Unlock()
-		return nil
-	}
-	m.epoch.Store(epoch)
+	changed = Changed(l.addrs, addrs)
 	var drop []*muxConn
-	for i := range addrs {
-		if l.addrs[i] == addrs[i] {
-			continue
-		}
+	for _, sid := range changed {
+		i := sid - 1
 		l.addrs[i] = addrs[i]
-		m.susp.reset(i + 1) // a replacement must not inherit its predecessor's record
 		if mc := l.conns[i]; mc != nil {
 			// Detach under the lock: no round may resolve the departed
 			// daemon's connection once the new address view is visible (its
@@ -190,7 +189,7 @@ func (l *sockLink) readdress(m *Mux, epoch uint64, addrs []string) error {
 	for _, mc := range drop {
 		l.teardown(mc, fmt.Errorf("%w (s%d reconfigured away)", ErrConnLost, mc.sid))
 	}
-	return nil
+	return changed, nil
 }
 
 // Close implements Link: it interrupts every in-flight round and closes every
@@ -251,7 +250,7 @@ func (l *sockLink) connOrWait(sid int) (*muxConn, <-chan struct{}, error) {
 	if addr == "" {
 		// The active configuration leaves this slot vacant: nothing to
 		// dial, no backoff state to keep — the slot counts as faulty until
-		// a join fills it (readdress clears the state then).
+		// a join fills it (Readdress clears the state then).
 		l.mu.Unlock()
 		return nil, nil, errSlotVacant
 	}
@@ -310,7 +309,7 @@ func (l *sockLink) connOrWait(sid int) (*muxConn, <-chan struct{}, error) {
 // installLocked records the outcome of a dial attempt (under l.mu): on
 // success it installs the connection and starts its writer and reader
 // goroutines. addr is the address the dial actually targeted — if a
-// readdress swapped the slot while the dial was in flight, the outcome
+// Readdress swapped the slot while the dial was in flight, the outcome
 // belongs to a departed daemon and is discarded (neither the connection
 // nor a failure's backoff latch may leak into the new address's state).
 func (l *sockLink) installLocked(sid int, addr string, conn net.Conn, err error) (*muxConn, error) {

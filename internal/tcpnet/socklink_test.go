@@ -1,6 +1,13 @@
 package tcpnet
 
-import "fmt"
+import (
+	"fmt"
+
+	"robustatomic/internal/types"
+)
+
+// direct returns a Direct to the daemon at addr, sending as from.
+func direct(addr string, from types.ProcID) *Direct { return NewMux(nil).Direct(addr, from) }
 
 // socks returns the socket link of a mux over daemons (white-box tests reach
 // its connection table and dial state through it).

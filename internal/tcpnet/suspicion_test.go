@@ -298,7 +298,7 @@ func TestDeferredObjectEndsUpWhereItsPeersAre(t *testing.T) {
 	for sid := 1; sid <= 4; sid++ {
 		var pw, wr types.Pair
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if pw, wr, err = probeShared(addrs[sid-1], 0, time.Second); err != nil {
+			if pw, wr, err = probeShared(addrs[sid-1], 0); err != nil {
 				t.Fatal(err)
 			}
 			if wr == want {
@@ -478,10 +478,7 @@ func TestDirectIgnoresSuspicion(t *testing.T) {
 		m.susp.observe(proto.Verdict{W: mask(2)})
 	}
 	deferred := mDeferred.Value()
-	d, err := DialDirect(addrs[1], types.Reader(1), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := m.Direct(addrs[1], types.Reader(1))
 	defer d.Close()
 	p := types.Pair{TS: types.At(3), Val: "seeded"}
 	if err := d.Seed(0, types.WriterReg, p); err != nil {

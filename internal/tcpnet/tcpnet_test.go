@@ -39,16 +39,16 @@ func TestTCPAtomicRegisterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, addrs := startCluster(t, 4)
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	w := core.NewWriter(wc, thr)
 	for i := 1; i <= 3; i++ {
 		if err := w.Write(types.Value(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
+	rc := NewMux(addrs).Client(types.Reader(1), 0)
+	defer rc.mux.Close()
 	rd := core.NewReader(rc, thr, 1, 2)
 	v, err := rd.Read()
 	if err != nil {
@@ -70,15 +70,15 @@ func TestTCPByzantineServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers, addrs := startCluster(t, 4)
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	w := core.NewWriter(wc, thr)
 	if err := w.Write("a"); err != nil {
 		t.Fatal(err)
 	}
 	servers[0].SetBehavior(server.Garbage{Level: 777, Val: "evil"})
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
+	rc := NewMux(addrs).Client(types.Reader(1), 0)
+	defer rc.mux.Close()
 	rd := core.NewReader(rc, thr, 1, 2)
 	v, err := rd.Read()
 	if err != nil {
@@ -96,14 +96,14 @@ func TestTCPServerDownWithinBudget(t *testing.T) {
 	}
 	servers, addrs := startCluster(t, 4)
 	servers[3].Close() // one object crashes: within the t=1 budget
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	w := core.NewWriter(wc, thr)
 	if err := w.Write("a"); err != nil {
 		t.Fatal(err)
 	}
-	rc := NewClient(types.Reader(1), addrs)
-	defer rc.Close()
+	rc := NewMux(addrs).Client(types.Reader(1), 0)
+	defer rc.mux.Close()
 	rd := core.NewReader(rc, thr, 1, 2)
 	v, err := rd.Read()
 	if err != nil {
@@ -122,8 +122,8 @@ func TestTCPRoundTimeoutBeyondBudget(t *testing.T) {
 	servers, addrs := startCluster(t, 4)
 	servers[2].Close()
 	servers[3].Close() // two objects down: beyond the t=1 budget
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	wc.RoundTimeout = 200 * time.Millisecond
 	w := core.NewWriter(wc, thr)
 	if err := w.Write("a"); err == nil {
@@ -142,8 +142,8 @@ func TestDeadPeerDoesNotStallRounds(t *testing.T) {
 	servers, addrs := startCluster(t, 4)
 	deadAddr := servers[3].Addr()
 	servers[3].Close() // object 4 is down from the start
-	wc := NewClient(types.Writer, addrs)
-	defer wc.Close()
+	wc := NewMux(addrs).Client(types.Writer, 0)
+	defer wc.mux.Close()
 	w := core.NewWriter(wc, thr)
 	if err := w.Write("a"); err != nil { // pays the one failed dial
 		t.Fatal(err)
@@ -210,8 +210,8 @@ func TestTCPConcurrentClients(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		wc := NewClient(types.Writer, addrs)
-		defer wc.Close()
+		wc := NewMux(addrs).Client(types.Writer, 0)
+		defer wc.mux.Close()
 		w := core.NewWriter(wc, thr)
 		for i := 1; i <= 4; i++ {
 			v := types.Value(fmt.Sprintf("v%d", i))
@@ -228,8 +228,8 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rc := NewClient(types.Reader(r), addrs)
-			defer rc.Close()
+			rc := NewMux(addrs).Client(types.Reader(r), 0)
+			defer rc.mux.Close()
 			rd := core.NewReader(rc, thr, r, 2)
 			for i := 0; i < 3; i++ {
 				id := h.Invoke(types.Reader(r), checker.OpRead, types.Bottom)

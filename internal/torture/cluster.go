@@ -17,14 +17,143 @@ import (
 )
 
 // controller applies schedule events to a running cluster, on the goroutine
-// of the client whose operation crossed the event's threshold. The harness
-// serializes apply calls (events fire under its mutex); quiesce restores
-// every object to healthy-and-connected and waits until the cluster is
-// reachable again, so the quiescent agreement reads run fault-free.
-type controller interface {
-	apply(ev Event) error
-	quiesce() error
+// of the client whose operation crossed the event's threshold (the harness
+// serializes apply calls); quiesce restores every object to
+// healthy-and-connected and waits until the cluster is reachable again, so
+// the quiescent agreement reads run fault-free. It is the same on every
+// runtime: link and behavior faults go to the object's Host (setFault), and
+// wipe + repair and the membership events run the operator's own calls —
+// Repair, Leave, Join, Move, through a client cluster with a process identity
+// of its own — beside the workload. What the runtimes differ in is machines.
+type controller struct {
+	seed     int64
+	shards   int
+	operator *robustatomic.Cluster
+	machines
+}
+
+// machines is how a runtime makes, kills and restarts the objects under
+// torture, and how it lets the clients' transports catch up with that.
+type machines interface {
+	// host returns the object serving slot sid (nil while it is killed).
+	host(sid int) *server.Host
+	// kill stops slot sid's object; what it held survives it.
+	kill(sid int)
+	// restart brings slot sid's object back on its address: from what
+	// survived, or blank — the machine was lost, a new one took its place.
+	restart(sid int, blank bool) error
+	// fresh starts a blank object for slot sid on a new address, in no
+	// configuration yet; promote makes it the slot's (the operator's Join or
+	// Move decided so) and stops for good whatever served the slot before.
+	fresh(sid int) (addr string, err error)
+	promote(sid int)
+	// settle lets the clients' transports catch up: over sockets d of real
+	// time (a redial backoff, the in-flight message skew), on the simulator
+	// the delivery of everything in transit.
+	settle(d time.Duration)
 	close()
+}
+
+// repairAttempts bounds EvRepair's retries, a quarter of a second apart: the
+// operator's mux redials a restarted daemon only after tcpnet.DialBackoff, and
+// a fast workload can reach the event while earlier restarts are still inside
+// that window.
+const repairAttempts = 16
+
+func (c *controller) apply(ev Event) error {
+	switch ev.Kind {
+	case EvKill:
+		c.kill(ev.Sid)
+	case EvRestart:
+		if err := c.restart(ev.Sid, false); err != nil {
+			return err
+		}
+		// Client muxes marked the killed daemon unreachable and redial only
+		// after DialBackoff. The schedule's windows are op counts, not wall
+		// times, and a fast workload can open the next fault window while
+		// this backoff still holds — two objects effectively down, beyond
+		// the t=1 budget the schedule promises. Hold the event lock for a
+		// backoff window so the cluster is whole before the next fault.
+		c.settle(tcpnet.DialBackoff + 200*time.Millisecond)
+	case EvWipe:
+		// Machine replacement: everything the object held is lost, a blank one
+		// comes up on the old address.
+		c.kill(ev.Sid)
+		return c.restart(ev.Sid, true)
+	case EvRepair:
+		var err error
+		for attempt := 0; attempt < repairAttempts; attempt++ {
+			if _, err = c.operator.Repair(ev.Sid, c.shards); err == nil {
+				return nil
+			}
+			c.settle(250 * time.Millisecond)
+		}
+		return fmt.Errorf("torture: repair s%d: %w", ev.Sid, err)
+	case EvLeave:
+		// Vacate the slot first — the config write still counts the leaving
+		// object toward its quorum — then kill it for real. Clients at the
+		// old epoch chase the wrong-epoch redirect to the vacancy config.
+		if _, err := c.operator.Leave(ev.Sid); err != nil {
+			return fmt.Errorf("torture: leave s%d: %w", ev.Sid, err)
+		}
+		c.kill(ev.Sid)
+		c.settle(20 * time.Millisecond)
+	case EvJoin:
+		// A genuinely fresh machine: blank, new address. Join migrates every
+		// register instance to it before the config admits it.
+		addr, err := c.fresh(ev.Sid)
+		if err != nil {
+			return err
+		}
+		// The migration's quorum reads ride the operator cluster's mux, which
+		// may still hold dial backoff from this window's kill; let it heal.
+		c.settle(tcpnet.DialBackoff + 200*time.Millisecond)
+		if _, _, err := c.operator.Join(addr, c.shards); err != nil {
+			return fmt.Errorf("torture: join %s: %w", addr, err)
+		}
+		c.promote(ev.Sid)
+	case EvReplace:
+		// Live replace: fresh object up, state migrated, the single-slot Move
+		// decided, and only then the departing object killed — the slot is
+		// populated throughout and the fault budget never pays for it.
+		addr, err := c.fresh(ev.Sid)
+		if err != nil {
+			return err
+		}
+		if _, _, err := c.operator.Move(ev.Sid, addr, c.shards); err != nil {
+			return fmt.Errorf("torture: replace s%d with %s: %w", ev.Sid, addr, err)
+		}
+		c.promote(ev.Sid)
+		c.settle(20 * time.Millisecond)
+	default:
+		if err := setFault(c.host(ev.Sid), ev, c.seed); err != nil {
+			return err
+		}
+		if closesWindow(ev.Kind) {
+			c.settle(20 * time.Millisecond)
+		}
+	}
+	return nil
+}
+
+func (c *controller) quiesce(s int) error {
+	for sid := 1; sid <= s; sid++ {
+		if c.host(sid) == nil {
+			if err := c.restart(sid, false); err != nil {
+				return err
+			}
+		}
+		whole(c.host(sid))
+	}
+	// Client muxes to a restarted daemon redial only after DialBackoff;
+	// wait it out so the agreement reads run against the full quorum.
+	c.settle(2 * tcpnet.DialBackoff)
+	return nil
+}
+
+func (c *controller) close() {
+	c.operator.Close()
+	c.machines.close()
 }
 
 // setFault applies a link or behavior fault event to object h — the part of
@@ -81,217 +210,124 @@ func whole(h *server.Host) {
 	h.SetNetem(nil, 0, 0, 0)
 }
 
-// liveCtl tortures the objects of a simulation (the client processes reach
-// them over its scheduled link). Kill/restart map to partition/heal: an
-// in-process object has no disk, so cutting it off and later reconnecting it
-// is exactly a crash that preserved its state. Events are applied by the
-// running client goroutine, and a closing window drains by delivering what is
-// in transit: nothing here sleeps.
-type liveCtl struct {
-	sim  *sim.Sim
-	seed int64
+// simMachines are the objects of a simulation (the client processes reach
+// them over its scheduled link). An object there has no disk: killed, it is
+// unmounted with its state — requests to its address fail at once, as to a
+// closed port — and mounted again at restart, which is exactly a crash that
+// preserved it; lost, it is replaced under its address by a blank one. Events
+// are applied by the running client goroutine; nothing here sleeps.
+type simMachines struct {
+	sim   *sim.Sim
+	addrs []string       // slot sid-1
+	down  []*server.Host // slot sid-1: the killed object, until it restarts
+	next  string         // fresh's address, until promote
 }
 
-func (c *liveCtl) apply(ev Event) error {
-	switch ev.Kind {
-	case EvKill:
-		ev.Kind = EvPartition
-	case EvRestart:
-		ev.Kind = EvHeal
-	}
-	err := setFault(c.sim.Hosts()[ev.Sid-1], ev, c.seed)
-	if closesWindow(ev.Kind) {
-		c.sim.Drain()
-	}
-	return err
+func (m *simMachines) mount(sid int) *tcpnet.Mount {
+	return m.sim.Registry().Resolve(m.addrs[sid-1])
 }
 
-func (c *liveCtl) quiesce() error {
-	for _, h := range c.sim.Hosts() {
-		whole(h)
+func (m *simMachines) host(sid int) *server.Host { return m.mount(sid).Load() }
+
+func (m *simMachines) kill(sid int) { m.down[sid-1] = m.mount(sid).Swap(nil) }
+
+func (m *simMachines) restart(sid int, blank bool) error {
+	if blank {
+		m.down[sid-1], _ = server.NewHost(sid, nil) // no disk, nothing to recover
+	}
+	m.mount(sid).Store(m.down[sid-1])
+	return nil
+}
+
+func (m *simMachines) fresh(sid int) (string, error) {
+	m.next, _ = m.sim.AddHost(sid)
+	return m.next, nil
+}
+
+func (m *simMachines) promote(sid int) {
+	m.kill(sid) // a slot that was vacant holds an object long dead: no harm
+	m.addrs[sid-1] = m.next
+}
+
+func (m *simMachines) settle(time.Duration) { m.sim.Drain() }
+
+func (m *simMachines) close() { m.sim.Close() }
+
+// tcpMachines are real TCP daemons with persist data dirs. Kill closes a
+// daemon (its data dir survives), restart recovers it from the preserved WAL
+// on the same address — blank: after deleting the data dir — and a fresh one
+// gets a new port and a new directory.
+type tcpMachines struct {
+	root    string   // base directory for data dirs
+	addrs   []string // index sid-1; tracks the ACTIVE configuration's addresses
+	dirs    []string
+	gen     []int            // per-slot replacement generation (names fresh data dirs)
+	servers []*tcpnet.Server // index sid-1; nil while killed
+	next    *tcpnet.Server   // fresh's daemon, until promote
+	nextDir string
+}
+
+func (m *tcpMachines) host(sid int) *server.Host {
+	if s := m.servers[sid-1]; s != nil {
+		return s.Host
 	}
 	return nil
 }
 
-func (c *liveCtl) close() { c.sim.Close() }
-
-// tcpCtl tortures real TCP daemons. Kill closes a daemon (its data dir
-// survives), restart recovers it from the preserved WAL on the same address,
-// wipe deletes the data dir before the blank restart, and repair
-// reconstitutes the blank object from the live quorum via the operator's
-// client cluster, a process identity of its own.
-type tcpCtl struct {
-	mu       sync.Mutex
-	seed     int64
-	root     string   // base directory for data dirs
-	addrs    []string // index sid-1; tracks the ACTIVE configuration's addresses
-	dirs     []string
-	gen      []int            // per-slot replacement generation (names fresh data dirs)
-	servers  []*tcpnet.Server // index sid-1; nil while killed
-	operator *robustatomic.Cluster
-	shards   int
+func (m *tcpMachines) kill(sid int) {
+	m.servers[sid-1].Close()
+	m.servers[sid-1] = nil
 }
 
-func (c *tcpCtl) apply(ev Event) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.servers[ev.Sid-1]
-	switch ev.Kind {
-	case EvKill:
-		s.Close()
-		c.servers[ev.Sid-1] = nil
-	case EvRestart:
-		if err := c.restart(ev.Sid); err != nil {
-			return err
-		}
-		// Client muxes marked the killed daemon unreachable and redial only
-		// after DialBackoff. The schedule's windows are op counts, not wall
-		// times, and a fast workload can open the next fault window while
-		// this backoff still holds — two objects effectively down, beyond
-		// the t=1 budget the schedule promises. Hold the event lock for a
-		// backoff window so the cluster is whole before the next fault.
-		time.Sleep(tcpnet.DialBackoff + 200*time.Millisecond)
-	case EvWipe:
-		s.Close()
-		c.servers[ev.Sid-1] = nil
-		if err := os.RemoveAll(c.dirs[ev.Sid-1]); err != nil {
-			return fmt.Errorf("torture: wipe s%d: %w", ev.Sid, err)
-		}
-		return c.restart(ev.Sid)
-	case EvRepair:
-		// Repair's quorum read runs over the operator cluster's mux,
-		// which redials a restarted daemon only after DialBackoff — and a
-		// fast workload can reach this event while earlier restarts are
-		// still inside that backoff. Retry past a full backoff window
-		// rather than failing the schedule on a read the mux will satisfy
-		// moments later.
-		var err error
-		deadline := time.Now().Add(3*tcpnet.DialBackoff + time.Second)
-		for {
-			if _, err = c.operator.Repair(ev.Sid, c.shards); err == nil {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("torture: repair s%d: %w", ev.Sid, err)
-			}
-			time.Sleep(250 * time.Millisecond)
-		}
-	case EvLeave:
-		// Vacate the slot first — the config write still counts the leaving
-		// daemon toward its quorum — then kill it for real. Clients at the
-		// old epoch chase the wrong-epoch redirect to the vacancy config.
-		if _, err := c.operator.Leave(ev.Sid); err != nil {
-			return fmt.Errorf("torture: leave s%d: %w", ev.Sid, err)
-		}
-		s.Close()
-		c.servers[ev.Sid-1] = nil
-		time.Sleep(20 * time.Millisecond)
-	case EvJoin:
-		// A genuinely fresh machine: blank data dir, new port. Join migrates
-		// every register instance to it before the config admits it.
-		srv, err := c.freshDaemon(ev.Sid)
-		if err != nil {
-			return err
-		}
-		// The migration's quorum reads ride the operator cluster's mux, which
-		// may still hold dial backoff from this window's kill; let it heal.
-		time.Sleep(tcpnet.DialBackoff + 200*time.Millisecond)
-		if _, _, err := c.operator.Join(srv.Addr(), c.shards); err != nil {
-			srv.Close()
-			return fmt.Errorf("torture: join %s: %w", srv.Addr(), err)
-		}
-		c.servers[ev.Sid-1] = srv
-		c.addrs[ev.Sid-1] = srv.Addr()
-	case EvReplace:
-		// Live replace: fresh daemon up, state migrated, the single-slot Move
-		// decided, and only then the departing daemon killed — the slot is
-		// populated throughout and the fault budget never pays for it.
-		srv, err := c.freshDaemon(ev.Sid)
-		if err != nil {
-			return err
-		}
-		if _, _, err := c.operator.Move(ev.Sid, srv.Addr(), c.shards); err != nil {
-			srv.Close()
-			return fmt.Errorf("torture: replace s%d with %s: %w", ev.Sid, srv.Addr(), err)
-		}
-		s.Close()
-		c.servers[ev.Sid-1] = srv
-		c.addrs[ev.Sid-1] = srv.Addr()
-		time.Sleep(20 * time.Millisecond)
-	default:
-		if err := setFault(s.Host, ev, c.seed); err != nil {
-			return err
-		}
-		if closesWindow(ev.Kind) {
-			time.Sleep(20 * time.Millisecond)
+// start runs a daemon for object sid on addr over dir.
+func start(sid int, addr, dir string) (*tcpnet.Server, error) {
+	return tcpnet.NewServerWith(sid, addr, tcpnet.ServerOptions{DataDir: dir, Fsync: persist.FsyncOff})
+}
+
+// restart rebinds the old address, which may linger briefly after Close:
+// retried under a deadline.
+func (m *tcpMachines) restart(sid int, blank bool) error {
+	if blank {
+		if err := os.RemoveAll(m.dirs[sid-1]); err != nil {
+			return fmt.Errorf("torture: wipe s%d: %w", sid, err)
 		}
 	}
-	return nil
-}
-
-// freshDaemon starts slot sid's next-generation daemon: a new port and a
-// blank data dir (the old daemon may still be running and holding the
-// previous one). Callers hold c.mu and install the server on success.
-func (c *tcpCtl) freshDaemon(sid int) (*tcpnet.Server, error) {
-	c.gen[sid-1]++
-	dir := filepath.Join(c.root, fmt.Sprintf("s%d.g%d", sid, c.gen[sid-1]))
-	srv, err := tcpnet.NewServerWith(sid, "127.0.0.1:0", tcpnet.ServerOptions{
-		DataDir: dir,
-		Fsync:   persist.FsyncOff,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("torture: fresh daemon for slot %d: %w", sid, err)
-	}
-	c.dirs[sid-1] = dir
-	return srv, nil
-}
-
-// restart brings daemon sid back on its original address, recovering
-// whatever its data dir holds. The old listener may linger briefly after
-// Close, so rebinding retries under a deadline. Callers hold c.mu.
-func (c *tcpCtl) restart(sid int) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s, err := tcpnet.NewServerWith(sid, c.addrs[sid-1], tcpnet.ServerOptions{
-			DataDir: c.dirs[sid-1],
-			Fsync:   persist.FsyncOff,
-		})
+		s, err := start(sid, m.addrs[sid-1], m.dirs[sid-1])
 		if err == nil {
-			c.servers[sid-1] = s
+			m.servers[sid-1] = s
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("torture: restart s%d on %s: %w", sid, c.addrs[sid-1], err)
+			return fmt.Errorf("torture: restart s%d on %s: %w", sid, m.addrs[sid-1], err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }
 
-func (c *tcpCtl) quiesce() error {
-	c.mu.Lock()
-	for sid := 1; sid <= len(c.servers); sid++ {
-		if c.servers[sid-1] == nil {
-			if err := c.restart(sid); err != nil {
-				c.mu.Unlock()
-				return err
-			}
-		}
-		whole(c.servers[sid-1].Host)
+func (m *tcpMachines) fresh(sid int) (string, error) {
+	m.gen[sid-1]++
+	m.nextDir = filepath.Join(m.root, fmt.Sprintf("s%d.g%d", sid, m.gen[sid-1]))
+	srv, err := start(sid, "127.0.0.1:0", m.nextDir)
+	if err != nil {
+		return "", fmt.Errorf("torture: fresh daemon for slot %d: %w", sid, err)
 	}
-	c.mu.Unlock()
-	// Client muxes to a restarted daemon redial only after DialBackoff;
-	// wait it out so the agreement reads run against the full quorum.
-	time.Sleep(2 * tcpnet.DialBackoff)
-	return nil
+	m.next = srv
+	return srv.Addr(), nil
 }
 
-func (c *tcpCtl) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.operator != nil {
-		c.operator.Close()
+func (m *tcpMachines) promote(sid int) {
+	if m.servers[sid-1] != nil {
+		m.kill(sid)
 	}
-	for _, s := range c.servers {
+	m.servers[sid-1], m.addrs[sid-1], m.dirs[sid-1], m.next = m.next, m.next.Addr(), m.nextDir, nil
+}
+
+func (m *tcpMachines) settle(d time.Duration) { time.Sleep(d) }
+
+func (m *tcpMachines) close() {
+	for _, s := range append(m.servers, m.next) {
 		if s != nil {
 			s.Close()
 		}
@@ -304,21 +340,38 @@ func (c *tcpCtl) close() {
 // the ops that died next to the seed-replay command.
 type rig struct {
 	procs  []*robustatomic.Cluster
-	ctrl   controller
+	ctrl   *controller
 	tracer *obs.Tracer
 	clients
 }
 
 // clients is how the workload's clients run: started with Go, paused with
-// Sleep, and waited for with Run(nil). A live rig's are the simulation's
-// (*sim.Sim), a tcp rig's run in real time.
+// Sleep, waited for with Run(nil), and excluding each other with Lock. A live
+// rig's are the simulation's, a tcp rig's run in real time.
 type clients interface {
 	Go(fn func())
 	Sleep(d time.Duration)
 	Run(until func() bool) error
+	sync.Locker
 }
 
-type realTime struct{ sync.WaitGroup }
+// simClients are the simulation's client goroutines; their lock parks where a
+// sync.Mutex would block the one goroutine the scheduler runs.
+type simClients struct {
+	*sim.Sim
+	locked bool
+}
+
+func (c *simClients) Lock() {
+	c.Until(func() bool { return !c.locked })
+	c.locked = true
+}
+func (c *simClients) Unlock() { c.locked = false }
+
+type realTime struct {
+	sync.WaitGroup
+	sync.Mutex
+}
 
 func (r *realTime) Go(fn func()) {
 	r.Add(1)
@@ -344,7 +397,7 @@ func (r *rig) close() {
 // separately.
 func setup(cfg Config, dir string) (*rig, error) {
 	// Process identities 0..nProcs-1 are the workload's; nProcs is the
-	// operator's (Repair, Leave, Join, Move — tcp only).
+	// operator's (Repair, Leave, Join, Move, Doctor).
 	const nProcs = 2
 	tracer := obs.NewTracer(64, 1)
 	opts := func(p int) robustatomic.Options {
@@ -357,64 +410,57 @@ func setup(cfg Config, dir string) (*rig, error) {
 		}
 	}
 
+	s := 3*cfg.Faults + 1
+	ctl := &controller{seed: cfg.Seed, shards: cfg.Shards}
+	var procs []*robustatomic.Cluster
+	var cl clients
 	switch cfg.Mode {
 	case ModeLive:
-		s := sim.New(sim.Config{Servers: 3*cfg.Faults + 1})
-		s.Seed(cfg.Seed)
-		s.SetLatency(0, 200*time.Microsecond)
-		root, err := robustatomic.NewSimCluster(s, opts(0))
+		sm := sim.New(sim.Config{Servers: s})
+		sm.Seed(cfg.Seed)
+		sm.SetLatency(0, 200*time.Microsecond)
+		ctl.machines = &simMachines{sim: sm, addrs: sm.Addrs(), down: make([]*server.Host, s)}
+		cl = &simClients{Sim: sm}
+		root, err := robustatomic.NewSimCluster(sm, opts(0))
 		if err != nil {
 			return nil, err
 		}
-		sib, err := root.Sibling(opts(1))
-		if err != nil {
-			return nil, err
-		}
-		return &rig{
-			procs:   []*robustatomic.Cluster{root, sib},
-			ctrl:    &liveCtl{sim: s, seed: cfg.Seed},
-			tracer:  tracer,
-			clients: s,
-		}, nil
-
-	case ModeTCP:
-		s := 3*cfg.Faults + 1
-		ctl := &tcpCtl{
-			seed:    cfg.Seed,
-			root:    dir,
-			addrs:   make([]string, s),
-			dirs:    make([]string, s),
-			gen:     make([]int, s),
-			servers: make([]*tcpnet.Server, s),
-			shards:  cfg.Shards,
-		}
-		for i := 0; i < s; i++ {
-			ctl.dirs[i] = filepath.Join(dir, fmt.Sprintf("s%d", i+1))
-			srv, err := tcpnet.NewServerWith(i+1, "127.0.0.1:0", tcpnet.ServerOptions{
-				DataDir: ctl.dirs[i],
-				Fsync:   persist.FsyncOff,
-			})
+		procs = append(procs, root)
+		for p := 1; p <= nProcs; p++ {
+			sib, err := root.Sibling(opts(p))
 			if err != nil {
-				ctl.close()
 				return nil, err
 			}
-			ctl.servers[i] = srv
-			ctl.addrs[i] = srv.Addr()
+			procs = append(procs, sib)
 		}
-		procs := make([]*robustatomic.Cluster, 0, nProcs+1)
+
+	case ModeTCP:
+		m := &tcpMachines{root: dir, addrs: make([]string, s), dirs: make([]string, s), gen: make([]int, s), servers: make([]*tcpnet.Server, s)}
+		ctl.machines, cl = m, &realTime{}
+		for i := 0; i < s; i++ {
+			m.dirs[i] = filepath.Join(dir, fmt.Sprintf("s%d", i+1))
+			srv, err := start(i+1, "127.0.0.1:0", m.dirs[i])
+			if err != nil {
+				m.close()
+				return nil, err
+			}
+			m.servers[i], m.addrs[i] = srv, srv.Addr()
+		}
 		for p := 0; p <= nProcs; p++ {
-			c, err := robustatomic.Connect(ctl.addrs, opts(p))
+			c, err := robustatomic.Connect(m.addrs, opts(p))
 			if err != nil {
 				for _, pc := range procs {
 					pc.Close()
 				}
-				ctl.close()
+				m.close()
 				return nil, err
 			}
 			procs = append(procs, c)
 		}
-		ctl.operator, procs = procs[nProcs], procs[:nProcs]
-		return &rig{procs: procs, ctrl: ctl, tracer: tracer, clients: &realTime{}}, nil
+
+	default:
+		return nil, fmt.Errorf("torture: unknown mode %q", cfg.Mode)
 	}
-	return nil, fmt.Errorf("torture: unknown mode %q", cfg.Mode)
+	ctl.operator = procs[nProcs]
+	return &rig{procs: procs[:nProcs], ctrl: ctl, tracer: tracer, clients: cl}, nil
 }

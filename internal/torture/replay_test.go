@@ -16,7 +16,7 @@ func replayed(t *testing.T, seed int64) (uint64, string) {
 	t.Helper()
 	cfg := Config{Seed: seed, Mode: ModeLive, Clients: 16, OpsPerClient: 8, Keys: 4, Shards: 4}
 	cfg.defaults()
-	sched := Schedule{Seed: seed, Scenario: "replay", Mode: ModeLive, Events: []Event{
+	sched := Schedule{Seed: seed, Scenario: "replay", Events: []Event{
 		{At: 6, Kind: EvChaos, Sid: 1 + int(seed%4), Behavior: "equivocate"},
 		{At: 32, Kind: EvClearChaos, Sid: 1 + int(seed%4)},
 		{At: 44, Kind: EvPartition, Sid: 1 + int((seed+1)%4)},

@@ -9,7 +9,7 @@
 // quiescent-state agreement is verified at the end.
 //
 // Determinism model: the fault schedule is a pure function of (scenario,
-// mode, seed, workload size) — Plan derives every event and its trigger
+// seed, workload size) — Plan derives every event and its trigger
 // point from a seeded rand stream. Events fire when the global count of
 // completed client operations crosses the event's At threshold, not at wall
 // times, so a replayed seed fires the identical event sequence at the same
@@ -34,14 +34,15 @@ type Mode string
 // Modes.
 const (
 	// ModeLive tortures an in-process cluster under internal/sim (the
-	// scheduled link, seeded message latencies, a virtual clock). Kill/restart
-	// map to partition/heal — a live object has no disk, so cutting it off
-	// and reconnecting it IS a crash with preserved state.
+	// scheduled link, seeded message latencies, a virtual clock). A live
+	// object has no disk: killed, it is unmounted with its state (requests
+	// fail at once, as to a closed port) and mounted again at restart — a
+	// crash that preserved it; a wiped one is replaced under its address by a
+	// blank one, a fresh one mounted under a new address.
 	ModeLive Mode = "live"
 	// ModeTCP tortures real TCP daemons with persist data dirs: kill closes
 	// the daemon and restart recovers it from its preserved WAL; wipe deletes
-	// the data dir and Repair reconstitutes the blank replacement from the
-	// live quorum.
+	// the data dir; a fresh daemon gets a new port.
 	ModeTCP Mode = "tcp"
 )
 
@@ -60,14 +61,13 @@ const (
 	// falseelide, batch-chaos) one object at a time, with a netem window
 	// mixed in.
 	ByzantineMix Scenario = "byzantine-mix"
-	// JoinLeave cycles membership vacancies: a daemon Leaves the active
+	// JoinLeave cycles membership vacancies: an object Leaves the active
 	// configuration (and dies), the vacancy spending the fault budget, then a
-	// fresh daemon on a NEW port Joins the vacant slot with migrated state.
-	// Needs real daemons (tcp only): live objects have no membership plane.
+	// fresh object on a NEW address Joins the vacant slot with migrated state.
 	JoinLeave Scenario = "join-leave"
 	// ReplaceLive cycles atomic slot replacement: each window Moves one slot
-	// to a fresh daemon on a new port — state migrated first, the old daemon
-	// killed after — with no vacancy at any point. Tcp only.
+	// to a fresh object on a new address — state migrated first, the old
+	// object killed after — with no vacancy at any point.
 	ReplaceLive Scenario = "replace-live"
 )
 
@@ -77,18 +77,6 @@ func Scenarios() []Scenario {
 	return []Scenario{PartitionHeal, KillRestartRepair, ByzantineMix, JoinLeave, ReplaceLive}
 }
 
-// ScenarioModes lists the runtimes scenario sc can torture: reconfiguration
-// scenarios need real TCP daemons (the membership plane lives on the wire
-// protocol's epoch stamps), everything else runs on both.
-func ScenarioModes(sc Scenario) []Mode {
-	switch sc {
-	case JoinLeave, ReplaceLive:
-		return []Mode{ModeTCP}
-	default:
-		return []Mode{ModeLive, ModeTCP}
-	}
-}
-
 // EventKind is one fault-event verb.
 type EventKind int
 
@@ -96,17 +84,17 @@ type EventKind int
 const (
 	EvPartition  EventKind = iota + 1 // cut object Sid off the network
 	EvHeal                            // reconnect object Sid
-	EvKill                            // stop object Sid's daemon (data dir preserved)
-	EvRestart                         // restart object Sid's daemon from its data dir
-	EvWipe                            // kill Sid, delete its data dir, restart blank
+	EvKill                            // stop object Sid (its state preserved)
+	EvRestart                         // restart object Sid from its preserved state
+	EvWipe                            // kill Sid, lose its state, restart blank on its address
 	EvRepair                          // quorum-repair the blank object Sid
 	EvChaos                           // install Byzantine behavior Behavior on Sid
 	EvClearChaos                      // restore Sid to honest
 	EvNetem                           // inject Drop/Dup/DelayUS link faults on Sid
 	EvClearNetem                      // clear Sid's link faults
-	EvLeave                           // vacate slot Sid from the configuration, kill its daemon
-	EvJoin                            // join a fresh daemon (new port, blank dir) into the vacancy
-	EvReplace                         // atomically Move slot Sid to a fresh daemon on a new port
+	EvLeave                           // vacate slot Sid from the configuration, kill its object
+	EvJoin                            // join a fresh object (new address, blank) into the vacancy
+	EvReplace                         // atomically Move slot Sid to a fresh object on a new address
 )
 
 // String implements fmt.Stringer.
@@ -171,14 +159,13 @@ func (e Event) String() string {
 type Schedule struct {
 	Seed     int64
 	Scenario Scenario
-	Mode     Mode
 	Events   []Event
 }
 
 // String renders the schedule one event per line (failure diagnostics and
 // the determinism tests compare this form).
 func (s Schedule) String() string {
-	out := fmt.Sprintf("schedule seed=%d scenario=%s mode=%s", s.Seed, s.Scenario, s.Mode)
+	out := fmt.Sprintf("schedule seed=%d scenario=%s", s.Seed, s.Scenario)
 	for _, ev := range s.Events {
 		out += "\n  " + ev.String()
 	}
@@ -189,23 +176,16 @@ func (s Schedule) String() string {
 // client operations the workload will attempt (events trigger at completed-
 // operation counts strictly below it), s the object count. Plan is pure —
 // identical inputs yield the identical schedule, which is the harness's
-// replay guarantee.
-func Plan(scenario Scenario, mode Mode, seed int64, totalOps, s int) (Schedule, error) {
+// replay guarantee — and blind to the runtime: every scenario runs on both.
+func Plan(scenario Scenario, seed int64, totalOps, s int) (Schedule, error) {
 	if totalOps < 10 {
 		return Schedule{}, fmt.Errorf("torture: workload of %d ops is too small to schedule against", totalOps)
 	}
 	if s < 4 {
 		return Schedule{}, fmt.Errorf("torture: need at least 4 objects, got %d", s)
 	}
-	modeOK := false
-	for _, m := range ScenarioModes(scenario) {
-		modeOK = modeOK || m == mode
-	}
-	if !modeOK {
-		return Schedule{}, fmt.Errorf("torture: scenario %q does not run on mode %q", scenario, mode)
-	}
 	rng := rand.New(rand.NewSource(seed))
-	sched := Schedule{Seed: seed, Scenario: scenario, Mode: mode}
+	sched := Schedule{Seed: seed, Scenario: scenario}
 
 	// Fault windows partition the run: at most one faulty object at a time
 	// (the t=1 budget the workload keeps certifying against), every window
@@ -239,9 +219,9 @@ func Plan(scenario Scenario, mode Mode, seed int64, totalOps, s int) (Schedule, 
 					Event{At: end, Kind: EvHeal, Sid: sid})
 			}
 		case KillRestartRepair:
-			if w == windows-1 && mode == ModeTCP {
-				// Machine replacement: the data dir is lost, a blank daemon
-				// comes up on the old address, and the quorum repairs it.
+			if w == windows-1 {
+				// Machine replacement: what the object held is lost, a blank
+				// one comes up on the old address, and the quorum repairs it.
 				sched.Events = append(sched.Events,
 					Event{At: start, Kind: EvWipe, Sid: sid},
 					Event{At: end, Kind: EvRepair, Sid: sid})

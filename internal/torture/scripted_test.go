@@ -6,18 +6,20 @@ package torture
 // processes reading throughout and every history decided by the checker.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"robustatomic"
 	"robustatomic/internal/checker"
+	"robustatomic/internal/config"
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
 )
 
 // storePoint is one scripted execution: processes 0 and 1 write one key,
-// processes 2 and 3 read it.
+// processes 2 and 3 read it; process 4 is the operator's (operate).
 type storePoint struct {
 	t      *testing.T
 	sim    *sim.Sim
@@ -34,7 +36,7 @@ func newStorePoint(t *testing.T, seed int64) *storePoint {
 	t.Cleanup(p.sim.Close)
 	p.sim.Seed(seed)
 	p.sim.SetLatency(0, 200*time.Microsecond)
-	p.opts = robustatomic.Options{Faults: 1, Readers: 4, WriterID: 3, Seed: seed}
+	p.opts = robustatomic.Options{Faults: 1, Readers: 5, WriterID: 3, Seed: seed}
 	var err error
 	if p.root, err = robustatomic.NewSimCluster(p.sim, p.opts); err != nil {
 		t.Fatal(err)
@@ -66,6 +68,25 @@ func (p *storePoint) start(proc int) (stop func()) {
 	p.stores[proc] = st
 	return c.Close
 }
+
+// operate starts the operator process running op; *done reports it over.
+func (p *storePoint) operate(op func(c *robustatomic.Cluster)) (done *bool) {
+	opts := p.opts
+	opts.WriterID = operatorID
+	c, err := p.root.Sibling(opts)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.t.Cleanup(c.Close)
+	done = new(bool)
+	p.sim.Go(func() {
+		op(c)
+		*done = true
+	})
+	return done
+}
+
+const operatorID = 4
 
 // put starts a client of process proc putting val; *done reports it over and
 // whether it succeeded (a failed Put stays pending in the history: the Store
@@ -245,6 +266,109 @@ func TestScriptedStoreAckLostRestart(t *testing.T) {
 		if !*again || !*ok {
 			t.Fatalf("seed %d: the restarted process's Put failed", seed)
 		}
+		p.settle(seed)
+	}
+}
+
+// TestScriptedStoreNewcomerUnseeded is the named point "config decided,
+// newcomer unseeded": a Move's configuration is decided cluster-wide and every
+// attempt to seed it into the newcomer is lost, so Move returns
+// ErrNewcomerUnseeded — after three round deadlines and two pauses of the
+// LINK's clock — and the newcomer is a member whose epoch gate never
+// activated: it accepts the stale-epoch traffic of clients that have not
+// refetched. Two writers and two readers keep operating throughout;
+// ReseedConfig heals.
+func TestScriptedStoreNewcomerUnseeded(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		newcomer, seeded := p.sim.AddHost(2)
+		p.sim.Hold(func(m sim.Message) bool { return m.Addr == newcomer && m.Req.Reg == config.Reg })
+		var moveErr error
+		moved := p.operate(func(c *robustatomic.Cluster) { _, _, moveErr = c.Move(2, newcomer, 1) })
+		p.put(0, "a1")
+		p.put(1, "b1")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(func() bool { return *moved })
+		if !errors.Is(moveErr, robustatomic.ErrNewcomerUnseeded) || seeded.Epoch() != 0 {
+			t.Fatalf("seed %d: Move with every config seed lost = %v, newcomer at epoch %d", seed, moveErr, seeded.Epoch())
+		}
+		p.sim.Hosts()[1].SetPartitioned(true) // the departed object dies for real
+		p.put(0, "a2")
+		p.put(1, "b2")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(nil)
+		p.sim.Hold(nil) // the lost seeds were PREWRITEs: late, they activate nothing
+		var reseedErr error
+		p.operate(func(c *robustatomic.Cluster) { reseedErr = c.ReseedConfig(newcomer) })
+		p.put(0, "a3")
+		p.gets(2, 2)
+		p.run(nil)
+		if reseedErr != nil || seeded.Epoch() != 2 {
+			t.Fatalf("seed %d: reseed = %v, newcomer at epoch %d, want 2", seed, reseedErr, seeded.Epoch())
+		}
+		p.settle(seed)
+	}
+}
+
+// TestScriptedStoreTransferEpochUnsealed is the named point "register
+// transferred, epoch unsealed": a Move has transferred the shard to the
+// newcomer and not yet written the configuration when a foreign flush runs to
+// completion on the OLD membership — the newcomer never hears of it — and then
+// the Move is decided and the departed object dies, with two readers reading
+// throughout.
+func TestScriptedStoreTransferEpochUnsealed(t *testing.T) { transferEpochUnsealed(t, false) }
+
+// TestScriptedStoreBareQuorumWindow pins the adversary of ROADMAP residual 3b
+// (DESIGN.md "Handoff safety"): the same point with ONE object — the fault
+// budget, t = 1 — cut off while the foreign flush runs. The flush completes on
+// the three others, one of which then departs: of the new membership only two
+// objects hold its pair, prewritten on two where every decision assumes 2t+1,
+// and a read whose quorum shows the pair once cannot decide — the Get burns
+// its round deadline (wait-freedom, not atomicity, is what the window costs:
+// every history stays checker-clean).
+func TestScriptedStoreBareQuorumWindow(t *testing.T) {
+	t.Skip("ROADMAP 3b: 11 Gets over seeds 1..200 fail with a round timeout (AREAD1/AREAD2 unsatisfied) once the departed object is gone; sealing the outgoing epoch before the transfer is open")
+	transferEpochUnsealed(t, true)
+}
+
+func transferEpochUnsealed(t *testing.T, oneCutOff bool) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		newcomer, _ := p.sim.AddHost(2)
+		held := false
+		p.sim.Hold(func(m sim.Message) bool { // the operator's config write, at its first round
+			at := m.Req.From == types.WriterID(operatorID) && m.Req.Reg == config.Reg && !m.Reply
+			held = held || at
+			return at
+		})
+		var moveErr error
+		moved := p.operate(func(c *robustatomic.Cluster) { _, _, moveErr = c.Move(2, newcomer, 1) })
+		p.run(func() bool { return held })
+		p.sim.Hosts()[3].SetPartitioned(oneCutOff)
+		bDone, bOK := p.put(1, "b1")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(func() bool { return *bDone })
+		if !*bOK || *moved {
+			t.Fatalf("seed %d: the foreign flush (ok %v) did not land between transfer and config write (move over: %v)", seed, *bOK, *moved)
+		}
+		p.sim.Hold(nil)
+		p.run(nil)
+		if moveErr != nil {
+			t.Fatalf("seed %d: Move: %v", seed, moveErr)
+		}
+		p.sim.Hosts()[1].SetPartitioned(true) // the departed object dies for real
+		p.sim.Hosts()[3].SetPartitioned(false)
+		p.put(0, "a1")
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(nil)
 		p.settle(seed)
 	}
 }

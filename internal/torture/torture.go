@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"robustatomic"
 	"robustatomic/internal/checker"
 	"robustatomic/internal/obs"
-	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
 )
 
@@ -127,7 +125,7 @@ func pickKeys(st *robustatomic.Store, n int) ([]string, error) {
 // and the full schedule; the test harness prints the replay command.
 func Run(cfg Config) (Result, error) {
 	cfg.defaults()
-	sched, err := Plan(cfg.Scenario, cfg.Mode, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3*cfg.Faults+1)
+	sched, err := Plan(cfg.Scenario, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3*cfg.Faults+1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -180,17 +178,18 @@ func execute(cfg Config, sched Schedule) (res Result, hists map[string]*checker.
 		failed  atomic.Int64
 		aborted atomic.Bool
 
-		evMu   sync.Mutex
 		evNext int
 		evErr  error
 	)
 	// fire applies every event whose threshold the global op counter has
 	// crossed. The crossing client's goroutine applies them, serialized by
-	// evMu; an event that cannot be applied aborts the whole run (the
-	// schedule IS the experiment — a half-applied schedule proves nothing).
+	// the clients' lock — the others finish the operation they are in beside
+	// the event (a Repair, a Move) and wait here; an event that cannot be
+	// applied aborts the whole run (the schedule IS the experiment — a
+	// half-applied schedule proves nothing).
 	fire := func(count int64) {
-		evMu.Lock()
-		defer evMu.Unlock()
+		r.Lock()
+		defer r.Unlock()
 		for evNext < len(sched.Events) && int64(sched.Events[evNext].At) <= count && evErr == nil {
 			ev := sched.Events[evNext]
 			evNext++
@@ -260,13 +259,16 @@ func execute(cfg Config, sched Schedule) (res Result, hists map[string]*checker.
 		return Result{Schedule: sched}, nil, fmt.Errorf("torture: schedule event failed: %w\n%s", evErr, sched)
 	}
 	fire(int64(totalOps)) // defensive: nothing may be left pending
-	if err := r.ctrl.quiesce(); err != nil {
+	if err := r.ctrl.quiesce(3*cfg.Faults + 1); err != nil {
 		return Result{Schedule: sched}, nil, fmt.Errorf("torture: quiesce: %w\n%s", err, sched)
 	}
 
 	// Quiescent agreement: with every fault healed, each process reads every
 	// key sequentially; the reads join the per-key histories (so atomicity
-	// covers them too) and the processes' views must agree exactly.
+	// covers them too) and the processes' views must agree exactly. Then the
+	// operator's doctor sweeps every object's raw state: no register may hold
+	// two values at one timestamp (ROADMAP residual 3a) — which no read above
+	// would notice.
 	final := make([]map[string]string, len(r.procs))
 	var readErr error
 	r.Go(func() {
@@ -283,6 +285,9 @@ func execute(cfg Config, sched Schedule) (res Result, hists map[string]*checker.
 				rec.respond(id, types.Value(v))
 				final[p][key] = v
 			}
+		}
+		if rep := r.ctrl.operator.Doctor(cfg.Shards); len(rep.Diverged)+len(rep.Skipped) > 0 {
+			readErr = fmt.Errorf("doctor on the quiesced cluster: diverged timestamps %+v, objects unreadable %v", rep.Diverged, rep.Skipped)
 		}
 	})
 	if err = errors.Join(r.Run(nil), readErr); err != nil {
@@ -308,7 +313,7 @@ func execute(cfg Config, sched Schedule) (res Result, hists map[string]*checker.
 		Keys:     len(hists),
 		Checked:  checked,
 	}
-	if s, live := r.clients.(*sim.Sim); live {
+	if s, live := r.clients.(*simClients); live {
 		res.Digest = s.Digest()
 	}
 	logf("torture pass: %d ops (%d failed mid-fault), %d keys, %d ops checker-accepted",

@@ -56,13 +56,20 @@ func runTorture(t *testing.T, cfg Config, full bool) Result {
 	if res.Checked == 0 {
 		t.Fatalf("torture run checked 0 operations — the harness recorded nothing")
 	}
+	if cfg.Mode == ModeLive {
+		// On the simulator a seed is the execution, not just the schedule:
+		// run again, one event-trace digest.
+		cfg.Logf = nil
+		if again, err := Run(cfg); err != nil || again.Digest != res.Digest {
+			t.Fatalf("seed %d ran two executions: event-trace digests %x and %x (%v)", cfg.Seed, res.Digest, again.Digest, err)
+		}
+	}
 	return res
 }
 
 // TestTortureShort drives every scenario family at CI scale with fixed
-// seeds: partition+heal and the Byzantine mix against the in-process
-// runtime, kill+restart+wipe+repair against real TCP daemons with persist
-// data dirs (make torture-short).
+// seeds, on the simulator and (all but partition+heal) against real TCP
+// daemons with persist data dirs (make torture-short).
 func TestTortureShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture needs real rounds; skipped in -short")
@@ -83,11 +90,17 @@ func TestTortureShort(t *testing.T) {
 		// gets its requests deferred (tcpnet's suspicion-ordered rounds: this
 		// seed's false-elision window is long enough, see the logged count).
 		{ByzantineMix, ModeTCP, 111, true},
+		// Crash faults ending in machine replacement (wipe + quorum Repair
+		// beside the workload), and membership churn: vacancy (leave → join)
+		// and atomic live replace, the per-key histories spanning every epoch
+		// change — over real daemons, and on the simulator, where the seed is
+		// the execution.
 		{KillRestartRepair, ModeTCP, 102, false},
-		// Membership churn: vacancy (leave → join) and atomic live replace,
-		// the per-key histories spanning every epoch change.
 		{JoinLeave, ModeTCP, 105, false},
 		{ReplaceLive, ModeTCP, 106, false},
+		{KillRestartRepair, ModeLive, 102, false},
+		{JoinLeave, ModeLive, 105, false},
+		{ReplaceLive, ModeLive, 106, false},
 	} {
 		name := string(tc.sc) + "/" + string(tc.mode)
 		if tc.readHeavy {
@@ -101,6 +114,20 @@ func TestTortureShort(t *testing.T) {
 				res.Ops, res.Failed, res.Keys, res.Checked)
 		})
 	}
+}
+
+// TestEpochRetriedFlushResurrects is a FINDING of the membership scenarios'
+// first runs on the simulator (11 of seeds 1..3,000 at this scale, none of
+// replace-live's), kept as its reproducer: a flush whose WRITE round is refused for a stale epoch — after
+// its PREWRITE completed and some objects took the WRITE — is restarted from
+// scratch by retryEpoch and re-issues its table at a NEW timestamp. A reader
+// returns the value at the first timestamp, a foreign write lands between the
+// two, and the value comes back: one Put, two linearization points (ROADMAP
+// 1b's "a flush whose WRITE reached a quorum but whose ack died", with a
+// refusal for the lost ack). The checker rejects key k007's history.
+func TestEpochRetriedFlushResurrects(t *testing.T) {
+	t.Skip("ROADMAP 1b: join-leave/live seed 520 — mw-atomicity violated on one key; the Store's retry contract, open")
+	runTorture(t, shortCfg(JoinLeave, ModeLive, 520), false)
 }
 
 // TestTortureFull is the acceptance run (make torture): three distinct
@@ -123,6 +150,9 @@ func TestTortureFull(t *testing.T) {
 		{ByzantineMix, ModeLive, 204, true},
 		{JoinLeave, ModeTCP, 205, false},
 		{ReplaceLive, ModeTCP, 206, false},
+		{KillRestartRepair, ModeLive, 207, false},
+		{JoinLeave, ModeLive, 208, false},
+		{ReplaceLive, ModeLive, 209, false},
 	} {
 		name := string(tc.sc) + "/" + string(tc.mode)
 		if tc.readHeavy {
@@ -141,7 +171,7 @@ func TestTortureFull(t *testing.T) {
 // TestTortureReplay re-runs one seeded schedule from the command line — the
 // command every torture failure prints. It first proves the plan is the
 // identical event schedule (byte-for-byte), then runs it — in live mode
-// twice, proving the seed reproduces the execution, not just the schedule.
+// twice (runTorture), proving the seed reproduces the execution.
 func TestTortureReplay(t *testing.T) {
 	if *tortureSeed == 0 {
 		t.Skip("replay runs under -args -torture.seed=<seed> (printed by torture failures)")
@@ -152,11 +182,11 @@ func TestTortureReplay(t *testing.T) {
 	}
 	cfg := mk(Scenario(*tortureScenario), Mode(*tortureMode), *tortureSeed)
 	cfg.ReadHeavy = *tortureReadHeavy
-	a, err := Plan(cfg.Scenario, cfg.Mode, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3+1)
+	a, err := Plan(cfg.Scenario, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Plan(cfg.Scenario, cfg.Mode, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3+1)
+	b, err := Plan(cfg.Scenario, cfg.Seed, cfg.Clients*cfg.OpsPerClient, 3+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +196,6 @@ func TestTortureReplay(t *testing.T) {
 	t.Logf("replaying:\n%s", a)
 	res := runTorture(t, cfg, *tortureFull)
 	if cfg.Mode == ModeLive {
-		if again := runTorture(t, cfg, *tortureFull); again.Digest != res.Digest {
-			t.Fatalf("the seed ran two executions: event-trace digests %x and %x", res.Digest, again.Digest)
-		}
 		t.Logf("event-trace digest %x, reproduced", res.Digest)
 	}
 	t.Logf("%d ops (%d failed mid-fault), %d keys, %d checker-accepted",

@@ -12,6 +12,16 @@ import (
 	"robustatomic/internal/types"
 )
 
+// hosts returns the in-process objects serving slots 1..S in c's view (nil
+// for a vacant slot), for fault injection.
+func (c *Cluster) hosts() []*server.Host {
+	hs := make([]*server.Host, c.th.S)
+	for i := range hs {
+		hs[i], _ = c.host(i + 1)
+	}
+	return hs
+}
+
 // startServers launches n tcpnet storage daemons and returns their addresses
 // plus handles (for fault injection).
 func startServers(t *testing.T, n int) ([]string, []*tcpnet.Server) {

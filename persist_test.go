@@ -11,7 +11,6 @@ import (
 
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
-	"robustatomic/internal/obs"
 	"robustatomic/internal/persist"
 	"robustatomic/internal/regular"
 	"robustatomic/internal/server"
@@ -190,33 +189,22 @@ func TestStoreCrashRestartAtomicity(t *testing.T) {
 // and afterwards the deployment again survives a further failure — which it
 // could not with the replacement left blank, because a stale object plus a
 // blank one exceeds the t=1 budget and stalls certification.
-func TestRepairReconstitutesWipedObject(t *testing.T) {
+func TestRepairReconstitutesWipedObject(t *testing.T) { eachFabric(t, 4, repairWipedObject) }
+
+func repairWipedObject(t *testing.T, f *fabric) {
 	const shards = 2
-	var servers [4]*tcpnet.Server
-	var addrs []string
-	for i := 1; i <= 4; i++ {
-		s, err := tcpnet.NewServer(i, "127.0.0.1:0") // volatile: the wipe is total
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i-1] = s
-		addrs = append(addrs, s.Addr())
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
+	addrs, servers := f.addrs, f.hosts()
 	var decisionRounds atomic.Int64
-	c, err := Connect(addrs, Options{Faults: 1, Readers: 2, Seed: 33, RoundHook: func(label string) {
+	c := f.connect(Options{Faults: 1, Readers: 2, Seed: 33, RoundHook: func(label string) {
 		if label == "AREAD2" {
 			decisionRounds.Add(1)
 		}
 	}})
-	if err != nil {
-		t.Fatal(err)
+	probe := func(addr string, reg int) (pw, w types.Pair, err error) {
+		d := f.direct(c, addr)
+		defer d.Close()
+		return d.ProbeReg(reg, types.WriterReg)
 	}
-	defer c.Close()
 	st, err := c.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
@@ -266,20 +254,10 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The machine hosting s3 dies; a blank replacement takes its address.
-	// The operator gets to the repair long after the client's transport has
-	// seen the old connection die; wait for that here, or what this process
-	// sends next still goes down the dead socket and the replacement misses
-	// the very write-backs that follow its repair.
-	connLost := obs.Default.Counter("tcpnet_conn_lost_total")
-	lostBefore := connLost.Value()
-	servers[2].Close()
-	for deadline := time.Now().Add(5 * time.Second); connLost.Value() == lostBefore; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("client never noticed s3's connection die")
-		}
-	}
-	servers[2] = restartDaemon(t, 3, addrs[2], tcpnet.ServerOptions{})
+	// The machine hosting s3 dies; a blank replacement takes its address
+	// (the operator gets to the repair long after the client's transport has
+	// seen the old connection die: fabric.blank).
+	f.blank(addrs[2], 3)
 	if _, w3, err := probe(addrs[2], 0); err != nil || !w3.IsBottom() {
 		t.Fatalf("replacement not blank: %v, %v", w3, err)
 	}
@@ -312,15 +290,8 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 	// too (or newer: the transfer read's own write-back may still be on its
 	// way to s2) — left blank, one more fault makes a lone write-back pair
 	// undecidable, and s3 dissents from every fast hit on a settled shard.
-	d2, err := tcpnet.DialDirect(addrs[1], types.Reader(1), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2, d3 := f.direct(c, addrs[1]), f.direct(c, addrs[2])
 	defer d2.Close()
-	d3, err := tcpnet.DialDirect(addrs[2], types.Reader(1), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer d3.Close()
 	wbs := 0
 	for reg := 0; reg <= shards; reg++ {
@@ -346,8 +317,8 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 		t.Errorf("repair reports %d write-back registers installed, peers hold %d", got, wbs)
 	}
 
-	// Re-establish the client's connection to the replacement daemon (it
-	// still points at the dead predecessor; the first round redials).
+	// Re-establish the client's connection to the replacement object (over
+	// sockets it still points at the dead predecessor; the first round redials).
 	for _, k := range keys {
 		for i := 0; i < 2; i++ {
 			if v, err := st.Get(k); err != nil || v != k+"-gen2" {
@@ -361,7 +332,7 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 
 	// The deployment must now survive losing s4: reads certify through the
 	// repaired s3 (s1 is stale below the head, so s2 alone could not).
-	servers[3].Close()
+	f.kill(addrs[3])
 	for _, k := range keys {
 		if v, err := st.Get(k); err != nil || v != k+"-gen2" {
 			t.Fatalf("post-repair get %s = %q, %v (repaired object not certifying)", k, v, err)
@@ -380,10 +351,7 @@ func TestRepairReconstitutesWipedObject(t *testing.T) {
 // probe reads the raw shared-register state object addr holds for register
 // instance reg (an operator's view: one object, no quorum).
 func probe(addr string, reg int) (pw, w types.Pair, err error) {
-	d, err := tcpnet.DialDirect(addr, types.Reader(1), time.Second)
-	if err != nil {
-		return types.Pair{}, types.Pair{}, err
-	}
+	d := tcpnet.NewMux(nil).Direct(addr, types.Reader(1))
 	defer d.Close()
 	return d.ProbeReg(reg, types.WriterReg)
 }

@@ -135,22 +135,11 @@ func certifiedConfigPair(th quorum.Thresholds, replies map[int]types.Message) (c
 	return best, bestPair, found
 }
 
-// configurable errors out for in-process clusters: a membership is a set of
-// daemon addresses.
-func (c *Cluster) configurable() error {
-	if c.addrs == nil {
-		return fmt.Errorf("robustatomic: reconfiguration needs a remote cluster (Connect)")
-	}
-	return nil
-}
-
 // ConfigQuery returns the cluster's active configuration: the newest
 // certified content of the config register, or the bootstrap configuration
-// (epoch 1, the Connect address list) if the register was never written.
+// (epoch 1, the address list the cluster was built with) if the register was
+// never written.
 func (c *Cluster) ConfigQuery() (config.Config, error) {
-	if err := c.configurable(); err != nil {
-		return config.Config{}, err
-	}
 	cfg, _, ok, err := c.readConfig(c.rounder(types.Reader(c.readerID()), config.Reg))
 	if err != nil {
 		return config.Config{}, fmt.Errorf("robustatomic: %w", err)
@@ -161,16 +150,12 @@ func (c *Cluster) ConfigQuery() (config.Config, error) {
 	return cfg, nil
 }
 
-// queryConfigOver runs the certified config read over an explicit address
-// set (a redirect hint's) on a throwaway transport, so an unverified hint
-// never touches the cluster's own connections.
-func (c *Cluster) queryConfigOver(addrs []string) (config.Config, bool) {
-	if len(addrs) != c.th.S {
-		return config.Config{}, false
-	}
-	tc := tcpnet.NewClientReg(types.Reader(c.readerID()), addrs, config.Reg)
-	defer tc.Close()
-	cfg, _, ok, err := c.readConfig(tc)
+// queryConfigOver runs the certified config read as a round of m: the
+// cluster's own mux (its current view), or a throwaway one on a fresh link to
+// a redirect hint's address set, so an unverified hint never touches the
+// cluster's own connections.
+func (c *Cluster) queryConfigOver(m *tcpnet.Mux) (config.Config, bool) {
+	cfg, _, ok, err := c.readConfig(m.Client(types.Reader(c.readerID()), config.Reg))
 	return cfg, ok && err == nil
 }
 
@@ -179,13 +164,15 @@ func (c *Cluster) queryConfigOver(addrs []string) (config.Config, bool) {
 // trust-but-VERIFY — a Byzantine refuser can fabricate both the epoch and
 // the hinted membership, so a hint only nominates an address set to run the
 // certified quorum read over (at least t+1 matching reporters there make
-// the result genuine regardless of who suggested the addresses); the
-// current view is always tried too, since more than t refusals imply the
-// newer config is certifiable from the very objects that refused.
+// the result genuine regardless of who suggested the addresses). The current
+// view is asked FIRST: more than t refusals imply the newer config is
+// certifiable from the very objects that refused, over connections already
+// open — whereas a hint's address set is whatever one refuser, possibly a lone
+// forger, chose to name, and each address that leads nowhere costs a first
+// contact (over sockets a dial, up to its timeout). Hints are for the client
+// so far behind that fewer than S−t of its addresses still answer: only when
+// the view certifies nothing newer are the hinted sets asked.
 func (c *Cluster) refreshConfig(we *tcpnet.WrongEpochError) error {
-	if err := c.configurable(); err != nil {
-		return err
-	}
 	mCfgRefetch.Inc()
 	cur := c.mux.Epoch()
 	if we != nil && cur >= we.Epoch {
@@ -194,21 +181,22 @@ func (c *Cluster) refreshConfig(we *tcpnet.WrongEpochError) error {
 		// operation on the adopted view.
 		return nil
 	}
-	var cands [][]string
+	if cfg, ok := c.queryConfigOver(c.mux); ok && cfg.Epoch > cur {
+		return c.adopt(cfg)
+	}
 	if we != nil {
 		for _, h := range we.Hints {
-			if cfg, err := config.Decode(h); err == nil && cfg.Epoch > cur {
-				cands = append(cands, cfg.Addrs)
+			hint, err := config.Decode(h)
+			if err != nil || hint.Epoch <= cur || len(hint.Addrs) != c.th.S {
+				continue
+			}
+			m := c.mux.Fresh(hint.Addrs)
+			cfg, ok := c.queryConfigOver(m)
+			m.Close()
+			if ok && cfg.Epoch > cur {
+				return c.adopt(cfg)
 			}
 		}
-	}
-	cands = append(cands, c.mux.Addrs())
-	for _, addrs := range cands {
-		cfg, ok := c.queryConfigOver(addrs)
-		if !ok || cfg.Epoch <= cur {
-			continue
-		}
-		return c.adopt(cfg)
 	}
 	return fmt.Errorf("robustatomic: no certified configuration newer than epoch %d found", cur)
 }
@@ -269,8 +257,8 @@ func (c *Cluster) transitionConfig(transition func(config.Config) (config.Config
 
 // transferRegisters transfers the certified state of register instances
 // 0..shards to the daemon at addr — a blank replacement (Repair) or an
-// incoming member (Join, Move), dialed directly since it need not be in any
-// configuration yet. Per instance: certified quorum read against the live
+// incoming member (Join, Move), reached directly (tcpnet.Direct) since it
+// need not be in any configuration yet. Per instance: certified quorum read against the live
 // members, a cluster-wide re-PREWRITE of the certified pair (the
 // multi-writer decision procedure assumes every w-held pair completed its
 // PREWRITE at 2t+1 objects; certification may rest on a thinner original
@@ -289,10 +277,7 @@ func (c *Cluster) transferRegisters(addr string, shards int) ([]RepairedRegister
 	if shards < 0 {
 		return nil, fmt.Errorf("robustatomic: negative shard count %d", shards)
 	}
-	d, err := tcpnet.DialDirect(addr, types.Reader(c.readerID()), 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("robustatomic: transfer: %w", err)
-	}
+	d := c.mux.Direct(addr, types.Reader(c.readerID()))
 	defer d.Close()
 	out := make([]RepairedRegister, 0, shards+1)
 	for reg := 0; reg <= shards; reg++ {
@@ -361,10 +346,7 @@ var ErrNewcomerUnseeded = errors.New("robustatomic: configuration decided but ne
 // config register: the daemon was not a member when the config write ran,
 // and its epoch gate activates from exactly this instance's state.
 func (c *Cluster) seedConfig(addr string, p types.Pair) error {
-	d, err := tcpnet.DialDirect(addr, types.Reader(c.readerID()), 5*time.Second)
-	if err != nil {
-		return fmt.Errorf("robustatomic: seed config: %w", err)
-	}
+	d := c.mux.Direct(addr, types.Reader(c.readerID()))
 	defer d.Close()
 	if err := d.Seed(config.Reg, types.WriterReg, p); err != nil {
 		return fmt.Errorf("robustatomic: seed config: %w", err)
@@ -383,12 +365,13 @@ const (
 // seedNewcomer is seedConfig with retries and the distinguished
 // ErrNewcomerUnseeded wrapper (see that error's doc for why this state is
 // special: the config write already decided, only the newcomer's copy is
-// missing, and re-seeding is idempotent).
+// missing, and re-seeding is idempotent). The pause between attempts is
+// waited out on the link's clock, like everything else a client waits for.
 func (c *Cluster) seedNewcomer(addr string, p types.Pair) error {
 	var err error
 	for attempt := 0; attempt < seedAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(seedRetryPause)
+		if attempt > 0 && c.mux.Sleep(seedRetryPause) != nil {
+			break // closed under us: the last attempt's error stands
 		}
 		if err = c.seedConfig(addr, p); err == nil {
 			return nil
@@ -403,9 +386,6 @@ func (c *Cluster) seedNewcomer(addr string, p types.Pair) error {
 // register only moves forward, so re-seeding an already-seeded daemon is a
 // no-op.
 func (c *Cluster) ReseedConfig(addr string) error {
-	if err := c.configurable(); err != nil {
-		return err
-	}
 	_, p, ok, err := c.readConfig(c.rounder(types.Reader(c.readerID()), config.Reg))
 	if err != nil {
 		return fmt.Errorf("robustatomic: reseed: %w", err)
@@ -430,9 +410,6 @@ func (c *Cluster) Join(addr string, shards int) (config.Config, []RepairedRegist
 // winning configuration is seeded into the newcomer, and the cluster's own
 // transport adopts it.
 func (c *Cluster) admit(addr string, shards int, transition func(config.Config) (config.Config, error)) (config.Config, []RepairedRegister, error) {
-	if err := c.configurable(); err != nil {
-		return config.Config{}, nil, err
-	}
 	migrated, err := c.transferRegisters(addr, shards)
 	if err != nil {
 		return config.Config{}, migrated, err
@@ -441,22 +418,15 @@ func (c *Cluster) admit(addr string, shards int, transition func(config.Config) 
 	if err != nil {
 		return config.Config{}, migrated, err
 	}
-	return next, migrated, c.sealTransition(next, addr, p)
-}
-
-// sealTransition finishes a decided Join/Move: seed the winning
-// configuration into the newcomer (with retries) and adopt it into this
-// cluster's own transport. The transition is decided regardless of either
-// outcome, so adoption runs even when seeding ultimately fails — the
-// caller keeps operating on the winning configuration while the
-// distinguished ErrNewcomerUnseeded tells the operator exactly what is
-// left to remediate (and how).
-func (c *Cluster) sealTransition(next config.Config, addr string, p types.Pair) error {
+	// The transition is decided whatever happens from here on, so adoption
+	// runs even when seeding ultimately fails — the caller keeps operating on
+	// the winning configuration while the distinguished ErrNewcomerUnseeded
+	// tells the operator exactly what is left to remediate (and how).
 	serr := c.seedNewcomer(addr, p)
 	if aerr := c.adopt(next); aerr != nil {
-		return errors.Join(serr, aerr)
+		return next, migrated, errors.Join(serr, aerr)
 	}
-	return serr
+	return next, migrated, serr
 }
 
 // Leave vacates slot sid: the daemon at that slot stops being a member once
@@ -466,9 +436,6 @@ func (c *Cluster) sealTransition(next config.Config, addr string, p types.Pair) 
 // a permanently-crashed object — so at most t slots may be vacant at a
 // time, which Leave's transition validation enforces.
 func (c *Cluster) Leave(sid int) (config.Config, error) {
-	if err := c.configurable(); err != nil {
-		return config.Config{}, err
-	}
 	next, _, err := c.transitionConfig(func(base config.Config) (config.Config, error) {
 		return base.Leave(sid)
 	})

@@ -35,23 +35,30 @@ type RepairedRegister struct {
 // budget: the replacement again certifies the current value, so the
 // deployment survives a further t failures.
 //
-// Repair requires a remote (Connect) cluster. Run it after replacing a dead
-// machine with a blank daemon on the old address. Its reads run as this
+// Run it after replacing a dead machine with a blank one on the old address.
+// Its reads run as this
 // process's reader identity (WriterID+1), like Join's and Move's: run it from
 // an operator process with a WriterID of its own, or while this handle's
 // Store is not reading — other processes may keep operating. Re-running it
 // is harmless: objects merge state monotonically, so a repeated or stale
 // install is a no-op.
 func (c *Cluster) Repair(id int, shards int) ([]RepairedRegister, error) {
-	if c.addrs == nil {
-		return nil, fmt.Errorf("robustatomic: repair needs a remote cluster (Connect)")
+	addr, err := c.objectAddr(id)
+	if err != nil {
+		return nil, err
 	}
+	return c.transferRegisters(addr, shards)
+}
+
+// objectAddr returns the address of object id in this handle's view of the
+// active configuration.
+func (c *Cluster) objectAddr(id int) (string, error) {
 	addrs := c.mux.Addrs()
 	if id < 1 || id > len(addrs) {
-		return nil, fmt.Errorf("robustatomic: object id %d out of 1..%d", id, len(addrs))
+		return "", fmt.Errorf("robustatomic: object id %d out of 1..%d", id, len(addrs))
 	}
 	if addrs[id-1] == "" {
-		return nil, fmt.Errorf("robustatomic: slot %d is vacant in the active configuration", id)
+		return "", fmt.Errorf("robustatomic: slot %d is vacant in the active configuration", id)
 	}
-	return c.transferRegisters(addrs[id-1], shards)
+	return addrs[id-1], nil
 }

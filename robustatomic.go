@@ -136,7 +136,8 @@ type Cluster struct {
 
 	// mux is this process's transport: every handle's rounds multiplex over
 	// its one link per object — a pipelined TCP connection to a daemon
-	// (dialed on first use), or the in-memory link to hosts[i].
+	// (dialed on first use), the in-memory link to an object of this process,
+	// or the simulator's scheduled one.
 	mux *tcpnet.Mux
 	// combiner merges concurrent Store shard flushes (this process's writer
 	// identity) into batched rounds: one frame per object for the whole
@@ -146,9 +147,13 @@ type Cluster struct {
 
 // deployment is what the client processes of one cluster have in common.
 type deployment struct {
-	th    quorum.Thresholds
-	hosts []*server.Host // the objects of an in-process cluster; nil when remote
-	addrs []string       // the Connect list; nil when in-process
+	th quorum.Thresholds
+	// addrs is the bootstrap configuration (slot sid-1 → address), on whatever
+	// fabric the link resolves addresses: sockets, or reg — the objects hosted
+	// in this process, which only the fault-injection passthrough (host) asks
+	// for; nil when they are daemons.
+	addrs []string
+	reg   *tcpnet.Registry
 	// dial builds one client process's transport to the objects, and wait is
 	// the shard.Group hook of every group commit over it: nil, except under
 	// the simulator's one-at-a-time scheduler.
@@ -192,8 +197,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	hosts := server.NewHosts(th.S)
-	return newCluster(opts, deployment{th: th, hosts: hosts, dial: func() *tcpnet.Mux { return tcpnet.NewMemMux(hosts) }})
+	reg := new(tcpnet.Registry)
+	addrs := reg.Add(server.NewHosts(th.S)...)
+	return newCluster(opts, deployment{th: th, addrs: addrs, reg: reg, dial: func() *tcpnet.Mux { return tcpnet.NewLinkMux(len(addrs), reg.Link(addrs)) }})
 }
 
 // NewSimCluster returns a client process of a cluster whose objects are the
@@ -207,7 +213,7 @@ func NewSimCluster(s *sim.Sim, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	return newCluster(opts, deployment{th: th, hosts: s.Hosts(), wait: s.Await, dial: func() *tcpnet.Mux { return tcpnet.NewLinkMux(th.S, s.Link()) }})
+	return newCluster(opts, deployment{th: th, addrs: s.Addrs(), reg: s.Registry(), wait: s.Await, dial: func() *tcpnet.Mux { return tcpnet.NewLinkMux(th.S, s.Link()) }})
 }
 
 // Connect attaches to a remote cluster of storage daemons (cmd/storaged);
@@ -223,7 +229,7 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 }
 
 // Sibling returns a second logical client process over the same running
-// cluster: it shares the objects (or the daemon addresses) but
+// cluster: it shares the objects' addresses but
 // carries its own WriterID, seed and transport — the in-process twin of a
 // second machine running Connect, and like it refused its parent's
 // WriterID. Faults and Readers are cluster-wide constants and must match:
@@ -253,17 +259,21 @@ func (c *Cluster) Faults() int { return c.th.T }
 // Objects returns S = 3t+1.
 func (c *Cluster) Objects() int { return c.th.S }
 
-// host returns in-process object sid, for the fault-injection passthroughs
-// below (remote clusters inject on the daemons instead: storaged -chaos,
-// tcpnet.Server's own Set* methods).
+// host returns the in-process object serving slot sid in this handle's view,
+// for the fault-injection passthroughs below (remote clusters inject on the
+// daemons instead: storaged -chaos, tcpnet.Server's own Set* methods).
 func (c *Cluster) host(sid int) (*server.Host, error) {
-	if c.hosts == nil {
+	if c.reg == nil {
 		return nil, fmt.Errorf("robustatomic: fault injection needs an in-process cluster")
 	}
-	if sid < 1 || sid > len(c.hosts) {
-		return nil, fmt.Errorf("robustatomic: object id %d out of 1..%d", sid, len(c.hosts))
+	addr, err := c.objectAddr(sid)
+	if err != nil {
+		return nil, err
 	}
-	return c.hosts[sid-1], nil
+	if h := c.reg.Resolve(addr).Load(); h != nil {
+		return h, nil
+	}
+	return nil, fmt.Errorf("robustatomic: object %d is down", sid)
 }
 
 // InjectFault makes in-process object sid Byzantine with a named behavior:

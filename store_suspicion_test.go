@@ -43,7 +43,7 @@ func newSuspicionRig(t *testing.T, inproc bool, faults, shards int, seed int64) 
 		if r.c, err = NewCluster(opts); err != nil {
 			t.Fatal(err)
 		}
-		r.hosts = r.c.hosts
+		r.hosts = r.c.hosts()
 	} else {
 		var addrs []string
 		for id := 1; id <= 3*faults+1; id++ {

@@ -51,7 +51,7 @@ func TestWireGolden(t *testing.T) {
 	}
 	defer c.Close()
 	rec := &frameRecorder{}
-	c.hosts[0].SetBehavior(rec)
+	c.hosts()[0].SetBehavior(rec)
 	st, err := c.NewStore(StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
