@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTableCodec -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzDecodePair -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz FuzzSplice -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzWireRequest -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzWireBatch -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/persist/
@@ -94,7 +95,8 @@ integration:
 # whole Store: a seed replays its execution (event trace and histories) and
 # the scripted Store points (flush rebased, ack lost and retried, config
 # decided with the newcomer unseeded, register transferred with the epoch
-# unsealed), 20 seeds 20 times. ~6 minutes.
+# unsealed, a Get inside the process's own flush, an object cut off for one
+# flush catching up), 20 seeds 20 times. ~6 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .

@@ -318,14 +318,14 @@ func BenchmarkE9StorePutCoalesced(b *testing.B) {
 	}
 	var flushes int64
 	orig := sh.modify
-	sh.modify = func(fn func(types.Pair) (types.Value, error)) (types.Pair, error) {
+	sh.modify = func(fn func(types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
 		atomic.AddInt64(&flushes, 1)
 		return orig(fn)
 	}
 	origClean := sh.writeClean
-	sh.writeClean = func(v types.Value) (types.Pair, bool, error) {
+	sh.writeClean = func(v types.Value, from types.Delta) (types.Pair, bool, error) {
 		atomic.AddInt64(&flushes, 1)
-		return origClean(v)
+		return origClean(v, from)
 	}
 	var ctr int64
 	b.SetParallelism(8) // 8×GOMAXPROCS putters: contention even on small boxes

@@ -437,8 +437,12 @@ func doctor(rep robustatomic.DoctorReport, addrs []string) error {
 // and the first thing to look at when a daemon's tx bytes climb — and, for
 // every scraped process that ran atomic reads itself (a client exposing
 // /debug/vars; a daemon shows "-"), which round path they took: the shares
-// decided in 1 round, in 2, and with the write-back (4, rarely 3) — and which
-// objects its transport suspects, i.e. whose requests its rounds defer.
+// decided in 1 round, in 2, and with the write-back (4, rarely 3) — which form
+// the writes each daemon handled took (value-eliding writes: WRITEs that
+// promoted a named pair : PREWRITEs spliced out of a held one : conditioned
+// writes refused with `need value`; a daemon that needs the value on every
+// write is lagging or lying) — and which objects its transport suspects, i.e.
+// whose requests its rounds defer.
 func stats(debugAddrs []string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	snaps := make([]obs.Snapshot, len(debugAddrs))
@@ -467,7 +471,7 @@ func stats(debugAddrs []string) error {
 	}
 	names := make([]string, 0, len(nameSet))
 	const elidedRow, pathRow = "read values elided (ratio)", "read path 1/2/4 rounds (ratio)"
-	width := len(pathRow)
+	width := len("writes promoted:spliced:need-value")
 	for n := range nameSet {
 		names = append(names, n)
 		if len(n) > width {
@@ -512,6 +516,16 @@ func stats(debugAddrs []string) error {
 	fmt.Printf("%-*s", width, pathRow)
 	for _, s := range snaps {
 		fmt.Printf(" %12s", readPathMix(s.Counters))
+	}
+	fmt.Println()
+	fmt.Printf("%-*s", width, "writes promoted:spliced:need-value")
+	for _, s := range snaps {
+		p, sp, nv := s.Counters["server_write_promoted_total"], s.Counters["server_prewrite_spliced_total"], s.Counters["server_need_value_total"]
+		if p+sp+nv == 0 {
+			fmt.Printf(" %12s", "-")
+			continue
+		}
+		fmt.Printf(" %12s", fmt.Sprintf("%d:%d:%d", p, sp, nv))
 	}
 	fmt.Println()
 	// Which objects each scraped CLIENT currently defers (suspicion-ordered

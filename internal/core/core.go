@@ -119,13 +119,20 @@ func NewWriterAt(r proto.Rounder, th quorum.Thresholds, wid int64, last types.TS
 // writer of the shared register (the secret model supplies one that attaches
 // a fresh token to every phase).
 func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.Writer) *Writer {
-	return &Writer{rounder: r, th: th, wid: wid, pw: pw, known: proto.NewKnown(th)}
+	w := &Writer{rounder: r, th: th, wid: wid, pw: pw}
+	w.UseKnown(proto.NewKnown(th))
+	return w
 }
 
 // UseKnown makes the writer record its writes in, and condition its
 // certified reads on, k instead of the handle's private set — the keyed
-// Store shares one set per shard between its committer and its reader.
-func (w *Writer) UseKnown(k *proto.Known) { w.known = k }
+// Store shares one set per shard between its committer and its reader. A pair
+// is recorded when its timestamp is issued, before the PREWRITE puts it into
+// circulation (regular.Writer.UseKnown).
+func (w *Writer) UseKnown(k *proto.Known) {
+	w.known = k
+	w.pw.UseKnown(k)
+}
 
 // maxDiscoveryLead bounds how far past the writer's own knowledge an
 // UNCERTIFIED discovery result may jump before the writer insists on
@@ -178,12 +185,16 @@ func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.T
 // that the installed value derives from a genuine pair at least as fresh as
 // the last complete write, which gives last-writer-wins semantics with no
 // lost update unless the writes genuinely race.
-func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error) {
+//
+// fn also says what its value derives from (types.Delta, zero: nothing) —
+// cur, edited, for the Store — and the PREWRITE then carries the edit to the
+// objects that hold the base (regular.Writer.WriteDerived).
+func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
 	cur, next, err := CertifiedNext(w.rounder, w.th, w.wid, w.pw.IssuedTS(), w.known)
 	if err != nil {
 		return types.Pair{}, err
 	}
-	v, err := fn(cur)
+	v, from, err := fn(cur)
 	if errors.Is(err, SkipWrite) {
 		return cur, nil
 	}
@@ -194,7 +205,7 @@ func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, error)) (types.Pai
 		return types.Pair{}, fmt.Errorf("core: register sequence space exhausted")
 	}
 	p := types.Pair{TS: next, Val: v}
-	if err := w.completed(p, w.pw.WritePair(p)); err != nil {
+	if err := w.pw.WriteDerived(p, from, 0); err != nil {
 		return types.Pair{}, err
 	}
 	return p, nil
@@ -240,6 +251,7 @@ type Reader struct {
 	regs   []types.RegID
 	accs   []*regular.ReadAcc
 	mux    proto.RegAcc
+	known  *proto.Known
 	slow   []int
 	back   types.Pair // the last write-back (see Choice)
 	noteFn func() string
@@ -278,14 +290,17 @@ func NewReaderAt(r proto.Rounder, th quorum.Thresholds, idx, readers int, seq in
 		panic(fmt.Sprintf("core: reader index %d out of 1..%d", idx, readers))
 	}
 	rd := &Reader{rounder: r, th: th, idx: idx, readers: readers, seq: seq}
-	rd.mux.UseKnown(proto.NewKnown(th))
+	rd.UseKnown(proto.NewKnown(th))
 	return rd
 }
 
 // UseKnown makes the reader condition its reads on (and feed) k instead of
 // the handle's private set. Handles of one register instance in one process
 // should share a set: what one of them decided, none of them is sent again.
-func (r *Reader) UseKnown(k *proto.Known) { r.mux.UseKnown(k) }
+func (r *Reader) UseKnown(k *proto.Known) {
+	r.known = k
+	r.mux.UseKnown(k)
+}
 
 // Choice returns the pair the last ReadPair left register i of the instance
 // at, as far as it knows — 0 the shared register, i reader i's write-back
@@ -485,12 +500,12 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	}
 	wb := regular.NewWriterAt(r.rounder, r.th, types.ReaderReg(r.idx), 0, types.At(r.seq))
 	wb.NextToken = r.NextToken
+	wb.UseKnown(r.known) // the next read offers the pair, so the objects need not send it back
 	back := types.Pair{TS: types.At(r.seq + 1), Val: EncodePair(best)}
 	if err := wb.WritePair(back); err != nil {
 		return types.Pair{}, fmt.Errorf("core: write-back: %w", err)
 	}
 	r.seq, r.back = r.seq+1, back
-	r.mux.Seed(types.ReaderReg(r.idx), back)
 	return best, nil
 }
 

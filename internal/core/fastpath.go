@@ -52,6 +52,17 @@
 //     correct quorum member to miss it, and quorum intersection forbids
 //     that).
 //
+// What travels in those rounds (value-eliding writes, DESIGN.md): the
+// freshness round and every acknowledgement carry timestamps only; a WRITE
+// names the pair its PREWRITE stored by (timestamp, digest) instead of
+// carrying it again; and a PREWRITE whose value the caller derived from a
+// pair the objects hold (WriteClean's and Modify's types.Delta — the Store's
+// table, edited) carries the edit. An object that does not hold what a
+// message names says so, changes nothing, and is sent that phase in full
+// inside the same round (regular.writeSpec, tcpnet's round engine); the
+// objects the previous phase already heard reporting other timestamps are
+// sent it in full to begin with. Round counts are untouched.
+//
 // Abandoned prewrites (a fast path that lost its validation) are safe: the
 // protocol already tolerates a writer crashing between PREWRITE and WRITE,
 // and the writer records every proposed timestamp as issued, so a later
@@ -97,7 +108,7 @@ func (w *Writer) Write(v types.Value) error {
 		// Certified: nothing at or above the proposal was in circulation
 		// when the quorum acknowledged, so the proposal dominates every
 		// complete write and the WRITE round can finish the operation.
-		if err := w.completed(p, w.pw.CommitPair(p)); err != nil {
+		if err := w.pw.CommitPair(p); err != nil {
 			return err
 		}
 		w.FastWrites++
@@ -117,23 +128,13 @@ func (w *Writer) Write(v types.Value) error {
 		return w.fellBack(w.writeAtCertified(base, v))
 	}
 	p = types.Pair{TS: next, Val: v}
-	return w.fellBack(w.completed(p, w.pw.WritePair(p)))
+	return w.fellBack(w.pw.WritePair(p))
 }
 
 // fellBack counts a Write that completed off the fast path.
 func (w *Writer) fellBack(err error) error {
 	if err == nil {
 		w.FallbackWrites++
-	}
-	return err
-}
-
-// completed passes the outcome of writing p through, recording a completed
-// p in the known-pair set: the writer has the value in hand, so neither its
-// own next certified read nor any reader sharing the set need be sent it.
-func (w *Writer) completed(p types.Pair, err error) error {
-	if err == nil {
-		w.known.Seed(types.WriterReg, p)
 	}
 	return err
 }
@@ -148,8 +149,7 @@ func (w *Writer) writeAtCertified(own types.TS, v types.Value) error {
 	if next.Seq <= 0 {
 		return fmt.Errorf("core: register sequence space exhausted")
 	}
-	p := types.Pair{TS: next, Val: v}
-	return w.completed(p, w.pw.WritePair(p))
+	return w.pw.WritePair(types.Pair{TS: next, Val: v})
 }
 
 // WriteClean attempts the flush fast path the keyed Store's flush runs on
@@ -164,11 +164,16 @@ func (w *Writer) writeAtCertified(own types.TS, v types.Value) error {
 // conflict (nothing written; the caller rebases through the certified
 // read-modify-write). A failed earlier proposal (IssuedTS beyond LastTS)
 // also routes to the certified path, which alone may pick timestamps then.
-func (w *Writer) WriteClean(v types.Value) (types.Pair, bool, error) {
+//
+// from says what v derives from (the zero Delta: nothing): the Store's table
+// at the base, edited. The PREWRITE then carries the edit — to every object
+// but those the freshness round just heard holding nothing at the base, which
+// are sent the value, as is whoever else asks (regular.Writer.WriteDerived).
+func (w *Writer) WriteClean(v types.Value, from types.Delta) (types.Pair, bool, error) {
 	if v.IsBottom() {
 		return types.Pair{}, false, fmt.Errorf("core: cannot write the reserved initial value ⊥")
 	}
-	ok, err := w.Validate()
+	ok, lack, err := w.validate()
 	if err != nil || !ok {
 		return types.Pair{}, false, err
 	}
@@ -177,7 +182,7 @@ func (w *Writer) WriteClean(v types.Value) (types.Pair, bool, error) {
 		return types.Pair{}, false, nil
 	}
 	p := types.Pair{TS: proposed, Val: v}
-	if err := w.completed(p, w.pw.WritePair(p)); err != nil {
+	if err := w.pw.WriteDerived(p, from, lack); err != nil {
 		return types.Pair{}, false, err
 	}
 	return p, true, nil
@@ -199,14 +204,22 @@ func tsOnlyReq(int) types.Message {
 // quorum member to miss a completed foreign write, which quorum
 // intersection rules out.
 func (w *Writer) Validate() (bool, error) {
+	ok, _, err := w.validate()
+	return ok, err
+}
+
+// validate is Validate, and also returns the objects (bit sid) the round
+// heard holding nothing at the base.
+func (w *Writer) validate() (ok bool, lack uint64, err error) {
 	base := w.pw.LastTS()
 	if base.Less(w.pw.IssuedTS()) {
-		return false, nil
+		return false, 0, nil
 	}
 	acc := proto.NewBitAcc(types.MsgState, w.th.Quorum())
+	acc.Expect(base)
 	spec := proto.RoundSpec{Label: "WVAL", Req: tsOnlyReq, Acc: acc}
 	if err := w.rounder.Round(spec); err != nil {
-		return false, fmt.Errorf("core: validate: %w", err)
+		return false, 0, fmt.Errorf("core: validate: %w", err)
 	}
-	return !base.Less(acc.MaxTS()), nil
+	return !base.Less(acc.MaxTS()), acc.Lack(), nil
 }

@@ -132,9 +132,9 @@ func TestCertifiedReadOffersWritersPair(t *testing.T) {
 	modify := func(v types.Value) types.Pair {
 		t.Helper()
 		var saw types.Pair
-		if _, err := w.Modify(func(cur types.Pair) (types.Value, error) {
+		if _, err := w.Modify(func(cur types.Pair) (types.Value, types.Delta, error) {
 			saw = cur
-			return v, nil
+			return v, types.Delta{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -59,9 +59,10 @@ import (
 
 var _ server.Persister = (*Engine)(nil)
 
-// Durability observability: append and fsync latency distributions (µs,
-// recorded unconditionally — both are I/O-bound, so the two time.Now calls
-// vanish in the noise), plus volume counters. Engines are per-daemon but
+// Durability observability: append (the record's write(2), in every mode) and
+// fsync latency distributions (µs, recorded unconditionally — both are
+// I/O-bound, so the two time.Now calls vanish in the noise), plus volume
+// counters. Engines are per-daemon but
 // the metrics aggregate: a storaged process hosts one engine, and
 // multi-engine test processes just sum.
 var (
@@ -369,30 +370,38 @@ func replayWAL(path string, newest bool, apply func(wire.Request)) (int, error) 
 	return applied, nil
 }
 
-// Append durably logs one mutating request envelope. It returns once the
-// record is on disk per the engine's fsync mode; the caller must not let
-// the reply leave before then.
+// Append durably logs one mutating request envelope: Write, then Sync. It
+// returns once the record is on disk per the engine's fsync mode. A caller
+// whose records' ORDER matters appends from one goroutine, or — the object
+// host — calls Write under a lock of its own and Sync outside it.
 func (e *Engine) Append(req wire.Request) error {
+	if err := e.Write(req); err != nil {
+		return err
+	}
+	return e.Sync()
+}
+
+// Write appends req's record to the live WAL generation with one write(2):
+// the record's place in the log is the place of this call among the Writes.
+// The operating system has the record when Write returns — a killed process
+// loses nothing — but no fsync has been waited for (Sync).
+func (e *Engine) Write(req wire.Request) error {
 	start := time.Now()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return fmt.Errorf("persist: engine closed")
 	}
 	if !e.recovered {
-		e.mu.Unlock()
 		return fmt.Errorf("persist: Append before Recover")
 	}
 	if e.failed != nil {
-		err := e.failed
-		e.mu.Unlock()
-		return fmt.Errorf("persist: wal latched after earlier failure: %w", err)
+		return fmt.Errorf("persist: wal latched after earlier failure: %w", e.failed)
 	}
 	rec, err := buildRecord(&e.rec, req)
 	if err != nil {
 		// An envelope no frame can carry (wire.ErrFrameTooLarge): this one
 		// record is refused with nothing written, and the log stays usable.
-		e.mu.Unlock()
 		return fmt.Errorf("persist: %w", err)
 	}
 	if _, err := e.f.Write(rec); err != nil {
@@ -402,32 +411,29 @@ func (e *Engine) Append(req wire.Request) error {
 		// fault this engine exists to prevent. Refuse all further appends;
 		// the object goes silent, which correct clients tolerate.
 		e.failed = err
-		e.mu.Unlock()
 		return fmt.Errorf("persist: wal write: %w", err)
 	}
 	e.walSize += int64(len(rec))
 	e.records++
+	if e.mode == FsyncBatch {
+		e.dirty = true
+	}
 	mWALAppends.Inc()
 	mWALBytes.Add(int64(len(rec)))
-	switch e.mode {
-	case FsyncOff:
-		e.mu.Unlock()
-		mWALAppendLat.RecordSince(start)
-		return nil
-	case FsyncBatch:
-		e.dirty = true
-		e.mu.Unlock()
-		mWALAppendLat.RecordSince(start)
+	mWALAppendLat.RecordSince(start)
+	return nil
+}
+
+// Sync returns once every record written before the call is as durable as
+// the mode makes it: at once under FsyncBatch (the background syncer's 2 ms
+// window) and FsyncOff, after an fsync under FsyncAlways — a group commit: a
+// batch's fsync starts after its last member joined, and a member's record
+// was in the file before it joined, so the one fsync covers them all.
+func (e *Engine) Sync() error {
+	if e.mode != FsyncAlways {
 		return nil
 	}
-	// FsyncAlways: group commit. The record is in the file before this call
-	// joins a batch, and a batch's fsync starts after its last member joined,
-	// so it covers every member's record.
-	e.mu.Unlock()
-	_, led, err := e.syncs.Do(struct{}{}, e.syncBatch)
-	if err == nil && led {
-		mWALAppendLat.RecordSince(start)
-	}
+	_, _, err := e.syncs.Do(struct{}{}, e.syncBatch)
 	return err
 }
 

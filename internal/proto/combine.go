@@ -77,7 +77,7 @@ func (r *combinedRounder) Round(spec RoundSpec) error {
 	if len(spec.Subs) > 0 {
 		return fmt.Errorf("proto: combiner: batched specs cannot be re-batched (round %s)", spec.Label)
 	}
-	sub := SubRound{Reg: r.reg, Label: spec.Label, Req: spec.Req, Acc: spec.Acc, Trace: spec.Trace}
+	sub := SubRound{Reg: r.reg, Label: spec.Label, Req: spec.Req, Full: spec.Full, Acc: spec.Acc, Trace: spec.Trace}
 	_, _, err := r.c.group.Do(sub, func(subs []SubRound) (struct{}, error) {
 		return struct{}{}, r.c.inner.Round(mergedSpec(subs))
 	})

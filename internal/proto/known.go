@@ -178,6 +178,25 @@ func (k *Known) Seed(reg types.RegID, p types.Pair) {
 	}
 }
 
+// Digest returns the digest of p's value: the set's own when it holds p, so
+// that a writer naming the pair it just seeded hashes its value once.
+func (k *Known) Digest(reg types.RegID, p types.Pair) uint64 {
+	if i := regIndex(reg); k != nil && i >= 0 {
+		var dig uint64 // no digest is 0
+		k.mu.Lock()
+		if i < len(k.regs) {
+			if kr := &k.regs[i]; kr.holds(p) {
+				dig = kr.digs[kr.find(p.TS)]
+			}
+		}
+		k.mu.Unlock()
+		if dig != 0 {
+			return dig
+		}
+	}
+	return p.Val.Digest()
+}
+
 // shipped is a pair some objects sent in full during one round, and which.
 type shipped struct {
 	reg  types.RegID

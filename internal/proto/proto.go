@@ -68,6 +68,12 @@ type RoundSpec struct {
 	Label string
 	// Req builds the request for object sid. Runtimes stamp Seq themselves.
 	Req func(sid int) types.Message
+	// Full, when non-nil, builds the request for object sid with every value
+	// in it, where Req may build a conditioned write (types.Message.Have): it
+	// is what an object that answered MsgNeedValue is sent next, and what a
+	// link that frames nothing sends in the first place — there a value
+	// travels as a pointer, and eliding it saves nothing.
+	Full FullForm
 	// Acc receives replies and decides termination.
 	Acc Accumulator
 	// Subs holds the per-register sub-rounds of a batched round. Register
@@ -83,6 +89,13 @@ type RoundSpec struct {
 	Note func() string
 }
 
+// FullForm builds a round's requests with every value in them (RoundSpec.Full;
+// *RegAcc implements it — an interface, not a func, so that offering the form
+// allocates nothing).
+type FullForm interface {
+	FullRequest(sid int) types.Message
+}
+
 // SubRound is one register instance's share of a batched round.
 type SubRound struct {
 	// Reg is the register instance the sub-round addresses.
@@ -90,8 +103,10 @@ type SubRound struct {
 	// Label names the merged-in round (diagnostics; the per-register
 	// Observe hook above the Combiner reports the original spec's label).
 	Label string
-	// Req builds the sub-request for object sid.
-	Req func(sid int) types.Message
+	// Req builds the sub-request for object sid, Full (see RoundSpec.Full)
+	// the same with every value in it.
+	Req  func(sid int) types.Message
+	Full FullForm
 	// Acc receives this sub-round's replies and decides its termination.
 	Acc Accumulator
 	// Trace, when non-nil, is the originating round's trace: the Combiner
@@ -214,15 +229,20 @@ func AckAcc(need int) *CountAcc {
 // Alongside the count it folds the replies' piggybacked (PW, W) timestamps
 // into a running maximum, which is what the optimistic write's validation
 // (MsgAck piggybacks) and the flush's freshness round (MsgState replies)
-// both consume; plain ack rounds simply ignore MaxTS. Objects outside
-// 1..64 are ignored, which can only delay termination, never fake it (the
-// repository's deployments are S = 3t+1 ≤ 62, the decide procedure's own
-// bound).
+// both consume; plain ack rounds simply ignore MaxTS. The same reports say
+// who is left WITHOUT the pair at a timestamp the caller expects (Expect,
+// Lack): the input to the next phase's choice of whom to send a conditioned
+// write. Both masks are by object id (bit sid, like Verdict's and the round
+// engine's); objects outside 1..63 are ignored, which can only delay
+// termination, never fake it (the repository's deployments are S = 3t+1 ≤
+// 62, the decide procedure's own bound).
 type BitAcc struct {
 	kind types.MsgKind
 	need int
-	seen uint64
+	seen uint64 // bit sid: an accepted reply
 	max  types.TS
+	at   types.TS
+	lack uint64 // bit sid: heard, and holding nothing at `at`
 }
 
 // NewBitAcc returns a BitAcc waiting for need replies of the given kind.
@@ -235,12 +255,32 @@ func NewAckBits(need int) *BitAcc { return NewBitAcc(types.MsgAck, need) }
 
 // Add implements Accumulator.
 func (a *BitAcc) Add(sid int, m types.Message) {
-	if m.Kind != a.kind || sid < 1 || sid > 64 {
+	if m.Kind != a.kind || sid < 1 || sid > 63 {
 		return
 	}
-	a.seen |= 1 << uint(sid-1)
+	a.seen |= 1 << uint(sid)
 	a.max = types.MaxTS(a.max, types.MaxTS(m.PW.TS, m.W.TS))
+	// A PREWRITE's ack reports the timestamps held BEFORE it; the pair it
+	// carried sits in pw now unless pw was already past it.
+	pw := m.PW.TS
+	if a.kind == types.MsgAck {
+		pw = types.MaxTS(pw, a.at)
+	}
+	if pw != a.at && m.W.TS != a.at {
+		a.lack |= 1 << uint(sid)
+	}
 }
+
+// Expect names the timestamp Lack reports on: the pair a PREWRITE's
+// acknowledgements answer for, or the pair a read round's STATE replies
+// should show. Call it before the round.
+func (a *BitAcc) Expect(ts types.TS) { a.at = ts }
+
+// Lack returns the objects (bit sid) whose accepted reply showed neither pw
+// nor w at the expected timestamp: they cannot apply a write conditioned on
+// that pair, so the next phase sends them the value. An object not heard is
+// not in it — it is sent the conditioned form and asks if it must.
+func (a *BitAcc) Lack() uint64 { return a.lack }
 
 // Done implements Accumulator.
 func (a *BitAcc) Done() bool { return bits.OnesCount64(a.seen) >= a.need }

@@ -68,3 +68,71 @@ func TestCountAccMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBitAccLack: the replies that count toward the quorum also say who is
+// left without the expected pair — a read's STATE reply by holding it in
+// neither slot, a PREWRITE's ack by having been past it already — and nobody
+// else does: not an object unheard, not one that answered `need value`.
+func TestBitAccLack(t *testing.T) {
+	at := func(seq int64) types.Pair { return types.Pair{TS: types.At(seq)} }
+	state := NewBitAcc(types.MsgState, 3)
+	state.Expect(types.At(5))
+	state.Add(1, types.Message{Kind: types.MsgState, PW: at(5), W: at(5)})
+	state.Add(2, types.Message{Kind: types.MsgState, PW: at(6), W: at(5)}) // holds it in w
+	state.Add(3, types.Message{Kind: types.MsgState, PW: at(4), W: at(4)}) // behind
+	state.Add(4, types.Message{Kind: types.MsgNeedValue, PW: at(1)})       // not a STATE reply
+	if got := state.Lack(); got != 1<<3 || !state.Done() {
+		t.Errorf("read round: lack = %b, want object 3 alone (done: %v)", got, state.Done())
+	}
+	acks := NewAckBits(3)
+	acks.Expect(types.At(5))
+	acks.Add(1, types.Message{Kind: types.MsgAck, PW: at(4), W: at(4)}) // took the pair
+	acks.Add(2, types.Message{Kind: types.MsgAck, PW: at(5), W: at(3)}) // held it already
+	acks.Add(3, types.Message{Kind: types.MsgAck, PW: at(7), W: at(2)}) // a later prewrite was there first
+	acks.Add(4, types.Message{Kind: types.MsgNeedValue, PW: at(9), W: at(9)})
+	if got := acks.Lack(); got != 1<<3 || acks.MaxTS() != types.At(7) {
+		t.Errorf("PREWRITE round: lack = %b (max %v), want object 3 alone (max 7)", got, acks.MaxTS())
+	}
+}
+
+// TestRegAccConditioned: a write part with a conditioned form asks the objects
+// named in full — and whoever is asked through the full form — with the part
+// as declared, and everyone else with the condition where the value was, bare
+// or bundled as the part's register dictates; without one there is no full
+// form to offer.
+func TestRegAccConditioned(t *testing.T) {
+	p := types.Pair{TS: types.At(3), Val: "the value"}
+	named := types.Have{TS: types.At(2), Digest: 42}
+	for _, reg := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
+		var ra RegAcc
+		ra.Part(reg, types.Message{Kind: types.MsgPreWrite, Pair: p, Token: 7}, NewAckBits(3))
+		if spec := ra.Spec("PREWRITE", nil); spec.Full != nil {
+			t.Fatalf("%v: an unconditioned part offers a full form", reg)
+		}
+		ra.Conditioned(named, "an edit", types.FlagSplice, 1<<2)
+		spec := ra.Spec("PREWRITE", nil)
+		_, full := fullOf(t, spec.Req(2))
+		_, viaFull := fullOf(t, spec.Full.FullRequest(1))
+		gotReg, cond := fullOf(t, spec.Req(1))
+		if full.Pair != p || len(full.Have) != 0 || viaFull.Pair != p {
+			t.Errorf("%v: the object in full was asked %+v, the full form asks %+v", reg, full, viaFull)
+		}
+		want := types.Message{Kind: types.MsgPreWrite, Pair: types.Pair{TS: p.TS, Val: "an edit"}, Token: 7, Flags: types.FlagSplice}
+		if gotReg != reg || len(cond.Have) != 1 || cond.Have[0] != named {
+			t.Errorf("%v: conditioned request addresses %v on %v", reg, gotReg, cond.Have)
+		}
+		if cond.Have = nil; cond.Kind != want.Kind || cond.Pair != want.Pair || cond.Token != want.Token || cond.Flags != want.Flags {
+			t.Errorf("%v: conditioned request %+v, want %+v", reg, cond, want)
+		}
+	}
+}
+
+// fullOf returns the one part of request m and its register.
+func fullOf(t *testing.T, m types.Message) (types.RegID, types.Message) {
+	t.Helper()
+	if m.NumParts() != 1 {
+		t.Fatalf("request %v has %d parts", m, m.NumParts())
+	}
+	reg, part := m.Part(0)
+	return reg, *part
+}

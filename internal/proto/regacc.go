@@ -19,7 +19,8 @@ import "robustatomic/internal/types"
 // It is also where value-eliding reads are done and undone (known.go): with
 // a Known set (UseKnown), every READ part carries its register's have-list
 // and every reply part is re-inflated against the set before its accumulator
-// sees it. Without one, reads are unconditioned.
+// sees it. Without one, reads are unconditioned. And it is where a write
+// takes its conditioned form (Conditioned): which object is sent which.
 //
 // The zero value is an operation with no parts yet. Not safe for concurrent
 // use, and not to be copied once it has parts.
@@ -37,6 +38,15 @@ type RegAcc struct {
 	full  bool           // req asks every part, under the current view
 	reqFn func(int) types.Message
 
+	// A write's conditioned form (Conditioned): the part with condVal where
+	// its value was, under condFlags, on the condition named, is what the
+	// objects outside toFull (bit sid) are asked with.
+	condVal   types.Value
+	condFlags types.MsgFlags
+	named     [1]types.Have
+	toFull    uint64
+	elides    bool
+
 	inflater
 }
 
@@ -51,13 +61,36 @@ func (a *RegAcc) UseKnown(k *Known) {
 func (a *RegAcc) Part(reg types.RegID, msg types.Message, acc Accumulator) int {
 	if a.subs == nil {
 		a.subs, a.accs = a.sub1[:0], a.acc1[:0]
-		a.reqFn = func(int) types.Message { return a.req }
+		a.reqFn = func(sid int) types.Message {
+			if !a.elides || a.toFull&(1<<uint(sid)) != 0 {
+				return a.req
+			}
+			cond := a.subs[0]
+			cond.Msg.Pair.Val, cond.Msg.Have = a.condVal, a.named[:]
+			cond.Msg.Flags |= a.condFlags
+			return types.Address([]types.SubMsg{cond})
+		}
 	}
 	a.subs = append(a.subs, types.SubMsg{Reg: reg, Msg: msg})
 	a.accs = append(a.accs, acc)
 	a.full = false
 	return len(a.subs) - 1
 }
+
+// Conditioned gives the operation's one part, a write, a conditioned form
+// (types.Message.Have): every object outside full (bit sid) is asked with the
+// part on the condition that it holds the pair named, val (under flags) where
+// the part's value was, and answers MsgNeedValue if it does not. Objects in
+// full, those that answer so (RoundSpec.Full) and every object of a link that
+// frames nothing are asked with the part as declared. The rounds that follow
+// are rounds over the one part.
+func (a *RegAcc) Conditioned(named types.Have, val types.Value, flags types.MsgFlags, full uint64) {
+	a.named[0], a.condVal, a.condFlags = named, val, flags
+	a.toFull, a.elides = full, true
+}
+
+// FullRequest implements FullForm: the round's request as declared.
+func (a *RegAcc) FullRequest(int) types.Message { return a.req }
 
 // Spec begins one round — over the parts only lists (by index; the slice is
 // the accumulator's until the next Spec), or over every part when only is
@@ -78,7 +111,11 @@ func (a *RegAcc) Spec(label string, only []int) RoundSpec {
 	} else if moved || !a.full {
 		a.req, a.full = a.request(a.subs), true
 	}
-	return RoundSpec{Label: label, Req: a.reqFn, Acc: a}
+	spec := RoundSpec{Label: label, Req: a.reqFn, Acc: a}
+	if a.elides {
+		spec.Full = a
+	}
+	return spec
 }
 
 // request addresses parts (types.Address copies them) and conditions the

@@ -18,19 +18,32 @@ import (
 // it (harmless — any write that COMPLETED before this round began reached
 // a correct member of this quorum, whose honest report carries it).
 func PreWriteSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
-	return writeSpec(th, "PREWRITE", types.MsgPreWrite, reg, p, tok)
+	return writeSpec(th, "PREWRITE", types.MsgPreWrite, reg, p, tok, types.Have{}, "", 0)
 }
 
-// WriteSpec builds the writer's second round: store the pair in w.
-func WriteSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) proto.RoundSpec {
-	spec, _ := writeSpec(th, "WRITE", types.MsgWrite, reg, p, tok)
-	return spec
-}
-
-func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types.RegID, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
+// writeSpec builds a write phase's round: store p in pw (PREWRITE) or w
+// (WRITE) of register reg at every object, await S−t acknowledgements. It is
+// the one place a write request is built, and the unconditioned request is the
+// conditioned one with its value present: when held names a pair (its digest
+// is not 0), the objects outside full are asked with a message that carries
+// held where p's value was — the objects hold that pair, and p's value is its
+// value: as it stands (a WRITE by reference: held is p itself, which the
+// PREWRITE stored) or through edit (types.Value.Splice). An object that does
+// not hold it says so and is sent p (proto.RegAcc.Conditioned). The
+// acknowledgements say who is left without p (BitAcc.Lack): the next phase's
+// full.
+func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types.RegID, p types.Pair, tok types.Token, held types.Have, edit types.Value, full uint64) (proto.RoundSpec, *proto.BitAcc) {
 	acks := proto.NewAckBits(th.Quorum())
-	var ra proto.RegAcc
+	acks.Expect(p.TS)
+	ra := new(proto.RegAcc)
 	ra.Part(reg, types.Message{Kind: kind, Pair: p, Token: tok}, acks)
+	if held.Digest != 0 {
+		var flags types.MsgFlags
+		if edit != "" {
+			flags = types.FlagSplice
+		}
+		ra.Conditioned(held, edit, flags, full)
+	}
 	return ra.Spec(label, nil), acks
 }
 
@@ -87,9 +100,20 @@ type Writer struct {
 	// value-agreement invariant the read decision relies on.
 	issued types.TS
 	// pending is the token attached to the in-flight prewrite, reused by
-	// the matching WRITE phase (both phases of one write carry one token).
+	// the matching WRITE phase (both phases of one write carry one token);
+	// lack the objects whose acknowledgement of it showed them without the
+	// pair (a foreign prewrite got there first), which the WRITE phase sends
+	// the value instead of a reference to it.
 	pending types.Token
+	lack    uint64
+	// known, when set, is told every pair this writer issues, as it issues it
+	// (PreWritePair), and remembers its digest for the WRITE by reference.
+	known *proto.Known
 }
+
+// UseKnown makes the writer record the pairs it issues in k: this process
+// holds their values, so no object need send them back (proto.Known.Seed).
+func (w *Writer) UseKnown(k *proto.Known) { w.known = k }
 
 // NewWriter returns writer 0's handle for the register instance reg (use
 // types.WriterReg for the writers' shared register).
@@ -126,8 +150,15 @@ func (w *Writer) Write(v types.Value) error {
 // Single-writer callers keep issuing consecutive sequence numbers (their
 // read decision's causality filter assumes it); multi-writer callers jump
 // ahead to dominate foreign timestamps their discovery round observed.
-func (w *Writer) WritePair(p types.Pair) error {
-	if _, err := w.PreWritePair(p); err != nil {
+func (w *Writer) WritePair(p types.Pair) error { return w.WriteDerived(p, types.Delta{}, 0) }
+
+// WriteDerived is WritePair for a value derived from one the objects hold:
+// from.Edit turns from.Base's value into p's, and when that is the smaller
+// encoding it is what the PREWRITE carries, to every object but those in lack
+// (bit sid: objects already heard reporting they hold nothing at from.Base's
+// timestamp). The zero Delta derives from nothing.
+func (w *Writer) WriteDerived(p types.Pair, from types.Delta, lack uint64) error {
+	if _, err := w.preWrite(p, from, lack); err != nil {
 		return err
 	}
 	return w.CommitPair(p)
@@ -141,6 +172,10 @@ func (w *Writer) WritePair(p types.Pair) error {
 // between phases, which the protocol already tolerates; the timestamp is
 // recorded as issued and never reused with another value).
 func (w *Writer) PreWritePair(p types.Pair) (types.TS, error) {
+	return w.preWrite(p, types.Delta{}, 0)
+}
+
+func (w *Writer) preWrite(p types.Pair, from types.Delta, lack uint64) (types.TS, error) {
 	if p.TS.WID != w.wid || (p.TS != w.ts && !w.ts.Less(p.TS)) {
 		return types.TS{}, fmt.Errorf("regular: writer %d cannot write at timestamp %s after %s", w.wid, p.TS, w.ts)
 	}
@@ -149,10 +184,19 @@ func (w *Writer) PreWritePair(p types.Pair) (types.TS, error) {
 		w.pending = w.NextToken()
 	}
 	w.issued = types.MaxTS(w.issued, p.TS)
-	spec, acc := PreWriteSpec(w.th, w.reg, p, w.pending)
+	// The timestamp is issued: no other value will ever exist under it, and
+	// from the PREWRITE on objects hold the pair — a read of this process that
+	// overlaps the write must already offer it, or be shipped the value back.
+	w.known.Seed(w.reg, p)
+	var held types.Have
+	if from.Edit != "" && len(from.Edit) < len(p.Val) {
+		held = types.Have{TS: from.Base.TS, Digest: w.known.Digest(w.reg, from.Base)}
+	}
+	spec, acc := writeSpec(w.th, "PREWRITE", types.MsgPreWrite, w.reg, p, w.pending, held, from.Edit, lack)
 	if err := w.rounder.Round(spec); err != nil {
 		return types.TS{}, fmt.Errorf("regular: prewrite: %w", err)
 	}
+	w.lack = acc.Lack()
 	return acc.MaxTS(), nil
 }
 
@@ -161,7 +205,9 @@ func (w *Writer) PreWritePair(p types.Pair) (types.TS, error) {
 // token, so the phases of one write stay tied together in the secret-token
 // model).
 func (w *Writer) CommitPair(p types.Pair) error {
-	if err := w.rounder.Round(WriteSpec(w.th, w.reg, p, w.pending)); err != nil {
+	held := types.Have{TS: p.TS, Digest: w.known.Digest(w.reg, p)}
+	spec, _ := writeSpec(w.th, "WRITE", types.MsgWrite, w.reg, p, w.pending, held, "", w.lack)
+	if err := w.rounder.Round(spec); err != nil {
 		return fmt.Errorf("regular: write: %w", err)
 	}
 	w.ts = p.TS

@@ -23,6 +23,8 @@ func TestBareEqualsOnePartBundle(t *testing.T) {
 		{Kind: types.MsgPreWrite, Pair: held},
 		{Kind: types.MsgRead1},
 		{Kind: types.MsgWriteBack, Pair: held, Token: 6},
+		{Kind: types.MsgWrite, Pair: types.Pair{TS: held.TS}, Have: []types.Have{{TS: held.TS, Digest: held.Val.Digest()}}}, // by reference
+		{Kind: types.MsgWrite, Pair: types.Pair{TS: types.At(9)}, Have: []types.Have{{TS: types.At(9), Digest: 1}}},         // refused
 		{Kind: types.MsgRead1, Have: []types.Have{{TS: held.TS, Digest: held.Val.Digest()}, {TS: types.At(1), Digest: 77}}},
 		{Kind: types.MsgRead1, Flags: types.FlagNoValues},
 		{Kind: types.MsgABDQuery},
@@ -38,6 +40,8 @@ func TestBareEqualsOnePartBundle(t *testing.T) {
 		"Garbage":    func() Behavior { return Garbage{} },
 		"Stale":      func() Behavior { return &Stale{} },
 		"FalseElide": func() Behavior { return &FalseElide{} },
+		"FalseNeed":  func() Behavior { return FalseNeed{} },
+		"FalseAck":   func() Behavior { return FalseAck{} },
 	}
 	for name, mk := range behaviors {
 		t.Run(name, func(t *testing.T) {
@@ -75,7 +79,7 @@ func TestBareEqualsOnePartBundle(t *testing.T) {
 			if got := fmt.Sprint(bundled.ids); got != fmt.Sprint(bare.ids) {
 				t.Errorf("the bundle touched registers %v, the bare messages %v", got, bare.ids)
 			}
-			if st := bare.Reg(types.WriterReg); name != "Garbage" && (st.W != p(4, "d") || st.PW != held) {
+			if st := bare.Reg(types.WriterReg); name != "Garbage" && name != "FalseNeed" && (st.W != p(4, "d") || st.PW != held) {
 				t.Errorf("final state %+v: the requests were not applied", st)
 			}
 		})

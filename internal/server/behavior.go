@@ -246,6 +246,49 @@ func (f *FalseElide) lie(req, reply *types.Message) {
 	reply.Flags |= types.FlagElidedPW | types.FlagElidedW
 }
 
+// FalseNeed and FalseAck attack value-eliding writes (see RegState.written)
+// from either side of the refusal. FalseNeed answers every write `need
+// value` and applies none, conditioned or not: the client re-sends in full
+// once per round and is refused again — what an object that drops its writes
+// costs, plus one bounded re-send. FalseAck acknowledges every CONDITIONED
+// write without applying it — an ack for a reference it cannot hold — which
+// is the acknowledged-but-dropped write Garbage already sends. Everything
+// else both answer honestly.
+type (
+	FalseNeed struct{}
+	FalseAck  struct{}
+)
+
+// Reply implements Behavior.
+func (FalseNeed) Reply(inner *Store, from types.ProcID, m types.Message) (types.Message, bool) {
+	return lieOnWrites(inner, m, func(*types.Message) bool { return true }, types.MsgNeedValue), true
+}
+
+// Reply implements Behavior.
+func (FalseAck) Reply(inner *Store, from types.ProcID, m types.Message) (types.Message, bool) {
+	return lieOnWrites(inner, m, func(req *types.Message) bool { return len(req.Have) > 0 }, types.MsgAck), true
+}
+
+// lieOnWrites handles m honestly but for the writes among its parts that
+// skip selects: those are not applied, and answered with a reply of the
+// given kind carrying the register's true timestamps.
+func lieOnWrites(inner *Store, m types.Message, skip func(*types.Message) bool, kind types.MsgKind) types.Message {
+	var rs readStats
+	reply := types.ReplyTo(&m)
+	for i, n := 0, m.NumParts(); i < n; i++ {
+		id, req := m.Part(i)
+		_, rsp := reply.Part(i)
+		if Mutates(*req) && skip(req) {
+			st := inner.reg(id)
+			rsp.Kind, rsp.PW.TS, rsp.W.TS = kind, st.PW.TS, st.W.TS
+			continue
+		}
+		inner.handleReg(req, id, rsp, &rs)
+	}
+	reply.Seq = m.Seq
+	return reply
+}
+
 // Flaky alternates between an inner behavior and silence.
 type Flaky struct {
 	Inner Behavior
@@ -309,5 +352,7 @@ var (
 	_ Behavior = Equivocate{}
 	_ Behavior = (*ReplayOnly)(nil)
 	_ Behavior = (*FalseElide)(nil)
+	_ Behavior = FalseNeed{}
+	_ Behavior = FalseAck{}
 	_ Behavior = Flaky{}
 )

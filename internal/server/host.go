@@ -41,8 +41,13 @@ type Persister interface {
 	// Recover reconstitutes the register instances from disk. Called once,
 	// before the host serves its first request.
 	Recover() (map[int]*Store, error)
-	// Append durably logs one mutating request per the engine's fsync mode.
-	Append(req wire.Request) error
+	// Write appends one mutating request's record to the log and returns once
+	// the operating system has it: a record's place in the log is the place of
+	// its Write among the Writes, which is the order replay applies them in.
+	Write(req wire.Request) error
+	// Sync returns once every record written before the call is as durable as
+	// the engine's fsync mode makes it; concurrent callers may share one fsync.
+	Sync() error
 	// WALSize reports the bytes in the live WAL generation (compaction
 	// trigger input).
 	WALSize() int64
@@ -79,6 +84,17 @@ type Host struct {
 	applyMu    sync.RWMutex
 	compactMu  sync.Mutex
 	warnAppend sync.Once
+	// Logged requests are applied in the order they were logged, whatever the
+	// connections they came over and however long each waited for its fsync: a
+	// conditioned write (types.Message.Have) applies or refuses by the state it
+	// meets, so replay — which meets the log's order — must meet the one the
+	// live object met. logMu makes a record's place in the log its ticket
+	// (written, under logMu); applied (under mu) is the last ticket served, and
+	// turn wakes those waiting for theirs.
+	logMu   sync.Mutex
+	written uint64
+	applied uint64
+	turn    sync.Cond
 
 	// activeEpoch is the epoch of the newest configuration this object has
 	// seen land in its config register (instance config.Reg); requests
@@ -112,6 +128,7 @@ type Host struct {
 // here on (a failed recovery closes it).
 func NewHost(id int, p Persister) (*Host, error) {
 	h := &Host{ID: id, persist: p, stores: make(map[int]*Store)}
+	h.turn.L = &h.mu
 	if p != nil {
 		stores, err := p.Recover()
 		if err != nil {
@@ -210,7 +227,8 @@ func (h *Host) SetNetem(rng *rand.Rand, drop, dup float64, delay time.Duration) 
 // log refused it, or the behavior withheld every reply. Otherwise the caller
 // stamps nothing further — rsp carries the request's ID and the object's id
 // — and delivers rsp after delay, twice when dup is set. The delay is
-// returned, not slept: Serve never blocks on anything but the log.
+// returned, not slept: Serve never blocks on anything but the log — its fsync,
+// and the requests logged ahead of this one.
 //
 // A single-register request is a batch of one: both forms take the same
 // path through the epoch gate, the sanitizer, the log, the behavior and the
@@ -266,19 +284,40 @@ func (h *Host) Serve(req wire.Request) (rsp wire.Response, send, dup bool, delay
 	// survive a restart, or an honest crash becomes an amnesia fault and
 	// silently burns the t-budget. The append+apply pair runs under the
 	// apply read-lock so compaction (which holds the write lock) never
-	// snapshots between a sealed record and its state change.
+	// snapshots between a sealed record and its state change; the record is
+	// durable (Sync) before its state change is visible to anyone, and the
+	// state changes happen in the records' order (ticket).
 	logged := mutating && h.persist != nil
+	var ticket uint64
+	var logErr error
 	if logged {
 		h.applyMu.RLock()
-		if err := h.persist.Append(req); err != nil {
-			h.applyMu.RUnlock()
-			// An unloggable mutation must not be acked or applied: the
-			// client sees silence, indistinguishable from slowness.
-			h.warnAppend.Do(func() { fmt.Fprintf(os.Stderr, "server: s%d: wal append: %v\n", h.ID, err) })
-			return rsp, false, false, 0
+		h.logMu.Lock()
+		if logErr = h.persist.Write(req); logErr == nil {
+			h.written++
+			ticket = h.written
+		}
+		h.logMu.Unlock()
+		if logErr == nil {
+			logErr = h.persist.Sync()
 		}
 	}
 	h.mu.Lock()
+	if ticket != 0 {
+		for h.applied != ticket-1 {
+			h.turn.Wait()
+		}
+		h.applied = ticket // mu is held until the request is applied
+		h.turn.Broadcast()
+	}
+	if logErr != nil {
+		h.mu.Unlock()
+		h.applyMu.RUnlock()
+		// An unloggable mutation must not be acked or applied: the client
+		// sees silence, indistinguishable from slowness.
+		h.warnAppend.Do(func() { fmt.Fprintf(os.Stderr, "server: s%d: wal append: %v\n", h.ID, logErr) })
+		return rsp, false, false, 0
+	}
 	b := h.behavior
 	if b == nil {
 		b = Honest{}
@@ -422,20 +461,22 @@ const storesVersion = 0x01
 // codec neither sorts nor reflects.
 func EncodeStores(stores map[int]*Store) ([]byte, error) {
 	regs := make([]int, 0, len(stores))
-	for reg := range stores {
+	size := 1 + binary.MaxVarintLen64
+	for reg, st := range stores {
 		regs = append(regs, reg)
+		size += 2*binary.MaxVarintLen64 + st.snapshotBound()
 	}
 	sort.Ints(regs)
-	b := []byte{storesVersion}
+	// Sized once: every instance appends into the one buffer, its length
+	// prefix written — in its widest form's room — before its size is known.
+	b := append(make([]byte, 0, size), storesVersion)
 	b = binary.AppendUvarint(b, uint64(len(regs)))
 	for _, reg := range regs {
-		snap, err := stores[reg].Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("server: instance %d: %w", reg, err)
-		}
 		b = binary.AppendUvarint(b, uint64(reg))
-		b = binary.AppendUvarint(b, uint64(len(snap)))
-		b = append(b, snap...)
+		at := len(b)
+		b = stores[reg].AppendSnapshot(append(b, make([]byte, binary.MaxVarintLen64)...))
+		snap := b[at+binary.MaxVarintLen64:]
+		b = append(binary.AppendUvarint(b[:at], uint64(len(snap))), snap...)
 	}
 	return b, nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +17,13 @@ import (
 )
 
 // fakeLog is a Persister that records what Host appends and checks, at the
-// moment of each Append, that the request it is handed has not been applied
+// moment of each Write, that the request it is handed has not been applied
 // yet (log first, apply second).
 type fakeLog struct {
 	t    *testing.T
 	host *Host
 	reqs []wire.Request
-	fail bool // refuse every Append
+	fail bool // refuse every Write
 }
 
 func (l *fakeLog) Recover() (map[int]*Store, error) { return map[int]*Store{}, nil }
@@ -30,7 +32,8 @@ func (l *fakeLog) Rotate() (uint64, error)          { return 1, nil }
 func (l *fakeLog) Commit(uint64, []byte) error      { return nil }
 func (l *fakeLog) Close() error                     { return nil }
 
-func (l *fakeLog) Append(req wire.Request) error {
+func (l *fakeLog) Sync() error { return nil }
+func (l *fakeLog) Write(req wire.Request) error {
 	if l.fail {
 		return errors.New("disk full")
 	}
@@ -80,6 +83,8 @@ var behaviors = map[string]func() Behavior{
 	"stale":      func() Behavior { return &Stale{} },
 	"equivocate": func() Behavior { return Equivocate{Readers: &Stale{}} },
 	"falseelide": func() Behavior { return &FalseElide{} },
+	"falseneed":  func() Behavior { return FalseNeed{} },
+	"falseack":   func() Behavior { return FalseAck{} },
 	"flaky":      func() Behavior { return Flaky{Rand: rand.New(rand.NewSource(5)), DropProb: 0.5} },
 }
 
@@ -237,7 +242,7 @@ func TestServeSingleIsBatchOfOne(t *testing.T) {
 				if err1 != nil || err2 != nil || !bytes.Equal(s1, s2) {
 					t.Fatalf("final states differ (%v, %v)", err1, err2)
 				}
-				if applies := bname != "garbage" && cname != "partition"; one.Epoch() != many.Epoch() || (applies && one.Epoch() != 2) {
+				if applies := bname != "garbage" && bname != "falseneed" && cname != "partition"; one.Epoch() != many.Epoch() || (applies && one.Epoch() != 2) {
 					t.Errorf("epochs %d and %d after the configuration writes", one.Epoch(), many.Epoch())
 				}
 			})
@@ -339,5 +344,99 @@ func TestEncodeStoresRoundTrip(t *testing.T) {
 		if err := DecodeStores(junk, map[int]*Store{}); err == nil {
 			t.Errorf("junk payload %v accepted", junk)
 		}
+	}
+}
+
+// gateLog is a Persister that keeps what the host logs, in the log's order,
+// and holds the first Sync back until it is let through: the fsync one
+// connection's record waits out while another connection's record, written
+// after it, is durable already.
+type gateLog struct {
+	fakeLog
+	mu    sync.Mutex
+	syncs int
+	gate  chan struct{}
+}
+
+func (l *gateLog) Write(req wire.Request) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reqs = append(l.reqs, req)
+	return nil
+}
+
+func (l *gateLog) Sync() error {
+	l.mu.Lock()
+	l.syncs++
+	first := l.syncs == 1
+	l.mu.Unlock()
+	if first {
+		<-l.gate
+	}
+	return nil
+}
+
+func (l *gateLog) logged() []wire.Request {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]wire.Request(nil), l.reqs...)
+}
+
+// TestServeAppliesInLogOrder: a conditioned write applies or refuses by the
+// state it meets, so the live object must meet the requests in the order
+// replay will — the log's — however their fsync waits end. Connection 1's
+// PREWRITE is logged first and held in its fsync; connection 2's WRITE by
+// reference to that pair is logged second and durable at once. It waits its
+// turn, promotes the pair, and the log replays to the state the object is in.
+func TestServeAppliesInLogOrder(t *testing.T) {
+	l := &gateLog{gate: make(chan struct{})}
+	h, err := NewHost(1, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reg = 4
+	p := pair(3, strings.Repeat("k=v;", 64))
+	replies := make([]chan types.Message, 2)
+	for i, msg := range []types.Message{
+		{Kind: types.MsgPreWrite, Pair: p, Token: 7},
+		byRef(types.MsgWrite, p),
+	} {
+		replies[i] = make(chan types.Message, 1)
+		go func() {
+			rsp, send, _, _ := h.Serve(wire.Request{ID: uint64(i + 1), Reg: reg, Msg: msg})
+			if !send {
+				rsp.Msg = types.Message{}
+			}
+			replies[i] <- rsp.Msg
+		}()
+		// The next connection's request arrives once this one's record is in
+		// the log (and, the PREWRITE's, stuck behind its fsync).
+		for deadline := time.Now().Add(5 * time.Second); len(l.logged()) <= i; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d never reached the log", i+1)
+			}
+		}
+	}
+	select {
+	case m := <-replies[1]:
+		t.Fatalf("the WRITE logged second was answered %v while the PREWRITE logged first was not yet applied", m.Kind)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(l.gate)
+	for i, want := range []types.MsgKind{types.MsgAck, types.MsgAck} {
+		if got := (<-replies[i]).Kind; got != want {
+			t.Errorf("request %d answered %v, want %v", i+1, got, want)
+		}
+	}
+	live := h.Store(reg).Reg(types.WriterReg)
+	if live.PW != p || live.W != p {
+		t.Errorf("live state pw=%v w=%v, want both %v", live.PW.TS, live.W.TS, p.TS)
+	}
+	replayed := NewStore()
+	for _, req := range l.logged() {
+		replayed.Handle(req.From, req.Msg)
+	}
+	if got := replayed.Reg(types.WriterReg); got.PW != live.PW || got.W != live.W {
+		t.Errorf("the log replays to pw=%v w=%v, the object holds pw=%v w=%v", got.PW.TS, got.W.TS, live.PW.TS, live.W.TS)
 	}
 }

@@ -34,6 +34,17 @@ var (
 	mReadSentBytes = obs.Default.Counter("server_read_value_bytes_sent_total")
 )
 
+// Value-eliding writes: which form the writes handled here took — a WRITE
+// that named the pair to promote, a PREWRITE that spliced its value out of a
+// held one — and how many conditioned writes were refused for naming a pair
+// this object does not hold. An object that needs the value on every write
+// is lagging, or lying.
+var (
+	mWritePromoted   = obs.Default.Counter("server_write_promoted_total")
+	mPrewriteSpliced = obs.Default.Counter("server_prewrite_spliced_total")
+	mNeedValue       = obs.Default.Counter("server_need_value_total")
+)
+
 // readStats tallies one Handle call's READ slots, so a 9-register bundle
 // costs three counter updates instead of twenty-seven.
 type readStats struct{ elided, sent, sentBytes int64 }
@@ -182,24 +193,34 @@ func (s *Store) Handle(from types.ProcID, m types.Message) types.Message {
 func (s *Store) handleReg(m *types.Message, id types.RegID, reply *types.Message, rs *readStats) {
 	st := s.reg(id)
 	switch m.Kind {
-	case types.MsgPreWrite:
+	case types.MsgPreWrite, types.MsgWrite, types.MsgWriteBack:
+		p, ok := st.written(m)
+		if !ok {
+			// A condition this object cannot meet: nothing changes, and the
+			// client, told what IS held, sends the phase again in full.
+			reply.Kind = types.MsgNeedValue
+			reply.PW.TS, reply.W.TS = st.PW.TS, st.W.TS
+			mNeedValue.Inc()
+			return
+		}
+		reply.Kind = types.MsgAck
+		if m.Kind != types.MsgPreWrite {
+			if st.W.Less(p) {
+				st.setW(p)
+				st.TokenW = m.Token
+			}
+			return
+		}
 		// The acknowledgement piggybacks the timestamps the object held
 		// BEFORE applying this prewrite (values stripped — validation only
 		// compares timestamps): the writer's optimistic fast path reads a
 		// quorum of these to certify that nothing newer than its cached
 		// timestamp is in circulation, without a separate discovery round.
-		reply.Kind = types.MsgAck
 		reply.PW.TS, reply.W.TS = st.PW.TS, st.W.TS
-		if st.PW.Less(m.Pair) {
-			st.PW, st.digPW = m.Pair, 0
+		if st.PW.Less(p) {
+			st.PW, st.digPW = p, 0
 			st.TokenPW = m.Token
 		}
-	case types.MsgWrite, types.MsgWriteBack:
-		if st.W.Less(m.Pair) {
-			st.setW(m.Pair)
-			st.TokenW = m.Token
-		}
-		reply.Kind = types.MsgAck
 	case types.MsgRead1:
 		st.read(m, reply, rs)
 	case types.MsgABDQuery:
@@ -212,6 +233,40 @@ func (s *Store) handleReg(m *types.Message, id types.RegID, reply *types.Message
 	default:
 		reply.Kind, reply.PW, reply.W = types.MsgState, st.PW, st.W
 	}
+}
+
+// written returns the pair that write m stores. An unconditioned write
+// carries it. A conditioned one (types.Message.Have) names a pair this
+// register must hold, in pw or w, under that exact timestamp AND digest, and
+// says how the written value comes out of it: as it stands — a WRITE by
+// reference, promoting the pair its PREWRITE stored — or through the edit in
+// m.Pair.Val (FlagSplice). Either way the result is the pair the
+// unconditioned message would have carried, so what the caller then does with
+// it is the unconditioned write's step; ok is false when the named pair is
+// not held or the edit does not apply to it, and nothing may change then. The
+// object stays value-agnostic: it splices bytes, it never learns their codec.
+func (st *RegState) written(m *types.Message) (_ types.Pair, ok bool) {
+	if len(m.Have) == 0 {
+		return m.Pair, true
+	}
+	base, cond := st.PW, m.Have[:1]
+	if !held(cond, st.PW, &st.digPW) {
+		if base = st.W; !held(cond, st.W, &st.digW) {
+			return types.Pair{}, false
+		}
+	}
+	if m.Flags&types.FlagSplice != 0 {
+		v, ok := base.Val.Splice(m.Pair.Val)
+		if ok {
+			mPrewriteSpliced.Inc()
+		}
+		return types.Pair{TS: m.Pair.TS, Val: v}, ok
+	}
+	if base.TS != m.Pair.TS || m.Pair.Val != "" {
+		return types.Pair{}, false
+	}
+	mWritePromoted.Inc()
+	return base, true
 }
 
 // setW installs p in the w slot. The WRITE phase normally carries the pair
@@ -259,12 +314,21 @@ var ErrSnapshotVersion = errors.New("server: unsupported snapshot version")
 // Snapshot captures the full state. The encoding is deterministic: equal
 // states yield equal bytes.
 func (s *Store) Snapshot() ([]byte, error) {
+	return s.AppendSnapshot(make([]byte, 0, s.snapshotBound())), nil
+}
+
+// snapshotBound bounds the snapshot's size from above.
+func (s *Store) snapshotBound() int {
 	size := 1 + binary.MaxVarintLen64
 	for _, id := range s.ids {
 		st := s.regs[id]
 		size += 8*binary.MaxVarintLen64 + len(st.PW.Val) + len(st.W.Val)
 	}
-	b := make([]byte, 0, size)
+	return size
+}
+
+// AppendSnapshot appends the snapshot to b.
+func (s *Store) AppendSnapshot(b []byte) []byte {
 	b = append(b, snapshotVersion)
 	b = binary.AppendUvarint(b, uint64(len(s.ids)))
 	for _, id := range s.ids {
@@ -276,7 +340,7 @@ func (s *Store) Snapshot() ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(st.TokenPW))
 		b = binary.AppendUvarint(b, uint64(st.TokenW))
 	}
-	return b, nil
+	return b
 }
 
 // appendPair encodes a timestamp-value pair (sequence numbers are

@@ -4,7 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
+
+	"robustatomic/internal/types"
 )
 
 // The shard-table codec packs one shard's key→value table into a single
@@ -151,25 +155,90 @@ func SortedKeys(m map[string]string) []string {
 	return keys
 }
 
-// InsertSorted inserts key into the ascending slice keys if absent,
-// returning the updated slice. Writers maintain their shard's key slice
-// with this instead of re-sorting per encode.
-func InsertSorted(keys []string, key string) []string {
-	i := sort.SearchStrings(keys, key)
-	if i < len(keys) && keys[i] == key {
-		return keys
-	}
-	keys = append(keys, "")
-	copy(keys[i+1:], keys[i:])
-	keys[i] = key
-	return keys
+// scratch is what a Rewrite builds in and hands back: a flush a shard must not
+// cost an allocation per buffer.
+type scratch struct {
+	edit  types.Edit
+	entry []byte
 }
 
-// RemoveSorted removes key from the ascending slice keys if present.
-func RemoveSorted(keys []string, key string) []string {
-	i := sort.SearchStrings(keys, key)
-	if i >= len(keys) || keys[i] != key {
-		return keys
+var rewriteScratch = sync.Pool{New: func() any { return new(scratch) }}
+
+// Rewrite returns the encoding that follows enc — the encoding of a table as
+// it was — once the keys in touched hold what m, the table as it is, holds
+// for them (nothing, when m lacks them), and the edit (types.Edit) that
+// derives it from enc: one splice per entry that changed, found by walking
+// enc's entries beside the touched keys, so that a writer changing one key of
+// a 36 KB table neither re-encodes the table nor ships it. This is the one
+// place an edit is built. touched is sorted in place and may repeat keys; m
+// must differ from enc's table at touched keys only. ok is false when enc is
+// not an encoding this can edit — ⊥, or a foreign producer's whose keys do
+// not ascend — or m is not what the walk arrives at: encode m in full then.
+func Rewrite(enc string, touched []string, m map[string]string) (next, edit types.Value, ok bool) {
+	if enc == "" || enc[0] != binaryMagic {
+		return "", "", false
 	}
-	return append(keys[:i], keys[i+1:]...)
+	n, w := uvarint(enc[1:])
+	if w <= 0 {
+		return "", "", false
+	}
+	slices.Sort(touched)
+	sc := rewriteScratch.Get().(*scratch)
+	e, entry := &sc.edit, sc.entry
+	defer func() {
+		sc.entry = entry
+		rewriteScratch.Put(sc)
+	}()
+	e.Reset()
+	if uint64(len(m)) != n {
+		entry = binary.AppendUvarint(entry[:0], uint64(len(m)))
+		e.Splice(1, w, entry)
+	}
+	off, count, ti, prev := 1+w, n, 0, ""
+	for i := uint64(0); i <= n; i++ {
+		var key, val string
+		size := 0
+		if i < n {
+			var rest string
+			var err error
+			if key, rest, err = cutPrefixed(enc[off:], "key"); err == nil {
+				val, rest, err = cutPrefixed(rest, "value")
+			}
+			if err != nil || i > 0 && key <= prev {
+				return "", "", false
+			}
+			size, prev = len(enc)-off-len(rest), key
+		}
+		// The touched keys that sort before this entry (past the last: all
+		// that are left) are new: their entries go in here.
+		for ; ti < len(touched) && (i == n || touched[ti] <= key); ti++ {
+			t := touched[ti]
+			if ti > 0 && t == touched[ti-1] {
+				continue
+			}
+			v, in := m[t]
+			if in {
+				entry = binary.AppendUvarint(entry[:0], uint64(len(t)))
+				entry = binary.AppendUvarint(append(entry, t...), uint64(len(v)))
+				entry = append(entry, v...)
+			}
+			switch {
+			case i < n && t == key && !in:
+				e.Splice(off, size, nil)
+				count--
+			case i < n && t == key && v != val:
+				e.Splice(off, size, entry)
+			case (i == n || t != key) && in:
+				e.Splice(off, 0, entry)
+				count++
+			}
+		}
+		off += size
+	}
+	if off != len(enc) || count != uint64(len(m)) {
+		return "", "", false
+	}
+	edit = e.Value(len(enc))
+	next, ok = types.Value(enc).Splice(edit)
+	return next, edit, ok
 }

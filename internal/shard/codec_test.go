@@ -3,8 +3,11 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"robustatomic/internal/types"
 )
 
 // TestTextTablesRefused: register values written by the pre-binary text codec
@@ -41,25 +44,6 @@ func TestEncodeSortedMatchesEncodeTable(t *testing.T) {
 	keys := SortedKeys(m)
 	if got, want := EncodeSorted(keys, m), EncodeTable(m); got != want {
 		t.Errorf("EncodeSorted = %q, EncodeTable = %q", got, want)
-	}
-}
-
-func TestSortedKeyMaintenance(t *testing.T) {
-	var keys []string
-	for _, k := range []string{"m", "a", "z", "a", "m"} { // duplicates are no-ops
-		keys = InsertSorted(keys, k)
-	}
-	if !sort.StringsAreSorted(keys) || len(keys) != 3 {
-		t.Fatalf("after inserts: %v", keys)
-	}
-	keys = RemoveSorted(keys, "m")
-	keys = RemoveSorted(keys, "absent") // removing an absent key is a no-op
-	if fmt.Sprint(keys) != "[a z]" {
-		t.Fatalf("after removes: %v", keys)
-	}
-	keys = RemoveSorted(RemoveSorted(keys, "a"), "z")
-	if len(keys) != 0 {
-		t.Fatalf("not emptied: %v", keys)
 	}
 }
 
@@ -102,5 +86,63 @@ func BenchmarkTableCodec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRewriteMatchesEncode: over random tables and random batches of sets and
+// deletes (repeated keys, keys before the first and past the last entry,
+// no-ops, a count crossing the one-byte varint), Rewrite arrives at exactly
+// the encoding of the table as it now is, its edit derives that from the old
+// encoding, and an edit of one key is a few bytes more than the entry.
+func TestRewriteMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for iter := 0; iter < 300; iter++ {
+		m := map[string]string{}
+		for n := rng.Intn(140); n > 0; n-- {
+			m[fmt.Sprintf("k%03d", rng.Intn(200))] = strings.Repeat("v", rng.Intn(40))
+		}
+		if len(m) == 0 {
+			m["k000"] = ""
+		}
+		enc := EncodeTable(m)
+		var touched []string
+		for n := rng.Intn(6); n > 0; n-- {
+			k := fmt.Sprintf("k%03d", rng.Intn(210)-5)
+			switch rng.Intn(3) {
+			case 0:
+				delete(m, k)
+			case 1:
+				m[k] = strings.Repeat("w", rng.Intn(300))
+			default: // touched, unchanged
+			}
+			touched = append(touched, k)
+		}
+		next, edit, ok := Rewrite(enc, touched, m)
+		if want := EncodeTable(m); !ok || string(next) != want {
+			t.Fatalf("iter %d: Rewrite = %q, %v; the table encodes as %q", iter, next, ok, want)
+		}
+		if got, ok := types.Value(enc).Splice(edit); !ok || got != next {
+			t.Fatalf("iter %d: the edit does not derive the new encoding from the old", iter)
+		}
+	}
+
+	m, _ := benchTable(256)
+	enc := EncodeTable(m)
+	m["key-000128"] = "a new value of a realistic size"
+	next, edit, ok := Rewrite(enc, []string{"key-000128"}, m)
+	if !ok || string(next) != EncodeTable(m) || len(edit) > 64 {
+		t.Fatalf("one key of %d bytes of table: ok %v, edit %d bytes", len(enc), ok, len(edit))
+	}
+
+	// What cannot be edited: ⊥, a foreign encoding, keys that do not ascend, a
+	// table that differs from the encoding outside the touched keys.
+	unsorted := string(AppendSorted(nil, []string{"b", "a"}, map[string]string{"a": "1", "b": "2"}))
+	for name, enc := range map[string]string{"⊥": "", "foreign": "k=v", "unsorted": unsorted, "truncated": enc[:len(enc)-1]} {
+		if _, _, ok := Rewrite(enc, nil, map[string]string{"a": "1", "b": "2"}); ok {
+			t.Errorf("%s: edited", name)
+		}
+	}
+	if _, _, ok := Rewrite(EncodeTable(map[string]string{"a": "1"}), []string{"b"}, map[string]string{"a": "1", "b": "2", "c": "3"}); ok {
+		t.Error("a table that changed at an untouched key: edited")
 	}
 }

@@ -302,7 +302,8 @@ func (l *diskLog) Recover() (map[int]*server.Store, error) {
 	}
 	return stores, nil
 }
-func (l *diskLog) Append(req wire.Request) error {
+func (l *diskLog) Sync() error { return nil }
+func (l *diskLog) Write(req wire.Request) error {
 	if l.dead {
 		return errors.New("disk gone")
 	}

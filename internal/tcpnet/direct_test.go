@@ -18,7 +18,8 @@ type recordingWAL struct {
 func (w *recordingWAL) Recover() (map[int]*server.Store, error) {
 	return map[int]*server.Store{}, nil
 }
-func (w *recordingWAL) Append(req wire.Request) error {
+func (w *recordingWAL) Sync() error { return nil }
+func (w *recordingWAL) Write(req wire.Request) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.reqs = append(w.reqs, req)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"robustatomic/internal/config"
+	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/server"
 	"robustatomic/internal/types"
@@ -18,6 +19,12 @@ import (
 // minHedge floors a deferring round's hedge delay (a loopback round takes
 // ~0.1 ms; its tail, several).
 const minHedge = time.Millisecond
+
+// mResentFull counts the write phases re-sent in full to an object that
+// answered a conditioned one `need value` (value-eliding writes): next to
+// nothing on a settled cluster; an object that was cut off, restarted blank
+// or repaired costs one when it is first heard again.
+var mResentFull = obs.Default.Counter("core_write_resent_full_total")
 
 // postFn is a round's way out, passed by Mux.round with every input: it hands
 // req to object sid, awaited (the round will be fed that request's
@@ -38,6 +45,13 @@ type round struct {
 	// even when its round rode inside another leader's batch).
 	traced bool
 	held   uint64 // slots whose requests are still deferred (bit sid)
+	// Value-eliding writes: where the link frames nothing a value travels as a
+	// pointer, so every request goes out in its full form (RoundSpec.Full, see
+	// request); where it frames, an object that answers a conditioned write
+	// `need value` is sent that write again in full, once per round (resent,
+	// bit sid).
+	full   bool
+	resent uint64
 	// A deferring round first waits out the hedge delay only — four smoothed
 	// latencies of such rounds, within [minHedge, timeout/2] — so that a
 	// silent-but-connected object cannot turn a wrong suspicion into a
@@ -60,7 +74,7 @@ type round struct {
 // object. begin returns the delay to arm the round's timer for; timeout ≤ 0
 // means 5 s.
 func (r *round) begin(m *Mux, from types.ProcID, reg int, timeout time.Duration, spec *proto.RoundSpec, post postFn) (time.Duration, error) {
-	*r = round{m: m, spec: *spec, traced: spec.Trace != nil}
+	*r = round{m: m, spec: *spec, traced: spec.Trace != nil, full: !m.link.Framed()}
 	r.tmpl = wire.Request{From: from, Epoch: m.epoch.Load()}
 	if len(spec.Subs) == 0 {
 		r.tmpl.Reg = reg
@@ -128,27 +142,93 @@ func (r *round) begin(m *Mux, from types.ProcID, reg int, timeout time.Duration,
 // automata echo it).
 func (r *round) send(sid int, post postFn, awaited bool) bool {
 	spec, req := &r.spec, r.tmpl
-	req.ID = r.m.nextID.Add(1)
-	seq := int(req.ID & (1<<30 - 1))
 	if len(spec.Subs) > 0 {
 		req.Subs = make([]wire.SubReq, len(spec.Subs))
 		for i := range spec.Subs {
-			msg := spec.Subs[i].Req(sid)
-			msg.Seq = seq
-			req.Subs[i] = wire.SubReq{Reg: spec.Subs[i].Reg, Msg: msg}
+			sub := &spec.Subs[i]
+			req.Subs[i].Reg = sub.Reg
+			r.request(&req.Subs[i].Msg, sid, sub.Req, sub.Full, awaited)
 		}
 	} else {
-		req.Msg = spec.Req(sid)
+		r.request(&req.Msg, sid, spec.Req, spec.Full, awaited)
+	}
+	return r.post(sid, &req, post, awaited, "send")
+}
+
+// request builds one request for object sid in *m: in its full form, where
+// there is one, when the link frames nothing, and when nobody will hear the
+// answer — a conditioned write is sent only where its refusal can be heard, or
+// a deferred object that fell behind would stay behind.
+func (r *round) request(m *types.Message, sid int, req func(int) types.Message, full proto.FullForm, awaited bool) {
+	if full != nil && (r.full || !awaited) {
+		*m = full.FullRequest(sid)
+	} else {
+		*m = req(sid)
+	}
+}
+
+// resend answers object sid's reply rp where it says `need value`: the
+// conditioned writes it refused go out again in full, they alone, each once,
+// and once per object and round — a refusal of the full form is a lie, and
+// costs the liar's round nothing more. A part with no full form was never
+// conditioned.
+func (r *round) resend(rp *Reply, post postFn, awaited bool) {
+	spec, sid, req := &r.spec, rp.Sid, r.tmpl
+	if r.resent&(1<<uint(sid)) != 0 {
+		return
+	}
+	if len(spec.Subs) == 0 {
+		if spec.Full == nil || !rp.Msg.NeedsValue() {
+			return
+		}
+		req.Msg = spec.Full.FullRequest(sid)
+	} else {
+		// By sub-round, not by sub-reply: a reply that repeats a register buys
+		// its sender no second copy.
+		for i := range spec.Subs {
+			if sub := &spec.Subs[i]; sub.Full != nil && refused(rp.Subs, sub.Reg) {
+				req.Subs = append(req.Subs, wire.SubReq{Reg: sub.Reg, Msg: sub.Full.FullRequest(sid)})
+			}
+		}
+		if len(req.Subs) == 0 {
+			return
+		}
+	}
+	r.resent |= 1 << uint(sid)
+	mResentFull.Inc()
+	r.post(sid, &req, post, awaited, "resend")
+}
+
+// refused reports whether a batched reply says `need value` for register
+// instance reg.
+func refused(subs []wire.SubReq, reg int) bool {
+	for i := range subs {
+		if subs[i].Reg == reg && subs[i].Msg.NeedsValue() {
+			return true
+		}
+	}
+	return false
+}
+
+// post stamps req — its id, and in its messages something request-unique —
+// and posts it to object sid.
+func (r *round) post(sid int, req *wire.Request, post postFn, awaited bool, event string) bool {
+	req.ID = r.m.nextID.Add(1)
+	seq := int(req.ID & (1<<30 - 1))
+	if len(req.Subs) == 0 {
 		req.Msg.Seq = seq
 	}
-	if err := post(sid, req, awaited); err != nil {
+	for i := range req.Subs {
+		req.Subs[i].Msg.Seq = seq
+	}
+	if err := post(sid, *req, awaited); err != nil {
 		if r.traced {
-			traceEvent(spec, sid, "skip", err.Error())
+			traceEvent(&r.spec, sid, "skip", err.Error())
 		}
 		return false
 	}
 	if r.traced {
-		traceEvent(spec, sid, "send", "")
+		traceEvent(&r.spec, sid, event, "")
 	}
 	if awaited {
 		r.outstanding++
@@ -238,7 +318,11 @@ func (r *round) resolve(rp Reply, post postFn) (done bool, _ error) {
 		}
 		spec.Acc.Add(sid, msg)
 	}
-	if err == nil && spec.Done() {
+	done = err == nil && spec.Done()
+	if err == nil {
+		r.resend(&rp, post, !done) // awaited while the round still needs the answer
+	}
+	if done {
 		r.release(post, false)
 		r.m.susp.observe(spec.Verdict())
 		if !r.begun.IsZero() { // gain 1/8; a racing round's lost update is tolerable

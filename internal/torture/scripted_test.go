@@ -13,6 +13,7 @@ import (
 	"robustatomic"
 	"robustatomic/internal/checker"
 	"robustatomic/internal/config"
+	"robustatomic/internal/obs"
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
@@ -370,5 +371,137 @@ func transferEpochUnsealed(t *testing.T, oneCutOff bool) {
 		p.gets(3, 3)
 		p.run(nil)
 		p.settle(seed)
+	}
+}
+
+// counter returns how far the named process-wide counter has moved since.
+func counter(name string) func() int64 {
+	c := obs.Default.Counter(name)
+	base := c.Value()
+	return func() int64 { return c.Value() - base }
+}
+
+// writeLoser is an object whose link loses process 0's WRITE frames: they are
+// neither applied nor answered. (sim.Hold cannot hold them for this point: a
+// lane is FIFO, and the Get's frames travel the lanes the flush's do.)
+type writeLoser struct{ lost *int }
+
+func (b writeLoser) Reply(st *server.Store, from types.ProcID, m types.Message) (types.Message, bool) {
+	if from == types.WriterID(0) && m.Kind == types.MsgWrite {
+		*b.lost++
+		return types.Message{}, false
+	}
+	return st.Handle(from, m), true
+}
+
+// TestScriptedStoreGetOverlapsOwnFlush: process 0's flush has completed its
+// PREWRITE — every object now holds the new table in pw — and its WRITE
+// frames never arrive, when a Get of the same process reads the shard. The
+// process holds that table (it is writing it) and said so the moment it
+// issued the timestamp, so every READ reply elides both slots: no object
+// ships a table back to the process that just sent it. (Seeded only after
+// the WRITE round, as before this point was scripted, each object that took
+// the PREWRITE shipped its 36 KB on bigtable_read, to ≈ 1 Get in 30.)
+func TestScriptedStoreGetOverlapsOwnFlush(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.gets(0, 1) // the handle's first read runs both query rounds; not this one
+		p.run(nil)
+		lost := 0
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(writeLoser{&lost})
+		}
+		aDone, aOK := p.put(0, "a1")
+		p.run(func() bool { return lost == 4 })
+		sent, elided := counter("server_read_values_sent_total"), counter("server_read_values_elided_total")
+		got := new(string)
+		p.sim.Go(func() {
+			id := p.rec.invoke(pointKey, types.Reader(0), checker.OpRead, "")
+			v, err := p.stores[0].Get(pointKey)
+			if err != nil {
+				t.Errorf("seed %d: get inside the process's own flush: %v", seed, err)
+			}
+			p.rec.respond(id, types.Value(v))
+			*got = v
+		})
+		p.run(func() bool { return *got != "" })
+		if *aDone {
+			t.Fatalf("seed %d: the flush was over before the Get ran", seed)
+		}
+		if sent() != 0 || elided() == 0 {
+			t.Fatalf("seed %d: the objects shipped %d values to the process that wrote them (%d elided)", seed, sent(), elided())
+		}
+		if *got != "a0" && *got != "a1" {
+			t.Fatalf("seed %d: Get = %q, want the table before the flush or the one in flight", seed, *got)
+		}
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(nil)
+		}
+		p.run(func() bool { return *aDone }) // the flush fails at its WRITE round's deadline
+		if *aOK {
+			t.Fatalf("seed %d: the flush whose WRITE frames were lost succeeded", seed)
+		}
+		retry, retried := p.put(0, "a2") // and the Store lands the mutation with the next one
+		p.gets(2, 3)
+		p.gets(3, 3)
+		p.run(nil)
+		if !*retry || !*retried {
+			t.Fatalf("seed %d: the flush retrying the lost mutation failed", seed)
+		}
+		p.settle(seed)
+	}
+}
+
+// TestScriptedStoreCutOffCatchesUp: object 4 is cut off for one flush, so it
+// holds neither the pair the next flush's edit derives from nor, until then,
+// anything to promote. Reconnected — and, object 1 being cut off in its turn,
+// heard in every round of that flush — it is sent the table in full in the
+// first round that hears it (the freshness round shows it behind; were it not
+// heard there, its `need value` would) and ends the flush holding what
+// everyone holds: a round never burns its deadline on a refusal, the flush
+// still costs 3 rounds, two readers read throughout, and at quiesce no
+// timestamp holds two values anywhere (doctor): what the objects spliced is
+// what the others were sent.
+func TestScriptedStoreCutOffCatchesUp(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		hosts := p.sim.Hosts()
+		hosts[3].SetPartitioned(true)
+		p.put(0, "a1")
+		p.gets(2, 2)
+		p.gets(3, 2)
+		p.run(nil)
+		p.sim.Drain()
+		behind := hosts[3].Store(1).Reg(types.WriterReg)
+		hosts[3].SetPartitioned(false)
+		hosts[0].SetPartitioned(true)
+		timeouts := counter("tcpnet_round_timeout_total")
+		_, ok := p.put(0, "a2")
+		p.gets(2, 2)
+		p.gets(3, 2)
+		p.run(nil)
+		if !*ok || timeouts() != 0 {
+			t.Fatalf("seed %d: the flush that had to hear the lagging object: ok %v, %d round timeouts", seed, *ok, timeouts())
+		}
+		head := hosts[1].Store(1).Reg(types.WriterReg)
+		if got := hosts[3].Store(1).Reg(types.WriterReg); got.W != head.W || got.PW != head.PW || got.W.TS == behind.W.TS {
+			t.Fatalf("seed %d: the reconnected object holds %v / %v after the first flush that heard it (it held %v); the others hold %v", seed, got.PW.TS, got.W.TS, behind.W.TS, head.W.TS)
+		}
+		hosts[0].SetPartitioned(false)
+		p.put(1, "b3")
+		p.put(0, "a3")
+		p.gets(2, 2)
+		p.gets(3, 2)
+		p.run(nil)
+		p.settle(seed)
+		var rep robustatomic.DoctorReport
+		p.operate(func(c *robustatomic.Cluster) { rep = c.Doctor(1) })
+		p.run(nil)
+		if len(rep.Diverged)+len(rep.Skipped) > 0 {
+			t.Fatalf("seed %d: doctor at quiesce: %d diverged, %d skipped: %+v", seed, len(rep.Diverged), len(rep.Skipped), rep)
+		}
 	}
 }

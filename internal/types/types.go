@@ -21,6 +21,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strconv"
@@ -80,6 +81,95 @@ func (v Value) Digest() uint64 {
 		return 1
 	}
 	return h
+}
+
+// An edit derives a value from another the receiver already holds, so that a
+// writer changing 130 bytes of a 36 KB value moves 130 bytes. Its encoding:
+//
+//	[uvarint len(result)] then per splice, in ascending offset order,
+//	[uvarint gap] [uvarint del] [uvarint len(ins)] [ins bytes]
+//
+// where gap is the distance from the end of the previous splice's deleted
+// range (the start of the base for the first) to this one's offset — so
+// splices can neither overlap nor run backwards by construction — del the
+// number of base bytes dropped there and ins what takes their place. Bytes
+// outside every splice are the base's. The receiver is value-agnostic: it
+// never learns what the bytes mean.
+
+// Edit is an edit under construction: Splice its changes in ascending
+// offset order, then take Value. Reset starts the next one in the same
+// buffer.
+type Edit struct {
+	body []byte
+	end  int // end of the previous splice's deleted range in the base
+	grow int // net growth so far: inserted minus deleted bytes
+}
+
+// Splice records that ins replaces the del bytes at off of the base. off
+// must not precede the end of the previous splice.
+func (e *Edit) Splice(off, del int, ins []byte) {
+	e.body = binary.AppendUvarint(e.body, uint64(off-e.end))
+	e.body = binary.AppendUvarint(e.body, uint64(del))
+	e.body = binary.AppendUvarint(e.body, uint64(len(ins)))
+	e.body = append(e.body, ins...)
+	e.end, e.grow = off+del, e.grow+len(ins)-del
+}
+
+// Reset empties e, keeping its buffer.
+func (e *Edit) Reset() { *e = Edit{body: e.body[:0]} }
+
+// Value returns the encoded edit, for a base of baseLen bytes.
+func (e *Edit) Value(baseLen int) Value {
+	var size [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(size[:], uint64(baseLen+e.grow))
+	var b strings.Builder
+	b.Grow(n + len(e.body))
+	b.Write(size[:n])
+	b.Write(e.body)
+	return Value(b.String())
+}
+
+// Splice applies edit to v and returns the value it derives. ok is false when
+// edit is malformed, reaches past the end of v, or does not produce the
+// length it declares: edits arrive from the network and from disk. Whatever
+// edit says, no more is allocated than v and edit are long together.
+func (v Value) Splice(edit Value) (_ Value, ok bool) {
+	rest := string(edit)
+	cut := func() int {
+		x, w := binary.Uvarint([]byte(rest[:min(len(rest), binary.MaxVarintLen64)]))
+		if w <= 0 || x > uint64(len(v)+len(edit)) {
+			ok = false
+			return 0
+		}
+		rest = rest[w:]
+		return int(x)
+	}
+	ok = true
+	size := cut()
+	var b strings.Builder
+	b.Grow(size)
+	at := 0 // how much of v is consumed
+	for ok && rest != "" {
+		gap, del, ins := cut(), cut(), cut()
+		if !ok || ins > len(rest) || gap+del > len(v)-at {
+			return "", false
+		}
+		b.WriteString(string(v[at : at+gap]))
+		b.WriteString(rest[:ins])
+		rest, at = rest[ins:], at+gap+del
+	}
+	b.WriteString(string(v[at:]))
+	if !ok || b.Len() != size {
+		return "", false
+	}
+	return Value(b.String()), true
+}
+
+// Delta says what a value about to be written derives from: Edit turns
+// Base's value into it. The zero Delta derives from nothing.
+type Delta struct {
+	Base Pair
+	Edit Value
 }
 
 // TS is a multi-writer register timestamp: a lexicographically ordered
@@ -296,6 +386,13 @@ const (
 	// extra round (the hint is still certified by a quorum read before it
 	// is trusted — a Byzantine object can fabricate it).
 	MsgWrongEpoch
+
+	// Value-eliding writes: an object's answer to a conditioned PREWRITE or
+	// WRITE (see Message.Have) naming a pair it does not hold. Nothing was
+	// applied; PW.TS and W.TS report the timestamps it does hold, and the
+	// client re-sends the phase with its value. No acknowledgement
+	// accumulator counts it (they match MsgAck).
+	MsgNeedValue
 )
 
 // String implements fmt.Stringer.
@@ -323,21 +420,24 @@ func (k MsgKind) String() string {
 		return "MUX"
 	case MsgWrongEpoch:
 		return "WRONG_EPOCH"
+	case MsgNeedValue:
+		return "NEED_VALUE"
 	default:
 		return "MSG(" + strconv.Itoa(int(k)) + ")"
 	}
 }
 
-// Have is one entry of a conditional READ's have-list: the client already
-// holds the value with this digest under this timestamp, so an object whose
-// slot matches both may answer with the timestamp alone.
+// Have names a stored value by timestamp and digest. In a conditional READ's
+// have-list: the client already holds it, so an object whose slot matches
+// both may answer with the timestamp alone. As a write's condition
+// (Message.Have): the OBJECT must hold it for the write to apply.
 type Have struct {
 	TS     TS
 	Digest uint64
 }
 
 // MsgFlags carries the value-elision bits of READ requests and their STATE
-// replies.
+// replies, and of conditioned writes.
 type MsgFlags uint8
 
 // Message flags.
@@ -350,6 +450,10 @@ const (
 	// the slot's (timestamp, digest), or asked for no values at all.
 	FlagElidedPW
 	FlagElidedW
+	// FlagSplice (conditioned PREWRITE/WRITE): Pair.Val holds not the value
+	// but the edit (Value.Splice) that derives it from the pair Have[0]
+	// names.
+	FlagSplice
 )
 
 // SubMsg is one PART of a message: a register-level payload and the register
@@ -442,9 +546,28 @@ type Message struct {
 	// client already holds; an empty list is the unconditioned read. At most
 	// one entry per timestamp, so an elided reply slot names its value by
 	// timestamp alone. Treated as immutable once sent.
+	//
+	// On a PREWRITE, WRITE or WRITEBACK a non-empty Have is the write's
+	// condition, and an empty one the unconditioned write: Have[0] names a
+	// pair the object must hold in pw or w, and the written value is that
+	// pair's — as it stands when Have[0].TS is Pair.TS (a WRITE by reference:
+	// promote the pair the PREWRITE stored), edited by Pair.Val under
+	// FlagSplice. An object that does not hold the named pair changes
+	// nothing and answers MsgNeedValue.
 	Have []Have
 	// Flags carries the value-elision bits (see MsgFlags).
 	Flags MsgFlags
+}
+
+// NeedsValue reports whether any part of reply m is a MsgNeedValue: the
+// object refused a conditioned write and is owed the phase in full.
+func (m *Message) NeedsValue() bool {
+	for i, n := 0, m.NumParts(); i < n; i++ {
+		if _, part := m.Part(i); part.Kind == MsgNeedValue {
+			return true
+		}
+	}
+	return false
 }
 
 // TraceNote renders a compact payload summary for per-object trace events.

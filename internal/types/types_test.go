@@ -3,6 +3,7 @@ package types
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueBottom(t *testing.T) {
@@ -103,7 +104,7 @@ func TestRegIDs(t *testing.T) {
 func TestMsgKindStrings(t *testing.T) {
 	kinds := []MsgKind{
 		MsgPreWrite, MsgWrite, MsgRead1, MsgWriteBack, MsgAck, MsgState,
-		MsgABDQuery, MsgABDStore, MsgABDVal, MsgMux, MsgWrongEpoch,
+		MsgABDQuery, MsgABDStore, MsgABDVal, MsgMux, MsgWrongEpoch, MsgNeedValue,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -147,7 +148,7 @@ func TestMessageString(t *testing.T) {
 // TestMsgKindWireValues: kinds travel as their numbers (wire frames, WAL
 // records), so a deleted kind leaves its number reserved.
 func TestMsgKindWireValues(t *testing.T) {
-	for kind, want := range map[MsgKind]int{MsgPreWrite: 1, MsgState: 6, MsgABDVal: 9, MsgMux: 11, MsgWrongEpoch: 12} {
+	for kind, want := range map[MsgKind]int{MsgPreWrite: 1, MsgState: 6, MsgABDVal: 9, MsgMux: 11, MsgWrongEpoch: 12, MsgNeedValue: 13} {
 		if int(kind) != want {
 			t.Errorf("%v = %d on the wire, want %d", kind, int(kind), want)
 		}
@@ -190,6 +191,63 @@ func TestAddressing(t *testing.T) {
 			if reg, _ := m.Part(1); reg == ReaderReg(9) {
 				t.Errorf("%s: the bundle aliases the caller's parts", name)
 			}
+		}
+	}
+}
+
+// TestMessageSizeUnchanged: a Message is copied by value on every hop, so
+// value-eliding writes had to fit the fields it already had (the condition
+// rides in Have, the edit in Pair.Val under a flag bit): its size is what it
+// was at b63f873.
+func TestMessageSizeUnchanged(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 184 {
+		t.Errorf("unsafe.Sizeof(types.Message{}) = %d, 184 at b63f873", got)
+	}
+}
+
+// TestSplice: an edit built splice by splice applies to its base as the
+// splices say, and to nothing it does not fit.
+func TestSplice(t *testing.T) {
+	base := Value("0123456789")
+	for _, tc := range []struct {
+		name    string
+		splices [][3]any // off, del, ins
+		want    Value
+	}{
+		{"nothing", nil, "0123456789"},
+		{"replace", [][3]any{{2, 3, "abc"}}, "01abc56789"},
+		{"grow and shrink", [][3]any{{0, 1, "zero"}, {5, 4, ""}}, "zero12349"},
+		{"insert at both ends", [][3]any{{0, 0, "<"}, {10, 0, ">"}}, "<0123456789>"},
+		{"two at one offset", [][3]any{{4, 0, "a"}, {4, 0, "b"}, {4, 2, "c"}}, "0123abc6789"},
+		{"everything", [][3]any{{0, 10, ""}}, ""},
+	} {
+		var e Edit
+		for _, sp := range tc.splices {
+			e.Splice(sp[0].(int), sp[1].(int), []byte(sp[2].(string)))
+		}
+		if got, ok := base.Splice(e.Value(len(base))); !ok || got != tc.want {
+			t.Errorf("%s: %q, %v; want %q", tc.name, got, ok, tc.want)
+		}
+		if len(tc.splices) > 0 {
+			if got, ok := (base + "x").Splice(e.Value(len(base))); ok {
+				t.Errorf("%s: applied to a longer base: %q", tc.name, got)
+			}
+		}
+	}
+	var e Edit
+	e.Splice(8, 3, nil)
+	for name, bad := range map[string]Value{
+		"no length":         "",
+		"past the end":      e.Value(len(base)),
+		"wrong length":      "\x0b",
+		"truncated insert":  "\x0c\x00\x00\x05ab",
+		"truncated header":  "\x0a\x01",
+		"overlong uvarint":  "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01",
+		"length too large":  "\xff\xff\xff\x7f",
+		"gap past the base": "\x0a\x0b\x00\x00",
+	} {
+		if got, ok := base.Splice(bad); ok {
+			t.Errorf("%s: accepted, yielding %q", name, got)
 		}
 	}
 }

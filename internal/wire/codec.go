@@ -1,8 +1,8 @@
-// The live binary codec (wire generation 5).
+// The live binary codec (wire generation 6).
 //
 // Every envelope is one frame:
 //
-//	[0x05 version byte] [uvarint payload length] [payload]
+//	[0x06 version byte] [uvarint payload length] [payload]
 //
 // Request payload:
 //
@@ -41,6 +41,12 @@
 //	                [varint TS.Seq] [varint TS.WID] [8 bytes digest, LE])
 //	bit 7: Flags   ([flags byte, non-zero, known bits only])
 //
+// Generation 6 (value-eliding writes) assigns no new mask bit: a write's
+// condition rides in the have-list and its edit in Pair's value bytes, under
+// a new flag bit (types.FlagSplice), and objects gained a reply kind
+// (types.MsgNeedValue). A generation-5 peer would apply a conditioned write
+// as a write of its edit bytes, hence the bump.
+//
 // pair: [varint TS.Seq] [varint TS.WID] [uvarint len(Val)] [Val bytes]
 //
 // The encoder sets bit 5 whenever W equals a non-zero PW, so there is still
@@ -75,7 +81,7 @@ import (
 )
 
 // wireVersion is the live wire generation's frame header byte.
-const wireVersion = 0x05
+const wireVersion = 0x06
 
 // Frame tag bytes: a frame carries either one register message or a batch
 // of per-register sub-requests — never both, never neither.
@@ -401,7 +407,7 @@ const (
 )
 
 // knownFlags is every flag bit this generation defines.
-const knownFlags = types.FlagNoValues | types.FlagElidedPW | types.FlagElidedW
+const knownFlags = types.FlagNoValues | types.FlagElidedPW | types.FlagElidedW | types.FlagSplice
 
 // appendMessage appends m's encoding to b.
 func appendMessage(b []byte, m *types.Message, depth int) []byte {

@@ -48,6 +48,17 @@ func sampleMessages() []types.Message {
 			PW: types.Pair{TS: types.TS{Seq: 12, WID: 3}}, W: types.Pair{TS: types.TS{Seq: 12, WID: 3}}},
 		{Kind: types.MsgState, Flags: types.FlagElidedW,
 			PW: types.Pair{TS: types.At(13), Val: "in-flight"}, W: types.Pair{TS: types.TS{Seq: 12, WID: 3}}},
+		// Generation 6 — value-eliding writes. A WRITE by reference, a
+		// PREWRITE by splice (its edit where the value was), an object's
+		// refusal, and the write-back's WRITE, conditioned inside its bundle.
+		{Kind: types.MsgWrite, Seq: 9, Token: 3, Pair: types.Pair{TS: types.TS{Seq: 13, WID: 3}},
+			Have: []types.Have{{TS: types.TS{Seq: 13, WID: 3}, Digest: 0x0123456789abcdef}}},
+		{Kind: types.MsgPreWrite, Flags: types.FlagSplice,
+			Pair: types.Pair{TS: types.TS{Seq: 13, WID: 3}, Val: "\xc8\x01\x05\x02\x03new"},
+			Have: []types.Have{{TS: types.TS{Seq: 12, WID: 3}, Digest: 42}}},
+		{Kind: types.MsgNeedValue, PW: types.Pair{TS: types.TS{Seq: 11, WID: 1}}, W: types.Pair{TS: types.At(10)}},
+		{Kind: types.MsgMux, Sub: []types.SubMsg{{Reg: types.ReaderReg(2), Msg: types.Message{
+			Kind: types.MsgWrite, Pair: types.Pair{TS: types.At(5)}, Have: []types.Have{{TS: types.At(5), Digest: 7}}}}}},
 		// The multiplexed read round's bundle, hinted per register.
 		{Kind: types.MsgMux, Sub: []types.SubMsg{
 			{Reg: types.WriterReg, Msg: types.Message{Kind: types.MsgRead1, Have: []types.Have{{TS: types.At(7), Digest: 77}}}},
@@ -205,25 +216,25 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPreviousGenerationRejected: generation 4 used the same frame layout
-// but none of the three mask bits generation 5 assigns, so a mixed
-// deployment must fail on the first frame with the lockstep-upgrade error,
-// not misparse.
+// TestPreviousGenerationRejected: generation 5 used the same frame layout
+// and mask bits, but would apply a conditioned write (generation 6) as a
+// write of its edit bytes, so a mixed deployment must fail on the first frame
+// with the lockstep-upgrade error, not misparse.
 func TestPreviousGenerationRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewEncoder(&buf).EncodeRequest(Request{From: types.Writer, Msg: types.Message{Kind: types.MsgRead1}}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	if frame[0] != 0x05 {
-		t.Fatalf("live generation header = 0x%02x, want 0x05", frame[0])
+	if frame[0] != 0x06 {
+		t.Fatalf("live generation header = 0x%02x, want 0x06", frame[0])
 	}
-	frame[0] = 0x04
+	frame[0] = 0x05
 	if _, err := NewDecoder(bytes.NewReader(frame)).DecodeRequest(); !errors.Is(err, ErrVersion) {
-		t.Errorf("generation-4 request: %v, want ErrVersion", err)
+		t.Errorf("generation-5 request: %v, want ErrVersion", err)
 	}
 	if _, err := NewDecoder(bytes.NewReader(frame)).DecodeResponse(); !errors.Is(err, ErrVersion) {
-		t.Errorf("generation-4 response: %v, want ErrVersion", err)
+		t.Errorf("generation-5 response: %v, want ErrVersion", err)
 	}
 }
 
@@ -337,12 +348,12 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsNonCanonicalGen5 covers the forms generation 5's encoder
-// never emits. Each case is one message body (kind 6 = STATE, 3 = READ;
-// mask 2 = PW, 4 = W, 16 = Sub, 32 = W==PW, 64 = have-list, 128 = flags; a
+// TestDecodeRejectsNonCanonical covers the forms the encoder never emits
+// (generation 5's mask bits; generation 6 added none). Each case is one
+// message body (kind 6 = STATE, 3 = READ; mask 2 = PW, 4 = W, 16 = Sub, 32 = W==PW, 64 = have-list, 128 = flags; a
 // pair is seq, wid, len, bytes) framed as a single-register request; the
 // control cases prove the framing itself decodes.
-func TestDecodeRejectsNonCanonicalGen5(t *testing.T) {
+func TestDecodeRejectsNonCanonical(t *testing.T) {
 	frame := func(body ...byte) []byte {
 		payload := append([]byte{0, 2, 0, 0, tagSingle, 0}, body...) // id, from kind, idx, epoch, tag, reg
 		return append([]byte{wireVersion, byte(len(payload))}, payload...)
@@ -365,7 +376,7 @@ func TestDecodeRejectsNonCanonicalGen5(t *testing.T) {
 		"forged have count":     frame(6, 0, 64, 0xff, 0x7f),
 		"truncated have digest": frame(6, 0, 64, 1, 0x80, 1, 0x80, 1, 1, 2, 3, 4, 5, 6, 7),
 		"zero flags byte":       frame(6, 0, 128, 0),
-		"unknown flag bit":      frame(6, 0, 128, 8),
+		"unknown flag bit":      frame(6, 0, 128, 16),
 		"missing flags byte":    frame(6, 0, 128),
 		"empty sub bundle":      frame(22, 0, 16, 0),
 	}

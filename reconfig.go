@@ -239,15 +239,15 @@ func (c *Cluster) baseConfig(cur types.Pair) (config.Config, error) {
 func (c *Cluster) transitionConfig(transition func(config.Config) (config.Config, error)) (config.Config, types.Pair, error) {
 	var next config.Config
 	w := c.writerReg(config.Reg, types.TS{})
-	p, err := w.modifyPair(func(cur types.Pair) (types.Value, error) {
+	p, err := w.modifyPair(func(cur types.Pair) (types.Value, types.Delta, error) {
 		base, err := c.baseConfig(cur)
 		if err != nil {
-			return "", err
+			return "", types.Delta{}, err
 		}
 		if next, err = transition(base); err != nil {
-			return "", err
+			return "", types.Delta{}, err
 		}
-		return next.Encode(), nil
+		return next.Encode(), types.Delta{}, nil
 	})
 	if err != nil {
 		return config.Config{}, types.Pair{}, fmt.Errorf("robustatomic: config write: %w", err)

@@ -397,7 +397,7 @@ func (w *Writer) Write(v string) error {
 // modifyPair performs the certified read-modify-write the keyed Store layer
 // rebases through (3 or 4 rounds: certified regular read — 1 round on a fast
 // hit, else 2 — plus the 2-round write at the successor timestamp).
-func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, error)) (p types.Pair, err error) {
+func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, types.Delta, error)) (p types.Pair, err error) {
 	err = w.c.retryEpoch(func() error {
 		var e error
 		p, e = w.w.Modify(fn)
@@ -410,10 +410,10 @@ func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, error)) (p typ
 // iff no foreign write landed since the writer's last timestamp — the two
 // write phases install v at the cached successor (3 rounds, no decision
 // procedure).
-func (w *Writer) writeCleanPair(v types.Value) (p types.Pair, ok bool, err error) {
+func (w *Writer) writeCleanPair(v types.Value, from types.Delta) (p types.Pair, ok bool, err error) {
 	err = w.c.retryEpoch(func() error {
 		var e error
-		p, ok, e = w.w.WriteClean(v)
+		p, ok, e = w.w.WriteClean(v, from)
 		return e
 	})
 	return p, ok, err

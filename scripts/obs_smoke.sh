@@ -66,6 +66,10 @@ grep -q '^persist_wal_append_us{quantile="0.5"}' "$workdir/metrics.out" || {
   echo "FAIL: WAL latency summary missing:"; head -40 "$workdir/metrics.out"; exit 1
 }
 
+grep -q '^server_write_promoted_total [1-9]' "$workdir/metrics.out" || {
+  echo "FAIL: no WRITE travelled by reference (value-eliding writes):"; grep '^server_' "$workdir/metrics.out"; exit 1
+}
+
 echo "== /debug/vars (JSON snapshot)"
 curl -sf "http://127.0.0.1:8151/debug/vars" | grep -q '"counters"' || {
   echo "FAIL: /debug/vars not JSON"; exit 1
@@ -87,6 +91,9 @@ grep -q 'read path 1/2/4 rounds (ratio)' "$workdir/stats.out" || {
 }
 grep -q 'suspects (sid:dissent run)' "$workdir/stats.out" || {
   echo "FAIL: stats table missing the suspects row:"; cat "$workdir/stats.out"; exit 1
+}
+grep -Eq 'writes promoted:spliced:need-value +[0-9]+:[0-9]+:[0-9]+' "$workdir/stats.out" || {
+  echo "FAIL: stats table missing the write form row:"; cat "$workdir/stats.out"; exit 1
 }
 head -5 "$workdir/stats.out"
 

@@ -135,7 +135,7 @@ type Store struct {
 	shards *shard.Lazy[*storeShard]
 }
 
-// storeShard is one shard's client-side state. table/keys/lastTS mirror the
+// storeShard is one shard's client-side state. table/base/touched mirror the
 // register state as of this process's last flush; they are committer-private:
 // puts runs exactly one flush at a time and orders consecutive ones
 // (shard.Group), so they need no lock of their own.
@@ -170,14 +170,15 @@ type storeShard struct {
 	// runs one read at a time, so it is never used concurrently.
 	reader *Reader
 
-	// Committer-private state below.
-	table  map[string]string
-	keys   []string // table's keys, ascending; maintained incrementally
-	lastTS types.TS // register timestamp table mirrors (zero before any flush)
-	// enc is the committer's long-lived table-encode buffer, reused across
-	// flushes (shard.AppendSorted into enc[:0]); only the immutable register
-	// value copied out of it is allocated per flush.
-	enc []byte
+	// Committer-private state below. base is the register pair — the one this
+	// process last wrote, or read — that table mirrors (the initial pair before
+	// any flush): table is base's, decoded, but for what the ops applied since
+	// did to the keys in touched. A flush writes base's encoding with exactly
+	// those entries spliced (shard.Rewrite), and says so to the objects, which
+	// hold base too: neither side moves or re-encodes the rest of the table.
+	table   map[string]string
+	base    types.Pair
+	touched []string
 	// penalty counts upcoming flushes routed straight to the certified
 	// read-modify-write: after a fast-path validation conflict the shard
 	// assumes cross-process contention and stops paying the optimistic
@@ -208,12 +209,14 @@ type storeShard struct {
 	// benchmarks; a nil writeClean disables the flush fast path entirely
 	// (certified path only).
 	//
-	// modify performs one certified read-modify-write of the shard register.
-	modify func(fn func(cur types.Pair) (types.Value, error)) (types.Pair, error)
+	// modify performs one certified read-modify-write of the shard register
+	// (fn also says what its value derives from, see core.Writer.Modify).
+	modify func(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error)
 	// writeClean performs the validated fast-path write: one freshness
-	// round, then v installed at the cached successor iff no foreign
-	// timestamp beyond lastTS was in circulation.
-	writeClean func(v types.Value) (types.Pair, bool, error)
+	// round, then v — which derives from its base as from says — installed at
+	// the cached successor iff no foreign timestamp beyond the base's was in
+	// circulation.
+	writeClean func(v types.Value, from types.Delta) (types.Pair, bool, error)
 	// validate runs the 1-round freshness check backing no-op elision.
 	validate func() (bool, error)
 }
@@ -284,8 +287,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 	sh := &storeShard{
 		idx:        i,
 		table:      table,
-		keys:       shard.SortedKeys(table),
-		lastTS:     cur.TS,
+		base:       cur,
 		reader:     r,
 		modify:     w.modifyPair,
 		writeClean: w.writeCleanPair,
@@ -324,15 +326,11 @@ func (s *Store) Put(key, value string) error {
 		return err
 	}
 	return sh.mutate(func(sh *storeShard) bool {
-		if cur, ok := sh.table[key]; ok {
-			if cur == value {
-				return false
-			}
-			sh.table[key] = value
-			return true
+		if cur, ok := sh.table[key]; ok && cur == value {
+			return false
 		}
-		sh.keys = shard.InsertSorted(sh.keys, key)
 		sh.table[key] = value
+		sh.touched = append(sh.touched, key)
 		return true
 	})
 }
@@ -351,8 +349,8 @@ func (s *Store) Delete(key string) error {
 		if _, ok := sh.table[key]; !ok {
 			return false
 		}
-		sh.keys = shard.RemoveSorted(sh.keys, key)
 		delete(sh.table, key)
+		sh.touched = append(sh.touched, key)
 		return true
 	})
 }
@@ -378,7 +376,16 @@ func (sh *storeShard) mutate(op func(*storeShard) bool) error {
 // short window of certified (3- or 4-round) flushes.
 const slowFlushPenalty = 8
 
-// flush commits one batch of mutations. Fast path (no penalty outstanding, no failed-flush
+// flush commits one batch of mutations. What travels: the freshness round and
+// every acknowledgement carry timestamps only; the PREWRITE carries the
+// batch's edit of the table the objects hold — built from the keys the batch's
+// ops touched (shard.Rewrite), a few hundred bytes for a one-key Put of a
+// 36 KB table — and the WRITE a reference to the pair the PREWRITE left
+// there. The table itself goes to an object only when it says it holds
+// neither (it was cut off, restarted blank, or a foreign write got there
+// first), or when the edit would not be the smaller message.
+//
+// Fast path (no penalty outstanding, no failed-flush
 // ops pending): apply the batch to the committer's cached table and try the
 // validated write — 3 rounds, or 1 validation round and NO register write
 // if every op was a no-op. A validation conflict (foreign
@@ -399,7 +406,7 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 		}
 	}()
 	// dirty tracks whether the cached table differs from what the register
-	// held at lastTS once the ops are applied. Ops from failed flushes
+	// held at the base once the ops are applied. Ops from failed flushes
 	// always count as dirty: their values may have reached some objects at
 	// an abandoned timestamp, so they must re-assert at a fresh one even if
 	// the cached table already reflects them.
@@ -420,16 +427,31 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 		applied = true
 	}
 
-	// encode renders the cached table as the register value to install, or
-	// refuses the batch (see ErrShardTableTooLarge): the cached table keeps
-	// the refused ops, so it is marked for replacement by the register's.
-	encode := func() (types.Value, error) {
-		sh.enc = shard.AppendSorted(sh.enc[:0], sh.keys, sh.table)
-		if len(sh.enc) > sh.maxTable {
-			sh.discard = true
-			return "", ErrShardTableTooLarge
+	// encode renders the cached table as the register value to install — the
+	// base's encoding with the touched entries spliced, or, over a base that
+	// cannot be edited (⊥), a fresh encoding — or refuses the batch (see
+	// ErrShardTableTooLarge): the cached table keeps the refused ops, so it is
+	// marked for replacement by the register's.
+	encode := func() (types.Value, types.Delta, error) {
+		from := types.Delta{Base: sh.base}
+		v, edit, ok := shard.Rewrite(string(sh.base.Val), sh.touched, sh.table)
+		if from.Edit = edit; !ok {
+			v = types.Value(shard.EncodeTable(sh.table))
 		}
-		return types.Value(sh.enc), nil
+		if len(v) > sh.maxTable {
+			sh.discard = true
+			return "", types.Delta{}, ErrShardTableTooLarge
+		}
+		return v, from, nil
+	}
+	// wrote records that the register now holds p, which table mirrors.
+	wrote := func(p types.Pair) {
+		if p.TS != sh.base.TS {
+			// The register head moved; the cached read decision can no
+			// longer recur.
+			sh.invalidateCache()
+		}
+		sh.base, sh.touched = p, sh.touched[:0]
 	}
 
 	if sh.writeClean != nil && sh.penalty == 0 && len(sh.uncommitted) == 0 && !sh.discard {
@@ -450,18 +472,17 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 			// The certified path below re-checks from genuinely-read state
 			// (and surfaces round errors).
 		} else {
-			v, err := encode()
+			v, from, err := encode()
 			if err != nil {
 				return err
 			}
-			p, ok, err := sh.writeClean(v)
+			p, ok, err := sh.writeClean(v, from)
 			if err != nil {
 				sh.uncommitted = append(sh.uncommitted, ops...)
 				return err
 			}
 			if ok {
-				sh.lastTS = p.TS
-				sh.invalidateCache()
+				wrote(p)
 				mFlushFast.Inc()
 				return nil
 			}
@@ -472,13 +493,13 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 	}
 
 	rebased := false
-	p, err := sh.modify(func(cur types.Pair) (types.Value, error) {
-		if cur.TS != sh.lastTS || sh.discard {
+	p, err := sh.modify(func(cur types.Pair) (types.Value, types.Delta, error) {
+		if cur.TS != sh.base.TS || sh.discard {
 			t, err := shard.DecodeTable(string(cur.Val))
 			if err != nil {
 				// Unreachable against ≤ t Byzantine objects: the read only
 				// returns values certified as genuinely written.
-				return "", fmt.Errorf("robustatomic: shard register holds corrupt table: %w", err)
+				return "", types.Delta{}, fmt.Errorf("robustatomic: shard register holds corrupt table: %w", err)
 			}
 			// Rebase: the foreign table replaces the cached one (discarding
 			// any fast-path application of the ops) and the ops re-apply
@@ -486,9 +507,9 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 			// (A table refused as too large is replaced the same way; its
 			// register pair is our own completed head, so the no-op elision
 			// below stays open to it.)
-			sh.table, sh.keys = t, shard.SortedKeys(t)
-			dirty, applied, rebased = false, false, cur.TS != sh.lastTS
-			sh.lastTS, sh.discard = cur.TS, false
+			sh.table, sh.touched = t, sh.touched[:0]
+			dirty, applied, rebased = false, false, cur.TS != sh.base.TS
+			sh.base, sh.discard = cur, false
 		}
 		if !applied {
 			apply()
@@ -502,7 +523,7 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 			// anchored on it could vanish. Writing the rebased table at a
 			// fresh successor (below) re-asserts it instead, exactly as the
 			// pre-adaptive flush always did.
-			return "", core.SkipWrite
+			return "", types.Delta{}, core.SkipWrite
 		}
 		return encode()
 	})
@@ -517,12 +538,7 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 		return err
 	}
 	sh.uncommitted = nil
-	if p.TS != sh.lastTS {
-		// The certified path wrote (or observed) a newer head; the cached
-		// read decision can no longer recur.
-		sh.invalidateCache()
-	}
-	sh.lastTS = p.TS
+	wrote(p)
 	mFlushCertified.Inc()
 	return nil
 }

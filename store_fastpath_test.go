@@ -35,20 +35,20 @@ func countingStore(t *testing.T, seed int64) (*Store, *int64, *int64) {
 	}
 	var writes int64
 	origClean := sh.writeClean
-	sh.writeClean = func(v types.Value) (types.Pair, bool, error) {
-		p, ok, err := origClean(v)
+	sh.writeClean = func(v types.Value, from types.Delta) (types.Pair, bool, error) {
+		p, ok, err := origClean(v, from)
 		if err == nil && ok {
 			atomic.AddInt64(&writes, 1)
 		}
 		return p, ok, err
 	}
 	origModify := sh.modify
-	sh.modify = func(fn func(types.Pair) (types.Value, error)) (types.Pair, error) {
+	sh.modify = func(fn func(types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
 		wrote := false
-		p, err := origModify(func(cur types.Pair) (types.Value, error) {
-			v, ferr := fn(cur)
+		p, err := origModify(func(cur types.Pair) (types.Value, types.Delta, error) {
+			v, from, ferr := fn(cur)
 			wrote = ferr == nil
-			return v, ferr
+			return v, from, ferr
 		})
 		if err == nil && wrote {
 			atomic.AddInt64(&writes, 1)
@@ -196,9 +196,9 @@ func TestStoreNoOpAfterRebaseStillWrites(t *testing.T) {
 	// LastTS still tracks the true head (so validation would pass and dodge
 	// the boundary under test); the certified path is the one that must
 	// detect the "foreign" pair, rebase, and refuse to elide.
-	sh.lastTS = types.TS{}
+	sh.base = types.Pair{}
 	sh.table = map[string]string{}
-	sh.keys = nil
+	sh.touched = nil
 	sh.writeClean = nil
 	atomic.StoreInt64(writes, 0)
 	if err := st.Put("k", "v"); err != nil { // no-op against the REBASED table

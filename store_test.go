@@ -316,11 +316,11 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 			var committed []map[string]string
 			hold := true
 			orig := sh.modify
-			sh.modify = func(fn func(types.Pair) (types.Value, error)) (types.Pair, error) {
-				return orig(func(cur types.Pair) (types.Value, error) {
-					v, err := fn(cur)
+			sh.modify = func(fn func(types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
+				return orig(func(cur types.Pair) (types.Value, types.Delta, error) {
+					v, from, err := fn(cur)
 					if err != nil {
-						return v, err
+						return v, from, err
 					}
 					dec, derr := shard.DecodeTable(string(v))
 					if derr != nil {
@@ -335,7 +335,7 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 						entered <- struct{}{}
 						<-gate
 					}
-					return v, nil
+					return v, from, nil
 				})
 			}
 
