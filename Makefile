@@ -96,7 +96,8 @@ integration:
 # the scripted Store points (flush rebased, ack lost and retried, config
 # decided with the newcomer unseeded, register transferred with the epoch
 # unsealed, a Get inside the process's own flush, an object cut off for one
-# flush catching up), 20 seeds 20 times. ~6 minutes.
+# flush catching up, a write refused for a stale epoch finishing its pair),
+# 20 seeds 20 times. ~6 minutes.
 torture-short:
 	$(GO) test -race -run TestTortureShort -v -timeout 600s ./internal/torture/
 	$(GO) test -race -run TestRepairReconstitutesWipedObject -count=200 -timeout 600s .
@@ -105,13 +106,14 @@ torture-short:
 	$(GO) test -race -short -run 'TestSuspicionOrderedRounds|TestHonestRacingFlushesDeferNobody' -count=20 -timeout 900s .
 	$(GO) test -race -run TestDeferralSafetyMatrix -count=3 -timeout 600s ./internal/tcpnet/ -args -tcpnet.fullmatrix
 	$(GO) test -race -run TestScripted -count=20 -timeout 600s ./internal/sim/
-	$(GO) test -race -short -run 'TestSeedReplaysExecution|TestScriptedStore' -count=20 -timeout 900s ./internal/torture/
+	$(GO) test -race -short -run 'TestSeedReplaysExecution|TestScriptedStore|TestScriptedEpochRetry|TestScriptedWriterLifetimes' -count=20 -timeout 900s ./internal/torture/
 
 # torture is the full-scale drill: seeded schedules over 224 simulated
 # clients each (all five scenarios live; kill-9+restart+repair, Byzantine mix
 # and membership churn over tcp too), then 5,000 seeds each replaying its
-# execution on the simulator. A failure prints the seed and a one-line replay
-# command that reproduces the identical event schedule — live, the identical
-# execution.
+# execution on the simulator, then join-leave on the simulator over seeds
+# 1..3,000 (the epoch-retry sweep). A failure prints the seed and a one-line
+# replay command that reproduces the identical event schedule — live, the
+# identical execution.
 torture:
-	$(GO) test -run 'TestTortureFull|TestSeedReplaysExecution' -v -timeout 1800s ./internal/torture/ -args -torture.full
+	$(GO) test -run 'TestTortureFull|TestSeedReplaysExecution|TestEpochRetriedFlushResurrects' -v -timeout 3600s ./internal/torture/ -args -torture.full

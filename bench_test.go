@@ -322,11 +322,6 @@ func BenchmarkE9StorePutCoalesced(b *testing.B) {
 		atomic.AddInt64(&flushes, 1)
 		return orig(fn)
 	}
-	origClean := sh.writeClean
-	sh.writeClean = func(v types.Value, from types.Delta) (types.Pair, bool, error) {
-		atomic.AddInt64(&flushes, 1)
-		return origClean(v, from)
-	}
 	var ctr int64
 	b.SetParallelism(8) // 8×GOMAXPROCS putters: contention even on small boxes
 	b.ResetTimer()
@@ -716,12 +711,11 @@ func BenchmarkE12AdaptiveWrite(b *testing.B) {
 	})
 }
 
-// BenchmarkE12StoreFlush contrasts the Store's adaptive flush (3-round
-// validated write; 1-round no-op elision) against the certified 4-round
-// read-modify-write it replaced (PR 4's unconditional flush, still the
-// fallback path — measured by disabling the fast path).
+// BenchmarkE12StoreFlush measures the Store's flush — the certified
+// read-modify-write: READ1 (a hit on a settled shard), PREWRITE, WRITE — and
+// its no-op elision (the certified read alone, 1 round).
 func BenchmarkE12StoreFlush(b *testing.B) {
-	newStore := func(b *testing.B, disableFast bool) *Store {
+	newStore := func(b *testing.B) *Store {
 		c, err := NewCluster(Options{Faults: 1, Readers: 1, Seed: 15})
 		if err != nil {
 			b.Fatal(err)
@@ -734,26 +728,10 @@ func BenchmarkE12StoreFlush(b *testing.B) {
 		if err := st.Put("k", "warm"); err != nil {
 			b.Fatal(err)
 		}
-		if disableFast {
-			sh, err := st.shards.Get(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh.writeClean = nil
-		}
 		return st
 	}
-	b.Run("validated-fast", func(b *testing.B) {
-		st := newStore(b, false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := st.Put("k", fmt.Sprintf("v%d", i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("certified-slow", func(b *testing.B) {
-		st := newStore(b, true)
+	b.Run("certified", func(b *testing.B) {
+		st := newStore(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := st.Put("k", fmt.Sprintf("v%d", i)); err != nil {
@@ -762,7 +740,7 @@ func BenchmarkE12StoreFlush(b *testing.B) {
 		}
 	})
 	b.Run("noop-elided", func(b *testing.B) {
-		st := newStore(b, false)
+		st := newStore(b)
 		if err := st.Put("k", "same"); err != nil {
 			b.Fatal(err)
 		}

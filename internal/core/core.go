@@ -6,17 +6,11 @@
 // regular → atomic transformation of [4, 20] referenced in the paper's
 // footnote 6, with multi-writer ABD-style (Seq, WriterID) timestamps.
 //
-// Writes are ADAPTIVE (see fastpath.go): the writer optimistically proposes
-// the successor of its own cached timestamp directly in the PREWRITE round,
-// whose acknowledgements piggyback each object's prior timestamps; a quorum
-// reporting nothing at or above the proposal certifies it, and the WRITE
-// round completes the operation — 2 rounds, the paper's SWMR optimum,
-// whenever no foreign writer interfered. Interference falls back to
-// discovery (the failed prewrite's reports double as the discovery result:
-// 3 rounds, the unconditional cost before the fast path) or, against
-// Byzantine-inflated reports, to the certified read (5 rounds worst case).
-// The lexicographic (Seq, WriterID) order totally orders even timestamps
-// picked concurrently.
+// Writes are ADAPTIVE (fastpath.go): an optimistic proposal certified by its
+// own PREWRITE's acknowledgements (nothing at or above it reported) costs 2
+// rounds, the paper's SWMR optimum; interference 3, Byzantine-inflated
+// reports 5. The lexicographic (Seq, WriterID) order totally orders even
+// timestamps picked concurrently.
 //
 // Reads are ADAPTIVE too, twice over. The regular reads of all R+1
 // registers are multiplexed onto physical rounds (one sub-request per
@@ -94,14 +88,18 @@ type Writer struct {
 	// whole difference on the write side. Its LastTS is the last COMPLETED
 	// write's timestamp; IssuedTS additionally covers proposals that never
 	// completed and is what successor timestamps must exceed.
-	pw    *regular.Writer
-	known *proto.Known
+	pw *regular.Writer
 
-	// FastWrites and FallbackWrites count Write calls that certified on the
-	// optimistic 2-round path vs. fell back (instrumentation; the round
-	// hook gives finer grain).
-	FastWrites     int
-	FallbackWrites int
+	// The certified read's round state, reused by every read (as Reader's
+	// is), conditioned on the known-pair set.
+	cert    *regular.ReadAcc
+	certMux proto.RegAcc
+
+	// open is the pair the last operation issued and has not seen complete;
+	// certified says whether it is known to dominate every write completed
+	// before the operation began (Resume).
+	open      types.Pair
+	certified bool
 }
 
 // NewWriter returns writer 0's handle (the deployment's default writer).
@@ -119,7 +117,9 @@ func NewWriterAt(r proto.Rounder, th quorum.Thresholds, wid int64, last types.TS
 // writer of the shared register (the secret model supplies one that attaches
 // a fresh token to every phase).
 func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.Writer) *Writer {
-	w := &Writer{rounder: r, th: th, wid: wid, pw: pw}
+	w := &Writer{rounder: r, th: th, wid: wid, pw: pw, cert: regular.NewReadAcc(th)}
+	w.cert.MultiWriter = true
+	w.certMux.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, w.cert)
 	w.UseKnown(proto.NewKnown(th))
 	return w
 }
@@ -130,7 +130,7 @@ func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.W
 // is recorded when its timestamp is issued, before the PREWRITE puts it into
 // circulation (regular.Writer.UseKnown).
 func (w *Writer) UseKnown(k *proto.Known) {
-	w.known = k
+	w.certMux.UseKnown(k)
 	w.pw.UseKnown(k)
 }
 
@@ -146,38 +146,33 @@ func (w *Writer) UseKnown(k *proto.Known) {
 // exhaustion beyond 2^31 writes even under a sustained attack.
 const maxDiscoveryLead = 1 << 32
 
-// CertifiedNext runs a certified regular read of the shared register (one
+// certifiedNext runs a certified regular read of the shared register (one
 // round on a fast hit, two with the full decision procedure — see
-// regular.ReadAcc) and returns the current pair plus the successor timestamp
-// for writer wid. Unlike a raw quorum maximum, the read only returns genuine
-// pairs, so not even the timestamp can be Byzantine-inflated. The rounds are conditioned on k (nil reads
-// unconditioned): a writer whose last pair is still the register's current
-// one — the rebase that finds nothing to rebase onto — moves timestamps, not
-// values.
-func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.TS, k *proto.Known) (types.Pair, types.TS, error) {
-	acc := regular.NewReadAcc(th)
-	acc.MultiWriter = true
-	cur, err := regular.ReadPairOn(r, types.WriterReg, acc, k)
+// regular.ReadAcc) and returns the current pair plus the writer's successor
+// timestamp above it and own. Unlike a raw quorum maximum, the read only
+// returns genuine pairs, so not even the timestamp can be Byzantine-inflated.
+// The rounds are conditioned on the known-pair set: a writer whose last pair
+// is still the register's current one moves timestamps, not values.
+func (w *Writer) certifiedNext(own types.TS) (types.Pair, types.TS, error) {
+	cur, err := regular.ReadPairOn(w.rounder, &w.certMux, w.cert)
 	if err != nil {
 		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: %w", err)
 	}
-	k.Seed(types.WriterReg, cur)
-	return cur, types.MaxTS(cur.TS, own).Next(wid), nil
+	w.certMux.Seed(types.WriterReg, cur)
+	return cur, types.MaxTS(cur.TS, own).Next(w.wid), nil
 }
 
 // Modify performs a certified read-modify-write: a regular read of the
 // shared register (1 round on a fast hit, else 2 with the decision
-// procedure — either way not even the timestamp can be Byzantine-inflated,
-// unlike the optimistic validation's), then fn maps the current pair to the
-// value to install, which the regular write's two rounds store at the
-// successor timestamp. 3 or 4 rounds total; the keyed Store layer rebases
-// onto foreign tables through Modify when the flush fast path detects
-// interference. A fn returning SkipWrite elides the write phases and yields
-// the (certified) current pair unchanged. The successor is based on the
-// writer's IssuedTS, so a pair abandoned by an earlier failed attempt is
-// never re-issued with a different value. The certified read is conditioned
-// on the known-pair set (see CertifiedNext), and the installed pair recorded
-// in it.
+// procedure — either way not even the timestamp can be Byzantine-inflated),
+// then fn maps the current pair to the value to install, which the regular
+// write's two rounds store at the successor timestamp: 3 or 4 rounds, the
+// keyed Store's every flush. A fn returning SkipWrite elides the write
+// phases and yields the (certified) current pair unchanged: 1 or 2 rounds.
+// The successor is based on the writer's IssuedTS, so a pair abandoned by an
+// earlier failed attempt is never re-issued with a different value. The
+// certified read is conditioned on the known-pair set, and the installed
+// pair recorded in it.
 //
 // Modify is NOT an atomic read-modify-write across writers — registers
 // cannot solve consensus, so two concurrent Modifys may read the same pair
@@ -190,7 +185,8 @@ func CertifiedNext(r proto.Rounder, th quorum.Thresholds, wid int64, own types.T
 // cur, edited, for the Store — and the PREWRITE then carries the edit to the
 // objects that hold the base (regular.Writer.WriteDerived).
 func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
-	cur, next, err := CertifiedNext(w.rounder, w.th, w.wid, w.pw.IssuedTS(), w.known)
+	w.open = types.Pair{}
+	cur, next, err := w.certifiedNext(w.pw.IssuedTS())
 	if err != nil {
 		return types.Pair{}, err
 	}
@@ -205,7 +201,7 @@ func (w *Writer) Modify(fn func(cur types.Pair) (types.Value, types.Delta, error
 		return types.Pair{}, fmt.Errorf("core: register sequence space exhausted")
 	}
 	p := types.Pair{TS: next, Val: v}
-	if err := w.pw.WriteDerived(p, from, 0); err != nil {
+	if err := w.install(p, from); err != nil {
 		return types.Pair{}, err
 	}
 	return p, nil

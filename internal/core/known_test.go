@@ -18,26 +18,48 @@ var (
 	mInflateReject = obs.Default.Counter("core_read_inflate_reject_total")
 )
 
+// onSchedule returns a mux over the simulator's link — framed, like sockets:
+// a link that frames nothing is sent no have-list — and a way to run a client
+// of it to completion.
+func onSchedule(t *testing.T, s *sim.Sim) (*tcpnet.Mux, func(func())) {
+	m := tcpnet.NewLinkMux(s.NumServers(), s.Link())
+	t.Cleanup(m.Close)
+	return m, func(f func()) {
+		t.Helper()
+		s.Go(f)
+		if err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSteadyStateReadsMoveTimestampsOnly drives real object automata: once a
 // handle has decided a pair, every later reply to it is elided, the request
 // bundle is reused, and the read's result is unchanged.
 func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 	thr := th(t, 4, 1)
-	lc := tcpnet.NewMemMux(server.NewHosts(4))
-	defer lc.Close()
-	if err := NewWriter(lc.Client(types.Writer, 0), thr).Write("a"); err != nil {
-		t.Fatal(err)
-	}
+	s := sim.New(sim.Config{Servers: 4})
+	defer s.Close()
+	lc, run := onSchedule(t, s)
 	r := NewReader(lc.Client(types.Reader(1), 0), thr, 1, 2)
-	if v, err := r.Read(); err != nil || v != "a" {
-		t.Fatalf("first read = %q, %v", v, err)
+	read := func(what string) {
+		t.Helper()
+		run(func() {
+			if v, err := r.Read(); err != nil || v != "a" {
+				t.Errorf("%s read = %q, %v", what, v, err)
+			}
+		})
 	}
+	run(func() {
+		if err := NewWriter(lc.Client(types.Writer, 0), thr).Write("a"); err != nil {
+			t.Error(err)
+		}
+	})
+	read("first")
 	request := func() *types.SubMsg { return &r.mux.Spec("AREAD1", nil).Req(1).Sub[0] }
 	bundle := request()
 	inflated := mInflated.Value()
-	if v, err := r.Read(); err != nil || v != "a" {
-		t.Fatalf("second read = %q, %v", v, err)
-	}
+	read("second")
 	// 1 round (every register hits) × the S−t = 3 objects it hears before it
 	// is Done × (pw, w) of the shared register; the write-back registers are
 	// empty, so there is nothing else to elide.
@@ -50,13 +72,43 @@ func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 	if bundle != request() {
 		t.Error("steady-state read rebuilt its request bundle")
 	}
-	if allocs := testing.AllocsPerRun(50, func() { r.Read() }); allocs > 9 {
-		// What remains is the objects' reply bundles (1 round × 4 objects) and
-		// the round's own reply channel and deadline timer; the client side of
-		// a hinted read — hit test included — allocates nothing.
-		t.Errorf("steady-state read allocates %.0f times", allocs)
+	// Allocations are counted in process (the simulator's scheduler allocates
+	// per message of its own): over the inline link as it is, which sends
+	// reads in full form, and over one that says it frames its requests, so
+	// reads go out with have-lists and come back elided, as over sockets. What
+	// remains is the objects' reply bundles (1 round × 4 objects) and the
+	// round's own reply channel and deadline timer; the client side of a
+	// steady-state read — have-lists, re-inflation and hit test included —
+	// allocates nothing.
+	for _, framed := range []bool{false, true} {
+		reg := new(tcpnet.Registry)
+		var link tcpnet.Link = reg.Link(reg.Add(server.NewHosts(4)...))
+		if framed {
+			link = framedLink{link}
+		}
+		mem := tcpnet.NewLinkMux(4, link)
+		defer mem.Close()
+		if err := NewWriter(mem.Client(types.Writer, 0), thr).Write("a"); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(mem.Client(types.Reader(1), 0), thr, 1, 2)
+		r.Read()
+		inflated := mInflated.Value()
+		if allocs := testing.AllocsPerRun(50, func() { r.Read() }); allocs > 9 {
+			t.Errorf("steady-state read (framed link: %v) allocates %.0f times", framed, allocs)
+		}
+		if elided := mInflated.Value() != inflated; elided != framed {
+			t.Errorf("steady-state read (framed link: %v) was answered elided: %v", framed, elided)
+		}
 	}
 }
+
+// framedLink is an inline link that says it frames its requests, so rounds
+// over it take the forms they take over sockets — have-lists, conditioned
+// writes — against the objects of this process.
+type framedLink struct{ tcpnet.Link }
+
+func (framedLink) Framed() bool { return true }
 
 // TestAtomicDespiteFalseElide: a Byzantine object answering with elision
 // claims the request never justified — alone, or only toward readers — costs
@@ -126,18 +178,20 @@ func TestAtomicDespiteFalseElide(t *testing.T) {
 // rebase that finds nothing to rebase onto moves no value.
 func TestCertifiedReadOffersWritersPair(t *testing.T) {
 	thr := th(t, 4, 1)
-	lc := tcpnet.NewMemMux(server.NewHosts(4))
-	defer lc.Close()
+	s := sim.New(sim.Config{Servers: 4})
+	defer s.Close()
+	lc, run := onSchedule(t, s)
 	w := NewWriter(lc.Client(types.Writer, 0), thr)
-	modify := func(v types.Value) types.Pair {
+	modify := func(v types.Value) (saw types.Pair) {
 		t.Helper()
-		var saw types.Pair
-		if _, err := w.Modify(func(cur types.Pair) (types.Value, types.Delta, error) {
-			saw = cur
-			return v, types.Delta{}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		run(func() {
+			if _, err := w.Modify(func(cur types.Pair) (types.Value, types.Delta, error) {
+				saw = cur
+				return v, types.Delta{}, nil
+			}); err != nil {
+				t.Error(err)
+			}
+		})
 		return saw
 	}
 	if saw := modify("a"); saw != types.BottomPair {

@@ -214,6 +214,7 @@ type inflater struct {
 	ver   uint64 // version of known that view copies
 	view  []knownReg
 	haves [][]types.Have // view's have-lists, by register
+	slab  []types.Have   // what haves are carved from
 	full  []shipped
 	// seen is the round's evidence against objects (Verdict): who
 	// claimed an un-offered elision, who withheld a sub-bundle.
@@ -234,19 +235,22 @@ func (in *inflater) refresh() bool {
 	in.known.mu.Unlock()
 	// The have-lists go into requests, which are immutable once sent (a slow
 	// object may be sent the previous round's bundle after this returns):
-	// they are built afresh, in one allocation, never patched.
+	// they are appended to a slab, never patched — a full slab is replaced,
+	// not reused — so most refreshes allocate nothing.
 	total := 0
 	for i := range in.view {
 		total += in.view[i].n
 	}
-	all := make([]types.Have, 0, total)
+	if cap(in.slab)-len(in.slab) < total {
+		in.slab = make([]types.Have, 0, max(64, total))
+	}
 	in.haves = in.haves[:0]
 	for i := range in.view {
-		kr, from := &in.view[i], len(all)
+		kr, from := &in.view[i], len(in.slab)
 		for j := 0; j < kr.n; j++ {
-			all = append(all, types.Have{TS: kr.pairs[j].TS, Digest: kr.digs[j]})
+			in.slab = append(in.slab, types.Have{TS: kr.pairs[j].TS, Digest: kr.digs[j]})
 		}
-		in.haves = append(in.haves, all[from:len(all):len(all)])
+		in.haves = append(in.haves, in.slab[from:len(in.slab):len(in.slab)])
 	}
 	return true
 }

@@ -222,22 +222,19 @@ func AckAcc(need int) *CountAcc {
 	return NewCountAcc(need, func(_ int, m types.Message) bool { return m.Kind == types.MsgAck })
 }
 
-// BitAcc is the hot-path quorum accumulator: done after replies of the
-// given kind from `need` distinct objects, tracked in a bitmask instead of
-// a map — the write phases run several such rounds per operation, and the
-// map accumulators' allocations showed up directly in the E9 profile.
-// Alongside the count it folds the replies' piggybacked (PW, W) timestamps
-// into a running maximum, which is what the optimistic write's validation
-// (MsgAck piggybacks) and the flush's freshness round (MsgState replies)
-// both consume; plain ack rounds simply ignore MaxTS. The same reports say
-// who is left WITHOUT the pair at a timestamp the caller expects (Expect,
-// Lack): the input to the next phase's choice of whom to send a conditioned
-// write. Both masks are by object id (bit sid, like Verdict's and the round
-// engine's); objects outside 1..63 are ignored, which can only delay
-// termination, never fake it (the repository's deployments are S = 3t+1 ≤
-// 62, the decide procedure's own bound).
+// BitAcc is the write phases' accumulator: done after acknowledgements from
+// `need` distinct objects, tracked in a bitmask instead of a map — the map
+// accumulators' allocations showed up directly in the E9 profile. Alongside
+// the count it folds the acknowledgements' piggybacked (PW, W) timestamps
+// into a running maximum, the optimistic write's certification input; the
+// WRITE round ignores it. The same reports say who is left WITHOUT the pair
+// at a timestamp the caller expects (Expect, Lack): the input to the next
+// phase's choice of whom to send a conditioned write. Both masks are by
+// object id (bit sid, like Verdict's and the round engine's); objects
+// outside 1..63 are ignored, which can only delay termination, never fake it
+// (the repository's deployments are S = 3t+1 ≤ 62, the decide procedure's
+// own bound).
 type BitAcc struct {
-	kind types.MsgKind
 	need int
 	seen uint64 // bit sid: an accepted reply
 	max  types.TS
@@ -245,35 +242,25 @@ type BitAcc struct {
 	lack uint64 // bit sid: heard, and holding nothing at `at`
 }
 
-// NewBitAcc returns a BitAcc waiting for need replies of the given kind.
-func NewBitAcc(kind types.MsgKind, need int) *BitAcc {
-	return &BitAcc{kind: kind, need: need}
-}
-
 // NewAckBits returns a BitAcc waiting for need acknowledgements.
-func NewAckBits(need int) *BitAcc { return NewBitAcc(types.MsgAck, need) }
+func NewAckBits(need int) *BitAcc { return &BitAcc{need: need} }
 
 // Add implements Accumulator.
 func (a *BitAcc) Add(sid int, m types.Message) {
-	if m.Kind != a.kind || sid < 1 || sid > 63 {
+	if m.Kind != types.MsgAck || sid < 1 || sid > 63 {
 		return
 	}
 	a.seen |= 1 << uint(sid)
 	a.max = types.MaxTS(a.max, types.MaxTS(m.PW.TS, m.W.TS))
 	// A PREWRITE's ack reports the timestamps held BEFORE it; the pair it
 	// carried sits in pw now unless pw was already past it.
-	pw := m.PW.TS
-	if a.kind == types.MsgAck {
-		pw = types.MaxTS(pw, a.at)
-	}
-	if pw != a.at && m.W.TS != a.at {
+	if types.MaxTS(m.PW.TS, a.at) != a.at && m.W.TS != a.at {
 		a.lack |= 1 << uint(sid)
 	}
 }
 
-// Expect names the timestamp Lack reports on: the pair a PREWRITE's
-// acknowledgements answer for, or the pair a read round's STATE replies
-// should show. Call it before the round.
+// Expect names the timestamp Lack reports on: the pair the acknowledgements
+// answer for. Call it before the round.
 func (a *BitAcc) Expect(ts types.TS) { a.at = ts }
 
 // Lack returns the objects (bit sid) whose accepted reply showed neither pw

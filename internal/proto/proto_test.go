@@ -69,29 +69,21 @@ func TestCountAccMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestBitAccLack: the replies that count toward the quorum also say who is
-// left without the expected pair — a read's STATE reply by holding it in
-// neither slot, a PREWRITE's ack by having been past it already — and nobody
-// else does: not an object unheard, not one that answered `need value`.
+// TestBitAccLack: the acknowledgements that count toward the quorum also say
+// who is left without the expected pair — a PREWRITE's ack by having been past
+// it already — and nobody else does: not an object unheard, not one that
+// answered `need value`, not a STATE reply.
 func TestBitAccLack(t *testing.T) {
 	at := func(seq int64) types.Pair { return types.Pair{TS: types.At(seq)} }
-	state := NewBitAcc(types.MsgState, 3)
-	state.Expect(types.At(5))
-	state.Add(1, types.Message{Kind: types.MsgState, PW: at(5), W: at(5)})
-	state.Add(2, types.Message{Kind: types.MsgState, PW: at(6), W: at(5)}) // holds it in w
-	state.Add(3, types.Message{Kind: types.MsgState, PW: at(4), W: at(4)}) // behind
-	state.Add(4, types.Message{Kind: types.MsgNeedValue, PW: at(1)})       // not a STATE reply
-	if got := state.Lack(); got != 1<<3 || !state.Done() {
-		t.Errorf("read round: lack = %b, want object 3 alone (done: %v)", got, state.Done())
-	}
 	acks := NewAckBits(3)
 	acks.Expect(types.At(5))
 	acks.Add(1, types.Message{Kind: types.MsgAck, PW: at(4), W: at(4)}) // took the pair
 	acks.Add(2, types.Message{Kind: types.MsgAck, PW: at(5), W: at(3)}) // held it already
 	acks.Add(3, types.Message{Kind: types.MsgAck, PW: at(7), W: at(2)}) // a later prewrite was there first
 	acks.Add(4, types.Message{Kind: types.MsgNeedValue, PW: at(9), W: at(9)})
-	if got := acks.Lack(); got != 1<<3 || acks.MaxTS() != types.At(7) {
-		t.Errorf("PREWRITE round: lack = %b (max %v), want object 3 alone (max 7)", got, acks.MaxTS())
+	acks.Add(5, types.Message{Kind: types.MsgState, PW: at(9), W: at(9)})
+	if got := acks.Lack(); got != 1<<3 || acks.MaxTS() != types.At(7) || !acks.Done() {
+		t.Errorf("PREWRITE round: lack = %b (max %v, done %v), want object 3 alone (max 7, done)", got, acks.MaxTS(), acks.Done())
 	}
 }
 
@@ -123,6 +115,28 @@ func TestRegAccConditioned(t *testing.T) {
 		}
 		if cond.Have = nil; cond.Kind != want.Kind || cond.Pair != want.Pair || cond.Token != want.Token || cond.Flags != want.Flags {
 			t.Errorf("%v: conditioned request %+v, want %+v", reg, cond, want)
+		}
+	}
+}
+
+// TestRegAccReadFullForm: a READ that carries a have-list offers the same
+// request without it as its full form — what a link that frames nothing
+// sends — bare or bundled; a READ with nothing to offer has no other form.
+func TestRegAccReadFullForm(t *testing.T) {
+	for _, reg := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
+		k := NewKnown(th(t, 4, 1))
+		var ra RegAcc
+		ra.UseKnown(k)
+		ra.Part(reg, types.Message{Kind: types.MsgRead1}, NewCountAcc(3, nil))
+		if spec := ra.Spec("READ1", nil); spec.Full != nil {
+			t.Fatalf("%v: a READ without a have-list offers a full form", reg)
+		}
+		k.Seed(reg, types.Pair{TS: types.At(2), Val: "held"})
+		spec := ra.Spec("READ1", nil)
+		gotReg, hinted := fullOf(t, spec.Req(1))
+		plainReg, plain := fullOf(t, spec.Full.FullRequest(1))
+		if gotReg != reg || plainReg != reg || len(hinted.Have) != 1 || len(plain.Have) != 0 || plain.Kind != types.MsgRead1 {
+			t.Errorf("%v: request %v on %v, full form %v on %v", reg, gotReg, hinted.Have, plainReg, plain.Have)
 		}
 	}
 }

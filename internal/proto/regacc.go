@@ -32,11 +32,13 @@ type RegAcc struct {
 	sub1 [1]types.SubMsg
 	acc1 [1]Accumulator
 
-	round []int          // the current round's parts, by index; nil: all
-	pick  []types.SubMsg // scratch: a partial round's requests
-	req   types.Message  // the current round's request
-	full  bool           // req asks every part, under the current view
-	reqFn func(int) types.Message
+	round  []int          // the current round's parts, by index; nil: all
+	pick   []types.SubMsg // scratch: a partial round's requests
+	req    types.Message  // the current round's request
+	plain  types.Message  // req without its have-lists
+	hinted bool           // req has have-lists (plain is not req)
+	full   bool           // req asks every part, under the current view
+	reqFn  func(int) types.Message
 
 	// A write's conditioned form (Conditioned): the part with condVal where
 	// its value was, under condFlags, on the condition named, is what the
@@ -89,8 +91,10 @@ func (a *RegAcc) Conditioned(named types.Have, val types.Value, flags types.MsgF
 	a.toFull, a.elides = full, true
 }
 
-// FullRequest implements FullForm: the round's request as declared.
-func (a *RegAcc) FullRequest(int) types.Message { return a.req }
+// FullRequest implements FullForm: the round's request as declared, READs
+// without have-lists — all a link that frames nothing sends (a value is a
+// pointer there; a have-list would only make the objects hash their slots).
+func (a *RegAcc) FullRequest(int) types.Message { return a.plain }
 
 // Spec begins one round — over the parts only lists (by index; the slice is
 // the accumulator's until the next Spec), or over every part when only is
@@ -107,27 +111,34 @@ func (a *RegAcc) Spec(label string, only []int) RoundSpec {
 		for _, i := range only {
 			a.pick = append(a.pick, a.subs[i])
 		}
-		a.req, a.full = a.request(a.pick), false
+		a.request(a.pick)
+		a.full = false
 	} else if moved || !a.full {
-		a.req, a.full = a.request(a.subs), true
+		a.request(a.subs)
+		a.full = true
 	}
 	spec := RoundSpec{Label: label, Req: a.reqFn, Acc: a}
-	if a.elides {
+	if a.elides || a.hinted {
 		spec.Full = a
 	}
 	return spec
 }
 
-// request addresses parts (types.Address copies them) and conditions the
-// READs among them on the view.
-func (a *RegAcc) request(parts []types.SubMsg) types.Message {
-	m := types.Address(parts)
-	for i, n := 0, m.NumParts(); i < n; i++ {
-		if reg, part := m.Part(i); part.Kind == types.MsgRead1 {
+// request addresses parts (types.Address copies them) as the round's request
+// and conditions the READs among them on the view; plain is the request
+// unconditioned — req itself when no READ has a have-list.
+func (a *RegAcc) request(parts []types.SubMsg) {
+	a.req, a.hinted = types.Address(parts), false
+	for i, n := 0, a.req.NumParts(); i < n; i++ {
+		if reg, part := a.req.Part(i); part.Kind == types.MsgRead1 {
 			part.Have = a.have(reg)
+			a.hinted = a.hinted || part.Have != nil
 		}
 	}
-	return m
+	a.plain = a.req
+	if a.hinted {
+		a.plain = types.Address(parts)
+	}
 }
 
 // n returns the number of parts in the current round, at the index of the

@@ -509,6 +509,20 @@ func (a *ReadAcc) MaxTS() types.TS {
 	return best
 }
 
+// Dominates reports whether no pw/w report of the query rounds is above p,
+// nor at p's timestamp under another value: what a PREWRITE quorum's
+// acknowledgements certify a proposal by, read off a read (core.Writer.Resume).
+func (a *ReadAcc) Dominates(p types.Pair) bool {
+	for _, v := range a.views {
+		for _, q := range [...]types.Pair{v.pw1, v.w1, v.pw2, v.w2} {
+			if p.TS.Less(q.TS) || q.TS == p.TS && q.Val != p.Val {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // WSupport returns how many distinct objects' WRITE-slot reports, in either
 // query round, carry a timestamp at or above ts — the completeness evidence
 // behind the adaptive read's write-back elision (see core.Reader.ReadPair):

@@ -55,15 +55,13 @@ func Read1Spec(th quorum.Thresholds, reg types.RegID) (proto.RoundSpec, *StateAc
 	return ra.Spec("READ1", nil), acc
 }
 
-// ReadPairOn runs one regular read of register reg over acc and returns its
-// pair: round READ1 alone when the replies hit (see ReadAcc), the decision
-// round READ2 after it when they miss. The rounds are conditioned on k (nil
-// reads unconditioned): what the set holds, the objects need not send.
-func ReadPairOn(r proto.Rounder, reg types.RegID, acc *ReadAcc, k *proto.Known) (types.Pair, error) {
+// ReadPairOn runs one regular read over ra — whose one part asks a register
+// for its state into acc — and returns its pair: round READ1 alone when the
+// replies hit (see ReadAcc), the decision round READ2 after it when they
+// miss. The rounds are conditioned on ra's known-pair set, if it has one:
+// what the set holds, the objects need not send.
+func ReadPairOn(r proto.Rounder, ra *proto.RegAcc, acc *ReadAcc) (types.Pair, error) {
 	acc.Reset()
-	var ra proto.RegAcc
-	ra.UseKnown(k)
-	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
 	for i, label := range [...]string{"READ1", "READ2"} {
 		if i > 0 {
 			acc.BeginDecide()
@@ -150,15 +148,14 @@ func (w *Writer) Write(v types.Value) error {
 // Single-writer callers keep issuing consecutive sequence numbers (their
 // read decision's causality filter assumes it); multi-writer callers jump
 // ahead to dominate foreign timestamps their discovery round observed.
-func (w *Writer) WritePair(p types.Pair) error { return w.WriteDerived(p, types.Delta{}, 0) }
+func (w *Writer) WritePair(p types.Pair) error { return w.WriteDerived(p, types.Delta{}) }
 
 // WriteDerived is WritePair for a value derived from one the objects hold:
 // from.Edit turns from.Base's value into p's, and when that is the smaller
-// encoding it is what the PREWRITE carries, to every object but those in lack
-// (bit sid: objects already heard reporting they hold nothing at from.Base's
-// timestamp). The zero Delta derives from nothing.
-func (w *Writer) WriteDerived(p types.Pair, from types.Delta, lack uint64) error {
-	if _, err := w.preWrite(p, from, lack); err != nil {
+// encoding it is what the PREWRITE carries. The zero Delta derives from
+// nothing.
+func (w *Writer) WriteDerived(p types.Pair, from types.Delta) error {
+	if _, err := w.preWrite(p, from); err != nil {
 		return err
 	}
 	return w.CommitPair(p)
@@ -172,10 +169,10 @@ func (w *Writer) WriteDerived(p types.Pair, from types.Delta, lack uint64) error
 // between phases, which the protocol already tolerates; the timestamp is
 // recorded as issued and never reused with another value).
 func (w *Writer) PreWritePair(p types.Pair) (types.TS, error) {
-	return w.preWrite(p, types.Delta{}, 0)
+	return w.preWrite(p, types.Delta{})
 }
 
-func (w *Writer) preWrite(p types.Pair, from types.Delta, lack uint64) (types.TS, error) {
+func (w *Writer) preWrite(p types.Pair, from types.Delta) (types.TS, error) {
 	if p.TS.WID != w.wid || (p.TS != w.ts && !w.ts.Less(p.TS)) {
 		return types.TS{}, fmt.Errorf("regular: writer %d cannot write at timestamp %s after %s", w.wid, p.TS, w.ts)
 	}
@@ -192,7 +189,7 @@ func (w *Writer) preWrite(p types.Pair, from types.Delta, lack uint64) (types.TS
 	if from.Edit != "" && len(from.Edit) < len(p.Val) {
 		held = types.Have{TS: from.Base.TS, Digest: w.known.Digest(w.reg, from.Base)}
 	}
-	spec, acc := writeSpec(w.th, "PREWRITE", types.MsgPreWrite, w.reg, p, w.pending, held, from.Edit, lack)
+	spec, acc := writeSpec(w.th, "PREWRITE", types.MsgPreWrite, w.reg, p, w.pending, held, from.Edit, 0)
 	if err := w.rounder.Round(spec); err != nil {
 		return types.TS{}, fmt.Errorf("regular: prewrite: %w", err)
 	}
@@ -250,5 +247,7 @@ func (r *Reader) Read() (types.Value, error) {
 func (r *Reader) ReadPair() (types.Pair, error) {
 	acc := NewReadAcc(r.th)
 	acc.MultiWriter = r.MultiWriter
-	return ReadPairOn(r.rounder, r.reg, acc, nil)
+	var ra proto.RegAcc
+	ra.Part(r.reg, types.Message{Kind: types.MsgRead1}, acc)
+	return ReadPairOn(r.rounder, &ra, acc)
 }

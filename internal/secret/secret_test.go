@@ -45,7 +45,9 @@ func (r *Reader) Read() (types.Value, error) {
 // decision round over the frozen first view otherwise.
 func (r *Reader) ReadPair() (types.Pair, error) {
 	acc := regular.NewReadAcc(r.th)
-	p, err := regular.ReadPairOn(r.rounder, types.WriterReg, acc, nil)
+	var ra proto.RegAcc
+	ra.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, acc)
+	p, err := regular.ReadPairOn(r.rounder, &ra, acc)
 	if err != nil {
 		return types.Pair{}, fmt.Errorf("secret: %w", err)
 	}

@@ -90,12 +90,12 @@ func TestNeedValueIsAnsweredInFullOncePerRound(t *testing.T) {
 		return types.Pair{TS: types.At(seq), Val: types.Value(fmt.Sprintf("%s%d", table, seq))}
 	}
 	// derived writes pairAt(seq) as pairAt(seq-1) with its last byte replaced.
-	derived := func(seq int64, lack uint64) {
+	derived := func(seq int64) {
 		t.Helper()
 		base := pairAt(seq - 1)
 		var e types.Edit
 		e.Splice(len(base.Val)-1, 1, []byte(fmt.Sprint(seq)))
-		if err := w.WriteDerived(pairAt(seq), types.Delta{Base: base, Edit: e.Value(len(base.Val))}, lack); err != nil {
+		if err := w.WriteDerived(pairAt(seq), types.Delta{Base: base, Edit: e.Value(len(base.Val))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestNeedValueIsAnsweredInFullOncePerRound(t *testing.T) {
 	if err := w.WritePair(pairAt(1)); err != nil {
 		t.Fatal(err)
 	}
-	derived(2, 0)
+	derived(2)
 	for _, l := range logs {
 		if got, want := l.waitForms(t, 4), "PREWRITE full, WRITE ref, PREWRITE splice, WRITE ref"; got != want {
 			t.Errorf("a settled object was sent %q, want %q", got, want)
@@ -129,7 +129,7 @@ func TestNeedValueIsAnsweredInFullOncePerRound(t *testing.T) {
 		s.SetNetem(nil, 0, 0, 20*time.Millisecond)
 	}
 	logs[3].restart(server.FalseNeed{})
-	derived(3, 0)
+	derived(3)
 	if got, want := logs[3].waitForms(t, 4), "PREWRITE splice, PREWRITE full, WRITE ref, WRITE full"; got != want {
 		t.Errorf("a refusing object was sent %q, want %q", got, want)
 	}
@@ -141,19 +141,12 @@ func TestNeedValueIsAnsweredInFullOncePerRound(t *testing.T) {
 	// pair 3 finds no base there, the one re-send catches it up, and the
 	// reference that follows finds its pair.
 	logs[3].restart(server.Honest{})
-	derived(4, 0)
+	derived(4)
 	if got, want := logs[3].waitForms(t, 3), "PREWRITE splice, PREWRITE full, WRITE ref"; got != want {
 		t.Errorf("an object that had missed the base was sent %q, want %q", got, want)
 	}
 	if got := held(4); got != pairAt(4) {
 		t.Errorf("the object that had missed the base holds %v after the write that heard it", got.TS)
-	}
-	// Known to lack the base (the caller's previous phase heard it say so), it
-	// is not asked twice.
-	logs[3].restart(server.Honest{})
-	derived(5, 1<<4)
-	if got, want := logs[3].waitForms(t, 2), "PREWRITE full, WRITE ref"; got != want {
-		t.Errorf("an object known to lack the base was sent %q, want %q", got, want)
 	}
 	for _, s := range servers[:3] {
 		s.SetNetem(nil, 0, 0, 0)
@@ -166,7 +159,7 @@ func TestNeedValueIsAnsweredInFullOncePerRound(t *testing.T) {
 	}
 	logs[3].restart(server.Honest{})
 	m.srtt.Store(int64(time.Second)) // the hedge far away: nothing releases the deferred request early
-	derived(6, 0)
+	derived(5)
 	if got, want := logs[3].waitForms(t, 2), "PREWRITE full, WRITE full"; got != want {
 		t.Errorf("a deferred object was sent %q, want %q", got, want)
 	}

@@ -137,20 +137,26 @@ func (r *round) begin(m *Mux, from types.ProcID, reg int, timeout time.Duration,
 	return r.wait, nil
 }
 
-// send builds the round's request to object sid and posts it. Replies are
-// matched by id; the messages carry something request-unique for traces (the
-// automata echo it).
+// send builds the round's request to object sid and posts it — when nobody
+// will hear the answer, only the parts that write, and nothing if none does.
+// Replies are matched by id; the messages carry something request-unique for
+// traces (the automata echo it).
 func (r *round) send(sid int, post postFn, awaited bool) bool {
 	spec, req := &r.spec, r.tmpl
+	worth := func(m types.Message) bool { return awaited || server.Mutates(m) }
 	if len(spec.Subs) > 0 {
-		req.Subs = make([]wire.SubReq, len(spec.Subs))
+		req.Subs = make([]wire.SubReq, 0, len(spec.Subs))
 		for i := range spec.Subs {
-			sub := &spec.Subs[i]
-			req.Subs[i].Reg = sub.Reg
-			r.request(&req.Subs[i].Msg, sid, sub.Req, sub.Full, awaited)
+			sub := wire.SubReq{Reg: spec.Subs[i].Reg}
+			if r.request(&sub.Msg, sid, spec.Subs[i].Req, spec.Subs[i].Full, awaited); worth(sub.Msg) {
+				req.Subs = append(req.Subs, sub)
+			}
 		}
-	} else {
-		r.request(&req.Msg, sid, spec.Req, spec.Full, awaited)
+		if len(req.Subs) == 0 {
+			return true
+		}
+	} else if r.request(&req.Msg, sid, spec.Req, spec.Full, awaited); !worth(req.Msg) {
+		return true
 	}
 	return r.post(sid, &req, post, awaited, "send")
 }
@@ -237,10 +243,10 @@ func (r *round) post(sid int, req *wire.Request, post postFn, awaited bool, even
 }
 
 // release posts the deferred requests: awaited, or — the round is over —
-// fire-and-forget, and then only those that change the object's state.
+// fire-and-forget, and then only what changes the object's state (send).
 func (r *round) release(post postFn, awaited bool) {
 	for sid := 1; r.held != 0 && sid <= r.m.n; sid++ {
-		if r.held&(1<<uint(sid)) != 0 && (awaited || mutates(&r.spec, sid)) {
+		if r.held&(1<<uint(sid)) != 0 {
 			r.send(sid, post, awaited)
 		}
 	}
@@ -372,19 +378,6 @@ func traceEvent(spec *proto.RoundSpec, sid int, kind, note string) {
 	for i := range spec.Subs {
 		spec.Subs[i].Trace.Event(sid, kind, note)
 	}
-}
-
-// mutates reports whether the round's request to object sid changes state.
-func mutates(spec *proto.RoundSpec, sid int) bool {
-	if len(spec.Subs) == 0 {
-		return server.Mutates(spec.Req(sid))
-	}
-	for i := range spec.Subs {
-		if server.Mutates(spec.Subs[i].Req(sid)) {
-			return true
-		}
-	}
-	return false
 }
 
 // traceSubReplies reports, per traced sub-round, whether object sid's

@@ -27,7 +27,7 @@ const (
 	suspectRun = 16
 	runCap     = 2 * suspectRun // runs saturate here (ranking, gauge)
 	// Every probeEvery-th round of a mux defers nobody: the only way a
-	// deferred object is observed again (the flush penalty window's idiom).
+	// deferred object is observed again.
 	probeEvery = 64
 )
 

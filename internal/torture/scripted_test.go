@@ -7,6 +7,7 @@ package torture
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,23 +18,31 @@ import (
 	"robustatomic/internal/server"
 	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
 )
 
 // storePoint is one scripted execution: processes 0 and 1 write one key,
-// processes 2 and 3 read it; process 4 is the operator's (operate).
+// processes 2 and 3 read it; process 4 is the operator's (operate). The key
+// is the Store's, or — register set — the standalone register, written and
+// read through each process's Writer and Reader.
 type storePoint struct {
-	t      *testing.T
-	sim    *sim.Sim
-	opts   robustatomic.Options
-	root   *robustatomic.Cluster // process 3; the others are its Siblings
-	stores []*robustatomic.Store
-	rec    recorder
+	t        *testing.T
+	sim      *sim.Sim
+	opts     robustatomic.Options
+	root     *robustatomic.Cluster // process 3; the others are its Siblings
+	stores   []*robustatomic.Store
+	writers  []*robustatomic.Writer
+	readers  []*robustatomic.Reader
+	register bool
+	rec      recorder
+	errs     [4]error // each writing process's last failed write
 }
 
 const pointKey = "k"
 
 func newStorePoint(t *testing.T, seed int64) *storePoint {
-	p := &storePoint{t: t, sim: sim.New(sim.Config{Servers: 4}), stores: make([]*robustatomic.Store, 4)}
+	p := &storePoint{t: t, sim: sim.New(sim.Config{Servers: 4}), stores: make([]*robustatomic.Store, 4),
+		writers: make([]*robustatomic.Writer, 4), readers: make([]*robustatomic.Reader, 4)}
 	t.Cleanup(p.sim.Close)
 	p.sim.Seed(seed)
 	p.sim.SetLatency(0, 200*time.Microsecond)
@@ -66,7 +75,10 @@ func (p *storePoint) start(proc int) (stop func()) {
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	p.stores[proc] = st
+	p.stores[proc], p.writers[proc] = st, c.Writer()
+	if p.readers[proc], err = c.Reader(proc + 1); err != nil {
+		p.t.Fatal(err)
+	}
 	return c.Close
 }
 
@@ -96,8 +108,13 @@ func (p *storePoint) put(proc int, val string) (done, ok *bool) {
 	done, ok = new(bool), new(bool)
 	p.sim.Go(func() {
 		id := p.rec.invoke(pointKey, types.WriterID(10+proc), checker.OpWrite, types.Value(val))
-		if err := p.stores[proc].Put(pointKey, val); err != nil {
+		write := func() error { return p.stores[proc].Put(pointKey, val) }
+		if p.register {
+			write = func() error { return p.writers[proc].Write(val) }
+		}
+		if err := write(); err != nil {
 			p.rec.abandon(id)
+			p.errs[proc] = err
 		} else {
 			p.rec.respond(id, "")
 			*ok = true
@@ -107,20 +124,28 @@ func (p *storePoint) put(proc int, val string) (done, ok *bool) {
 	return done, ok
 }
 
-// gets starts a client of process proc reading the key n times.
-func (p *storePoint) gets(proc, n int) {
+// gets starts a client of process proc reading the key n times; *got is the
+// last value read.
+func (p *storePoint) gets(proc, n int) (got *string) {
+	got = new(string)
 	p.sim.Go(func() {
 		for i := 0; i < n; i++ {
 			id := p.rec.invoke(pointKey, types.Reader(proc), checker.OpRead, "")
-			v, err := p.stores[proc].Get(pointKey)
+			read := func() (string, error) { return p.stores[proc].Get(pointKey) }
+			if p.register {
+				read = p.readers[proc].Read
+			}
+			v, err := read()
 			if err != nil {
 				p.t.Errorf("get by process %d: %v", proc, err)
 				p.rec.abandon(id)
 				return
 			}
 			p.rec.respond(id, types.Value(v))
+			*got = v
 		}
 	})
+	return got
 }
 
 // run lets the clients run until holds (nil: to completion).
@@ -163,9 +188,10 @@ func pointSeeds() int64 {
 	return 200
 }
 
-// TestScriptedStoreFlushRebased: process 0's flush has validated its cached
-// table (WVAL) and posted its PREWRITE when a foreign flush of the same shard
-// runs to completion; only then does the PREWRITE reach anyone.
+// TestScriptedStoreFlushRebased: process 0's flush has read the register
+// (READ1, its cached table current) and posted its PREWRITE when a foreign
+// flush of the same shard runs to completion; only then does the PREWRITE
+// reach anyone.
 func TestScriptedStoreFlushRebased(t *testing.T) {
 	for seed := int64(1); seed <= pointSeeds(); seed++ {
 		p := newStorePoint(t, seed)
@@ -456,13 +482,12 @@ func TestScriptedStoreGetOverlapsOwnFlush(t *testing.T) {
 // TestScriptedStoreCutOffCatchesUp: object 4 is cut off for one flush, so it
 // holds neither the pair the next flush's edit derives from nor, until then,
 // anything to promote. Reconnected — and, object 1 being cut off in its turn,
-// heard in every round of that flush — it is sent the table in full in the
-// first round that hears it (the freshness round shows it behind; were it not
-// heard there, its `need value` would) and ends the flush holding what
-// everyone holds: a round never burns its deadline on a refusal, the flush
-// still costs 3 rounds, two readers read throughout, and at quiesce no
-// timestamp holds two values anywhere (doctor): what the objects spliced is
-// what the others were sent.
+// heard in every round of that flush — it answers the PREWRITE's edit `need
+// value`, is sent the table in full inside that round, and ends the flush
+// holding what everyone holds: a round never burns its deadline on a
+// refusal, two readers read throughout, and at quiesce no timestamp holds
+// two values anywhere (doctor): what the objects spliced is what the others
+// were sent.
 func TestScriptedStoreCutOffCatchesUp(t *testing.T) {
 	for seed := int64(1); seed <= pointSeeds(); seed++ {
 		p := newStorePoint(t, seed)
@@ -504,4 +529,204 @@ func TestScriptedStoreCutOffCatchesUp(t *testing.T) {
 			t.Fatalf("seed %d: doctor at quiesce: %d diverged, %d skipped: %+v", seed, len(rep.Diverged), len(rep.Skipped), rep)
 		}
 	}
+}
+
+// TestScriptedEpochRetryFinishesItsPair is ROADMAP 1b's resurrect, scripted:
+// process 0's write has completed its PREWRITE, and its WRITE has reached
+// object 1 alone, when a Leave of slot 4 completes — so the objects refuse the
+// rest of it for a stale epoch. Before the held frames go, a reader returns
+// the prewritten pair (object 1 holds it written, so the decision round
+// must) and process 1's write overwrites it. The epoch retry must finish the
+// pair process 0 issued — every PREWRITE and WRITE it sends carries one
+// timestamp — never put the value back at a fresh one, and the history must
+// stay atomic. For a Store flush (core.Writer.Modify) and a standalone
+// Writer.Write.
+func TestScriptedEpochRetryFinishesItsPair(t *testing.T) {
+	for name, register := range map[string]bool{"store": false, "register": true} {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= pointSeeds(); seed++ {
+				epochRetryFinishesItsPair(t, seed, register)
+			}
+		})
+	}
+}
+
+func epochRetryFinishesItsPair(t *testing.T, seed int64, register bool) {
+	p := newStorePoint(t, seed)
+	p.register = register
+	inst := 1 // the Store's one shard
+	if register {
+		inst = 0
+	}
+	p.put(0, "a0")
+	p.run(nil)
+	p.sim.Drain()
+	var issued []types.TS
+	prewrites := map[uint64]bool{} // by request id
+	holding, held := true, false
+	p.sim.Hold(func(m sim.Message) bool {
+		w, ok := writeOf(m, inst)
+		if !ok {
+			return false
+		}
+		if !slices.Contains(issued, w.Pair.TS) {
+			issued = append(issued, w.Pair.TS)
+		}
+		if w.Kind == types.MsgPreWrite {
+			prewrites[m.Req.ID] = true
+		}
+		at := holding && w.Kind == types.MsgWrite && m.Sid != 1
+		held = held || at
+		return at
+	})
+	aDone, aOK := p.put(0, "a1")
+	p.run(func() bool {
+		return held && p.sim.Hosts()[0].Store(inst).Reg(types.WriterReg).W.TS == issued[0]
+	})
+	var leaveErr error
+	left := p.operate(func(c *robustatomic.Cluster) { _, leaveErr = c.Leave(4) })
+	p.run(func() bool { return *left })
+	if leaveErr != nil {
+		t.Fatalf("seed %d: Leave: %v", seed, leaveErr)
+	}
+	got := p.gets(2, 1)
+	p.run(func() bool { return *got != "" })
+	if *got != "a1" {
+		t.Fatalf("seed %d: the reader returned %q, not the prewritten pair", seed, *got)
+	}
+	bDone, bOK := p.overtake()
+	p.run(func() bool { return *bDone })
+	if !*bOK || *aDone {
+		t.Fatalf("seed %d: the foreign write (ok %v, %v) did not land inside the held one (over %v)", seed, *bOK, p.errs[1], *aDone)
+	}
+	holding = false
+	p.run(nil)
+	if !*aOK || len(issued) != 1 || len(prewrites) <= 4 {
+		t.Fatalf("seed %d: the retried write (ok %v, %d PREWRITE requests) issued timestamps %v, want one", seed, *aOK, len(prewrites), issued)
+	}
+	p.settle(seed)
+}
+
+// TestScriptedEpochRetryUncertified: process 0's standalone write has posted
+// its PREWRITE, objects 1 and 2 have taken it — t+1 of them, so the proposal
+// is readable — and a Leave of slot 4 completes before it reaches the others,
+// which refuse it for a stale epoch: the proposal never certified. Overtaken,
+// process 1's write lands before the held frames go, and the retry must not
+// put the value back at a fresh timestamp: the write fails with
+// ErrWriteOvertaken. Not overtaken, the retry finishes the proposal. Either
+// way process 0 issues one timestamp and the history stays atomic.
+func TestScriptedEpochRetryUncertified(t *testing.T) {
+	for name, overtaken := range map[string]bool{"overtaken": true, "alone": false} {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= pointSeeds(); seed++ {
+				epochRetryUncertified(t, seed, overtaken)
+			}
+		})
+	}
+}
+
+func epochRetryUncertified(t *testing.T, seed int64, overtaken bool) {
+	p := newStorePoint(t, seed)
+	p.register = true
+	p.put(0, "a0")
+	p.run(nil)
+	p.sim.Drain()
+	var issued []types.TS
+	holding := true
+	p.sim.Hold(func(m sim.Message) bool {
+		w, ok := writeOf(m, 0)
+		if !ok {
+			return false
+		}
+		if !slices.Contains(issued, w.Pair.TS) {
+			issued = append(issued, w.Pair.TS)
+		}
+		return holding && m.Sid > 2
+	})
+	aDone, aOK := p.put(0, "a1")
+	p.run(func() bool {
+		hosts := p.sim.Hosts()
+		return len(issued) > 0 && hosts[0].Store(0).Reg(types.WriterReg).PW.TS == issued[0] &&
+			hosts[1].Store(0).Reg(types.WriterReg).PW.TS == issued[0]
+	})
+	var leaveErr error
+	left := p.operate(func(c *robustatomic.Cluster) { _, leaveErr = c.Leave(4) })
+	p.run(func() bool { return *left })
+	if leaveErr != nil {
+		t.Fatalf("seed %d: Leave: %v", seed, leaveErr)
+	}
+	got := p.gets(2, 1)
+	p.run(func() bool { return *got != "" })
+	if overtaken {
+		bDone, bOK := p.overtake()
+		p.run(func() bool { return *bDone })
+		if !*bOK || *aDone {
+			t.Fatalf("seed %d: the foreign write (ok %v) did not land inside the held one (over %v)", seed, *bOK, *aDone)
+		}
+	}
+	holding = false
+	p.run(nil)
+	if len(issued) != 1 {
+		t.Fatalf("seed %d: the retried write (ok %v, %v) issued timestamps %v, want one", seed, *aOK, p.errs[0], issued)
+	}
+	if overtaken && (*aOK || !errors.Is(p.errs[0], robustatomic.ErrWriteOvertaken)) {
+		t.Fatalf("seed %d: the overtaken retry (timestamp %v, read %q): ok %v, %v", seed, issued[0], *got, *aOK, p.errs[0])
+	}
+	if !overtaken && !*aOK {
+		t.Fatalf("seed %d: the retry alone failed: %v", seed, p.errs[0])
+	}
+	p.settle(seed)
+}
+
+// TestScriptedWriterLifetimes: process 0 writes through its standalone Writer
+// and dies, and a new process with its identity — a fresh handle, nothing
+// remembered — writes again. Its first proposal is the timestamp the earlier
+// lifetime wrote at, which the objects report and must not certify: they keep
+// the first value a timestamp carried, so the new one would be lost.
+func TestScriptedWriterLifetimes(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.register = true
+		stop := p.start(0)
+		p.put(0, "a0")
+		p.run(nil)
+		stop()
+		p.start(0)
+		_, ok := p.put(0, "a1")
+		p.gets(2, 2)
+		p.run(nil)
+		if !*ok {
+			t.Fatalf("seed %d: the second lifetime's write failed: %v", seed, p.errs[0])
+		}
+		p.settle(seed)
+	}
+}
+
+// overtake starts process 1's write of b1 once a read of the process has
+// adopted the configuration a Leave just decided: refused for a stale epoch,
+// the standalone write's own proposal would be uncertified, and it would fail
+// overtaken instead of landing.
+func (p *storePoint) overtake() (done, ok *bool) {
+	got := p.gets(1, 1)
+	p.run(func() bool { return *got != "" })
+	return p.put(1, "b1")
+}
+
+// writeOf returns the write process 0 sends register instance inst in m, if
+// m is such a request.
+func writeOf(m sim.Message, inst int) (types.Message, bool) {
+	if m.Reply || m.Req.From != types.WriterID(0) {
+		return types.Message{}, false
+	}
+	w := m.Req.Msg
+	if len(m.Req.Subs) > 0 {
+		i := slices.IndexFunc(m.Req.Subs, func(s wire.SubReq) bool { return s.Reg == inst })
+		if i < 0 {
+			return types.Message{}, false
+		}
+		w = m.Req.Subs[i].Msg
+	} else if m.Req.Reg != inst {
+		return types.Message{}, false
+	}
+	return w, w.Kind == types.MsgPreWrite || w.Kind == types.MsgWrite
 }

@@ -2,6 +2,7 @@ package torture
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 )
 
@@ -116,18 +117,29 @@ func TestTortureShort(t *testing.T) {
 	}
 }
 
-// TestEpochRetriedFlushResurrects is a FINDING of the membership scenarios'
-// first runs on the simulator (11 of seeds 1..3,000 at this scale, none of
-// replace-live's), kept as its reproducer: a flush whose WRITE round is refused for a stale epoch — after
-// its PREWRITE completed and some objects took the WRITE — is restarted from
-// scratch by retryEpoch and re-issues its table at a NEW timestamp. A reader
-// returns the value at the first timestamp, a foreign write lands between the
-// two, and the value comes back: one Put, two linearization points (ROADMAP
-// 1b's "a flush whose WRITE reached a quorum but whose ack died", with a
-// refusal for the lost ack). The checker rejects key k007's history.
+// TestEpochRetriedFlushResurrects runs the join-leave seeds whose histories
+// were not atomic while a flush refused for a stale epoch — its PREWRITE
+// complete, its WRITE taken by some objects — was retried from scratch: it
+// re-issued its table at a NEW timestamp, a reader had returned the value at
+// the first, a foreign write landed between the two, and the value came back.
+// The retry finishes the pair it issued now (core.Writer.Resume;
+// TestScriptedEpochRetryFinishesItsPair is the point, scripted). The seeds
+// are those that failed with the validated flush path and those that failed
+// without it before the fix; under -torture.full (make torture) every seed
+// of 1..3,000 runs.
 func TestEpochRetriedFlushResurrects(t *testing.T) {
-	t.Skip("ROADMAP 1b: join-leave/live seed 520 — mw-atomicity violated on one key; the Store's retry contract, open")
-	runTorture(t, shortCfg(JoinLeave, ModeLive, 520), false)
+	seeds := []int64{33, 153, 196, 261, 520, 720, 1057, 1344, 1468, 1527, 1847, 1871, 1990, 2341, 2769, 2803, 2929}
+	if *tortureFull {
+		seeds = seeds[:0]
+		for seed := int64(1); seed <= 3000; seed++ {
+			seeds = append(seeds, seed)
+		}
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			runTorture(t, shortCfg(JoinLeave, ModeLive, seed), false)
+		})
+	}
 }
 
 // TestTortureFull is the acceptance run (make torture): three distinct

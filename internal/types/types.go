@@ -442,8 +442,8 @@ type MsgFlags uint8
 
 // Message flags.
 const (
-	// FlagNoValues (READ request): the client only compares timestamps —
-	// the reply strips every value, like the PREWRITE acknowledgement.
+	// FlagNoValues (READ request): the reply strips every value. Honoured
+	// for this generation's older clients; it goes at the next generation.
 	FlagNoValues MsgFlags = 1 << iota
 	// FlagElidedPW / FlagElidedW (STATE reply): the slot's value is withheld
 	// and only its timestamp travels — because the request's have-list named

@@ -62,7 +62,7 @@ const maxEpochRetries = 4
 // operation restarts from scratch against the adopted one.
 func (c *Cluster) retryEpoch(op func() error) error {
 	err := op()
-	for attempt := 0; attempt < maxEpochRetries; attempt++ {
+	for attempt := 0; err != nil && attempt < maxEpochRetries; attempt++ {
 		var we *tcpnet.WrongEpochError
 		if !errors.As(err, &we) {
 			return err

@@ -37,11 +37,10 @@
 //
 // Beyond the paper's single register, Store shards a keyed Put/Get API over
 // N independent MWMR registers hosted on the same objects. Within a
-// process, concurrent writes to one shard coalesce into a single adaptive
-// flush (group commit; a validated 3-round write when the committer's
-// cache is current, the certified read-modify-write when a foreign write
-// forces a rebase, one validation round and no write at all for no-op
-// batches); across processes, separately Connected clients with distinct
+// process, concurrent writes to one shard coalesce into a single flush
+// (group commit; a certified read-modify-write — 3 rounds on a settled
+// shard — and its read alone, no write, for no-op batches); across
+// processes, separately Connected clients with distinct
 // WriterIDs may Put concurrently — contention on the same key resolves
 // atomically to one of the written values:
 //
@@ -117,6 +116,9 @@ type Options struct {
 // outside 0..Readers-1 (the process would have no write-back register), and
 // by Sibling for its parent's WriterID (two live handles, one identity).
 var ErrProcessID = errors.New("robustatomic: bad process identity")
+
+// ErrWriteOvertaken is Writer.Write's (see there); the write may have taken effect.
+var ErrWriteOvertaken = core.ErrOvertaken
 
 func (o *Options) defaults() {
 	if o.Faults == 0 {
@@ -388,46 +390,40 @@ func (w *Writer) useKnown(k *proto.Known) { w.w.UseKnown(k) }
 // its commit — whenever no concurrent foreign writer interfered; bounded
 // fallback rounds otherwise, see internal/core's adaptive write flow). A
 // wrong-epoch redirect (the membership was reconfigured under the handle)
-// triggers a transparent config refetch and retry; every Writer operation
-// below reacts the same way.
+// triggers a transparent config refetch and retry (see retried); modifyPair
+// reacts the same way. A write refused before its proposal certified, and
+// overtaken by the retry, fails with ErrWriteOvertaken: its pair may have been
+// read, so it is not put back at a fresh timestamp.
 func (w *Writer) Write(v string) error {
-	return w.c.retryEpoch(func() error { return w.w.Write(types.Value(v)) })
+	_, err := w.retried(func() (types.Pair, error) { return types.Pair{}, w.w.Write(types.Value(v)) })
+	return err
 }
 
-// modifyPair performs the certified read-modify-write the keyed Store layer
-// rebases through (3 or 4 rounds: certified regular read — 1 round on a fast
-// hit, else 2 — plus the 2-round write at the successor timestamp).
-func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, types.Delta, error)) (p types.Pair, err error) {
-	err = w.c.retryEpoch(func() error {
-		var e error
-		p, e = w.w.Modify(fn)
+// modifyPair performs the certified read-modify-write every Store flush and
+// configuration transition runs (3 or 4 rounds: certified regular read — 1
+// round on a fast hit, else 2 — plus the 2-round write at the successor
+// timestamp; 1 or 2 when fn elides the write).
+func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
+	return w.retried(func() (types.Pair, error) { return w.w.Modify(fn) })
+}
+
+// retried runs one write operation, op, under the epoch redirect
+// (retryEpoch). A retry after op put its pair into circulation finishes that
+// pair (core.Writer.Resume) and never runs op again: one operation, one
+// timestamp, however often it is refused. A retry before it runs op again.
+func (w *Writer) retried(op func() (types.Pair, error)) (p types.Pair, err error) {
+	again := false
+	err = w.c.retryEpoch(func() (e error) {
+		resumed := false
+		if again {
+			p, resumed, e = w.w.Resume()
+		}
+		if again = true; !resumed {
+			p, e = op()
+		}
 		return e
 	})
 	return p, err
-}
-
-// writeCleanPair attempts the flush fast path: one freshness round, then —
-// iff no foreign write landed since the writer's last timestamp — the two
-// write phases install v at the cached successor (3 rounds, no decision
-// procedure).
-func (w *Writer) writeCleanPair(v types.Value, from types.Delta) (p types.Pair, ok bool, err error) {
-	err = w.c.retryEpoch(func() error {
-		var e error
-		p, ok, e = w.w.WriteClean(v, from)
-		return e
-	})
-	return p, ok, err
-}
-
-// validateClean runs the 1-round freshness check backing no-op flush
-// elision.
-func (w *Writer) validateClean() (ok bool, err error) {
-	err = w.c.retryEpoch(func() error {
-		var e error
-		ok, e = w.w.Validate()
-		return e
-	})
-	return ok, err
 }
 
 // Reader is one of the register's R reader handles.

@@ -27,13 +27,11 @@ import (
 var ErrShardTableTooLarge = errors.New("robustatomic: shard table exceeds the readable size (frame bound / (Readers+1)); use more shards")
 
 // Flush-outcome counters and per-op latency distributions of the keyed Store
-// layer, process-wide. The four flush counters partition completed flushes by
-// the path that committed them (elided validation-only no-op, validated fast
-// path, certified read-modify-write, failed — ops parked in uncommitted), so
-// a scrape shows directly how often the adaptive committer wins its bet.
+// layer, process-wide. The three flush counters partition completed flushes
+// by outcome (no-op: the certified read alone, no write; written; failed —
+// ops parked in uncommitted).
 var (
 	mFlushNoop      = obs.Default.Counter("store_flush_noop_total")
-	mFlushFast      = obs.Default.Counter("store_flush_fast_total")
 	mFlushCertified = obs.Default.Counter("store_flush_certified_total")
 	mFlushFailed    = obs.Default.Counter("store_flush_failed_total")
 
@@ -102,22 +100,16 @@ type StoreOptions struct {
 // batch and commit together in the next flush, so N concurrent Puts to a
 // shard cost far fewer than N protocol executions.
 //
-// A flush is ADAPTIVE: the committer first tries the validated fast path —
-// one freshness round confirming no foreign write landed since its cached
-// timestamp, then the two blind write phases installing the batch-applied
-// table at the cached successor (3 rounds, and none of the certified
-// read's fault-set-enumerating decision procedure). When the validation
-// exposes a foreign write, nothing is written and the flush falls back to
-// the certified read-modify-write of PR 4 (3 rounds when its certified read
-// hits on its first round, 4 when it needs the decision round): read the
-// current table, rebase onto the foreign state, re-apply the batch, write
-// the merged table at the successor timestamp — and the shard stays on that
-// certified path for the next several flushes (a contention penalty
-// window) before probing the fast path again, so sustained cross-process
-// contention costs at most one extra round every few flushes. A batch
-// whose mutations all turn out to be no-ops (Put of the already-current
-// value, Delete of an absent key) commits with a single validation round
-// and no register write at all.
+// A flush is one certified read-modify-write (core.Writer.Modify): read the
+// register — one round on a settled shard, where the objects confirm the
+// committer's own last pair by timestamp; two when the decision procedure
+// must run — rebase onto a foreign table if one landed, apply the batch, and
+// write the table at the successor timestamp: 3 rounds on a settled shard. A
+// batch whose mutations all turn out to be no-ops (Put of the already-current
+// value, Delete of an absent key) commits with the read alone and no register
+// write at all. A flush refused for a stale epoch is retried on the new
+// membership by finishing the pair it issued, never with a fresh one
+// (core.Writer.Resume): one batch, one timestamp.
 //
 // Cross-process concurrency is last-writer-wins at SHARD granularity:
 // registers cannot solve consensus, so two flushes that race on the same
@@ -179,15 +171,10 @@ type storeShard struct {
 	table   map[string]string
 	base    types.Pair
 	touched []string
-	// penalty counts upcoming flushes routed straight to the certified
-	// read-modify-write: after a fast-path validation conflict the shard
-	// assumes cross-process contention and stops paying the optimistic
-	// round for a window, probing the fast path again once it drains.
-	penalty int
 	// maxTable is the largest encoded table a flush may install (see
 	// ErrShardTableTooLarge). discard marks the cached table as holding the
-	// ops of a batch refused for exceeding it: the next flush takes the
-	// certified path and replaces the table with the register's.
+	// ops of a batch refused for exceeding it: the next flush replaces the
+	// table with the register's.
 	maxTable int
 	discard  bool
 	// uncommitted holds the ops of failed flushes: a timed-out flush may
@@ -204,21 +191,11 @@ type storeShard struct {
 	tracer  *obs.Tracer
 	wTraced *proto.Traced
 
-	// The three committer-only register operations below are never called
-	// concurrently (puts runs one flush at a time). Swappable in tests and
-	// benchmarks; a nil writeClean disables the flush fast path entirely
-	// (certified path only).
-	//
 	// modify performs one certified read-modify-write of the shard register
-	// (fn also says what its value derives from, see core.Writer.Modify).
+	// (fn also says what its value derives from, see core.Writer.Modify):
+	// the committer's one register operation, never called concurrently
+	// (puts runs one flush at a time). Swappable in tests and benchmarks.
 	modify func(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error)
-	// writeClean performs the validated fast-path write: one freshness
-	// round, then v — which derives from its base as from says — installed at
-	// the cached successor iff no foreign timestamp beyond the base's was in
-	// circulation.
-	writeClean func(v types.Value, from types.Delta) (types.Pair, bool, error)
-	// validate runs the 1-round freshness check backing no-op elision.
-	validate func() (bool, error)
 }
 
 // traceOp brackets one Store-level operation (RECOVER, FLUSH, GET) for the
@@ -285,15 +262,13 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 	w := s.c.shardWriter(reg, cur.TS)
 	w.useKnown(known)
 	sh := &storeShard{
-		idx:        i,
-		table:      table,
-		base:       cur,
-		reader:     r,
-		modify:     w.modifyPair,
-		writeClean: w.writeCleanPair,
-		validate:   w.validateClean,
-		tracer:     s.c.opts.Tracer,
-		wTraced:    w.traced,
+		idx:     i,
+		table:   table,
+		base:    cur,
+		reader:  r,
+		modify:  w.modifyPair,
+		tracer:  s.c.opts.Tracer,
+		wTraced: w.traced,
 		// Each write-back copy carries a "seq.wid|" prefix and every
 		// sub-reply a few dozen bytes of framing.
 		maxTable: wire.MaxFrame/(s.c.opts.Readers+1) - 256,
@@ -314,9 +289,9 @@ func (s *Store) ShardOf(key string) int { return s.router.Locate(key) }
 // Puts of the same key — from this or any other process with a distinct
 // WriterID — are concurrent register writes: one value survives, atomically.
 // A Put of the value the key already holds is a no-op mutation: alone in a
-// batch it commits with a single freshness-validation round and no register
-// write (the round certifies the cached value is still current, which is
-// where the no-op linearizes).
+// batch it commits with the flush's certified read and no register write
+// (the read finds the cached value still current, which is where the no-op
+// linearizes).
 func (s *Store) Put(key, value string) error {
 	if start := opStart(); !start.IsZero() {
 		defer mPutLat.RecordSince(start)
@@ -336,7 +311,7 @@ func (s *Store) Put(key, value string) error {
 }
 
 // Delete removes key (a write of the shard table without it). Deleting an
-// absent key is a no-op mutation (validated, not written — see Put).
+// absent key is a no-op mutation (read, not written — see Put).
 func (s *Store) Delete(key string) error {
 	if start := opStart(); !start.IsZero() {
 		defer mDelLat.RecordSince(start)
@@ -368,35 +343,23 @@ func (sh *storeShard) mutate(op func(*storeShard) bool) error {
 	return err
 }
 
-// slowFlushPenalty is how many flushes stay on the certified path after a
-// fast-path validation conflict before the fast path is probed again.
-// Sustained cross-process contention thus pays the optimistic round on at
-// most one flush in slowFlushPenalty+1, keeping contended throughput at the
-// certified path's level, while a single transient conflict costs only a
-// short window of certified (3- or 4-round) flushes.
-const slowFlushPenalty = 8
-
-// flush commits one batch of mutations. What travels: the freshness round and
-// every acknowledgement carry timestamps only; the PREWRITE carries the
-// batch's edit of the table the objects hold — built from the keys the batch's
-// ops touched (shard.Rewrite), a few hundred bytes for a one-key Put of a
-// 36 KB table — and the WRITE a reference to the pair the PREWRITE left
-// there. The table itself goes to an object only when it says it holds
-// neither (it was cut off, restarted blank, or a foreign write got there
-// first), or when the edit would not be the smaller message.
+// flush commits one batch of mutations: the certified read-modify-write of
+// the shard register. What travels: the certified read carries timestamps
+// only while the committer's base is current (its have-list names the base),
+// every acknowledgement timestamps only; the PREWRITE carries the batch's
+// edit of the table the objects hold — built from the keys the batch's ops
+// touched (shard.Rewrite), a few hundred bytes for a one-key Put of a 36 KB
+// table — and the WRITE a reference to the pair the PREWRITE left there. The
+// table itself goes to an object only when it says it holds neither (it was
+// cut off, restarted blank, or a foreign write got there first), or when the
+// edit would not be the smaller message.
 //
-// Fast path (no penalty outstanding, no failed-flush
-// ops pending): apply the batch to the committer's cached table and try the
-// validated write — 3 rounds, or 1 validation round and NO register write
-// if every op was a no-op. A validation conflict (foreign
-// write landed) falls through to the certified read-modify-write, which
-// rebases: decode the certified current table, re-apply the ops (they are
-// plain set/delete closures, so re-application is idempotent and respects
-// call order), and write the merged result at the certified successor —
-// unless the re-applied batch changed nothing, in which case the write is
-// elided and the certified read alone linearizes it. Failed flushes park
-// their ops in uncommitted, which forces the certified path (and a real
-// write) until one succeeds.
+// The ops apply to the committer's cached table or — when the read decided a
+// pair other than the base — to that pair's (a rebase; the ops are plain
+// set/delete closures, so re-application is idempotent and keeps call order),
+// and the result is written at the certified successor; a batch that changed
+// nothing is not written. Failed flushes park their ops in uncommitted, which
+// forces a real write until one succeeds.
 func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 	end := traceOp(sh.tracer, sh.wTraced, "FLUSH", "%d ops", len(ops))
 	defer func() {
@@ -405,27 +368,6 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 			mFlushFailed.Inc()
 		}
 	}()
-	// dirty tracks whether the cached table differs from what the register
-	// held at the base once the ops are applied. Ops from failed flushes
-	// always count as dirty: their values may have reached some objects at
-	// an abandoned timestamp, so they must re-assert at a fresh one even if
-	// the cached table already reflects them.
-	dirty := false
-	applied := false
-	apply := func() {
-		dirty = dirty || len(sh.uncommitted) > 0
-		for _, op := range sh.uncommitted {
-			if op(sh) {
-				dirty = true
-			}
-		}
-		for _, op := range ops {
-			if op(sh) {
-				dirty = true
-			}
-		}
-		applied = true
-	}
 
 	// encode renders the cached table as the register value to install — the
 	// base's encoding with the touched entries spliced, or, over a base that
@@ -444,77 +386,35 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 		}
 		return v, from, nil
 	}
-	// wrote records that the register now holds p, which table mirrors.
-	wrote := func(p types.Pair) {
-		if p.TS != sh.base.TS {
-			// The register head moved; the cached read decision can no
-			// longer recur.
-			sh.invalidateCache()
-		}
-		sh.base, sh.touched = p, sh.touched[:0]
-	}
 
-	if sh.writeClean != nil && sh.penalty == 0 && len(sh.uncommitted) == 0 && !sh.discard {
-		apply()
-		if !dirty {
-			ok, err := sh.validate()
-			if err == nil && ok {
-				mFlushNoop.Inc()
-				return nil
-			}
-			if err == nil {
-				// Validation conflict: enter the contention window exactly
-				// as the dirty branch does, so no-op-heavy workloads under
-				// sustained cross-process contention do not re-pay the
-				// failed probe round on every flush.
-				sh.penalty = slowFlushPenalty
-			}
-			// The certified path below re-checks from genuinely-read state
-			// (and surfaces round errors).
-		} else {
-			v, from, err := encode()
-			if err != nil {
-				return err
-			}
-			p, ok, err := sh.writeClean(v, from)
-			if err != nil {
-				sh.uncommitted = append(sh.uncommitted, ops...)
-				return err
-			}
-			if ok {
-				wrote(p)
-				mFlushFast.Inc()
-				return nil
-			}
-			sh.penalty = slowFlushPenalty
-		}
-	} else if sh.penalty > 0 {
-		sh.penalty--
-	}
-
-	rebased := false
+	noop := false
 	p, err := sh.modify(func(cur types.Pair) (types.Value, types.Delta, error) {
-		if cur.TS != sh.base.TS || sh.discard {
+		rebased := cur.TS != sh.base.TS
+		if rebased || sh.discard {
 			t, err := shard.DecodeTable(string(cur.Val))
 			if err != nil {
 				// Unreachable against ≤ t Byzantine objects: the read only
 				// returns values certified as genuinely written.
 				return "", types.Delta{}, fmt.Errorf("robustatomic: shard register holds corrupt table: %w", err)
 			}
-			// Rebase: the foreign table replaces the cached one (discarding
-			// any fast-path application of the ops) and the ops re-apply
-			// against it from scratch.
-			// (A table refused as too large is replaced the same way; its
-			// register pair is our own completed head, so the no-op elision
-			// below stays open to it.)
+			// Rebase: the foreign table replaces the cached one and the ops
+			// apply against it. (A table refused as too large is replaced the
+			// same way; its register pair is our own completed head, so the
+			// no-op elision below stays open to it.)
 			sh.table, sh.touched = t, sh.touched[:0]
-			dirty, applied, rebased = false, false, cur.TS != sh.base.TS
 			sh.base, sh.discard = cur, false
 		}
-		if !applied {
-			apply()
+		// dirty: the table differs from the base's once the ops applied. Ops
+		// from failed flushes always count: their values may have reached
+		// some objects at an abandoned timestamp, so they must re-assert at a
+		// fresh one even if the cached table already reflects them.
+		dirty := len(sh.uncommitted) > 0
+		for _, batch := range [2][]func(*storeShard) bool{sh.uncommitted, ops} {
+			for _, op := range batch {
+				dirty = op(sh) || dirty
+			}
 		}
-		if !dirty && !rebased {
+		if noop = !dirty && !rebased; noop {
 			// Elide only against OUR OWN completed head (or the recovery
 			// read's, which an atomic read's write-back already asserted):
 			// the certified read here is a regular read with no write-back,
@@ -538,7 +438,14 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 		return err
 	}
 	sh.uncommitted = nil
-	wrote(p)
+	if noop {
+		mFlushNoop.Inc()
+		return nil
+	}
+	// The register now holds p, which table mirrors; the head moved, so the
+	// cached read decision can no longer recur.
+	sh.invalidateCache()
+	sh.base, sh.touched = p, sh.touched[:0]
 	mFlushCertified.Inc()
 	return nil
 }

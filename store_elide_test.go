@@ -11,6 +11,7 @@ import (
 	"robustatomic/internal/core"
 	"robustatomic/internal/obs"
 	"robustatomic/internal/regular"
+	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
 	"robustatomic/internal/wire"
 )
@@ -23,17 +24,39 @@ func counterDelta(name string) func() int64 {
 	return func() int64 { return c.Value() - base }
 }
 
+// onSchedule returns a client process of a cluster on the simulator — a
+// link that frames its requests, as sockets do, so reads carry have-lists
+// (a link that frames nothing is sent every request in full) — and a way to
+// run a client body to completion with everything it left in transit
+// delivered after it: every object has answered every round, so the counts
+// are exact.
+func onSchedule(t *testing.T, opts Options) (*Cluster, func(func())) {
+	t.Helper()
+	s := sim.New(sim.Config{Servers: 4})
+	t.Cleanup(s.Close)
+	s.Seed(opts.Seed)
+	c, err := NewSimCluster(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c, func(f func()) {
+		t.Helper()
+		s.Go(f)
+		if err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Drain()
+	}
+}
+
 // TestStoreGetShipsEachValueOnce pins what value-eliding reads buy the keyed
 // Store, with a foreign writer in the picture: a shard's table reaches a
 // process once — when its own committer flushed it, never; when a foreign
 // process wrote it, in the first query round that finds it — and every
 // later Get moves timestamps only.
 func TestStoreGetShipsEachValueOnce(t *testing.T) {
-	a, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	a, run := onSchedule(t, Options{Faults: 1, Readers: 2, Seed: 61})
 	b, err := a.Sibling(Options{Faults: 1, Readers: 2, WriterID: 1, Seed: 62})
 	if err != nil {
 		t.Fatal(err)
@@ -48,18 +71,28 @@ func TestStoreGetShipsEachValueOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const S = 4
-	get := func(st *Store, want string) (sent int64) {
+	sent := func(op func() error) int64 {
 		t.Helper()
 		d := counterDelta("server_read_values_sent_total")
-		if v, err := st.Get("k"); err != nil || v != want {
-			t.Fatalf("Get = %q, %v; want %q", v, err, want)
-		}
+		run(func() {
+			if err := op(); err != nil {
+				t.Error(err)
+			}
+		})
 		return d()
 	}
-
-	if err := sa.Put("k", "v1"); err != nil {
-		t.Fatal(err)
+	put := func(st *Store, v string) int64 { return sent(func() error { return st.Put("k", v) }) }
+	get := func(st *Store, want string) int64 {
+		t.Helper()
+		return sent(func() error {
+			if v, err := st.Get("k"); err != nil || v != want {
+				return fmt.Errorf("Get = %q, %v; want %q", v, err, want)
+			}
+			return nil
+		})
 	}
+
+	put(sa, "v1")
 	// The writer's own process: the committer seeded the pair it flushed.
 	for i := 0; i < 2; i++ {
 		if sent := get(sa, "v1"); sent != 0 {
@@ -69,34 +102,24 @@ func TestStoreGetShipsEachValueOnce(t *testing.T) {
 	// A foreign process attaching cold: its recovery read is shipped the
 	// table by every object in round 1 (W == PW counts once), and nothing in
 	// round 2 — t+1 identical copies admitted it.
-	d := counterDelta("server_read_values_sent_total")
-	if v, err := sb.Get("k"); err != nil || v != "v1" {
-		t.Fatalf("foreign Get = %q, %v", v, err)
-	}
-	if sent := d(); sent != S {
+	if sent := get(sb, "v1"); sent != S {
 		t.Errorf("cold foreign attach was shipped %d values, want %d (one round, one copy per object)", sent, S)
 	}
 	if sent := get(sb, "v1"); sent != 0 {
 		t.Errorf("second foreign Get was shipped %d values, want 0", sent)
 	}
 	// A foreign write: miss, the full pair once, then hits.
-	if err := sa.Put("k", "v2"); err != nil {
-		t.Fatal(err)
-	}
+	put(sa, "v2")
 	if sent := get(sb, "v2"); sent != S {
 		t.Errorf("Get after a foreign Put was shipped %d values, want %d", sent, S)
 	}
 	if sent := get(sb, "v2"); sent != 0 {
 		t.Errorf("next Get was shipped %d values, want 0", sent)
 	}
-	// And the flush path: a Put validates with timestamps only, whichever
-	// process's table is current.
-	d = counterDelta("server_read_values_sent_total")
-	if err := sa.Put("k", "v3"); err != nil {
-		t.Fatal(err)
-	}
-	if sent := d(); sent != 0 {
-		t.Errorf("a validated flush pulled %d values back, want 0", sent)
+	// And the flush path: a Put's certified read moves timestamps only while
+	// the process's own table is current.
+	if sent := put(sa, "v3"); sent != 0 {
+		t.Errorf("a flush over its own table pulled %d values back, want 0", sent)
 	}
 }
 
@@ -104,44 +127,41 @@ func TestStoreGetShipsEachValueOnce(t *testing.T) {
 // handle with an empty known-pair set — a new process, a new connection —
 // reads registers whose write-back copies are all populated. It must decide
 // what a warm handle decides, be shipped each register's value in one round
-// only, and nothing on its next read. (In-process: every object answers
-// every round before it returns, so the counts are exact.)
+// only, and nothing on its next read.
 func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 	const readers = 3
-	c, err := NewCluster(Options{Faults: 1, Readers: readers, Seed: 67})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, run := onSchedule(t, Options{Faults: 1, Readers: readers, Seed: 67})
 	st, err := c.NewStore(StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("k", strings.Repeat("v", 4096)); err != nil {
-		t.Fatal(err)
+	must := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
 	}
+	run(func() { must(st.Put("k", strings.Repeat("v", 4096))) })
 	// Settle: every reader identity writes the table back once (bench.settle).
 	var table types.Pair
 	for idx := 1; idx <= readers; idx++ {
-		cl := c.mux.Client(types.Reader(idx), 1)
-		r := core.NewReader(cl, c.th, idx, readers)
-		p, err := r.ReadPair()
-		if err != nil {
-			t.Fatal(err)
-		}
-		table = p
-		if r.Elided {
-			wb := regular.NewWriterAt(cl, c.th, types.ReaderReg(idx), 0, types.At(r.Seq()))
-			if err := wb.WritePair(types.Pair{TS: types.At(r.Seq() + 1), Val: core.EncodePair(p)}); err != nil {
-				t.Fatal(err)
+		run(func() {
+			cl := c.mux.Client(types.Reader(idx), 1)
+			r := core.NewReader(cl, c.th, idx, readers)
+			p, err := r.ReadPair()
+			must(err)
+			table = p
+			if r.Elided {
+				wb := regular.NewWriterAt(cl, c.th, types.ReaderReg(idx), 0, types.At(r.Seq()))
+				must(wb.WritePair(types.Pair{TS: types.At(r.Seq() + 1), Val: core.EncodePair(p)}))
 			}
-		}
+		})
 	}
 	freshCl := c.mux.Client(types.Reader(1), 1)
 	fresh := core.NewReader(freshCl, c.th, 1, readers)
 	sent := counterDelta("server_read_values_sent_total")
 	elided := counterDelta("server_read_values_elided_total")
-	p, err := fresh.ReadPair()
+	var p types.Pair
+	run(func() { p, err = fresh.ReadPair() })
 	if err != nil || p != table {
 		t.Fatalf("fresh reader decided %v, %v; want %v", p.TS, err, table.TS)
 	}
@@ -160,7 +180,8 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 		t.Errorf("cold read's second round elided %d values, want %d", got, want)
 	}
 	sent = counterDelta("server_read_values_sent_total")
-	if p, err := fresh.ReadPair(); err != nil || p != table || !fresh.Elided {
+	run(func() { p, err = fresh.ReadPair() })
+	if err != nil || p != table || !fresh.Elided {
 		t.Fatalf("warm read = %v, %v, elided=%v", p.TS, err, fresh.Elided)
 	}
 	if got := sent(); got != 0 {
@@ -174,7 +195,8 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 // TestStoreAtomicDespiteFalseElide runs the keyed Store against an object
 // that answers reads with unjustified elision claims, in parallel and under
 // seeded asynchrony: every per-key history stays atomic, nothing errors, the false
-// claims are counted and the honest objects' elisions keep working.
+// claims are counted and — where reads carry have-lists, on the scheduled link —
+// the honest objects' elisions keep working.
 func TestStoreAtomicDespiteFalseElide(t *testing.T) {
 	const (
 		shards  = 2
@@ -234,7 +256,7 @@ func TestStoreAtomicDespiteFalseElide(t *testing.T) {
 		if rejects() == 0 {
 			t.Error("no false elision claim was counted")
 		}
-		if inflated() == 0 {
+		if inflated() == 0 && c.mux.Framed() { // in process reads carry no have-list
 			t.Error("no honest elision was inflated")
 		}
 	})

@@ -27,21 +27,11 @@ func countingStore(t *testing.T, seed int64) (*Store, *int64, *int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Count register writes across BOTH flush paths (the fast validated
-	// write and the certified read-modify-write).
 	sh, err := st.shards.Get(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var writes int64
-	origClean := sh.writeClean
-	sh.writeClean = func(v types.Value, from types.Delta) (types.Pair, bool, error) {
-		p, ok, err := origClean(v, from)
-		if err == nil && ok {
-			atomic.AddInt64(&writes, 1)
-		}
-		return p, ok, err
-	}
 	origModify := sh.modify
 	sh.modify = func(fn func(types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
 		wrote := false
@@ -58,10 +48,10 @@ func countingStore(t *testing.T, seed int64) (*Store, *int64, *int64) {
 	return st, &rounds, &writes
 }
 
-// TestStoreFlushFastPathRounds pins the flush's adaptive round complexity:
-// an uncontended dirty flush is exactly 3 rounds (freshness validation +
-// the two write phases — no certified read, no decision procedure), and
-// every flush costs exactly one register write.
+// TestStoreFlushFastPathRounds pins the flush's round complexity: an
+// uncontended dirty flush is the certified read-modify-write with its read on
+// the fast path (a hit) — READ1, PREWRITE, WRITE: 3 rounds, no decision
+// round — and exactly one register write.
 func TestStoreFlushFastPathRounds(t *testing.T) {
 	st, rounds, writes := countingStore(t, 31)
 	if err := st.Put("k", "v0"); err != nil { // first Put instantiates the shard
@@ -74,7 +64,7 @@ func TestStoreFlushFastPathRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := atomic.LoadInt64(rounds); got != 3 {
-			t.Fatalf("uncontended flush %d took %d rounds, want 3 (WVAL + PREWRITE + WRITE)", i, got)
+			t.Fatalf("uncontended flush %d took %d rounds, want 3 (READ1 + PREWRITE + WRITE)", i, got)
 		}
 		if got := atomic.LoadInt64(writes); got != 1 {
 			t.Fatalf("uncontended flush %d took %d register writes, want 1", i, got)
@@ -84,8 +74,9 @@ func TestStoreFlushFastPathRounds(t *testing.T) {
 
 // TestStoreNoOpMutationsElided pins satellite behavior: a Put of the
 // already-current value or a Delete of an absent key, alone in a batch,
-// commits with ONE validation round and NO register write; mixed with a
-// real mutation the batch pays the normal single write.
+// commits with ONE round — the certified read, which finds the cached table
+// current — and NO register write; mixed with a real mutation the batch pays
+// the normal single write.
 func TestStoreNoOpMutationsElided(t *testing.T) {
 	st, rounds, writes := countingStore(t, 32)
 	if err := st.Put("k", "v"); err != nil {
@@ -98,19 +89,18 @@ func TestStoreNoOpMutationsElided(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt64(rounds); got != 1 {
-		t.Fatalf("no-op Put took %d rounds, want 1 (validation only)", got)
+		t.Fatalf("no-op Put took %d rounds, want 1 (the certified read)", got)
 	}
 	if got := atomic.LoadInt64(writes); got != 0 {
 		t.Fatalf("no-op Put took %d register writes, want 0", got)
 	}
 
 	atomic.StoreInt64(rounds, 0)
-	atomic.StoreInt64(writes, 0)
 	if err := st.Delete("absent-key"); err != nil { // Delete of an absent key
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt64(rounds); got != 1 {
-		t.Fatalf("no-op Delete took %d rounds, want 1 (validation only)", got)
+		t.Fatalf("no-op Delete took %d rounds, want 1 (the certified read)", got)
 	}
 	if got := atomic.LoadInt64(writes); got != 0 {
 		t.Fatalf("no-op Delete took %d register writes, want 0", got)
@@ -135,10 +125,9 @@ func TestStoreNoOpMutationsElided(t *testing.T) {
 	}
 }
 
-// TestStoreFlushRebasesAfterForeignWrite drives the fast-path conflict over
-// TCP: process B lands a foreign write on A's shard, so A's next flush must
-// detect the stale cache (validation conflict), fall back to the certified
-// read-modify-write, and rebase WITHOUT dropping B's key.
+// TestStoreFlushRebasesAfterForeignWrite drives a rebase over TCP: process B
+// lands a foreign write on A's shard, so A's next flush reads a pair other
+// than its cached one and must rebase onto it WITHOUT dropping B's key.
 func TestStoreFlushRebasesAfterForeignWrite(t *testing.T) {
 	addrs, _ := startServers(t, 4)
 	connect := func(wid int) *Store {
@@ -161,7 +150,7 @@ func TestStoreFlushRebasesAfterForeignWrite(t *testing.T) {
 	if err := b.Put("b-key", "b1"); err != nil { // B rebases onto A's table, then writes
 		t.Fatal(err)
 	}
-	if err := a.Put("a-key", "a2"); err != nil { // A's cache is stale → conflict → rebase
+	if err := a.Put("a-key", "a2"); err != nil { // A's cache is stale → rebase
 		t.Fatal(err)
 	}
 	// A's rebase must have preserved B's foreign key, and vice versa.
@@ -176,12 +165,12 @@ func TestStoreFlushRebasesAfterForeignWrite(t *testing.T) {
 }
 
 // TestStoreNoOpAfterRebaseStillWrites pins the elision's soundness
-// boundary: when the certified path REBASED onto a pair it did not commit
-// itself, an all-no-op batch must still write the rebased table at a fresh
-// successor rather than elide — the certified read is a regular read with
-// no write-back, so the observed pair could be an incomplete foreign write
-// that later atomic reads are allowed never to return; re-asserting it at
-// our own timestamp (as the pre-adaptive flush always did) completes it.
+// boundary: when the flush REBASED onto a pair it did not commit itself, an
+// all-no-op batch must still write the rebased table at a fresh successor
+// rather than elide — the certified read is a regular read with no
+// write-back, so the observed pair could be an incomplete foreign write that
+// later atomic reads are allowed never to return; re-asserting it at our own
+// timestamp completes it.
 func TestStoreNoOpAfterRebaseStillWrites(t *testing.T) {
 	st, _, writes := countingStore(t, 34)
 	if err := st.Put("k", "v"); err != nil {
@@ -192,14 +181,11 @@ func TestStoreNoOpAfterRebaseStillWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewind the committer's cache, as if this process had never seen the
-	// current head, and disable the fast path: the writer handle's own
-	// LastTS still tracks the true head (so validation would pass and dodge
-	// the boundary under test); the certified path is the one that must
-	// detect the "foreign" pair, rebase, and refuse to elide.
+	// current head: the flush must detect the "foreign" pair, rebase, and
+	// refuse to elide.
 	sh.base = types.Pair{}
 	sh.table = map[string]string{}
 	sh.touched = nil
-	sh.writeClean = nil
 	atomic.StoreInt64(writes, 0)
 	if err := st.Put("k", "v"); err != nil { // no-op against the REBASED table
 		t.Fatal(err)
@@ -209,31 +195,5 @@ func TestStoreNoOpAfterRebaseStillWrites(t *testing.T) {
 	}
 	if v, err := st.Get("k"); err != nil || v != "v" {
 		t.Fatalf("Get(k) = %q, %v; want v", v, err)
-	}
-}
-
-// TestStoreFlushPenaltyProbesFastPathAgain: after a conflict the shard runs
-// its penalty window on the certified path, then probes the fast path and —
-// with contention gone — stays on it.
-func TestStoreFlushPenaltyProbesFastPathAgain(t *testing.T) {
-	st, rounds, _ := countingStore(t, 33)
-	if err := st.Put("k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := st.shards.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.penalty = 2 // as if a conflict just happened
-	// Two certified flushes — with contention gone their certified read
-	// hits on its first round: 1 + 2 — then the probe succeeds.
-	for i, want := range []int64{3, 3, 3} {
-		atomic.StoreInt64(rounds, 0)
-		if err := st.Put("k", fmt.Sprintf("p%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if got := atomic.LoadInt64(rounds); got != want {
-			t.Fatalf("penalty flush %d took %d rounds, want %d", i, got, want)
-		}
 	}
 }

@@ -62,18 +62,18 @@ func TestStoreGetRoundMix(t *testing.T) {
 		t.Errorf("settled Get took %d rounds, want 1 with AREAD1 … hit 3/3:\n%s", n, dump)
 	}
 
-	// A foreign write that completed everywhere is no miss: the objects ship
-	// the table this process has never seen, once, and their copies agree.
+	// A foreign write that completed everywhere is no miss: the objects'
+	// copies of the table this process has never seen agree. (What they ship
+	// is TestStoreGetShipsEachValueOnce's: in process every read goes out in
+	// full.)
 	if v, err := sb.Get("k"); err != nil || v != "v1" { // b attaches
 		t.Fatalf("foreign Get = %q, %v", v, err)
 	}
 	must(sb.Put("k", "v2"))
-	sent := counterDelta("server_read_values_sent_total")
-	if n, _ := get("v2"); n != 1 || sent() != 4 {
-		t.Errorf("Get after a complete foreign Put: %d rounds, %d values shipped; want 1 round, 4 values", n, sent())
-	}
-	if n, _ := get("v2"); n != 1 || sent() != 4 {
-		t.Errorf("next Get: %d rounds, %d values shipped in total; want 1 round, nothing more", n, sent())
+	for i := 0; i < 2; i++ {
+		if n, _ := get("v2"); n != 1 {
+			t.Errorf("Get %d after a complete foreign Put: %d rounds, want 1", i, n)
+		}
 	}
 	// (The counters are process-wide: b's Get after its recovery read is the
 	// fourth.)

@@ -306,10 +306,7 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 			}
 			// Instrument the shard's flush: record every committed table and
 			// hold the next register write in flight (between the flush's
-			// certified read and its write) while the test batch forms. The
-			// fast path is disabled so every flush goes through the
-			// instrumented certified read-modify-write.
-			sh.writeClean = nil
+			// certified read and its write) while the test batch forms.
 			gate := make(chan struct{})
 			entered := make(chan struct{}, 1)
 			var mu sync.Mutex

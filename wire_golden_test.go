@@ -39,14 +39,14 @@ func (r *frameRecorder) Reply(inner *server.Store, from types.ProcID, m types.Me
 
 // TestWireGolden pins the bytes a client puts on the wire: the request
 // frames object 1 receives over one Store attach and three flushes (the first
-// from ⊥: its PREWRITE carries the table; then the validated fast path: WVAL,
-// a PREWRITE by splice — one inserting an entry, one replacing a value — and a
-// WRITE by reference), two Gets (the second a
-// conditioned AREAD1) and one write-back into a reader's own register (its
-// WRITE by reference, in a bundle) must equal the frames the commit that
-// introduced wire generation 0x06 sent. Over loopback sockets: a link that
-// frames nothing sends no conditioned form. Regenerate with
-// -update-wire-golden only for a deliberate wire change (a generation bump).
+// from ⊥: its PREWRITE carries the table; then the certified read — a READ1
+// offering the committer's own pair — a PREWRITE by splice — one inserting an
+// entry, one replacing a value — and a WRITE by reference), two Gets (the
+// second a conditioned AREAD1) and one write-back into a reader's own register
+// (its WRITE by reference, in a bundle) must equal the frames of the fixture.
+// Over loopback sockets: a link that frames nothing sends no conditioned
+// form. Regenerate with -update-wire-golden only for a deliberate change of
+// what the client sends (a wire generation bump, a round added or removed).
 func TestWireGolden(t *testing.T) {
 	addrs, servers := startServers(t, 4)
 	c, err := Connect(addrs, Options{Faults: 1, Readers: 2, Seed: 7})
