@@ -82,7 +82,7 @@ integration:
 # membership churn over real TCP daemons too) at reduced scale, every per-key
 # history decided by the atomicity checker and every object's raw state swept
 # by doctor at quiesce (each run logs its read path mix) — then the
-# regressions that only repetition keeps honest: the repair drill (a repaired object holds every register, 200
+# regressions that only repetition keeps honest: the repair drill (a repaired object holds what completed, 200
 # times over), repair beside a reader (the repairing process reads as its
 # own identity, 50 times), the fast hit's safety matrix (crashed writer × Byzantine
 # behaviour × concurrent readers, both models, 20 times), and suspicion-

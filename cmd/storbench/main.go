@@ -59,7 +59,7 @@ func main() {
 	servers := flag.String("servers", "", "comma-separated daemon addresses (empty = in-process cluster)")
 	shards := flag.Int("shards", 16, "Store shards")
 	faults := flag.Int("faults", 1, "fault budget t (cluster size 3t+1)")
-	readers := flag.Int("readers", 1, "R: the deployment-wide count of client processes (storbench is process 0), not a pool size — every Get consults R write-back registers and every object holds R+1 copies of a settled table")
+	readers := flag.Int("readers", 1, "R: the deployment-wide count of client processes (storbench is process 0), not a pool size")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	format := flag.String("format", "table", "output: table | csv | json")
 	chaos := flag.String("chaos", "", "in-process only: make object 2 Byzantine (flaky | stale | equivocate | falseelide | silent | garbage)")

@@ -30,9 +30,8 @@
 // client process has one identity: storctl processes that run CONCURRENTLY —
 // reading, writing or operating (repair, join, move) — each take a distinct
 // -writer id out of 0..R-1 (it is embedded in every timestamp the process
-// issues, and id i owns write-back register i+1), and every client of the
-// deployment passes the same -readers R, the number of client processes the
-// deployment is sized for. Concurrent puts to the same key resolve
+// issues), and every client of the deployment passes the same -readers R,
+// the number of client processes the deployment is sized for. Concurrent puts to the same key resolve
 // atomically to one of the written values; concurrent puts to different keys
 // of the same shard are last-writer-wins at shard granularity. All clients of one
 // deployment must agree on -shards — it determines which register a key
@@ -225,9 +224,7 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 		return nil
 	case "probe":
 		// Probe asks a single daemon (no quorum round runs, so none need be up
-		// but that one). The writer's register prints for every instance; the
-		// per-reader write-back registers print only when non-blank (there are
-		// R of them per instance and most stay untouched).
+		// but that one): one line per register instance.
 		if len(args) != 2 {
 			return fmt.Errorf("usage: storctl probe <object-id>")
 		}
@@ -237,11 +234,7 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 		}
 		regs, err := cluster.Probe(id, shards)
 		for _, r := range regs {
-			if r.Reader == 0 {
-				fmt.Printf("s%d reg %d: pw=%s w=%s\n", id, r.Reg, r.PW, r.W)
-			} else if !r.PW.IsBottom() || !r.W.IsBottom() {
-				fmt.Printf("s%d reg %d r%d: pw=%s w=%s\n", id, r.Reg, r.Reader, r.PW, r.W)
-			}
+			fmt.Printf("s%d reg %d: pw=%s w=%s\n", id, r.Reg, r.PW, r.W)
 		}
 		return err
 	case "doctor":
@@ -263,7 +256,7 @@ func run(servers string, t, readers, writerID, shards, trace int, args []string)
 				fmt.Printf("s%d reg %d: blank (never written), skipped\n", id, r.Reg)
 				continue
 			}
-			fmt.Printf("s%d reg %d: installed ts=%s (%d bytes) + %d write-back registers from quorum\n", id, r.Reg, r.TS, r.Bytes, r.WriteBacks)
+			fmt.Printf("s%d reg %d: installed ts=%s (%d bytes) from quorum\n", id, r.Reg, r.TS, r.Bytes)
 		}
 		if err != nil {
 			return err
@@ -392,7 +385,7 @@ func printMigrated(migrated []robustatomic.RepairedRegister) {
 			fmt.Printf("migrate reg %d: blank (never written), skipped\n", m.Reg)
 			continue
 		}
-		fmt.Printf("migrate reg %d: transferred ts=%s (%d bytes) + %d write-back registers\n", m.Reg, m.TS, m.Bytes, m.WriteBacks)
+		fmt.Printf("migrate reg %d: transferred ts=%s (%d bytes)\n", m.Reg, m.TS, m.Bytes)
 	}
 }
 
@@ -407,7 +400,7 @@ func doctor(rep robustatomic.DoctorReport, addrs []string) error {
 		}
 	}
 	for _, d := range rep.Diverged {
-		fmt.Printf("DIVERGED reg %d r%d ts=%s: one timestamp, different values\n", d.Reg, d.Reader, d.TS)
+		fmt.Printf("DIVERGED reg %d ts=%s: one timestamp, different values\n", d.Reg, d.TS)
 		for _, h := range d.Holders {
 			fmt.Printf("  s%d holds pw=%s w=%s\n", h.Object, h.PW, h.W)
 		}
@@ -437,7 +430,7 @@ func doctor(rep robustatomic.DoctorReport, addrs []string) error {
 // and the first thing to look at when a daemon's tx bytes climb — and, for
 // every scraped process that ran atomic reads itself (a client exposing
 // /debug/vars; a daemon shows "-"), which round path they took: the shares
-// decided in 1 round, in 2, and with the write-back (4, rarely 3) — which form
+// decided in 1 round, in 2, and with the write-back (4) — which form
 // the writes each daemon handled took (value-eliding writes: WRITEs that
 // promoted a named pair : PREWRITEs spliced out of a held one : conditioned
 // writes refused with `need value`; a daemon that needs the value on every

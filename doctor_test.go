@@ -21,7 +21,7 @@ func TestDoctorFindsDivergedTimestamps(t *testing.T) {
 		at := types.At(7)
 		for i, val := range []types.Value{"one", "other"} {
 			d := f.direct(c, f.addrs[i])
-			if err := d.Seed(1, types.ReaderReg(2), types.Pair{TS: at, Val: val}); err != nil {
+			if err := d.Seed(1, types.WriterReg, types.Pair{TS: at, Val: val}); err != nil {
 				t.Fatal(err)
 			}
 			d.Close()
@@ -31,8 +31,8 @@ func TestDoctorFindsDivergedTimestamps(t *testing.T) {
 		if len(rep.Diverged) != 1 || len(rep.Skipped) != 1 || rep.Skipped[4] == nil {
 			t.Fatalf("doctor = %+v, want one diverged timestamp and object 4 skipped", rep)
 		}
-		if d := rep.Diverged[0]; d.Reg != 1 || d.Reader != 2 || d.TS != at || len(d.Holders) != 2 || d.Holders[0].Object != 1 || d.Holders[1].Object != 2 {
-			t.Errorf("divergence = %+v, want register instance 1, r2, %v, held by objects 1 and 2", d, at)
+		if d := rep.Diverged[0]; d.Reg != 1 || d.TS != at || len(d.Holders) != 2 || d.Holders[0].Object != 1 || d.Holders[1].Object != 2 {
+			t.Errorf("divergence = %+v, want register instance 1, %v, held by objects 1 and 2", d, at)
 		}
 	})
 }

@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reader 1 read %q — 2 rounds (a handle's first read runs both query rounds; 1 after that on a stable register; 4 worst case, optimal per the paper's lower bounds)\n", v)
+	fmt.Printf("reader 1 read %q — 1 round on a stable register (4 worst case, optimal per the paper's lower bounds)\n", v)
 
 	// One object turns Byzantine and serves forged garbage; nothing changes
 	// for clients.

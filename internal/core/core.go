@@ -1,10 +1,13 @@
 // Package core implements the paper's upper bound (Section 5) promoted to
 // multi-writer: a robust multi-writer multi-reader ATOMIC register with
-// 3-round writes and 4-round reads, built from one MWMR regular register
-// shared by all writers plus one write-back register per reader, hosted on
-// the same S = 3t+1 Byzantine-prone storage objects — the classical
-// regular → atomic transformation of [4, 20] referenced in the paper's
-// footnote 6, with multi-writer ABD-style (Seq, WriterID) timestamps.
+// 3-round writes and 4-round reads over ONE MWMR regular register, shared by
+// all writers and readers and hosted on S = 3t+1 Byzantine-prone storage
+// objects, with multi-writer ABD-style (Seq, WriterID) timestamps. The
+// classical regular → atomic transformation of [4, 20] (the paper's footnote
+// 6) gives every reader a write-back register of its own; here a read writes
+// its result back into the shared register, at the pair's own timestamp and
+// with its own value — so a read queries one register, not R+1, and an object
+// holds one copy of a settled value.
 //
 // Writes are ADAPTIVE (fastpath.go): an optimistic proposal certified by its
 // own PREWRITE's acknowledgements (nothing at or above it reported) costs 2
@@ -12,62 +15,50 @@
 // reports 5. The lexicographic (Seq, WriterID) order totally orders even
 // timestamps picked concurrently.
 //
-// Reads are ADAPTIVE too, twice over. The regular reads of all R+1
-// registers are multiplexed onto physical rounds (one sub-request per
-// register to every object). (1) A register whose FIRST query round shows
-// 2t+1 objects agreeing on one w pair is decided on the spot (the fast hit,
-// regular.ReadAcc: the pair is genuine and no newer write completed); the
-// second query round runs only for the registers that missed, and not at
-// all when none did. (2) The write-back into the reader's own register (two
-// more rounds: PREWRITE, WRITE) is ELIDED whenever the query rounds
-// themselves certify the chosen pair as completely written: a full quorum
-// of S−t distinct objects w-reported the chosen timestamp (or higher) on
-// the SHARED register — which a shared-register hit on the chosen pair
-// exhibits by construction. So a stable register reads in 1 round, a
-// register whose objects disagree but whose decision round finds the
-// evidence in 2; only reads concurrent with a write, or reads whose
-// evidence a Byzantine minority withheld, pay the full 4 rounds the paper's
-// Prop. 1 proves necessary in the worst case — the lower bound binds
-// exactly the executions that still take 4. One flow serves both failure
-// models: the secret-token reader is this one with a token source, and the
-// hit key includes the reply's token (0 throughout the plain model).
+// Reads are ADAPTIVE too, twice over. A read is the regular read of the
+// shared register the writers' certified read also runs (regular.ReadPairOn):
+// (1) when its FIRST query round shows 2t+1 objects agreeing on one w pair it
+// is decided on the spot (the fast hit, regular.ReadAcc: the pair is genuine
+// and no newer write completed), else the decision round runs; (2) the
+// write-back — PREWRITE and WRITE of the chosen pair, each by reference: an
+// object that holds the pair promotes it, one that does not is sent it — is
+// ELIDED whenever the query rounds already show the pair complete: S−t
+// distinct objects w-reported its timestamp or higher, which a hit exhibits
+// by construction. So a stable register reads in 1 round, one whose objects
+// disagree but show the evidence in 2; only reads concurrent with a write, or
+// whose evidence a Byzantine minority withheld, pay the 4 rounds Prop. 1
+// proves necessary in the worst case. One flow serves both failure models:
+// the hit key includes the reply's token (0 throughout the plain model), and
+// a write-back carries the token its pair was read with.
 //
-// Elision safety: the condition exhibits ≥ S−t distinct w-reporters at or
-// above the chosen timestamp ts on the shared register, of which at most t
-// lie, so at least S−2t ≥ t+1 CORRECT objects durably hold w ≥ ts (w slots
-// are monotone at correct objects). Any later read then returns a pair ≥ ts
-// without our help. A later DECISION: under the true fault set F*, the
-// level ℓ* = min over those t+1 holders of their smallest w-report
-// satisfies ℓ* ≥ ts and counts |F*| + (t+1) ≥ 2t+1 supporters, so
-// λ(F*) ≥ ts and the decision's choice dominates it. A later HIT: its 2t+1
-// agreeing objects and those S−2t holders cannot be disjoint, and the
-// holder among them reports w ≥ ts. The check runs against the shared
-// register only — write-back registers hold ENCODED inner pairs whose inner
-// timestamps are not monotone along the outer sequence across reader
-// lifetimes, so quorum w-support there certifies nothing about ts.
+// Completeness: a read returns p only once p is complete on the shared
+// register — the query rounds showed it (elision), or its own write-back's
+// S−t WRITE acknowledgements made it so. Of S−t distinct objects holding w at
+// or above p's timestamp ts at most t lie, so at least S−2t ≥ t+1 CORRECT
+// objects durably hold w ≥ ts (w slots are monotone at correct objects). A
+// later DECISION: under the true fault set F*, the level ℓ* = min over those
+// t+1 holders of their smallest w-report satisfies ℓ* ≥ ts and counts |F*| +
+// (t+1) ≥ 2t+1 supporters, so λ(F*) ≥ ts and the decision's choice dominates
+// it. A later HIT: its 2t+1 agreeing objects and those S−2t holders cannot be
+// disjoint, and the holder among them reports w ≥ ts.
 //
 // Atomicity argument (Section 2.2 properties, multi-writer form): (1) values
-// travel only from writers through correct objects or genuinely-certified
-// write-backs, so reads return written values; (2) a read succeeding a
-// complete write at timestamp ts reads the shared register regularly and
-// obtains a pair ≥ ts (the regular read's decision dominates every complete
-// write); (3) pairs cannot be observed before some writer issues them;
-// (4) a read rd2 succeeding rd1 sees a pair at least rd1's result: either
-// rd1 completed its write-back before returning and rd2 reads that register
-// regularly, or rd1 elided — in which case the elision evidence above
-// already forces rd2's shared-register read, hit or decided, to dominate
-// rd1's result — so there is no new/old inversion either way (DESIGN.md,
-// "Adaptive reads", has the three lemmas). Writes are ordered by their
-// timestamps, which respect real time: a write's discovery round intersects
-// every earlier complete write's WRITE quorum in a correct object, so its
-// timestamp strictly dominates.
+// travel only from writers through correct objects — a write-back re-asserts
+// a genuine pair under its own timestamp, so no reader issues a timestamp and
+// each still names one value — hence reads return written values; (2) a read
+// succeeding a complete write at timestamp ts obtains a pair ≥ ts (the
+// regular read's decision dominates every complete write); (3) pairs cannot
+// be observed before some writer issues them; (4) a read rd2 succeeding rd1
+// sees a pair at least rd1's result, by completeness — no new/old inversion
+// (DESIGN.md, "Adaptive reads"). Writes are ordered by their timestamps, which
+// respect real time: a write's discovery round intersects every earlier
+// complete write's WRITE quorum in a correct object, so its timestamp
+// strictly dominates.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
@@ -154,7 +145,7 @@ const maxDiscoveryLead = 1 << 32
 // The rounds are conditioned on the known-pair set: a writer whose last pair
 // is still the register's current one moves timestamps, not values.
 func (w *Writer) certifiedNext(own types.TS) (types.Pair, types.TS, error) {
-	cur, err := regular.ReadPairOn(w.rounder, &w.certMux, w.cert)
+	cur, err := regular.ReadPairOn(w.rounder, &w.certMux, w.cert, [2]string{"READ1", "READ2"}, nil)
 	if err != nil {
 		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: %w", err)
 	}
@@ -212,50 +203,35 @@ func (w *Writer) LastTS() types.TS { return w.pw.LastTS() }
 
 // Read-path counters: which of its bets the adaptive read won. Every read
 // ends in exactly one of the first three (1 round; 2 rounds; write-back
-// paid — 4 rounds, or 3 when every register hit), so their mix IS the round
-// mix; the miss counter says which register sent a read to the decision
-// round (`storctl stats` derives the ratios).
+// paid — 4 rounds, since a hit is its own completeness evidence), so their
+// mix IS the round mix; the miss counter counts the reads the first round
+// did not decide (`storctl stats` derives the ratios).
 var (
 	mReadOneRound = obs.Default.Counter("core_read_one_round_total")
 	mReadElided   = obs.Default.Counter("core_read_elided_total")
 	mReadFallback = obs.Default.Counter("core_read_fallback_total")
 	mMissShared   = obs.Default.Counter(`core_read_hit_miss_total{reg="shared"}`)
-	mMissWB       = obs.Default.Counter(`core_read_hit_miss_total{reg="writeback"}`)
 )
 
-// Reader is one of the R readers of the atomic register — in either model:
-// the secret-token reader is this flow with a token source (NextToken).
+// Reader is one of the atomic register's readers — in either model: the hit
+// key includes the reply's token, and a write-back carries the token its pair
+// was read with.
 type Reader struct {
 	rounder proto.Rounder
 	th      quorum.Thresholds
-	idx     int // this reader's index, 1-based
-	readers int // R
-	seq     int64
-	// discover marks a handle that has yet to learn its write-back sequence
-	// number from the objects (NewReader): its first read takes no fast hit.
-	discover bool
+	known   *proto.Known
 
-	// NextToken, when set, attaches a fresh secret token to each write-back
-	// ([DMSS09] model, see regular.Writer.NextToken).
-	NextToken func() types.Token
-
-	// Reusable round state, built on the first read and recycled after: one
-	// read accumulator per register, the register-addressed rounds fanning
-	// out to them (part i is register regs[i]; slow lists the registers that
-	// missed), conditioned on the known-pair set — steady-state reads
-	// allocate nothing here.
-	regs   []types.RegID
-	accs   []*regular.ReadAcc
+	// The read's round state, reused by every read (as Writer's certified
+	// read's is): the shared register's accumulator and the rounds asking it,
+	// conditioned on the known-pair set — steady-state reads allocate nothing
+	// here.
+	acc    *regular.ReadAcc
 	mux    proto.RegAcc
-	known  *proto.Known
-	slow   []int
-	back   types.Pair // the last write-back (see Choice)
 	noteFn func() string
 
-	// Hit reports whether the last ReadPair decided every register on its
-	// first query round (no decision round); Elided whether it skipped the
-	// write-back (the query rounds certified the chosen pair as completely
-	// written). Both: a one-round read.
+	// Hit reports whether the last ReadPair was decided on its first query
+	// round (no decision round); Elided whether it skipped the write-back (the
+	// query rounds showed the chosen pair complete). Both: a one-round read.
 	Hit    bool
 	Elided bool
 	// OneRound counts reads decided on the first query round alone,
@@ -268,24 +244,23 @@ type Reader struct {
 }
 
 // NewReader returns the handle of reader idx out of `readers` total readers.
-// A fresh handle discovers the sequence number its write-back register is at
-// during its first read (every read queries its own register anyway), so a
-// new process reattaching with an identity earlier lifetimes used is safe;
-// CONCURRENT use of one reader identity remains forbidden.
+// The read uses neither: no reader owns a register or issues a timestamp, so
+// any number of handles, of any identity and any process lifetime, may read
+// at once. (The identity's register of the classical transformation survives
+// in the benchmark module's settle only, with EncodePair and Seq.)
 func NewReader(r proto.Rounder, th quorum.Thresholds, idx, readers int) *Reader {
-	rd := NewReaderAt(r, th, idx, readers, 0)
-	rd.discover = true
-	return rd
-}
-
-// NewReaderAt returns a reader resuming its write-back register from a known
-// internal sequence number (nothing left to discover: its first read may
-// already take the fast hit).
-func NewReaderAt(r proto.Rounder, th quorum.Thresholds, idx, readers int, seq int64) *Reader {
 	if idx < 1 || idx > readers {
 		panic(fmt.Sprintf("core: reader index %d out of 1..%d", idx, readers))
 	}
-	rd := &Reader{rounder: r, th: th, idx: idx, readers: readers, seq: seq}
+	rd := &Reader{rounder: r, th: th, acc: regular.NewReadAcc(th)}
+	rd.acc.MultiWriter = true
+	rd.mux.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, rd.acc)
+	rd.noteFn = func() string {
+		if rd.acc.Hit() {
+			return "hit"
+		}
+		return "miss"
+	}
 	rd.UseKnown(proto.NewKnown(th))
 	return rd
 }
@@ -298,244 +273,68 @@ func (r *Reader) UseKnown(k *proto.Known) {
 	r.mux.UseKnown(k)
 }
 
-// Choice returns the pair the last ReadPair left register i of the instance
-// at, as far as it knows — 0 the shared register, i reader i's write-back
-// register (its outer pair, the inner one still encoded): what the query
-// rounds settled on, or, for this reader's own register, the write-back that
-// followed them. Repair transfers these.
-func (r *Reader) Choice(i int) types.Pair {
-	if i == r.idx && !r.Elided {
-		return r.back
-	}
-	return r.accs[i].Choice()
-}
+// Seq is what the classical transformation's reader counted its write-back
+// register's timestamps by; a reader here issues none, so it is always 0.
+func (r *Reader) Seq() int64 { return 0 }
 
-// Seq returns the reader's current write-back sequence number.
-func (r *Reader) Seq() int64 { return r.seq }
-
-// ResumeSeq returns the write-back sequence number a reader handle should
-// resume from after reading its own register: prev (the handle's count so
-// far), advanced to the raw maximum sequence number the query rounds
-// reported. The raw maximum — not the certified choice — is what must never
-// be re-issued: a crashed predecessor's prewrite may sit on a single object,
-// invisible to certification, and re-issuing its sequence number with a
-// different value would leave correct objects permanently disagreeing on one
-// timestamp's value (equal timestamps never overwrite), each such pair
-// spending a unit of the read decision's fault budget. But raw reports are
-// Byzantine-inflatable, so — exactly like the writer's discovery
-// (maxDiscoveryLead) — a raw lead past the certified anchor too large to be
-// honest history is ignored rather than allowed to burn the sequence space.
-func ResumeSeq(prev int64, cert, raw types.TS) int64 {
-	seq := prev
-	if cert.Seq > seq {
-		seq = cert.Seq
-	}
-	if raw.Seq > seq && raw.Seq-cert.Seq <= maxDiscoveryLead {
-		seq = raw.Seq
-	}
-	return seq
-}
-
-// Read performs the adaptive atomic read: 1 round when every register's
-// first-round replies hit and certify the result as completely written, 2
-// when only the decision round could tell, 4 otherwise.
+// Read performs the adaptive atomic read: 1 round when the first round's
+// replies hit, 2 when only the decision round could tell, 4 when the chosen
+// pair must be written back.
 func (r *Reader) Read() (types.Value, error) {
 	p, err := r.ReadPair()
 	return p.Val, err
 }
 
-// init builds the reader's reusable round state: one accumulator per
-// register, each a part of the register-addressed rounds — every object
-// receives one READ per register and answers with one reply per register, so
-// the R+1 regular reads advance in lockstep and cost a single physical
-// round-trip (proto.RegAcc).
-func (r *Reader) init() {
-	if r.accs != nil {
-		return
-	}
-	r.regs = make([]types.RegID, r.readers+1)
-	r.accs = make([]*regular.ReadAcc, len(r.regs))
-	r.slow = make([]int, 0, len(r.regs))
-	r.noteFn = func() string {
-		n := 0
-		for _, a := range r.accs {
-			if a.Hit() {
-				n++
-			}
-		}
-		return fmt.Sprintf("hit %d/%d", n, len(r.accs))
-	}
-	for i := range r.regs {
-		// The writers' register, then every reader's write-back register.
-		r.regs[i] = types.WriterReg
-		if i > 0 {
-			r.regs[i] = types.ReaderReg(i)
-		}
-		// Every register runs the relaxed multi-writer decision: the shared
-		// register (index 0) genuinely has many writers, and a write-back
-		// register's owner resumes its sequence number by discovery (see
-		// ReadPair), so its write at ℓ may follow a crashed predecessor's
-		// ℓ−1 that never completed — the exact premise under which the
-		// stricter SWMR causality filter would wrongly reject the true
-		// fault set (see regular.ReadAcc.MultiWriter).
-		r.accs[i] = regular.NewReadAcc(r.th)
-		r.accs[i].MultiWriter = true
-		r.mux.Part(r.regs[i], types.Message{Kind: types.MsgRead1}, r.accs[i])
-	}
-}
-
 // ReadPair performs the adaptive atomic read, returning the chosen
 // timestamp-value pair.
 func (r *Reader) ReadPair() (types.Pair, error) {
-	r.init()
-	for _, a := range r.accs {
-		a.Reset()
+	// The regular read of the shared register: AREAD1 alone on a hit, the
+	// decision round AREAD2 after it on a miss.
+	p, err := regular.ReadPairOn(r.rounder, &r.mux, r.acc, [2]string{"AREAD1", "AREAD2"}, r.noteFn)
+	if err != nil {
+		return types.Pair{}, fmt.Errorf("core: %w", err)
 	}
-
-	// Physical round 1: round 1 of every register's regular read. A traced
-	// round notes how many registers it decided outright.
-	spec := r.mux.Spec("AREAD1", nil)
-	spec.Note = r.noteFn
-	if err := r.rounder.Round(spec); err != nil {
-		return types.Pair{}, fmt.Errorf("core: read round 1: %w", err)
+	if r.Hit = r.acc.Hit(); !r.Hit {
+		mMissShared.Inc()
 	}
-
-	// Physical round 2, for the registers whose round 1 missed the fast hit
-	// (regular.ReadAcc) only: the decision round over their frozen round-1
-	// views. A handle still discovering its write-back sequence number takes
-	// no hit, so ResumeSeq below sees both rounds' raw maxima exactly once.
-	r.slow = r.slow[:0]
-	for i, a := range r.accs {
-		if a.Hit() && !r.discover {
-			continue
-		}
-		a.BeginDecide()
-		r.slow = append(r.slow, i)
-		if !r.discover {
-			if i == 0 {
-				mMissShared.Inc()
-			} else {
-				mMissWB.Inc()
-			}
-		}
-	}
-	r.discover = false
-	if r.Hit = len(r.slow) == 0; !r.Hit {
-		only := r.slow
-		if len(only) == len(r.accs) {
-			only = nil // every register: the first round's request serves again
-		}
-		if err := r.rounder.Round(r.mux.Spec("AREAD2", only)); err != nil {
-			return types.Pair{}, fmt.Errorf("core: read round 2: %w", err)
-		}
-	}
-
-	// Resume the write-back sequence number from the views just collected:
-	// regs[r.idx] is this reader's own register, so the read's query rounds
-	// double as the discovery round a fresh handle needs. A handle
-	// that restarted its count at zero would re-issue sequence numbers an
-	// earlier lifetime of this identity already used, carrying this era's
-	// (different) value; objects keep whichever write they saw first (equal
-	// timestamps never overwrite), so correct objects end up durably
-	// disagreeing on one timestamp's value — each such pair burns a unit of
-	// the read decision's fault budget, and enough of them starve every
-	// later read of this register ("all replies in, accumulator
-	// unsatisfied"). Resuming must happen on BOTH the elided and the
-	// fallback path: an elided read still observed the register, and the
-	// next fallback write-back must not re-issue what it saw.
-	r.seq = ResumeSeq(r.seq, r.accs[r.idx].Choice().TS, r.accs[r.idx].MaxTS())
-
 	// What was just decided is what the next read will most likely be
 	// answered with: offer it, so the objects need not send it again.
-	for i, a := range r.accs {
-		r.mux.Seed(r.regs[i], a.Choice())
-	}
+	r.mux.Seed(types.WriterReg, p)
 
-	// The read's result is the maximum pair across the writer's register
-	// and every reader's write-back register.
-	best := r.accs[0].Choice() // writer's register holds pairs directly
-	for i := 1; i < len(r.regs); i++ {
-		p, err := DecodePair(r.accs[i].Choice().Val)
-		if err != nil {
-			return types.Pair{}, fmt.Errorf("core: write-back register %v: %w", r.regs[i], err)
-		}
-		best = types.MaxPair(best, p)
-	}
-
-	// Write-back elision: when a full quorum of S−t distinct objects
-	// w-reported the chosen timestamp (or higher) on the SHARED register,
-	// the chosen pair is already completely written — at least t+1 correct
-	// objects durably hold it, which forces every later read, hit or
-	// decided, to return a pair at or above it (see the package
-	// documentation's safety argument) — so the 2-round write-back
-	// re-asserting it is pure cost. A shared-register hit on best IS that
-	// evidence; a write-back register's hit only fed the maximum. The check
-	// runs against the shared register only: whatever register `best`
-	// surfaced from, its value originates in shared-register pairs
-	// (write-back registers hold encoded copies), and only the shared
-	// register's w slots are monotone in best's timestamp order. Byzantine
-	// objects cannot fake the condition (t forged reports < S−t) and can at
-	// worst withhold it, costing rounds, never safety.
-	if r.Elided = r.accs[0].WSupport(best.TS) >= r.th.Quorum(); r.Elided {
+	// Write-back elision: S−t distinct objects w-reported p's timestamp (or
+	// higher), so p is already complete — at least t+1 correct objects durably
+	// hold it, which forces every later read, hit or decided, to return a pair
+	// at or above it (the package documentation's completeness argument) — and
+	// the 2-round write-back re-asserting it is pure cost. A hit IS that
+	// evidence. Byzantine objects cannot fake the condition (t forged reports
+	// < S−t) and can at worst withhold it, costing rounds, never safety.
+	if r.Elided = r.acc.WSupport(p.TS) >= r.th.Quorum(); r.Elided {
 		r.FastReads++
 		mReadElided.Inc()
 		if r.Hit {
 			r.OneRound++
 			mReadOneRound.Inc()
 		}
-		return best, nil
+		return p, nil
 	}
 	r.FallbackReads++
 	mReadFallback.Inc()
 
-	// Two more physical rounds: write the result back into this reader's own
-	// register before returning. Write-back registers are single-writer
-	// (the reader owns its own), so their timestamps keep WID 0.
-	if r.seq+1 <= 0 {
-		return types.Pair{}, fmt.Errorf("core: write-back register sequence space exhausted")
+	// Two more physical rounds make p complete before it is returned: p
+	// itself, at its own timestamp, into the shared register.
+	if err := regular.WriteBack(r.rounder, r.th, types.WriterReg, p, r.acc.Token(), r.known.Digest(types.WriterReg, p)); err != nil {
+		return types.Pair{}, fmt.Errorf("core: %w", err)
 	}
-	wb := regular.NewWriterAt(r.rounder, r.th, types.ReaderReg(r.idx), 0, types.At(r.seq))
-	wb.NextToken = r.NextToken
-	wb.UseKnown(r.known) // the next read offers the pair, so the objects need not send it back
-	back := types.Pair{TS: types.At(r.seq + 1), Val: EncodePair(best)}
-	if err := wb.WritePair(back); err != nil {
-		return types.Pair{}, fmt.Errorf("core: write-back: %w", err)
-	}
-	r.seq, r.back = r.seq+1, back
-	return best, nil
+	return p, nil
 }
 
-// EncodePair encodes a pair as a register value for write-back registers:
-// "seq|value" for timestamps of writer 0 and "seq.wid|value" for timestamps
-// carrying a writer id.
+// EncodePair encodes a pair as a value of the classical transformation's
+// per-reader write-back register — "seq|value" for timestamps of writer 0,
+// "seq.wid|value" for timestamps carrying a writer id — which nothing reads
+// any more; the benchmark module's settle still writes it.
 func EncodePair(p types.Pair) types.Value {
 	if p.IsBottom() {
 		return types.Bottom
 	}
 	return types.Value(p.TS.String() + "|" + string(p.Val))
-}
-
-// DecodePair decodes a write-back register value in either EncodePair form.
-// The empty value decodes to the initial pair.
-func DecodePair(v types.Value) (types.Pair, error) {
-	if v.IsBottom() {
-		return types.BottomPair, nil
-	}
-	i := strings.IndexByte(string(v), '|')
-	if i < 0 {
-		return types.Pair{}, fmt.Errorf("core: malformed write-back payload %q", v)
-	}
-	head, rest := string(v)[:i], string(v)[i+1:]
-	seqStr, widStr, hasWID := strings.Cut(head, ".")
-	seq, err := strconv.ParseInt(seqStr, 10, 64)
-	if err != nil || seq <= 0 {
-		return types.Pair{}, fmt.Errorf("core: malformed write-back timestamp in %q", v)
-	}
-	var wid int64
-	if hasWID {
-		if wid, err = strconv.ParseInt(widStr, 10, 64); err != nil || wid == 0 {
-			return types.Pair{}, fmt.Errorf("core: malformed write-back writer id in %q", v)
-		}
-	}
-	return types.Pair{TS: types.TS{Seq: seq, WID: wid}, Val: types.Value(rest)}, nil
 }

@@ -32,12 +32,11 @@ type cluster struct {
 	thr     quorum.Thresholds
 	readers int
 	writeTS types.TS
-	seqs    map[int]int64 // reader idx → write-back seq
 	known   *proto.Known
 }
 
 func newCluster(thr quorum.Thresholds, readers int) *cluster {
-	return &cluster{thr: thr, readers: readers, seqs: make(map[int]int64, readers), known: proto.NewKnown(thr)}
+	return &cluster{thr: thr, readers: readers, known: proto.NewKnown(thr)}
 }
 
 func (cl *cluster) writeOp(v types.Value) sim.OpFunc {
@@ -58,13 +57,12 @@ var readsDone, readsOneRound atomic.Int64
 
 func (cl *cluster) readOp(idx int) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
-		r := NewReaderAt(c, cl.thr, idx, cl.readers, cl.seqs[idx])
+		r := NewReader(c, cl.thr, idx, cl.readers)
 		r.UseKnown(cl.known)
 		v, err := r.Read()
 		if err != nil {
 			return types.Bottom, err
 		}
-		cl.seqs[idx] = r.Seq()
 		readsDone.Add(1)
 		readsOneRound.Add(int64(r.OneRound))
 		return v, nil
@@ -129,7 +127,7 @@ func TestReadFallbackOnIncompleteWrite(t *testing.T) {
 	}
 	var rdr *Reader
 	rd := s.Spawn("rd", types.Reader(1), checker.OpRead, types.Bottom, func(c *sim.Client) (types.Value, error) {
-		rdr = NewReaderAt(c, cl.thr, 1, cl.readers, 0)
+		rdr = NewReader(c, cl.thr, 1, cl.readers)
 		return rdr.Read()
 	})
 	s.Step(rd, 1, 2, 4) // AREAD1: object 4 never saw the write
@@ -388,7 +386,7 @@ func TestEncodeDecodePair(t *testing.T) {
 		{TS: types.At(7), Val: ""},
 	}
 	for _, p := range cases {
-		got, err := DecodePair(EncodePair(p))
+		got, err := decodePair(EncodePair(p))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -404,8 +402,8 @@ func TestEncodeDecodePair(t *testing.T) {
 		}
 	}
 	for _, bad := range []types.Value{"junk", "x|y", "-3|v", "0|v", "3.|v", "3.0|v", "3.x|v"} {
-		if _, err := DecodePair(bad); err == nil {
-			t.Errorf("DecodePair(%q) accepted", bad)
+		if _, err := decodePair(bad); err == nil {
+			t.Errorf("decodePair(%q) accepted", bad)
 		}
 	}
 }
@@ -418,102 +416,4 @@ func TestNewReaderPanicsOnBadIndex(t *testing.T) {
 		}
 	}()
 	NewReader(nil, thr, 3, 2)
-}
-
-func TestReaderLifetimeChurnDiscoversSeq(t *testing.T) {
-	// The captured integration flake: a reader identity restarted with a
-	// fresh handle used to restart its write-back sequence count at zero,
-	// re-issuing timestamps an earlier lifetime already used with a
-	// DIFFERENT value. Objects keep whichever write they saw first (equal
-	// timestamps never overwrite), so correct objects end up durably
-	// disagreeing on one timestamp — each such pair burns a unit of every
-	// later read decision's fault budget, and enough of them starve reads
-	// of the register outright (see regular.TestDecideDisjointConflictsStarve
-	// for the decision-level mechanism). The fix: a read resumes its
-	// sequence number from the views its own query rounds just collected.
-	// Every write completes on {1,2,3} only and every read queries quorum
-	// {1,2,4}, so the reads' w-support stays below S−t and the adaptive
-	// write-back elision never fires — the scenario under test is precisely
-	// the fallback path that still issues write-backs.
-	thr := th(t, 4, 1)
-	cl := newCluster(thr, 2)
-	s := sim.New(sim.Config{Servers: 4})
-	defer s.Close()
-
-	wa := s.Spawn("w-a", types.Writer, checker.OpWrite, "a", cl.writeOp("a"))
-	s.Step(wa, 1, 2, 3) // PREWRITE
-	s.Step(wa, 1, 2, 3) // WRITE
-	if !wa.Done() {
-		t.Fatal("write a did not complete on {1,2,3}")
-	}
-
-	// Lifetime A of reader identity 1: a fresh handle (seq 0) whose
-	// write-back reaches only objects {1,2,3} — object 4 never learns that
-	// sequence number 1 of ReaderReg(1) carries enc(1,"a").
-	freshRead := func(out **Reader) sim.OpFunc {
-		return func(c *sim.Client) (types.Value, error) {
-			r := NewReaderAt(c, cl.thr, 1, cl.readers, 0)
-			*out = r
-			v, err := r.Read()
-			return v, err
-		}
-	}
-	var rdA *Reader
-	opA := s.Spawn("rd-lifeA", types.Reader(1), checker.OpRead, types.Bottom, freshRead(&rdA))
-	s.Step(opA, 1, 2, 4) // AREAD1 (object 4 missed the write: no elision)
-	s.Step(opA, 1, 2, 4) // AREAD2
-	s.Step(opA, 1, 2, 3) // write-back PREWRITE
-	s.Step(opA, 1, 2, 3) // write-back WRITE
-	if !opA.Done() {
-		t.Fatal("lifetime A read did not complete on a quorum")
-	}
-	if v, err := opA.Result(); err != nil || v != "a" {
-		t.Fatalf("lifetime A read = %q, %v", v, err)
-	}
-
-	wb := s.Spawn("w-b", types.Writer, checker.OpWrite, "b", cl.writeOp("b"))
-	s.Step(wb, 1, 2, 3) // PREWRITE
-	s.Step(wb, 1, 2, 3) // WRITE
-	if !wb.Done() {
-		t.Fatal("write b did not complete on {1,2,3}")
-	}
-
-	// Lifetime B: the same identity restarts from zero again. Its read must
-	// discover sequence number 1 from the query rounds and write back at 2
-	// rather than re-issuing 1 with this era's value.
-	var rdB *Reader
-	opB := s.Spawn("rd-lifeB", types.Reader(1), checker.OpRead, types.Bottom, freshRead(&rdB))
-	s.Step(opB, 1, 2, 4) // AREAD1
-	s.Step(opB, 1, 2, 4) // AREAD2
-	s.Step(opB, 1, 2, 3) // write-back PREWRITE
-	s.Step(opB, 1, 2, 3) // write-back WRITE
-	if !opB.Done() {
-		t.Fatal("lifetime B read did not complete on a quorum")
-	}
-	if v, err := opB.Result(); err != nil || v != "b" {
-		t.Fatalf("lifetime B read = %q, %v; want b", v, err)
-	}
-	if got := rdB.Seq(); got != 2 {
-		t.Fatalf("lifetime B resumed write-back seq = %d, want 2 (discovered 1, wrote 2)", got)
-	}
-
-	// White-box invariant behind the whole incident: no two objects may
-	// hold different values at the same timestamp of ReaderReg(1).
-	for _, field := range []string{"pw", "w"} {
-		byTS := make(map[types.TS]types.Value)
-		for sid := 1; sid <= 4; sid++ {
-			st := s.Store(sid).Reg(types.ReaderReg(1))
-			pair := st.PW
-			if field == "w" {
-				pair = st.W
-			}
-			if pair.IsBottom() {
-				continue
-			}
-			if prev, seen := byTS[pair.TS]; seen && prev != pair.Val {
-				t.Fatalf("%s divergence at ts %v: %q vs %q", field, pair.TS, prev, pair.Val)
-			}
-			byTS[pair.TS] = pair.Val
-		}
-	}
 }

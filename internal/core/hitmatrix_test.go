@@ -16,13 +16,12 @@ import (
 	"robustatomic/internal/types"
 )
 
-// model builds one failure model's writer and reader handles per operation;
-// the READ flow is core.Reader in both (the secret one carries a token
-// source for its write-backs).
+// model builds one failure model's writer handle per operation; the READ
+// flow is core.Reader in both (its write-back carries the token its pair was
+// read with, 0 in the plain model).
 type model struct {
-	name   string
-	write  func(c *sim.Client, last types.TS, k *proto.Known, v types.Value) (types.TS, error)
-	reader func(c *sim.Client, idx, readers int, seq int64, fresh bool) *core.Reader
+	name  string
+	write func(c *sim.Client, last types.TS, k *proto.Known, v types.Value) (types.TS, error)
 }
 
 func models(thr quorum.Thresholds, rng *rand.Rand) []model {
@@ -35,12 +34,6 @@ func models(thr quorum.Thresholds, rng *rand.Rand) []model {
 				err := w.Write(v)
 				return w.LastTS(), err
 			},
-			reader: func(c *sim.Client, idx, readers int, seq int64, fresh bool) *core.Reader {
-				if fresh {
-					return core.NewReader(c, thr, idx, readers)
-				}
-				return core.NewReaderAt(c, thr, idx, readers, seq)
-			},
 		},
 		{
 			name: "secret",
@@ -49,12 +42,6 @@ func models(thr quorum.Thresholds, rng *rand.Rand) []model {
 				w.UseKnown(k)
 				err := w.Write(v)
 				return w.LastTS(), err
-			},
-			reader: func(c *sim.Client, idx, readers int, seq int64, fresh bool) *core.Reader {
-				if fresh {
-					return secret.NewAtomicReader(c, thr, rng, idx, readers)
-				}
-				return secret.NewAtomicReaderAt(c, thr, rng, idx, readers, seq)
 			},
 		},
 	}
@@ -83,12 +70,12 @@ var matrixOneRound, matrixTwoRound, matrixWroteBack atomic.Int64
 // one — crossed with every Byzantine behaviour
 // in the repertoire at either end of the delivery order, in both models.
 // Readers of distinct identities then read concurrently under a seeded
-// random schedule and sequentially after it, alternating handles that take
-// the hit (resuming a known sequence number) with fresh ones that abstain
-// and decide in two rounds, so hit-then-decided and decided-then-hit pairs
-// both occur. Every history goes through checker.CheckAtomicMW: a one-round
-// read that returned a pair a later read could fall below would be a
-// new/old inversion there.
+// random schedule and sequentially after it, alternating warm handles (the
+// known-pair set the writer feeds) with cold ones (a set of their own: a new
+// process, shipped every value), so one-round, decided and written-back reads
+// follow one another in every order. Every history goes through
+// checker.CheckAtomicMW: a read that returned a pair a later read could fall
+// below would be a new/old inversion there.
 func TestCrashedWriterByzantineReadMatrix(t *testing.T) {
 	const S, T, R = 4, 1, 3
 	thr, err := quorum.NewThresholds(S, T)
@@ -130,7 +117,6 @@ func runMatrixCell(t *testing.T, thr quorum.Thresholds, readers, mi int, phase s
 	defer s.Close()
 	known := proto.NewKnown(thr)
 	var last types.TS
-	seqs := make([]int64, readers+1)
 
 	write := func(v types.Value) *sim.Op {
 		return s.Spawn("w"+string(v), types.Writer, checker.OpWrite, v, func(c *sim.Client) (types.Value, error) {
@@ -141,15 +127,16 @@ func runMatrixCell(t *testing.T, thr quorum.Thresholds, readers, mi int, phase s
 			return types.Bottom, err
 		})
 	}
-	read := func(label string, idx int, fresh bool) *sim.Op {
+	read := func(label string, idx int, cold bool) *sim.Op {
 		return s.Spawn(label, types.Reader(idx), checker.OpRead, types.Bottom, func(c *sim.Client) (types.Value, error) {
-			r := m.reader(c, idx, readers, seqs[idx], fresh)
-			r.UseKnown(known)
+			r := core.NewReader(c, thr, idx, readers)
+			if !cold {
+				r.UseKnown(known)
+			}
 			v, err := r.Read()
 			if err != nil {
 				return types.Bottom, err
 			}
-			seqs[idx] = r.Seq()
 			switch {
 			case r.Hit && r.Elided:
 				matrixOneRound.Add(1)
@@ -195,16 +182,15 @@ func runMatrixCell(t *testing.T, thr quorum.Thresholds, readers, mi int, phase s
 	s.DeliverRequests(w, all[:k]...)
 	s.Crash(w)
 
-	// Concurrent readers of distinct identities: two take the hit, one
-	// abstains.
+	// Concurrent readers of distinct identities: two warm, one cold.
 	ops := []*sim.Op{read("c1", 1, false), read("c2", 2, true), read("c3", 3, false)}
 	if err := s.RunConcurrent(seed, ops...); err != nil {
 		t.Fatalf("liveness: %v", err)
 	}
-	// Sequential readers: hit-taking and abstaining handles alternate.
-	for i, fresh := range []bool{false, true, false, true, false, false} {
+	// Sequential readers: warm and cold handles alternate.
+	for i, cold := range []bool{false, true, false, true, false, false} {
 		idx := i%readers + 1
-		if err := s.RunOp(read(fmt.Sprintf("q%d", i), idx, fresh)); err != nil {
+		if err := s.RunOp(read(fmt.Sprintf("q%d", i), idx, cold)); err != nil {
 			t.Fatalf("sequential read %d: %v", i, err)
 		}
 	}

@@ -56,21 +56,28 @@ func TestSteadyStateReadsMoveTimestampsOnly(t *testing.T) {
 		}
 	})
 	read("first")
-	request := func() *types.SubMsg { return &r.mux.Spec("AREAD1", nil).Req(1).Sub[0] }
-	bundle := request()
+	// The read asks the shared register alone: a bare READ, its have-list the
+	// pair the first read decided.
+	request := func() *types.Have {
+		req := r.mux.Spec("AREAD1").Req(1)
+		if req.Kind != types.MsgRead1 || len(req.Have) != 1 {
+			t.Fatalf("steady-state request = %v with have-list %v, want a bare READ offering one pair", req, req.Have)
+		}
+		return &req.Have[0]
+	}
+	have := request()
 	inflated := mInflated.Value()
 	read("second")
-	// 1 round (every register hits) × the S−t = 3 objects it hears before it
-	// is Done × (pw, w) of the shared register; the write-back registers are
-	// empty, so there is nothing else to elide.
+	// 1 round (a hit) × the S−t = 3 objects it hears before it is Done × (pw,
+	// w) of the shared register: the one register there is.
 	if d := mInflated.Value() - inflated; d != 6 {
 		t.Errorf("steady-state read re-inflated %d values, want 6", d)
 	}
-	if r.OneRound != 1 {
-		t.Errorf("steady-state read took the decision round (one-round reads: %d)", r.OneRound)
+	if r.OneRound != 2 { // a handle has nothing to discover: its first read hits too
+		t.Errorf("a read of the settled register took the decision round (one-round reads: %d of 2)", r.OneRound)
 	}
-	if bundle != request() {
-		t.Error("steady-state read rebuilt its request bundle")
+	if have != request() {
+		t.Error("steady-state read rebuilt its request")
 	}
 	// Allocations are counted in process (the simulator's scheduler allocates
 	// per message of its own): over the inline link as it is, which sends

@@ -57,8 +57,6 @@ type protocolHarness struct {
 }
 
 func harnesses(rng *rand.Rand) []protocolHarness {
-	readerSeqs := map[int]int64{}
-	secretSeqs := map[int]int64{}
 	return []protocolHarness{
 		{
 			name: "ABD [3]", model: "crash-only, S=2F+1",
@@ -102,10 +100,7 @@ func harnesses(rng *rand.Rand) []protocolHarness {
 			},
 			read: func(th quorum.Thresholds) sim.OpFunc {
 				return func(c *sim.Client) (types.Value, error) {
-					r := core.NewReaderAt(c, th, 1, 2, readerSeqs[th.T])
-					v, err := r.Read()
-					readerSeqs[th.T] = r.Seq()
-					return v, err
+					return core.NewReader(c, th, 1, 2).Read()
 				}
 			},
 		},
@@ -120,10 +115,7 @@ func harnesses(rng *rand.Rand) []protocolHarness {
 			},
 			read: func(th quorum.Thresholds) sim.OpFunc {
 				return func(c *sim.Client) (types.Value, error) {
-					r := secret.NewAtomicReaderAt(c, th, rng, 1, 2, secretSeqs[th.T])
-					v, err := r.Read()
-					secretSeqs[th.T] = r.Seq()
-					return v, err
+					return core.NewReader(c, th, 1, 2).Read()
 				}
 			},
 		},

@@ -15,24 +15,24 @@ import (
 	"robustatomic/internal/wire"
 )
 
-var updateWALFixture = flag.Bool("update-wal-fixture", false, "rewrite testdata/wal_gen6 from this build (a deliberate WAL format change only)")
+var updateWALFixture = flag.Bool("update-wal-fixture", false, "rewrite testdata/wal_gen7 from this build (a deliberate WAL format change only)")
 
-// walFixtureDir holds a log this wire generation (0x06) wrote and the state it
-// replays to; parentWALDir the same pair as commit b63f873 wrote it, one
-// generation back.
+// walFixtureDir holds a log this wire generation (0x07) wrote and the state it
+// replays to; parentWALDir the same pair as generation 0x06 wrote it.
 const (
-	walFixtureDir = "testdata/wal_gen6"
-	parentWALDir  = "testdata/wal_b63f873"
+	walFixtureDir = "testdata/wal_gen7"
+	parentWALDir  = "testdata/wal_gen6"
 )
 
 // fixtureRequests is what the fixture's log holds: every shape a mutating
-// request takes — bare (the writers' register), a one-register bundle (a
-// write-back), a bundle spanning registers, and a batch frame across
-// register instances — over multi-writer timestamps and tokens, and every
-// form a conditioned write takes: a WRITE by reference that promotes, a
-// PREWRITE by splice off w, one off pw, a reference inside a bundle, and two
-// that replay as the refusals they were (a pair not held; the right
-// timestamp under another digest).
+// request takes — bare (the writers' register), a one-register bundle, a
+// bundle spanning registers, and a batch frame across register instances —
+// over multi-writer timestamps and tokens, and every form a conditioned write
+// takes: a WRITE by reference that promotes, a PREWRITE by splice off w, one
+// off pw, a reference inside a bundle, a read's write-back (PREWRITE and
+// WRITE by reference, of a pair held in w only), and two that replay as the
+// refusals they were (a pair not held; the right timestamp under another
+// digest).
 func fixtureRequests() []wire.Request {
 	mw := func(seq, wid int64, v string) types.Pair {
 		return types.Pair{TS: types.TS{Seq: seq, WID: wid}, Val: types.Value(v)}
@@ -80,6 +80,9 @@ func fixtureRequests() []wire.Request {
 		{ID: 14, From: types.Writer, Reg: 0, Msg: ref(types.MsgWrite, pair(2, "never prewritten"))},
 		{ID: 15, From: types.Writer, Reg: 0, Msg: ref(types.MsgWrite, pair(1, "not a"))},
 		{ID: 16, From: types.Writer, Reg: 0, Msg: spliced(types.At(3), pair(2, "never prewritten"), &swap)},
+		// Instance 2's shared register holds w = (9.1, "s2") from ID 7, pw ⊥.
+		{ID: 17, From: types.Reader(2), Reg: 2, Msg: ref(types.MsgPreWrite, mw(9, 1, "s2"))},
+		{ID: 18, From: types.Reader(2), Reg: 2, Msg: ref(types.MsgWrite, mw(9, 1, "s2"))},
 	}
 }
 
@@ -105,11 +108,11 @@ func copyLogs(t *testing.T, from string) (dir string, paths []string) {
 	return dir, paths
 }
 
-// TestRefusesParentWAL: the log an object running commit b63f873 (wire
-// generation 0x05) left behind after a kill -9 is refused with ErrFormat —
-// value-eliding writes bumped the generation and kept no read-compat — and
-// left untouched; the snapshot that binary wrote on SIGTERM (storaged
-// compacts then) still loads, which is the upgrade path.
+// TestRefusesParentWAL: the log an object of wire generation 0x06 left
+// behind after a kill -9 is refused with ErrFormat — writing a read's result
+// back into the shared register bumped the generation and kept no
+// read-compat — and left untouched; the snapshot that binary wrote on SIGTERM
+// (storaged compacts then) still loads, which is the upgrade path.
 func TestRefusesParentWAL(t *testing.T) {
 	dir, paths := copyLogs(t, parentWALDir)
 	before, err := os.ReadFile(paths[0])
@@ -121,7 +124,7 @@ func TestRefusesParentWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := e.Recover(); !errors.Is(err, ErrFormat) || !errors.Is(err, wire.ErrVersion) {
-		t.Fatalf("Recover of a generation-0x05 log = %v, want ErrFormat wrapping wire.ErrVersion", err)
+		t.Fatalf("Recover of a generation-0x06 log = %v, want ErrFormat wrapping wire.ErrVersion", err)
 	}
 	e.Close()
 	if after, err := os.ReadFile(paths[0]); err != nil || !bytes.Equal(after, before) {
@@ -141,8 +144,8 @@ func TestRefusesParentWAL(t *testing.T) {
 	if got, err := server.EncodeStores(stores); err != nil || !bytes.Equal(got, snap) {
 		t.Errorf("state booted from the parent's snapshot re-encodes differently (err %v)", err)
 	}
-	if w := stores[7].Reg(types.ReaderReg(3)).W; w != pair(2, "5.2|table") {
-		t.Errorf("instance 7, reader 3's write-back register: w = %v", w)
+	if st := stores[7].Reg(types.WriterReg); st.W.TS != (types.TS{Seq: 7, WID: 1}) || st.W.Val != "tab1e, grown" {
+		t.Errorf("instance 7, shared register: %+v", st)
 	}
 }
 
@@ -194,8 +197,8 @@ func TestReplaysGenerationWAL(t *testing.T) {
 	if st := stores[7].Reg(types.WriterReg); st.W.TS != (types.TS{Seq: 7, WID: 1}) || st.W.Val != "tab1e, grown" || st.PW != st.W {
 		t.Errorf("instance 7, shared register (reference, splice off w, splice off pw, reference): %+v", st)
 	}
-	if st := stores[2].Reg(types.WriterReg); st.W.Val != "s2" || st.PW.Val != "" {
-		t.Errorf("instance 2, shared register: %+v", st)
+	if st := stores[2].Reg(types.WriterReg); st.W.Val != "s2" || st.PW != st.W {
+		t.Errorf("instance 2, shared register (a write-back off w): %+v", st)
 	}
 	if st := stores[0].Reg(types.WriterReg); st.W != pair(1, "a") || st.PW != pair(1, "a") {
 		t.Errorf("instance 0, shared register after three refused frames: %+v", st)

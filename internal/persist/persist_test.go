@@ -599,7 +599,7 @@ func TestIntactUndecodableRecordRefusedNotTruncated(t *testing.T) {
 	}{
 		{"garbage-after-records", 2, []byte("an intact frame that is no record"), true},
 		{"foreign-generation-after-records", 2, foreign, true},
-		{"malformed-frame-after-records", 2, []byte{0x06, 2, 0xff, 0xff}, false},
+		{"malformed-frame-after-records", 2, []byte{0x07, 2, 0xff, 0xff}, false},
 		{"garbage-first", 0, []byte("an intact frame that is no record"), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,11 +1,10 @@
 // Value-eliding reads, client side.
 //
-// The paper's objects answer every READ with their whole (pw, w) state, and
-// the regular→atomic transformation reads R+1 registers per round — so a
-// reader of a settled register is sent, 2·(R+1)·S times per operation, a
-// value it decided on one read ago and still holds. A Known set is what the
-// client still holds: per register, the few GENUINE pairs it most recently
-// decided, wrote, or was shipped in full by t+1 objects at once. Every READ
+// The paper's objects answer every READ with their whole (pw, w) state — so
+// a reader of a settled register is sent, S times per round, a value it
+// decided on one read ago and still holds. A Known set is what the client
+// still holds: per register, the few GENUINE pairs it most recently decided,
+// wrote, or was shipped in full by t+1 objects at once. Every READ
 // built from it carries those pairs' (timestamp, digest) as the
 // sub-request's have-list; an object whose slot matches an entry answers
 // with the timestamp and an "elided" bit instead of the value
@@ -20,13 +19,12 @@
 // entry is a pair some writer really issued — a decision's output, this
 // process's own write, or a pair t+1 distinct objects shipped identically in
 // one round, one of them correct. So both sides of the digest comparison are
-// writer-issued values under one timestamp: they are the same value, except
-// in the one known residual where a timestamp does not name a value (a
-// write-back owner that crashed and re-issued a sequence number can leave
-// correct objects holding different values under it; see core.ResumeSeq), and
-// there the digest tells them apart. No value a Byzantine object merely SENT
-// ever enters a have-list, so the digest is never computed over an
-// adversary's input and needs no cryptographic strength. A Byzantine object
+// writer-issued values under one timestamp: they are the same value — and
+// should a timestamp ever name two (a writer identity re-proposing a
+// sequence number across process lifetimes), the digest tells them apart.
+// No value a Byzantine object merely SENT ever enters a have-list, so the
+// digest is never computed over an adversary's input and needs no
+// cryptographic strength. A Byzantine object
 // claiming "elided at ts" for an offered ts makes the client see exactly the
 // pair it would have seen had the object sent that genuine pair in full —
 // which it could always do — and a claim for a ts the client did not offer
@@ -63,9 +61,9 @@ const knownPerReg = 3
 // elidedBits are the reply flags a Known set resolves.
 const elidedBits = types.FlagElidedPW | types.FlagElidedW
 
-// Known is the known-pair set of ONE register instance (the R+1 registers of
-// one atomic register — one Store shard), shared by every reader and writer
-// handle this process runs against it. Safe for concurrent use. Recording a
+// Known is the known-pair set of ONE register instance (one atomic register —
+// one Store shard), shared by every reader and writer handle this process
+// runs against it. Safe for concurrent use. Recording a
 // pair allocates nothing (a writer records one per write); a handle keeps a
 // private copy of the set, refreshed — one atomic load to find out — only
 // when the set's version moved, so steady-state reads take no lock and

@@ -48,7 +48,7 @@ func readOf(k *Known, reg types.RegID, acc Accumulator) (*RegAcc, RoundSpec) {
 	ra := &RegAcc{}
 	ra.UseKnown(k)
 	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
-	return ra, ra.Spec("READ1", nil)
+	return ra, ra.Spec("READ1")
 }
 
 // offered returns what a handle refreshing now would offer for reg: the
@@ -170,7 +170,7 @@ func TestMuxAccRoutesOutOfOrderReplies(t *testing.T) {
 		accs[i] = newStateAcc(thr)
 		acc.Part(reg, types.Message{Kind: types.MsgRead1}, accs[i])
 	}
-	acc.Spec("AREAD1", nil)
+	acc.Spec("AREAD1")
 	sub := func(reg types.RegID, seq int64) types.SubMsg {
 		return types.SubMsg{Reg: reg, Msg: types.Message{Kind: types.MsgState, W: pairAt(seq, "v")}}
 	}
@@ -205,7 +205,7 @@ func TestRequestShapes(t *testing.T) {
 		for _, reg := range regs {
 			ra.Part(reg, read, newStateAcc(thr))
 		}
-		m := ra.Spec("R", nil).Req(1)
+		m := ra.Spec("R").Req(1)
 		frame, err := wire.AppendRequest(nil, wire.Request{Msg: m})
 		if err != nil {
 			t.Fatal(err)
@@ -235,11 +235,10 @@ func TestRequestShapes(t *testing.T) {
 }
 
 // TestReplyParts: what RegAcc does with the parts of a reply, for the
-// one-part and the (R+1)-part use alike — a part for a register the request
-// did not list is ignored, a listed register's missing part marks the object
-// as withholding, an elision the request did not offer marks it as
-// inflating and reaches no accumulator — and a partial round asks only the
-// parts named.
+// one-part and the several-part use alike — a part for a register the
+// request did not list is ignored, a listed register's missing part marks
+// the object as withholding, an elision the request did not offer marks it
+// as inflating and reaches no accumulator.
 func TestReplyParts(t *testing.T) {
 	thr := th(t, 4, 1)
 	k := NewKnown(thr)
@@ -271,14 +270,14 @@ func TestReplyParts(t *testing.T) {
 		t.Errorf("one-part verdict = %+v, want objects 2 and 4 withholding, 3 inflating", v)
 	}
 
-	// R+1 parts, then a round over the part that missed.
+	// Several parts.
 	accs := []*stateAcc{newStateAcc(thr), newStateAcc(thr), newStateAcc(thr)}
 	var mux RegAcc
 	mux.UseKnown(k)
 	for i, reg := range []types.RegID{types.WriterReg, types.ReaderReg(1), types.ReaderReg(2)} {
 		mux.Part(reg, types.Message{Kind: types.MsgRead1}, accs[i])
 	}
-	mux.Spec("AREAD1", nil)
+	mux.Spec("AREAD1")
 	w := pairAt(9, "w")
 	mux.Add(1, bundle(
 		types.SubMsg{Reg: types.WriterReg, Msg: state(w, 0)},
@@ -309,19 +308,5 @@ func TestReplyParts(t *testing.T) {
 	accs[1].verdict.W = 1 << 4 // one part saw object 4 dissent
 	if v := mux.Verdict(); v.W != 1<<4 || v.Withheld != 1<<2 || v.Inflate != 1<<3 || v.Agree != 1<<1 {
 		t.Errorf("merged verdict = %+v", v)
-	}
-	req := mux.Spec("AREAD2", []int{1}).Req(1)
-	if req.Kind != types.MsgMux || len(req.Sub) != 1 || req.Sub[0].Reg != types.ReaderReg(1) || len(req.Sub[0].Msg.Have) != 1 {
-		t.Errorf("partial round asks %+v, want reader 1's register alone, conditioned", req)
-	}
-	if mux.Done() {
-		t.Error("partial round done before its part's quorum")
-	}
-	mux.Add(4, bundle(types.SubMsg{Reg: types.ReaderReg(1), Msg: state(held, 0)}, types.SubMsg{Reg: types.WriterReg, Msg: state(w, 0)}))
-	if len(accs[0].Replies) != 2 || len(accs[1].Replies) != 3 {
-		t.Errorf("partial round: parts saw %d and %d replies, want 2 and 3", len(accs[0].Replies), len(accs[1].Replies))
-	}
-	if !mux.Done() { // the writers' register still lacks its quorum: not this round's business
-		t.Error("partial round not done with its one part's quorum in")
 	}
 }

@@ -98,11 +98,11 @@ func TestRegAccConditioned(t *testing.T) {
 	for _, reg := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
 		var ra RegAcc
 		ra.Part(reg, types.Message{Kind: types.MsgPreWrite, Pair: p, Token: 7}, NewAckBits(3))
-		if spec := ra.Spec("PREWRITE", nil); spec.Full != nil {
+		if spec := ra.Spec("PREWRITE"); spec.Full != nil {
 			t.Fatalf("%v: an unconditioned part offers a full form", reg)
 		}
 		ra.Conditioned(named, "an edit", types.FlagSplice, 1<<2)
-		spec := ra.Spec("PREWRITE", nil)
+		spec := ra.Spec("PREWRITE")
 		_, full := fullOf(t, spec.Req(2))
 		_, viaFull := fullOf(t, spec.Full.FullRequest(1))
 		gotReg, cond := fullOf(t, spec.Req(1))
@@ -128,11 +128,11 @@ func TestRegAccReadFullForm(t *testing.T) {
 		var ra RegAcc
 		ra.UseKnown(k)
 		ra.Part(reg, types.Message{Kind: types.MsgRead1}, NewCountAcc(3, nil))
-		if spec := ra.Spec("READ1", nil); spec.Full != nil {
+		if spec := ra.Spec("READ1"); spec.Full != nil {
 			t.Fatalf("%v: a READ without a have-list offers a full form", reg)
 		}
 		k.Seed(reg, types.Pair{TS: types.At(2), Val: "held"})
-		spec := ra.Spec("READ1", nil)
+		spec := ra.Spec("READ1")
 		gotReg, hinted := fullOf(t, spec.Req(1))
 		plainReg, plain := fullOf(t, spec.Full.FullRequest(1))
 		if gotReg != reg || plainReg != reg || len(hinted.Have) != 1 || len(plain.Have) != 0 || plain.Kind != types.MsgRead1 {

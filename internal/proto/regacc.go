@@ -6,15 +6,15 @@ import "robustatomic/internal/types"
 // place where a request for registers of an instance is built and its
 // replies are unpacked. An operation declares its parts — per register, the
 // register-level request and the accumulator that register's replies go to
-// (Part) — and runs rounds over all of them or over those still undecided
-// (Spec). Each round's request carries one part per register, bare when the
-// writers' register is asked alone; every object answers in the same shape,
-// so the registers' rounds advance in lockstep and cost one physical
-// round-trip; Add fans a reply's parts out to their accumulators, and the
-// physical round terminates when every register's round would (sub-round
-// accumulators are monotone, so the conjunction is). A regular read or write
-// of one register is the one-part use, the atomic read's query rounds the
-// (R+1)-part use, an operator's probe a one-object use (tcpnet.Direct).
+// (Part) — and runs rounds over all of them (Spec). Each round's request
+// carries one part per register, bare when the writers' register is asked
+// alone; every object answers in the same shape, so the registers' rounds
+// advance in lockstep and cost one physical round-trip; Add fans a reply's
+// parts out to their accumulators, and the physical round terminates when
+// every register's round would (sub-round accumulators are monotone, so the
+// conjunction is). A regular read or write of one register is the one-part
+// use — every protocol round's — and an operator's probe a one-object use
+// (tcpnet.Direct).
 //
 // It is also where value-eliding reads are done and undone (known.go): with
 // a Known set (UseKnown), every READ part carries its register's have-list
@@ -32,12 +32,10 @@ type RegAcc struct {
 	sub1 [1]types.SubMsg
 	acc1 [1]Accumulator
 
-	round  []int          // the current round's parts, by index; nil: all
-	pick   []types.SubMsg // scratch: a partial round's requests
-	req    types.Message  // the current round's request
-	plain  types.Message  // req without its have-lists
-	hinted bool           // req has have-lists (plain is not req)
-	full   bool           // req asks every part, under the current view
+	req    types.Message // the current round's request
+	plain  types.Message // req without its have-lists
+	hinted bool          // req has have-lists (plain is not req)
+	built  bool          // req asks every part, under the current view
 	reqFn  func(int) types.Message
 
 	// A write's conditioned form (Conditioned): the part with condVal where
@@ -55,7 +53,7 @@ type RegAcc struct {
 // UseKnown conditions the operation's READs on k (nil: unconditioned).
 func (a *RegAcc) UseKnown(k *Known) {
 	a.inflater = inflater{known: k}
-	a.full = false // hinted from the old set: rebuild
+	a.built = false // hinted from the old set: rebuild
 }
 
 // Part declares one more part: the rounds ask register reg with msg and hand
@@ -75,7 +73,7 @@ func (a *RegAcc) Part(reg types.RegID, msg types.Message, acc Accumulator) int {
 	}
 	a.subs = append(a.subs, types.SubMsg{Reg: reg, Msg: msg})
 	a.accs = append(a.accs, acc)
-	a.full = false
+	a.built = false
 	return len(a.subs) - 1
 }
 
@@ -96,26 +94,15 @@ func (a *RegAcc) Conditioned(named types.Have, val types.Value, flags types.MsgF
 // pointer there; a have-list would only make the objects hash their slots).
 func (a *RegAcc) FullRequest(int) types.Message { return a.plain }
 
-// Spec begins one round — over the parts only lists (by index; the slice is
-// the accumulator's until the next Spec), or over every part when only is
-// nil — and returns its spec. Requests are the same for every object, and
-// runtimes treat a request as immutable (a slow object may still be sent the
-// previous round's), so one serves all, and a NEW one is built — never the
-// old one patched — when the known-pair set has moved since: steady-state
-// rounds over every part allocate nothing.
-func (a *RegAcc) Spec(label string, only []int) RoundSpec {
-	moved := a.refresh()
-	a.round = only
-	if only != nil {
-		a.pick = a.pick[:0]
-		for _, i := range only {
-			a.pick = append(a.pick, a.subs[i])
-		}
-		a.request(a.pick)
-		a.full = false
-	} else if moved || !a.full {
+// Spec begins one round over every part and returns its spec. Requests are
+// the same for every object, and runtimes treat a request as immutable (a
+// slow object may still be sent the previous round's), so one serves all,
+// and a NEW one is built — never the old one patched — when the known-pair
+// set has moved since: steady-state rounds allocate nothing.
+func (a *RegAcc) Spec(label string) RoundSpec {
+	if moved := a.refresh(); moved || !a.built {
 		a.request(a.subs)
-		a.full = true
+		a.built = true
 	}
 	spec := RoundSpec{Label: label, Req: a.reqFn, Acc: a}
 	if a.elides || a.hinted {
@@ -141,33 +128,16 @@ func (a *RegAcc) request(parts []types.SubMsg) {
 	}
 }
 
-// n returns the number of parts in the current round, at the index of the
-// part at position i of it.
-func (a *RegAcc) n() int {
-	if a.round != nil {
-		return len(a.round)
-	}
-	return len(a.subs)
-}
-
-func (a *RegAcc) at(i int) int {
-	if a.round != nil {
-		return a.round[i]
-	}
-	return i
-}
-
 // part returns the index of the part that a reply part for reg at position i
-// answers: the round's i-th when the object kept the request's order (every
-// correct one does), else whatever a scan finds; -1 for a register the round
-// never asked about.
+// answers: the i-th when the object kept the request's order (every correct
+// one does), else whatever a scan finds; -1 for a register the round never
+// asked about.
 func (a *RegAcc) part(i int, reg types.RegID) int {
-	n := a.n()
-	if i < n && a.subs[a.at(i)].Reg == reg {
-		return a.at(i)
+	if i < len(a.subs) && a.subs[i].Reg == reg {
+		return i
 	}
-	for k := 0; k < n; k++ {
-		if j := a.at(k); a.subs[j].Reg == reg {
+	for j := range a.subs {
+		if a.subs[j].Reg == reg {
 			return j
 		}
 	}
@@ -204,15 +174,15 @@ func (a *RegAcc) Add(sid int, m types.Message) {
 		mInflateReject.Add(rejected)
 		a.seen.Inflate |= 1 << uint(sid)
 	}
-	if got < a.n() {
+	if got < len(a.subs) {
 		a.seen.Withheld |= 1 << uint(sid)
 	}
 }
 
 // Done implements Accumulator.
 func (a *RegAcc) Done() bool {
-	for i, n := 0, a.n(); i < n; i++ {
-		if !a.accs[a.at(i)].Done() {
+	for _, acc := range a.accs {
+		if !acc.Done() {
 			return false
 		}
 	}
@@ -220,8 +190,7 @@ func (a *RegAcc) Done() bool {
 }
 
 // Verdict is the operation's Verdict: what the fan-out itself saw (rejected
-// elisions, withheld parts) plus, once EVERY part is decided — in this round
-// or, for a round over the parts still undecided, an earlier one — the parts'
+// elisions, withheld parts) plus, once EVERY part is decided, the parts'
 // verdicts merged. A partial decision says nothing: an object serving a
 // frozen past agrees on every register but the one that matters.
 func (a *RegAcc) Verdict() Verdict {

@@ -55,6 +55,7 @@ type srvView struct {
 	pw1, w1    types.Pair
 	pw2, w2    types.Pair
 	tok1       types.Token // the token round 1 reported with w1
+	tokPW1     types.Token // and with pw1
 }
 
 // decider holds the decision procedure's scratch state: every slice the
@@ -416,7 +417,7 @@ func (a *ReadAcc) Add(sid int, m types.Message) {
 			return
 		}
 		a.m1 |= bit
-		v.has1, v.pw1, v.w1, v.tok1 = true, m.PW, m.W, m.Token
+		v.has1, v.pw1, v.w1, v.tok1, v.tokPW1 = true, m.PW, m.W, m.Token, m.TokenPW
 		if !a.hit && a.agree(v) >= a.th.Refute() {
 			a.hit, a.choice = true, v.w1
 		}
@@ -490,20 +491,32 @@ func (a *ReadAcc) Verdict() (v proto.Verdict) {
 	return v
 }
 
-// MaxTS returns the largest timestamp among the pw/w states of the query
-// rounds' replies. Like StateAcc.MaxTS the reports are uncertified — a
-// Byzantine object can inflate the result — so callers resuming a sequence
-// number from it must bound the lead against a certified anchor (see
-// core.ResumeSeq).
-func (a *ReadAcc) MaxTS() types.TS {
-	var best types.TS
+// Token returns the secret token the read's pair was reported with in round
+// 1 — a hit's key token; under a decision, the one most reports of the pair
+// carry, in w or in pw (0 if none does, and throughout the unauthenticated
+// model). A write-back re-asserts the pair under it, so the objects it reaches
+// agree with the writer's on the hit key. A Byzantine report can at worst
+// make it a token no correct object holds, which costs later reads their
+// hit, never their safety.
+func (a *ReadAcc) Token() types.Token {
+	var best types.Token
+	most := 0
 	for sid := 1; sid <= a.th.S; sid++ {
-		v := &a.views[sid]
-		if v.has1 {
-			best = types.MaxTS(best, types.MaxTS(v.pw1.TS, v.w1.TS))
+		u := &a.views[sid]
+		tok := u.tok1
+		if u.w1 != a.choice {
+			if tok = u.tokPW1; u.pw1 != a.choice {
+				continue
+			}
 		}
-		if v.has2 {
-			best = types.MaxTS(best, types.MaxTS(v.pw2.TS, v.w2.TS))
+		n := 0
+		for j := 1; j <= a.th.S; j++ {
+			if v := &a.views[j]; v.w1 == a.choice && v.tok1 == tok || v.pw1 == a.choice && v.tokPW1 == tok {
+				n++
+			}
+		}
+		if n > most {
+			best, most = tok, n
 		}
 	}
 	return best

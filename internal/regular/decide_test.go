@@ -261,19 +261,77 @@ func TestDecideDisjointConflictsStarve(t *testing.T) {
 	}
 }
 
-func TestDecideAccMaxTS(t *testing.T) {
-	// MaxTS spans the pw/w states of BOTH rounds: a crashed predecessor's
-	// prewrite may be visible on one object in one round only, and resuming
-	// below it would re-issue its sequence number.
+// TestFoldedFlushValidationUnsafe is why a flush costs three rounds. The
+// lever it closes: fold the flush's certified read into its PREWRITE,
+// conditioned on "the base is your highest pw and w", so that a PREWRITE the
+// objects accept validates the base. At t = 1:
+//
+//  1. all four objects hold b;
+//  2. writer 0's (6,0) completes on s1–s3;
+//  3. writer 1's PREWRITE of (6,1), derived from b, is accepted by the slow
+//     correct s4 — b is all it holds — and the Byzantine s1, and refused by
+//     s2 and s3: two acceptances are one short of S−t, so writer 1 learns
+//     its base was stale, but s4 applied (6,1) the moment it accepted it;
+//  4. a later read hears s1, s2 and s4 — s1 lying that its w is still b —
+//     in both query rounds.
+//
+// Every fault set is consistent with those views, and under each the
+// highest candidate, (6,1), dominates λ(F) and has a reporter outside F:
+// the read returns (6,1) — a table without writer 0's key, above writer 0's
+// completed write. Only a read BEFORE the PREWRITE keeps a stale-derived
+// table out of every object.
+func TestFoldedFlushValidationUnsafe(t *testing.T) {
 	th := thr4(t)
-	r1 := view(
-		[3]interface{}{1, p(5, "x"), p(3, "x")},
-		[3]interface{}{2, p(1, "a"), p(1, "a")},
+	b := p(5, "b")
+	w2 := types.Pair{TS: types.TS{Seq: 6}, Val: "b + writer 0's key"}
+	w1 := types.Pair{TS: types.TS{Seq: 6, WID: 1}, Val: "b + writer 1's key"}
+	r := view(
+		[3]interface{}{1, w1, b}, // Byzantine: accepted (6,1), hides (6,0)
+		[3]interface{}{2, w2, w2},
+		[3]interface{}{4, w1, b}, // correct and slow: accepted (6,1) over b
 	)
-	acc := decideAccOver(th, r1)
-	acc.Add(3, types.Message{Kind: types.MsgState, PW: p(7, "y"), W: p(2, "y")})
-	if got := acc.MaxTS(); got != types.At(7) {
-		t.Fatalf("MaxTS = %v, want %v", got, types.At(7))
+	acc := decideAccOver(th, r)
+	for sid, m := range r {
+		acc.Add(sid, m)
+	}
+	if !acc.Done() || acc.Choice() != w1 {
+		t.Fatalf("decision = %v (done %v), want %v", acc.Choice(), acc.Done(), w1)
+	}
+	views := make([]srvView, th.S+1)
+	for sid, m := range r {
+		views[sid] = srvView{has1: true, has2: true, pw1: m.PW, w1: m.W, pw2: m.PW, w2: m.W}
+	}
+	var d decider
+	var kept []uint64
+	forEachSubset(th.S, th.T, func(f uint64) {
+		if d.consistentF(th, views, f, true) {
+			kept = append(kept, f)
+		}
+	})
+	if len(kept) != 5 {
+		t.Errorf("consistent fault sets %b, want all five", kept)
+	}
+}
+
+// TestReadAccToken: a write-back carries the token its pair was read with —
+// the one most round-1 reports of the pair carry, in w or, for a pair only
+// pre-written so far, in pw.
+func TestReadAccToken(t *testing.T) {
+	th := thr4(t)
+	a, c := p(1, "a"), p(2, "c")
+	acc := NewReadAcc(th)
+	acc.Add(1, types.Message{Kind: types.MsgState, PW: c, W: a, TokenPW: 7, Token: 3})
+	acc.Add(2, types.Message{Kind: types.MsgState, PW: c, W: a, TokenPW: 7, Token: 3})
+	acc.Add(4, types.Message{Kind: types.MsgState, PW: c, W: c, TokenPW: 9, Token: 9}) // a liar's token
+	acc.BeginDecide()
+	for _, sid := range []int{1, 2, 4} {
+		acc.Add(sid, types.Message{Kind: types.MsgState, PW: c, W: a})
+	}
+	if !acc.Done() || acc.Choice() != c {
+		t.Fatalf("decision = %v (done %v), want %v", acc.Choice(), acc.Done(), c)
+	}
+	if tok := acc.Token(); tok != 7 {
+		t.Errorf("token = %d, want 7: the one two of the three reports of %v carry", tok, c)
 	}
 }
 

@@ -9,12 +9,13 @@
 // is validated by scripted adversarial schedules and large-scale seeded
 // randomized model checking against the regularity checker.
 //
-// The register serves both disciplines of the multi-writer stack: a
-// SINGLE-WRITER register (one owner issuing consecutive sequence numbers —
-// the per-reader write-back registers), and the writers' shared
-// MULTI-WRITER register, whose writers jump to discovered sequence numbers
-// and whose read decision runs in the relaxed MultiWriter mode (see
-// ReadAcc.MultiWriter and decide.go's prewrite-support analysis).
+// The register serves both disciplines: a SINGLE-WRITER register (one owner
+// issuing consecutive sequence numbers — the paper's), and the shared
+// MULTI-WRITER register of the atomic stack, whose writers jump to
+// discovered sequence numbers, whose readers write decided pairs back at
+// their own timestamps (WriteBack), and whose read decision runs in the
+// relaxed MultiWriter mode (see ReadAcc.MultiWriter and decide.go's
+// prewrite-support analysis).
 //
 // # Protocol
 //

@@ -44,7 +44,7 @@ func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types
 		}
 		ra.Conditioned(held, edit, flags, full)
 	}
-	return ra.Spec(label, nil), acks
+	return ra.Spec(label), acks
 }
 
 // Read1Spec builds the first read query round: collect states from a quorum.
@@ -52,21 +52,26 @@ func Read1Spec(th quorum.Thresholds, reg types.RegID) (proto.RoundSpec, *StateAc
 	acc := NewStateAcc(th)
 	var ra proto.RegAcc
 	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
-	return ra.Spec("READ1", nil), acc
+	return ra.Spec("READ1"), acc
 }
 
 // ReadPairOn runs one regular read over ra — whose one part asks a register
-// for its state into acc — and returns its pair: round READ1 alone when the
-// replies hit (see ReadAcc), the decision round READ2 after it when they
-// miss. The rounds are conditioned on ra's known-pair set, if it has one:
-// what the set holds, the objects need not send.
-func ReadPairOn(r proto.Rounder, ra *proto.RegAcc, acc *ReadAcc) (types.Pair, error) {
+// for its state into acc — and returns its pair: round labels[0] alone when
+// the replies hit (see ReadAcc), the decision round labels[1] after it when
+// they miss. A traced first round is annotated by note, if set. The rounds
+// are conditioned on ra's known-pair set, if it has one: what the set holds,
+// the objects need not send.
+func ReadPairOn(r proto.Rounder, ra *proto.RegAcc, acc *ReadAcc, labels [2]string, note func() string) (types.Pair, error) {
 	acc.Reset()
-	for i, label := range [...]string{"READ1", "READ2"} {
+	for i, label := range labels {
 		if i > 0 {
 			acc.BeginDecide()
 		}
-		if err := r.Round(ra.Spec(label, nil)); err != nil {
+		spec := ra.Spec(label)
+		if i == 0 {
+			spec.Note = note
+		}
+		if err := r.Round(spec); err != nil {
 			return types.Pair{}, fmt.Errorf("regular: read round %d: %w", i+1, err)
 		}
 		if acc.Hit() {
@@ -74,6 +79,26 @@ func ReadPairOn(r proto.Rounder, ra *proto.RegAcc, acc *ReadAcc) (types.Pair, er
 		}
 	}
 	return acc.Choice(), nil
+}
+
+// WriteBack completes p, a pair a read of register reg decided, at its own
+// timestamp: both write phases, each by reference (dig is p's value digest)
+// and under tok, the token p was read with. An object holding p promotes it;
+// one that does not answers need value and is sent p in full (writeSpec), and
+// the PREWRITE's acknowledgements say who is left without p for the WRITE. No
+// timestamp is issued, so the caller needs no writer identity, and the
+// register's values stay the writers'.
+func WriteBack(r proto.Rounder, th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token, dig uint64) error {
+	held := types.Have{TS: p.TS, Digest: dig}
+	var lack uint64
+	for _, phase := range [...]types.MsgKind{types.MsgPreWrite, types.MsgWrite} {
+		spec, acks := writeSpec(th, phase.String(), phase, reg, p, tok, held, "", lack)
+		if err := r.Round(spec); err != nil {
+			return fmt.Errorf("regular: write-back %v: %w", phase, err)
+		}
+		lack = acks.Lack()
+	}
+	return nil
 }
 
 // Writer is one writer of a regular register instance. A register owned by a
@@ -249,5 +274,5 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	acc.MultiWriter = r.MultiWriter
 	var ra proto.RegAcc
 	ra.Part(r.reg, types.Message{Kind: types.MsgRead1}, acc)
-	return ReadPairOn(r.rounder, &ra, acc)
+	return ReadPairOn(r.rounder, &ra, acc, [2]string{"READ1", "READ2"}, nil)
 }

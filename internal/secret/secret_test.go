@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"robustatomic/internal/checker"
+	"robustatomic/internal/core"
 	"robustatomic/internal/proto"
 	"robustatomic/internal/quorum"
 	"robustatomic/internal/regular"
@@ -21,7 +22,7 @@ func NewWriter(r proto.Rounder, th quorum.Thresholds, rng *rand.Rand) *regular.W
 
 // Reader reads the base secret-token register on its own (no atomic
 // transformation): one round on the fast path, two on the slow path. A
-// reference for these tests; the deployed read flow is NewAtomicReader.
+// reference for these tests; the deployed read flow is core.Reader.
 type Reader struct {
 	rounder proto.Rounder
 	th      quorum.Thresholds
@@ -47,7 +48,7 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	acc := regular.NewReadAcc(r.th)
 	var ra proto.RegAcc
 	ra.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, acc)
-	p, err := regular.ReadPairOn(r.rounder, &ra, acc)
+	p, err := regular.ReadPairOn(r.rounder, &ra, acc, [2]string{"READ1", "READ2"}, nil)
 	if err != nil {
 		return types.Pair{}, fmt.Errorf("secret: %w", err)
 	}
@@ -80,7 +81,6 @@ type harness struct {
 	thr  quorum.Thresholds
 	rng  *rand.Rand
 	ts   types.TS
-	seqs map[int]int64
 	fast bool
 	// known is shared by the per-operation handles, as one Store shard's
 	// handles share theirs: the tests run with value-eliding reads warm.
@@ -88,7 +88,7 @@ type harness struct {
 }
 
 func newHarness(thr quorum.Thresholds, seed int64) *harness {
-	return &harness{thr: thr, rng: rand.New(rand.NewSource(seed)), seqs: map[int]int64{}, known: proto.NewKnown(thr)}
+	return &harness{thr: thr, rng: rand.New(rand.NewSource(seed)), known: proto.NewKnown(thr)}
 }
 
 func (h *harness) writeOp(v types.Value) sim.OpFunc {
@@ -105,13 +105,12 @@ func (h *harness) writeOp(v types.Value) sim.OpFunc {
 
 func (h *harness) readOp(idx, readers int) sim.OpFunc {
 	return func(c *sim.Client) (types.Value, error) {
-		r := NewAtomicReaderAt(c, h.thr, h.rng, idx, readers, h.seqs[idx])
+		r := core.NewReader(c, h.thr, idx, readers)
 		r.UseKnown(h.known)
 		v, err := r.Read()
 		if err != nil {
 			return types.Bottom, err
 		}
-		h.seqs[idx] = r.Seq()
 		h.fast = r.Hit
 		return v, nil
 	}

@@ -3,10 +3,11 @@
 // initiates communication, plus the Byzantine behaviors used for fault
 // injection and for the lower-bound adversaries.
 //
-// One Store hosts any number of register instances (multiplexed by RegID),
-// which is what the regular→atomic transformation of Section 5 needs: the
-// writer's register and the R per-reader write-back registers live on the
-// same S physical objects and share physical communication rounds.
+// One Store hosts any number of registers (multiplexed by RegID) of one
+// register instance, which is what the classical regular→atomic
+// transformation of Section 5 needs: the writers' register and the R
+// per-reader write-back registers on the same S physical objects, sharing
+// physical rounds. The clients here address the shared register alone.
 package server
 
 import (

@@ -98,14 +98,30 @@ func (s *Sim) CheckLiveness(op *Op) error {
 		}
 	}
 	entry := op.seq
-	s.Step(op, correct...)
-	if !op.done && op.seq == entry && s.hedge(op) {
-		s.Step(op, correct...)
+	step := func() { // until the round moves, or nothing more is on its way
+		for s.Step(op, correct...); !op.done && op.seq == entry && op.inTransit(correct); {
+			s.Step(op, correct...)
+		}
+	}
+	if step(); !op.done && op.seq == entry && s.hedge(op) {
+		step()
 	}
 	if !op.done && op.seq == entry {
 		return op.stuck()
 	}
 	return nil
+}
+
+// inTransit reports whether a message of op's — a request a reply prompted,
+// such as a write re-sent in full to an object that needed its value — is on
+// its way to or from one of the given objects.
+func (op *Op) inTransit(sids []int) bool {
+	for _, sid := range sids {
+		if ln := op.port.lanes[sid-1]; len(ln.q[0])+len(ln.q[1]) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // RunOp drives op to completion by repeatedly delivering everything from
@@ -116,7 +132,7 @@ func (s *Sim) RunOp(op *Op) error {
 	for !op.done {
 		cur := op.seq
 		s.StepAll(op)
-		if !op.done && op.seq == cur && !s.hedge(op) {
+		if !op.done && op.seq == cur && !op.inTransit(s.all) && !s.hedge(op) {
 			// Everything deliverable was delivered, nothing is deferred, and
 			// the round is where it was: only its deadline is left.
 			return op.stuck()

@@ -6,6 +6,7 @@ package sim
 // restart from disk are each one directive away — no sleeps, no sockets.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -416,4 +417,102 @@ func TestAckLostWriterRestart(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// TestScriptedReadWritesBackIntoSharedRegister: a write completes on objects
+// 1–3 (object 4 misses it), and a second writer crashes after its PREWRITE
+// reached objects 1..k. Reader r1 queries objects 1, 2 and 4 — two w-reports
+// of the complete pair, one short of a hit — decides (the crashed pair once
+// two objects hold it) and, no quorum showing the pair complete, writes it
+// back. Reader r2, another process with nothing known, then reads under a
+// seeded schedule and must return a pair at least as new: every history
+// passes the multi-writer checker. And the write-back went where reads look —
+// into the shared register: no object holds any other.
+func TestScriptedReadWritesBackIntoSharedRegister(t *testing.T) {
+	th := thresholds(t, 4, 1)
+	for k := 1; k <= th.S; k++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			h := &checker.History{}
+			s := New(Config{Servers: th.S, History: h})
+			var last types.TS
+			write := func(wid int, v types.Value) *Op {
+				return s.Spawn("w-"+string(v), types.WriterID(wid), checker.OpWrite, v, func(c *Client) (types.Value, error) {
+					w := core.NewWriterAt(c, th, int64(wid), last)
+					err := w.Write(v)
+					last = w.LastTS()
+					return types.Bottom, err
+				})
+			}
+			for w := write(0, "a"); !w.Done(); {
+				s.Step(w, 1, 2, 3)
+			}
+			w := write(1, "b")
+			s.DeliverRequests(w, all(k)...)
+			s.Crash(w)
+
+			var r1 *core.Reader
+			read := func(idx int, out **core.Reader) *Op {
+				return s.Spawn(fmt.Sprint("r", idx), types.Reader(idx), checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
+					r := core.NewReader(c, th, idx, 2)
+					if out != nil {
+						*out = r
+					}
+					return r.Read()
+				})
+			}
+			op1 := read(1, &r1)
+			s.Step(op1, 1, 2, 4) // AREAD1: a, a, ⊥ — no hit
+			s.Step(op1, 1, 2, 4) // AREAD2: the decision
+			if err := s.RunOp(op1); err != nil {
+				t.Fatalf("k=%d: r1: %v", k, err)
+			}
+			v1, err := op1.Result()
+			want := types.Value("a") // the crashed pair, held by one object, could be a forgery
+			if k >= 2 {
+				want = "b"
+			}
+			if err != nil || v1 != want || r1.Elided {
+				t.Fatalf("k=%d: r1 = %q, %v (elided %v); want %q, written back", k, v1, err, r1.Elided, want)
+			}
+			s.Seed(seed)
+			op2 := read(2, nil)
+			if err := s.RunOp(op2); err != nil {
+				t.Fatalf("k=%d seed %d: r2: %v", k, seed, err)
+			}
+			if v2, err := op2.Result(); err != nil || v2 < v1 {
+				t.Fatalf("k=%d seed %d: r2 = %q, %v after r1 returned %q", k, seed, v2, err, v1)
+			}
+			if err := checker.CheckAtomicMW(h); err != nil {
+				t.Fatalf("k=%d seed %d: %v", k, seed, err)
+			}
+			for sid := 1; sid <= th.S; sid++ {
+				if n := registers(t, s, sid); n != 1 {
+					t.Fatalf("k=%d seed %d: object %d holds %d registers, want the shared one alone", k, seed, sid, n)
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
+// all returns object ids 1..k.
+func all(k int) []int {
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	return ids
+}
+
+// registers returns how many registers object sid holds on instance 0, read
+// off its snapshot (server.Store's format: a version byte, then a uvarint
+// register count).
+func registers(t *testing.T, s *Sim, sid int) uint64 {
+	t.Helper()
+	snap, err := s.Store(sid).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := binary.Uvarint(snap[1:])
+	return n
 }

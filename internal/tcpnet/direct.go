@@ -20,7 +20,7 @@ import (
 // verification want the object's raw values, not a reply shaped by what some
 // client holds (TestProbeReadsUnconditioned); nothing passes through the read
 // accumulators either, so no fast hit shortens what an operator sees
-// (repair's own quorum reads run on fresh handles, both query rounds:
+// (repair's own quorum reads are atomic reads like any other:
 // TestRepairReconstitutesWipedObject). Nothing here is ever DEFERRED: the
 // scoreboard of a mux of one slot holds nobody (t = 0), and it is not the
 // scoreboard of the mux that suspects the object, so probe, doctor, repair
@@ -55,7 +55,7 @@ func (d *Direct) ask(reg int, id types.RegID, msg types.Message, want types.MsgK
 		got = m
 		return true
 	}))
-	err = d.mux.round(d.from, reg, 0, ra.Spec(msg.Kind.String(), nil))
+	err = d.mux.round(d.from, reg, 0, ra.Spec(msg.Kind.String()))
 	if err == nil && got.Kind != want {
 		err = fmt.Errorf("unexpected reply %v", got.TraceNote())
 	}
@@ -63,7 +63,7 @@ func (d *Direct) ask(reg int, id types.RegID, msg types.Message, want types.MsgK
 }
 
 // ProbeReg reads the object's raw (pw, w) state for register id of instance
-// reg — the shared register or one reader's write-back register. An operator
+// reg (types.WriterReg: the one the clients address). An operator
 // diagnostic, not a protocol read: the object may lie, and no quorum
 // certifies the answer.
 func (d *Direct) ProbeReg(reg int, id types.RegID) (pw, w types.Pair, err error) {

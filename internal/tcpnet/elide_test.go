@@ -32,31 +32,36 @@ func TestOversizeReplyDoesNotKillConnection(t *testing.T) {
 	mux := NewMux(addrs)
 	defer mux.Close()
 
-	// Two registers of 40 KB each: every write fits a frame, every
-	// single-register read fits a frame, a cold two-register read does not.
+	// One register whose pw and w hold different 40 KB values — a write
+	// between its phases: every write fits a frame, a cold read's reply (both
+	// slots) does not; once the write completes, the slots share one copy.
 	val := types.Value(strings.Repeat("x", 40<<10))
-	wc := mux.Client(types.Writer, 0)
-	if err := regular.NewWriter(wc, thr, types.WriterReg).Write(val); err != nil {
+	next := types.Pair{TS: types.At(2), Val: types.Value(strings.Repeat("y", 40<<10))}
+	w := regular.NewWriter(mux.Client(types.Writer, 0), thr, types.WriterReg)
+	if err := w.Write(val); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.PreWritePair(next); err != nil {
 		t.Fatal(err)
 	}
 	rc := mux.Client(types.Reader(1), 0)
 	rc.RoundTimeout = 300 * time.Millisecond
-	if err := regular.NewWriter(rc, thr, types.ReaderReg(1)).Write(core.EncodePair(types.Pair{TS: types.At(1), Val: val})); err != nil {
-		t.Fatal(err)
-	}
 
 	oversize, lost := mSrvOversize.Value(), mMuxConnLost.Value()
 	_, err = core.NewReader(rc, thr, 1, 1).ReadPair()
 	if !errors.Is(err, ErrRoundTimeout) {
-		t.Fatalf("cold read of two 40 KB registers under a 64 KB frame bound: %v, want a round timeout", err)
+		t.Fatalf("cold read of two 40 KB slots under a 64 KB frame bound: %v, want a round timeout", err)
 	}
 	if d := mSrvOversize.Value() - oversize; d < 3 {
 		t.Errorf("oversize replies counted: %d, want ≥ 3", d)
 	}
-	// The same connections still serve: a single-register read goes through,
-	// and nothing was torn down.
-	if v, err := regular.NewReader(rc, thr, types.WriterReg).Read(); err != nil || v != val {
-		t.Errorf("read on the same connections after the oversize reply: %d bytes, %v", len(v), err)
+	// The same connections still serve: the write completes, and a cold read
+	// of the one copy goes through.
+	if err := w.CommitPair(next); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := core.NewReader(rc, thr, 1, 1).ReadPair(); err != nil || p != next {
+		t.Errorf("read on the same connections after the oversize reply: %d bytes at %v, %v", len(p.Val), p.TS, err)
 	}
 	if d := mMuxConnLost.Value() - lost; d != 0 {
 		t.Errorf("%d connections were lost", d)

@@ -23,7 +23,7 @@ var fullMatrix = flag.Bool("tcpnet.fullmatrix", false, "run the deferral safety 
 // mux is made to hold back nobody, the Byzantine object, or a CORRECT object
 // (a wrong suspicion) while a write one correct object missed and a write
 // that crashed after reaching k objects in either phase are read by
-// concurrent and sequential readers, hit-taking and abstaining. Safety:
+// concurrent and sequential readers, warm and cold. Safety:
 // every history passes checker.CheckAtomicMW. Liveness: no read fails, and
 // none comes near RoundTimeout — with a silent Byzantine object and a
 // deferred correct one, that is the hedge delay's doing.
@@ -126,19 +126,13 @@ func runDeferralCell(t *testing.T, phase string, k, byzSID int, mk func() server
 	}
 	cut(false)
 
-	seqs := make([]int64, R+1)
-	var mu sync.Mutex
-	read := func(idx int, fresh bool) {
+	read := func(idx int, cold bool) {
 		id := h.Invoke(types.Reader(idx), checker.OpRead, types.Bottom)
-		mu.Lock()
-		seq := seqs[idx]
-		mu.Unlock()
 		rc := m.Client(types.Reader(idx), 0)
-		r := core.NewReaderAt(rc, th, idx, R, seq)
-		if fresh {
-			r = core.NewReader(rc, th, idx, R)
+		r := core.NewReader(rc, th, idx, R)
+		if !cold {
+			r.UseKnown(known)
 		}
-		r.UseKnown(known)
 		start := time.Now()
 		v, err := r.Read()
 		if err != nil {
@@ -148,20 +142,17 @@ func runDeferralCell(t *testing.T, phase string, k, byzSID int, mk func() server
 		if d := time.Since(start); d > rc.RoundTimeout/2 {
 			t.Errorf("read by r%d took %v: a round waited for its timeout", idx, d)
 		}
-		mu.Lock()
-		seqs[idx] = r.Seq()
-		mu.Unlock()
 		h.Respond(id, v)
 	}
 	var wg sync.WaitGroup
-	for idx, fresh := range []bool{false, true, false} {
-		idx, fresh := idx+1, fresh
+	for idx, cold := range []bool{false, true, false} {
+		idx, cold := idx+1, cold
 		wg.Add(1)
-		go func() { defer wg.Done(); read(idx, fresh) }()
+		go func() { defer wg.Done(); read(idx, cold) }()
 	}
 	wg.Wait()
-	for i, fresh := range []bool{false, true, false, true, false, false} {
-		read(i%R+1, fresh)
+	for i, cold := range []bool{false, true, false, true, false, false} {
+		read(i%R+1, cold)
 	}
 	if err := checker.CheckAtomicMW(h); err != nil {
 		t.Fatal(err)

@@ -49,10 +49,10 @@ func (v Value) String() string {
 
 // Digest returns a 64-bit digest of v: with a timestamp it names a stored
 // value in a conditional READ's have-list (see Have). Timestamps alone name
-// genuine values, but a crashed write-back owner's re-issued sequence number
-// can leave correct objects holding DIFFERENT values under one timestamp
-// (see core.ResumeSeq), and the digest is what keeps an object from
-// eliding a value the client does not actually hold in that residual case.
+// genuine values, but should correct objects ever hold DIFFERENT values
+// under one timestamp (a writer identity re-proposing a sequence number
+// across process lifetimes), the digest is what keeps an object from eliding
+// a value the client does not actually hold.
 // It is not cryptographic and need not be: a Byzantine object gains nothing
 // from a collision (it may always answer as if it held the client's value),
 // so only accidental collisions between values correct writers issued under
@@ -319,9 +319,12 @@ func (p ProcID) String() string {
 	return fmt.Sprintf("%s%d", p.Kind, p.Idx)
 }
 
-// RegClass distinguishes the register instances multiplexed onto one physical
-// object by the regular→atomic transformation (Section 5, footnote 6): one
-// register shared by all writers plus one write-back register per reader.
+// RegClass distinguishes the registers one physical object can host for one
+// register instance. The classical regular→atomic transformation (Section 5,
+// footnote 6) has one register shared by all writers plus one write-back
+// register per reader; this implementation writes a read's result back into
+// the shared register, so clients address it alone, and a RegReader register
+// is written only by the benchmark module's settle.
 type RegClass int
 
 // Register classes.
@@ -329,8 +332,8 @@ const (
 	// RegWriter is the writers' MWMR regular register: every writer writes
 	// here, at timestamps totally ordered by (Seq, WriterID).
 	RegWriter RegClass = iota + 1
-	// RegReader is reader i's write-back register, single-writer-owned by
-	// that reader (its timestamps keep WID 0).
+	// RegReader is reader i's register of the classical transformation,
+	// single-writer-owned by that reader (its timestamps keep WID 0).
 	RegReader
 )
 
@@ -343,7 +346,8 @@ type RegID struct {
 // WriterReg is the RegID of the writer's register.
 var WriterReg = RegID{Class: RegWriter}
 
-// ReaderReg returns the RegID of reader i's write-back register.
+// ReaderReg returns the RegID of reader i's register of the classical
+// transformation.
 func ReaderReg(i int) RegID { return RegID{Class: RegReader, Idx: i} }
 
 // String implements fmt.Stringer.
@@ -442,8 +446,8 @@ type MsgFlags uint8
 
 // Message flags.
 const (
-	// FlagNoValues (READ request): the reply strips every value. Honoured
-	// for this generation's older clients; it goes at the next generation.
+	// FlagNoValues (READ request): the reply strips every value (the E12
+	// always-discover baseline's discovery round).
 	FlagNoValues MsgFlags = 1 << iota
 	// FlagElidedPW / FlagElidedW (STATE reply): the slot's value is withheld
 	// and only its timestamp travels — because the request's have-list named
@@ -463,14 +467,15 @@ type SubMsg struct {
 	Msg Message
 }
 
-// Register addressing. One object hosts the R+1 registers of an atomic
-// register (Section 5: the writers' register and the readers' write-back
-// registers share objects and physical rounds), and one message reaches any
-// number of them: a BARE message — any kind but MsgMux — is one part,
-// addressed at WriterReg; a MsgMux bundle carries the parts its Sub lists. A
-// reply has the shape of its request. That rule is decided by the four
-// functions below and spelled nowhere else: clients build requests and walk
-// replies through proto.RegAcc, objects through Store.Handle.
+// Register addressing. One object may host several registers of an atomic
+// register (Section 5: in the classical transformation the writers' register
+// and the readers' write-back registers share objects and physical rounds),
+// and one message reaches any number of them: a BARE message — any kind but
+// MsgMux — is one part, addressed at WriterReg; a MsgMux bundle carries the
+// parts its Sub lists. A reply has the shape of its request. That rule is
+// decided by the four functions below and spelled nowhere else: clients
+// build requests and walk replies through proto.RegAcc, objects through
+// Store.Handle.
 
 // Address returns the message carrying parts: the part itself when it is the
 // only one and addresses WriterReg (so a single-register protocol and the

@@ -2,7 +2,7 @@
 //
 // Every envelope is one frame:
 //
-//	[0x06 version byte] [uvarint payload length] [payload]
+//	[0x07 version byte] [uvarint payload length] [payload]
 //
 // Request payload:
 //
@@ -81,7 +81,7 @@ import (
 )
 
 // wireVersion is the live wire generation's frame header byte.
-const wireVersion = 0x06
+const wireVersion = 0x07
 
 // Frame tag bytes: a frame carries either one register message or a batch
 // of per-register sub-requests — never both, never neither.

@@ -216,25 +216,26 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPreviousGenerationRejected: generation 5 used the same frame layout
-// and mask bits, but would apply a conditioned write (generation 6) as a
-// write of its edit bytes, so a mixed deployment must fail on the first frame
-// with the lockstep-upgrade error, not misparse.
+// TestPreviousGenerationRejected: generation 6 used the same frame layout,
+// but its readers consult a write-back register per reader that this
+// generation's readers never write — an old reader's write-back would go
+// unseen by a new one, an inversion — so a mixed deployment must fail on the
+// first frame with the lockstep-upgrade error.
 func TestPreviousGenerationRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewEncoder(&buf).EncodeRequest(Request{From: types.Writer, Msg: types.Message{Kind: types.MsgRead1}}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	if frame[0] != 0x06 {
-		t.Fatalf("live generation header = 0x%02x, want 0x06", frame[0])
+	if frame[0] != 0x07 {
+		t.Fatalf("live generation header = 0x%02x, want 0x07", frame[0])
 	}
-	frame[0] = 0x05
+	frame[0] = 0x06
 	if _, err := NewDecoder(bytes.NewReader(frame)).DecodeRequest(); !errors.Is(err, ErrVersion) {
-		t.Errorf("generation-5 request: %v, want ErrVersion", err)
+		t.Errorf("generation-6 request: %v, want ErrVersion", err)
 	}
 	if _, err := NewDecoder(bytes.NewReader(frame)).DecodeResponse(); !errors.Is(err, ErrVersion) {
-		t.Errorf("generation-5 response: %v, want ErrVersion", err)
+		t.Errorf("generation-6 response: %v, want ErrVersion", err)
 	}
 }
 

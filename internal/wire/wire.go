@@ -8,7 +8,7 @@
 // complete out of order.
 //
 // The codec (codec.go) is a hand-rolled length-prefixed binary format,
-// generation 6, header byte 0x06: each frame is tagged with the request ID
+// generation 7, header byte 0x07: each frame is tagged with the request ID
 // and carries either a single register message or a BATCH of per-register
 // (Reg, Msg) sub-requests, so one frame can carry a whole wave of register
 // rounds (the cross-shard group commit of the Store layer).

@@ -258,21 +258,17 @@ func (c *Cluster) transitionConfig(transition func(config.Config) (config.Config
 // transferRegisters transfers the certified state of register instances
 // 0..shards to the daemon at addr — a blank replacement (Repair) or an
 // incoming member (Join, Move), reached directly (tcpnet.Direct) since it
-// need not be in any configuration yet. Per instance: certified quorum read against the live
-// members, a cluster-wide re-PREWRITE of the certified pair (the
+// need not be in any configuration yet. Per instance: an atomic read against
+// the live members, a cluster-wide re-PREWRITE of the pair it returned (the
 // multi-writer decision procedure assumes every w-held pair completed its
 // PREWRITE at 2t+1 objects; certification may rest on a thinner original
 // quorum, and the target's w-report must not be the one that breaks the
-// invariant), then a direct seed into the target — and within an instance
-// per register: the shared one AND every reader's write-back register. A
-// target whose write-back registers stayed blank would hold less than a
-// correct object that merely missed messages: one more fault could then
-// leave a lone write-back pair undecidable, and on a settled shard the
-// target would dissent from every fast hit (regular.ReadAcc). A migration
-// runs BEFORE the config write activates the new epoch, so the transfer's
-// own rounds are not refused; writes racing the transfer merely leave the
-// target slightly stale, which the protocol already tolerates
-// (correct-but-slow).
+// invariant), then a direct seed into the target. The instance's one register
+// is all a correct object holds, so the target ends up holding everything
+// completed there. A migration runs BEFORE the config write activates the new
+// epoch, so the transfer's own rounds are not refused; writes racing the
+// transfer merely leave the target slightly stale, which the protocol
+// already tolerates (correct-but-slow).
 func (c *Cluster) transferRegisters(addr string, shards int) ([]RepairedRegister, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("robustatomic: negative shard count %d", shards)
@@ -281,10 +277,6 @@ func (c *Cluster) transferRegisters(addr string, shards int) ([]RepairedRegister
 	defer d.Close()
 	out := make([]RepairedRegister, 0, shards+1)
 	for reg := 0; reg <= shards; reg++ {
-		// The quorum read: a fresh handle of this process's reader identity
-		// against this instance — fresh, so both query rounds run and every
-		// one of the R+1 registers is decided by the full procedure; this
-		// process's own, so it shares a write-back register with no other.
 		r := c.readerReg(c.readerID(), reg)
 		p, err := r.readPair()
 		if err != nil {
@@ -294,39 +286,23 @@ func (c *Cluster) transferRegisters(addr string, shards int) ([]RepairedRegister
 			out = append(out, RepairedRegister{Reg: reg, Skipped: true})
 			continue
 		}
-		rep := RepairedRegister{Reg: reg, TS: p.TS, Bytes: len(p.Val)}
+		// Re-establish the prewrite-support invariant before installing the
+		// pair in the target's w: one cluster-wide PREWRITE of the read's pair
+		// — monotone, so it can never regress newer state — makes the seeded
+		// w-report consistent with the true fault set on every later read.
 		rc := c.rounder(types.Reader(c.readerID()), reg)
-		for i := 0; i <= c.opts.Readers; i++ {
-			// The shared register gets the read's result — the certified head
-			// of the instance — each write-back register its own decided pair.
-			id, q := types.WriterReg, p
-			if i > 0 {
-				id, q = types.ReaderReg(i), r.rd.Choice(i)
-			}
-			if q.IsBottom() {
-				continue
-			}
-			// Re-establish the prewrite-support invariant before installing the
-			// pair in the target's w: one cluster-wide PREWRITE of the certified
-			// pair — monotone, so it can never regress newer state — makes the
-			// seeded w-report consistent with the true fault set on every later
-			// read.
-			err = c.retryEpoch(func() error {
-				spec, _ := regular.PreWriteSpec(c.th, id, q, 0)
-				return rc.Round(spec)
-			})
-			if err != nil {
-				return out, fmt.Errorf("robustatomic: transfer instance %d %v: prewrite support: %w", reg, id, err)
-			}
-			if err := d.Seed(reg, id, q); err != nil {
-				return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
-			}
-			if i > 0 {
-				rep.WriteBacks++
-			}
+		err = c.retryEpoch(func() error {
+			spec, _ := regular.PreWriteSpec(c.th, types.WriterReg, p, 0)
+			return rc.Round(spec)
+		})
+		if err != nil {
+			return out, fmt.Errorf("robustatomic: transfer instance %d: prewrite support: %w", reg, err)
+		}
+		if err := d.Seed(reg, types.WriterReg, p); err != nil {
+			return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
 		}
 		mMigrateRegs.Inc()
-		out = append(out, rep)
+		out = append(out, RepairedRegister{Reg: reg, TS: p.TS, Bytes: len(p.Val)})
 	}
 	return out, nil
 }

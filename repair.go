@@ -15,9 +15,6 @@ type RepairedRegister struct {
 	TS types.TS
 	// Bytes is the size of the installed value.
 	Bytes int
-	// WriteBacks counts the readers' write-back registers installed alongside
-	// the shared one (those the quorum read decided non-⊥).
-	WriteBacks int
 	// Skipped reports an instance that was never written (nothing to
 	// install; a blank register is its correct state).
 	Skipped bool

@@ -80,18 +80,17 @@ type Options struct {
 	// The cluster uses S = 3t+1 objects. Default 1.
 	Faults int
 	// Readers is R, the deployment-wide number of client processes, the same
-	// in every one of them: each process owns one write-back register, every
-	// read consults all R, and every object holds R+1 copies of a settled
-	// value, so size it to the processes that exist, not to concurrency
-	// within one. Default 2.
+	// in every one of them: it bounds WriterID. A read consults the shared
+	// register alone, whatever R is, so it costs nothing to leave room for
+	// processes yet to come. Default 2.
 	Readers int
 	// WriterID is this process's identity i, 0 ≤ i < Readers: the process is
 	// writer w_i — i is embedded in every timestamp it issues, breaking ties
 	// between writers that picked the same sequence number — and reader
 	// r_(i+1), which is what the Store, Repair, Join and Move read as. Two
 	// live processes of one deployment MUST NOT share an id; reusing one
-	// across sequential process lifetimes is safe (a fresh handle
-	// rediscovers its write-back sequence number, core.ResumeSeq).
+	// across sequential process lifetimes is safe (a reader issues no
+	// timestamps).
 	WriterID int
 	// Seed drives injected in-process faults.
 	Seed int64
@@ -113,8 +112,8 @@ type Options struct {
 }
 
 // ErrProcessID is returned by NewCluster, Connect and Sibling for a WriterID
-// outside 0..Readers-1 (the process would have no write-back register), and
-// by Sibling for its parent's WriterID (two live handles, one identity).
+// outside 0..Readers-1 (no identity of the deployment), and by Sibling for
+// its parent's WriterID (two live handles, one identity).
 var ErrProcessID = errors.New("robustatomic: bad process identity")
 
 // ErrWriteOvertaken is Writer.Write's (see there); the write may have taken effect.
@@ -235,9 +234,8 @@ func Connect(addrs []string, opts Options) (*Cluster, error) {
 // carries its own WriterID, seed and transport — the in-process twin of a
 // second machine running Connect, and like it refused its parent's
 // WriterID. Faults and Readers are cluster-wide constants and must match:
-// a reader consults all R write-back registers, so a sibling built with a
-// smaller R would miss a value a peer's reader already wrote back and
-// returned. Closing a handle releases its own transport only.
+// the identities of one deployment are numbered against one R. Closing a
+// handle releases its own transport only.
 func (c *Cluster) Sibling(opts Options) (*Cluster, error) {
 	opts.defaults()
 	if opts.WriterID == c.opts.WriterID {
@@ -438,9 +436,8 @@ type Reader struct {
 // Reader returns reader handle idx (1-based, ≤ Options.Readers) of the
 // standalone register. This process's own identity is WriterID+1; any other
 // idx belongs to the process configured with WriterID idx-1, if there is
-// one, and an identity must be used by at most one client at a time.
-// Sequential reuse is safe: every read rediscovers the write-back sequence
-// number from its query rounds (see core.ResumeSeq).
+// one. A reader owns no register and issues no timestamp, so handles of one
+// identity may read at once.
 func (c *Cluster) Reader(idx int) (*Reader, error) {
 	if idx < 1 || idx > c.opts.Readers {
 		return nil, fmt.Errorf("robustatomic: reader index %d out of 1..%d", idx, c.opts.Readers)

@@ -83,9 +83,8 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	}
 }
 
-// TestSiblingRefusesDifferentReaderCount: R is a cluster-wide constant — a
-// sibling reading fewer write-back registers than its peers write could miss
-// a value a peer's reader already wrote back and returned (new/old inversion).
+// TestSiblingRefusesDifferentReaderCount: R is a cluster-wide constant — the
+// identities of one deployment are numbered against one R.
 func TestSiblingRefusesDifferentReaderCount(t *testing.T) {
 	c, err := NewCluster(Options{Faults: 1, Readers: 3, WriterID: 2})
 	if err != nil {

@@ -46,8 +46,8 @@ ctl() { "$workdir/bin/storctl" -servers "$servers" -t 1 -shards 8 "$@"; }
 echo "== traffic"
 for i in $(seq 1 6); do ctl put "smoke:$i" "v$i" >/dev/null; done
 ctl get "smoke:3" >/dev/null
-# A client's own read path mix: every handle's first read of a shard runs
-# both query rounds, its later ones decide on the first.
+# A client's own read path mix: on a settled shard every read, a handle's
+# first included, decides on its first round.
 ctl getburst smoke 6 >"$workdir/getburst.out"
 grep -Eq 'read path 1/2/4 rounds: [0-9.]+/[0-9.]+/[0-9.]+' "$workdir/getburst.out" || {
   echo "FAIL: getburst did not print its read path mix:"; cat "$workdir/getburst.out"; exit 1

@@ -18,13 +18,12 @@ import (
 
 // ErrShardTableTooLarge is returned by Put and Delete when the mutation's
 // batch would grow its shard's encoded table past what a reader that holds
-// nothing yet can be sent in one frame: a cold read is answered with one
-// copy of the table per register — the shard's and each client process's
-// write-back register — so the bound is the wire's frame bound divided by
-// Readers+1. A table written past it could never be read back by a fresh
-// process. The whole batch is refused and nothing is written; spread the
-// keys over more shards.
-var ErrShardTableTooLarge = errors.New("robustatomic: shard table exceeds the readable size (frame bound / (Readers+1)); use more shards")
+// nothing yet can be sent in one frame: a cold read is answered with the
+// shard register's pw and w, two tables while a flush is in flight, so the
+// bound is half the wire's frame bound. A table written past it could never
+// be read back by a fresh process. The whole batch is refused and nothing is
+// written; spread the keys over more shards.
+var ErrShardTableTooLarge = errors.New("robustatomic: shard table exceeds the readable size (frame bound / 2); use more shards")
 
 // Flush-outcome counters and per-op latency distributions of the keyed Store
 // layer, process-wide. The three flush counters partition completed flushes
@@ -269,9 +268,9 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		modify:  w.modifyPair,
 		tracer:  s.c.opts.Tracer,
 		wTraced: w.traced,
-		// Each write-back copy carries a "seq.wid|" prefix and every
-		// sub-reply a few dozen bytes of framing.
-		maxTable: wire.MaxFrame/(s.c.opts.Readers+1) - 256,
+		// A reply carries the pair's timestamps and a few dozen bytes of
+		// framing besides the tables.
+		maxTable: wire.MaxFrame/2 - 256,
 	}
 	sh.puts.Wait, sh.gets.Wait = s.c.wait, s.c.wait
 	return sh, nil

@@ -58,7 +58,7 @@ func TestPutBytesOnTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range regs {
-			if r.Reg == 1 && r.Reader == 0 {
+			if r.Reg == 1 {
 				return r.W
 			}
 		}

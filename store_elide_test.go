@@ -10,7 +10,7 @@ import (
 	"robustatomic/internal/checker"
 	"robustatomic/internal/core"
 	"robustatomic/internal/obs"
-	"robustatomic/internal/regular"
+	"robustatomic/internal/shard"
 	"robustatomic/internal/sim"
 	"robustatomic/internal/types"
 	"robustatomic/internal/wire"
@@ -123,11 +123,11 @@ func TestStoreGetShipsEachValueOnce(t *testing.T) {
 	}
 }
 
-// TestFreshReaderAgainstSettledCluster is the benchmark's `settle` shape: a
-// handle with an empty known-pair set — a new process, a new connection —
-// reads registers whose write-back copies are all populated. It must decide
-// what a warm handle decides, be shipped each register's value in one round
-// only, and nothing on its next read.
+// TestFreshReaderAgainstSettledCluster: a handle with an empty known-pair
+// set — a new process, a new connection — reads a settled register. It must
+// decide what a warm handle decides, in one round (it has nothing to
+// discover), be shipped the value once per object, and nothing on its next
+// read.
 func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 	const readers = 3
 	c, run := onSchedule(t, Options{Faults: 1, Readers: readers, Seed: 67})
@@ -135,60 +135,39 @@ func TestFreshReaderAgainstSettledCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	must := func(err error) {
-		if err != nil {
+	table := strings.Repeat("v", 4096)
+	run(func() {
+		if err := st.Put("k", table); err != nil {
 			t.Error(err)
 		}
-	}
-	run(func() { must(st.Put("k", strings.Repeat("v", 4096))) })
-	// Settle: every reader identity writes the table back once (bench.settle).
-	var table types.Pair
-	for idx := 1; idx <= readers; idx++ {
-		run(func() {
-			cl := c.mux.Client(types.Reader(idx), 1)
-			r := core.NewReader(cl, c.th, idx, readers)
-			p, err := r.ReadPair()
-			must(err)
-			table = p
-			if r.Elided {
-				wb := regular.NewWriterAt(cl, c.th, types.ReaderReg(idx), 0, types.At(r.Seq()))
-				must(wb.WritePair(types.Pair{TS: types.At(r.Seq() + 1), Val: core.EncodePair(p)}))
-			}
-		})
-	}
+	})
 	freshCl := c.mux.Client(types.Reader(1), 1)
 	fresh := core.NewReader(freshCl, c.th, 1, readers)
 	sent := counterDelta("server_read_values_sent_total")
 	elided := counterDelta("server_read_values_elided_total")
 	var p types.Pair
 	run(func() { p, err = fresh.ReadPair() })
-	if err != nil || p != table {
-		t.Fatalf("fresh reader decided %v, %v; want %v", p.TS, err, table.TS)
+	if v, derr := shard.DecodeTable(string(p.Val)); err != nil || derr != nil || v["k"] != table {
+		t.Fatalf("fresh reader decided %v, %v", p.TS, err)
 	}
-	// Every register agrees on all four objects, yet a handle's first read
-	// takes no fast hit: it runs both query rounds, and resumes its
-	// write-back sequence number from what they report (settle wrote 1).
-	if freshCl.Rounds != 2 || fresh.Hit || fresh.Seq() != 1 {
-		t.Errorf("first read of a fresh handle: %d rounds, hit=%v, seq=%d; want 2 rounds, no hit, seq 1", freshCl.Rounds, fresh.Hit, fresh.Seq())
+	if freshCl.Rounds != 1 || !fresh.Hit || !fresh.Elided {
+		t.Errorf("first read of a fresh handle: %d rounds, hit=%v, elided=%v; want 1 round, a hit", freshCl.Rounds, fresh.Hit, fresh.Elided)
 	}
-	// Round 1: 4 objects × (readers+1) registers, one copy each. Round 2: the
-	// same slots, twice each (pw and w), all elided.
-	if got, want := sent(), int64(4*(readers+1)); got != want {
-		t.Errorf("cold read was shipped %d values, want %d (one round)", got, want)
+	// 4 objects × the one register, one copy each (w = pw): nothing elided.
+	if got, gotElided := sent(), elided(); got != 4 || gotElided != 0 {
+		t.Errorf("cold read was shipped %d values and elided %d, want 4 and 0", got, gotElided)
 	}
-	if got, want := elided(), int64(4*2*(readers+1)); got != want {
-		t.Errorf("cold read's second round elided %d values, want %d", got, want)
-	}
+	warm := p
 	sent = counterDelta("server_read_values_sent_total")
 	run(func() { p, err = fresh.ReadPair() })
-	if err != nil || p != table || !fresh.Elided {
+	if err != nil || p != warm || !fresh.Elided {
 		t.Fatalf("warm read = %v, %v, elided=%v", p.TS, err, fresh.Elided)
 	}
 	if got := sent(); got != 0 {
 		t.Errorf("warm read was shipped %d values, want 0", got)
 	}
-	if freshCl.Rounds != 3 || fresh.OneRound != 1 || fresh.Seq() != 1 {
-		t.Errorf("second read: %d rounds in total, %d one-round reads, seq=%d; want 3, 1, 1", freshCl.Rounds, fresh.OneRound, fresh.Seq())
+	if freshCl.Rounds != 2 || fresh.OneRound != 2 {
+		t.Errorf("second read: %d rounds in total, %d one-round reads; want 2, 2", freshCl.Rounds, fresh.OneRound)
 	}
 }
 
@@ -331,7 +310,7 @@ func TestGetRacesCommitterSeeding(t *testing.T) {
 // refusal leaves the shard fully usable.
 func TestShardTableSizeBound(t *testing.T) {
 	defer func(old int) { wire.MaxFrame = old }(wire.MaxFrame)
-	wire.MaxFrame = 96 << 10 // readers+1 = 3 copies ⇒ tables up to ~32 KB
+	wire.MaxFrame = 96 << 10 // pw and w: tables up to ~48 KB
 	c, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 89})
 	if err != nil {
 		t.Fatal(err)
@@ -342,17 +321,17 @@ func TestShardTableSizeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunk := strings.Repeat("x", 10<<10)
-	for i := 0; i < 3; i++ { // 30 KB: fits
+	for i := 0; i < 4; i++ { // 40 KB: fits
 		if err := st.Put(fmt.Sprint("k", i), chunk); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if err := st.Put("k3", chunk); !errors.Is(err, ErrShardTableTooLarge) {
+	if err := st.Put("k4", chunk); !errors.Is(err, ErrShardTableTooLarge) {
 		t.Fatalf("put past the bound: %v, want ErrShardTableTooLarge", err)
 	}
 	// The refused key was not written, the others are intact, and the shard
 	// keeps accepting mutations that fit — including one that makes room.
-	for k, want := range map[string]string{"k0": chunk, "k2": chunk, "k3": ""} {
+	for k, want := range map[string]string{"k0": chunk, "k3": chunk, "k4": ""} {
 		if v, err := st.Get(k); err != nil || v != want {
 			t.Errorf("Get %s after the refusal: %d bytes, %v; want %d bytes", k, len(v), err, len(want))
 		}
@@ -363,13 +342,59 @@ func TestShardTableSizeBound(t *testing.T) {
 	if err := st.Delete("k0"); err != nil {
 		t.Errorf("delete after the refusal: %v", err)
 	}
-	if err := st.Put("k3", chunk); err != nil {
+	if err := st.Put("k4", chunk); err != nil {
 		t.Errorf("put after making room: %v", err)
 	}
-	if v, err := st.Get("k3"); err != nil || v != chunk {
-		t.Errorf("Get k3 = %d bytes, %v", len(v), err)
+	if v, err := st.Get("k4"); err != nil || v != chunk {
+		t.Errorf("Get k4 = %d bytes, %v", len(v), err)
 	}
 	if v, err := st.Get("small"); err != nil || v != "v" {
 		t.Errorf("Get small = %q, %v", v, err)
+	}
+}
+
+// TestShardTableReadsBackCold: a table between a third and half of the frame
+// bound Puts, and a process that holds nothing reads it back over sockets,
+// its copy arriving in one frame per object.
+func TestShardTableReadsBackCold(t *testing.T) {
+	old := wire.MaxFrame
+	wire.MaxFrame = 96 << 10
+	t.Cleanup(func() { wire.MaxFrame = old }) // after every server has shut down
+	addrs, _ := startServers(t, 4)
+	const readers = 2
+	table := map[string]string{}
+	for i := 0; i < 4; i++ {
+		table[fmt.Sprint("k", i)] = strings.Repeat(fmt.Sprint(i), 10<<10)
+	}
+	if size := len(shard.EncodeTable(table)); size <= wire.MaxFrame/(readers+1) || size >= wire.MaxFrame/2 {
+		t.Fatalf("the table is %d bytes, want one between %d and %d", size, wire.MaxFrame/(readers+1), wire.MaxFrame/2)
+	}
+	writer, err := Connect(addrs, Options{Faults: 1, Readers: readers, Seed: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	st, err := writer.NewStore(StoreOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range table {
+		if err := st.Put(k, v); err != nil {
+			t.Fatalf("put %s: %v", k, err)
+		}
+	}
+	cold, err := Connect(addrs, Options{Faults: 1, Readers: readers, WriterID: 1, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	sc, err := cold.NewStore(StoreOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range table {
+		if v, err := sc.Get(k); err != nil || v != want {
+			t.Errorf("cold Get %s = %d bytes, %v; want %d bytes", k, len(v), err, len(want))
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"robustatomic/internal/core"
 	"robustatomic/internal/regular"
 	"robustatomic/internal/server"
 	"robustatomic/internal/types"
@@ -42,8 +41,9 @@ func (r *frameRecorder) Reply(inner *server.Store, from types.ProcID, m types.Me
 // from ⊥: its PREWRITE carries the table; then the certified read — a READ1
 // offering the committer's own pair — a PREWRITE by splice — one inserting an
 // entry, one replacing a value — and a WRITE by reference), two Gets (the
-// second a conditioned AREAD1) and one write-back into a reader's own register
-// (its WRITE by reference, in a bundle) must equal the frames of the fixture.
+// second a conditioned AREAD1) and one write-back of the shard's head (both
+// phases by reference, bare: the shard's one register) must equal the frames
+// of the fixture.
 // Over loopback sockets: a link that frames nothing sends no conditioned
 // form. Regenerate with -update-wire-golden only for a deliberate change of
 // what the client sends (a wire generation bump, a round added or removed).
@@ -73,11 +73,15 @@ func TestWireGolden(t *testing.T) {
 			t.Fatalf("Get = %q, %v", v, err)
 		}
 	}
-	// The write-back, as core.Reader issues it: both write phases addressed at
-	// reader 2's own register of instance 0.
-	wb := regular.NewWriterAt(c.rounder(types.Reader(2), 0), c.th, types.ReaderReg(2), 0, types.At(4))
-	back := types.Pair{TS: types.At(5), Val: core.EncodePair(types.Pair{TS: types.TS{Seq: 3, WID: 1}, Val: "x"})}
-	if err := wb.WritePair(back); err != nil {
+	// The write-back, as core.Reader issues it: both write phases of the
+	// shard's head, at its own timestamp, by reference, into the shard's
+	// register.
+	sh, err := st.shards.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := sh.base
+	if err := regular.WriteBack(c.rounder(types.Reader(2), 1), c.th, types.WriterReg, head, 0, head.Val.Digest()); err != nil {
 		t.Fatal(err)
 	}
 
