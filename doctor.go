@@ -27,7 +27,7 @@ func (c *Cluster) Probe(id, shards int) ([]RegisterState, error) {
 	defer d.Close()
 	var out []RegisterState
 	for reg := 0; reg <= shards; reg++ {
-		pw, w, err := d.ProbeReg(reg, types.WriterReg)
+		pw, w, err := d.Probe(reg)
 		if err != nil {
 			return out, fmt.Errorf("robustatomic: probe s%d instance %d: %w", id, reg, err)
 		}

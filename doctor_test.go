@@ -21,7 +21,7 @@ func TestDoctorFindsDivergedTimestamps(t *testing.T) {
 		at := types.At(7)
 		for i, val := range []types.Value{"one", "other"} {
 			d := f.direct(c, f.addrs[i])
-			if err := d.Seed(1, types.WriterReg, types.Pair{TS: at, Val: val}); err != nil {
+			if err := d.Seed(1, types.Pair{TS: at, Val: val}); err != nil {
 				t.Fatal(err)
 			}
 			d.Close()

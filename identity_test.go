@@ -244,7 +244,7 @@ func repairBesideAReader(t *testing.T, f *fabric, reading bool) {
 	headAt := func(sid int) types.Pair {
 		d := f.direct(b, addrs[sid-1])
 		defer d.Close()
-		_, w, err := d.ProbeReg(1, types.WriterReg)
+		_, w, err := d.Probe(1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func NewWriterAt(r proto.Rounder, th quorum.Thresholds, wid int64, last types.TS
 func NewWriterOn(r proto.Rounder, th quorum.Thresholds, wid int64, pw *regular.Writer) *Writer {
 	w := &Writer{rounder: r, th: th, wid: wid, pw: pw, cert: regular.NewReadAcc(th)}
 	w.cert.MultiWriter = true
-	w.certMux.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, w.cert)
+	w.certMux.Ask(types.WriterReg, types.Message{Kind: types.MsgRead1}, w.cert)
 	w.UseKnown(proto.NewKnown(th))
 	return w
 }
@@ -149,7 +149,7 @@ func (w *Writer) certifiedNext(own types.TS) (types.Pair, types.TS, error) {
 	if err != nil {
 		return types.Pair{}, types.TS{}, fmt.Errorf("core: certified discovery: %w", err)
 	}
-	w.certMux.Seed(types.WriterReg, cur)
+	w.certMux.Seed(cur)
 	return cur, types.MaxTS(cur.TS, own).Next(w.wid), nil
 }
 
@@ -254,7 +254,7 @@ func NewReader(r proto.Rounder, th quorum.Thresholds, idx, readers int) *Reader 
 	}
 	rd := &Reader{rounder: r, th: th, acc: regular.NewReadAcc(th)}
 	rd.acc.MultiWriter = true
-	rd.mux.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, rd.acc)
+	rd.mux.Ask(types.WriterReg, types.Message{Kind: types.MsgRead1}, rd.acc)
 	rd.noteFn = func() string {
 		if rd.acc.Hit() {
 			return "hit"
@@ -299,7 +299,7 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	}
 	// What was just decided is what the next read will most likely be
 	// answered with: offer it, so the objects need not send it again.
-	r.mux.Seed(types.WriterReg, p)
+	r.mux.Seed(p)
 
 	// Write-back elision: S−t distinct objects w-reported p's timestamp (or
 	// higher), so p is already complete — at least t+1 correct objects durably
@@ -322,7 +322,7 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 
 	// Two more physical rounds make p complete before it is returned: p
 	// itself, at its own timestamp, into the shared register.
-	if err := regular.WriteBack(r.rounder, r.th, types.WriterReg, p, r.acc.Token(), r.known.Digest(types.WriterReg, p)); err != nil {
+	if err := regular.WriteBack(r.rounder, r.th, p, r.acc.Token(), r.known.Digest(p)); err != nil {
 		return types.Pair{}, fmt.Errorf("core: %w", err)
 	}
 	return p, nil

@@ -42,40 +42,35 @@ func (a *stateAcc) Add(sid int, m types.Message) {
 func (a *stateAcc) Done() bool       { return len(a.Replies) >= a.need }
 func (a *stateAcc) Verdict() Verdict { return a.verdict }
 
-// readOf returns a one-part conditioned READ of reg over acc, its first
-// round begun.
+// readOf returns a conditioned READ of reg over acc, its first round begun.
 func readOf(k *Known, reg types.RegID, acc Accumulator) (*RegAcc, RoundSpec) {
 	ra := &RegAcc{}
 	ra.UseKnown(k)
-	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
+	ra.Ask(reg, types.Message{Kind: types.MsgRead1}, acc)
 	return ra, ra.Spec("READ1")
 }
 
-// offered returns what a handle refreshing now would offer for reg: the
-// set's pairs and the have-list naming them.
-func offered(k *Known, reg types.RegID) ([]types.Pair, []types.Have) {
+// offered returns what a handle refreshing now would offer: the set's pairs
+// and the have-list naming them.
+func offered(k *Known) ([]types.Pair, []types.Have) {
 	in := inflater{known: k}
-	in.refresh()
-	kr := in.reg(reg)
-	if kr == nil {
+	if !in.refresh() {
 		return nil, nil
 	}
-	return kr.pairs[:kr.n], in.have(reg)
+	return in.view.pairs[:in.view.n], in.haves
 }
 
 func TestKnownSetAdmission(t *testing.T) {
 	k := NewKnown(th(t, 4, 1))
-	reg := types.ReaderReg(2)
-	k.Seed(reg, types.BottomPair)                 // ⊥: nothing to elide
-	k.Seed(reg, types.Pair{Val: "x"})             // zero timestamp
-	k.Seed(types.RegID{Class: 9}, pairAt(1, "x")) // malformed register
-	if pairs, have := offered(k, reg); pairs != nil || have != nil || k.ver.Load() != 0 {
+	k.Seed(types.BottomPair)     // ⊥: nothing to elide
+	k.Seed(types.Pair{Val: "x"}) // zero timestamp
+	if pairs, have := offered(k); pairs != nil || have != nil || k.ver.Load() != 0 {
 		t.Fatalf("degenerate pairs were recorded: %v", pairs)
 	}
 	for seq := int64(1); seq <= 4; seq++ {
-		k.Seed(reg, pairAt(seq, fmt.Sprint("v", seq)))
+		k.Seed(pairAt(seq, fmt.Sprint("v", seq)))
 	}
-	pairs, have := offered(k, reg)
+	pairs, have := offered(k)
 	if len(pairs) != knownPerReg || pairs[0] != pairAt(4, "v4") || pairs[2] != pairAt(2, "v2") {
 		t.Errorf("entries = %v, want the %d newest, newest first", pairs, knownPerReg)
 	}
@@ -87,23 +82,20 @@ func TestKnownSetAdmission(t *testing.T) {
 	// Re-seeding an entry changes nothing — the version is what tells
 	// handles to refresh their view and rebuild their request.
 	before := k.ver.Load()
-	k.Seed(reg, pairAt(3, "v3"))
+	k.Seed(pairAt(3, "v3"))
 	if k.ver.Load() != before {
 		t.Error("seeding an existing entry moved the version")
 	}
 	// One entry per timestamp: a second value under a timestamp (the
 	// crashed-write-back residual) replaces the first.
-	k.Seed(reg, pairAt(3, "other"))
-	pairs, _ = offered(k, reg)
+	k.Seed(pairAt(3, "other"))
+	pairs, _ = offered(k)
 	if len(pairs) != knownPerReg || pairs[0] != pairAt(3, "other") || pairs[1] != pairAt(4, "v4") || pairs[2] != pairAt(2, "v2") {
 		t.Errorf("after a same-timestamp reseed: %v", pairs)
 	}
-	if pairs, _ := offered(k, types.WriterReg); len(pairs) != 0 {
-		t.Error("registers share entries")
-	}
 	var none *Known
-	none.Seed(reg, pairAt(1, "x")) // nil set: the unconditioned read
-	if pairs, have := offered(none, reg); pairs != nil || have != nil {
+	none.Seed(pairAt(1, "x")) // nil set: the unconditioned read
+	if pairs, have := offered(none); pairs != nil || have != nil {
 		t.Error("nil set offers pairs")
 	}
 }
@@ -123,11 +115,11 @@ func TestFullPairsNeedTPlusOneSenders(t *testing.T) {
 	spec.Acc.Add(2, state(forged)) // a duplicate delivery is not a third sender
 	spec.Acc.Add(3, state(genuine))
 	spec.Acc.Add(4, state(genuine))
-	if pairs, _ := offered(k, types.WriterReg); len(pairs) != 0 {
+	if pairs, _ := offered(k); len(pairs) != 0 {
 		t.Fatalf("pairs admitted on %d senders: %v", thr.T, pairs)
 	}
 	spec.Acc.Add(5, state(genuine))
-	if pairs, _ := offered(k, types.WriterReg); len(pairs) != 1 || pairs[0] != genuine {
+	if pairs, _ := offered(k); len(pairs) != 1 || pairs[0] != genuine {
 		t.Errorf("after t+1 identical copies: %v, want only %v", pairs, genuine)
 	}
 }
@@ -136,7 +128,7 @@ func TestInflateRejectsUnofferedClaims(t *testing.T) {
 	thr := th(t, 4, 1)
 	k := NewKnown(thr)
 	held := pairAt(5, "held")
-	k.Seed(types.WriterReg, held)
+	k.Seed(held)
 	inner := newStateAcc(thr)
 	_, spec := readOf(k, types.WriterReg, inner)
 	if req := spec.Req(1); len(req.Have) != 1 || req.Have[0] != (types.Have{TS: held.TS, Digest: held.Val.Digest()}) {
@@ -158,53 +150,60 @@ func TestInflateRejectsUnofferedClaims(t *testing.T) {
 	}
 }
 
-// TestMuxAccRoutesOutOfOrderReplies: sub-replies are matched positionally
-// when the object kept the request's order and by register otherwise;
-// registers the round never asked about are ignored.
-func TestMuxAccRoutesOutOfOrderReplies(t *testing.T) {
+// TestRegAccIgnoresOtherShapes: a reply reaches the accumulator only as the
+// one part answering the register the request asked — bare for the shared
+// register (or a one-part bundle naming it), a one-part bundle for any other.
+// A reply of any other shape is ignored like a reply of the wrong kind: an
+// object that answers so is as good as silent for the round, and it is no
+// evidence against the object either.
+func TestRegAccIgnoresOtherShapes(t *testing.T) {
 	thr := th(t, 4, 1)
-	regs := []types.RegID{types.WriterReg, types.ReaderReg(1), types.ReaderReg(2)}
-	accs := make([]*stateAcc, len(regs))
-	acc := &RegAcc{} // an unconditioned bundled round
-	for i, reg := range regs {
-		accs[i] = newStateAcc(thr)
-		acc.Part(reg, types.Message{Kind: types.MsgRead1}, accs[i])
-	}
-	acc.Spec("AREAD1")
-	sub := func(reg types.RegID, seq int64) types.SubMsg {
-		return types.SubMsg{Reg: reg, Msg: types.Message{Kind: types.MsgState, W: pairAt(seq, "v")}}
-	}
-	acc.Add(1, types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{sub(regs[0], 10), sub(regs[1], 11), sub(regs[2], 12)}})
-	acc.Add(2, types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{sub(regs[2], 22), sub(types.ReaderReg(7), 99), sub(regs[0], 20)}})
-	for i, want := range []map[int]int64{{1: 10, 2: 20}, {1: 11}, {1: 12, 2: 22}} {
-		if len(accs[i].Replies) != len(want) {
-			t.Errorf("register %v got %d replies, want %d", regs[i], len(accs[i].Replies), len(want))
+	w := pairAt(9, "w")
+	state := types.Message{Kind: types.MsgState, PW: w, W: w}
+	bundle := func(regs ...types.RegID) types.Message {
+		m := types.Message{Kind: types.MsgMux}
+		for _, reg := range regs {
+			m.Sub = append(m.Sub, types.SubMsg{Reg: reg, Msg: state})
 		}
-		for sid, seq := range want {
-			if got := accs[i].Replies[sid].W.TS.Seq; got != seq {
-				t.Errorf("register %v, object %d: seq %d, want %d", regs[i], sid, got, seq)
-			}
-		}
+		return m
 	}
-	// Object 2 listed a register nobody asked about in place of one that was:
-	// a withheld part.
-	if v := acc.Verdict(); v.Withheld != 1<<2 || v.Inflate != 0 {
-		t.Errorf("verdict = %+v, want object 2 withholding", v)
+	for _, tc := range []struct {
+		name    string
+		asked   types.RegID
+		reply   types.Message
+		reaches bool
+	}{
+		{"bare, to the shared register", types.WriterReg, state, true},
+		{"a one-part bundle naming the shared register", types.WriterReg, bundle(types.WriterReg), true},
+		{"a one-part bundle naming the register asked", types.ReaderReg(2), bundle(types.ReaderReg(2)), true},
+		{"a bundle without the register", types.WriterReg, bundle(types.ReaderReg(1)), false},
+		{"a two-part bundle", types.WriterReg, bundle(types.WriterReg, types.ReaderReg(1)), false},
+		{"a bundle of nothing", types.WriterReg, bundle(), false},
+		{"a bare reply to a one-part ReaderReg request", types.ReaderReg(2), state, false},
+	} {
+		inner := newStateAcc(thr)
+		var ra RegAcc
+		ra.Ask(tc.asked, types.Message{Kind: types.MsgRead1}, inner)
+		ra.Spec("READ1")
+		ra.Add(2, tc.reply)
+		if got := len(inner.Replies) == 1 && inner.Replies[2].W == w; got != tc.reaches {
+			t.Errorf("%s: reached the accumulator %v, want %v", tc.name, got, tc.reaches)
+		}
+		if d := ra.Verdict().Dissent(); d != 0 {
+			t.Errorf("%s: dissent %b, want none", tc.name, d)
+		}
 	}
 }
 
-// TestRequestShapes pins the addressing rule from the client's side: a part
-// for the writers' register alone travels bare, a part for any other
-// register and any several parts travel as a bundle — on the wire too.
+// TestRequestShapes pins the addressing rule from the client's side: a READ
+// of the writers' register travels bare, a READ of any other register as a
+// one-part bundle — on the wire too.
 func TestRequestShapes(t *testing.T) {
 	thr := th(t, 4, 1)
-	read := types.Message{Kind: types.MsgRead1}
-	shape := func(regs ...types.RegID) types.Message {
+	shape := func(reg types.RegID) types.Message {
 		t.Helper()
 		var ra RegAcc
-		for _, reg := range regs {
-			ra.Part(reg, read, newStateAcc(thr))
-		}
+		ra.Ask(reg, types.Message{Kind: types.MsgRead1}, newStateAcc(thr))
 		m := ra.Spec("R").Req(1)
 		frame, err := wire.AppendRequest(nil, wire.Request{Msg: m})
 		if err != nil {
@@ -212,38 +211,28 @@ func TestRequestShapes(t *testing.T) {
 		}
 		back, err := wire.ParseRequest(frame)
 		if err != nil || back.Msg.Kind != m.Kind || len(back.Msg.Sub) != len(m.Sub) {
-			t.Fatalf("request for %v does not survive the wire: %+v, %v", regs, back.Msg, err)
+			t.Fatalf("request for %v does not survive the wire: %+v, %v", reg, back.Msg, err)
 		}
 		return m
 	}
 	if m := shape(types.WriterReg); m.Kind != types.MsgRead1 || m.Sub != nil {
-		t.Errorf("the writers' register alone: %+v, want the bare READ", m)
+		t.Errorf("the writers' register: %+v, want the bare READ", m)
 	}
 	if m := shape(types.ReaderReg(2)); m.Kind != types.MsgMux || len(m.Sub) != 1 || m.Sub[0].Reg != types.ReaderReg(2) || m.Sub[0].Msg.Kind != types.MsgRead1 {
-		t.Errorf("a write-back register alone: %+v, want a one-part bundle", m)
-	}
-	all := []types.RegID{types.WriterReg, types.ReaderReg(1), types.ReaderReg(2)}
-	m := shape(all...)
-	if m.Kind != types.MsgMux || len(m.Sub) != len(all) {
-		t.Fatalf("R+1 registers: %+v, want a bundle of %d", m, len(all))
-	}
-	for i, reg := range all {
-		if m.Sub[i].Reg != reg || m.Sub[i].Msg.Kind != types.MsgRead1 {
-			t.Errorf("part %d = %+v, want a READ of %v", i, m.Sub[i], reg)
-		}
+		t.Errorf("a per-reader register: %+v, want a one-part bundle", m)
 	}
 }
 
-// TestReplyParts: what RegAcc does with the parts of a reply, for the
-// one-part and the several-part use alike — a part for a register the
-// request did not list is ignored, a listed register's missing part marks
-// the object as withholding, an elision the request did not offer marks it
-// as inflating and reaches no accumulator.
+// TestReplyParts: what RegAcc does with a reply — an elision the request
+// offered is inflated, a part for a register the request did not ask is
+// ignored, an elision the request did not offer marks the object as
+// inflating and reaches no accumulator; the verdict is Add's own until the
+// accumulator decides, and merged with the accumulator's after.
 func TestReplyParts(t *testing.T) {
 	thr := th(t, 4, 1)
 	k := NewKnown(thr)
 	held := pairAt(5, "held")
-	k.Seed(types.ReaderReg(1), held)
+	k.Seed(held)
 	state := func(p types.Pair, flags types.MsgFlags) types.Message {
 		if flags != 0 {
 			p.Val = ""
@@ -253,60 +242,28 @@ func TestReplyParts(t *testing.T) {
 	const both = types.FlagElidedPW | types.FlagElidedW
 	bundle := func(subs ...types.SubMsg) types.Message { return types.Message{Kind: types.MsgMux, Sub: subs} }
 
-	// One part, a write-back register: the reply is a one-part bundle.
-	one := newStateAcc(thr)
-	ra, spec := readOf(k, types.ReaderReg(1), one)
-	if have := spec.Req(1).Sub[0].Msg.Have; len(have) != 1 || have[0].TS != held.TS {
-		t.Fatalf("one-part READ offers %v, want %v", have, held.TS)
+	acc := newStateAcc(thr)
+	ra, spec := readOf(k, types.WriterReg, acc)
+	if have := spec.Req(1).Have; len(have) != 1 || have[0].TS != held.TS {
+		t.Fatalf("READ offers %v, want %v", have, held.TS)
 	}
-	ra.Add(1, bundle(types.SubMsg{Reg: types.ReaderReg(1), Msg: state(held, both)}))          // elided as offered
-	ra.Add(2, bundle(types.SubMsg{Reg: types.ReaderReg(2), Msg: state(held, 0)}))             // another register's part
-	ra.Add(3, bundle(types.SubMsg{Reg: types.ReaderReg(1), Msg: state(pairAt(6, ""), both)})) // un-offered elision
-	ra.Add(4, state(held, 0))                                                                 // bare: the writers' register's part
-	if len(one.Replies) != 1 || one.Replies[1].W != held {
-		t.Errorf("one-part accumulator saw %v, want object 1's inflated reply only", one.Replies)
-	}
-	if v := ra.Verdict(); v.Withheld != 1<<2|1<<4 || v.Inflate != 1<<3 {
-		t.Errorf("one-part verdict = %+v, want objects 2 and 4 withholding, 3 inflating", v)
-	}
-
-	// Several parts.
-	accs := []*stateAcc{newStateAcc(thr), newStateAcc(thr), newStateAcc(thr)}
-	var mux RegAcc
-	mux.UseKnown(k)
-	for i, reg := range []types.RegID{types.WriterReg, types.ReaderReg(1), types.ReaderReg(2)} {
-		mux.Part(reg, types.Message{Kind: types.MsgRead1}, accs[i])
-	}
-	mux.Spec("AREAD1")
 	w := pairAt(9, "w")
-	mux.Add(1, bundle(
-		types.SubMsg{Reg: types.WriterReg, Msg: state(w, 0)},
-		types.SubMsg{Reg: types.ReaderReg(1), Msg: state(held, both)},
-		types.SubMsg{Reg: types.ReaderReg(2), Msg: state(types.BottomPair, 0)}))
-	mux.Add(2, bundle(
-		types.SubMsg{Reg: types.WriterReg, Msg: state(w, 0)},
-		types.SubMsg{Reg: types.ReaderReg(2), Msg: state(types.BottomPair, 0)})) // reader 1's part withheld
-	mux.Add(3, bundle(
-		types.SubMsg{Reg: types.WriterReg, Msg: state(w, both)}, // w was never offered
-		types.SubMsg{Reg: types.ReaderReg(1), Msg: state(held, 0)},
-		types.SubMsg{Reg: types.ReaderReg(2), Msg: state(types.BottomPair, 0)}))
-	for i, want := range []int{2, 2, 3} {
-		if len(accs[i].Replies) != want {
-			t.Errorf("part %d saw %d replies, want %d", i, len(accs[i].Replies), want)
-		}
+	ra.Add(1, state(held, both))                                                  // elided as offered
+	ra.Add(2, bundle(types.SubMsg{Reg: types.ReaderReg(1), Msg: state(held, 0)})) // another register's part
+	ra.Add(3, state(pairAt(6, ""), both))                                         // un-offered elision
+	ra.Add(4, state(w, 0))
+	if len(acc.Replies) != 2 || acc.Replies[4].W != w {
+		t.Errorf("accumulator saw %v, want objects 1 and 4", acc.Replies)
 	}
-	if got := accs[1].Replies[1]; got.W != held || got.Flags != 0 {
+	if got := acc.Replies[1]; got.W != held || got.PW != held || got.Flags != 0 {
 		t.Errorf("offered elision not inflated: %+v", got)
 	}
-	// No part has decided anything yet: the verdict is the fan-out's own.
-	if v := mux.Verdict(); v != (Verdict{Withheld: 1 << 2, Inflate: 1 << 3}) {
-		t.Errorf("verdict = %+v, want object 2 withholding, 3 inflating, nothing else", v)
+	// The accumulator has decided nothing yet: the verdict is Add's own.
+	if v := ra.Verdict(); v != (Verdict{Inflate: 1 << 3}) {
+		t.Errorf("verdict = %+v, want object 3 inflating, nothing else", v)
 	}
-	for _, a := range accs {
-		a.verdict = Verdict{Agree: 1 << 1}
-	}
-	accs[1].verdict.W = 1 << 4 // one part saw object 4 dissent
-	if v := mux.Verdict(); v.W != 1<<4 || v.Withheld != 1<<2 || v.Inflate != 1<<3 || v.Agree != 1<<1 {
-		t.Errorf("merged verdict = %+v", v)
+	acc.verdict = Verdict{Agree: 1<<1 | 1<<3, W: 1 << 4}
+	if v := ra.Verdict(); v != (Verdict{Agree: 1 << 1, W: 1 << 4, Inflate: 1 << 3}) {
+		t.Errorf("merged verdict = %+v, want 1 agreeing, 4 dissenting, 3 inflating", v)
 	}
 }

@@ -34,18 +34,17 @@ type Accumulator interface {
 // Verdict is what a round that DECIDED something says about the objects that
 // answered it, as bitmasks (bit sid): Agree marks those whose report matched
 // the decision, the rest those that contradicted it — by a w report other
-// than the pair the read decided (W), a register's part missing from a reply
-// (Withheld), an elision claimed for a pair the request did not offer
-// (Inflate). Evidence for the transport that ran the round (tcpnet's
-// suspicion-ordered sends), never an input to any decision.
-type Verdict struct{ Agree, W, Withheld, Inflate uint64 }
+// than the pair the read decided (W), or an elision claimed for a pair the
+// request did not offer (Inflate). Evidence for the transport that ran the
+// round (tcpnet's suspicion-ordered sends), never an input to any decision.
+type Verdict struct{ Agree, W, Inflate uint64 }
 
 // Dissent returns the objects that contradicted the decision for any reason.
-func (v Verdict) Dissent() uint64 { return v.W | v.Withheld | v.Inflate }
+func (v Verdict) Dissent() uint64 { return v.W | v.Inflate }
 
 // Merge folds o into v; an object dissenting anywhere does not agree.
 func (v *Verdict) Merge(o Verdict) {
-	v.W, v.Withheld, v.Inflate = v.W|o.W, v.Withheld|o.Withheld, v.Inflate|o.Inflate
+	v.W, v.Inflate = v.W|o.W, v.Inflate|o.Inflate
 	v.Agree = (v.Agree | o.Agree) &^ v.Dissent()
 }
 

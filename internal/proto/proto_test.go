@@ -97,7 +97,7 @@ func TestRegAccConditioned(t *testing.T) {
 	named := types.Have{TS: types.At(2), Digest: 42}
 	for _, reg := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
 		var ra RegAcc
-		ra.Part(reg, types.Message{Kind: types.MsgPreWrite, Pair: p, Token: 7}, NewAckBits(3))
+		ra.Ask(reg, types.Message{Kind: types.MsgPreWrite, Pair: p, Token: 7}, NewAckBits(3))
 		if spec := ra.Spec("PREWRITE"); spec.Full != nil {
 			t.Fatalf("%v: an unconditioned part offers a full form", reg)
 		}
@@ -121,23 +121,21 @@ func TestRegAccConditioned(t *testing.T) {
 
 // TestRegAccReadFullForm: a READ that carries a have-list offers the same
 // request without it as its full form — what a link that frames nothing
-// sends — bare or bundled; a READ with nothing to offer has no other form.
+// sends; a READ with nothing to offer has no other form.
 func TestRegAccReadFullForm(t *testing.T) {
-	for _, reg := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
-		k := NewKnown(th(t, 4, 1))
-		var ra RegAcc
-		ra.UseKnown(k)
-		ra.Part(reg, types.Message{Kind: types.MsgRead1}, NewCountAcc(3, nil))
-		if spec := ra.Spec("READ1"); spec.Full != nil {
-			t.Fatalf("%v: a READ without a have-list offers a full form", reg)
-		}
-		k.Seed(reg, types.Pair{TS: types.At(2), Val: "held"})
-		spec := ra.Spec("READ1")
-		gotReg, hinted := fullOf(t, spec.Req(1))
-		plainReg, plain := fullOf(t, spec.Full.FullRequest(1))
-		if gotReg != reg || plainReg != reg || len(hinted.Have) != 1 || len(plain.Have) != 0 || plain.Kind != types.MsgRead1 {
-			t.Errorf("%v: request %v on %v, full form %v on %v", reg, gotReg, hinted.Have, plainReg, plain.Have)
-		}
+	k := NewKnown(th(t, 4, 1))
+	var ra RegAcc
+	ra.UseKnown(k)
+	ra.Ask(types.WriterReg, types.Message{Kind: types.MsgRead1}, NewCountAcc(3, nil))
+	if spec := ra.Spec("READ1"); spec.Full != nil {
+		t.Fatal("a READ without a have-list offers a full form")
+	}
+	k.Seed(types.Pair{TS: types.At(2), Val: "held"})
+	spec := ra.Spec("READ1")
+	gotReg, hinted := fullOf(t, spec.Req(1))
+	plainReg, plain := fullOf(t, spec.Full.FullRequest(1))
+	if gotReg != types.WriterReg || plainReg != types.WriterReg || len(hinted.Have) != 1 || len(plain.Have) != 0 || plain.Kind != types.MsgRead1 {
+		t.Errorf("request %v on %v, full form %v on %v", gotReg, hinted.Have, plainReg, plain.Have)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // PreWriteSpec builds the writer's first round — store the pair in pw of
-// register reg at every object, await S−t acknowledgements — and returns the
+// the shared register at every object, await S−t acknowledgements — and returns the
 // acknowledgement count with it: the replies' prior-state piggybacks (each
 // object's pre-prewrite (pw, w) timestamps, values stripped) fold into its
 // MaxTS, the optimistic write's certification input. The reports are
@@ -17,8 +17,8 @@ import (
 // the caller's fallback, bounded like discovery inflation) or underreport
 // it (harmless — any write that COMPLETED before this round began reached
 // a correct member of this quorum, whose honest report carries it).
-func PreWriteSpec(th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
-	return writeSpec(th, "PREWRITE", types.MsgPreWrite, reg, p, tok, types.Have{}, "", 0)
+func PreWriteSpec(th quorum.Thresholds, p types.Pair, tok types.Token) (proto.RoundSpec, *proto.BitAcc) {
+	return writeSpec(th, "PREWRITE", types.MsgPreWrite, types.WriterReg, p, tok, types.Have{}, "", 0)
 }
 
 // writeSpec builds a write phase's round: store p in pw (PREWRITE) or w
@@ -36,7 +36,7 @@ func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types
 	acks := proto.NewAckBits(th.Quorum())
 	acks.Expect(p.TS)
 	ra := new(proto.RegAcc)
-	ra.Part(reg, types.Message{Kind: kind, Pair: p, Token: tok}, acks)
+	ra.Ask(reg, types.Message{Kind: kind, Pair: p, Token: tok}, acks)
 	if held.Digest != 0 {
 		var flags types.MsgFlags
 		if edit != "" {
@@ -51,12 +51,12 @@ func writeSpec(th quorum.Thresholds, label string, kind types.MsgKind, reg types
 func Read1Spec(th quorum.Thresholds, reg types.RegID) (proto.RoundSpec, *StateAcc) {
 	acc := NewStateAcc(th)
 	var ra proto.RegAcc
-	ra.Part(reg, types.Message{Kind: types.MsgRead1}, acc)
+	ra.Ask(reg, types.Message{Kind: types.MsgRead1}, acc)
 	return ra.Spec("READ1"), acc
 }
 
-// ReadPairOn runs one regular read over ra — whose one part asks a register
-// for its state into acc — and returns its pair: round labels[0] alone when
+// ReadPairOn runs one regular read over ra — which asks a register for its
+// state into acc — and returns its pair: round labels[0] alone when
 // the replies hit (see ReadAcc), the decision round labels[1] after it when
 // they miss. A traced first round is annotated by note, if set. The rounds
 // are conditioned on ra's known-pair set, if it has one: what the set holds,
@@ -81,18 +81,18 @@ func ReadPairOn(r proto.Rounder, ra *proto.RegAcc, acc *ReadAcc, labels [2]strin
 	return acc.Choice(), nil
 }
 
-// WriteBack completes p, a pair a read of register reg decided, at its own
-// timestamp: both write phases, each by reference (dig is p's value digest)
+// WriteBack completes p, a pair a read of the shared register decided, at its
+// own timestamp: both write phases, each by reference (dig is p's value digest)
 // and under tok, the token p was read with. An object holding p promotes it;
 // one that does not answers need value and is sent p in full (writeSpec), and
 // the PREWRITE's acknowledgements say who is left without p for the WRITE. No
 // timestamp is issued, so the caller needs no writer identity, and the
 // register's values stay the writers'.
-func WriteBack(r proto.Rounder, th quorum.Thresholds, reg types.RegID, p types.Pair, tok types.Token, dig uint64) error {
+func WriteBack(r proto.Rounder, th quorum.Thresholds, p types.Pair, tok types.Token, dig uint64) error {
 	held := types.Have{TS: p.TS, Digest: dig}
 	var lack uint64
 	for _, phase := range [...]types.MsgKind{types.MsgPreWrite, types.MsgWrite} {
-		spec, acks := writeSpec(th, phase.String(), phase, reg, p, tok, held, "", lack)
+		spec, acks := writeSpec(th, phase.String(), phase, types.WriterReg, p, tok, held, "", lack)
 		if err := r.Round(spec); err != nil {
 			return fmt.Errorf("regular: write-back %v: %w", phase, err)
 		}
@@ -135,7 +135,9 @@ type Writer struct {
 }
 
 // UseKnown makes the writer record the pairs it issues in k: this process
-// holds their values, so no object need send them back (proto.Known.Seed).
+// holds their values, so no object need send them back (proto.Known.Seed). A
+// Known set is the shared register's, so only that register's writer
+// (core.Writer) takes one.
 func (w *Writer) UseKnown(k *proto.Known) { w.known = k }
 
 // NewWriter returns writer 0's handle for the register instance reg (use
@@ -209,10 +211,10 @@ func (w *Writer) preWrite(p types.Pair, from types.Delta) (types.TS, error) {
 	// The timestamp is issued: no other value will ever exist under it, and
 	// from the PREWRITE on objects hold the pair — a read of this process that
 	// overlaps the write must already offer it, or be shipped the value back.
-	w.known.Seed(w.reg, p)
+	w.known.Seed(p)
 	var held types.Have
 	if from.Edit != "" && len(from.Edit) < len(p.Val) {
-		held = types.Have{TS: from.Base.TS, Digest: w.known.Digest(w.reg, from.Base)}
+		held = types.Have{TS: from.Base.TS, Digest: w.known.Digest(from.Base)}
 	}
 	spec, acc := writeSpec(w.th, "PREWRITE", types.MsgPreWrite, w.reg, p, w.pending, held, from.Edit, 0)
 	if err := w.rounder.Round(spec); err != nil {
@@ -227,7 +229,7 @@ func (w *Writer) preWrite(p types.Pair, from types.Delta) (types.TS, error) {
 // token, so the phases of one write stay tied together in the secret-token
 // model).
 func (w *Writer) CommitPair(p types.Pair) error {
-	held := types.Have{TS: p.TS, Digest: w.known.Digest(w.reg, p)}
+	held := types.Have{TS: p.TS, Digest: w.known.Digest(p)}
 	spec, _ := writeSpec(w.th, "WRITE", types.MsgWrite, w.reg, p, w.pending, held, "", w.lack)
 	if err := w.rounder.Round(spec); err != nil {
 		return fmt.Errorf("regular: write: %w", err)
@@ -273,6 +275,6 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	acc := NewReadAcc(r.th)
 	acc.MultiWriter = r.MultiWriter
 	var ra proto.RegAcc
-	ra.Part(r.reg, types.Message{Kind: types.MsgRead1}, acc)
+	ra.Ask(r.reg, types.Message{Kind: types.MsgRead1}, acc)
 	return ReadPairOn(r.rounder, &ra, acc, [2]string{"READ1", "READ2"}, nil)
 }

@@ -47,7 +47,7 @@ func (r *Reader) Read() (types.Value, error) {
 func (r *Reader) ReadPair() (types.Pair, error) {
 	acc := regular.NewReadAcc(r.th)
 	var ra proto.RegAcc
-	ra.Part(types.WriterReg, types.Message{Kind: types.MsgRead1}, acc)
+	ra.Ask(types.WriterReg, types.Message{Kind: types.MsgRead1}, acc)
 	p, err := regular.ReadPairOn(r.rounder, &ra, acc, [2]string{"READ1", "READ2"}, nil)
 	if err != nil {
 		return types.Pair{}, fmt.Errorf("secret: %w", err)

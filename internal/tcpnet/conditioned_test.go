@@ -102,7 +102,7 @@ func TestNeedValueIsAnsweredInFullOncePerRound(t *testing.T) {
 	held := func(sid int) types.Pair {
 		d := m.Direct(addrs[sid-1], types.Reader(1))
 		defer d.Close()
-		_, w, err := d.ProbeReg(0, types.WriterReg)
+		_, w, err := d.Probe(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,11 +47,11 @@ func (m *Mux) Direct(addr string, from types.ProcID) *Direct {
 // Close releases the link.
 func (d *Direct) Close() { d.mux.Close() }
 
-// ask sends msg to register id of the object's register instance reg and
-// returns the object's answer for that register, which must be of kind want.
-func (d *Direct) ask(reg int, id types.RegID, msg types.Message, want types.MsgKind) (got types.Message, err error) {
+// ask sends msg to the shared register of the object's register instance
+// reg and returns the object's answer, which must be of kind want.
+func (d *Direct) ask(reg int, msg types.Message, want types.MsgKind) (got types.Message, err error) {
 	var ra proto.RegAcc
-	ra.Part(id, msg, proto.NewCountAcc(1, func(_ int, m types.Message) bool {
+	ra.Ask(types.WriterReg, msg, proto.NewCountAcc(1, func(_ int, m types.Message) bool {
 		got = m
 		return true
 	}))
@@ -62,34 +62,33 @@ func (d *Direct) ask(reg int, id types.RegID, msg types.Message, want types.MsgK
 	return got, err
 }
 
-// ProbeReg reads the object's raw (pw, w) state for register id of instance
-// reg (types.WriterReg: the one the clients address). An operator
-// diagnostic, not a protocol read: the object may lie, and no quorum
-// certifies the answer.
-func (d *Direct) ProbeReg(reg int, id types.RegID) (pw, w types.Pair, err error) {
-	rsp, err := d.ask(reg, id, types.Message{Kind: types.MsgRead1}, types.MsgState)
+// Probe reads the object's raw (pw, w) state of register instance reg. An
+// operator diagnostic, not a protocol read: the object may lie, and no
+// quorum certifies the answer.
+func (d *Direct) Probe(reg int) (pw, w types.Pair, err error) {
+	rsp, err := d.ask(reg, types.Message{Kind: types.MsgRead1}, types.MsgState)
 	if err != nil {
-		return types.Pair{}, types.Pair{}, fmt.Errorf("tcpnet: probe %v: %w", id, err)
+		return types.Pair{}, types.Pair{}, fmt.Errorf("tcpnet: probe: %w", err)
 	}
 	return rsp.PW, rsp.W, nil
 }
 
-// Seed installs a quorum-certified pair into register id of the object's
-// register instance reg: PREWRITE then WRITEBACK of the pair, verified by
-// reading the object's state back. The object's monotone state merge keeps
-// Seed safe to repeat and unable to regress newer state.
-func (d *Direct) Seed(reg int, id types.RegID, p types.Pair) error {
+// Seed installs a quorum-certified pair into the object's register instance
+// reg: PREWRITE then WRITEBACK of the pair, verified by reading the object's
+// state back. The object's monotone state merge keeps Seed safe to repeat and
+// unable to regress newer state.
+func (d *Direct) Seed(reg int, p types.Pair) error {
 	for _, kind := range []types.MsgKind{types.MsgPreWrite, types.MsgWriteBack} {
-		if _, err := d.ask(reg, id, types.Message{Kind: kind, Pair: p}, types.MsgAck); err != nil {
-			return fmt.Errorf("tcpnet: seed %v: %s: %w", id, kind, err)
+		if _, err := d.ask(reg, types.Message{Kind: kind, Pair: p}, types.MsgAck); err != nil {
+			return fmt.Errorf("tcpnet: seed: %s: %w", kind, err)
 		}
 	}
-	pw, w, err := d.ProbeReg(reg, id)
+	pw, w, err := d.Probe(reg)
 	if err != nil {
 		return fmt.Errorf("tcpnet: seed: verify: %w", err)
 	}
 	if w.TS.Less(p.TS) || pw.TS.Less(p.TS) {
-		return fmt.Errorf("tcpnet: seed %v: state not installed (pw %v, w %v, want ≥ %v)", id, pw, w, p)
+		return fmt.Errorf("tcpnet: seed: state not installed (pw %v, w %v, want ≥ %v)", pw, w, p)
 	}
 	return nil
 }

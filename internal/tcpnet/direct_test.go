@@ -50,13 +50,11 @@ func TestDirectActsAsItsCaller(t *testing.T) {
 		d := direct(addr, operator)
 		defer d.Close()
 		wal.reqs = nil
-		for _, id := range []types.RegID{types.WriterReg, types.ReaderReg(2)} {
-			if err := d.Seed(0, id, p); err != nil {
-				t.Fatal(err)
-			}
+		if err := d.Seed(0, p); err != nil {
+			t.Fatal(err)
 		}
-		if len(wal.reqs) != 4 { // PREWRITE and WRITEBACK, per register
-			t.Errorf("%v's seeds logged %d records, want 4", operator, len(wal.reqs))
+		if len(wal.reqs) != 2 { // PREWRITE and WRITEBACK
+			t.Errorf("%v's seed logged %d records, want 2", operator, len(wal.reqs))
 		}
 		for _, req := range wal.reqs {
 			if req.From != operator {
@@ -74,7 +72,7 @@ func TestDirectActsAsItsCaller(t *testing.T) {
 	for operator, want := range map[types.ProcID]types.Pair{types.WriterID(2): p, types.Reader(3): types.BottomPair} {
 		d := direct(addr, operator)
 		defer d.Close()
-		if _, w, err := d.ProbeReg(0, types.ReaderReg(2)); err != nil || w != want {
+		if _, w, err := d.Probe(0); err != nil || w != want {
 			t.Errorf("%v's probe of an object equivocating by kind saw w = %v (%v), want %v", operator, w, err, want)
 		}
 	}

@@ -92,7 +92,7 @@ func TestProbeReadsUnconditioned(t *testing.T) {
 	d := mux.Direct(addrs[0], types.Reader(1))
 	defer d.Close()
 	for name, probe := range map[string]func() (types.Pair, types.Pair, error){
-		"ProbeReg": func() (types.Pair, types.Pair, error) { return d.ProbeReg(0, types.WriterReg) },
+		"Probe": func() (types.Pair, types.Pair, error) { return d.Probe(0) },
 	} {
 		pw, w, err := probe()
 		// (s1 is one object of four: the write's rounds may have completed

@@ -185,7 +185,7 @@ func TestRestartRecoversStateMidBurst(t *testing.T) {
 func seedShared(addr string, reg int, p types.Pair) error {
 	d := direct(addr, types.Reader(1))
 	defer d.Close()
-	return d.Seed(reg, types.WriterReg, p)
+	return d.Seed(reg, p)
 }
 
 // probeShared reads the shared register of instance reg over a one-shot
@@ -193,7 +193,7 @@ func seedShared(addr string, reg int, p types.Pair) error {
 func probeShared(addr string, reg int) (pw, w types.Pair, err error) {
 	d := direct(addr, types.Reader(1))
 	defer d.Close()
-	return d.ProbeReg(reg, types.WriterReg)
+	return d.Probe(reg)
 }
 
 // TestServerPersistedAcrossManyInstances verifies the multi-register path:

@@ -46,12 +46,17 @@ type scoreboard struct {
 	mu   sync.Mutex
 	run  []int        // dissent run by sid (index 0 unused)
 	runG []*obs.Gauge // tcpnet_object_dissent_run{sid}: process-wide, a client runs one mux
+	// tcpnet_object_dissent_total{sid,reason}, by sid: reason "w", "inflate".
+	dissentC [][2]*obs.Counter
 }
 
 func newScoreboard(n int) *scoreboard {
-	sb := &scoreboard{t: (n - 1) / 3, run: make([]int, n+1), runG: make([]*obs.Gauge, n+1)}
+	sb := &scoreboard{t: (n - 1) / 3, run: make([]int, n+1), runG: make([]*obs.Gauge, n+1), dissentC: make([][2]*obs.Counter, n+1)}
 	for sid := 1; sid <= n; sid++ {
 		sb.runG[sid] = obs.Default.Gauge(fmt.Sprintf(`tcpnet_object_dissent_run{sid="%d"}`, sid))
+		for r, reason := range [...]string{"w", "inflate"} {
+			sb.dissentC[sid][r] = obs.Default.Counter(fmt.Sprintf(`tcpnet_object_dissent_total{sid="%d",reason=%q}`, sid, reason))
+		}
 	}
 	return sb
 }
@@ -92,10 +97,9 @@ func (sb *scoreboard) observe(v proto.Verdict) {
 	for sid := 1; sid < len(sb.run); sid++ {
 		bit := uint64(1) << uint(sid)
 		if dissent&bit != 0 {
-			for r, d := range [...]uint64{v.W, v.Withheld, v.Inflate} {
+			for r, d := range [...]uint64{v.W, v.Inflate} {
 				if d&bit != 0 {
-					reason := [...]string{"w", "withheld", "inflate"}[r]
-					obs.Default.Counter(fmt.Sprintf(`tcpnet_object_dissent_total{sid="%d",reason=%q}`, sid, reason)).Inc()
+					sb.dissentC[sid][r].Inc()
 				}
 			}
 			sb.set(sid, min(sb.run[sid]+1, runCap))

@@ -47,6 +47,19 @@ func TestTCPAtomicRegisterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The last WRITE completed on S−t acknowledgements: let the fourth object
+	// apply it too, so that whichever three answer the read first agree.
+	for _, addr := range addrs {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			_, got, err := probeShared(addr, 0)
+			if err == nil && got.TS == w.LastTS() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never applied the last write: w = %v, %v", addr, got, err)
+			}
+		}
+	}
 	rc := NewMux(addrs).Client(types.Reader(1), 0)
 	defer rc.mux.Close()
 	rd := core.NewReader(rc, thr, 1, 2)

@@ -201,7 +201,7 @@ func repairWipedObject(t *testing.T, f *fabric) {
 	probe := func(addr string, reg int) (pw, w types.Pair, err error) {
 		d := f.direct(c, addr)
 		defer d.Close()
-		return d.ProbeReg(reg, types.WriterReg)
+		return d.Probe(reg)
 	}
 	st, err := c.NewStore(StoreOptions{Shards: shards})
 	if err != nil {
@@ -324,5 +324,5 @@ func repairWipedObject(t *testing.T, f *fabric) {
 func probe(addr string, reg int) (pw, w types.Pair, err error) {
 	d := tcpnet.NewMux(nil).Direct(addr, types.Reader(1))
 	defer d.Close()
-	return d.ProbeReg(reg, types.WriterReg)
+	return d.Probe(reg)
 }

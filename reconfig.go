@@ -292,13 +292,13 @@ func (c *Cluster) transferRegisters(addr string, shards int) ([]RepairedRegister
 		// w-report consistent with the true fault set on every later read.
 		rc := c.rounder(types.Reader(c.readerID()), reg)
 		err = c.retryEpoch(func() error {
-			spec, _ := regular.PreWriteSpec(c.th, types.WriterReg, p, 0)
+			spec, _ := regular.PreWriteSpec(c.th, p, 0)
 			return rc.Round(spec)
 		})
 		if err != nil {
 			return out, fmt.Errorf("robustatomic: transfer instance %d: prewrite support: %w", reg, err)
 		}
-		if err := d.Seed(reg, types.WriterReg, p); err != nil {
+		if err := d.Seed(reg, p); err != nil {
 			return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
 		}
 		mMigrateRegs.Inc()
@@ -324,7 +324,7 @@ var ErrNewcomerUnseeded = errors.New("robustatomic: configuration decided but ne
 func (c *Cluster) seedConfig(addr string, p types.Pair) error {
 	d := c.mux.Direct(addr, types.Reader(c.readerID()))
 	defer d.Close()
-	if err := d.Seed(config.Reg, types.WriterReg, p); err != nil {
+	if err := d.Seed(config.Reg, p); err != nil {
 		return fmt.Errorf("robustatomic: seed config: %w", err)
 	}
 	return nil

@@ -239,7 +239,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 	reg := i + 1
 	// One known-pair set per shard, shared by the reader and the committer:
 	// what either decided or flushed, neither is sent again
-	// (internal/core/known.go).
+	// (internal/proto/known.go).
 	known := proto.NewKnown(s.c.th)
 	r := s.c.readerReg(s.c.readerID(), reg)
 	r.useKnown(known)

@@ -180,9 +180,6 @@ func testSuspicionOrderedRounds(t *testing.T, inproc bool) {
 		r.op(keys[n/2%len(keys)], n%2 == 0)
 	}
 	t.Logf("suspects [2 5] learned from %d operations", n)
-	if deferred() == 0 {
-		t.Error("tcpnet_round_deferred_total did not move")
-	}
 
 	var gets, puts, oneRound, threeRounds int
 	for i := 0; i < 400; i++ {
@@ -202,6 +199,11 @@ func testSuspicionOrderedRounds(t *testing.T, inproc bool) {
 		}
 	}
 	t.Logf("with s2 and s5 deferred: %d/%d Gets in 1 round, %d/%d Puts in READ1, PREWRITE, WRITE", oneRound, gets, threeRounds, puts)
+	// Checked here, not once the suspects are learned: both runs may reach 16
+	// on the same operation, and then no round has deferred anyone yet.
+	if deferred() == 0 {
+		t.Error("tcpnet_round_deferred_total did not move")
+	}
 	// All but the probes (one round in 64) and the odd hedged round.
 	if oneRound*10 < gets*9 || threeRounds*10 < puts*9 {
 		t.Errorf("%d/%d Gets took 1 round, %d/%d Puts READ1, PREWRITE, WRITE; want ≥ 90%%, ≥ 90%%", oneRound, gets, threeRounds, puts)
@@ -402,7 +404,7 @@ func TestInProcessReadsHearEveryObject(t *testing.T) {
 			t.Fatal(err)
 		}
 		var dissent []func() int64
-		for _, reason := range []string{"w", "withheld", "inflate"} {
+		for _, reason := range []string{"w", "inflate"} {
 			dissent = append(dissent, counterDelta(fmt.Sprintf(`tcpnet_object_dissent_total{sid="%d",reason=%q}`, sid, reason)))
 		}
 		if err := c.InjectFault(sid, "garbage"); err != nil {

@@ -81,7 +81,7 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := sh.base
-	if err := regular.WriteBack(c.rounder(types.Reader(2), 1), c.th, types.WriterReg, head, 0, head.Val.Digest()); err != nil {
+	if err := regular.WriteBack(c.rounder(types.Reader(2), 1), c.th, head, 0, head.Val.Digest()); err != nil {
 		t.Fatal(err)
 	}
 
