@@ -141,7 +141,7 @@ func TestStoreRoundCountsAgreeAcrossLinks(t *testing.T) {
 		}
 		put := func(v string) func() error { return func() error { return st.Put("k", v) } }
 		get := func() error { _, err := st.Get("k"); return err }
-		count(put("v0"), get) // shard recovery; a handle's first read runs both query rounds
+		count(put("v0"), get) // warm-up: the shard's first flush and read
 		if n := count(put("v1")); n != 3 {
 			t.Errorf("uncontended Put: %d rounds, want 3", n)
 		}

@@ -43,10 +43,8 @@
 //	falseelide  answer reads with "value elided" claims the request never
 //	            justified: un-offered, stale and forged timestamps in turn
 //
-// Orthogonally, -chaos-batch-drop and -chaos-batch-shuffle attack the
-// generation-3 batched wire frames specifically: drop individual
-// sub-bundles out of batched replies, or scramble their order, without
-// touching single-register traffic. They compose with any -chaos mode.
+// A behavior answers each sub-request of a batched frame on its own, so flaky
+// also drops individual sub-replies out of batched replies.
 package main
 
 import (
@@ -73,8 +71,6 @@ func main() {
 	chaos := flag.String("chaos", "", "Byzantine behavior: garbage | silent | flaky | stale | equivocate | falseelide (empty = honest)")
 	chaosDrop := flag.Float64("chaos-drop", 0.5, "flaky: probability of dropping a reply")
 	chaosSeed := flag.Int64("chaos-seed", 1, "flaky: RNG seed for the drop pattern")
-	chaosBatchDrop := flag.Float64("chaos-batch-drop", 0, "probability of dropping each sub-bundle from a batched reply")
-	chaosBatchShuffle := flag.Bool("chaos-batch-shuffle", false, "scramble sub-bundle order in batched replies")
 	debugAddr := flag.String("debug-addr", "", "observability HTTP address serving /metrics, /debug/vars and /debug/pprof (empty = off)")
 	flag.Parse()
 
@@ -96,9 +92,6 @@ func main() {
 			os.Exit(2)
 		}
 		s.SetBehavior(b)
-	}
-	if *chaosBatchDrop > 0 || *chaosBatchShuffle {
-		s.SetBatchChaos(rand.New(rand.NewSource(*chaosSeed)), *chaosBatchDrop, *chaosBatchShuffle)
 	}
 	if *debugAddr != "" {
 		// Listen synchronously so a bad address fails loudly at startup (and

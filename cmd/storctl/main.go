@@ -25,7 +25,7 @@
 // reconfigured since, operations transparently chase the wrong-epoch
 // redirect to the active configuration (storctl config shows it).
 //
-// Every invocation recovers shard state from the cluster before writing, so
+// Every flush reads the shard's state from the cluster before writing, so
 // puts compose across invocations. The registers are multi-writer and every
 // client process has one identity: storctl processes that run CONCURRENTLY —
 // reading, writing or operating (repair, join, move) — each take a distinct

@@ -150,10 +150,7 @@ func TestStoreUsesOneReaderIdentity(t *testing.T) {
 
 	// K Gets arriving behind a read in flight are one read (the leader is
 	// played by the test, as in TestStoreGetCoalescing).
-	sh, err := st.shards.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := st.shards.Get(0)
 	release, leading := make(chan struct{}), make(chan struct{})
 	go sh.gets.Do(struct{}{}, func([]struct{}) (map[string]string, error) {
 		close(leading)

@@ -35,7 +35,7 @@
 //     then the two write phases. 3 rounds on a settled shard, and 1 when the
 //     callback finds nothing to write (SkipWrite).
 //
-// What travels in those rounds is DESIGN.md's "Value-eliding writes":
+// What travels in those rounds is DESIGN.md's "Conditioned messages":
 // timestamps-only acknowledgements, a WRITE naming its PREWRITE's pair, a
 // PREWRITE carrying Modify's edit (types.Delta) — round counts untouched.
 //

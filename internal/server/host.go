@@ -19,10 +19,9 @@ import (
 // Fault-path activity of every Host in the process (the request mix is
 // counted where a transport has frames to count: tcpnet.Server).
 var (
-	mChaosDropped = obs.Default.Counter("tcpnet_server_chaos_subs_dropped_total")
-	mLinkDropped  = obs.Default.Counter("tcpnet_server_link_dropped_total")
-	mStaleEpoch   = obs.Default.Counter("tcpnet_server_stale_epoch_total")
-	mCompactions  = obs.Default.Counter("tcpnet_server_compactions_total")
+	mLinkDropped = obs.Default.Counter("tcpnet_server_link_dropped_total")
+	mStaleEpoch  = obs.Default.Counter("tcpnet_server_stale_epoch_total")
+	mCompactions = obs.Default.Counter("tcpnet_server_compactions_total")
 )
 
 // MaxRegisters bounds the register instances one object will host. Register
@@ -66,8 +65,8 @@ type Persister interface {
 // reply before receiving any other") over any number of independent register
 // instances (lazily instantiated, keyed by the Reg field of incoming
 // requests), with everything a runtime needs around it — an installed
-// (Byzantine) Behavior, link and batch fault injection, the configuration
-// epoch gate, and the write-ahead hook. It owns no goroutine, socket or
+// (Byzantine) Behavior, link fault injection, the configuration epoch gate,
+// and the write-ahead hook. It owns no goroutine, socket or
 // clock: a transport hands it requests through Serve and carries out what
 // Serve returns, so the TCP daemon, the in-memory link of an in-process
 // cluster and the simulator's scripted link run the same object.
@@ -110,10 +109,6 @@ type Host struct {
 	epochHint types.Value
 	stores    map[int]*Store
 	behavior  Behavior // nil = Honest
-	// Batch-level fault injection (SetBatchChaos).
-	batchRng     *rand.Rand
-	batchDrop    float64
-	batchShuffle bool
 	// Link-level fault injection (SetPartitioned/SetNetem).
 	partitioned bool
 	netemRng    *rand.Rand
@@ -186,18 +181,6 @@ func (h *Host) SetBehavior(b Behavior) {
 	h.behavior = b
 }
 
-// SetBatchChaos injects batch-level faults: each sub-reply of a response is
-// independently dropped with probability drop (a single reply is a batch of
-// one), and the surviving sub-replies are shuffled within the frame when
-// shuffle is set (clients must route sub-bundles by register instance, not
-// position). A nil rng disables batch chaos. Orthogonal to SetBehavior,
-// which acts on individual messages.
-func (h *Host) SetBatchChaos(rng *rand.Rand, drop float64, shuffle bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.batchRng, h.batchDrop, h.batchShuffle = rng, drop, shuffle
-}
-
 // SetPartitioned cuts the object off the network (or heals it): inbound
 // requests are dropped before they reach the WAL or the automaton, so —
 // unlike Silent, which processes the message and withholds the reply — the
@@ -214,7 +197,7 @@ func (h *Host) SetPartitioned(partitioned bool) {
 // silence), each surviving reply is to be delivered twice with probability
 // dup (the client side must dedupe), and every reply held back by delay. A
 // nil rng clears drop/dup; delay applies regardless. Orthogonal to
-// SetBehavior and SetBatchChaos — netem is the network, not the object.
+// SetBehavior — netem is the network, not the object.
 func (h *Host) SetNetem(rng *rand.Rand, drop, dup float64, delay time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -230,9 +213,10 @@ func (h *Host) SetNetem(rng *rand.Rand, drop, dup float64, delay time.Duration) 
 // returned, not slept: Serve never blocks on anything but the log — its fsync,
 // and the requests logged ahead of this one.
 //
-// A single-register request is a batch of one: both forms take the same
-// path through the epoch gate, the sanitizer, the log, the behavior and the
-// batch chaos, and differ only in where the reply is put.
+// A single-register request is a batch of one: both forms take the same path
+// through the epoch gate, the sanitizer, the log and the behavior — asked once
+// per sub-request, so Flaky drops sub-replies out of a batch — and differ only
+// in where the reply is put.
 func (h *Host) Serve(req wire.Request) (rsp wire.Response, send, dup bool, delay time.Duration) {
 	h.mu.Lock()
 	drop := h.partitioned
@@ -330,19 +314,12 @@ func (h *Host) Serve(req wire.Request) (rsp wire.Response, send, dup bool, delay
 		if !ok {
 			continue // withheld sub-reply: absent from the response
 		}
-		if h.batchRng != nil && h.batchDrop > 0 && h.batchRng.Float64() < h.batchDrop {
-			mChaosDropped.Inc()
-			continue
-		}
 		reply.Seq = subs[i].Msg.Seq
 		if single {
 			rsp.Msg, send = reply, true
 		} else {
 			rsp.Subs = append(rsp.Subs, wire.SubReq{Reg: subs[i].Reg, Msg: reply})
 		}
-	}
-	if h.batchRng != nil && h.batchShuffle && len(rsp.Subs) > 1 {
-		h.batchRng.Shuffle(len(rsp.Subs), func(i, j int) { rsp.Subs[i], rsp.Subs[j] = rsp.Subs[j], rsp.Subs[i] })
 	}
 	if reconfig {
 		h.refreshEpoch()

@@ -95,7 +95,7 @@ func held(have []types.Have, p types.Pair, dig *uint64) bool {
 // read builds the STATE reply to a READ. The slot values are withheld —
 // timestamp only, elided bit set — when the request asks for no values, or
 // when its have-list names the slot's (timestamp, digest): the client
-// re-inflates from its own copy (core.Known), so for a correct object the
+// re-inflates from its own copy (proto.Known), so for a correct object the
 // inflated reply equals the unconditioned one. An empty have-list is the
 // unconditioned read. *reply is zero on entry.
 func (st *RegState) read(m, reply *types.Message, rs *readStats) {

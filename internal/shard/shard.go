@@ -5,7 +5,7 @@
 // codec that packs one shard's key→value table into a single register value.
 //
 // The layering mirrors the paper's cloud key-value scenario (Section 1.1):
-// each shard is one robust atomic SWMR register hosted on the same S = 3t+1
+// each shard is one robust atomic MWMR register hosted on the same S = 3t+1
 // Byzantine-prone objects; a key's reads and writes are the projection of
 // that register's atomic operations, so per-key atomicity follows directly
 // from per-register atomicity.
@@ -13,7 +13,7 @@ package shard
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 )
 
 // Router maps keys onto shard indices 0..N-1 with FNV-1a hashing. The zero
@@ -53,68 +53,28 @@ func (r Router) Locate(key string) int {
 	return int(h % uint64(r.N()))
 }
 
-// Lazy is a fixed-size table of per-shard values built on first use. Each
-// slot builds independently, so building one shard (which may involve a slow
-// network recovery read) never stalls operations on other shards; concurrent
-// first Gets of one slot wait for a single build the way any batch waits for
-// its leader (Group). A slot whose build fails stays empty and is retried on
-// the next Get, so a transient failure (e.g. an unreachable cluster during
-// shard recovery) does not poison the shard forever.
+// Lazy is a fixed-size table of per-shard values built on first use, once
+// per slot: concurrent first Gets of one slot observe a single build, and Gets
+// of different slots never contend. A build only allocates — it talks to no
+// object — so it cannot fail.
 type Lazy[T any] struct {
-	build func(int) (T, error)
+	build func(int) T
 	slots []lazySlot[T]
 }
 
 type lazySlot[T any] struct {
-	building Group[struct{}, struct{}] // one build at a time
-	built    atomic.Bool
-	val      T // written before built is set
+	once sync.Once
+	val  T
 }
 
-// NewLazy returns a table of n slots built by build (called at most once per
-// slot per success). wait is the slots' Group.Wait (nil in production).
-func NewLazy[T any](n int, build func(int) (T, error), wait func(done, lead <-chan struct{})) *Lazy[T] {
-	l := &Lazy[T]{build: build, slots: make([]lazySlot[T], n)}
-	for i := range l.slots {
-		l.slots[i].building.Wait = wait
-	}
-	return l
+// NewLazy returns a table of n slots built by build.
+func NewLazy[T any](n int, build func(int) T) *Lazy[T] {
+	return &Lazy[T]{build: build, slots: make([]lazySlot[T], n)}
 }
 
-// Get returns slot i, building it on first touch. Concurrent Gets of the
-// same slot observe a single build; Gets of different slots never contend.
-func (l *Lazy[T]) Get(i int) (T, error) {
-	var zero T
-	if i < 0 || i >= len(l.slots) {
-		return zero, fmt.Errorf("shard: slot %d out of 0..%d", i, len(l.slots)-1)
-	}
+// Get returns slot i (0 ≤ i < n), building it on first touch.
+func (l *Lazy[T]) Get(i int) T {
 	s := &l.slots[i]
-	if !s.built.Load() {
-		_, _, err := s.building.Do(struct{}{}, func([]struct{}) (struct{}, error) {
-			if s.built.Load() {
-				return struct{}{}, nil
-			}
-			v, err := l.build(i)
-			if err == nil {
-				s.val = v
-				s.built.Store(true)
-			}
-			return struct{}{}, err
-		})
-		if err != nil {
-			return zero, err
-		}
-	}
-	return s.val, nil
-}
-
-// Built returns the values instantiated so far, in slot order.
-func (l *Lazy[T]) Built() []T {
-	var out []T
-	for i := range l.slots {
-		if s := &l.slots[i]; s.built.Load() {
-			out = append(out, s.val)
-		}
-	}
-	return out
+	s.once.Do(func() { s.val = l.build(i) })
+	return s.val
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,22 +41,17 @@ func TestRouterValidation(t *testing.T) {
 
 func TestLazySingleBuildUnderConcurrency(t *testing.T) {
 	var builds int32
-	l := NewLazy(4, func(i int) (int, error) {
+	l := NewLazy(4, func(i int) int {
 		atomic.AddInt32(&builds, 1)
-		return i * 10, nil
-	}, nil)
+		return i * 10
+	})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				v, err := l.Get(i)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if v != i*10 {
+				if v := l.Get(i); v != i*10 {
 					t.Errorf("slot %d = %d", i, v)
 				}
 			}
@@ -66,30 +60,6 @@ func TestLazySingleBuildUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if builds != 4 {
 		t.Errorf("built %d times, want 4", builds)
-	}
-	if got := len(l.Built()); got != 4 {
-		t.Errorf("Built() returned %d values", got)
-	}
-}
-
-func TestLazyRetriesFailedBuild(t *testing.T) {
-	fail := true
-	l := NewLazy(1, func(i int) (string, error) {
-		if fail {
-			return "", errors.New("transient")
-		}
-		return "ok", nil
-	}, nil)
-	if _, err := l.Get(0); err == nil {
-		t.Fatal("first build should fail")
-	}
-	fail = false
-	v, err := l.Get(0)
-	if err != nil || v != "ok" {
-		t.Fatalf("retry: %q, %v", v, err)
-	}
-	if _, err := l.Get(5); err == nil {
-		t.Error("out-of-range slot accepted")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -89,9 +88,9 @@ func readSpec(label string, acc proto.Accumulator) proto.RoundSpec {
 
 // TestScriptedBatchedRound: two registers' rounds merged by a proto.Combiner
 // over a sim.Client travel as ONE Subs request per object through
-// Host.Serve, and an object that shuffles its batched reply is still routed
-// by register instance. The two rounds park in Group.Do behind a leader the
-// script holds open: they share a batch on the first attempt, every time.
+// Host.Serve, and each sub-reply is routed to its register's round. The two
+// rounds park in Group.Do behind a leader the script holds open: they share a
+// batch on the first attempt, every time.
 func TestScriptedBatchedRound(t *testing.T) {
 	const S = 4
 	pairs := map[int]types.Pair{1: pair(1, "one"), 2: pair(2, "two")}
@@ -102,7 +101,6 @@ func TestScriptedBatchedRound(t *testing.T) {
 			h.Serve(wire.Request{From: types.Writer, Reg: reg, Msg: types.Message{Kind: types.MsgWrite, Pair: p}})
 		}
 	}
-	s.Hosts()[0].SetBatchChaos(rand.New(rand.NewSource(1)), 0, true)
 	accs := []*stateAcc{{need: 1, w: map[int]types.Pair{}}, {need: S, w: map[int]types.Pair{}}, {need: S, w: map[int]types.Pair{}}}
 	op := s.Spawn("batch", types.Reader(1), checker.OpRead, types.Bottom, func(c *Client) (types.Value, error) {
 		comb := proto.NewCombiner(c)

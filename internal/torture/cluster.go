@@ -170,10 +170,6 @@ func setFault(h *server.Host, ev Event, seed int64) error {
 	case EvHeal:
 		h.SetPartitioned(false)
 	case EvChaos:
-		if ev.Behavior == "batch-chaos" {
-			h.SetBatchChaos(rng(2), 0.3, true)
-			break
-		}
 		b, err := server.NamedBehavior(ev.Behavior, rng(1), 0.5)
 		if err != nil {
 			return fmt.Errorf("torture: %w", err)
@@ -181,7 +177,6 @@ func setFault(h *server.Host, ev Event, seed int64) error {
 		h.SetBehavior(b)
 	case EvClearChaos:
 		h.SetBehavior(nil)
-		h.SetBatchChaos(nil, 0, false)
 	case EvNetem:
 		h.SetNetem(rng(3), ev.Drop, ev.Dup, time.Duration(ev.DelayUS)*time.Microsecond)
 	case EvClearNetem:
@@ -206,7 +201,6 @@ func closesWindow(k EventKind) bool { return k == EvHeal || k == EvClearChaos ||
 func whole(h *server.Host) {
 	h.SetPartitioned(false)
 	h.SetBehavior(nil)
-	h.SetBatchChaos(nil, 0, false)
 	h.SetNetem(nil, 0, 0, 0)
 }
 

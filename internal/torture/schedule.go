@@ -58,8 +58,7 @@ const (
 	// (preserved data dirs), ending in a wipe + quorum-Repair window.
 	KillRestartRepair Scenario = "kill-restart-repair"
 	// ByzantineMix cycles the Byzantine behaviors (flaky, stale, equivocate,
-	// falseelide, batch-chaos) one object at a time, with a netem window
-	// mixed in.
+	// falseelide) one object at a time, with a netem window mixed in.
 	ByzantineMix Scenario = "byzantine-mix"
 	// JoinLeave cycles membership vacancies: an object Leaves the active
 	// configuration (and dies), the vacancy spending the fault budget, then a
@@ -136,7 +135,7 @@ type Event struct {
 	At       int
 	Kind     EventKind
 	Sid      int
-	Behavior string  // EvChaos: flaky | stale | equivocate | falseelide | batch-chaos
+	Behavior string  // EvChaos: flaky | stale | equivocate | falseelide
 	Drop     float64 // EvNetem: request drop probability
 	Dup      float64 // EvNetem: reply duplication probability
 	DelayUS  int     // EvNetem: reply delay in microseconds
@@ -231,7 +230,7 @@ func Plan(scenario Scenario, seed int64, totalOps, s int) (Schedule, error) {
 					Event{At: end, Kind: EvRestart, Sid: sid})
 			}
 		case ByzantineMix:
-			behaviors := []string{"flaky", "stale", "equivocate", "falseelide", "batch-chaos"}
+			behaviors := []string{"flaky", "stale", "equivocate", "falseelide"}
 			if rng.Intn(4) == 0 {
 				sched.Events = append(sched.Events,
 					Event{At: start, Kind: EvNetem, Sid: sid, Drop: 0.3, Dup: 0.2},

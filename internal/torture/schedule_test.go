@@ -39,9 +39,9 @@ func TestPlanShape(t *testing.T) {
 	// An atomic replace is a point event: the slot stays populated, so it
 	// neither opens nor closes a fault window.
 	neutral := map[EventKind]bool{EvReplace: true}
-	// Link delay and batch chaos run on every runtime: some seed of the range
-	// plans each.
-	delay, batchChaos := false, false
+	// Link delay and a flaky object (which drops sub-replies out of batched
+	// frames too) run on every runtime: some seed of the range plans each.
+	delay, flaky := false, false
 	for _, sc := range Scenarios() {
 		for seed := int64(1); seed <= 20; seed++ {
 			sched, err := Plan(sc, seed, 600, 4)
@@ -56,7 +56,7 @@ func TestPlanShape(t *testing.T) {
 			for i, ev := range sched.Events {
 				got[ev.Kind]++
 				delay = delay || sc == PartitionHeal && ev.DelayUS > 0
-				batchChaos = batchChaos || sc == ByzantineMix && ev.Behavior == "batch-chaos"
+				flaky = flaky || sc == ByzantineMix && ev.Behavior == "flaky"
 				if i > 0 && ev.At < sched.Events[i-1].At {
 					t.Fatalf("%s seed %d: events out of order:\n%s", sc, seed, sched)
 				}
@@ -97,7 +97,7 @@ func TestPlanShape(t *testing.T) {
 			}
 		}
 	}
-	if !delay || !batchChaos {
-		t.Errorf("plans over seeds 1..20: delayed netem window %v, batch-chaos window %v; want both", delay, batchChaos)
+	if !delay || !flaky {
+		t.Errorf("plans over seeds 1..20: delayed netem window %v, flaky window %v; want both", delay, flaky)
 	}
 }

@@ -238,7 +238,7 @@ func (c *Cluster) baseConfig(cur types.Pair) (config.Config, error) {
 // incoming daemon, which was not a member when the write ran).
 func (c *Cluster) transitionConfig(transition func(config.Config) (config.Config, error)) (config.Config, types.Pair, error) {
 	var next config.Config
-	w := c.writerReg(config.Reg, types.TS{})
+	w := c.writerReg(config.Reg)
 	p, err := w.modifyPair(func(cur types.Pair) (types.Value, types.Delta, error) {
 		base, err := c.baseConfig(cur)
 		if err != nil {

@@ -340,11 +340,11 @@ func (c *Cluster) observed(r proto.Rounder) proto.Rounder {
 // cluster-wide Combiner, so concurrent flushes of different shards merge
 // into one batched frame per object; the RoundHook still observes each
 // shard's logical rounds individually (the hook wraps above the Combiner).
-func (c *Cluster) shardWriter(reg int, last types.TS) *Writer {
+func (c *Cluster) shardWriter(reg int) *Writer {
 	if c.combiner == nil {
-		return c.writerReg(reg, last)
+		return c.writerReg(reg)
 	}
-	return c.writerOn(c.observed(c.combiner.Rounder(reg)), reg, last)
+	return c.writerOn(c.observed(c.combiner.Rounder(reg)), reg)
 }
 
 // Writer is one of the register's writer handles. Its identity is the
@@ -360,23 +360,24 @@ type Writer struct {
 
 // Writer returns this process's writer handle for the standalone register
 // (create it once per process).
-func (c *Cluster) Writer() *Writer { return c.writerReg(0, types.TS{}) }
+func (c *Cluster) Writer() *Writer { return c.writerReg(0) }
 
-// writerReg builds the writer handle for register instance reg, resuming
-// from a known last timestamp (zero for a fresh register).
-func (c *Cluster) writerReg(reg int, last types.TS) *Writer {
-	return c.writerOn(c.rounder(types.WriterID(c.opts.WriterID), reg), reg, last)
+// writerReg builds the writer handle for register instance reg. It starts
+// from no timestamp: every write learns the register's own (Modify's certified
+// read, Write's proposal acknowledgements).
+func (c *Cluster) writerReg(reg int) *Writer {
+	return c.writerOn(c.rounder(types.WriterID(c.opts.WriterID), reg), reg)
 }
 
 // writerOn builds the writer handle for register instance reg over an
 // already-constructed round executor.
-func (c *Cluster) writerOn(rc proto.Rounder, reg int, last types.TS) *Writer {
+func (c *Cluster) writerOn(rc proto.Rounder, reg int) *Writer {
 	w := &Writer{c: c}
 	if c.opts.Tracer != nil {
 		w.traced = proto.Trace(rc, reg)
 		rc = w.traced
 	}
-	w.w = core.NewWriterAt(rc, c.th, int64(c.opts.WriterID), last)
+	w.w = core.NewWriterAt(rc, c.th, int64(c.opts.WriterID), types.TS{})
 	return w
 }
 
@@ -477,7 +478,7 @@ func (r *Reader) Read() (string, error) {
 }
 
 // readPair performs the atomic read and returns the chosen timestamp-value
-// pair (the Store layer needs the timestamp for writer recovery). Like the
+// pair (the Store layer keys its table cache by the timestamp). Like the
 // Writer operations, a wrong-epoch redirect refetches the configuration and
 // retries transparently.
 func (r *Reader) readPair() (p types.Pair, err error) {

@@ -15,7 +15,7 @@
 #      processes with distinct -writer identities, then certify by quorum
 #      read that exactly one of the written values survived
 #   6. coalesced-read drill: storctl getburst re-reads the pipelined burst
-#      against a -chaos-batch-drop daemon that is kill -9'd mid-flight
+#      against a -chaos flaky daemon that is kill -9'd mid-flight
 #   7. live replace drill: daemon 4 Leaves the configuration, is kill -9'd,
 #      and a fresh daemon Joins on a NEW port — all while a write burst and
 #      a read burst are in flight with zero failed ops
@@ -235,13 +235,12 @@ done
 
 doctor "pipelined burst"
 
-echo "== batch-chaos daemon: burst must survive sub-bundle drops + shuffles"
-# Restart daemon 1 with the batched-frame attack flags: 30% of sub-bundles
-# silently vanish from its batched replies and the survivors come back
-# scrambled. The t=1 budget covers it; a second burst must still complete
-# and certify.
+echo "== flaky daemon: burst must survive sub-bundle drops"
+# Restart daemon 1 flaky: 30% of its replies — and of the sub-replies of its
+# batched replies, which it answers one by one — silently vanish. The t=1
+# budget covers it; a second burst must still complete and certify.
 kill -9 "${pids[1]}"
-start_daemon 1 -chaos-batch-drop 0.3 -chaos-batch-shuffle -chaos-seed 7
+start_daemon 1 -chaos flaky -chaos-drop 0.3 -chaos-seed 7
 wait_serving 1
 ctl -trace 1 -writer 1 burst "chaosburst" 120 >"$workdir/chaosburst.out" 2>&1 || {
   echo "FAIL: chaos burst errored (per-op round traces follow):"
@@ -250,10 +249,10 @@ ctl -trace 1 -writer 1 burst "chaosburst" 120 >"$workdir/chaosburst.out" 2>&1 ||
 out=$(ctl get "chaosburst:120")
 [[ "$out" == '"v120"'* ]] || { echo "FAIL: chaosburst:120 => $out"; exit 1; }
 
-echo "== coalesced-read burst vs the batch-chaos daemon, kill -9 mid-flight"
+echo "== coalesced-read burst vs the flaky daemon, kill -9 mid-flight"
 # getburst re-reads every key of the pipelined burst: 16 workers through ONE
 # store, so Gets landing on a shard with a read already in flight share the
-# next one's rounds. Daemon 1 is still dropping/shuffling 30% of its reply sub-bundles;
+# next one's rounds. Daemon 1 is still dropping 30% of its reply sub-bundles;
 # mid-flight it is kill -9'd and restarted honest. Every certified v<i>
 # must still come back: elision refuses while the quorum view is disturbed
 # and the 4-round fallback carries the reads.
@@ -267,7 +266,7 @@ wait_serving 1
 wait "$getburst_pid" || { echo "FAIL: getburst errored:"; cat "$workdir/getburst.out"; exit 1; }
 grep -q "OK getburst" "$workdir/getburst.out" || { echo "FAIL: getburst output:"; cat "$workdir/getburst.out"; exit 1; }
 
-doctor "batch chaos + coalesced-read burst"
+doctor "flaky daemon + coalesced-read burst"
 
 echo "== live replace drill: leave + kill -9 + join on a new port under fire"
 # Membership churn under load: while a write burst and a read burst hammer

@@ -85,10 +85,10 @@ type StoreOptions struct {
 // carries over key by key.
 //
 // Shards are instantiated lazily: the first operation touching a shard
-// creates its writer and reader handles and recovers the shard's
-// current contents and write timestamp from the cluster, so a Store attached
-// to a non-empty cluster (e.g. a fresh Connect to running daemons) resumes
-// where previous writers stopped.
+// creates its writer and reader handles and reads nothing. A Store attached to
+// a non-empty cluster (e.g. a fresh Connect to running daemons) resumes where
+// previous writers stopped because every flush learns the register first: its
+// certified read finds their table and timestamp and rebases onto them.
 //
 // Store is safe for concurrent use, and — since the registers are
 // multi-writer — so is the cluster: separately Connected processes may Put
@@ -162,11 +162,11 @@ type storeShard struct {
 	reader *Reader
 
 	// Committer-private state below. base is the register pair — the one this
-	// process last wrote, or read — that table mirrors (the initial pair before
-	// any flush): table is base's, decoded, but for what the ops applied since
-	// did to the keys in touched. A flush writes base's encoding with exactly
-	// those entries spliced (shard.Rewrite), and says so to the objects, which
-	// hold base too: neither side moves or re-encodes the rest of the table.
+	// process last wrote, or read — that table mirrors (⊥ before any flush):
+	// table is base's, decoded, but for what the ops applied since did to the
+	// keys in touched. A flush writes base's encoding with exactly those
+	// entries spliced (shard.Rewrite), and says so to the objects, which hold
+	// base too: neither side moves or re-encodes the rest of the table.
 	table   map[string]string
 	base    types.Pair
 	touched []string
@@ -197,9 +197,9 @@ type storeShard struct {
 	modify func(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error)
 }
 
-// traceOp brackets one Store-level operation (RECOVER, FLUSH, GET) for the
-// sampled tracer: every round t runs until the returned function is called
-// lands on the op's trace, and that call files the op with its outcome.
+// traceOp brackets one Store-level operation (FLUSH, GET) for the sampled
+// tracer: every round t runs until the returned function is called lands on
+// the op's trace, and that call files the op with its outcome.
 // Without a tracer, or for an op sampled out, it is a no-op.
 func traceOp(tr *obs.Tracer, t *proto.Traced, kind, format string, n int) func(error) {
 	if tr != nil && t != nil {
@@ -229,13 +229,16 @@ func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
 	s := &Store{c: c, router: router}
-	s.shards = shard.NewLazy(opts.Shards, s.buildShard, c.wait)
+	s.shards = shard.NewLazy(opts.Shards, s.buildShard)
 	return s, nil
 }
 
-// buildShard instantiates shard i: handles, then recovery. Register instance
-// 0 is the legacy standalone register, so shard i lives on instance i+1.
-func (s *Store) buildShard(i int) (*storeShard, error) {
+// buildShard instantiates shard i's handles. Register instance 0 is the
+// legacy standalone register, so shard i lives on instance i+1. Nothing is
+// read here: the shard starts at ⊥, its first flush's certified read learns
+// the register's table and timestamp (a rebase, as onto any foreign write),
+// and a Get runs its own read.
+func (s *Store) buildShard(i int) *storeShard {
 	reg := i + 1
 	// One known-pair set per shard, shared by the reader and the committer:
 	// what either decided or flushed, neither is sent again
@@ -243,27 +246,11 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 	known := proto.NewKnown(s.c.th)
 	r := s.c.readerReg(s.c.readerID(), reg)
 	r.useKnown(known)
-	// Recovery read: learn the shard's current table and the timestamp the
-	// writer must exceed, so a new Store over an existing cluster neither
-	// clobbers other keys in the shard nor reuses timestamps. Traced as its
-	// own op: recovery reads race whatever chaos is in flight when a shard is
-	// first touched, which is exactly when flakes have fired historically.
-	end := traceOp(s.c.opts.Tracer, r.traced, "RECOVER", "shard %d", i)
-	cur, err := r.readPair()
-	end(err)
-	if err != nil {
-		return nil, fmt.Errorf("robustatomic: shard %d recovery: %w", i, err)
-	}
-	table, err := shard.DecodeTable(string(cur.Val))
-	if err != nil {
-		return nil, fmt.Errorf("robustatomic: shard %d recovery: %w", i, err)
-	}
-	w := s.c.shardWriter(reg, cur.TS)
+	w := s.c.shardWriter(reg)
 	w.useKnown(known)
 	sh := &storeShard{
 		idx:     i,
-		table:   table,
-		base:    cur,
+		table:   map[string]string{},
 		reader:  r,
 		modify:  w.modifyPair,
 		tracer:  s.c.opts.Tracer,
@@ -273,7 +260,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		maxTable: wire.MaxFrame/2 - 256,
 	}
 	sh.puts.Wait, sh.gets.Wait = s.c.wait, s.c.wait
-	return sh, nil
+	return sh
 }
 
 // Shards returns the shard count N.
@@ -295,11 +282,7 @@ func (s *Store) Put(key, value string) error {
 	if start := opStart(); !start.IsZero() {
 		defer mPutLat.RecordSince(start)
 	}
-	sh, err := s.shards.Get(s.router.Locate(key))
-	if err != nil {
-		return err
-	}
-	return sh.mutate(func(sh *storeShard) bool {
+	return s.shards.Get(s.router.Locate(key)).mutate(func(sh *storeShard) bool {
 		if cur, ok := sh.table[key]; ok && cur == value {
 			return false
 		}
@@ -315,11 +298,7 @@ func (s *Store) Delete(key string) error {
 	if start := opStart(); !start.IsZero() {
 		defer mDelLat.RecordSince(start)
 	}
-	sh, err := s.shards.Get(s.router.Locate(key))
-	if err != nil {
-		return err
-	}
-	return sh.mutate(func(sh *storeShard) bool {
+	return s.shards.Get(s.router.Locate(key)).mutate(func(sh *storeShard) bool {
 		if _, ok := sh.table[key]; !ok {
 			return false
 		}
@@ -414,14 +393,14 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 			}
 		}
 		if noop = !dirty && !rebased; noop {
-			// Elide only against OUR OWN completed head (or the recovery
-			// read's, which an atomic read's write-back already asserted):
-			// the certified read here is a regular read with no write-back,
-			// so a rebased-onto foreign pair may be an incomplete write that
-			// later atomic reads are permitted never to return — a no-op
-			// anchored on it could vanish. Writing the rebased table at a
-			// fresh successor (below) re-asserts it instead, exactly as the
-			// pre-adaptive flush always did.
+			// Elide only against OUR OWN completed head, or ⊥, which no
+			// write has to complete: the certified read here is a regular
+			// read with no write-back, so a rebased-onto foreign pair may be
+			// an incomplete write that later atomic reads are permitted never
+			// to return — a no-op anchored on it could vanish. Writing the
+			// rebased table at a fresh successor (below) re-asserts it
+			// instead; so a process's first no-op batch on a written shard
+			// writes once.
 			return "", types.Delta{}, core.SkipWrite
 		}
 		return encode()
@@ -462,11 +441,7 @@ func (s *Store) Get(key string) (val string, err error) {
 	if start := opStart(); !start.IsZero() {
 		defer mGetLat.RecordSince(start)
 	}
-	sh, err := s.shards.Get(s.router.Locate(key))
-	if err != nil {
-		return "", err
-	}
-	table, err := sh.sharedRead()
+	table, err := s.shards.Get(s.router.Locate(key)).sharedRead()
 	return table[key], err // a failed read's table is nil
 }
 

@@ -99,7 +99,7 @@ func TestStoreGetShipsEachValueOnce(t *testing.T) {
 			t.Errorf("own-writer Get %d was shipped %d values, want 0", i, sent)
 		}
 	}
-	// A foreign process attaching cold: its recovery read is shipped the
+	// A foreign process attaching cold: its first Get is shipped the
 	// table by every object in round 1 (W == PW counts once), and nothing in
 	// round 2 — t+1 identical copies admitted it.
 	if sent := get(sb, "v1"); sent != S {

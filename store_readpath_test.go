@@ -135,10 +135,7 @@ func TestStoreGetCoalescing(t *testing.T) {
 	if err := st.Put("k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := st.shards.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := st.shards.Get(0)
 	// Pose as a running read leader: arriving Gets must now coalesce.
 	release := make(chan struct{})
 	leading := make(chan struct{})
@@ -204,10 +201,7 @@ func TestStoreGetCertifiedTableCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh, err := st.shards.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := st.shards.Get(0)
 	t1, err := sh.sharedRead()
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package robustatomic
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -300,10 +301,7 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 			if err := st.Put("k", "v0"); err != nil { // both cases start with k present
 				t.Fatal(err)
 			}
-			sh, err := st.shards.Get(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sh := st.shards.Get(0)
 			// Instrument the shard's flush: record every committed table and
 			// hold the next register write in flight (between the flush's
 			// certified read and its write) while the test batch forms.
@@ -481,8 +479,9 @@ func TestStoreTCPRecovery(t *testing.T) {
 		t.Errorf("s1 hosts %d register instances, want ≥ 4", got)
 	}
 
-	// A fresh client must see generation 1 and be able to overwrite it:
-	// shard recovery reads back each shard's table and last timestamp.
+	// A fresh client must see generation 1 and be able to overwrite it: its
+	// Gets read each shard's table, its flushes' certified reads the table and
+	// the last timestamp.
 	c2, err := Connect(addrs, Options{Faults: 1, Readers: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -509,6 +508,69 @@ func TestStoreTCPRecovery(t *testing.T) {
 	}
 	if v, _ := st2.Get(keys[1]); v != "gen1-1" {
 		t.Errorf("sibling key clobbered by recovery: %q", v)
+	}
+}
+
+// TestStoreAttachReadsNothing: a Store built over shards another process
+// filled reads nothing until it is used. Its first Put runs the flush's three
+// rounds alone — the certified read learns the foreign table and timestamp and
+// the batch rebases onto them, so the other keys survive — and its first Get
+// the read's one round.
+func TestStoreAttachReadsNothing(t *testing.T) {
+	a, err := NewCluster(Options{Faults: 1, Readers: 2, Seed: 93})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var mu sync.Mutex
+	var labels []string
+	b, err := a.Sibling(Options{Faults: 1, Readers: 2, WriterID: 1, Seed: 94,
+		RoundHook: func(l string) { mu.Lock(); labels = append(labels, l); mu.Unlock() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	sa, err := a.NewStore(StoreOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var on [2][]string // two keys of shard 0, one of shard 1
+	for i := 0; len(on[0]) < 2 || len(on[1]) < 1; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		on[sa.ShardOf(k)] = append(on[sa.ShardOf(k)], k)
+	}
+	for _, k := range []string{on[0][0], on[0][1], on[1][0]} {
+		if err := sa.Put(k, "a:"+k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sb, err := b.NewStore(StoreOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := func(op func() error) string {
+		t.Helper()
+		mu.Lock()
+		labels = nil
+		mu.Unlock()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return strings.Join(labels, " ")
+	}
+	if got := rounds(func() error { return sb.Put(on[0][0], "b") }); got != "READ1 PREWRITE WRITE" {
+		t.Errorf("first Put on an attached shard ran %q, want %q", got, "READ1 PREWRITE WRITE")
+	}
+	var v string
+	if got := rounds(func() (err error) { v, err = sb.Get(on[1][0]); return err }); got != "AREAD1" || v != "a:"+on[1][0] {
+		t.Errorf("first Get on an attached shard ran %q and read %q, want %q and %q", got, v, "AREAD1", "a:"+on[1][0])
+	}
+	for k, want := range map[string]string{on[0][0]: "b", on[0][1]: "a:" + on[0][1]} {
+		if got, err := sa.Get(k); err != nil || got != want {
+			t.Errorf("Get(%s) = %q, %v after the attached Put; want %q", k, got, err, want)
+		}
 	}
 }
 

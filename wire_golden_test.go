@@ -37,8 +37,9 @@ func (r *frameRecorder) Reply(inner *server.Store, from types.ProcID, m types.Me
 }
 
 // TestWireGolden pins the bytes a client puts on the wire: the request
-// frames object 1 receives over one Store attach and three flushes (the first
-// from ⊥: its PREWRITE carries the table; then the certified read — a READ1
+// frames object 1 receives over three flushes of a fresh Store — attaching
+// reads nothing — (the first from ⊥: its PREWRITE carries the table; then the
+// certified read — a READ1
 // offering the committer's own pair — a PREWRITE by splice — one inserting an
 // entry, one replacing a value — and a WRITE by reference), two Gets (the
 // second a conditioned AREAD1) and one write-back of the shard's head (both
@@ -76,10 +77,7 @@ func TestWireGolden(t *testing.T) {
 	// The write-back, as core.Reader issues it: both write phases of the
 	// shard's head, at its own timestamp, by reference, into the shard's
 	// register.
-	sh, err := st.shards.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := st.shards.Get(0)
 	head := sh.base
 	if err := regular.WriteBack(c.rounder(types.Reader(2), 1), c.th, head, 0, head.Val.Digest()); err != nil {
 		t.Fatal(err)
