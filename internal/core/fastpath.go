@@ -45,7 +45,8 @@
 // write can never re-issue an abandoned timestamp with a different value
 // (which would break the decide procedure's value-agreement invariant). An
 // operation that is RETRIED is another matter — it must not take effect
-// twice — so a retry finishes the pair the operation issued or fails (Resume).
+// twice — so a retry finishes the pair the operation issued or fails, and the
+// writer's next operation finishes (or drops) a failed one's (Resume).
 package core
 
 import (
@@ -141,8 +142,9 @@ var ErrOvertaken = errors.New("core: retried write overtaken before its proposal
 // Resume finishes the pair the writer's last operation (Write or Modify) put
 // into circulation and did not see complete — its PREWRITE and WRITE again,
 // same timestamp, same value — and returns it; ok is false, and nothing runs,
-// when there is none. It is how a failed operation is retried once its pair
-// is in circulation: a reader may have returned the pair and a foreign write
+// when there is none. It is how a failed operation whose pair is in
+// circulation is finished — by its retry, or before the writer's next
+// operation: a reader may have returned the pair and a foreign write
 // overwritten it, and a fresh pair carrying the same value would bring it
 // back. A proposal its PREWRITE never certified is certified first, by a read
 // whose quorum reports nothing above it and nothing at it but itself

@@ -63,8 +63,8 @@ func (r *recorder) respond(id int, ret types.Value) {
 // constrains operations only by real-time precedence, and a never-responding
 // operation precedes nothing — a singleton queue encodes precisely the
 // constraints the op still carries (it may take effect at any point after
-// its invocation, or never; the Store's uncommitted-batch re-apply can land
-// it arbitrarily late).
+// its invocation, or never; the process's next write finishes the pair it
+// left open, which can land it arbitrarily late).
 func (r *recorder) abandon(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

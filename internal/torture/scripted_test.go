@@ -101,14 +101,18 @@ func (p *storePoint) operate(op func(c *robustatomic.Cluster)) (done *bool) {
 
 const operatorID = 4
 
-// put starts a client of process proc putting val; *done reports it over and
-// whether it succeeded (a failed Put stays pending in the history: the Store
-// may still land it).
-func (p *storePoint) put(proc int, val string) (done, ok *bool) {
+// put starts a client of process proc putting val under the point's key (see
+// putKey).
+func (p *storePoint) put(proc int, val string) (done, ok *bool) { return p.putKey(proc, pointKey, val) }
+
+// putKey starts a client of process proc putting val under key; *done reports
+// it over and whether it succeeded (a failed Put stays pending in the history:
+// the process's next write may still finish its pair).
+func (p *storePoint) putKey(proc int, key, val string) (done, ok *bool) {
 	done, ok = new(bool), new(bool)
 	p.sim.Go(func() {
-		id := p.rec.invoke(pointKey, types.WriterID(10+proc), checker.OpWrite, types.Value(val))
-		write := func() error { return p.stores[proc].Put(pointKey, val) }
+		id := p.rec.invoke(key, types.WriterID(10+proc), checker.OpWrite, types.Value(val))
+		write := func() error { return p.stores[proc].Put(key, val) }
 		if p.register {
 			write = func() error { return p.writers[proc].Write(val) }
 		}
@@ -124,14 +128,18 @@ func (p *storePoint) put(proc int, val string) (done, ok *bool) {
 	return done, ok
 }
 
-// gets starts a client of process proc reading the key n times; *got is the
+// gets starts a client of process proc reading the point's key n times (see
+// getsKey).
+func (p *storePoint) gets(proc, n int) (got *string) { return p.getsKey(proc, pointKey, n) }
+
+// getsKey starts a client of process proc reading key n times; *got is the
 // last value read.
-func (p *storePoint) gets(proc, n int) (got *string) {
+func (p *storePoint) getsKey(proc int, key string, n int) (got *string) {
 	got = new(string)
 	p.sim.Go(func() {
 		for i := 0; i < n; i++ {
-			id := p.rec.invoke(pointKey, types.Reader(proc), checker.OpRead, "")
-			read := func() (string, error) { return p.stores[proc].Get(pointKey) }
+			id := p.rec.invoke(key, types.Reader(proc), checker.OpRead, "")
+			read := func() (string, error) { return p.stores[proc].Get(key) }
 			if p.register {
 				read = p.readers[proc].Read
 			}
@@ -222,39 +230,61 @@ func TestScriptedStoreFlushRebased(t *testing.T) {
 }
 
 // TestScriptedStoreAckLost is the Store-level half of ROADMAP 1b: process 0's
-// flush reaches its WRITE quorum and every ack is lost, so the Put fails at
-// its round's deadline with the write in place; the Store retries the
-// mutation inside the process's next flush, beside a foreign writer and two
-// readers.
+// write reaches its WRITE quorum and every ack is lost, so the Put fails at
+// its round's deadline with the write in place, beside a foreign writer and
+// two readers. The process's next write finishes the failed pair — its
+// PREWRITE and WRITE again, at the failed pair's timestamp — before it issues
+// one of its own, and never puts the failed value back at a fresh one. For a
+// Store flush and a standalone Writer.Write.
 func TestScriptedStoreAckLost(t *testing.T) {
-	for seed := int64(1); seed <= pointSeeds(); seed++ {
-		p := newStorePoint(t, seed)
-		p.put(0, "a0")
-		p.run(nil)
-		lost := 0
-		for _, h := range p.sim.Hosts() {
-			h.SetBehavior(ackEater{&lost})
-		}
-		aDone, aOK := p.put(0, "a1")
-		p.put(1, "b1")
-		p.gets(2, 3)
-		p.gets(3, 3)
-		p.run(func() bool { return *aDone })
-		if *aOK || lost < 3 {
-			t.Fatalf("seed %d: the flush whose acks were lost (%d of them) succeeded: %v", seed, lost, *aOK)
-		}
-		for _, h := range p.sim.Hosts() {
-			h.SetBehavior(nil)
-		}
-		retry, retried := p.put(0, "a2")
-		p.put(1, "b2")
-		p.gets(2, 3)
-		p.gets(3, 3)
-		p.run(nil)
-		if !*retry || !*retried {
-			t.Fatalf("seed %d: the flush retrying the lost mutation failed", seed)
-		}
-		p.settle(seed)
+	for name, register := range map[string]bool{"store": false, "register": true} {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= pointSeeds(); seed++ {
+				ackLost(t, seed, register)
+			}
+		})
+	}
+}
+
+func ackLost(t *testing.T, seed int64, register bool) {
+	p := newStorePoint(t, seed)
+	p.register = register
+	inst := 1 // the Store's one shard
+	if register {
+		inst = 0
+	}
+	p.put(0, "a0")
+	p.run(nil)
+	sent := p.watch(inst)
+	lost := 0
+	for _, h := range p.sim.Hosts() {
+		h.SetBehavior(ackEater{&lost})
+	}
+	aDone, aOK := p.put(0, "a1")
+	p.put(1, "b1")
+	p.gets(2, 3)
+	p.gets(3, 3)
+	p.run(func() bool { return *aDone })
+	if *aOK || lost < 3 {
+		t.Fatalf("seed %d: the write whose acks were lost (%d of them) succeeded: %v", seed, lost, *aOK)
+	}
+	for _, h := range p.sim.Hosts() {
+		h.SetBehavior(nil)
+	}
+	failed, mark := lastWrite(*sent), len(*sent)
+	retry, retried := p.put(0, "a2")
+	p.put(1, "b2")
+	p.gets(2, 3)
+	p.gets(3, 3)
+	p.run(nil)
+	if !*retry || !*retried {
+		t.Fatalf("seed %d: the write after the lost one failed: %v", seed, p.errs[0])
+	}
+	p.settle(seed)
+	// A flush issues one timestamp; a Write may issue two (its proposal, then
+	// its successor under interference).
+	if fresh, ok := finishedFirst((*sent)[mark:], failed); !ok || len(fresh) == 0 || !register && len(fresh) != 1 {
+		t.Fatalf("seed %d: after the write at %v failed, the next one sent %v (finished it first: %v)", seed, failed, (*sent)[mark:], ok)
 	}
 }
 
@@ -294,6 +324,56 @@ func TestScriptedStoreAckLostRestart(t *testing.T) {
 			t.Fatalf("seed %d: the restarted process's Put failed", seed)
 		}
 		p.settle(seed)
+	}
+}
+
+// TestScriptedStoreFailedPutStaysFailed: process 0's Put of a1 fails with its
+// write in place (every WRITE ack lost); a reader returns a1, process 1's Put
+// of b1 lands and a reader returns it; then process 0 puts a sibling key of
+// the same shard. That flush finishes the failed pair at its own timestamp —
+// below b1's — before its READ1, and issues one fresh timestamp, for a table
+// rebased onto b1's: a later read of the key never returns a1 again.
+func TestScriptedStoreFailedPutStaysFailed(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		sent := p.watch(1)
+		lost := 0
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(ackEater{&lost})
+		}
+		_, aOK := p.put(0, "a1")
+		p.run(nil)
+		if *aOK || lost < 3 {
+			t.Fatalf("seed %d: the Put whose acks were lost (%d of them) succeeded: %v", seed, lost, *aOK)
+		}
+		for _, h := range p.sim.Hosts() {
+			h.SetBehavior(nil)
+		}
+		failed := lastWrite(*sent)
+		got := p.gets(2, 1)
+		p.run(nil)
+		_, bOK := p.put(1, "b1")
+		p.run(nil)
+		got2 := p.gets(2, 1)
+		p.run(nil)
+		if *got != "a1" || !*bOK || *got2 != "b1" {
+			t.Fatalf("seed %d: read %q, foreign Put ok %v, read %q; want a1, true, b1", seed, *got, *bOK, *got2)
+		}
+		mark := len(*sent)
+		_, ok := p.putKey(0, "k2", "x")
+		p.run(nil)
+		if !*ok {
+			t.Fatalf("seed %d: the sibling Put failed: %v", seed, p.errs[0])
+		}
+		p.gets(3, 1)
+		p.getsKey(2, "k2", 1)
+		p.run(nil)
+		p.settle(seed)
+		if fresh, ok := finishedFirst((*sent)[mark:], failed); !ok || len(fresh) != 1 {
+			t.Fatalf("seed %d: after the flush at %v failed, the next one sent %v (finished it first: %v)", seed, failed, (*sent)[mark:], ok)
+		}
 	}
 }
 
@@ -468,7 +548,7 @@ func TestScriptedStoreGetOverlapsOwnFlush(t *testing.T) {
 		if *aOK {
 			t.Fatalf("seed %d: the flush whose WRITE frames were lost succeeded", seed)
 		}
-		retry, retried := p.put(0, "a2") // and the Store lands the mutation with the next one
+		retry, retried := p.put(0, "a2") // and the next flush finishes its pair first
 		p.gets(2, 3)
 		p.gets(3, 3)
 		p.run(nil)
@@ -712,21 +792,76 @@ func (p *storePoint) overtake() (done, ok *bool) {
 	return p.put(1, "b1")
 }
 
-// writeOf returns the write process 0 sends register instance inst in m, if
-// m is such a request.
-func writeOf(m sim.Message, inst int) (types.Message, bool) {
+// requestOf returns the request process 0 sends register instance inst in m,
+// if m carries one.
+func requestOf(m sim.Message, inst int) (types.Message, bool) {
 	if m.Reply || m.Req.From != types.WriterID(0) {
 		return types.Message{}, false
 	}
-	w := m.Req.Msg
 	if len(m.Req.Subs) > 0 {
 		i := slices.IndexFunc(m.Req.Subs, func(s wire.SubReq) bool { return s.Reg == inst })
 		if i < 0 {
 			return types.Message{}, false
 		}
-		w = m.Req.Subs[i].Msg
-	} else if m.Req.Reg != inst {
-		return types.Message{}, false
+		return m.Req.Subs[i].Msg, true
 	}
-	return w, w.Kind == types.MsgPreWrite || w.Kind == types.MsgWrite
+	return m.Req.Msg, m.Req.Reg == inst
+}
+
+// writeOf returns the write process 0 sends register instance inst in m, if
+// m is such a request.
+func writeOf(m sim.Message, inst int) (types.Message, bool) {
+	w, ok := requestOf(m, inst)
+	return w, ok && isWrite(w)
+}
+
+func isWrite(m types.Message) bool { return m.Kind == types.MsgPreWrite || m.Kind == types.MsgWrite }
+
+// watch logs, holding nothing, every request process 0 sends register
+// instance inst, once per object, in the order the requests reach the head of
+// their lanes — per object, the order they were sent.
+func (p *storePoint) watch(inst int) *[]types.Message {
+	type at struct {
+		sid int
+		id  uint64
+	}
+	sent, seen := new([]types.Message), map[at]bool{}
+	p.sim.Hold(func(m sim.Message) bool {
+		if r, ok := requestOf(m, inst); ok && !seen[at{m.Sid, m.Req.ID}] {
+			seen[at{m.Sid, m.Req.ID}] = true
+			*sent = append(*sent, r)
+		}
+		return false
+	})
+	return sent
+}
+
+// lastWrite returns the timestamp of the last write in sent.
+func lastWrite(sent []types.Message) types.TS {
+	for i := len(sent) - 1; i >= 0; i-- {
+		if sent[i].Kind == types.MsgWrite {
+			return sent[i].Pair.TS
+		}
+	}
+	return types.TS{}
+}
+
+// finishedFirst reports whether the requests sent by one write operation
+// began by finishing the pair at failed: its PREWRITE first, and a WRITE of it
+// before any READ1 or any write at another timestamp. fresh lists the other
+// timestamps the operation's writes carried.
+func finishedFirst(sent []types.Message, failed types.TS) (fresh []types.TS, ok bool) {
+	for i, m := range sent {
+		switch {
+		case i == 0 && (m.Kind != types.MsgPreWrite || m.Pair.TS != failed):
+			return nil, false
+		case isWrite(m) && m.Pair.TS == failed:
+			ok = ok || m.Kind == types.MsgWrite
+		case !ok:
+			return nil, false
+		case isWrite(m) && !slices.Contains(fresh, m.Pair.TS):
+			fresh = append(fresh, m.Pair.TS)
+		}
+	}
+	return fresh, ok
 }

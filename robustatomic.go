@@ -390,9 +390,11 @@ func (w *Writer) useKnown(k *proto.Known) { w.w.UseKnown(k) }
 // fallback rounds otherwise, see internal/core's adaptive write flow). A
 // wrong-epoch redirect (the membership was reconfigured under the handle)
 // triggers a transparent config refetch and retry (see retried); modifyPair
-// reacts the same way. A write refused before its proposal certified, and
-// overtaken by the retry, fails with ErrWriteOvertaken: its pair may have been
-// read, so it is not put back at a fresh timestamp.
+// reacts the same way. A write that leaves its pair open, refused or failed,
+// is finished at its own timestamp by the retry, or else before the handle's
+// next write. A proposal that never certified and that another write overtook
+// is not put back at a fresh timestamp, as its pair may have been read: its
+// retry fails with ErrWriteOvertaken, and the next write drops it.
 func (w *Writer) Write(v string) error {
 	_, err := w.retried(func() (types.Pair, error) { return types.Pair{}, w.w.Write(types.Value(v)) })
 	return err
@@ -407,19 +409,22 @@ func (w *Writer) modifyPair(fn func(cur types.Pair) (types.Value, types.Delta, e
 }
 
 // retried runs one write operation, op, under the epoch redirect
-// (retryEpoch). A retry after op put its pair into circulation finishes that
-// pair (core.Writer.Resume) and never runs op again: one operation, one
-// timestamp, however often it is refused. A retry before it runs op again.
+// (retryEpoch). Every attempt first finishes the pair the handle's last
+// operation put into circulation and did not see complete
+// (core.Writer.Resume): before op has run, an earlier failed operation's —
+// dropped if it never certified and was overtaken — and after, op's own, in
+// which case op does not run again. One operation, one timestamp, however it
+// failed; a failed one is finished, never re-applied at a fresh timestamp.
 func (w *Writer) retried(op func() (types.Pair, error)) (p types.Pair, err error) {
-	again := false
+	ran := false
 	err = w.c.retryEpoch(func() (e error) {
-		resumed := false
-		if again {
-			p, resumed, e = w.w.Resume()
+		var resumed bool
+		p, resumed, e = w.w.Resume()
+		if resumed && ran || e != nil && !errors.Is(e, core.ErrOvertaken) {
+			return e
 		}
-		if again = true; !resumed {
-			p, e = op()
-		}
+		ran = true
+		p, e = op()
 		return e
 	})
 	return p, err

@@ -27,8 +27,7 @@ var ErrShardTableTooLarge = errors.New("robustatomic: shard table exceeds the re
 
 // Flush-outcome counters and per-op latency distributions of the keyed Store
 // layer, process-wide. The three flush counters partition completed flushes
-// by outcome (no-op: the certified read alone, no write; written; failed —
-// ops parked in uncommitted).
+// by outcome (no-op: the certified read alone, no write; written; failed).
 var (
 	mFlushNoop      = obs.Default.Counter("store_flush_noop_total")
 	mFlushCertified = obs.Default.Counter("store_flush_certified_total")
@@ -106,9 +105,9 @@ type StoreOptions struct {
 // write the table at the successor timestamp: 3 rounds on a settled shard. A
 // batch whose mutations all turn out to be no-ops (Put of the already-current
 // value, Delete of an absent key) commits with the read alone and no register
-// write at all. A flush refused for a stale epoch is retried on the new
-// membership by finishing the pair it issued, never with a fresh one
-// (core.Writer.Resume): one batch, one timestamp.
+// write at all. A failed flush is never re-applied: the pair it issued, if
+// any, is finished at its own timestamp — by the epoch retry, or else by the
+// shard's next flush (core.Writer.Resume) — never put back at a fresh one.
 //
 // Cross-process concurrency is last-writer-wins at SHARD granularity:
 // registers cannot solve consensus, so two flushes that race on the same
@@ -162,25 +161,18 @@ type storeShard struct {
 	reader *Reader
 
 	// Committer-private state below. base is the register pair — the one this
-	// process last wrote, or read — that table mirrors (⊥ before any flush):
-	// table is base's, decoded, but for what the ops applied since did to the
-	// keys in touched. A flush writes base's encoding with exactly those
-	// entries spliced (shard.Rewrite), and says so to the objects, which hold
-	// base too: neither side moves or re-encodes the rest of the table.
+	// process last wrote, or read — that table mirrors (⊥ before any flush and
+	// after a failed one): table is base's, decoded, but for what the ops
+	// applied since did to the keys in touched. A flush writes base's encoding
+	// with exactly those entries spliced (shard.Rewrite), and says so to the
+	// objects, which hold base too: neither side moves or re-encodes the rest
+	// of the table.
 	table   map[string]string
 	base    types.Pair
 	touched []string
 	// maxTable is the largest encoded table a flush may install (see
-	// ErrShardTableTooLarge). discard marks the cached table as holding the
-	// ops of a batch refused for exceeding it: the next flush replaces the
-	// table with the register's.
+	// ErrShardTableTooLarge).
 	maxTable int
-	discard  bool
-	// uncommitted holds the ops of failed flushes: a timed-out flush may
-	// have reached some objects, so the ops re-apply in every later flush
-	// until one succeeds and re-asserts them at a higher timestamp — the
-	// value a reader may already have certified never silently vanishes.
-	uncommitted []func(*storeShard) bool
 
 	// tracer samples per-op round traces (nil when Options.Tracer is unset);
 	// wTraced is the committer's traced round executor, which the flush
@@ -333,11 +325,11 @@ func (sh *storeShard) mutate(op func(*storeShard) bool) error {
 // edit would not be the smaller message.
 //
 // The ops apply to the committer's cached table or — when the read decided a
-// pair other than the base — to that pair's (a rebase; the ops are plain
-// set/delete closures, so re-application is idempotent and keeps call order),
-// and the result is written at the certified successor; a batch that changed
-// nothing is not written. Failed flushes park their ops in uncommitted, which
-// forces a real write until one succeeds.
+// pair other than the base — to that pair's (a rebase), and the result is
+// written at the certified successor; a batch that changed nothing is not
+// written. A flush that fails or is refused is not re-applied: its ops are
+// dropped with the mirror, which goes back to ⊥ — so the next flush rebases —
+// and the pair it issued, if any, is finished first (Writer.retried).
 func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 	end := traceOp(sh.tracer, sh.wTraced, "FLUSH", "%d ops", len(ops))
 	defer func() {
@@ -347,28 +339,10 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 		}
 	}()
 
-	// encode renders the cached table as the register value to install — the
-	// base's encoding with the touched entries spliced, or, over a base that
-	// cannot be edited (⊥), a fresh encoding — or refuses the batch (see
-	// ErrShardTableTooLarge): the cached table keeps the refused ops, so it is
-	// marked for replacement by the register's.
-	encode := func() (types.Value, types.Delta, error) {
-		from := types.Delta{Base: sh.base}
-		v, edit, ok := shard.Rewrite(string(sh.base.Val), sh.touched, sh.table)
-		if from.Edit = edit; !ok {
-			v = types.Value(shard.EncodeTable(sh.table))
-		}
-		if len(v) > sh.maxTable {
-			sh.discard = true
-			return "", types.Delta{}, ErrShardTableTooLarge
-		}
-		return v, from, nil
-	}
-
 	noop := false
 	p, err := sh.modify(func(cur types.Pair) (types.Value, types.Delta, error) {
 		rebased := cur.TS != sh.base.TS
-		if rebased || sh.discard {
+		if rebased {
 			t, err := shard.DecodeTable(string(cur.Val))
 			if err != nil {
 				// Unreachable against ≤ t Byzantine objects: the read only
@@ -376,21 +350,13 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 				return "", types.Delta{}, fmt.Errorf("robustatomic: shard register holds corrupt table: %w", err)
 			}
 			// Rebase: the foreign table replaces the cached one and the ops
-			// apply against it. (A table refused as too large is replaced the
-			// same way; its register pair is our own completed head, so the
-			// no-op elision below stays open to it.)
-			sh.table, sh.touched = t, sh.touched[:0]
-			sh.base, sh.discard = cur, false
+			// apply against it.
+			sh.table, sh.touched, sh.base = t, sh.touched[:0], cur
 		}
-		// dirty: the table differs from the base's once the ops applied. Ops
-		// from failed flushes always count: their values may have reached
-		// some objects at an abandoned timestamp, so they must re-assert at a
-		// fresh one even if the cached table already reflects them.
-		dirty := len(sh.uncommitted) > 0
-		for _, batch := range [2][]func(*storeShard) bool{sh.uncommitted, ops} {
-			for _, op := range batch {
-				dirty = op(sh) || dirty
-			}
+		// dirty: the table differs from the base's once the ops applied.
+		dirty := false
+		for _, op := range ops {
+			dirty = op(sh) || dirty
 		}
 		if noop = !dirty && !rebased; noop {
 			// Elide only against OUR OWN completed head, or ⊥, which no
@@ -403,19 +369,23 @@ func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
 			// writes once.
 			return "", types.Delta{}, core.SkipWrite
 		}
-		return encode()
+		// The value: the base's encoding with the touched entries spliced,
+		// or, over a base that cannot be edited (⊥), a fresh encoding — or a
+		// refusal (see ErrShardTableTooLarge).
+		from := types.Delta{Base: sh.base}
+		v, edit, ok := shard.Rewrite(string(sh.base.Val), sh.touched, sh.table)
+		if from.Edit = edit; !ok {
+			v = types.Value(shard.EncodeTable(sh.table))
+		}
+		if len(v) > sh.maxTable {
+			return "", types.Delta{}, ErrShardTableTooLarge
+		}
+		return v, from, nil
 	})
-	if errors.Is(err, ErrShardTableTooLarge) {
-		// Refused, not failed: nothing was sent, so the ops must not be
-		// re-asserted by later flushes — but earlier failed flushes' ops
-		// applied alongside them still must.
-		return err
-	}
 	if err != nil {
-		sh.uncommitted = append(sh.uncommitted, ops...)
+		sh.table, sh.base, sh.touched = map[string]string{}, types.Pair{}, nil
 		return err
 	}
-	sh.uncommitted = nil
 	if noop {
 		mFlushNoop.Inc()
 		return nil
