@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSplice -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzWireRequest -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzWireBatch -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzDecoderReady -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/persist/
 
 # bench-persist measures the durability subsystem: the E10 Store write path

@@ -3,12 +3,14 @@ package tcpnet
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
 	"robustatomic/internal/core"
 	"robustatomic/internal/server"
 	"robustatomic/internal/types"
+	"robustatomic/internal/wire"
 )
 
 // eachLink runs f over a Mux on both links that run in real time: n daemons
@@ -100,6 +102,33 @@ func TestNetemDropDupDelay(t *testing.T) {
 			if n := m.pendingWaiters(); n != 0 {
 				t.Fatalf("%d waiters left registered after operation %d", n, i)
 			}
+		}
+	})
+	// A delayed reply is not held back for the next one: of two pipelined
+	// requests, each delayed by d, the first reply arrives before 2d.
+	t.Run("pipelined", func(t *testing.T) {
+		const d = 200 * time.Millisecond
+		s, err := NewServer(1, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.SetNetem(rand.New(rand.NewSource(5)), 0, 0, d)
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		dec := wire.NewDecoder(conn)
+		start := time.Now()
+		pipeline(t, conn, readReq, readReq)
+		awaitReplies(t, dec, 1)
+		if got := time.Since(start); got >= 2*d {
+			t.Fatalf("first of two replies delayed by %v each arrived after %v", d, got)
+		}
+		if rsp, err := dec.DecodeResponse(); err != nil || rsp.ID != 2 {
+			t.Fatalf("second reply: %+v, %v", rsp, err)
 		}
 	})
 }

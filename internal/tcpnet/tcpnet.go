@@ -6,9 +6,11 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -32,6 +34,8 @@ var (
 	mSrvRxBytes   = obs.Default.Counter("tcpnet_server_rx_bytes_total")
 	mSrvTxBytes   = obs.Default.Counter("tcpnet_server_tx_bytes_total")
 	mSrvOversize  = obs.Default.Counter("tcpnet_server_reply_oversize_total")
+	// Requests over reply writes is the replies one write(2) carries.
+	mSrvReplyWrites = obs.Default.Counter("tcpnet_server_reply_writes_total")
 )
 
 // ServerOptions configures the optional durability layer of a Server.
@@ -51,7 +55,10 @@ const (
 
 // Server serves one storage object over TCP: a listener, one goroutine per
 // connection that hands each decoded request to the object's Host and
-// carries out what Serve returns, and the compaction loop. Everything the
+// carries out what Serve returns, and the compaction loop. A connection's
+// replies share one buffered writer, flushed only when the next request has
+// not fully arrived (and before a netem stall or a logged request), so a
+// pipelined run of requests is answered with one write. Everything the
 // object IS — register instances, behavior, fault injection, epoch gate,
 // write-ahead logging — is the embedded server.Host, the same one an
 // in-process cluster mounts on a Mux's in-memory link. With a data directory
@@ -169,13 +176,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	mSrvConns.Inc()
 	defer mSrvConns.Dec()
-	go func() {
-		<-s.ctx.Done()
-		conn.Close()
-	}()
+	stop := context.AfterFunc(s.ctx, func() { conn.Close() })
+	defer stop()
 	dec := wire.NewDecoder(countingReader{conn, mSrvRxBytes})
-	enc := wire.NewEncoder(countingWriter{conn, mSrvTxBytes})
+	out := bufio.NewWriter(replyWriter{countingWriter{conn, mSrvTxBytes}})
+	enc := wire.NewEncoder(out)
+	// Flushed before every step that can wait (see Server). A writer whose
+	// write failed keeps its error and writes nothing more.
+	defer out.Flush()
 	for {
+		if !dec.Ready() && out.Flush() != nil {
+			return
+		}
 		req, err := dec.DecodeRequest()
 		if err != nil {
 			return
@@ -186,6 +198,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		} else {
 			mSrvSingle.Inc()
 		}
+		if s.wal != nil && mutates(req) && out.Flush() != nil {
+			return // Serve may wait on compaction, the log's order or an fsync
+		}
 		rsp, send, dup, delay := s.Serve(req)
 		if !send {
 			continue // lost request or withheld reply: the client sees silence
@@ -193,6 +208,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if delay > 0 {
 			// The reply stalls on this connection's ordered stream — later
 			// pipelined replies queue behind it, as real congestion would.
+			if out.Flush() != nil {
+				return
+			}
 			t := time.NewTimer(delay)
 			select {
 			case <-t.C:
@@ -221,4 +239,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// mutates reports whether Serve would log req on a durable server.
+func mutates(req wire.Request) bool {
+	m := server.Mutates(req.Msg) // a batch's own Msg is zero: false
+	for _, sub := range req.Subs {
+		m = m || server.Mutates(sub.Msg)
+	}
+	return m
+}
+
+// replyWriter counts the writes that carry reply bytes to the socket.
+type replyWriter struct{ w io.Writer }
+
+func (rw replyWriter) Write(p []byte) (int, error) {
+	mSrvReplyWrites.Inc()
+	return rw.w.Write(p)
 }

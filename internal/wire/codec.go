@@ -217,6 +217,19 @@ type Decoder struct {
 // NewDecoder returns a Decoder on r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: bufio.NewReader(r)} }
 
+// Ready reports whether the next frame is already whole in the decoder's
+// buffer, so that decoding it reads nothing from the stream. It only peeks at
+// buffered bytes; false covers a frame not yet (fully) arrived as well as a
+// header the next decode will refuse.
+func (d *Decoder) Ready() bool {
+	b, _ := d.r.Peek(d.r.Buffered())
+	if len(b) == 0 || b[0] != wireVersion {
+		return false
+	}
+	n, k := binary.Uvarint(b[1:])
+	return k > 0 && n <= uint64(len(b)-1-k)
+}
+
 // DecodeRequest reads one request.
 func (d *Decoder) DecodeRequest() (Request, error) {
 	payload, err := d.readFrame()

@@ -482,6 +482,64 @@ func FuzzWireBatch(f *testing.F) {
 	})
 }
 
+// oneRead hands out its bytes in a single Read and fails every Read after it:
+// a decode that goes back to the stream shows as errReadAgain.
+type oneRead struct {
+	data []byte
+	done bool
+}
+
+var errReadAgain = errors.New("read past the first")
+
+func (r *oneRead) Read(p []byte) (int, error) {
+	if r.done {
+		return 0, errReadAgain
+	}
+	r.done = true
+	return copy(p, r.data), nil
+}
+
+// FuzzDecoderReady: Ready never panics, and it is exact about the buffer —
+// when it reports a whole frame the next decode reads nothing from the
+// stream, and when it does not, the next decode cannot succeed on what is
+// buffered alone.
+func FuzzDecoderReady(f *testing.F) {
+	var stream []byte
+	for i, m := range sampleMessages() {
+		var err error
+		if stream, err = AppendRequest(stream, Request{ID: uint64(i), From: types.Reader(i + 1), Msg: m}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+	f.Add(append(append([]byte(nil), stream[:20]...), 0x06, 0x01))
+	f.Add([]byte{wireVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := NewDecoder(&oneRead{data: data})
+		if dec.Ready() {
+			t.Fatal("Ready before anything was read")
+		}
+		// The first decode fills the buffer with the stream's one read.
+		if _, err := dec.DecodeRequest(); err != nil {
+			return
+		}
+		for {
+			ready := dec.Ready()
+			_, err := dec.DecodeRequest()
+			if ready && errors.Is(err, errReadAgain) {
+				t.Fatalf("Ready reported a whole frame, but decoding it read the stream: %v", err)
+			}
+			if !ready && err == nil {
+				t.Fatal("a frame decoded from the buffer alone that Ready did not report")
+			}
+			if err != nil {
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkWireCodec measures the codec on the two message shapes that
 // dominate the hot path: the small state reply of a read round and a
 // table-carrying write. (EXPERIMENTS.md E12 keeps the recorded figures of the

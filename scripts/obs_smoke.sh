@@ -62,6 +62,9 @@ grep -q '^# TYPE tcpnet_server_requests_total counter' "$workdir/metrics.out" ||
 grep -q '^tcpnet_server_requests_total [1-9]' "$workdir/metrics.out" || {
   echo "FAIL: request counter not live:"; head -40 "$workdir/metrics.out"; exit 1
 }
+grep -q '^tcpnet_server_reply_writes_total [1-9]' "$workdir/metrics.out" || {
+  echo "FAIL: reply write counter not live:"; grep '^tcpnet_server_' "$workdir/metrics.out"; exit 1
+}
 grep -q '^persist_wal_append_us{quantile="0.5"}' "$workdir/metrics.out" || {
   echo "FAIL: WAL latency summary missing:"; head -40 "$workdir/metrics.out"; exit 1
 }
