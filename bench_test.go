@@ -689,7 +689,7 @@ func BenchmarkE12AdaptiveWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Writer 2 runs on the SAME in-process cluster via a direct client.
-		w2 := corereg.NewWriterAt(proto.Observe(c1.mux.Client(types.WriterID(2), 0), hook), th, 2, types.TS{})
+		w2 := corereg.NewWriterAt(proto.Observe(c1.mux.Client(types.WriterID(2), 0), 0, hook, nil), th, 2, types.TS{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := w2.Write(types.Value(fmt.Sprintf("x%d", i))); err != nil {

@@ -112,6 +112,22 @@ func (h *History) Respond(id int, ret types.Value) {
 	h.ops[id].Ret = ret
 }
 
+// Abandon moves pending operation id onto a client of its own: its caller
+// gave up on it (it failed) and goes on with its next operation, which must
+// not count as overlapping it. This is exact, not a weakening: a
+// never-responding operation precedes nothing, so a queue of its own keeps
+// every constraint it still carries — it may take effect at any point after
+// its invocation, or never.
+func (h *History) Abandon(id int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if id < 0 || id >= len(h.ops) || h.ops[id].Complete() {
+		panic(fmt.Sprintf("checker: Abandon(%d) of no pending op", id))
+	}
+	// No client identity is negative.
+	h.ops[id].Client.Idx = -1 - id
+}
+
 // Ops returns a snapshot of all recorded operations, ordered by invocation.
 func (h *History) Ops() []Op {
 	h.mu.Lock()

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -162,6 +163,39 @@ func TestMWPendingWriteMayOrMayNotTakeEffect(t *testing.T) {
 	})
 	if err := CheckAtomicMW(h); err == nil {
 		t.Fatal("un-surfaced pending write not caught")
+	}
+}
+
+func TestMWAbandonedWriteMayOrMayNotTakeEffect(t *testing.T) {
+	// w1's write of x failed and was abandoned; w1 goes on to write y. Its
+	// next operation is no sequentiality violation, and x may never surface,
+	// surface before y, or surface after y (the pair it left open can be
+	// finished late) — but not on both sides of it.
+	w1, r1 := types.WriterID(1), types.Reader(1)
+	read := func(h *History, v types.Value) { h.Respond(h.Invoke(r1, OpRead, ""), v) }
+	for _, before := range []bool{false, true} {
+		for _, after := range [][]types.Value{{"y", "y"}, {"y", "x"}} {
+			h := &History{}
+			h.Abandon(h.Invoke(w1, OpWrite, "x"))
+			if before {
+				read(h, "x")
+			}
+			h.Respond(h.Invoke(w1, OpWrite, "y"), "")
+			for _, v := range after {
+				read(h, v)
+			}
+			if err := CheckAtomicMW(h); (err != nil) != (before && after[1] == "x") {
+				t.Errorf("x read before y: %v, reads after y %q: %v", before, after, err)
+			}
+		}
+	}
+	// Left on w1's queue, the same pending write overlaps w1's next one.
+	h := &History{}
+	h.Invoke(w1, OpWrite, "x")
+	h.Respond(h.Invoke(w1, OpWrite, "y"), "")
+	var v *Violation
+	if err := CheckAtomicMW(h); !errors.As(err, &v) || v.Prop != "well-formed" {
+		t.Fatalf("pending write followed by its client's next: %v, want a well-formed violation", err)
 	}
 }
 

@@ -14,7 +14,10 @@
 //  2. Metric names ARE the Prometheus exposition keys, label syntax
 //     included: a per-label round counter is registered under
 //     `proto_rounds_total{transport="mux",label="AREAD2"}` and rendered
-//     verbatim. The registry stays a flat name→metric map, the renderers
+//     verbatim. The round family (RoundStats) is kept by each client
+//     handle's one round observer, proto.Observed, above the Combiner: a
+//     flush round that travelled in a merged frame counts under its own
+//     label. The registry stays a flat name→metric map, the renderers
 //     stay trivial, and name construction (the only allocating step)
 //     happens once per (metric, label) at first use, never per event.
 //  3. One process-global Default registry. Tests that need isolation (the
@@ -263,10 +266,10 @@ func (s Snapshot) Names() []string {
 // filling latency histograms quickly at benchmark rates.
 const latSample = 8
 
-// RoundStats bundles the per-(transport, label) round metrics. Runtimes
-// cache these per client handle (plain map, single-goroutine) so the
-// per-round cost is one map hit plus atomic adds — no name construction,
-// no registry lookup, no allocation.
+// RoundStats bundles the per-(transport, label) round metrics. The round
+// observer (proto.Observed) caches these per client handle (StatsCache) so
+// the per-round cost is a short scan plus atomic adds — no name
+// construction, no registry lookup, no allocation.
 type RoundStats struct {
 	Rounds *Counter // rounds completed (ok or not)
 	Errs   *Counter // rounds that returned an error

@@ -508,13 +508,6 @@ func (e *Engine) Records() int64 {
 	return e.records
 }
 
-// Gen returns the current WAL generation (instrumentation and tests).
-func (e *Engine) Gen() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gen
-}
-
 // Rotate begins a compaction cycle: it seals the current WAL generation and
 // starts a new one, so that a snapshot taken now (with mutations quiesced)
 // covers every sealed generation. It returns the new generation number,

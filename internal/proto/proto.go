@@ -99,8 +99,8 @@ type FullForm interface {
 type SubRound struct {
 	// Reg is the register instance the sub-round addresses.
 	Reg int
-	// Label names the merged-in round (diagnostics; the per-register
-	// Observe hook above the Combiner reports the original spec's label).
+	// Label names the merged-in round (diagnostics; the Observed above the
+	// Combiner counts, traces and hooks the original spec's label).
 	Label string
 	// Req builds the sub-request for object sid, Full (see RoundSpec.Full)
 	// the same with every value in it.
@@ -162,32 +162,6 @@ type Rounder interface {
 	// NumServers returns S, the number of storage objects.
 	NumServers() int
 }
-
-// Observe wraps a Rounder, invoking fn with the round's label after every
-// successfully completed round. It is the instrumentation hook behind
-// Options.RoundHook: round-count tests assert adaptive complexity ("2
-// rounds uncontended, bounded fallback") directly instead of inferring it
-// from latency. fn runs on whatever goroutine executes the operation.
-func Observe(r Rounder, fn func(label string)) Rounder {
-	return &observedRounder{inner: r, fn: fn}
-}
-
-type observedRounder struct {
-	inner Rounder
-	fn    func(label string)
-}
-
-// Round implements Rounder.
-func (o *observedRounder) Round(spec RoundSpec) error {
-	err := o.inner.Round(spec)
-	if err == nil {
-		o.fn(spec.Label)
-	}
-	return err
-}
-
-// NumServers implements Rounder.
-func (o *observedRounder) NumServers() int { return o.inner.NumServers() }
 
 // CountAcc is the simplest accumulator: done after replies from n distinct
 // objects, optionally filtered by a predicate.

@@ -199,9 +199,6 @@ func NewScaledLemma1Partition(k, c int) (*Lemma1Partition, error) {
 	return p, nil
 }
 
-// TK returns t_k for this partition's k.
-func (p *Lemma1Partition) TK() int64 { return p.tk }
-
 // Faults returns the construction's Byzantine budget c·t_k.
 func (p *Lemma1Partition) Faults() int { return p.Scale * int(p.tk) }
 

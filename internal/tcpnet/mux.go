@@ -249,20 +249,6 @@ type Client struct {
 	reg int
 	// Rounds counts completed rounds (instrumentation).
 	Rounds int
-	// stats caches per-label round metrics: the handle is single-goroutine,
-	// so an unsynchronized linear-scan cache keeps the per-round cost to a
-	// few pointer-equality string compares.
-	stats obs.StatsCache
-}
-
-// statsFor returns the cached round metrics for the spec's label; merged
-// batch rounds share the "BATCH" family to bound metric cardinality.
-func (c *Client) statsFor(spec *proto.RoundSpec) *obs.RoundStats {
-	label := spec.Label
-	if len(spec.Subs) > 0 {
-		label = "BATCH"
-	}
-	return c.stats.Get(obs.Default, "mux", label)
 }
 
 var _ proto.Rounder = (*Client)(nil)
@@ -272,10 +258,7 @@ func (c *Client) NumServers() int { return c.mux.NumServers() }
 
 // Round implements proto.Rounder.
 func (c *Client) Round(spec proto.RoundSpec) error {
-	st := c.statsFor(&spec)
-	begun := st.Begin()
 	err := c.mux.round(c.Proc, c.reg, c.RoundTimeout, spec)
-	st.Done(begun, err)
 	if err == nil {
 		c.Rounds++
 	}

@@ -9,107 +9,49 @@ import (
 	"robustatomic/internal/types"
 )
 
-// ghostBase offsets the writer indices of ghost clients (see abandon) far
-// above any real client identity.
-const ghostBase = 1 << 20
-
-// recorder captures every client operation across all keys under one global
-// logical clock, then projects per-key checker histories. It exists because
-// checker.History assigns clocks at Invoke/Respond call time: a failed
-// operation must be RE-TAGGED to a fresh client identity after the fact
-// (see abandon), which the History API cannot do in place.
+// recorder keeps one checker.History per key; each history's own clock
+// orders its key's invocations and responses as they happen, which is all
+// the per-key atomicity check looks at.
 type recorder struct {
-	mu  sync.Mutex
-	seq int64
-	ops []recOp
+	mu    sync.Mutex
+	hists map[string]*checker.History
 }
 
-type recOp struct {
-	key     string
-	client  types.ProcID
-	kind    checker.OpKind
-	arg     types.Value
-	ret     types.Value
-	invoke  int64
-	respond int64 // -1 while pending
+// recID names one recorded operation: its key's history and its id there.
+type recID struct {
+	h  *checker.History
+	id int
 }
 
-// invoke records an operation start and returns its id.
-func (r *recorder) invoke(key string, client types.ProcID, kind checker.OpKind, arg types.Value) int {
+// invoke records an operation start.
+func (r *recorder) invoke(key string, client types.ProcID, kind checker.OpKind, arg types.Value) recID {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	r.ops = append(r.ops, recOp{
-		key: key, client: client, kind: kind, arg: arg,
-		invoke: r.seq, respond: -1,
-	})
-	return len(r.ops) - 1
+	if r.hists == nil {
+		r.hists = map[string]*checker.History{}
+	}
+	h := r.hists[key]
+	if h == nil {
+		h = &checker.History{}
+		r.hists[key] = h
+	}
+	r.mu.Unlock()
+	return recID{h, h.Invoke(client, kind, arg)}
 }
 
-// respond completes operation id with its result (returned value for reads).
-func (r *recorder) respond(id int, ret types.Value) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	r.ops[id].respond = r.seq
-	r.ops[id].ret = ret
-}
+// respond completes the operation with its result (returned value for reads).
+func (r *recorder) respond(op recID, ret types.Value) { op.h.Respond(op.id, ret) }
 
-// abandon marks a failed operation as pending forever and moves it to its
-// own single-op ghost client. The client goroutine continues with its next
-// operation; had the failed op stayed on the client's queue, the history
-// would violate per-client sequentiality (the checker's queues must be
-// sequential threads). Re-tagging is exact, not a weakening: linearizability
-// constrains operations only by real-time precedence, and a never-responding
-// operation precedes nothing — a singleton queue encodes precisely the
-// constraints the op still carries (it may take effect at any point after
-// its invocation, or never; the process's next write finishes the pair it
-// left open, which can land it arbitrarily late).
-func (r *recorder) abandon(id int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ops[id].client = types.WriterID(ghostBase + id)
-}
+// abandon leaves a failed operation pending forever, on a client of its own
+// (checker.History.Abandon): the client goroutine goes on with its next
+// operation, and the failed one may still take effect — the process's next
+// write finishes the pair it left open, which can land it arbitrarily late.
+func (r *recorder) abandon(op recID) { op.h.Abandon(op.id) }
 
-// histories projects the record into one checker.History per key, replaying
-// invokes and responds in global clock order so the checker sees the true
-// real-time precedence.
+// histories returns the per-key histories.
 func (r *recorder) histories() map[string]*checker.History {
 	r.mu.Lock()
-	ops := make([]recOp, len(r.ops))
-	copy(ops, r.ops)
-	r.mu.Unlock()
-
-	type event struct {
-		seq     int64
-		op      int
-		respond bool
-	}
-	events := make([]event, 0, 2*len(ops))
-	for i, op := range ops {
-		events = append(events, event{seq: op.invoke, op: i})
-		if op.respond >= 0 {
-			events = append(events, event{seq: op.respond, op: i, respond: true})
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].seq < events[j].seq })
-
-	hists := make(map[string]*checker.History)
-	ids := make([]int, len(ops))
-	for _, ev := range events {
-		op := ops[ev.op]
-		h := hists[op.key]
-		if h == nil {
-			h = &checker.History{}
-			hists[op.key] = h
-		}
-		if ev.respond {
-			h.Respond(ids[ev.op], op.ret)
-		} else {
-			ids[ev.op] = h.Invoke(op.client, op.kind, op.arg)
-		}
-	}
-	return hists
+	defer r.mu.Unlock()
+	return r.hists
 }
 
 // checkAll runs the budgeted multi-writer atomicity check on every per-key

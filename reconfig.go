@@ -155,7 +155,8 @@ func (c *Cluster) ConfigQuery() (config.Config, error) {
 // a redirect hint's address set, so an unverified hint never touches the
 // cluster's own connections.
 func (c *Cluster) queryConfigOver(m *tcpnet.Mux) (config.Config, bool) {
-	cfg, _, ok, err := c.readConfig(m.Client(types.Reader(c.readerID()), config.Reg))
+	rc := proto.Observe(m.Client(types.Reader(c.readerID()), config.Reg), config.Reg, c.opts.RoundHook, c.opts.Tracer)
+	cfg, _, ok, err := c.readConfig(rc)
 	return cfg, ok && err == nil
 }
 

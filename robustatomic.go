@@ -101,13 +101,16 @@ type Options struct {
 	// inferring it from latency). It may be called concurrently from the
 	// goroutines driving operations; keep it cheap and thread-safe.
 	RoundHook func(label string)
-	// Tracer, when set, samples per-operation round traces: every handle's
-	// round executor is wrapped so that a Store flush or Get the tracer
-	// selects records each of its rounds with per-object send/reply/error
-	// timestamps (including sub-rounds riding another leader's merged batch
-	// frame). Off the sampled path the wrapper costs one atomic load per
-	// round. Failed traced operations are retained for post-mortem dumps —
-	// see obs.Tracer.FormatFailed and the chaos harnesses.
+	// Tracer, when set, samples per-operation round traces: a Store flush or
+	// Get the tracer selects records each of its rounds with per-object
+	// send/reply/error timestamps (including sub-rounds riding another
+	// leader's merged batch frame). Off the sampled path it costs one atomic
+	// load per round. Failed traced operations are retained for post-mortem
+	// dumps — see obs.Tracer.FormatFailed and the chaos harnesses.
+	//
+	// Both ride the one observer every handle's rounds pass through
+	// (proto.Observed), which also keeps the per-label round metrics
+	// (proto_rounds_total and its family) whether or not either is set.
 	Tracer *obs.Tracer
 }
 
@@ -320,31 +323,24 @@ func (c *Cluster) setPartitioned(sid int, partitioned bool) error {
 	return err
 }
 
-// rounder builds the round executor for one process against register
-// instance reg (0 is the default single register; the Store layer uses
-// 1..Shards).
-func (c *Cluster) rounder(proc types.ProcID, reg int) proto.Rounder {
-	return c.observed(c.mux.Client(proc, reg))
-}
-
-// observed puts the RoundHook, if any, on r.
-func (c *Cluster) observed(r proto.Rounder) proto.Rounder {
-	if c.opts.RoundHook != nil {
-		return proto.Observe(r, c.opts.RoundHook)
-	}
-	return r
+// rounder builds the observed round executor for one process against
+// register instance reg (0 is the default single register; the Store layer
+// uses 1..Shards).
+func (c *Cluster) rounder(proc types.ProcID, reg int) *proto.Observed {
+	return proto.Observe(c.mux.Client(proc, reg), reg, c.opts.RoundHook, c.opts.Tracer)
 }
 
 // shardWriter builds the committer's writer handle for shard register reg.
 // Where the link frames its requests, the writer's rounds run through the
 // cluster-wide Combiner, so concurrent flushes of different shards merge
-// into one batched frame per object; the RoundHook still observes each
-// shard's logical rounds individually (the hook wraps above the Combiner).
+// into one batched frame per object; the writer's observer sits above the
+// Combiner, so each shard's logical rounds are still counted, hooked and
+// traced individually.
 func (c *Cluster) shardWriter(reg int) *Writer {
 	if c.combiner == nil {
 		return c.writerReg(reg)
 	}
-	return c.writerOn(c.observed(c.combiner.Rounder(reg)), reg)
+	return c.writerOn(c.combiner.Rounder(reg), reg)
 }
 
 // Writer is one of the register's writer handles. Its identity is the
@@ -353,9 +349,9 @@ func (c *Cluster) shardWriter(reg int) *Writer {
 type Writer struct {
 	c *Cluster
 	w *core.Writer
-	// traced is the handle's trace-capable round executor (nil unless
-	// Options.Tracer is set); the Store layer points it at sampled OpTraces.
-	traced *proto.Traced
+	// observed is the handle's round executor; the Store layer brackets its
+	// flushes with observed.Op.
+	observed *proto.Observed
 }
 
 // Writer returns this process's writer handle for the standalone register
@@ -366,19 +362,14 @@ func (c *Cluster) Writer() *Writer { return c.writerReg(0) }
 // from no timestamp: every write learns the register's own (Modify's certified
 // read, Write's proposal acknowledgements).
 func (c *Cluster) writerReg(reg int) *Writer {
-	return c.writerOn(c.rounder(types.WriterID(c.opts.WriterID), reg), reg)
+	return c.writerOn(c.mux.Client(types.WriterID(c.opts.WriterID), reg), reg)
 }
 
-// writerOn builds the writer handle for register instance reg over an
-// already-constructed round executor.
+// writerOn builds the writer handle for register instance reg over round
+// executor rc, observed.
 func (c *Cluster) writerOn(rc proto.Rounder, reg int) *Writer {
-	w := &Writer{c: c}
-	if c.opts.Tracer != nil {
-		w.traced = proto.Trace(rc, reg)
-		rc = w.traced
-	}
-	w.w = core.NewWriterAt(rc, c.th, int64(c.opts.WriterID), types.TS{})
-	return w
+	o := proto.Observe(rc, reg, c.opts.RoundHook, c.opts.Tracer)
+	return &Writer{c: c, w: core.NewWriterAt(o, c.th, int64(c.opts.WriterID), types.TS{}), observed: o}
 }
 
 // useKnown shares a known-pair set with the register instance's other
@@ -434,9 +425,9 @@ func (w *Writer) retried(op func() (types.Pair, error)) (p types.Pair, err error
 type Reader struct {
 	c  *Cluster
 	rd *core.Reader
-	// traced is the handle's trace-capable round executor (nil unless
-	// Options.Tracer is set); the Store layer points it at sampled OpTraces.
-	traced *proto.Traced
+	// observed is the handle's round executor; the Store layer brackets its
+	// reads with observed.Op.
+	observed *proto.Observed
 }
 
 // Reader returns reader handle idx (1-based, ≤ Options.Readers) of the
@@ -457,14 +448,8 @@ func (c *Cluster) readerID() int { return c.opts.WriterID + 1 }
 
 // readerReg builds reader handle idx for register instance reg.
 func (c *Cluster) readerReg(idx, reg int) *Reader {
-	rc := c.rounder(types.Reader(idx), reg)
-	r := &Reader{c: c}
-	if c.opts.Tracer != nil {
-		r.traced = proto.Trace(rc, reg)
-		rc = r.traced
-	}
-	r.rd = core.NewReader(rc, c.th, idx, c.opts.Readers)
-	return r
+	o := c.rounder(types.Reader(idx), reg)
+	return &Reader{c: c, rd: core.NewReader(o, c.th, idx, c.opts.Readers), observed: o}
 }
 
 // useKnown shares a known-pair set with the register instance's other

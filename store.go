@@ -174,36 +174,17 @@ type storeShard struct {
 	// ErrShardTableTooLarge).
 	maxTable int
 
-	// tracer samples per-op round traces (nil when Options.Tracer is unset);
-	// wTraced is the committer's traced round executor, which the flush
-	// bracket points at the sampled OpTrace so every round the flush runs —
-	// including its sub-rounds inside another leader's merged frame — lands
-	// its per-object events on that trace.
-	tracer  *obs.Tracer
-	wTraced *proto.Traced
+	// committer is the committer's round executor: a flush brackets itself
+	// with committer.Op, so every round of a sampled flush — including its
+	// sub-rounds inside another leader's merged frame — lands its per-object
+	// events on that flush's trace.
+	committer *proto.Observed
 
 	// modify performs one certified read-modify-write of the shard register
 	// (fn also says what its value derives from, see core.Writer.Modify):
 	// the committer's one register operation, never called concurrently
 	// (puts runs one flush at a time). Swappable in tests and benchmarks.
 	modify func(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error)
-}
-
-// traceOp brackets one Store-level operation (FLUSH, GET) for the sampled
-// tracer: every round t runs until the returned function is called lands on
-// the op's trace, and that call files the op with its outcome.
-// Without a tracer, or for an op sampled out, it is a no-op.
-func traceOp(tr *obs.Tracer, t *proto.Traced, kind, format string, n int) func(error) {
-	if tr != nil && t != nil {
-		if op := tr.StartOp(kind, fmt.Sprintf(format, n)); op != nil {
-			t.SetOp(op)
-			return func(err error) {
-				t.SetOp(nil)
-				tr.EndOp(op, err)
-			}
-		}
-	}
-	return func(error) {}
 }
 
 // NewStore returns a keyed store over the cluster.
@@ -241,12 +222,11 @@ func (s *Store) buildShard(i int) *storeShard {
 	w := s.c.shardWriter(reg)
 	w.useKnown(known)
 	sh := &storeShard{
-		idx:     i,
-		table:   map[string]string{},
-		reader:  r,
-		modify:  w.modifyPair,
-		tracer:  s.c.opts.Tracer,
-		wTraced: w.traced,
+		idx:       i,
+		table:     map[string]string{},
+		reader:    r,
+		modify:    w.modifyPair,
+		committer: w.observed,
 		// A reply carries the pair's timestamps and a few dozen bytes of
 		// framing besides the tables.
 		maxTable: wire.MaxFrame/2 - 256,
@@ -331,7 +311,7 @@ func (sh *storeShard) mutate(op func(*storeShard) bool) error {
 // dropped with the mirror, which goes back to ⊥ — so the next flush rebases —
 // and the pair it issued, if any, is finished first (Writer.retried).
 func (sh *storeShard) flush(ops []func(*storeShard) bool) (err error) {
-	end := traceOp(sh.tracer, sh.wTraced, "FLUSH", "%d ops", len(ops))
+	end := sh.committer.Op("FLUSH", "%d ops", len(ops))
 	defer func() {
 		end(err)
 		if err != nil && !errors.Is(err, ErrShardTableTooLarge) {
@@ -430,7 +410,7 @@ func (sh *storeShard) sharedRead() (map[string]string, error) {
 // consulting and refreshing the certified-table cache.
 func (sh *storeShard) readTable([]struct{}) (tab map[string]string, err error) {
 	r := sh.reader
-	end := traceOp(sh.tracer, r.traced, "GET", "shard %d", sh.idx)
+	end := r.observed.Op("GET", "shard %d", sh.idx)
 	defer func() { end(err) }()
 	p, err := r.readPair()
 	if err != nil {
