@@ -312,7 +312,7 @@ func BenchmarkE9StorePutCoalesced(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	var flushes int64
 	orig := sh.modify
 	sh.modify = func(fn func(types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {

@@ -150,7 +150,7 @@ func TestStoreUsesOneReaderIdentity(t *testing.T) {
 
 	// K Gets arriving behind a read in flight are one read (the leader is
 	// played by the test, as in TestStoreGetCoalescing).
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	release, leading := make(chan struct{}), make(chan struct{})
 	go sh.gets.Do(struct{}{}, func([]struct{}) (map[string]string, error) {
 		close(leading)
@@ -169,10 +169,7 @@ func TestStoreUsesOneReaderIdentity(t *testing.T) {
 			}
 		}()
 	}
-	waitUntil(t, "the Gets to join the pending batch", func() bool {
-		p := sh.gets.Pending()
-		return len(p) == 1 && len(p[0]) == K
-	})
+	waitUntil(t, "the Gets to join the pending batch", func() bool { return len(sh.gets.Pending()) == K })
 	close(release)
 	wg.Wait()
 	if n := elided() + fellBack(); n != 1 {

@@ -32,34 +32,25 @@ var (
 // goroutine at a time (the current batch leader).
 type Combiner struct {
 	inner Rounder
-	// group batches the sub-rounds. A batch never holds two sub-rounds for
-	// the same register instance (reply bundles are routed by instance): a
-	// second round for an occupied instance opens the next batch.
+	// group batches the sub-rounds. Reply bundles are routed by instance, so
+	// a batch must hold at most one sub-round per instance: each instance has
+	// one writer per process, and it runs one round at a time (see Rounder).
 	group shard.Group[SubRound, struct{}]
 }
 
 // NewCombiner returns a Combiner batching rounds onto inner.
 func NewCombiner(inner Rounder) *Combiner {
-	return &Combiner{inner: inner, group: shard.Group[SubRound, struct{}]{Admit: regFree}}
+	return &Combiner{inner: inner}
 }
 
 // SetWait installs the group's Wait hook (shard.Group.Wait; nil in
 // production). Call it before the first round.
 func (c *Combiner) SetWait(wait func(done, lead <-chan struct{})) { c.group.Wait = wait }
 
-// regFree reports whether batch holds no sub-round for sub's instance.
-func regFree(batch []SubRound, sub SubRound) bool {
-	for i := range batch {
-		if batch[i].Reg == sub.Reg {
-			return false
-		}
-	}
-	return true
-}
-
 // Rounder returns a per-register-instance view of the combiner: a Rounder
 // whose rounds target instance reg and merge with concurrent rounds of
-// other instances. The view is cheap; make one per handle.
+// other instances. The view is cheap; make one per handle, and run one round
+// at a time on each instance.
 func (c *Combiner) Rounder(reg int) Rounder {
 	return &combinedRounder{c: c, reg: reg}
 }

@@ -66,18 +66,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// pendingSubs snapshots the register layout of the combiner's pending
-// batches (white-box; same package).
-func pendingSubs(c *Combiner) [][]int {
-	var out [][]int
-	for _, subs := range c.group.Pending() {
-		var regs []int
-		for _, s := range subs {
-			regs = append(regs, s.Reg)
-		}
-		out = append(out, regs)
+// pendingSubs snapshots the registers of the combiner's pending batch
+// (white-box; same package).
+func pendingSubs(c *Combiner) []int {
+	var regs []int
+	for _, s := range c.group.Pending() {
+		regs = append(regs, s.Reg)
 	}
-	return out
+	return regs
 }
 
 func regsOf(spec RoundSpec) map[int]bool {
@@ -114,15 +110,9 @@ func TestCombinerMergesConcurrentRounds(t *testing.T) {
 	waitFor(t, "leader to start", func() bool { return f.callCount() == 1 })
 
 	go func() { errs <- c.Rounder(2).Round(ackRound("W2")) }()
-	waitFor(t, "reg 2 to enqueue", func() bool {
-		p := pendingSubs(c)
-		return len(p) == 1 && len(p[0]) == 1
-	})
+	waitFor(t, "reg 2 to enqueue", func() bool { return len(pendingSubs(c)) == 1 })
 	go func() { errs <- c.Rounder(3).Round(ackRound("W3")) }()
-	waitFor(t, "reg 3 to join the batch", func() bool {
-		p := pendingSubs(c)
-		return len(p) == 1 && len(p[0]) == 2
-	})
+	waitFor(t, "reg 3 to join the batch", func() bool { return len(pendingSubs(c)) == 2 })
 
 	f.gate <- struct{}{} // release the leader; one of the waiters leads the batch
 	f.gate <- struct{}{} // release the merged batch
@@ -140,46 +130,6 @@ func TestCombinerMergesConcurrentRounds(t *testing.T) {
 	}
 	if want := fmt.Sprintf("BATCH(2:%s+1)", merged.Subs[0].Label); merged.Label != want {
 		t.Errorf("merged label = %q, want %q", merged.Label, want)
-	}
-}
-
-// TestCombinerDuplicateRegOpensNextBatch: a batch never holds two sub-rounds
-// for the same register instance (reply bundles route by instance), so a
-// second round for an occupied instance opens the next batch while other
-// instances still merge into the first.
-func TestCombinerDuplicateRegOpensNextBatch(t *testing.T) {
-	f := &fakeRounder{gate: make(chan struct{})}
-	c := NewCombiner(f)
-	errs := make(chan error, 4)
-	go func() { errs <- c.Rounder(5).Round(ackRound("LEAD")) }()
-	waitFor(t, "leader to start", func() bool { return f.callCount() == 1 })
-
-	go func() { errs <- c.Rounder(7).Round(ackRound("A7")) }()
-	waitFor(t, "first reg 7 round", func() bool { return len(pendingSubs(c)) == 1 })
-	go func() { errs <- c.Rounder(7).Round(ackRound("B7")) }()
-	waitFor(t, "second reg 7 round to open batch 2", func() bool { return len(pendingSubs(c)) == 2 })
-	go func() { errs <- c.Rounder(8).Round(ackRound("A8")) }()
-	waitFor(t, "reg 8 to merge into batch 1", func() bool {
-		p := pendingSubs(c)
-		return len(p) == 2 && len(p[0]) == 2
-	})
-
-	for i := 0; i < 3; i++ {
-		f.gate <- struct{}{}
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	if got := f.callCount(); got != 3 {
-		t.Fatalf("inner ran %d rounds, want 3", got)
-	}
-	if r := regsOf(f.calls[1]); len(r) != 2 || !r[7] || !r[8] {
-		t.Fatalf("batch 1 covers %+v, want regs {7,8}", r)
-	}
-	if r := regsOf(f.calls[2]); len(r) != 1 || !r[7] {
-		t.Fatalf("batch 2 covers %+v, want regs {7}", r)
 	}
 }
 
@@ -216,10 +166,7 @@ func TestCombinerPerSubErrorMapping(t *testing.T) {
 		got[reg] = ch
 		go func() { ch <- c.Rounder(reg).Round(ackRound(fmt.Sprintf("W%d", reg))) }()
 	}
-	waitFor(t, "both rounds to enqueue", func() bool {
-		p := pendingSubs(c)
-		return len(p) == 1 && len(p[0]) == 2
-	})
+	waitFor(t, "both rounds to enqueue", func() bool { return len(pendingSubs(c)) == 2 })
 	f.gate <- struct{}{}
 	f.gate <- struct{}{}
 	if err := <-lead; err != nil {
@@ -243,7 +190,7 @@ func TestCombinerRejectsBatchedSpecs(t *testing.T) {
 	}
 }
 
-// TestCombinerConcurrentStress drives many goroutines per register across
+// TestCombinerConcurrentStress drives one goroutine per register across
 // many registers and checks every round completes (run with -race).
 func TestCombinerConcurrentStress(t *testing.T) {
 	f := &fakeRounder{}

@@ -3,8 +3,8 @@ package shard
 import "sync"
 
 // Group is the leader-handoff group commit: concurrent callers' jobs collect
-// into batches, exactly one batch runs at a time, and the batch that
-// accumulated while one ran is run next by one of its own members. The
+// into batches, exactly one batch runs at a time, and the one batch that
+// accumulated while it ran is run next by one of its own members. The
 // Store's per-shard Puts/Deletes and Gets, proto.Combiner's cross-shard
 // rounds and persist's FsyncAlways appends are all this one mechanism. What
 // it guarantees:
@@ -19,14 +19,8 @@ import "sync"
 //     consecutive runs (state a run leaves is visible to the next);
 //   - a run's result and error reach every member of its batch.
 //
-// The zero value is an idle group that admits every job into the one open
-// batch.
+// The zero value is an idle group.
 type Group[J, R any] struct {
-	// Admit, when non-nil, reports whether job may join a pending batch
-	// already holding batch; a job no pending batch admits opens a new one,
-	// and pending batches run in the order they were opened. Set it before
-	// the first Do.
-	Admit func(batch []J, job J) bool
 	// Wait, when non-nil, is called by a follower about to block and returns
 	// once done is closed or lead holds the token: the one place Do blocks,
 	// handed to a scheduler that runs one goroutine at a time (internal/sim).
@@ -34,8 +28,8 @@ type Group[J, R any] struct {
 	Wait func(done, lead <-chan struct{})
 
 	mu      sync.Mutex
-	running bool                // a leader is between detaching its batch and handing off
-	pending []*groupBatch[J, R] // batches awaiting a leader, oldest first; empty when idle
+	running bool              // a leader is between detaching its batch and handing off
+	pending *groupBatch[J, R] // the batch awaiting a leader; nil when there is none
 }
 
 type groupBatch[J, R any] struct {
@@ -46,13 +40,18 @@ type groupBatch[J, R any] struct {
 	err  error
 }
 
-// Do adds job to a pending batch and returns once that batch has run,
-// with the run's result; led reports whether this caller ran it. run is
-// invoked with the batch's jobs in arrival order, by at most one caller at a
-// time.
+// Do adds job to the pending batch, opening it if there is none, and returns
+// once that batch has run, with the run's result; led reports whether this
+// caller ran it. run is invoked with the batch's jobs in arrival order, by at
+// most one caller at a time.
 func (g *Group[J, R]) Do(job J, run func([]J) (R, error)) (res R, led bool, err error) {
 	g.mu.Lock()
-	b := g.join(job)
+	b := g.pending
+	if b == nil {
+		b = &groupBatch[J, R]{done: make(chan struct{}), lead: make(chan struct{}, 1)}
+		g.pending = b
+	}
+	b.jobs = append(b.jobs, job)
 	if g.running {
 		// A leader is running. Wait for our batch's result — unless the
 		// leader hands this batch off, making us the next leader.
@@ -67,18 +66,15 @@ func (g *Group[J, R]) Do(job J, run func([]J) (R, error)) (res R, led bool, err 
 			g.mu.Lock()
 		}
 	}
-	// Leader of the oldest batch (idle: the one just opened; handed off: the
-	// head the token was sent to). Detach it, so later jobs open the next.
-	g.running = true
-	n := copy(g.pending, g.pending[1:])
-	g.pending[n] = nil
-	g.pending = g.pending[:n]
+	// Leader of the pending batch (idle: the one just opened; handed off: the
+	// one the token was sent to). Detach it, so later jobs open the next.
+	g.running, g.pending = true, nil
 	g.mu.Unlock()
 	b.res, b.err = run(b.jobs)
 	close(b.done)
 	g.mu.Lock()
-	if len(g.pending) > 0 {
-		g.pending[0].lead <- struct{}{}
+	if g.pending != nil {
+		g.pending.lead <- struct{}{}
 	} else {
 		g.running = false
 	}
@@ -86,32 +82,13 @@ func (g *Group[J, R]) Do(job J, run func([]J) (R, error)) (res R, led bool, err 
 	return b.res, true, b.err
 }
 
-// join appends job to the oldest pending batch that admits it, opening a new
-// one at the tail if none does. Caller holds mu.
-func (g *Group[J, R]) join(job J) *groupBatch[J, R] {
-	for _, b := range g.pending {
-		if g.Admit == nil || g.Admit(b.jobs, job) {
-			b.jobs = append(b.jobs, job)
-			return b
-		}
-	}
-	b := &groupBatch[J, R]{
-		jobs: []J{job},
-		done: make(chan struct{}),
-		lead: make(chan struct{}, 1),
-	}
-	g.pending = append(g.pending, b)
-	return b
-}
-
-// Pending snapshots the jobs of the batches awaiting a leader, oldest first
-// (tests wait on it to know a job has joined before releasing a run).
-func (g *Group[J, R]) Pending() [][]J {
+// Pending snapshots the jobs of the batch awaiting a leader (tests wait on it
+// to know a job has joined before releasing a run).
+func (g *Group[J, R]) Pending() []J {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([][]J, len(g.pending))
-	for i, b := range g.pending {
-		out[i] = append([]J(nil), b.jobs...)
+	if g.pending == nil {
+		return nil
 	}
-	return out
+	return append([]J(nil), g.pending.jobs...)
 }

@@ -21,8 +21,8 @@ type gatedGroup struct {
 	leaders []int // leaders[i]: the job of the caller that ran batches[i]
 }
 
-func newGatedGroup(admit func([]int, int) bool) *gatedGroup {
-	return &gatedGroup{g: &Group[int, int]{Admit: admit}, gate: make(chan struct{})}
+func newGatedGroup() *gatedGroup {
+	return &gatedGroup{g: &Group[int, int]{}, gate: make(chan struct{})}
 }
 
 type groupResult struct {
@@ -64,19 +64,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // submit queues jobs one at a time behind a running batch, waiting for each
-// to show up in the pending batches before submitting the next.
+// to show up in the pending batch before submitting the next.
 func (gg *gatedGroup) submit(t *testing.T, out chan<- groupResult, jobs ...int) {
 	t.Helper()
-	queued := func() (n int) {
-		for _, b := range gg.g.Pending() {
-			n += len(b)
-		}
-		return n
-	}
 	for _, job := range jobs {
-		want := queued() + 1
+		want := len(gg.g.Pending()) + 1
 		gg.do(job, out)
-		waitFor(t, "job to join a pending batch", func() bool { return queued() == want })
+		waitFor(t, "job to join the pending batch", func() bool { return len(gg.g.Pending()) == want })
 	}
 }
 
@@ -84,12 +78,12 @@ func (gg *gatedGroup) submit(t *testing.T, out chan<- groupResult, jobs ...int) 
 // form ONE next batch, in arrival order, led by one of its own members, and
 // every job runs in exactly one batch.
 func TestGroupArrivalsFormOneNextBatch(t *testing.T) {
-	gg := newGatedGroup(nil)
+	gg := newGatedGroup()
 	out := make(chan groupResult, 5)
 	gg.do(1, out)
 	waitFor(t, "first batch to start", func() bool { return gg.ran() == 1 })
 	gg.submit(t, out, 2, 3, 4, 5)
-	if p := gg.g.Pending(); !reflect.DeepEqual(p, [][]int{{2, 3, 4, 5}}) {
+	if p := gg.g.Pending(); !reflect.DeepEqual(p, []int{2, 3, 4, 5}) {
 		t.Fatalf("pending = %v, want one batch [2 3 4 5]", p)
 	}
 	gg.gate <- struct{}{}
@@ -119,56 +113,12 @@ func TestGroupArrivalsFormOneNextBatch(t *testing.T) {
 	}
 }
 
-// TestGroupAdmissionOpensNextBatchFIFO: a job the open batch refuses opens
-// the next one, later jobs still join the oldest batch that admits them, and
-// the batches run in the order they were opened.
-func TestGroupAdmissionOpensNextBatchFIFO(t *testing.T) {
-	// Admit a job only into batches holding no job with the same last digit —
-	// the Combiner's "one sub-round per register" in miniature.
-	gg := newGatedGroup(func(batch []int, job int) bool {
-		for _, j := range batch {
-			if j%10 == job%10 {
-				return false
-			}
-		}
-		return true
-	})
-	out := make(chan groupResult, 6)
-	gg.do(5, out)
-	waitFor(t, "first batch to start", func() bool { return gg.ran() == 1 })
-	gg.submit(t, out, 7, 17, 8, 27, 18)
-	want := [][]int{{7, 8}, {17, 18}, {27}}
-	if p := gg.g.Pending(); !reflect.DeepEqual(p, want) {
-		t.Fatalf("pending = %v, want %v", p, want)
-	}
-	for i := 0; i < 4; i++ {
-		gg.gate <- struct{}{}
-	}
-	for i := 0; i < 6; i++ {
-		if r := <-out; r.err != nil {
-			t.Errorf("job %d: %v", r.job, r.err)
-		}
-	}
-	if want := append([][]int{{5}}, want...); !reflect.DeepEqual(gg.batches, want) {
-		t.Fatalf("batches ran as %v, want %v", gg.batches, want)
-	}
-	for i, b := range gg.batches {
-		member := false
-		for _, j := range b {
-			member = member || j == gg.leaders[i]
-		}
-		if !member {
-			t.Errorf("batch %v led by job %d, not one of its members", b, gg.leaders[i])
-		}
-	}
-}
-
 // TestGroupErrorReachesEveryMember: the leader's result and error reach every
 // member of its batch — and no member of another — and the group is idle and
 // reusable afterwards.
 func TestGroupErrorReachesEveryMember(t *testing.T) {
 	errBoom := errors.New("boom")
-	gg := newGatedGroup(nil)
+	gg := newGatedGroup()
 	out := make(chan groupResult, 4)
 	gg.do(1, out)
 	waitFor(t, "first batch to start", func() bool { return gg.ran() == 1 })
@@ -196,68 +146,58 @@ func TestGroupErrorReachesEveryMember(t *testing.T) {
 	}
 }
 
-// TestGroupStress: 64 goroutines × 2,000 jobs, with and without an admission
-// predicate (run with -race). Never two batches at once, every job in exactly
-// one batch, every caller handed its own batch's result, at most one batch
-// led per Do and only one containing the caller's job.
+// TestGroupStress: 64 goroutines × 2,000 jobs (run with -race). Never two
+// batches at once, every job in exactly one batch, every caller handed its own
+// batch's result, at most one batch led per Do and only one containing the
+// caller's job.
 func TestGroupStress(t *testing.T) {
 	const workers, perWorker = 64, 2000
-	for name, admit := range map[string]func([]int, int) bool{
-		"admit-all": nil,
-		"one-per-class": func(batch []int, job int) bool {
-			for _, j := range batch {
-				if j%8 == job%8 {
-					return false
-				}
-			}
-			return true
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			g := &Group[int, int]{Admit: admit}
-			var running, batches atomic.Int32
-			seen := make([]int, workers*perWorker) // written only inside run: one run at a time
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						job := w*perWorker + i
-						ran := false
-						res, led, err := g.Do(job, func(batch []int) (int, error) {
-							if running.Add(1) != 1 {
-								t.Error("two batches running at once")
-							}
-							mine := false
-							for _, j := range batch {
-								seen[j]++
-								mine = mine || j == job
-							}
-							if !mine || ran {
-								t.Errorf("job %d led a batch it is not in, or a second batch", job)
-							}
-							ran = true
-							running.Add(-1)
-							return int(batches.Add(1)), nil
-						})
-						if err != nil || res < 1 || led != ran {
-							t.Errorf("job %d = %d, led %v (ran %v), %v", job, res, led, ran, err)
-							return
+	// The arm's name is kept from when the test also ran under an admission
+	// predicate; every job is admitted to the open batch.
+	t.Run("admit-all", func(t *testing.T) {
+		g := &Group[int, int]{}
+		var running, batches atomic.Int32
+		seen := make([]int, workers*perWorker) // written only inside run: one run at a time
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					job := w*perWorker + i
+					ran := false
+					res, led, err := g.Do(job, func(batch []int) (int, error) {
+						if running.Add(1) != 1 {
+							t.Error("two batches running at once")
 						}
+						mine := false
+						for _, j := range batch {
+							seen[j]++
+							mine = mine || j == job
+						}
+						if !mine || ran {
+							t.Errorf("job %d led a batch it is not in, or a second batch", job)
+						}
+						ran = true
+						running.Add(-1)
+						return int(batches.Add(1)), nil
+					})
+					if err != nil || res < 1 || led != ran {
+						t.Errorf("job %d = %d, led %v (ran %v), %v", job, res, led, ran, err)
+						return
 					}
-				}(w)
-			}
-			wg.Wait()
-			for j, n := range seen {
-				if n != 1 {
-					t.Fatalf("job %d ran in %d batches, want exactly 1", j, n)
 				}
+			}(w)
+		}
+		wg.Wait()
+		for j, n := range seen {
+			if n != 1 {
+				t.Fatalf("job %d ran in %d batches, want exactly 1", j, n)
 			}
-			if p := g.Pending(); len(p) != 0 {
-				t.Fatalf("group not idle: pending %v", p)
-			}
-			t.Logf("%d jobs in %d batches", workers*perWorker, batches.Load())
-		})
-	}
+		}
+		if p := g.Pending(); len(p) != 0 {
+			t.Fatalf("group not idle: pending %v", p)
+		}
+		t.Logf("%d jobs in %d batches", workers*perWorker, batches.Load())
+	})
 }

@@ -1,8 +1,8 @@
 // Package shard provides the machinery of the keyed multi-register Store
-// layer: hash-based routing of keys onto N independent atomic registers, a
-// lazily-instantiated per-shard table, the leader-handoff group commit
-// (Group — also what batches cross-shard rounds and WAL fsyncs), and the
-// codec that packs one shard's key→value table into a single register value.
+// layer: hash-based routing of keys onto N independent atomic registers, the
+// leader-handoff group commit (Group — also what batches cross-shard rounds
+// and WAL fsyncs), and the codec that packs one shard's key→value table into
+// a single register value.
 //
 // The layering mirrors the paper's cloud key-value scenario (Section 1.1):
 // each shard is one robust atomic MWMR register hosted on the same S = 3t+1
@@ -11,10 +11,7 @@
 // from per-register atomicity.
 package shard
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Router maps keys onto shard indices 0..N-1 with FNV-1a hashing. The zero
 // value routes everything to shard 0.
@@ -51,30 +48,4 @@ func (r Router) Locate(key string) int {
 		h *= prime64
 	}
 	return int(h % uint64(r.N()))
-}
-
-// Lazy is a fixed-size table of per-shard values built on first use, once
-// per slot: concurrent first Gets of one slot observe a single build, and Gets
-// of different slots never contend. A build only allocates — it talks to no
-// object — so it cannot fail.
-type Lazy[T any] struct {
-	build func(int) T
-	slots []lazySlot[T]
-}
-
-type lazySlot[T any] struct {
-	once sync.Once
-	val  T
-}
-
-// NewLazy returns a table of n slots built by build.
-func NewLazy[T any](n int, build func(int) T) *Lazy[T] {
-	return &Lazy[T]{build: build, slots: make([]lazySlot[T], n)}
-}
-
-// Get returns slot i (0 ≤ i < n), building it on first touch.
-func (l *Lazy[T]) Get(i int) T {
-	s := &l.slots[i]
-	s.once.Do(func() { s.val = l.build(i) })
-	return s.val
 }

@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -36,30 +34,6 @@ func TestRouterValidation(t *testing.T) {
 	var zero Router
 	if zero.Locate("x") != 0 {
 		t.Error("zero router must route to shard 0")
-	}
-}
-
-func TestLazySingleBuildUnderConcurrency(t *testing.T) {
-	var builds int32
-	l := NewLazy(4, func(i int) int {
-		atomic.AddInt32(&builds, 1)
-		return i * 10
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				if v := l.Get(i); v != i*10 {
-					t.Errorf("slot %d = %d", i, v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if builds != 4 {
-		t.Errorf("built %d times, want 4", builds)
 	}
 }
 

@@ -687,6 +687,53 @@ func epochRetryFinishesItsPair(t *testing.T, seed int64, register bool) {
 	p.settle(seed)
 }
 
+// TestScriptedConfigWriterOneTimestampOneValue: the operator's Leave has
+// prewritten its configuration at objects 1 and 2 — t+1 of them — and its
+// round fails at the deadline, the other two never reached. The same operator
+// process then runs a Move. Its config register has one writer per process,
+// so the Move finishes the Leave's pair at its own timestamp before it issues
+// one of its own; a writer that started afresh would reissue that timestamp
+// with the Move's configuration. No object may hold two configurations at one
+// timestamp, and the Move must succeed on whichever of them it rebased.
+func TestScriptedConfigWriterOneTimestampOneValue(t *testing.T) {
+	for seed := int64(1); seed <= pointSeeds(); seed++ {
+		p := newStorePoint(t, seed)
+		p.put(0, "a0")
+		p.run(nil)
+		newcomer, incoming := p.sim.AddHost(2)
+		holding := true
+		p.sim.Hold(func(m sim.Message) bool {
+			return holding && m.Sid > 2 && !m.Reply && m.Req.Reg == config.Reg && m.Req.Msg.Kind == types.MsgPreWrite
+		})
+		var leaveErr, moveErr error
+		done := p.operate(func(c *robustatomic.Cluster) {
+			_, leaveErr = c.Leave(4)
+			holding = false
+			_, _, moveErr = c.Move(2, newcomer, 1)
+		})
+		p.put(1, "b1")
+		p.gets(3, 2)
+		p.run(func() bool { return *done })
+		if leaveErr == nil || moveErr != nil {
+			t.Fatalf("seed %d: Leave with its PREWRITE held at two objects = %v (want a failure), then Move = %v", seed, leaveErr, moveErr)
+		}
+		held := map[types.TS]types.Value{}
+		for _, h := range append(p.sim.Hosts(), incoming) {
+			st := h.Store(config.Reg).Reg(types.WriterReg)
+			for _, pr := range []types.Pair{st.PW, st.W} {
+				if v, ok := held[pr.TS]; ok && v != pr.Val {
+					t.Fatalf("seed %d: the config register holds two values at %v", seed, pr.TS)
+				}
+				held[pr.TS] = pr.Val
+			}
+		}
+		p.put(0, "a1")
+		p.gets(2, 2)
+		p.run(nil)
+		p.settle(seed)
+	}
+}
+
 // TestScriptedEpochRetryUncertified: process 0's standalone write has posted
 // its PREWRITE, objects 1 and 2 have taken it — t+1 of them, so the proposal
 // is readable — and a Leave of slot 4 completes before it reaches the others,

@@ -236,11 +236,13 @@ func (c *Cluster) baseConfig(cur types.Pair) (config.Config, error) {
 // this one rebase and re-check against the winner — and the result written
 // at the successor timestamp. Returns the new configuration and the
 // register pair that carries it (Join/Move seed that pair into the
-// incoming daemon, which was not a member when the write ran).
+// incoming daemon, which was not a member when the write ran). It runs on the
+// process's one config-register writer, so a transition that failed with its
+// pair open is finished, at its own timestamp, by the next one
+// (Writer.retried) before that one applies its own.
 func (c *Cluster) transitionConfig(transition func(config.Config) (config.Config, error)) (config.Config, types.Pair, error) {
 	var next config.Config
-	w := c.writerReg(config.Reg)
-	p, err := w.modifyPair(func(cur types.Pair) (types.Value, types.Delta, error) {
+	p, err := c.cfgWriter().modifyPair(func(cur types.Pair) (types.Value, types.Delta, error) {
 		base, err := c.baseConfig(cur)
 		if err != nil {
 			return "", types.Delta{}, err
@@ -375,7 +377,8 @@ func (c *Cluster) ReseedConfig(addr string) error {
 
 // Join admits the daemon at addr into the lowest vacant slot of the active
 // configuration (see admit). The epoch advances by one; S is fixed, so Join
-// only succeeds while a Leave has left a slot vacant.
+// only succeeds while a Leave has left a slot vacant. Transitions of one
+// Cluster run one at a time: they share its one config-register writer.
 func (c *Cluster) Join(addr string, shards int) (config.Config, []RepairedRegister, error) {
 	return c.admit(addr, shards, func(base config.Config) (config.Config, error) { return base.Join(addr) })
 }
@@ -411,7 +414,8 @@ func (c *Cluster) admit(addr string, shards int, transition func(config.Config) 
 // its epoch's traffic; clients drop its connection and dial state on
 // adoption). The vacancy counts against the fault budget — a vacant slot is
 // a permanently-crashed object — so at most t slots may be vacant at a
-// time, which Leave's transition validation enforces.
+// time, which Leave's transition validation enforces. Transitions of one
+// Cluster run one at a time (see Join).
 func (c *Cluster) Leave(sid int) (config.Config, error) {
 	next, _, err := c.transitionConfig(func(base config.Config) (config.Config, error) {
 		return base.Leave(sid)
@@ -427,7 +431,7 @@ func (c *Cluster) Leave(sid int) (config.Config, error) {
 // Unlike Leave-then-Join there is no vacancy window: the slot is always
 // populated, so the fault budget never pays for the handoff, and old- and
 // new-epoch quorums intersect in ≥ t+1 common members throughout (see
-// DESIGN.md).
+// DESIGN.md). Transitions of one Cluster run one at a time (see Join).
 func (c *Cluster) Move(sid int, addr string, shards int) (config.Config, []RepairedRegister, error) {
 	return c.admit(addr, shards, func(base config.Config) (config.Config, error) { return base.Move(sid, addr) })
 }

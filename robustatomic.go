@@ -63,7 +63,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
+	"robustatomic/internal/config"
 	"robustatomic/internal/core"
 	"robustatomic/internal/obs"
 	"robustatomic/internal/proto"
@@ -133,7 +135,8 @@ func (o *Options) defaults() {
 
 // Cluster is a handle to a running storage cluster (in-process or remote).
 // Handle creation (Writer, Reader, NewStore) is safe for concurrent use;
-// each handle is then single-goroutine as the model prescribes.
+// each handle is then single-goroutine as the model prescribes — Writer's
+// too, which is one handle per process.
 type Cluster struct {
 	opts Options
 	deployment
@@ -147,6 +150,15 @@ type Cluster struct {
 	// identity) into batched rounds: one frame per object for the whole
 	// batch. Nil where the link says a request costs no frame (Mux.Framed).
 	combiner *proto.Combiner
+
+	// One writer per register instance: a writer identity must never issue
+	// one timestamp with two values, so every writer of an instance in this
+	// process is the one handle built here, on first use. shards maps a Store
+	// shard's instance to its state (Cluster.shard); standalone and cfgWriter
+	// are the paper's register's writer (Writer) and the configuration
+	// register's (transitionConfig).
+	shards                sync.Map
+	standalone, cfgWriter func() *Writer
 }
 
 // deployment is what the client processes of one cluster have in common.
@@ -172,6 +184,8 @@ func newCluster(opts Options, d deployment) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: WriterID %d out of 0..%d (Readers counts the deployment's client processes)", ErrProcessID, opts.WriterID, opts.Readers-1)
 	}
 	c := &Cluster{opts: opts, deployment: d, mux: d.dial()}
+	c.standalone = sync.OnceValue(func() *Writer { return c.writerReg(0) })
+	c.cfgWriter = sync.OnceValue(func() *Writer { return c.writerReg(config.Reg) })
 	if c.mux.Framed() {
 		c.combiner = proto.NewCombiner(c.mux.Client(types.WriterID(opts.WriterID), 0))
 		c.combiner.SetWait(d.wait)
@@ -354,9 +368,9 @@ type Writer struct {
 	observed *proto.Observed
 }
 
-// Writer returns this process's writer handle for the standalone register
-// (create it once per process).
-func (c *Cluster) Writer() *Writer { return c.writerReg(0) }
+// Writer returns this process's writer handle of the standalone register —
+// the same handle on every call, so use it from one goroutine at a time.
+func (c *Cluster) Writer() *Writer { return c.standalone() }
 
 // writerReg builds the writer handle for register instance reg. It starts
 // from no timestamp: every write learns the register's own (Modify's certified

@@ -83,17 +83,21 @@ type StoreOptions struct {
 // per-register atomicity, so every guarantee of the underlying protocol
 // carries over key by key.
 //
-// Shards are instantiated lazily: the first operation touching a shard
-// creates its writer and reader handles and reads nothing. A Store attached to
-// a non-empty cluster (e.g. a fresh Connect to running daemons) resumes where
-// previous writers stopped because every flush learns the register first: its
-// certified read finds their table and timestamp and rebases onto them.
+// A shard's client state — its committer, reader and mirror of the table —
+// belongs to the process, not to the Store: the Cluster builds it on the
+// first operation touching the shard, from whichever Store, reads nothing
+// then, and shares it with every other Store of the process. A Store
+// attached to a non-empty cluster (e.g. a fresh Connect to running daemons)
+// resumes where previous writers stopped because every flush learns the
+// register first: its certified read finds their table and timestamp and
+// rebases onto them.
 //
 // Store is safe for concurrent use, and — since the registers are
 // multi-writer — so is the cluster: separately Connected processes may Put
 // and Get concurrently, each under its own Options.WriterID (a shard's
 // reads run as the process's one reader identity, one at a time).
-// Within one process, writes to the same shard coalesce (group commit):
+// Within one process, writes to the same shard — through any of its Stores —
+// coalesce (group commit):
 // mutations that arrive while a flush is in flight merge into one pending
 // batch and commit together in the next flush, so N concurrent Puts to a
 // shard cost far fewer than N protocol executions.
@@ -122,13 +126,13 @@ type StoreOptions struct {
 type Store struct {
 	c      *Cluster
 	router shard.Router
-	shards *shard.Lazy[*storeShard]
 }
 
-// storeShard is one shard's client-side state. table/base/touched mirror the
-// register state as of this process's last flush; they are committer-private:
-// puts runs exactly one flush at a time and orders consecutive ones
-// (shard.Group), so they need no lock of their own.
+// storeShard is one shard's client-side state, one per register instance per
+// process (Cluster.shard). table/base/touched mirror the register state as of
+// this process's last flush; they are committer-private: puts runs exactly one
+// flush at a time and orders consecutive ones (shard.Group), so they need no
+// lock of their own.
 type storeShard struct {
 	idx int // shard index, for error/trace labels
 
@@ -187,7 +191,8 @@ type storeShard struct {
 	modify func(fn func(cur types.Pair) (types.Value, types.Delta, error)) (types.Pair, error)
 }
 
-// NewStore returns a keyed store over the cluster.
+// NewStore returns a keyed store over the cluster. It only routes: the
+// shards' state is the process's, shared with every other Store of c.
 func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 	if opts.Shards == 0 {
 		opts.Shards = 8
@@ -201,28 +206,40 @@ func (c *Cluster) NewStore(opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: %w", err)
 	}
-	s := &Store{c: c, router: router}
-	s.shards = shard.NewLazy(opts.Shards, s.buildShard)
-	return s, nil
+	return &Store{c: c, router: router}, nil
 }
 
-// buildShard instantiates shard i's handles. Register instance 0 is the
-// legacy standalone register, so shard i lives on instance i+1. Nothing is
-// read here: the shard starts at ⊥, its first flush's certified read learns
-// the register's table and timestamp (a rebase, as onto any foreign write),
-// and a Get runs its own read.
-func (s *Store) buildShard(i int) *storeShard {
-	reg := i + 1
+// shard returns the state of the shard key routes to. Register instance 0
+// is the paper's register, the one Writer and Reader use, so shard i lives on
+// instance i+1.
+func (s *Store) shard(key string) *storeShard { return s.c.shard(s.router.Locate(key) + 1) }
+
+// shard returns the process's state of register instance reg, built on first
+// use and shared by every Store of c: one committer, one mirror and one
+// writer's timestamps per instance. Once built, it is found without a lock.
+func (c *Cluster) shard(reg int) *storeShard {
+	get, ok := c.shards.Load(reg)
+	if !ok {
+		get, _ = c.shards.LoadOrStore(reg, sync.OnceValue(func() *storeShard { return c.buildShard(reg) }))
+	}
+	return get.(func() *storeShard)()
+}
+
+// buildShard instantiates register instance reg's handles. Nothing is read
+// here: the shard starts at ⊥, its first flush's certified read learns the
+// register's table and timestamp (a rebase, as onto any foreign write), and
+// a Get runs its own read.
+func (c *Cluster) buildShard(reg int) *storeShard {
 	// One known-pair set per shard, shared by the reader and the committer:
 	// what either decided or flushed, neither is sent again
 	// (internal/proto/known.go).
-	known := proto.NewKnown(s.c.th)
-	r := s.c.readerReg(s.c.readerID(), reg)
+	known := proto.NewKnown(c.th)
+	r := c.readerReg(c.readerID(), reg)
 	r.useKnown(known)
-	w := s.c.shardWriter(reg)
+	w := c.shardWriter(reg)
 	w.useKnown(known)
 	sh := &storeShard{
-		idx:       i,
+		idx:       reg - 1,
 		table:     map[string]string{},
 		reader:    r,
 		modify:    w.modifyPair,
@@ -231,7 +248,7 @@ func (s *Store) buildShard(i int) *storeShard {
 		// framing besides the tables.
 		maxTable: wire.MaxFrame/2 - 256,
 	}
-	sh.puts.Wait, sh.gets.Wait = s.c.wait, s.c.wait
+	sh.puts.Wait, sh.gets.Wait = c.wait, c.wait
 	return sh
 }
 
@@ -254,7 +271,7 @@ func (s *Store) Put(key, value string) error {
 	if start := opStart(); !start.IsZero() {
 		defer mPutLat.RecordSince(start)
 	}
-	return s.shards.Get(s.router.Locate(key)).mutate(func(sh *storeShard) bool {
+	return s.shard(key).mutate(func(sh *storeShard) bool {
 		if cur, ok := sh.table[key]; ok && cur == value {
 			return false
 		}
@@ -270,7 +287,7 @@ func (s *Store) Delete(key string) error {
 	if start := opStart(); !start.IsZero() {
 		defer mDelLat.RecordSince(start)
 	}
-	return s.shards.Get(s.router.Locate(key)).mutate(func(sh *storeShard) bool {
+	return s.shard(key).mutate(func(sh *storeShard) bool {
 		if _, ok := sh.table[key]; !ok {
 			return false
 		}
@@ -391,7 +408,7 @@ func (s *Store) Get(key string) (val string, err error) {
 	if start := opStart(); !start.IsZero() {
 		defer mGetLat.RecordSince(start)
 	}
-	table, err := s.shards.Get(s.router.Locate(key)).sharedRead()
+	table, err := s.shard(key).sharedRead()
 	return table[key], err // a failed read's table is nil
 }
 

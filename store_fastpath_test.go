@@ -27,7 +27,7 @@ func countingStore(t *testing.T, seed int64) (*Store, *int64, *int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	var writes int64
 	origModify := sh.modify
 	sh.modify = func(fn func(types.Pair) (types.Value, types.Delta, error)) (types.Pair, error) {
@@ -173,7 +173,7 @@ func TestStoreNoOpAfterRebaseStillWrites(t *testing.T) {
 	if err := st.Put("k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	// Rewind the committer's cache, as if this process had never seen the
 	// current head: the flush must detect the "foreign" pair, rebase, and
 	// refuse to elide.

@@ -135,7 +135,7 @@ func TestStoreGetCoalescing(t *testing.T) {
 	if err := st.Put("k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	// Pose as a running read leader: arriving Gets must now coalesce.
 	release := make(chan struct{})
 	leading := make(chan struct{})
@@ -159,10 +159,7 @@ func TestStoreGetCoalescing(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		joined := 0
-		if p := sh.gets.Pending(); len(p) == 1 {
-			joined = len(p[0])
-		}
+		joined := len(sh.gets.Pending())
 		if joined == K {
 			break
 		}
@@ -201,7 +198,7 @@ func TestStoreGetCertifiedTableCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	t1, err := sh.sharedRead()
 	if err != nil {
 		t.Fatal(err)

@@ -301,7 +301,7 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 			if err := st.Put("k", "v0"); err != nil { // both cases start with k present
 				t.Fatal(err)
 			}
-			sh := st.shards.Get(0)
+			sh := st.c.shard(1)
 			// Instrument the shard's flush: record every committed table and
 			// hold the next register write in flight (between the flush's
 			// certified read and its write) while the test batch forms.
@@ -347,15 +347,9 @@ func TestStoreBatchAppliesPutDeleteInCallOrder(t *testing.T) {
 			run(func(st *Store) error { return st.Put("blocker", "x") })
 			<-entered // the blocker's write is now in flight
 			run(tc.first)
-			waitUntil(t, "first mutation queued", func() bool {
-				p := sh.puts.Pending()
-				return len(p) == 1 && len(p[0]) == 1
-			})
+			waitUntil(t, "first mutation queued", func() bool { return len(sh.puts.Pending()) == 1 })
 			run(tc.second)
-			waitUntil(t, "second mutation queued", func() bool {
-				p := sh.puts.Pending()
-				return len(p) == 1 && len(p[0]) == 2
-			})
+			waitUntil(t, "second mutation queued", func() bool { return len(sh.puts.Pending()) == 2 })
 			close(gate)
 			wg.Wait()
 

@@ -77,7 +77,7 @@ func TestWireGolden(t *testing.T) {
 	// The write-back, as core.Reader issues it: both write phases of the
 	// shard's head, at its own timestamp, by reference, into the shard's
 	// register.
-	sh := st.shards.Get(0)
+	sh := st.c.shard(1)
 	head := sh.base
 	if err := regular.WriteBack(c.rounder(types.Reader(2), 1), c.th, head, 0, head.Val.Digest()); err != nil {
 		t.Fatal(err)
